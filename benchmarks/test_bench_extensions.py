@@ -1,22 +1,15 @@
 """Benchmarks for the extension studies built on top of the paper.
 
 These are not figures from the paper; they exercise the extra analyses the
-library provides: watermark sizing via detection-probability curves, masking
-and starvation attacks, and multi-vendor auditing.
+library provides: watermark sizing via detection-probability curves and
+masking and starvation attacks.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.masking import run_noise_masking_study, run_starvation_study
-from repro.core.config import ExperimentConfig
 from repro.core.lfsr import LFSR
-from repro.core.multi import MultiWatermarkSystem
 from repro.detection.campaign import run_detection_probability_campaign
-from repro.measurement.acquisition import AcquisitionCampaign
-from repro.power.estimator import PowerEstimator
-from repro.power.trace import PowerTrace
-from repro.soc.chip import build_chip_one
 
 
 def test_bench_detection_probability_curve(benchmark, report):
@@ -79,51 +72,3 @@ def test_bench_masking_attack(benchmark, report):
     # Starving the modulated clock gate eventually hides the watermark too.
     assert starvation_study.points[0].detected
     assert not starvation_study.points[-1].detected
-
-
-def test_bench_operating_point_study(benchmark, report):
-    from repro.analysis.operating_point import run_operating_point_study
-
-    study = benchmark.pedantic(run_operating_point_study, rounds=1, iterations=1)
-    report("Extension: DVFS operating-point study", study.to_text())
-
-    nominal = study.corner(1.2, 10e6)
-    low_voltage = study.corner(0.8, 10e6)
-    # The paper's corner is comfortably inside the 300,000-cycle budget;
-    # voltage scaling shrinks the watermark quadratically and pushes the
-    # required acquisition length up.
-    assert nominal.required_cycles < 300_000
-    assert low_voltage.required_cycles > nominal.required_cycles
-
-
-def test_bench_multi_vendor_audit(benchmark, report):
-    config = ExperimentConfig.paper_defaults()
-    estimator = PowerEstimator.at_nominal()
-    num_cycles = 150_000
-
-    def audit():
-        system = MultiWatermarkSystem.with_distinct_lfsr_widths(
-            ["cpu_vendor", "dsp_vendor", "crypto_vendor"], widths=[12, 11, 10]
-        )
-        chip = build_chip_one(watermark=None, m0_window_cycles=8192)
-        background = chip.background_power(num_cycles, seed=31)
-        watermarks = system.combined_power_trace(
-            estimator, num_cycles, active_vendors=["cpu_vendor", "dsp_vendor"],
-            phase_offsets={"cpu_vendor": 3100, "dsp_vendor": 450},
-        )
-        total = PowerTrace(
-            name="die", clock=background.clock,
-            power_w=background.power_w + watermarks.power_w,
-        )
-        measured = AcquisitionCampaign(config.measurement).measure(total, seed=31)
-        return system, system.audit(measured.values, config.detection)
-
-    system, results = benchmark.pedantic(audit, rounds=1, iterations=1)
-    report(
-        "Extension: multi-vendor audit",
-        "\n".join(f"  {vendor:<14} {cpa.summary()}" for vendor, cpa in results.items()),
-    )
-
-    assert results["cpu_vendor"].detected
-    assert results["dsp_vendor"].detected
-    assert not results["crypto_vendor"].detected

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.attacks import AttackOutcome, MaskingAttack, RemovalAttack
-from repro.analysis.masking import MaskingStudy, sweep_kwargs_from_synthesis
+from repro.analysis.masking import MaskingStudy
 from repro.core.config import DetectionConfig, SynthesisConfig
 from repro.core.embedding import EmbeddedWatermark
 
@@ -120,8 +120,6 @@ def assess_detection_robustness(
     trials_per_point: Optional[int] = None,
     detection_config: Optional[DetectionConfig] = None,
     seed: int = 0,
-    compat_draw_order: Optional[bool] = None,
-    gaussian_dtype: Optional[object] = None,
     synthesis: Optional[SynthesisConfig] = None,
 ) -> DetectionRobustnessAssessment:
     """Sweep masking attacks against the watermark's detectability.
@@ -130,41 +128,28 @@ def assess_detection_robustness(
     ``attack`` (a default :class:`MaskingAttack` if none is given); every
     Monte-Carlo trial of a sweep is evaluated in one batched CPA pass.
 
-    ``num_cycles``, ``trials_per_point``, ``detection_config``,
-    ``compat_draw_order`` and ``gaussian_dtype`` parameterise the default
-    attack (unset keywords keep :class:`MaskingAttack`'s own defaults --
-    the latter two select the trial-synthesis Gaussian path, e.g.
-    ``compat_draw_order=False, gaussian_dtype=np.float32`` for
-    campaign-scale sweeps); an explicitly passed ``attack`` already
-    carries them, so combining both is rejected rather than silently
-    ignoring the keywords.
+    ``num_cycles``, ``trials_per_point`` and ``detection_config``
+    parameterise the default attack (unset keywords keep
+    :class:`MaskingAttack`'s own defaults); an explicitly passed
+    ``attack`` already carries them, so combining both is rejected rather
+    than silently ignoring the keywords.
 
     ``synthesis`` accepts the declarative
     :class:`repro.core.config.SynthesisConfig` a
     :class:`repro.core.spec.ScenarioSpec` carries; it expands to the
-    same trial-synthesis knobs and is mutually exclusive with passing
-    ``compat_draw_order``/``gaussian_dtype`` directly.
+    attack's ``max_trials_per_chunk``.
     """
-    if synthesis is not None and (
-        compat_draw_order is not None or gaussian_dtype is not None
-    ):
-        raise ValueError(
-            "pass the trial-synthesis knobs either via 'synthesis' or as "
-            "individual keywords, not both"
-        )
     overrides = {
         key: value
         for key, value in {
             "trials_per_point": trials_per_point,
             "num_cycles": num_cycles,
             "detection_config": detection_config,
-            "compat_draw_order": compat_draw_order,
-            "gaussian_dtype": gaussian_dtype,
         }.items()
         if value is not None
     }
     if synthesis is not None:
-        overrides.update(sweep_kwargs_from_synthesis(synthesis))
+        overrides["max_trials_per_chunk"] = synthesis.max_trials_per_chunk
     if attack is None:
         attack = MaskingAttack(**overrides)
     elif overrides:

@@ -11,11 +11,10 @@ one :class:`repro.pipeline.ExperimentRunner`::
     python -m repro sweep fig3 fig5 fig6      # batched, shared caches
     python -m repro sweep fig5/chip1-active --grid-seeds 1 2 3 \
         --backend process --workers 2         # cartesian grid, process pool
-    python -m repro table2                    # legacy spelling, same report
-    python -m repro all --quick
+    python -m repro sweep fig2 fig3 fig5 fig6 robustness table1 table2 --quick
 
-Legacy sub-commands (``fig2`` ... ``robustness``, ``all``) print the same
-text reports as before, bit for bit.  ``--seed`` overrides a scenario's
+``run`` prints one scenario's text report; ``sweep`` prints each cell's
+report followed by a one-line summary.  ``--seed`` overrides a scenario's
 default seed and ``--json <path>`` writes the machine-readable result
 artifact (spec, scalars, provenance, report), so sweeps are scriptable
 without pytest; ``--save <path>`` additionally persists the arrays to a
@@ -60,19 +59,14 @@ import argparse
 import json
 import pathlib
 import sys
-import time
 from typing import List, Optional
 
 from repro.core.config import QUICK_CYCLES, QUICK_REPETITIONS  # noqa: F401 (re-export)
 from repro.pipeline import faults
-from repro.pipeline.artifacts import SweepResult
 from repro.pipeline.chaos import ChaosPlan
 from repro.pipeline.registry import DEFAULT_REGISTRY, RunOptions, SpecGrid
 from repro.pipeline.runner import ExperimentRunner
 from repro.pipeline.store import ResultStore
-
-#: The pre-registry sub-commands, in the order ``all`` executes them.
-LEGACY_EXPERIMENTS = ("fig2", "fig3", "fig5", "fig6", "robustness", "table1", "table2")
 
 
 def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
@@ -357,26 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="maximum concurrent request-handler threads (default: 4)",
     )
-
-    for name in LEGACY_EXPERIMENTS + ("all",):
-        legacy = subparsers.add_parser(
-            name,
-            help=(
-                "run every paper experiment"
-                if name == "all"
-                else f"regenerate the paper's {name}"
-            ),
-        )
-        _add_scenario_options(legacy)
     return parser
 
 
 def _run_options(args: argparse.Namespace) -> RunOptions:
     return RunOptions(
-        quick=getattr(args, "quick", False),
-        cycles=getattr(args, "cycles", None),
-        repetitions=getattr(args, "repetitions", None),
-        seed=getattr(args, "seed", None),
+        quick=args.quick,
+        cycles=args.cycles,
+        repetitions=args.repetitions,
+        seed=args.seed,
     )
 
 
@@ -650,39 +633,6 @@ def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
-def _cmd_legacy(args: argparse.Namespace) -> int:
-    names = LEGACY_EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    options = _run_options(args)
-    runner = ExperimentRunner()
-    store = _store_for(args)
-    results = []
-    start = time.perf_counter()
-    for name in names:
-        result = runner.run(
-            DEFAULT_REGISTRY.build(name, options), store=store, resume=args.resume
-        )
-        results.append(result)
-        _print_banner("experiment", name)
-        print(result.report)
-        print()
-    elapsed = time.perf_counter() - start
-    _print_store_summary(store)
-    if len(results) == 1:
-        if args.json_path:
-            _write_json(args.json_path, results[0].to_json_dict())
-        if args.save_path:
-            _save_artifact(results[0], args.save_path, results[0].spec.kind)
-    else:
-        # Same machine-readable shape as the `sweep` command, so scripts
-        # can parse `all --json` and `sweep --json` identically.
-        sweep = SweepResult(results=results, elapsed_s=elapsed)
-        if args.json_path:
-            _write_json(args.json_path, sweep.to_json_dict())
-        if args.save_path:
-            _save_artifact(sweep, args.save_path, "sweep")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
@@ -716,9 +666,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_sweep(parser, args)
         if args.experiment == "store":
             return _cmd_store(args)
-        if args.experiment == "serve":
-            return _cmd_serve(parser, args)
-        return _cmd_legacy(args)
+        return _cmd_serve(parser, args)
     except BrokenPipeError:
         # stdout was piped into something like `head` that exited early.
         try:

@@ -34,23 +34,8 @@ from repro.core.config import (
     ExperimentConfig,
 )
 from repro.core.embedding import EmbeddedWatermark, embed_baseline, embed_clock_modulation
-from repro.core.multi import MultiWatermarkSystem, VendorWatermark
-from repro.core.sequence_design import (
-    SequenceRecommendation,
-    autocorrelation_sidelobe,
-    is_good_watermark_sequence,
-    periodic_autocorrelation,
-    recommend_lfsr_width,
-)
 
 __all__ = [
-    "MultiWatermarkSystem",
-    "VendorWatermark",
-    "SequenceRecommendation",
-    "autocorrelation_sidelobe",
-    "is_good_watermark_sequence",
-    "periodic_autocorrelation",
-    "recommend_lfsr_width",
     "LFSR",
     "CircularShiftRegister",
     "SequenceGenerator",

@@ -222,20 +222,13 @@ class DetectionConfig:
 class SynthesisConfig:
     """Knobs of the vectorized trial-synthesis engine.
 
-    ``compat_draw_order=True`` keeps the per-row random stream bit-identical
-    to the original per-trial loops (golden curves); ``False`` selects the
-    fast chunked Gaussian path.  ``gaussian_dtype`` is stored as a dtype
-    *name* so specs stay JSON-serializable.  ``max_trials_per_chunk`` bounds
-    how many trial rows a sweep materialises at once.
+    ``max_trials_per_chunk`` bounds how many trial rows a sweep
+    materialises at once.
     """
 
-    compat_draw_order: bool = True
-    gaussian_dtype: str = "float64"
     max_trials_per_chunk: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.gaussian_dtype not in ("float64", "float32"):
-            raise ValueError("gaussian_dtype must be 'float64' or 'float32'")
         if self.max_trials_per_chunk is not None and self.max_trials_per_chunk <= 0:
             raise ValueError("max_trials_per_chunk must be positive")
 

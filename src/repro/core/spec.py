@@ -52,7 +52,7 @@ SCENARIO_KINDS: Tuple[str, ...] = (
 #: code-version salt (:func:`repro.pipeline.store.code_version_salt`): a
 #: schema bump invalidates memoized results whose spec serialization
 #: changed meaning.
-SPEC_SCHEMA_VERSION = 1
+SPEC_SCHEMA_VERSION = 2
 
 _SPEC_SCHEMA_VERSION = SPEC_SCHEMA_VERSION
 

@@ -140,9 +140,8 @@ def run_detection_probability_campaign(
 
     ``synthesis`` accepts the declarative
     :class:`repro.core.config.SynthesisConfig` carried by a
-    :class:`repro.core.spec.ScenarioSpec`; it currently maps onto
-    ``max_trials_per_chunk`` (the campaign's rows always use the pinned
-    compat draw order) and is mutually exclusive with passing that
+    :class:`repro.core.spec.ScenarioSpec`; it maps onto
+    ``max_trials_per_chunk`` and is mutually exclusive with passing that
     keyword directly.
     """
     if synthesis is not None:
@@ -150,14 +149,6 @@ def run_detection_probability_campaign(
             raise ValueError(
                 "pass max_trials_per_chunk either via 'synthesis' or as a "
                 "keyword, not both"
-            )
-        if not synthesis.compat_draw_order or synthesis.gaussian_dtype != "float64":
-            # Refuse rather than silently run a different path than the
-            # spec (and its hash/provenance stamp) claims.
-            raise ValueError(
-                "the detection-probability campaign always uses the pinned "
-                "compat draw order in float64; compat_draw_order=False / "
-                "gaussian_dtype overrides are not supported here"
             )
         max_trials_per_chunk = synthesis.max_trials_per_chunk
     sequence = np.asarray(sequence, dtype=np.float64)

@@ -88,15 +88,15 @@ def run_fig6_chip(
     config: Optional[ExperimentConfig] = None,
     base_seed: int = 1000,
     m0_window_cycles: int = 16_384,
-    max_repetitions_per_batch: int = 25,
 ) -> Fig6ChipResult:
     """Run the repeated-measurement campaign for one chip.
 
     Thin shim over the scenario pipeline (chip → campaign → statistics
-    stages).  The repeated acquisitions are detected in batches of
-    ``max_repetitions_per_batch`` traces: the measurement noise differs per
-    repetition, but all repetitions share one CPA pass per batch, which
-    bounds the trace-matrix memory at full paper scale (300,000 cycles).
+    stages).  The repeated acquisitions are detected in fixed-size batches
+    (:data:`repro.pipeline.stages.FIG6_REPETITIONS_PER_BATCH`): the
+    measurement noise differs per repetition, but all repetitions of a
+    batch share one CPA pass, which bounds the trace-matrix memory at full
+    paper scale (300,000 cycles).
     Bit-identical to the pre-pipeline driver.
     """
     from repro.core.spec import ScenarioSpec
@@ -104,8 +104,6 @@ def run_fig6_chip(
 
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
-    if max_repetitions_per_batch <= 0:
-        raise ValueError("max_repetitions_per_batch must be positive")
     config = config or ExperimentConfig.paper_defaults()
     spec = ScenarioSpec(
         kind="fig6_chip",
@@ -117,7 +115,6 @@ def run_fig6_chip(
         seed=base_seed,
         repetitions=repetitions,
         m0_window_cycles=m0_window_cycles,
-        params={"max_repetitions_per_batch": max_repetitions_per_batch},
     )
     return run_scenario(spec).payload
 

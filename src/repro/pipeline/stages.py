@@ -292,6 +292,11 @@ def _fig5_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 
 # -- Fig. 6 ----------------------------------------------------------------------
 
+#: Repetitions measured and detected per batch in a Fig. 6 campaign.  Each
+#: repetition's row is detected independently, so the batch size bounds the
+#: trace-matrix memory without changing any result.
+FIG6_REPETITIONS_PER_BATCH = 25
+
 
 @stage_builder("fig6_chip")
 def _fig6_chip_stages(spec: ScenarioSpec) -> List[PipelineStage]:
@@ -299,9 +304,6 @@ def _fig6_chip_stages(spec: ScenarioSpec) -> List[PipelineStage]:
         chip = ctx.data["chip"]
         spec = ctx.spec
         repetitions = spec.repetitions
-        batch_size = spec.param("max_repetitions_per_batch", 25)
-        if batch_size <= 0:
-            raise ValueError("max_repetitions_per_batch must be positive")
         num_cycles = spec.measurement.num_cycles
         phase_offset = _fig5_panel_phase_offset(spec)
         campaign = AcquisitionCampaign.from_spec(spec)
@@ -309,8 +311,8 @@ def _fig6_chip_stages(spec: ScenarioSpec) -> List[PipelineStage]:
         sequence = chip.watermark_sequence()
         runs: List[np.ndarray] = []
         detections: List[bool] = []
-        for start in range(0, repetitions, batch_size):
-            stop = min(repetitions, start + batch_size)
+        for start in range(0, repetitions, FIG6_REPETITIONS_PER_BATCH):
+            stop = min(repetitions, start + FIG6_REPETITIONS_PER_BATCH)
             trace_matrix = campaign.measure_chip_many(
                 chip,
                 num_cycles,
@@ -555,11 +557,7 @@ def _detection_probability_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 
 def _masking_stages(spec: ScenarioSpec, starvation: bool) -> List[PipelineStage]:
     def sweep(ctx: StageContext) -> None:
-        from repro.analysis.masking import (
-            run_noise_masking_study,
-            run_starvation_study,
-            sweep_kwargs_from_synthesis,
-        )
+        from repro.analysis.masking import run_noise_masking_study, run_starvation_study
 
         spec = ctx.spec
         sequence = build_watermark(spec.watermark).sequence()
@@ -570,7 +568,7 @@ def _masking_stages(spec: ScenarioSpec, starvation: bool) -> List[PipelineStage]
             detection_config=spec.detection,
             seed=spec.seed,
             trials_per_point=spec.param("trials_per_point", 1),
-            **sweep_kwargs_from_synthesis(spec.synthesis),
+            max_trials_per_chunk=spec.synthesis.max_trials_per_chunk,
         )
         if starvation:
             study = run_starvation_study(

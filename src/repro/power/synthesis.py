@@ -264,31 +264,14 @@ class TraceSynthesizer:
         enable_duties: Union[None, float, Sequence[float]] = None,
         amplitudes: Union[None, float, Sequence[float]] = None,
         out: Optional[np.ndarray] = None,
-        compat_draw_order: bool = True,
-        dtype: Union[np.dtype, type, str] = np.float64,
     ) -> np.ndarray:
-        """Emit a ``trials x num_cycles`` matrix of the measurement model.
+        """Emit a ``trials x num_cycles`` float64 matrix of the measurement model.
 
-        With ``compat_draw_order=True`` (the default) each trial draws a
-        uniform phase offset, optionally a starvation gate
-        (``enable_duties`` below 1 model the host clock-gate control being
-        low part of the time) and its Gaussian noise row -- in exactly the
-        order a per-trial loop would draw them, so a given seed stream
-        produces the same matrix as the pre-vectorised drivers.
-
-        ``compat_draw_order=False`` selects the fast Gaussian path: all
-        phase offsets are drawn in one vectorised call, then the gates (in
-        row order, gated rows only), then the whole noise matrix is filled
-        by one chunked ``standard_normal`` draw straight into the output
-        buffer and scaled per row.  The result is still fully determined
-        by the seed, but the draw order (and therefore the exact noise
-        realisation) differs from the compat stream -- use it for new
-        campaigns, not for reproducing pinned golden curves.
-
-        ``dtype`` selects the trial-matrix precision; ``float32`` halves
-        the memory traffic of campaign-scale sweeps (detection decisions
-        are preserved -- pinned by the equivalence suite -- but bit-level
-        golden comparisons require the default ``float64``).
+        Each trial draws a uniform phase offset, optionally a starvation
+        gate (``enable_duties`` below 1 model the host clock-gate control
+        being low part of the time) and its Gaussian noise row -- in
+        exactly the order a per-trial loop would draw them, so a given seed
+        stream produces the same matrix as the pre-vectorised drivers.
 
         The watermark rows themselves are strided windows of one
         pre-scaled periodic buffer added in place (no per-trial slice
@@ -298,9 +281,6 @@ class TraceSynthesizer:
             raise ValueError("trials must be positive")
         if num_cycles <= 0:
             raise ValueError("num_cycles must be positive")
-        dtype = np.dtype(dtype)
-        if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError("dtype must be float64 or float32")
         period = self.period
         sigmas = _per_row(noise_sigmas, self.noise_sigma_w, trials, "noise_sigmas")
         amps = _per_row(amplitudes, self.watermark_amplitude_w, trials, "amplitudes")
@@ -310,28 +290,17 @@ class TraceSynthesizer:
             else _per_row(enable_duties, 1.0, trials, "enable_duties")
         )
         if out is None:
-            out = np.empty((trials, num_cycles), dtype=dtype)
+            out = np.empty((trials, num_cycles), dtype=np.float64)
         elif out.shape != (trials, num_cycles):
             raise ValueError("out must be a trials x num_cycles array")
         gates: dict = {}
-        if compat_draw_order:
-            offsets = np.empty(trials, dtype=np.int64)
-            # repro-lint: allow[HOT001] golden reference path: replays the pre-batching per-trial draw order bit-for-bit
-            for row in range(trials):
-                offsets[row] = rng.integers(0, period)
-                if duties is not None and duties[row] < 1.0:
-                    gates[row] = rng.random(num_cycles) < duties[row]
-                out[row] = rng.normal(0.0, sigmas[row], num_cycles)
-        else:
-            offsets = rng.integers(0, period, size=trials)
-            if duties is not None:
-                for row in np.flatnonzero(duties < 1.0):
-                    gates[int(row)] = rng.random(num_cycles) < duties[row]
-            if out.flags.c_contiguous and out.dtype == dtype:
-                rng.standard_normal(out=out.reshape(-1), dtype=dtype)
-            else:  # caller-provided non-contiguous or mismatched buffer
-                out[...] = rng.standard_normal((trials, num_cycles), dtype=dtype)
-            out *= sigmas[:, None]
+        offsets = np.empty(trials, dtype=np.int64)
+        # repro-lint: allow[HOT001] per-row draw order: replays the pre-batching per-trial random stream bit-for-bit
+        for row in range(trials):
+            offsets[row] = rng.integers(0, period)
+            if duties is not None and duties[row] < 1.0:
+                gates[row] = rng.random(num_cycles) < duties[row]
+            out[row] = rng.normal(0.0, sigmas[row], num_cycles)
 
         # Rows without a starvation gate add a window of one pre-scaled
         # template (base + amplitude * X) straight into their noise row;

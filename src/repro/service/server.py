@@ -34,6 +34,7 @@ import json
 import logging
 import math
 import pathlib
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -425,6 +426,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     # Typed alias the routing code below relies on.
     server: "ServiceServer"
+    # Whether the current POST's body is still unread on the socket.
+    _body_unread = False
 
     def setup(self) -> None:
         self.timeout = self.server.service.config.request_timeout_s
@@ -440,8 +443,28 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self._body_unread:
+            # Sets close_connection: the unread body must not be parsed
+            # as the next request on this connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
+
+    def _discard_unread_body(self) -> None:
+        """Stop writing, then drop whatever request body the client still sends.
+
+        Closing a socket with unread input makes the kernel answer with a
+        reset, which can destroy the response before the client reads it.
+        Draining until the client closes (or the request timeout passes)
+        lets it finish its write and read the refusal.
+        """
+        self.connection.shutdown(socket.SHUT_WR)
+        deadline = time.monotonic() + self.server.service.config.request_timeout_s
+        try:
+            while time.monotonic() < deadline and self.rfile.read1(65536):
+                pass
+        except OSError:
+            pass
 
     def _read_body(self) -> bytes:
         length_header = self.headers.get("Content-Length")
@@ -461,12 +484,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 f"request body of {length} byte(s) exceeds the "
                 f"{limit}-byte limit",
             )
+        self._body_unread = False
         return self.rfile.read(length)
 
     def _dispatch(self, method: str) -> None:
         service = self.server.service
         path = self.path.split("?", 1)[0]
         start = time.perf_counter()
+        self._body_unread = method == "POST"
         try:
             status, body = self._route(service, method, path)
         except ServiceError as error:
@@ -484,6 +509,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             }
         try:
             self._send_json(status, body)
+            if self._body_unread:
+                self._discard_unread_body()
         except (BrokenPipeError, ConnectionResetError):
             logger.debug("client went away before the response for %s", path)
         service.metrics.observe(path, status, (time.perf_counter() - start) * 1e3)

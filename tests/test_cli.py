@@ -9,58 +9,64 @@ from repro.core.spec import ScenarioSpec
 
 
 class TestParser:
-    def test_known_experiments(self):
+    def test_known_commands(self):
         parser = build_parser()
-        for name in ("fig2", "fig3", "fig5", "fig6", "table1", "table2", "robustness", "all"):
-            args = parser.parse_args([name])
-            assert args.experiment == name
+        for argv in (["list"], ["run", "fig2"], ["sweep", "fig2", "table2"],
+                     ["store", "stats", "dir"], ["serve"]):
+            assert parser.parse_args(argv).experiment == argv[0]
 
     def test_unknown_experiment_rejected(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["fig99"])
 
+    @pytest.mark.parametrize("name", ["fig2", "table2", "all"])
+    def test_per_figure_subcommands_removed(self, name):
+        # One spelling per scenario: `run <name>` / `sweep <names...>`.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name])
+
     def test_options(self):
-        args = build_parser().parse_args(["fig5", "--cycles", "1000", "--quick"])
+        args = build_parser().parse_args(["run", "fig5", "--cycles", "1000", "--quick"])
         assert args.cycles == 1000
         assert args.quick
 
 
 class TestMain:
     def test_table2_runs(self, capsys):
-        assert main(["table2"]) == 0
+        assert main(["run", "table2"]) == 0
         output = capsys.readouterr().out
         assert "98.0%" in output
-        assert "experiment: table2" in output
+        assert "scenario: table2" in output
 
     def test_table1_runs(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["run", "table1"]) == 0
         assert "No Data Switching" in capsys.readouterr().out
 
     def test_fig2_runs(self, capsys):
-        assert main(["fig2"]) == 0
+        assert main(["run", "fig2"]) == 0
         assert "WMARK" in capsys.readouterr().out
 
     def test_robustness_runs(self, capsys):
-        assert main(["robustness"]) == 0
+        assert main(["run", "robustness"]) == 0
         assert "improved robustness demonstrated: True" in capsys.readouterr().out
 
     def test_fig5_quick_runs(self, capsys):
-        assert main(["fig5", "--quick", "--cycles", "40000"]) == 0
+        assert main(["run", "fig5", "--quick", "--cycles", "40000"]) == 0
         output = capsys.readouterr().out
         assert "chip1" in output and "chip2" in output
 
     def test_fig6_quick_runs(self, capsys):
-        assert main(["fig6", "--quick", "--cycles", "40000", "--repetitions", "5"]) == 0
+        assert main(["run", "fig6", "--quick", "--cycles", "40000", "--repetitions", "5"]) == 0
         assert "repetitions" in capsys.readouterr().out
 
     def test_invalid_cycles_rejected(self):
         with pytest.raises(SystemExit):
-            main(["fig5", "--cycles", "-5"])
+            main(["run", "fig5", "--cycles", "-5"])
 
     def test_invalid_repetitions_rejected(self):
         with pytest.raises(SystemExit):
-            main(["fig6", "--repetitions", "0"])
+            main(["run", "fig6", "--repetitions", "0"])
 
 
 class TestRegistryCommands:
@@ -142,12 +148,6 @@ class TestRegistryCommands:
             "table1",
             "table2",
         ]
-
-    def test_legacy_json_option(self, tmp_path, capsys):
-        path = tmp_path / "table1.json"
-        assert main(["table1", "--json", str(path)]) == 0
-        capsys.readouterr()
-        assert json.loads(path.read_text())["spec"]["kind"] == "table1"
 
 
 class TestSweepBackendsAndGrids:

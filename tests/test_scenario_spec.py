@@ -27,9 +27,7 @@ def _rich_spec() -> ScenarioSpec:
         watermark=WatermarkConfig(lfsr_width=10, lfsr_seed=0x155, switching_registers=256),
         measurement=MeasurementConfig.quick(12_345),
         detection=DetectionConfig(detection_threshold=5.0, uniqueness_margin=0.9),
-        synthesis=SynthesisConfig(
-            compat_draw_order=False, gaussian_dtype="float32", max_trials_per_chunk=16
-        ),
+        synthesis=SynthesisConfig(max_trials_per_chunk=16),
         watermark_active=False,
         seed=42,
         phase_offset=1_234,
@@ -125,7 +123,7 @@ class TestConfigSerialization:
             WatermarkConfig(lfsr_width=8, lfsr_seed=0x2D, switching_registers=128),
             MeasurementConfig.quick(9_999),
             DetectionConfig(detection_threshold=6.0),
-            SynthesisConfig(gaussian_dtype="float32"),
+            SynthesisConfig(max_trials_per_chunk=8),
         ],
         ids=["watermark", "measurement", "detection", "synthesis"],
     )
@@ -136,9 +134,18 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="unknown WatermarkConfig fields"):
             WatermarkConfig.from_dict({"lfsr_width": 12, "bogus": 1})
 
-    def test_synthesis_dtype_validated(self):
-        with pytest.raises(ValueError, match="gaussian_dtype"):
-            SynthesisConfig(gaussian_dtype="float16")
+    def test_synthesis_chunk_validated(self):
+        with pytest.raises(ValueError, match="max_trials_per_chunk"):
+            SynthesisConfig(max_trials_per_chunk=0)
+
+    def test_schema_v1_synthesis_fields_rejected(self):
+        # Schema v2 dropped the trial-synthesis draw-order and dtype knobs.
+        with pytest.raises(ValueError, match="unknown SynthesisConfig fields"):
+            SynthesisConfig.from_dict({"compat_draw_order": True})
+        payload = _rich_spec().to_json_dict()
+        payload["schema_version"] = 1
+        with pytest.raises(ValueError, match="unsupported spec schema version"):
+            ScenarioSpec.from_json_dict(payload)
 
 
 class TestScenarioResultArtifacts:
