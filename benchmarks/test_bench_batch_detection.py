@@ -149,24 +149,37 @@ def test_bench_batch_detection_speedup(benchmark, report):
 
 
 def test_bench_batched_campaign_memory_chunking(report):
-    """Chunked campaign (bounded memory) reaches identical detection counts."""
+    """The streamed campaign holds a few rows, not the trial matrix, and detects the same."""
+    import tracemalloc
+
     from repro.detection.campaign import run_detection_probability_campaign
+    from repro.power.synthesis import TraceSynthesizer
 
     sequence = LFSR(width=PERIOD_WIDTH, seed=0x2D).sequence()
-    kwargs = dict(
-        watermark_amplitude_w=1.5e-3,
-        noise_sigma_w=20e-3,
-        cycle_counts=(NUM_CYCLES,),
-        trials_per_point=20,
-        seed=7,
+    trials = 20
+    tracemalloc.start()
+    try:
+        streamed = run_detection_probability_campaign(
+            sequence,
+            watermark_amplitude_w=1.5e-3,
+            noise_sigma_w=20e-3,
+            cycle_counts=(NUM_CYCLES,),
+            trials_per_point=trials,
+            seed=7,
+        )
+        peak_rows = tracemalloc.get_traced_memory()[1] / (NUM_CYCLES * 8)
+    finally:
+        tracemalloc.stop()
+    synthesizer = TraceSynthesizer.from_sequence(
+        sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=20e-3
     )
-    full = run_detection_probability_campaign(sequence, **kwargs)
-    chunked = run_detection_probability_campaign(
-        sequence, max_trials_per_chunk=4, chunk_cycles=16_384, **kwargs
-    )
-    assert [p.detections for p in full.points] == [p.detections for p in chunked.points]
+    matrix = synthesizer.synthesize_trials(trials, NUM_CYCLES, np.random.default_rng(7))
+    materialized = BatchCPADetector().detect_many(sequence, matrix)
+    assert streamed.points[0].detections == materialized.detection_count
+    assert peak_rows < trials / 2
     report(
-        "Batched campaign chunk invariance",
-        f"detections full={full.points[0].detections} "
-        f"chunked={chunked.points[0].detections} (20 trials, {NUM_CYCLES:,} cycles)",
+        "Streamed campaign memory",
+        f"detections streamed={streamed.points[0].detections} "
+        f"materialized={materialized.detection_count} ({trials} trials, "
+        f"{NUM_CYCLES:,} cycles); peak {peak_rows:.1f} trace rows",
     )

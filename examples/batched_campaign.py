@@ -5,9 +5,10 @@ Shows the batched detection engine at campaign scale:
 
 1. size a watermark operating point (amplitude, bench noise) below the
    paper's corner, where detection is *not* guaranteed;
-2. sweep acquisition lengths, running every length's Monte-Carlo trials as
-   one trial matrix through ``BatchCPADetector`` (one stack of rFFTs per
-   batch instead of one Python round trip per trial);
+2. sweep acquisition lengths, streaming every length's Monte-Carlo trial
+   rows into one ``BatchCPADetector`` pass (one stack of rFFTs per batch
+   instead of one Python round trip per trial, one row in memory at a
+   time);
 3. print the empirical detection-probability curve next to the analytical
    sufficient-cycle estimate, plus a masking-robustness sweep that reuses
    the same batched engine.
@@ -33,12 +34,6 @@ def main() -> None:
         default=100,
         help="Monte-Carlo trials per acquisition length",
     )
-    parser.add_argument(
-        "--max-trials-per-chunk",
-        type=int,
-        default=25,
-        help="trial rows materialised at once (memory bound)",
-    )
     args = parser.parse_args()
 
     sequence = LFSR(width=8, seed=0x2D).sequence()
@@ -52,7 +47,6 @@ def main() -> None:
         noise_sigma_w=noise_w,
         cycle_counts=(5_000, 20_000, 80_000, 160_000),
         trials_per_point=args.trials,
-        max_trials_per_chunk=args.max_trials_per_chunk,
         seed=1,
     )
     elapsed = time.perf_counter() - start

@@ -212,8 +212,8 @@ class MaskingAttack:
     The attacker either injects uncorrelated switching activity
     (``masking_noise_levels_w``) or starves the watermarked sub-module's
     clock-gate enable (``enable_duties``).  Each sweep is a Monte-Carlo
-    campaign (``trials_per_point`` trials per level) whose trials are all
-    evaluated in one batched CPA pass.
+    campaign (``trials_per_point`` trials per level) whose trials all stream
+    row by row into one batched CPA pass.
     """
 
     masking_noise_levels_w: Sequence[float] = (0.0, 50e-3, 100e-3, 200e-3, 400e-3)
@@ -221,7 +221,6 @@ class MaskingAttack:
     trials_per_point: int = 1
     num_cycles: int = 300_000
     detection_config: Optional[DetectionConfig] = None
-    max_trials_per_chunk: Optional[int] = None
 
     def sweep_noise_injection(
         self,
@@ -242,7 +241,6 @@ class MaskingAttack:
             detection_config=self.detection_config,
             seed=seed,
             trials_per_point=self.trials_per_point,
-            max_trials_per_chunk=self.max_trials_per_chunk,
         )
 
     def sweep_starvation(
@@ -264,5 +262,4 @@ class MaskingAttack:
             detection_config=self.detection_config,
             seed=seed,
             trials_per_point=self.trials_per_point,
-            max_trials_per_chunk=self.max_trials_per_chunk,
         )

@@ -20,7 +20,9 @@ Matching is by ``(rule, path, message)`` -- line numbers drift with
 unrelated edits, messages only change when the finding itself does.
 ``--update-baseline`` regenerates the file from the current findings,
 carrying justifications over and leaving new entries' empty (so the
-committer must write them before the gate passes).
+committer must write them before the gate passes).  A finding whose
+message was reworded but which still sits at its entry's recorded
+``(rule, path, line)`` keeps that entry's justification too.
 """
 
 from __future__ import annotations
@@ -209,30 +211,32 @@ def update_baseline(
 ) -> Tuple[int, int]:
     """Rewrite the baseline from the current unsuppressed findings.
 
-    Justifications of entries still matching a finding are carried over;
+    Justifications of entries still matching a finding are carried over,
+    by message first and then -- for an entry whose message no finding
+    matches -- by the exact ``(rule, path, line)`` it was recorded at;
     new entries get an empty justification the committer must fill in
     (the gate treats an empty one as LINT001).  Returns
     ``(total_entries, entries_needing_justification)``.
     """
-    carried: Dict[Tuple[str, str, str], List[str]] = {}
-    if path.exists():
-        old_entries, _ = load_baseline(path)
-        for entry in old_entries:
-            key = (
-                str(entry["rule"]),
-                _canonical(str(entry["path"])),
-                str(entry["message"]),
-            )
-            carried.setdefault(key, []).append(str(entry["justification"]))
+    remaining = load_baseline(path)[0] if path.exists() else []
 
+    def carry(finding: Finding, key: str) -> Optional[str]:
+        """Pop the first old entry of ``finding``'s rule and path agreeing on ``key``."""
+        for index, entry in enumerate(remaining):
+            if (
+                str(entry["rule"]) == finding.rule_id
+                and _canonical(str(entry["path"])) == _canonical(finding.path)
+                and str(entry.get(key)) == str(getattr(finding, key))
+            ):
+                return str(remaining.pop(index)["justification"])
+        return None
+
+    live = [f for f in findings if not f.suppressed and f.rule_id != META_RULE_ID]
+    by_message = [carry(finding, "message") for finding in live]
     entries: List[Dict[str, object]] = []
     missing = 0
-    for finding in findings:
-        if finding.suppressed or finding.rule_id == META_RULE_ID:
-            continue
-        key = (finding.rule_id, _canonical(finding.path), finding.message)
-        stack = carried.get(key)
-        justification = stack.pop(0) if stack else ""
+    for finding, carried in zip(live, by_message):
+        justification = carried if carried is not None else carry(finding, "line") or ""
         if not justification:
             missing += 1
         entries.append(

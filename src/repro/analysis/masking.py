@@ -11,10 +11,9 @@ acquisition length -- the flip side of the detection-probability analysis in
 :mod:`repro.detection.campaign`.
 
 All sweep points (and, with ``trials_per_point > 1``, all Monte-Carlo
-trials per point) share one acquisition length, so the whole sweep is
-evaluated as a single trial matrix by
-:class:`repro.detection.batch.BatchCPADetector` instead of one CPA round
-trip per configuration.
+trials per point) share one acquisition length, so the whole sweep streams
+row by row into one :class:`repro.detection.batch.BatchCPADetector` pass
+instead of one CPA round trip per configuration.
 """
 
 from __future__ import annotations
@@ -106,23 +105,18 @@ def _run_sweep(
     rng: np.random.Generator,
     detector: BatchCPADetector,
     base_power_w: float = 5e-3,
-    max_trials_per_chunk: Optional[int] = None,
 ) -> Optional[BatchCPAResult]:
     """Synthesize and detect the trial rows of a masking sweep.
 
     One row per (sweep point, trial), in sweep order; each row draws its
     random phase offset, starvation gate and acquisition noise in the same
-    order a per-trial simulation would, so the random stream (and therefore
-    every detection outcome) is independent of ``max_trials_per_chunk``,
-    which only bounds how many rows are materialised and detected at once.
-    The rows themselves come out of
-    :meth:`repro.power.synthesis.TraceSynthesizer.synthesize_trials` (one
-    batched modular gather per chunk; starvation gates model the host's
-    CLK_CTRL being low part of the time, Fig. 1(b): the effective enable is
-    WMARK AND CLK_CTRL).  An empty sweep (no levels) returns ``None``.
+    order a per-trial simulation would.  The rows come out of
+    :meth:`repro.power.synthesis.TraceSynthesizer.trial_rows` one at a
+    time and stream into a single batched CPA pass (starvation gates model
+    the host's CLK_CTRL being low part of the time, Fig. 1(b): the
+    effective enable is WMARK AND CLK_CTRL).  An empty sweep (no levels)
+    returns ``None``.
     """
-    if max_trials_per_chunk is not None and max_trials_per_chunk <= 0:
-        raise ValueError("max_trials_per_chunk must be positive")
     total_rows = len(noise_sigmas) * trials_per_point
     if total_rows == 0:
         return None
@@ -132,29 +126,14 @@ def _run_sweep(
         noise_sigma_w=0.0,
         base_power_w=base_power_w,
     )
-    chunk_size = total_rows if max_trials_per_chunk is None else int(max_trials_per_chunk)
-
-    specs = [
-        (sigma, duty)
-        for sigma, duty in zip(noise_sigmas, enable_duties)
-        for _ in range(trials_per_point)
-    ]
-    batches: List[BatchCPAResult] = []
-    for start in range(0, total_rows, chunk_size):
-        chunk_specs = specs[start : start + chunk_size]
-        batches.append(
-            synthesizer.detect_trials(
-                detector,
-                len(chunk_specs),
-                num_cycles,
-                rng,
-                noise_sigmas=[sigma for sigma, _ in chunk_specs],
-                enable_duties=[duty for _, duty in chunk_specs],
-            )
-        )
-    if len(batches) == 1:
-        return batches[0]
-    return BatchCPAResult.concatenate(batches)
+    return synthesizer.detect_trials(
+        detector,
+        total_rows,
+        num_cycles,
+        rng,
+        noise_sigmas=np.repeat(noise_sigmas, trials_per_point),
+        enable_duties=np.repeat(enable_duties, trials_per_point),
+    )
 
 
 def _aggregate_points(
@@ -191,7 +170,6 @@ def run_noise_masking_study(
     detection_config: Optional[DetectionConfig] = None,
     seed: int = 0,
     trials_per_point: int = 1,
-    max_trials_per_chunk: Optional[int] = None,
 ) -> MaskingStudy:
     """Sweep the amount of random masking activity an attacker injects.
 
@@ -200,9 +178,7 @@ def run_noise_masking_study(
     power (and therefore energy cost to the attacker's product) is needed to
     push the correlation peak below the detection threshold at the paper's
     acquisition length.  All sweep levels (times ``trials_per_point``
-    Monte-Carlo trials each) are detected in one batched CPA pass;
-    ``max_trials_per_chunk`` bounds how many trial rows are materialised
-    and detected at once without changing any outcome.
+    Monte-Carlo trials each) stream row by row into one batched CPA pass.
     """
     sequence = np.asarray(sequence, dtype=np.float64)
     if trials_per_point <= 0:
@@ -227,7 +203,6 @@ def run_noise_masking_study(
         trials_per_point,
         rng,
         detector,
-        max_trials_per_chunk=max_trials_per_chunk,
     )
     study = MaskingStudy(
         watermark_amplitude_w=watermark_amplitude_w,
@@ -248,7 +223,6 @@ def run_starvation_study(
     detection_config: Optional[DetectionConfig] = None,
     seed: int = 0,
     trials_per_point: int = 1,
-    max_trials_per_chunk: Optional[int] = None,
 ) -> MaskingStudy:
     """Sweep the fraction of cycles in which the modulated clock gate may open.
 
@@ -257,9 +231,8 @@ def run_starvation_study(
     time; the watermark amplitude scales with the duty and detection
     eventually fails, quantifying the paper's remark that the watermark can
     be exercised while the system is inactive to avoid exactly this.  All
-    duties (times ``trials_per_point`` Monte-Carlo trials each) are detected
-    in one batched CPA pass; ``max_trials_per_chunk`` bounds how many trial
-    rows are materialised and detected at once without changing any outcome.
+    duties (times ``trials_per_point`` Monte-Carlo trials each) stream row
+    by row into one batched CPA pass.
     """
     sequence = np.asarray(sequence, dtype=np.float64)
     if trials_per_point <= 0:
@@ -281,7 +254,6 @@ def run_starvation_study(
         trials_per_point,
         rng,
         detector,
-        max_trials_per_chunk=max_trials_per_chunk,
     )
     study = MaskingStudy(
         watermark_amplitude_w=watermark_amplitude_w,

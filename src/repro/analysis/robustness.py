@@ -6,12 +6,12 @@ Two complementary notions of robustness are assessed:
   locate and excise the watermark without breaking the host design?
 * **detection** (:func:`assess_detection_robustness`) -- how much
   power-domain masking (noise injection or enable starvation) does it take
-  to defeat CPA?  These sweeps are Monte-Carlo campaigns whose trial
-  matrices are synthesized by the vectorized trace-synthesis engine
-  (:class:`repro.power.synthesis.TraceSynthesizer`) and whose trials all
-  run through the batched detection engine
+  to defeat CPA?  These sweeps are Monte-Carlo campaigns whose trial rows
+  are synthesized one at a time by the vectorized trace-synthesis engine
+  (:class:`repro.power.synthesis.TraceSynthesizer`) and stream into the
+  batched detection engine
   (:class:`repro.detection.batch.BatchCPADetector`) -- no per-cycle Python
-  loop on either the generation or the detection side.
+  loop on either side, and no trials x cycles matrix in memory.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.analysis.attacks import AttackOutcome, MaskingAttack, RemovalAttack
 from repro.analysis.masking import MaskingStudy
-from repro.core.config import DetectionConfig, SynthesisConfig
+from repro.core.config import DetectionConfig
 from repro.core.embedding import EmbeddedWatermark
 
 
@@ -120,24 +120,19 @@ def assess_detection_robustness(
     trials_per_point: Optional[int] = None,
     detection_config: Optional[DetectionConfig] = None,
     seed: int = 0,
-    synthesis: Optional[SynthesisConfig] = None,
 ) -> DetectionRobustnessAssessment:
     """Sweep masking attacks against the watermark's detectability.
 
     Runs the noise-injection and enable-starvation campaigns of
     ``attack`` (a default :class:`MaskingAttack` if none is given); every
-    Monte-Carlo trial of a sweep is evaluated in one batched CPA pass.
+    Monte-Carlo trial of a sweep streams row by row into one batched CPA
+    pass.
 
     ``num_cycles``, ``trials_per_point`` and ``detection_config``
     parameterise the default attack (unset keywords keep
     :class:`MaskingAttack`'s own defaults); an explicitly passed
     ``attack`` already carries them, so combining both is rejected rather
     than silently ignoring the keywords.
-
-    ``synthesis`` accepts the declarative
-    :class:`repro.core.config.SynthesisConfig` a
-    :class:`repro.core.spec.ScenarioSpec` carries; it expands to the
-    attack's ``max_trials_per_chunk``.
     """
     overrides = {
         key: value
@@ -148,8 +143,6 @@ def assess_detection_robustness(
         }.items()
         if value is not None
     }
-    if synthesis is not None:
-        overrides["max_trials_per_chunk"] = synthesis.max_trials_per_chunk
     if attack is None:
         attack = MaskingAttack(**overrides)
     elif overrides:

@@ -294,14 +294,17 @@ class SeedStreamCollisionRule(ProjectRule):
             if len(distinct) < 2:
                 continue
             for path, line, qualname, key in distinct:
-                # collision partners named by stable module key, not the
-                # invocation-dependent path, so baseline entries match
-                # however the lint was launched
-                others = [
-                    f"{o_key}:{o_line}"
-                    for o_path, o_line, _, o_key in distinct
-                    if (o_path, o_line) != (path, line)
-                ]
+                # collision partners named by stable module key and
+                # qualname -- not the invocation-dependent path, nor line
+                # numbers that drift with unrelated edits -- so baseline
+                # entries match however the lint was launched
+                others = sorted(
+                    {
+                        f"{o_key}:{o_qualname}"
+                        for o_path, o_line, o_qualname, o_key in distinct
+                        if (o_path, o_line) != (path, line)
+                    }
+                )
                 found.append(
                     (
                         path,

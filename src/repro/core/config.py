@@ -219,30 +219,6 @@ class DetectionConfig:
 
 
 @dataclass(frozen=True)
-class SynthesisConfig:
-    """Knobs of the vectorized trial-synthesis engine.
-
-    ``max_trials_per_chunk`` bounds how many trial rows a sweep
-    materialises at once.
-    """
-
-    max_trials_per_chunk: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_trials_per_chunk is not None and self.max_trials_per_chunk <= 0:
-            raise ValueError("max_trials_per_chunk must be positive")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-able representation."""
-        return _config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SynthesisConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return _config_from_dict(cls, payload)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Bundle of all configuration needed by an experiment driver."""
 

@@ -11,14 +11,14 @@ Two detector front-ends share one implementation:
 * :class:`CPADetector` -- the single-trace API of the paper
   (``detect(sequence, measured) -> CPAResult``).
 * :class:`BatchCPADetector` -- the batched engine
-  (``detect_many(sequences, trace_matrix) -> BatchCPAResult``): an entire
-  Monte-Carlo campaign (``trials x cycles`` trace matrix) is folded by
-  phase and correlated with one stack of rFFTs, and the detection decision
+  (``detect_many(sequences, traces) -> BatchCPAResult``): every trace row
+  of a Monte-Carlo campaign is folded by phase as it arrives (any iterable
+  of rows, so producers stream them through one reused buffer), all rows
+  are correlated with one stack of rFFTs, and the detection decision
   (peak, off-peak noise floor, z-score, uniqueness) is vectorized across
   trials.  A batch of one is bit-identical to ``CPADetector.detect``.
-  ``max_trials_per_chunk`` / ``chunk_cycles`` bound memory for very long
-  sweeps.  :func:`batch_rotation_correlations` exposes the raw batched
-  correlation spectra; :func:`fold_by_phase` the underlying phase fold.
+  :func:`batch_rotation_correlations` exposes the raw batched correlation
+  spectra; :func:`fold_by_phase` the underlying phase fold.
 
 Campaign-scale consumers (:func:`run_detection_probability_campaign`, the
 Fig. 6 repetition study, the masking/robustness sweeps) all route their

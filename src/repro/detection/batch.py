@@ -6,9 +6,9 @@ sweeps, multi-vendor audits -- multiplies one CPA evaluation by hundreds of
 Monte-Carlo trials.  This module makes "N traces at once" the native shape
 of the detector:
 
-* :func:`batch_rotation_correlations` folds a 2-D trial matrix
-  (``trials x cycles``) into per-phase sums and computes the full rotation
-  correlation spectrum of every trial with a single stack of rFFTs,
+* :func:`batch_rotation_correlations` folds every trace row into per-phase
+  sums as the row arrives and computes the full rotation correlation
+  spectrum of every trial with a single stack of rFFTs,
   O(trials * cycles + trials * period log period).
 * :class:`BatchCPADetector` vectorizes the evaluate step (peak, off-peak
   noise floor, z-score, uniqueness) across rows and returns a structured
@@ -19,24 +19,17 @@ and evaluation paths to this engine, so a batch of one is *bit-identical*
 to a single detection -- the equivalence suite in
 ``tests/test_detection_batch.py`` locks this in.
 
-Memory stays bounded for very long sweeps through two knobs:
-
-``max_trials_per_chunk``
-    :meth:`BatchCPADetector.detect_many` processes the trial matrix in row
-    chunks of at most this many trials (results are bit-identical to the
-    unchunked run; rows are independent).
-``chunk_cycles``
-    The phase fold accumulates over column chunks of roughly this many
-    cycles (rounded to a whole number of periods), bounding the working
-    set of the reduction.  Chunking changes the floating-point summation
-    order, so correlations can differ from the unchunked fold at the
-    ~1e-15 level.
+Traces arrive as any iterable of equal-length 1-D rows (a 2-D array
+iterates its rows).  Each row is reduced to its ``period`` phase sums and
+its ``row @ row`` before the next one is read, so a producer may yield
+every row through one reused buffer: memory is O(trials * period + cycles)
+by construction, and no caller ever holds a trials x cycles matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -50,81 +43,106 @@ __all__ = [
 ]
 
 
-def fold_by_phase(
-    trace_matrix: np.ndarray, period: int, chunk_cycles: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fold every row of ``trace_matrix`` into per-phase sums.
+Rows = Iterable[np.ndarray]
 
-    Returns ``(folded, counts)`` where ``folded[t, p]`` is the sum of row
-    ``t`` over all cycles ``c`` with ``c % period == p`` and ``counts[p]``
-    is the number of such cycles (identical for every row).
+
+def _trace_rows(traces: Rows) -> Rows:
+    """Iterate the rows of ``traces``; a 1-D array is a batch of one."""
+    if isinstance(traces, np.ndarray):
+        if traces.ndim == 1:
+            return (traces,)
+        if traces.ndim != 2:
+            raise ValueError("a trace matrix must be 2-D (trials x cycles)")
+    return traces
+
+
+def _fold_rows(traces: Rows, period: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """One pass over the rows: ``(folded, sum_yy, num_cycles)``.
+
+    ``folded[t, p]`` sums row ``t`` over the cycles ``c`` with
+    ``c % period == p``; ``sum_yy[t]`` is that row's ``row @ row``.  Each
+    row is done with when the next one is read, so it may live in a
+    buffer the producer reuses.
+    """
+    folds = []
+    dots = []
+    num_cycles = -1
+    full = 0
+    for trace in traces:
+        row = np.asarray(trace, dtype=np.float64)
+        if row.ndim != 1:
+            raise ValueError("every trace row must be one-dimensional")
+        if num_cycles < 0:
+            num_cycles = len(row)
+            if num_cycles < period:
+                raise ValueError(
+                    "traces must cover at least one full watermark period "
+                    f"({num_cycles} < {period})"
+                )
+            full = (num_cycles // period) * period
+        elif len(row) != num_cycles:
+            raise ValueError(
+                f"trace rows must have equal lengths ({len(row)} != {num_cycles})"
+            )
+        fold = row[:full].reshape(-1, period).sum(axis=0)
+        fold[: num_cycles - full] += row[full:]
+        folds.append(fold)
+        # Per-row BLAS dots round the same whatever the batch size, which
+        # keeps a batch of N bit-identical to N batches of one.
+        dots.append(row @ row)
+    if not folds:
+        raise ValueError("the traces must contain at least one trial")
+    return np.stack(folds), np.array(dots, dtype=np.float64), num_cycles
+
+
+def _phase_counts(num_cycles: int, period: int) -> np.ndarray:
+    """How many of ``num_cycles`` cycles fall on each phase."""
+    counts = np.full(period, num_cycles // period, dtype=np.float64)
+    counts[: num_cycles % period] += 1.0
+    return counts
+
+
+def fold_by_phase(traces: Rows, period: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Fold every trace row into per-phase sums.
+
+    ``traces`` is any iterable of equal-length 1-D rows (a 2-D array
+    iterates its rows).  Returns ``(folded, counts)`` where
+    ``folded[t, p]`` is the sum of row ``t`` over all cycles ``c`` with
+    ``c % period == p`` and ``counts[p]`` is the number of such cycles
+    (identical for every row).
 
     The fold is the O(trials * cycles) part of batched CPA; everything after
     it operates on ``trials x period`` arrays.
     """
-    matrix = np.asarray(trace_matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("trace matrix must be 2-D (trials x cycles)")
     if period < 2:
         raise ValueError("the watermark period must be at least two cycles")
-    trials, num_cycles = matrix.shape
-    if num_cycles < period:
-        raise ValueError(
-            "traces must cover at least one full watermark period "
-            f"({num_cycles} < {period})"
-        )
-    if chunk_cycles is None:
-        step = num_cycles
-    else:
-        if chunk_cycles <= 0:
-            raise ValueError("chunk_cycles must be positive")
-        # Align chunk boundaries to whole periods so every chunk starts at
-        # phase zero and the partial fold stays a plain reshape.
-        step = max(period, (int(chunk_cycles) // period) * period)
-
-    folded = np.zeros((trials, period), dtype=np.float64)
-    start = 0
-    # repro-lint: allow[HOT001] O(num_cycles/chunk) chunk loop, not per-cycle; each pass is a vectorized reshape-fold
-    while start < num_cycles:
-        stop = min(num_cycles, start + step)
-        chunk = matrix[:, start:stop]
-        width = stop - start
-        full_reps = width // period
-        remainder = width - full_reps * period
-        if full_reps:
-            folded += chunk[:, : full_reps * period].reshape(
-                trials, full_reps, period
-            ).sum(axis=1)
-        if remainder:
-            folded[:, :remainder] += chunk[:, full_reps * period :]
-        start = stop
-
-    counts = np.full(period, num_cycles // period, dtype=np.float64)
-    counts[: num_cycles % period] += 1.0
-    return folded, counts
+    folded, _, num_cycles = _fold_rows(_trace_rows(traces), period)
+    return folded, _phase_counts(num_cycles, period)
 
 
-def _as_sequence_matrix(sequences: np.ndarray, trials: int) -> Tuple[np.ndarray, bool]:
-    """Validate ``sequences`` and report whether it is shared across trials."""
+def _as_sequence_matrix(sequences: np.ndarray) -> np.ndarray:
+    """``sequences`` as float64: one shared vector or one row per trial."""
     x = np.asarray(sequences, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("sequences must be a 1-D vector or a (trials x period) matrix")
     if x.shape[-1] < 2:
         raise ValueError("the watermark sequence must contain at least two cycles")
+    return x
+
+
+def _check_sequence_rows(x: np.ndarray, trials: int) -> None:
     if x.ndim == 2 and x.shape[0] != trials:
         raise ValueError(
             f"per-trial sequences need one row per trial ({x.shape[0]} != {trials})"
         )
-    return x, x.ndim == 1
 
 
 def batch_rotation_correlations(
     sequences: np.ndarray,
-    trace_matrix: np.ndarray,
+    traces: Rows,
     method: str = "fft",
-    chunk_cycles: Optional[int] = None,
 ) -> np.ndarray:
-    """Rotation correlation spectra for a whole matrix of traces at once.
+    """Rotation correlation spectra for a whole batch of traces at once.
 
     Parameters
     ----------
@@ -132,58 +150,47 @@ def batch_rotation_correlations(
         One period of the watermark model sequence, either a single 1-D
         vector shared by every trial or a ``trials x period`` matrix giving
         each trial its own sequence (same period).
-    trace_matrix:
-        ``trials x cycles`` matrix of measured per-cycle power vectors.  A
-        1-D vector is treated as a batch of one.
+    traces:
+        The measured per-cycle power vectors: any iterable of equal-length
+        1-D rows, consumed once, row by row (a 2-D array iterates its rows;
+        a 1-D vector is treated as a batch of one).
     method:
         ``"fft"`` (default) computes all spectra with one stack of rFFTs;
         ``"naive"`` re-correlates literally per rotation and trial
         (validation / small problems only).
-    chunk_cycles:
-        Optional column-chunk size for the phase fold (memory knob).
 
     Returns
     -------
     ``trials x period`` matrix; row ``t`` equals
-    ``rotation_correlations(sequence_t, trace_matrix[t])``.
+    ``rotation_correlations(sequence_t, trace_t)``.
     """
-    matrix = np.atleast_2d(np.asarray(trace_matrix, dtype=np.float64))
-    if matrix.ndim != 2:
-        raise ValueError("trace matrix must be 2-D (trials x cycles)")
-    trials, num_cycles = matrix.shape
-    x, shared = _as_sequence_matrix(sequences, trials)
+    x = _as_sequence_matrix(sequences)
+    shared = x.ndim == 1
     period = x.shape[-1]
-    if num_cycles < period:
-        raise ValueError(
-            "traces must cover at least one full watermark period "
-            f"({num_cycles} < {period})"
-        )
-    if chunk_cycles is not None and chunk_cycles <= 0:
-        raise ValueError("chunk_cycles must be positive")
+    rows = _trace_rows(traces)
 
     if method == "naive":
         from repro.detection.cpa import rotation_correlations
 
-        rows = []
-        # repro-lint: allow[HOT001] golden reference path: the naive per-trial method validates the FFT engine bit-for-bit
-        for t in range(trials):
-            seq_t = x if shared else x[t]
-            rows.append(rotation_correlations(seq_t, matrix[t], method="naive"))
-        return np.stack(rows)
+        spectra = []
+        for t, row in enumerate(rows):
+            # a row-count mismatch is rejected after the loop
+            seq_t = x if shared else x[t % len(x)]
+            spectra.append(rotation_correlations(seq_t, row, method="naive"))
+        if not spectra:
+            raise ValueError("the traces must contain at least one trial")
+        _check_sequence_rows(x, len(spectra))
+        return np.stack(spectra)
     if method != "fft":
         raise ValueError(f"unknown correlation method {method!r}")
 
-    folded, counts = fold_by_phase(matrix, period, chunk_cycles=chunk_cycles)
+    folded, sum_yy, num_cycles = _fold_rows(rows, period)
+    trials = folded.shape[0]
+    _check_sequence_rows(x, trials)
+    counts = _phase_counts(num_cycles, period)
     # Per-row totals: folded already holds every cycle's contribution, so the
-    # row sum falls out of the fold without another pass over the matrix.
+    # row sum falls out of the fold without another pass over the traces.
     sum_y = folded.sum(axis=1)
-    # Row-wise dot products: einsum's buffered reduction rounds differently
-    # depending on the total matrix size, which would break the bit-identity
-    # between a batch of N and N batches of one; per-row BLAS dots do not.
-    sum_yy = np.empty(trials, dtype=np.float64)
-    # repro-lint: allow[HOT001] per-row BLAS dots pin batch-size-independent rounding (see comment above); O(trials), not per-cycle
-    for t in range(trials):
-        sum_yy[t] = matrix[t] @ matrix[t]
     var_y = num_cycles * sum_yy - sum_y * sum_y
 
     # For rotation r the tiled model at cycle i is x[(i + r) mod period]:
@@ -218,7 +225,7 @@ def batch_rotation_correlations(
 
 @dataclass
 class BatchCPAResult:
-    """Vectorized outcome of CPA detection over a matrix of trials.
+    """Vectorized outcome of CPA detection over a batch of trials.
 
     Every per-trial scalar of :class:`repro.detection.cpa.CPAResult` becomes
     an array indexed by trial; :meth:`result` recovers the scalar result of
@@ -279,27 +286,6 @@ class BatchCPAResult:
         for index in range(self.num_trials):
             yield self.result(index)
 
-    @staticmethod
-    def concatenate(results: Sequence["BatchCPAResult"]) -> "BatchCPAResult":
-        """Stack several batch results (e.g. from chunked runs) into one."""
-        if not results:
-            raise ValueError("need at least one batch result to concatenate")
-        thresholds = {r.threshold for r in results}
-        if len(thresholds) != 1:
-            raise ValueError("cannot concatenate results with different thresholds")
-        return BatchCPAResult(
-            correlations=np.concatenate([r.correlations for r in results]),
-            peak_rotations=np.concatenate([r.peak_rotations for r in results]),
-            peak_correlations=np.concatenate([r.peak_correlations for r in results]),
-            noise_floor_stds=np.concatenate([r.noise_floor_stds for r in results]),
-            second_peak_correlations=np.concatenate(
-                [r.second_peak_correlations for r in results]
-            ),
-            z_scores=np.concatenate([r.z_scores for r in results]),
-            detected=np.concatenate([r.detected for r in results]),
-            threshold=results[0].threshold,
-        )
-
     def summary(self) -> str:
         """One-line human-readable summary of the batch."""
         finite = self.z_scores[np.isfinite(self.z_scores)]
@@ -315,53 +301,27 @@ class BatchCPAResult:
 
 
 class BatchCPADetector:
-    """Vectorized CPA detector over a matrix of measured traces.
+    """Vectorized CPA detector over a batch of measured traces.
 
     Applies the same detection rule as :class:`repro.detection.cpa.CPADetector`
     (peak exceeding the off-peak noise floor by ``threshold`` standard
     deviations, second peak below the uniqueness margin, positive peak) to
-    every row of a ``trials x cycles`` trace matrix at once.
+    every trace row of a batch at once.
     """
 
     def __init__(self, config: Optional[DetectionConfig] = None) -> None:
         self.config = config or DetectionConfig()
 
-    def detect_many(
-        self,
-        sequences: np.ndarray,
-        trace_matrix: np.ndarray,
-        chunk_cycles: Optional[int] = None,
-        max_trials_per_chunk: Optional[int] = None,
-    ) -> BatchCPAResult:
+    def detect_many(self, sequences: np.ndarray, traces: Rows) -> BatchCPAResult:
         """Run CPA on every trace row and apply the detection decision.
 
-        ``max_trials_per_chunk`` bounds how many rows are processed at once
-        (rows are independent, so chunking does not change any result);
-        ``chunk_cycles`` bounds the column working set of the phase fold.
+        ``traces`` is any iterable of equal-length 1-D rows, read once and
+        row by row (see :func:`batch_rotation_correlations`).
         """
-        matrix = np.atleast_2d(np.asarray(trace_matrix, dtype=np.float64))
-        trials = matrix.shape[0]
-        if trials == 0:
-            raise ValueError("the trace matrix must contain at least one trial")
-        x, shared = _as_sequence_matrix(sequences, trials)
         method = "fft" if self.config.use_fft else "naive"
-        if max_trials_per_chunk is not None and max_trials_per_chunk <= 0:
-            raise ValueError("max_trials_per_chunk must be positive")
-        step = trials if max_trials_per_chunk is None else int(max_trials_per_chunk)
-        step = max(1, step)
-
-        chunks: List[BatchCPAResult] = []
-        # repro-lint: allow[HOT001] O(trials/chunk) memory-bounding chunk loop; the work inside is the batched engine
-        for start in range(0, trials, step):
-            stop = min(trials, start + step)
-            seq_chunk = x if shared else x[start:stop]
-            correlations = batch_rotation_correlations(
-                seq_chunk, matrix[start:stop], method=method, chunk_cycles=chunk_cycles
-            )
-            chunks.append(self.evaluate_many(correlations))
-        if len(chunks) == 1:
-            return chunks[0]
-        return BatchCPAResult.concatenate(chunks)
+        return self.evaluate_many(
+            batch_rotation_correlations(sequences, traces, method=method)
+        )
 
     def evaluate_many(self, correlations: np.ndarray) -> BatchCPAResult:
         """Apply the detection decision to precomputed correlation spectra.

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import DetectionConfig, SynthesisConfig
+from repro.core.config import DetectionConfig
 from repro.detection.batch import BatchCPADetector
 from repro.detection.metrics import estimate_required_cycles, expected_correlation
 from repro.power.synthesis import TraceSynthesizer
@@ -112,9 +112,6 @@ def run_detection_probability_campaign(
     detection_config: Optional[DetectionConfig] = None,
     base_power_w: float = 5e-3,
     seed: int = 0,
-    max_trials_per_chunk: Optional[int] = None,
-    chunk_cycles: Optional[int] = None,
-    synthesis: Optional[SynthesisConfig] = None,
 ) -> DetectionProbabilityCurve:
     """Monte-Carlo estimate of detection probability versus trace length.
 
@@ -123,34 +120,15 @@ def run_detection_probability_campaign(
     N(0, sigma)`` -- which keeps the campaign fast enough to sweep dozens of
     operating points while remaining faithful to what CPA actually sees.
 
-    All trials of one acquisition length are synthesized as a single trial
-    matrix by :class:`repro.power.synthesis.TraceSynthesizer` (the offset
-    rows come out of one batched modular gather instead of one Python slice
-    per trial) and detected in one batched CPA pass.  Each trial's random
-    draws (phase offset, then its noise row) happen in the same order as
-    the pre-batching per-trial loop, so a given seed produces the *same
-    curve* as the original implementation — the golden values in
+    The trials of one acquisition length are synthesized row by row by
+    :class:`repro.power.synthesis.TraceSynthesizer` and streamed into one
+    batched CPA pass, so memory stays at one trace row plus the per-phase
+    sums however long the acquisitions are.  Each trial's random draws
+    (phase offset, then its noise row) happen in the same order as the
+    pre-batching per-trial loop, so a given seed produces the *same curve*
+    as the original implementation -- the golden values in
     ``tests/test_detection_campaign.py`` pin this.
-    ``max_trials_per_chunk`` bounds how many trial rows are materialised at
-    once so memory stays bounded for very long (1e6-cycle) sweeps; row
-    chunking does not touch the draw order, so detection counts are
-    identical for any chunk size and the mean statistics agree to
-    floating-point rounding.  ``chunk_cycles`` additionally bounds the
-    column working set of the batched phase fold.
-
-    ``synthesis`` accepts the declarative
-    :class:`repro.core.config.SynthesisConfig` carried by a
-    :class:`repro.core.spec.ScenarioSpec`; it maps onto
-    ``max_trials_per_chunk`` and is mutually exclusive with passing that
-    keyword directly.
     """
-    if synthesis is not None:
-        if max_trials_per_chunk is not None:
-            raise ValueError(
-                "pass max_trials_per_chunk either via 'synthesis' or as a "
-                "keyword, not both"
-            )
-        max_trials_per_chunk = synthesis.max_trials_per_chunk
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 1 or len(sequence) < 3:
         raise ValueError("the watermark sequence must be a 1-D vector of at least 3 cycles")
@@ -160,8 +138,6 @@ def run_detection_probability_campaign(
         raise ValueError("trials_per_point must be positive")
     if not cycle_counts:
         raise ValueError("at least one acquisition length must be evaluated")
-    if max_trials_per_chunk is not None and max_trials_per_chunk <= 0:
-        raise ValueError("max_trials_per_chunk must be positive")
 
     detector = BatchCPADetector(detection_config or DetectionConfig())
     period = len(sequence)
@@ -177,35 +153,20 @@ def run_detection_probability_campaign(
         noise_sigma_w=noise_sigma_w,
         sequence_period=period,
     )
-    row_step = trials_per_point if max_trials_per_chunk is None else int(max_trials_per_chunk)
     for num_cycles in cycle_counts:
         num_cycles = int(num_cycles)
         if num_cycles < period:
             raise ValueError(
                 f"acquisition of {num_cycles} cycles is shorter than the sequence period {period}"
             )
-        detections = 0
-        peak_sum = 0.0
-        z_sum = 0.0
-        # repro-lint: allow[HOT001] O(trials/chunk) memory-bounding chunk loop; synthesis and detection inside are batched
-        for start in range(0, trials_per_point, row_step):
-            stop = min(trials_per_point, start + row_step)
-            # Each row draws its offset then its noise, exactly as the
-            # pre-batching per-trial loop did (seed compatibility); the
-            # offset rows are gathered in one batched fancy-index pass and
-            # the chunk's peak memory stays at one trials x cycles array.
-            trial_matrix = synthesizer.synthesize_trials(stop - start, num_cycles, rng)
-            batch = detector.detect_many(sequence, trial_matrix, chunk_cycles=chunk_cycles)
-            detections += batch.detection_count
-            peak_sum += float(batch.peak_correlations.sum())
-            z_sum += float(batch.z_scores.sum())
+        batch = synthesizer.detect_trials(detector, trials_per_point, num_cycles, rng)
         curve.points.append(
             DetectionOperatingPoint(
                 num_cycles=num_cycles,
                 trials=trials_per_point,
-                detections=detections,
-                mean_peak_correlation=peak_sum / trials_per_point,
-                mean_z_score=z_sum / trials_per_point,
+                detections=batch.detection_count,
+                mean_peak_correlation=float(batch.peak_correlations.sum()) / trials_per_point,
+                mean_z_score=float(batch.z_scores.sum()) / trials_per_point,
             )
         )
     return curve

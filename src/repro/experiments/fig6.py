@@ -92,11 +92,10 @@ def run_fig6_chip(
     """Run the repeated-measurement campaign for one chip.
 
     Thin shim over the scenario pipeline (chip → campaign → statistics
-    stages).  The repeated acquisitions are detected in fixed-size batches
-    (:data:`repro.pipeline.stages.FIG6_REPETITIONS_PER_BATCH`): the
-    measurement noise differs per repetition, but all repetitions of a
-    batch share one CPA pass, which bounds the trace-matrix memory at full
-    paper scale (300,000 cycles).
+    stages).  The measurement noise differs per repetition; every
+    repetition's trace is folded into one shared CPA pass as soon as it is
+    measured, so memory stays at one acquisition plus the per-phase sums
+    even at full paper scale (300,000 cycles).
     Bit-identical to the pre-pipeline driver.
     """
     from repro.core.spec import ScenarioSpec

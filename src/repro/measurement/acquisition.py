@@ -18,7 +18,7 @@ measured per-cycle power vector ``Y``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -138,7 +138,7 @@ class AcquisitionCampaign:
     def _fast_path_sigma(self, power_trace: PowerTrace) -> float:
         """Effective per-cycle noise sigma of the fast measurement path.
 
-        Shared by :meth:`measure` and :meth:`measure_many` so the two can
+        Shared by :meth:`measure` and :meth:`measure_rows` so the two can
         never drift apart on the acquisition-chain statistics.
         """
         power = power_trace.power_w
@@ -163,6 +163,39 @@ class AcquisitionCampaign:
             detailed=False,
         )
 
+    def measure_rows(
+        self, power_trace: PowerTrace, seeds: Sequence[Optional[int]]
+    ) -> Iterator[np.ndarray]:
+        """Measure the same power trace once per seed, yielding one row at a time.
+
+        Row ``r`` is bit-identical to
+        ``measure(power_trace, seed=seeds[r]).values`` on the fast path.  The
+        acquisition-chain statistics (mean power, vertical range, effective
+        noise sigma) are computed once, and every row is written into one
+        reused ``num_cycles`` buffer: consume (or copy) a row before asking
+        for the next.  The rows feed straight into
+        :meth:`repro.detection.batch.BatchCPADetector.detect_many`, so a
+        campaign never holds a repetitions x cycles matrix.
+        """
+        seeds = list(seeds)
+        if not seeds:
+            raise ValueError("at least one seed is required")
+        power = power_trace.power_w
+        sigma = self._fast_path_sigma(power_trace)
+
+        def rows() -> Iterator[np.ndarray]:
+            row = np.empty(len(power), dtype=np.float64)
+            for seed in seeds:
+                rng = np.random.default_rng(self.config.seed if seed is None else seed)
+                # In place: noise straight into the buffer, then add the
+                # shared power template -- bit-identical to
+                # ``power + gaussian_noise``.
+                gaussian_noise_into(rng, sigma, row)
+                row += power
+                yield row
+
+        return rows()
+
     def measure_many(
         self,
         power_trace: PowerTrace,
@@ -172,32 +205,15 @@ class AcquisitionCampaign:
         """Measure the same power trace once per seed into a trial matrix.
 
         Returns a ``len(seeds) x num_cycles`` array whose row ``r`` is
-        bit-identical to ``measure(power_trace, seed=seeds[r]).values``.
-        On the fast path the acquisition-chain statistics (mean power,
-        vertical range, effective noise sigma) are hoisted out of the
-        per-repetition loop, so only one vectorised noise draw per row
-        remains; the matrix feeds straight into
-        :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
-        The detailed path falls back to per-row measurement.
+        bit-identical to ``measure(power_trace, seed=seeds[r]).values``: the
+        rows of :meth:`measure_rows` stacked.  The detailed path falls back
+        to per-row measurement.
         """
-        seeds = list(seeds)
-        if not seeds:
-            raise ValueError("at least one seed is required")
         if detailed:
             return np.stack(
                 [self.measure(power_trace, seed=seed, detailed=True).values for seed in seeds]
             )
-        power = power_trace.power_w
-        sigma = self._fast_path_sigma(power_trace)
-        matrix = np.empty((len(seeds), len(power)), dtype=np.float64)
-        for row, seed in enumerate(seeds):
-            rng = np.random.default_rng(self.config.seed if seed is None else seed)
-            # In-place: noise straight into the row, then add the shared
-            # power template -- bit-identical to ``power + gaussian_noise``
-            # without one temporary row allocation per repetition.
-            gaussian_noise_into(rng, sigma, matrix[row])
-            matrix[row] += power
-        return matrix
+        return np.stack([row.copy() for row in self.measure_rows(power_trace, seeds)])
 
     # -- chip-level entry points --------------------------------------------------
 
@@ -226,31 +242,6 @@ class AcquisitionCampaign:
             watermark_phase_offset=watermark_phase_offset,
         )
         return self.measure(power, seed=seed, detailed=detailed)
-
-    def measure_chip_many(
-        self,
-        chip,
-        num_cycles: int,
-        seeds: Sequence[Optional[int]],
-        watermark_active: bool = True,
-        power_seed: Optional[int] = None,
-        watermark_phase_offset: int = 0,
-        detailed: bool = False,
-    ) -> np.ndarray:
-        """Measure a chip's total power once per seed into a trial matrix.
-
-        The chip behaviour (power trace) is computed once -- through the
-        chip-level background template cache -- and only the measurement
-        noise differs per row, exactly as on the bench where the same
-        program loops during every acquisition.
-        """
-        power = chip.total_power(
-            num_cycles,
-            watermark_active=watermark_active,
-            seed=power_seed,
-            watermark_phase_offset=watermark_phase_offset,
-        )
-        return self.measure_many(power, seeds, detailed=detailed)
 
     def _measure_detailed(self, power_trace: PowerTrace, seed: Optional[int]) -> MeasuredTrace:
         rng = np.random.default_rng(seed)
@@ -304,25 +295,3 @@ class AcquisitionCampaign:
             boost[half:half + edge_width] += decay
             shape = shape + 4.0 * boost
         return shape / shape.mean()
-
-    # -- campaigns ---------------------------------------------------------------
-
-    def repeat_measurements(
-        self,
-        power_trace: PowerTrace,
-        repetitions: int,
-        base_seed: int = 0,
-        detailed: bool = False,
-    ) -> List[MeasuredTrace]:
-        """Measure the same power trace ``repetitions`` times (Fig. 6 style).
-
-        Each repetition uses an independent noise realisation; the chip
-        behaviour (power trace) is identical, as on the bench where the
-        same program loops during every acquisition.
-        """
-        if repetitions <= 0:
-            raise ValueError("repetitions must be positive")
-        return [
-            self.measure(power_trace, seed=base_seed + i, detailed=detailed)
-            for i in range(repetitions)
-        ]

@@ -28,7 +28,7 @@ def gaussian_noise_into(
     Bit-identical to :func:`gaussian_noise` for the same generator state
     (``standard_normal`` scaled by ``rms`` is the same draw ``normal``
     performs internally) but writes straight into a caller-provided buffer
-    -- e.g. one row of a trial matrix -- instead of allocating a fresh
+    -- e.g. a reused trace-row buffer -- instead of allocating a fresh
     array per call.  ``out`` must be contiguous; like :func:`gaussian_noise`,
     an ``rms`` of zero consumes no random draws.
     """

@@ -292,40 +292,27 @@ def _fig5_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 
 # -- Fig. 6 ----------------------------------------------------------------------
 
-#: Repetitions measured and detected per batch in a Fig. 6 campaign.  Each
-#: repetition's row is detected independently, so the batch size bounds the
-#: trace-matrix memory without changing any result.
-FIG6_REPETITIONS_PER_BATCH = 25
-
-
 @stage_builder("fig6_chip")
 def _fig6_chip_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def campaign_stage(ctx: StageContext) -> None:
         chip = ctx.data["chip"]
         spec = ctx.spec
-        repetitions = spec.repetitions
-        num_cycles = spec.measurement.num_cycles
-        phase_offset = _fig5_panel_phase_offset(spec)
-        campaign = AcquisitionCampaign.from_spec(spec)
-        detector = BatchCPADetector(spec.detection)
-        sequence = chip.watermark_sequence()
-        runs: List[np.ndarray] = []
-        detections: List[bool] = []
-        for start in range(0, repetitions, FIG6_REPETITIONS_PER_BATCH):
-            stop = min(repetitions, start + FIG6_REPETITIONS_PER_BATCH)
-            trace_matrix = campaign.measure_chip_many(
-                chip,
-                num_cycles,
-                seeds=range(spec.seed + start, spec.seed + stop),
-                watermark_active=spec.watermark_active,
-                power_seed=spec.seed,
-                watermark_phase_offset=phase_offset,
-            )
-            batch = detector.detect_many(sequence, trace_matrix)
-            runs.extend(batch.correlations)
-            detections.extend(bool(flag) for flag in batch.detected)
-        ctx.data["runs"] = runs
-        ctx.data["detections"] = detections
+        power = chip.total_power(
+            spec.measurement.num_cycles,
+            watermark_active=spec.watermark_active,
+            seed=spec.seed,
+            watermark_phase_offset=_fig5_panel_phase_offset(spec),
+        )
+        # Every repetition's row is folded as soon as it is measured, so the
+        # campaign never holds a repetitions x cycles matrix.
+        rows = AcquisitionCampaign.from_spec(spec).measure_rows(
+            power, seeds=range(spec.seed, spec.seed + spec.repetitions)
+        )
+        batch = BatchCPADetector(spec.detection).detect_many(
+            chip.watermark_sequence(), rows
+        )
+        ctx.data["runs"] = list(batch.correlations)
+        ctx.data["detections"] = [bool(flag) for flag in batch.detected]
 
     def statistics(ctx: StageContext) -> None:
         from repro.experiments.fig6 import Fig6ChipResult
@@ -529,7 +516,6 @@ def _detection_probability_stages(spec: ScenarioSpec) -> List[PipelineStage]:
             detection_config=spec.detection,
             base_power_w=spec.param("base_power_w", 5e-3),
             seed=spec.seed,
-            synthesis=spec.synthesis,
         )
         points = sorted(curve.points, key=lambda p: p.num_cycles)
         ctx.finish(
@@ -568,7 +554,6 @@ def _masking_stages(spec: ScenarioSpec, starvation: bool) -> List[PipelineStage]
             detection_config=spec.detection,
             seed=spec.seed,
             trials_per_point=spec.param("trials_per_point", 1),
-            max_trials_per_chunk=spec.synthesis.max_trials_per_chunk,
         )
         if starvation:
             study = run_starvation_study(

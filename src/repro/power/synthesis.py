@@ -16,9 +16,9 @@ It stacks three layers:
 2. **Periodic templates** -- :class:`PeriodicPowerTemplate` holds one period
    of a per-cycle power trace and extends it to arbitrary acquisition
    lengths (including trigger-phase rotations) with a modular-index gather.
-3. **Batch trial synthesis** -- :class:`TraceSynthesizer` emits whole
-   ``trials x cycles`` matrices of the statistical measurement model
-   ``Y = base + a * X(rotated) + N(0, sigma)`` that feed straight into
+3. **Trial synthesis** -- :class:`TraceSynthesizer` emits trial rows of
+   the statistical measurement model ``Y = base + a * X(rotated) +
+   N(0, sigma)`` one at a time through a reused buffer, straight into
    :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
 
 The per-cycle simulator stays as the golden reference: every fast path here
@@ -30,7 +30,7 @@ numbers while the generation side runs orders of magnitude faster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -175,7 +175,7 @@ def _per_row(
 
 
 class TraceSynthesizer:
-    """Synthesizes watermarked traces and whole trial matrices vectorised.
+    """Synthesizes watermarked traces and Monte-Carlo trial rows vectorised.
 
     Two construction paths cover the pipeline's generation needs:
 
@@ -185,7 +185,7 @@ class TraceSynthesizer:
     * :meth:`for_watermark` -- the physical model: one cycle-accurate
       period of a watermark architecture turned into a power template.
 
-    Trial matrices go straight into
+    Trial rows stream straight into
     :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
     """
 
@@ -255,6 +255,71 @@ class TraceSynthesizer:
             )
         return self.template.extend(num_cycles, phase_offset)
 
+    def trial_rows(
+        self,
+        trials: int,
+        num_cycles: int,
+        rng: np.random.Generator,
+        noise_sigmas: Union[None, float, Sequence[float]] = None,
+        enable_duties: Union[None, float, Sequence[float]] = None,
+        amplitudes: Union[None, float, Sequence[float]] = None,
+    ) -> Iterator[np.ndarray]:
+        """Yield ``trials`` rows of the measurement model, one at a time.
+
+        Each trial draws a uniform phase offset, optionally a starvation
+        gate (``enable_duties`` below 1 model the host clock-gate control
+        being low part of the time) and its Gaussian noise row -- in
+        exactly the order a per-trial loop would draw them, so a given seed
+        stream produces the same rows as the pre-vectorised drivers.
+
+        Every row is written into one reused ``num_cycles`` buffer: consume
+        (or copy) a row before asking for the next.  The watermark is a
+        strided window of one pre-scaled periodic buffer added in place.
+        Arguments are validated when this is called, not at the first row.
+        """
+        if trials <= 0:
+            raise ValueError("trials must be positive")
+        if num_cycles <= 0:
+            raise ValueError("num_cycles must be positive")
+        sigmas = _per_row(noise_sigmas, self.noise_sigma_w, trials, "noise_sigmas")
+        amps = _per_row(amplitudes, self.watermark_amplitude_w, trials, "amplitudes")
+        duties = _per_row(enable_duties, 1.0, trials, "enable_duties")
+        # Rows without a starvation gate add a window of one pre-scaled
+        # template (base + amplitude * X) straight into their noise row;
+        # scaling the period-long template once is bit-identical to scaling
+        # every gathered element.  Gated or per-row-amplitude rows need the
+        # raw sequence because the gate applies before the amplitude.
+        scaled_windows: Optional[np.ndarray] = None
+        if np.all(amps == amps[0]):
+            scaled_windows = _periodic_windows(
+                self.base_power_w + self.sequence * amps[0], num_cycles
+            )
+
+        def rows() -> Iterator[np.ndarray]:
+            raw_windows: Optional[np.ndarray] = None
+            row = np.empty(num_cycles, dtype=np.float64)
+            # repro-lint: allow[HOT001] per-row draw order: replays the pre-batching per-trial random stream bit-for-bit; each row's work is vectorized
+            for index in range(trials):
+                offset = rng.integers(0, self.period)
+                gate = None
+                if duties[index] < 1.0:
+                    gate = rng.random(num_cycles) < duties[index]
+                row[:] = rng.normal(0.0, sigmas[index], num_cycles)
+                if gate is None and scaled_windows is not None:
+                    row += scaled_windows[offset]
+                else:
+                    if raw_windows is None:
+                        raw_windows = _periodic_windows(self.sequence, num_cycles)
+                    watermark = raw_windows[offset].copy()
+                    if gate is not None:
+                        watermark *= gate
+                    watermark *= amps[index]
+                    watermark += self.base_power_w
+                    row += watermark
+                yield row
+
+        return rows()
+
     def synthesize_trials(
         self,
         trials: int,
@@ -265,69 +330,16 @@ class TraceSynthesizer:
         amplitudes: Union[None, float, Sequence[float]] = None,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Emit a ``trials x num_cycles`` float64 matrix of the measurement model.
-
-        Each trial draws a uniform phase offset, optionally a starvation
-        gate (``enable_duties`` below 1 model the host clock-gate control
-        being low part of the time) and its Gaussian noise row -- in
-        exactly the order a per-trial loop would draw them, so a given seed
-        stream produces the same matrix as the pre-vectorised drivers.
-
-        The watermark rows themselves are strided windows of one
-        pre-scaled periodic buffer added in place (no per-trial slice
-        copies, no intermediate trials-by-cycles signal matrix).
-        """
-        if trials <= 0:
-            raise ValueError("trials must be positive")
-        if num_cycles <= 0:
-            raise ValueError("num_cycles must be positive")
-        period = self.period
-        sigmas = _per_row(noise_sigmas, self.noise_sigma_w, trials, "noise_sigmas")
-        amps = _per_row(amplitudes, self.watermark_amplitude_w, trials, "amplitudes")
-        duties = (
-            None
-            if enable_duties is None
-            else _per_row(enable_duties, 1.0, trials, "enable_duties")
+        """The rows of :meth:`trial_rows` stacked into a ``trials x num_cycles`` matrix."""
+        rows = self.trial_rows(
+            trials, num_cycles, rng, noise_sigmas, enable_duties, amplitudes
         )
         if out is None:
             out = np.empty((trials, num_cycles), dtype=np.float64)
         elif out.shape != (trials, num_cycles):
             raise ValueError("out must be a trials x num_cycles array")
-        gates: dict = {}
-        offsets = np.empty(trials, dtype=np.int64)
-        # repro-lint: allow[HOT001] per-row draw order: replays the pre-batching per-trial random stream bit-for-bit
-        for row in range(trials):
-            offsets[row] = rng.integers(0, period)
-            if duties is not None and duties[row] < 1.0:
-                gates[row] = rng.random(num_cycles) < duties[row]
-            out[row] = rng.normal(0.0, sigmas[row], num_cycles)
-
-        # Rows without a starvation gate add a window of one pre-scaled
-        # template (base + amplitude * X) straight into their noise row;
-        # scaling the period-long template once is bit-identical to scaling
-        # every gathered element.  Gated or per-row-amplitude rows need the
-        # raw sequence because the gate applies before the amplitude.
-        uniform_amplitude = bool(np.all(amps == amps[0]))
-        scaled_windows: Optional[np.ndarray] = None
-        if uniform_amplitude:
-            scaled_windows = _periodic_windows(
-                self.base_power_w + self.sequence * amps[0], num_cycles
-            )
-        raw_windows: Optional[np.ndarray] = None
-        # repro-lint: allow[HOT001] O(trials) window-gather adding one period-indexed row at a time; inner work is vectorized
-        for row in range(trials):
-            gate = gates.get(row)
-            if gate is None and scaled_windows is not None:
-                out[row] += scaled_windows[offsets[row]]
-                continue
-            if raw_windows is None:
-                raw_windows = _periodic_windows(self.sequence, num_cycles)
-            watermark = raw_windows[offsets[row]].copy()
-            if gate is not None:
-                watermark *= gate
-            watermark *= amps[row]
-            watermark += self.base_power_w
-            out[row] += watermark
+        for index, row in enumerate(rows):
+            out[index] = row
         return out
 
     def detect_trials(
@@ -336,17 +348,17 @@ class TraceSynthesizer:
         trials: int,
         num_cycles: int,
         rng: np.random.Generator,
-        chunk_cycles: Optional[int] = None,
         **trial_kwargs,
     ):
-        """Synthesize a trial matrix and run it through a batched detector.
+        """Stream :meth:`trial_rows` through a batched detector.
 
         ``detector`` is a :class:`repro.detection.batch.BatchCPADetector`
         (duck-typed to keep this package free of detection imports);
-        returns its :class:`BatchCPAResult`.
+        returns its :class:`BatchCPAResult`.  No trials x cycles matrix is
+        ever held.
         """
-        matrix = self.synthesize_trials(trials, num_cycles, rng, **trial_kwargs)
-        return detector.detect_many(self.sequence, matrix, chunk_cycles=chunk_cycles)
+        rows = self.trial_rows(trials, num_cycles, rng, **trial_kwargs)
+        return detector.detect_many(self.sequence, rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,9 +1,12 @@
 """Unit tests for repro.analysis.masking."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.masking import run_noise_masking_study, run_starvation_study
 from repro.core.lfsr import LFSR
+from repro.detection.batch import BatchCPADetector
+from repro.power.synthesis import TraceSynthesizer
 
 
 @pytest.fixture(scope="module")
@@ -119,25 +122,37 @@ class TestMonteCarloMasking:
         with pytest.raises(ValueError):
             run_starvation_study(sequence, num_cycles=2000, trials_per_point=-1)
 
-    def test_chunking_does_not_change_outcomes(self, sequence):
-        kwargs = dict(
+    def test_streamed_sweep_matches_materialized_rows(self, sequence):
+        # The sweep streams its rows into detect_many; stacking the same
+        # rows into a matrix first must give the same outcomes bit for bit.
+        levels = (0.0, 60e-3, 500e-3)
+        study = run_noise_masking_study(
+            sequence,
             watermark_amplitude_w=1.5e-3,
             base_noise_sigma_w=30e-3,
-            masking_noise_levels_w=(0.0, 60e-3, 500e-3),
+            masking_noise_levels_w=levels,
             num_cycles=30_000,
             seed=8,
             trials_per_point=3,
         )
-        full = run_noise_masking_study(sequence, **kwargs)
-        chunked = run_noise_masking_study(sequence, max_trials_per_chunk=2, **kwargs)
-        for a, b in zip(full.points, chunked.points):
-            assert a.detections == b.detections
-            assert a.detected == b.detected
-            assert a.peak_correlation == pytest.approx(b.peak_correlation, rel=1e-12)
+        synthesizer = TraceSynthesizer.from_sequence(
+            sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=0.0
+        )
+        sigmas = np.repeat([np.sqrt(30e-3**2 + level**2) for level in levels], 3)
+        matrix = synthesizer.synthesize_trials(
+            len(sigmas), 30_000, np.random.default_rng(8), noise_sigmas=sigmas
+        )
+        batch = BatchCPADetector().detect_many(sequence, matrix)
+        for index, point in enumerate(study.points):
+            rows = slice(3 * index, 3 * index + 3)
+            assert point.detections == int(np.count_nonzero(batch.detected[rows]))
+            assert point.peak_correlation == float(batch.peak_correlations[rows].mean())
+            assert point.z_score == float(batch.z_scores[rows].mean())
 
-    def test_invalid_chunk_rejected(self, sequence):
-        with pytest.raises(ValueError):
-            run_starvation_study(sequence, num_cycles=2000, max_trials_per_chunk=0)
+    def test_empty_sweep_has_no_points(self, sequence):
+        study = run_starvation_study(sequence, enable_duties=(), num_cycles=2000)
+        assert study.points == []
+        assert study.detection_defeated_at() is None
 
     def test_text_rendering_includes_probability(self, sequence):
         study = run_noise_masking_study(

@@ -528,9 +528,21 @@ class TestRNG002:
             ("src/repro/measurement/meas.py", 4),
             ("src/repro/detection/det.py", 4),
         }
-        assert "detection/det.py:4" in [
+        assert "detection/det.py:detect" in [
             f.message for f in found if f.path.endswith("meas.py")
         ][0]
+
+    def test_messages_do_not_move_with_line_numbers(self):
+        # Baseline entries match on the message, so an unrelated edit above
+        # one colliding site must not reword any RNG002 finding.
+        sources = _rng_sources()
+        before = sorted(f.message for f in violations(lint_sources(sources), "RNG002"))
+        sources["src/repro/detection/det.py"] = sources[
+            "src/repro/detection/det.py"
+        ].replace("def detect(seed):", "\ndef detect(seed):")
+        shifted = violations(lint_sources(sources), "RNG002")
+        assert ("src/repro/detection/det.py", 5) in {(f.path, f.line) for f in shifted}
+        assert sorted(f.message for f in shifted) == before
 
     def test_distinct_seed_expressions_are_clean(self):
         findings = lint_sources(_rng_sources(second_seed="seed + 1"))

@@ -1,5 +1,6 @@
 """repro-lint v2 reporting: SARIF 2.1.0 shape, baselines, incremental cache."""
 
+import dataclasses
 import json
 import os
 import textwrap
@@ -281,6 +282,27 @@ class TestBaseline:
         # round-trip: the updated file suppresses the finding
         out = apply_baseline([finding], baseline)
         assert unsuppressed(out) == []
+
+    def test_update_carries_reworded_finding_at_same_site(self, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        finding = self._finding()
+        reworded = {
+            "rule": finding.rule_id,
+            "path": finding.path,
+            "line": finding.line,
+            "message": "the old wording",
+            "justification": "still accepted",
+        }
+        # a reworded finding elsewhere in the file owes a new justification
+        _write_baseline(baseline, [reworded])
+        moved = dataclasses.replace(finding, line=finding.line + 1)
+        assert update_baseline([moved], baseline) == (1, 1)
+        # at the entry's own site it keeps the old one
+        _write_baseline(baseline, [reworded])
+        assert update_baseline([finding], baseline) == (1, 0)
+        entry = json.loads(baseline.read_text())["entries"][0]
+        assert entry["message"] == finding.message
+        assert entry["justification"] == "still accepted"
 
     def test_update_drops_entries_for_fixed_findings(self, tmp_path):
         baseline = tmp_path / "baseline.json"

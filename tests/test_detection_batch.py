@@ -6,7 +6,8 @@ The batched engine must be interchangeable with the single-trace detector:
   periods, trace lengths, duties and zero-variance edge cases;
 * a batch of one is *bit-identical* to ``CPADetector.detect`` (the single
   path delegates to the batched engine, and the suite locks that in);
-* chunking knobs never change detection decisions.
+* rows streamed one at a time through a reused buffer give bit-identical
+  results to the stacked trace matrix.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ import pytest
 from repro.core.config import DetectionConfig
 from repro.detection.batch import (
     BatchCPADetector,
-    BatchCPAResult,
     batch_rotation_correlations,
     fold_by_phase,
 )
@@ -30,6 +30,14 @@ _RESULT_FIELDS = (
     "detected",
     "threshold",
 )
+
+
+def streamed(matrix):
+    """Yield every row of ``matrix`` through one reused buffer."""
+    buffer = np.empty(matrix.shape[1])
+    for row in matrix:
+        buffer[:] = row
+        yield buffer
 
 
 def synthesize(rng, period, num_cycles, duty=1.0, amplitude=1.0, noise=2.0):
@@ -152,26 +160,27 @@ class TestBatchOfOneExactness:
             for name in _RESULT_FIELDS:
                 assert getattr(single, name) == getattr(row, name), name
 
-    def test_row_chunking_is_bit_identical(self):
+    def test_streamed_rows_are_bit_identical_to_matrix(self):
         rng = np.random.default_rng(20)
         sequence, _ = synthesize(rng, 63, 63)
         matrix = np.stack([synthesize(rng, 63, 2017)[1] for _ in range(7)])
         detector = BatchCPADetector()
         full = detector.detect_many(sequence, matrix)
-        chunked = detector.detect_many(sequence, matrix, max_trials_per_chunk=2)
-        assert np.array_equal(full.correlations, chunked.correlations)
-        assert np.array_equal(full.detected, chunked.detected)
-        assert np.array_equal(full.z_scores, chunked.z_scores)
+        rows = detector.detect_many(sequence, streamed(matrix))
+        assert np.array_equal(full.correlations, rows.correlations)
+        assert np.array_equal(full.detected, rows.detected)
+        assert np.array_equal(full.z_scores, rows.z_scores)
 
-    def test_cycle_chunking_agrees_to_tolerance(self):
+    def test_streamed_rows_with_per_trial_sequences(self):
         rng = np.random.default_rng(21)
-        sequence, _ = synthesize(rng, 63, 63)
+        sequences = np.stack([synthesize(rng, 63, 63)[0] for _ in range(4)])
         matrix = np.stack([synthesize(rng, 63, 5000)[1] for _ in range(4)])
-        detector = BatchCPADetector()
-        full = detector.detect_many(sequence, matrix)
-        chunked = detector.detect_many(sequence, matrix, chunk_cycles=700)
-        assert np.allclose(full.correlations, chunked.correlations, atol=1e-12)
-        assert np.array_equal(full.detected, chunked.detected)
+        expected = batch_rotation_correlations(sequences, matrix)
+        for method in ("fft", "naive"):
+            spectra = batch_rotation_correlations(sequences, streamed(matrix), method=method)
+            assert np.allclose(spectra, expected, atol=1e-9)
+        with pytest.raises(ValueError, match="one row per trial"):
+            batch_rotation_correlations(sequences, streamed(matrix[:3]))
 
     def test_evaluate_many_matches_single_evaluate(self):
         rng = np.random.default_rng(22)
@@ -251,22 +260,6 @@ class TestBatchCPAResult:
         assert "trials detected" in text
         assert "mean peak rho" in text
 
-    def test_concatenate_roundtrip(self, batch):
-        left = BatchCPADetector().evaluate_many(batch.correlations[:2])
-        right = BatchCPADetector().evaluate_many(batch.correlations[2:])
-        merged = BatchCPAResult.concatenate([left, right])
-        assert np.array_equal(merged.correlations, batch.correlations)
-        assert np.array_equal(merged.detected, batch.detected)
-
-    def test_concatenate_rejects_empty_and_mixed_thresholds(self, batch):
-        with pytest.raises(ValueError):
-            BatchCPAResult.concatenate([])
-        other = BatchCPADetector(DetectionConfig(detection_threshold=9.0)).evaluate_many(
-            batch.correlations
-        )
-        with pytest.raises(ValueError):
-            BatchCPAResult.concatenate([batch, other])
-
 
 class TestFoldByPhase:
     def test_fold_matches_bincount(self):
@@ -280,13 +273,13 @@ class TestFoldByPhase:
             assert np.allclose(folded[i], expected, atol=1e-12)
         assert np.array_equal(counts, np.bincount(phases, minlength=period).astype(float))
 
-    def test_chunked_fold_matches_unchunked(self):
+    def test_streamed_fold_matches_matrix_fold(self):
         rng = np.random.default_rng(41)
         matrix = rng.normal(size=(2, 999))
         full, counts_full = fold_by_phase(matrix, 13)
-        chunked, counts_chunked = fold_by_phase(matrix, 13, chunk_cycles=100)
-        assert np.allclose(full, chunked, atol=1e-12)
-        assert np.array_equal(counts_full, counts_chunked)
+        rows, counts_rows = fold_by_phase(streamed(matrix), 13)
+        assert np.array_equal(full, rows)
+        assert np.array_equal(counts_full, counts_rows)
 
 
 class TestValidation:
@@ -314,13 +307,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least one trial"):
             BatchCPADetector().detect_many(np.ones(5), np.empty((0, 100)))
 
-    def test_rejects_bad_chunk_sizes(self):
+    def test_rejects_ragged_and_empty_rows(self):
         detector = BatchCPADetector()
-        matrix = np.zeros((2, 10))
+        with pytest.raises(ValueError, match="equal lengths"):
+            detector.detect_many(np.ones(4), [np.zeros(10), np.zeros(11)])
+        with pytest.raises(ValueError, match="at least one trial"):
+            detector.detect_many(np.ones(4), iter(()))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            fold_by_phase([np.zeros((2, 10))], 4)
         with pytest.raises(ValueError):
-            detector.detect_many(np.ones(4), matrix, max_trials_per_chunk=0)
-        with pytest.raises(ValueError):
-            fold_by_phase(matrix, 4, chunk_cycles=0)
+            fold_by_phase(np.zeros((2, 10)), 1)
 
     def test_evaluate_many_needs_three_rotations(self):
         with pytest.raises(ValueError):

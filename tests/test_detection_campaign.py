@@ -1,13 +1,16 @@
 """Unit tests for repro.detection.campaign."""
 
+import numpy as np
 import pytest
 
 from repro.core.lfsr import LFSR
+from repro.detection.batch import BatchCPADetector
 from repro.detection.campaign import (
     DetectionOperatingPoint,
     DetectionProbabilityCurve,
     run_detection_probability_campaign,
 )
+from repro.power.synthesis import TraceSynthesizer
 
 # Golden values for one small operating point (7-bit LFSR, 1.5 mW watermark,
 # 15 mW noise, 12 trials, seed 42).  These are the values the *pre-batching*
@@ -131,21 +134,22 @@ class TestSeedDeterminism:
         for a, b in zip(first.points, second.points):
             assert a == b
 
-    def test_chunking_does_not_change_detection_counts(self):
+    def test_streamed_campaign_matches_materialized_matrix(self):
+        # The campaign streams each point's rows into detect_many; stacking
+        # the same rows into a matrix first must give the same curve.
         sequence = LFSR(width=7, seed=0x41).sequence()
-        chunked = run_detection_probability_campaign(
-            sequence,
-            watermark_amplitude_w=1.5e-3,
-            noise_sigma_w=15e-3,
-            cycle_counts=tuple(point[0] for point in _GOLDEN_POINTS),
-            trials_per_point=12,
-            seed=_GOLDEN_SEED,
-            max_trials_per_chunk=5,
-            chunk_cycles=1_024,
+        curve = _golden_curve()
+        synthesizer = TraceSynthesizer.from_sequence(
+            sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=15e-3
         )
-        for point, (cycles, detections, _, _) in zip(chunked.points, _GOLDEN_POINTS):
-            assert point.num_cycles == cycles
-            assert point.detections == detections
+        detector = BatchCPADetector()
+        rng = np.random.default_rng(_GOLDEN_SEED)
+        for point in curve.points:
+            matrix = synthesizer.synthesize_trials(12, point.num_cycles, rng)
+            batch = detector.detect_many(sequence, matrix)
+            assert point.detections == batch.detection_count
+            assert point.mean_peak_correlation == float(batch.peak_correlations.sum()) / 12
+            assert point.mean_z_score == float(batch.z_scores.sum()) / 12
 
 
 class TestMonotonicityTolerance:

@@ -88,17 +88,24 @@ class TestDetailedPath:
             AcquisitionCampaign._pulse_shape(0)
 
 
-class TestCampaigns:
-    def test_repeat_measurements(self, campaign, clock):
+class TestMeasureRows:
+    def test_rows_reuse_one_buffer(self, campaign, clock):
         power = make_power_trace(clock)
-        repetitions = campaign.repeat_measurements(power, repetitions=5, base_seed=10)
-        assert len(repetitions) == 5
-        # Different noise realisations per repetition.
-        assert not np.array_equal(repetitions[0].values, repetitions[1].values)
+        rows = [row for row in campaign.measure_rows(power, seeds=[10, 11, 12])]
+        assert len(rows) == 3
+        assert all(row is rows[0] for row in rows)
 
-    def test_repetitions_must_be_positive(self, campaign, clock):
+    def test_rows_equal_per_seed_measure_and_differ_per_seed(self, campaign, clock):
+        power = make_power_trace(clock)
+        rows = [row.copy() for row in campaign.measure_rows(power, seeds=[10, 11])]
+        for row, seed in zip(rows, [10, 11]):
+            assert np.array_equal(row, campaign.measure(power, seed=seed).values)
+        # Different noise realisations per repetition.
+        assert not np.array_equal(rows[0], rows[1])
+
+    def test_requires_at_least_one_seed_when_called(self, campaign, clock):
         with pytest.raises(ValueError):
-            campaign.repeat_measurements(make_power_trace(clock), repetitions=0)
+            campaign.measure_rows(make_power_trace(clock), seeds=[])
 
 
 class TestMeasureMany:
@@ -147,17 +154,17 @@ class TestMeasureChip:
         )
         assert np.array_equal(measured.values, expected.values)
 
-    def test_measure_chip_many_rows_equal_measure_chip(self, campaign, chip):
+    def test_measure_rows_of_chip_power_equal_measure_chip(self, campaign, chip):
         seeds = [11, 12, 13]
-        matrix = campaign.measure_chip_many(
-            chip, 2000, seeds=seeds, power_seed=6, watermark_phase_offset=40
+        power = chip.total_power(
+            2000, watermark_active=True, seed=6, watermark_phase_offset=40
         )
-        assert matrix.shape == (3, 2000)
-        for row, seed in enumerate(seeds):
+        rows = [row.copy() for row in campaign.measure_rows(power, seeds=seeds)]
+        for row, seed in zip(rows, seeds):
             single = campaign.measure_chip(
                 chip, 2000, power_seed=6, seed=seed, watermark_phase_offset=40
             )
-            assert np.array_equal(matrix[row], single.values)
+            assert np.array_equal(row, single.values)
 
     def test_measure_chip_without_watermark(self, campaign, chip):
         active = campaign.measure_chip(chip, 1000, power_seed=2, seed=3)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.lfsr import LFSR, CircularShiftRegister, max_length_period
 from repro.core.load_circuit import registers_for_load_power
 from repro.analysis.overhead import area_overhead_reduction
+from repro.detection.batch import BatchCPADetector, batch_rotation_correlations
 from repro.detection.cpa import pearson_correlation, rotation_correlations
 from repro.power.models import scale_energy_with_voltage
 from repro.rtl.activity import ActivityRecord, ActivityTrace
@@ -205,3 +206,36 @@ def test_rotation_correlation_fft_equals_naive(seed):
         rotation_correlations(sequence, measured, method="naive"),
         atol=1e-10,
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trials=st.integers(min_value=1, max_value=5),
+    period=st.integers(min_value=3, max_value=64),
+    binary=st.booleans(),
+    data=st.data(),
+)
+def test_streamed_detection_matches_matrix_and_naive(trials, period, binary, data):
+    """Rows streamed through one reused buffer detect exactly like the matrix."""
+    num_cycles = data.draw(st.integers(min_value=period, max_value=8 * period))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if binary:
+        sequence = rng.integers(0, 2, size=period).astype(np.float64)
+    else:
+        sequence = rng.normal(size=period)
+    matrix = 5.0 + rng.normal(size=(trials, num_cycles))
+
+    def one_buffer():
+        row = np.empty(num_cycles)
+        for source in matrix:
+            row[:] = source
+            yield row
+
+    detector = BatchCPADetector()
+    stacked = detector.detect_many(sequence, matrix)
+    streamed = detector.detect_many(sequence, one_buffer())
+    assert np.array_equal(streamed.correlations, stacked.correlations)
+    assert np.array_equal(streamed.z_scores, stacked.z_scores)
+    assert np.array_equal(streamed.detected, stacked.detected)
+    naive = batch_rotation_correlations(sequence, one_buffer(), method="naive")
+    np.testing.assert_allclose(streamed.correlations, naive, rtol=0.0, atol=1e-9)

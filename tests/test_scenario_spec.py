@@ -10,7 +10,6 @@ import pytest
 from repro.core.config import (
     DetectionConfig,
     MeasurementConfig,
-    SynthesisConfig,
     WatermarkConfig,
 )
 from repro.core.spec import ScenarioSpec
@@ -27,7 +26,6 @@ def _rich_spec() -> ScenarioSpec:
         watermark=WatermarkConfig(lfsr_width=10, lfsr_seed=0x155, switching_registers=256),
         measurement=MeasurementConfig.quick(12_345),
         detection=DetectionConfig(detection_threshold=5.0, uniqueness_margin=0.9),
-        synthesis=SynthesisConfig(max_trials_per_chunk=16),
         watermark_active=False,
         seed=42,
         phase_offset=1_234,
@@ -123,9 +121,8 @@ class TestConfigSerialization:
             WatermarkConfig(lfsr_width=8, lfsr_seed=0x2D, switching_registers=128),
             MeasurementConfig.quick(9_999),
             DetectionConfig(detection_threshold=6.0),
-            SynthesisConfig(max_trials_per_chunk=8),
         ],
-        ids=["watermark", "measurement", "detection", "synthesis"],
+        ids=["watermark", "measurement", "detection"],
     )
     def test_round_trip(self, config):
         assert type(config).from_dict(config.to_dict()) == config
@@ -134,16 +131,15 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="unknown WatermarkConfig fields"):
             WatermarkConfig.from_dict({"lfsr_width": 12, "bogus": 1})
 
-    def test_synthesis_chunk_validated(self):
-        with pytest.raises(ValueError, match="max_trials_per_chunk"):
-            SynthesisConfig(max_trials_per_chunk=0)
-
-    def test_schema_v1_synthesis_fields_rejected(self):
-        # Schema v2 dropped the trial-synthesis draw-order and dtype knobs.
-        with pytest.raises(ValueError, match="unknown SynthesisConfig fields"):
-            SynthesisConfig.from_dict({"compat_draw_order": True})
+    def test_schema_v2_synthesis_field_rejected(self):
+        # Schema v3 dropped the spec's trial-synthesis section (its only
+        # knob bounded memory, which streaming detection now does itself).
         payload = _rich_spec().to_json_dict()
-        payload["schema_version"] = 1
+        payload["synthesis"] = {"max_trials_per_chunk": 25}
+        with pytest.raises(ValueError, match="unknown ScenarioSpec fields"):
+            ScenarioSpec.from_json_dict(payload)
+        payload = _rich_spec().to_json_dict()
+        payload["schema_version"] = 2
         with pytest.raises(ValueError, match="unsupported spec schema version"):
             ScenarioSpec.from_json_dict(payload)
 
