@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the reproduction's design choices.
 
 Not figures from the paper, but studies that probe the knobs the paper's
 design space exposes: detector implementation, modulated sub-module size,

@@ -1,10 +1,11 @@
 """Benchmark: regenerate Fig. 3 (watermark embedded in total device power)."""
 
-from repro.experiments import run_fig3
+from repro.pipeline import DEFAULT_REGISTRY, run_scenario
 
 
 def test_bench_fig3_power_embedding(benchmark, report):
-    result = benchmark.pedantic(run_fig3, kwargs={"num_cycles": 4096}, rounds=1, iterations=1)
+    spec = DEFAULT_REGISTRY.build("fig3")
+    result = benchmark.pedantic(run_scenario, args=(spec,), rounds=1, iterations=1).payload
     report("Fig. 3: watermark power embedded in total device power", result.to_text())
 
     # The watermark modulation must be a small fraction of the device total

@@ -8,7 +8,7 @@ dual-core A5-class subsystem), each with the watermark active and disabled.
 
 import pytest
 
-from repro.experiments.fig5 import run_fig5, run_fig5_panel
+from repro.pipeline import DEFAULT_REGISTRY, ScenarioSpec, run_scenario
 
 
 @pytest.mark.parametrize(
@@ -17,12 +17,17 @@ from repro.experiments.fig5 import run_fig5, run_fig5_panel
     ids=["chip1_active", "chip1_inactive", "chip2_active", "chip2_inactive"],
 )
 def test_bench_fig5_panel(benchmark, report, paper_config, expectations, chip_name, watermark_active):
-    panel = benchmark.pedantic(
-        run_fig5_panel,
-        kwargs={"chip_name": chip_name, "watermark_active": watermark_active, "config": paper_config},
-        rounds=1,
-        iterations=1,
+    spec = ScenarioSpec(
+        kind="fig5_panel",
+        name=f"fig5/{chip_name}-{'active' if watermark_active else 'inactive'}",
+        chip=chip_name,
+        watermark=paper_config.watermark,
+        measurement=paper_config.measurement,
+        detection=paper_config.detection,
+        watermark_active=watermark_active,
+        seed=100,
     )
+    panel = benchmark.pedantic(run_scenario, args=(spec,), rounds=1, iterations=1).payload
     report(
         f"Fig. 5 panel: {panel.label}",
         panel.cpa.summary() + "\n\n" + panel.spectrum.render_ascii(width=72, height=10),
@@ -39,8 +44,9 @@ def test_bench_fig5_panel(benchmark, report, paper_config, expectations, chip_na
         assert abs(panel.cpa.peak_correlation) < fig5_expect["noise_floor_abs_max"]
 
 
-def test_bench_fig5_all_panels(benchmark, report, paper_config):
-    result = benchmark.pedantic(run_fig5, kwargs={"config": paper_config}, rounds=1, iterations=1)
+def test_bench_fig5_all_panels(benchmark, report):
+    spec = DEFAULT_REGISTRY.build("fig5")
+    result = benchmark.pedantic(run_scenario, args=(spec,), rounds=1, iterations=1).payload
     report("Fig. 5: all four panels", result.to_text())
 
     assert result.all_active_panels_detected

@@ -2,18 +2,23 @@
 
 import pytest
 
-from repro.experiments.fig6 import run_fig6_chip
+from repro.pipeline import ScenarioSpec, run_scenario
 
 
 @pytest.mark.parametrize("chip_name", ["chip1", "chip2"])
 def test_bench_fig6_repeatability(benchmark, report, paper_config, expectations, chip_name):
     repetitions = expectations["fig6"]["repetitions"]
-    result = benchmark.pedantic(
-        run_fig6_chip,
-        kwargs={"chip_name": chip_name, "repetitions": repetitions, "config": paper_config},
-        rounds=1,
-        iterations=1,
+    spec = ScenarioSpec(
+        kind="fig6_chip",
+        name=f"fig6/{chip_name}",
+        chip=chip_name,
+        watermark=paper_config.watermark,
+        measurement=paper_config.measurement,
+        detection=paper_config.detection,
+        seed=1000,
+        repetitions=repetitions,
     )
+    result = benchmark.pedantic(run_scenario, args=(spec,), rounds=1, iterations=1).payload
     peak = result.peak_box
     off_peak = result.off_peak_box
     report(

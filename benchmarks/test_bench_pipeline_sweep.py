@@ -1,12 +1,12 @@
-"""Benchmark: registry-driven sweep vs independent legacy drivers.
+"""Benchmark: registry-driven sweep vs independent one-shot runs.
 
 Acceptance pin for the scenario/pipeline API: running four scenarios on one
 chip through ``ExperimentRunner.run_many`` (one runner, shared chip
 instances, shared M0-window / background-template caches) must complete
-faster than the same four scenarios run as independent legacy drivers,
-where each driver starts cold (caches cleared, as separate processes
-would).  The reports must be identical in both modes -- the sweep buys
-time, not different numbers.
+faster than the same four scenarios run one by one through
+``run_scenario`` (a fresh runner each), where each run starts cold (caches
+cleared, as separate processes would).  The reports must be identical in
+both modes -- the sweep buys time, not different numbers.
 """
 
 import os
@@ -14,11 +14,7 @@ import time
 
 from record import record_benchmark
 
-from repro.core.config import MeasurementConfig
-from repro.experiments import run_fig3
-from repro.experiments.fig5 import run_fig5_panel
-from repro.experiments.fig6 import run_fig6_chip
-from repro.pipeline import DEFAULT_REGISTRY, ExperimentRunner, RunOptions
+from repro.pipeline import DEFAULT_REGISTRY, ExperimentRunner, RunOptions, run_scenario
 from repro.soc import chip as chip_module
 from repro.soc import cpu as cpu_module
 
@@ -48,27 +44,13 @@ def _sweep_specs():
     ]
 
 
-def _run_legacy_drivers():
-    """The same four scenarios as stand-alone drivers, each starting cold."""
-    config = DEFAULT_REGISTRY.build("fig5", _options()).experiment_config
-    reports = []
-    _clear_module_caches()
-    panel = run_fig5_panel("chip1", True, config=config, seed=100)
-    reports.append(f"[{panel.label}] {panel.cpa.summary()}")
-    _clear_module_caches()
-    # Seed 150 is what the composite Fig. 5 driver hands its chip-I control
-    # panel (active seed + 50), i.e. the same cell the sweep runs.
-    panel = run_fig5_panel("chip1", False, config=config, seed=150)
-    reports.append(f"[{panel.label}] {panel.cpa.summary()}")
-    _clear_module_caches()
-    chip_result = run_fig6_chip(
-        "chip1", repetitions=REPETITIONS, config=config, base_seed=1_000
-    )
-    reports.append(f"detection rate = {chip_result.detection_rate * 100:.0f}%")
-    _clear_module_caches()
-    fig3 = run_fig3(config=config, seed=7)
-    reports.append(fig3.to_text())
-    return reports
+def _run_cold_one_shots(specs):
+    """The same scenarios as one-shot runs, each starting cold."""
+    results = []
+    for spec in specs:
+        _clear_module_caches()
+        results.append(run_scenario(spec))
+    return results
 
 
 def test_bench_pipeline_sweep_beats_independent_drivers(report):
@@ -77,7 +59,7 @@ def test_bench_pipeline_sweep_beats_independent_drivers(report):
     assert all(spec.chip in (None, "chip1") for spec in specs)
 
     start = time.perf_counter()
-    legacy_reports = _run_legacy_drivers()
+    one_shots = _run_cold_one_shots(specs)
     legacy_s = time.perf_counter() - start
 
     _clear_module_caches()
@@ -88,18 +70,16 @@ def test_bench_pipeline_sweep_beats_independent_drivers(report):
     sweep_s = time.perf_counter() - start
 
     # Same numbers, just faster: the sweep's panel/campaign outcomes must
-    # match what the independent drivers computed.
-    assert sweep.results[0].report == legacy_reports[0]
-    assert sweep.results[1].report == legacy_reports[1]
-    detection_rate = sweep.results[2].scalars["detection_rate"]
-    assert f"detection rate = {detection_rate * 100:.0f}%" == legacy_reports[2]
-    assert sweep.results[3].report == legacy_reports[3]
+    # match what the independent runs computed.
+    for swept, one_shot in zip(sweep.results, one_shots):
+        assert swept.report == one_shot.report
+        assert swept.scalars == one_shot.scalars
 
     speedup = legacy_s / sweep_s if sweep_s > 0 else float("inf")
     chip_stats = runner.chip_cache_stats()
     window_stats = cpu_module.m0_window_cache_stats()
     lines = [
-        f"independent legacy drivers (cold each): {legacy_s:.2f} s",
+        f"independent one-shot runs (cold each):  {legacy_s:.2f} s",
         f"registry sweep via run_many:            {sweep_s:.2f} s",
         f"speedup: {speedup:.2f}x (floor {MIN_SPEEDUP}x, relaxed={RELAXED})",
         f"runner chip cache: {chip_stats}",

@@ -1,10 +1,11 @@
 """Benchmark: Section VI robustness comparison (removal attacks)."""
 
-from repro.experiments import run_robustness
+from repro.pipeline import DEFAULT_REGISTRY, run_scenario
 
 
 def test_bench_robustness_removal_attacks(benchmark, report):
-    result = benchmark.pedantic(run_robustness, rounds=3, iterations=1)
+    spec = DEFAULT_REGISTRY.build("robustness")
+    result = benchmark.pedantic(run_scenario, args=(spec,), rounds=3, iterations=1).payload
     report("Section VI: robustness against removal attacks", result.to_text())
 
     # The paper's claims: the stand-alone load-circuit watermark is easily

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.analysis.attacks import RemovalAttack, find_standalone_clusters
 from repro.core.config import ArchitectureKind, WatermarkConfig
 from repro.core.embedding import embed_baseline, embed_clock_modulation
-from repro.experiments import run_robustness
+from repro.pipeline import run_scenario
 from repro.soc.structure import build_soc_structure, clock_gate_paths
 
 
@@ -50,7 +50,7 @@ def main() -> None:
     print()
 
     print("== Removal attacks on both architectures ==")
-    result = run_robustness()
+    result = run_scenario("robustness").payload
     print(result.to_text())
     print()
 

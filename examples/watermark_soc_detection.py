@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core.config import ExperimentConfig, MeasurementConfig
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
+from repro.core.config import MeasurementConfig
+from repro.pipeline import ExperimentRunner, ScenarioSpec
 
 
 def main() -> None:
@@ -34,18 +33,21 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.quick:
-        config = ExperimentConfig(
-            measurement=MeasurementConfig(
-                num_cycles=60_000, transient_noise_floor_w=0.020, transient_noise_fraction=0.4
-            )
+        measurement = MeasurementConfig(
+            num_cycles=60_000, transient_noise_floor_w=0.020, transient_noise_fraction=0.4
         )
         repetitions = 20
     else:
-        config = ExperimentConfig.paper_defaults()
+        measurement = MeasurementConfig()
         repetitions = 100
 
+    # One runner for both figures: the chips are built once and shared.
+    runner = ExperimentRunner()
+
     print("== Spread spectra (Fig. 5 scenario) ==")
-    fig5 = run_fig5(config=config)
+    fig5 = runner.run(
+        ScenarioSpec(kind="fig5", name="fig5", measurement=measurement, seed=100)
+    ).payload
     print(fig5.to_text())
     print()
     for key in sorted(fig5.panels):
@@ -55,7 +57,15 @@ def main() -> None:
             print()
 
     print(f"== Repeatability over {repetitions} acquisitions (Fig. 6 scenario) ==")
-    fig6 = run_fig6(repetitions=repetitions, config=config)
+    fig6 = runner.run(
+        ScenarioSpec(
+            kind="fig6",
+            name="fig6",
+            measurement=measurement,
+            seed=1_000,
+            repetitions=repetitions,
+        )
+    ).payload
     print(fig6.to_text())
 
 

@@ -18,14 +18,14 @@ The package is organised as follows:
     Embedded-processor substrate: Thumb-like ISA, assembler, Cortex-M0-class
     core, bus, SRAM, caches, background-noise models, chip I/II assemblies.
 ``repro.measurement``
-    Shunt / probe / oscilloscope measurement chain.
+    The shunt / probe / oscilloscope bench, modelled per clock cycle.
 ``repro.detection``
     Correlation Power Analysis detection, spread spectra and statistics.
 ``repro.analysis``
     Area, overhead and removal-attack robustness analysis.
 ``repro.experiments``
-    One driver per paper table/figure (Fig. 2, 3, 5, 6; Tables I, II;
-    Section VI robustness) -- thin shims over the scenario pipeline.
+    The computation and result type of each paper table/figure (Fig. 2,
+    3, 5, 6; Tables I, II; Section VI robustness), run as pipeline stages.
 ``repro.pipeline``
     The declarative scenario layer: frozen, serializable
     :class:`repro.core.spec.ScenarioSpec`, the pipeline runner
@@ -34,15 +34,13 @@ The package is organised as follows:
 
 Quickstart
 ----------
->>> from repro.experiments import run_table2
->>> result = run_table2()
->>> round(result.headline_reduction, 2)
-0.98
-
-Or declaratively, via the scenario registry:
+Every experiment runs through the scenario registry and pipeline runner:
 
 >>> from repro.pipeline import run_scenario
->>> round(run_scenario("table2").scalars["headline_reduction"], 2)
+>>> result = run_scenario("table2")
+>>> round(result.scalars["headline_reduction"], 2)
+0.98
+>>> round(result.payload.headline_reduction, 2)
 0.98
 """
 

@@ -118,8 +118,8 @@ class MeasurementConfig:
         the oscilloscope's vertical range being scaled up for a chip that
         draws more current.  These defaults are calibrated so that the
         silicon-measured correlation peaks of Fig. 5 (about 0.015-0.02 on
-        chip I and about 0.01-0.015 on chip II) are reproduced; see
-        EXPERIMENTS.md.
+        chip I and about 0.01-0.015 on chip II) are reproduced (pinned by
+        ``benchmarks/test_bench_fig5.py``).
     """
 
     clock_frequency_hz: float = 10e6
@@ -128,7 +128,6 @@ class MeasurementConfig:
     supply_voltage_v: float = 1.2
     shunt_resistance_ohm: float = 0.270
     probe_noise_rms_v: float = 2.0e-3
-    probe_bandwidth_hz: float = 120e6
     adc_bits: int = 8
     transient_noise_floor_w: float = 0.040
     transient_noise_fraction: float = 0.75

@@ -1,4 +1,4 @@
-"""Shared helpers for the experiment drivers."""
+"""Shared helpers of the experiment stages."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from repro.core.architectures import (
     ClockModulationWatermark,
     WatermarkArchitecture,
 )
-from repro.core.config import ArchitectureKind, ExperimentConfig, WatermarkConfig
-from repro.soc.chip import ChipModel
-from repro.soc.registry import build_registered_chip
+from repro.core.config import ArchitectureKind, WatermarkConfig
 
 
 def build_watermark(config: Optional[WatermarkConfig] = None) -> WatermarkArchitecture:
@@ -22,31 +20,11 @@ def build_watermark(config: Optional[WatermarkConfig] = None) -> WatermarkArchit
     return BaselineWatermark.from_config(config)
 
 
-def build_chip(
-    chip_name: str,
-    config: Optional[ExperimentConfig] = None,
-    watermark: Optional[WatermarkArchitecture] = None,
-    m0_window_cycles: int = 16_384,
-) -> ChipModel:
-    """Build a registered chip with the paper's watermark configuration.
-
-    Chip names resolve through :mod:`repro.soc.registry` (canonical names
-    plus declared aliases); unknown names raise a ``ValueError`` listing
-    every valid spelling.
-    """
-    config = config or ExperimentConfig.paper_defaults()
-    if watermark is None:
-        watermark = build_watermark(config.watermark)
-    return build_registered_chip(
-        chip_name, watermark=watermark, m0_window_cycles=m0_window_cycles
-    )
-
-
 def paper_expectations() -> Dict[str, Dict]:
     """The published values our reproduction is compared against.
 
-    Only the *shape* is expected to hold (see DESIGN.md); absolute values
-    from the silicon measurements depend on the authors' testbed.
+    Only the *shape* is expected to hold: the absolute values of the
+    silicon measurements depend on the authors' testbed.
     """
     return {
         "table1": {

@@ -11,12 +11,10 @@ and while WMARK is low both schemes are idle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.core.architectures import BaselineWatermark, ClockModulationWatermark
-from repro.core.config import WatermarkConfig
 from repro.core.wgc import WatermarkGenerationCircuit
 from repro.core.load_circuit import LoadCircuit
 from repro.core.clock_modulation import ClockModulatedIPBlock
@@ -71,34 +69,6 @@ class Fig2Result:
             f"clock modulation = {self.clock_modulation_toggles_per_active_register:.2f}",
         ]
         return "\n".join(lines)
-
-
-def run_fig2(
-    num_cycles: int = 64,
-    register_count: int = 8,
-    lfsr_width: int = 4,
-    seed: int = 0b1001,
-) -> Fig2Result:
-    """Reproduce the Fig. 2 functional simulation.
-
-    Thin shim over the scenario pipeline: builds the ``fig2`` spec and
-    executes it through :class:`repro.pipeline.ExperimentRunner` (the
-    report and arrays are bit-identical to the pre-pipeline driver).
-    """
-    from repro.core.spec import ScenarioSpec
-    from repro.pipeline.runner import run_scenario
-
-    spec = ScenarioSpec(
-        kind="fig2",
-        name="fig2",
-        seed=seed,
-        params={
-            "num_cycles": num_cycles,
-            "register_count": register_count,
-            "lfsr_width": lfsr_width,
-        },
-    )
-    return run_scenario(spec).payload
 
 
 def _compute_fig2(

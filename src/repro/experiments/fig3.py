@@ -10,11 +10,9 @@ total power's mean and variation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from repro.core.config import ExperimentConfig
 from repro.power.trace import PowerTrace
 
 
@@ -82,33 +80,3 @@ class Fig3Result:
         )
         lines.append(f"  deeply embedded (invisible without CPA): {self.deeply_embedded}")
         return "\n".join(lines)
-
-
-def run_fig3(
-    num_cycles: int = 4_096,
-    config: Optional[ExperimentConfig] = None,
-    chip_name: str = "chip1",
-    seed: int = 7,
-) -> Fig3Result:
-    """Reproduce the Fig. 3 simulation on the chip I model.
-
-    Thin shim over the scenario pipeline (chip → power → acquisition
-    stages); the report and arrays are bit-identical to the pre-pipeline
-    driver.
-    """
-    from repro.core.spec import ScenarioSpec
-    from repro.pipeline.runner import run_scenario
-
-    config = config or ExperimentConfig.paper_defaults()
-    spec = ScenarioSpec(
-        kind="fig3",
-        name="fig3",
-        chip=chip_name,
-        watermark=config.watermark,
-        measurement=config.measurement,
-        detection=config.detection,
-        seed=seed,
-        m0_window_cycles=min(num_cycles, 8_192),
-        params={"num_cycles": num_cycles},
-    )
-    return run_scenario(spec).payload

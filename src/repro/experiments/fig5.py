@@ -10,7 +10,7 @@ experiment showing that the peak is not correlated system noise).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.config import ExperimentConfig
 from repro.detection.cpa import CPAResult
@@ -82,63 +82,3 @@ def _panel_key(chip_name: str, watermark_active: bool) -> str:
 #: silicon measurements happened to land at rotations ~3,800 and ~2,400 of
 #: the 4,095-cycle sequence).
 _PAPER_PHASE_FRACTION = {"chip1": 3800 / 4095, "chip2": 2400 / 4095}
-
-
-def run_fig5_panel(
-    chip_name: str,
-    watermark_active: bool,
-    config: Optional[ExperimentConfig] = None,
-    seed: int = 100,
-    m0_window_cycles: int = 16_384,
-    phase_offset: Optional[int] = None,
-) -> Fig5Panel:
-    """Produce one panel of Fig. 5.
-
-    Thin shim over the scenario pipeline (chip → acquisition → detection
-    stages); the chip-level acquisition behind the pipeline is served from
-    the shared background-template and M0-window caches, so the four
-    panels -- and any repeated runs -- share one cycle-accurate core
-    simulation per (program, window).  Bit-identical to the pre-pipeline
-    driver for canonical chip names; alias spellings ("chipI", "1", ...)
-    now canonicalise first, so they behave exactly like the canonical
-    name instead of silently falling back to the generic phase offset.
-    """
-    from repro.core.spec import ScenarioSpec
-    from repro.pipeline.runner import run_scenario
-
-    config = config or ExperimentConfig.paper_defaults()
-    spec = ScenarioSpec(
-        kind="fig5_panel",
-        name=f"fig5/{chip_name}-{'active' if watermark_active else 'inactive'}",
-        chip=chip_name,
-        watermark=config.watermark,
-        measurement=config.measurement,
-        detection=config.detection,
-        watermark_active=watermark_active,
-        seed=seed,
-        phase_offset=phase_offset,
-        m0_window_cycles=m0_window_cycles,
-    )
-    return run_scenario(spec).payload
-
-
-def run_fig5(
-    config: Optional[ExperimentConfig] = None,
-    seed: int = 100,
-    m0_window_cycles: int = 16_384,
-) -> Fig5Result:
-    """Reproduce all four panels of Fig. 5 (pipeline shim)."""
-    from repro.core.spec import ScenarioSpec
-    from repro.pipeline.runner import run_scenario
-
-    config = config or ExperimentConfig.paper_defaults()
-    spec = ScenarioSpec(
-        kind="fig5",
-        name="fig5",
-        watermark=config.watermark,
-        measurement=config.measurement,
-        detection=config.detection,
-        seed=seed,
-        m0_window_cycles=m0_window_cycles,
-    )
-    return run_scenario(spec).payload

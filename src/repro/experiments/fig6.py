@@ -9,7 +9,7 @@ every repetition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.config import ExperimentConfig
 from repro.detection.statistics import BoxPlotStats, RepetitionStatistics
@@ -80,65 +80,3 @@ class Fig6Result:
         lines.append("")
         lines.append(f"  detected in all repetitions on all chips: {self.all_repetitions_detected}")
         return "\n".join(lines)
-
-
-def run_fig6_chip(
-    chip_name: str,
-    repetitions: int = 100,
-    config: Optional[ExperimentConfig] = None,
-    base_seed: int = 1000,
-    m0_window_cycles: int = 16_384,
-) -> Fig6ChipResult:
-    """Run the repeated-measurement campaign for one chip.
-
-    Thin shim over the scenario pipeline (chip → campaign → statistics
-    stages).  The measurement noise differs per repetition; every
-    repetition's trace is folded into one shared CPA pass as soon as it is
-    measured, so memory stays at one acquisition plus the per-phase sums
-    even at full paper scale (300,000 cycles).
-    Bit-identical to the pre-pipeline driver.
-    """
-    from repro.core.spec import ScenarioSpec
-    from repro.pipeline.runner import run_scenario
-
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    config = config or ExperimentConfig.paper_defaults()
-    spec = ScenarioSpec(
-        kind="fig6_chip",
-        name=f"fig6/{chip_name}",
-        chip=chip_name,
-        watermark=config.watermark,
-        measurement=config.measurement,
-        detection=config.detection,
-        seed=base_seed,
-        repetitions=repetitions,
-        m0_window_cycles=m0_window_cycles,
-    )
-    return run_scenario(spec).payload
-
-
-def run_fig6(
-    repetitions: int = 100,
-    config: Optional[ExperimentConfig] = None,
-    base_seed: int = 1000,
-    m0_window_cycles: int = 16_384,
-) -> Fig6Result:
-    """Reproduce Fig. 6 for both chips (pipeline shim)."""
-    from repro.core.spec import ScenarioSpec
-    from repro.pipeline.runner import run_scenario
-
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    config = config or ExperimentConfig.paper_defaults()
-    spec = ScenarioSpec(
-        kind="fig6",
-        name="fig6",
-        watermark=config.watermark,
-        measurement=config.measurement,
-        detection=config.detection,
-        seed=base_seed,
-        repetitions=repetitions,
-        m0_window_cycles=m0_window_cycles,
-    )
-    return run_scenario(spec).payload

@@ -11,7 +11,6 @@ quantitative on a structural SoC model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.attacks import RemovalAttack
 from repro.analysis.robustness import RobustnessAssessment, assess_robustness
@@ -71,43 +70,11 @@ class RobustnessResult:
         return "\n".join(lines)
 
 
-def run_robustness(
-    config: Optional[WatermarkConfig] = None,
-    attack: Optional[RemovalAttack] = None,
-    modulated_gates: int = 4,
-) -> RobustnessResult:
-    """Embed both watermark architectures in the structural SoC and attack them.
-
-    Thin shim over the scenario pipeline when the default
-    :class:`RemovalAttack` is used; a custom ``attack`` object cannot be
-    expressed in a serializable spec, so that path computes directly.
-    """
+def _compute_robustness(config: WatermarkConfig, modulated_gates: int) -> RobustnessResult:
+    """The Section VI robustness computation (pipeline stage body)."""
     if modulated_gates <= 0:
         raise ValueError("at least one clock gate must be modulated")
-    if attack is None:
-        from repro.core.spec import ScenarioSpec
-        from repro.pipeline.runner import run_scenario
-
-        spec = ScenarioSpec(
-            kind="robustness",
-            name="robustness",
-            watermark=config or WatermarkConfig(),
-            params={"modulated_gates": modulated_gates},
-        )
-        return run_scenario(spec).payload
-    return _compute_robustness(
-        config=config, attack=attack, modulated_gates=modulated_gates
-    )
-
-
-def _compute_robustness(
-    config: Optional[WatermarkConfig],
-    attack: Optional[RemovalAttack],
-    modulated_gates: int,
-) -> RobustnessResult:
-    """The Section VI robustness computation (pipeline stage body)."""
-    config = config or WatermarkConfig()
-    attack = attack or RemovalAttack()
+    attack = RemovalAttack()
 
     baseline_host = build_soc_structure(name="soc_baseline")
     baseline_config = WatermarkConfig(

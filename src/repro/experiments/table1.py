@@ -9,7 +9,7 @@ total power plus its share of the total watermark dynamic power.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.config import WatermarkConfig
@@ -80,43 +80,11 @@ class Table1Result:
         return self.to_power_report().to_text()
 
 
-def run_table1(
-    switching_register_counts: Sequence[int] = TABLE_I_SWITCHING_REGISTERS,
-    estimator: Optional[PowerEstimator] = None,
-    config: Optional[WatermarkConfig] = None,
-) -> Table1Result:
-    """Reproduce Table I with the activity-based power estimator.
-
-    Thin shim over the scenario pipeline when the default (nominal)
-    estimator is used; a custom ``estimator`` object cannot be expressed
-    in a serializable spec, so that path computes directly.
-    """
-    if estimator is None:
-        from repro.core.spec import ScenarioSpec
-        from repro.pipeline.runner import run_scenario
-
-        spec = ScenarioSpec(
-            kind="table1",
-            name="table1",
-            watermark=config or WatermarkConfig(),
-            params={"switching_register_counts": list(switching_register_counts)},
-        )
-        return run_scenario(spec).payload
-    return _compute_table1(
-        switching_register_counts=switching_register_counts,
-        estimator=estimator,
-        config=config,
-    )
-
-
 def _compute_table1(
-    switching_register_counts: Sequence[int],
-    estimator: Optional[PowerEstimator],
-    config: Optional[WatermarkConfig],
+    switching_register_counts: Sequence[int], base_config: WatermarkConfig
 ) -> Table1Result:
     """The Table I computation (pipeline stage body)."""
-    estimator = estimator or PowerEstimator.at_nominal()
-    base_config = config or WatermarkConfig()
+    estimator = PowerEstimator.at_nominal()
     result = Table1Result()
 
     for switching in switching_register_counts:

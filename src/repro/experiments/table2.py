@@ -9,8 +9,8 @@ achieved by the proposed clock-modulation technique, which only keeps the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.analysis.overhead import (
     OverheadTable,
@@ -53,42 +53,7 @@ class Table2Result:
         return "\n".join(lines)
 
 
-def run_table2(
-    load_powers_w: Sequence[float] = TABLE_II_LOAD_POWERS_W,
-    wgc_registers: int = WGC_REGISTERS,
-    estimator: Optional[PowerEstimator] = None,
-) -> Table2Result:
-    """Reproduce Table II.
-
-    Thin shim over the scenario pipeline when the default (nominal)
-    estimator is used; a custom ``estimator`` object cannot be expressed
-    in a serializable spec, so that path computes directly.
-    """
-    if estimator is None:
-        from repro.core.spec import ScenarioSpec
-        from repro.pipeline.runner import run_scenario
-
-        spec = ScenarioSpec(
-            kind="table2",
-            name="table2",
-            params={
-                "load_powers_w": list(load_powers_w),
-                "wgc_registers": wgc_registers,
-            },
-        )
-        return run_scenario(spec).payload
-    return _compute_table2(
-        load_powers_w=load_powers_w,
-        wgc_registers=wgc_registers,
-        estimator=estimator,
-    )
-
-
-def _compute_table2(
-    load_powers_w: Sequence[float],
-    wgc_registers: int,
-    estimator: Optional[PowerEstimator],
-) -> Table2Result:
+def _compute_table2(load_powers_w: Sequence[float], wgc_registers: int) -> Table2Result:
     """The Table II computation (pipeline stage body).
 
     The per-register sizing coefficients are taken from the power
@@ -96,7 +61,7 @@ def _compute_table2(
     activity-based power model reproduces the paper's published
     per-register figures.
     """
-    estimator = estimator or PowerEstimator.at_nominal()
+    estimator = PowerEstimator.at_nominal()
     clock_power = estimator.per_register_clock_power()
     data_power = estimator.per_register_data_power()
     table = load_circuit_overhead_table(

@@ -1,23 +1,17 @@
 """Acquisition campaigns: from a chip power trace to the CPA vector ``Y``.
 
-Two measurement paths are provided:
-
-* a **detailed** path that synthesises the 500 MS/s shunt-voltage waveform
-  (per-cycle current expanded with a switching-transient pulse shape),
-  passes it through the probe (band-limiting plus noise) and the
-  oscilloscope (vertical range, 8-bit quantisation) and averages back to
-  one value per clock cycle; and
-* a **fast** path that applies the statistically equivalent per-cycle noise
-  directly, which is what the long 300,000-cycle (and 100-repetition)
-  experiments use.
-
-Both produce a :class:`MeasuredTrace` whose ``values`` array is the
-measured per-cycle power vector ``Y``.
+The bench of Section IV (shunt, differential probe, 500 MS/s 8-bit scope,
+50 samples averaged per 10 MHz cycle) is modelled per clock cycle: every
+stage's noise is folded into one statistically equivalent per-cycle
+Gaussian sigma (:meth:`AcquisitionCampaign.per_cycle_noise_sigma`) that is
+added to the chip's per-cycle power.  The result is a
+:class:`MeasuredTrace` whose ``values`` array is the measured per-cycle
+power vector ``Y``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,10 +23,11 @@ from repro.measurement.noise import (
     quantization_noise_rms,
     transient_residual_sigma,
 )
-from repro.measurement.oscilloscope import Oscilloscope
-from repro.measurement.probe import DifferentialProbe
-from repro.measurement.shunt import ShuntResistor
 from repro.power.trace import PowerTrace
+
+#: Vertical-range headroom of the oscilloscope: the full scale is set this
+#: much above the trace's peak shunt voltage, which sets the ADC's LSB.
+RANGE_HEADROOM = 1.25
 
 
 @dataclass
@@ -43,7 +38,6 @@ class MeasuredTrace:
     values: np.ndarray
     config: MeasurementConfig
     seed: Optional[int] = None
-    detailed: bool = False
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -76,21 +70,8 @@ class MeasuredTrace:
 class AcquisitionCampaign:
     """Measures chip power traces with the modelled bench setup."""
 
-    #: Normalised two-spike pulse shape factors used by the detailed path:
-    #: most of a cycle's charge is delivered right after the two clock edges.
-    _EDGE_FRACTION = 0.35
-
     def __init__(self, config: Optional[MeasurementConfig] = None) -> None:
         self.config = config or MeasurementConfig()
-        self.shunt = ShuntResistor(resistance_ohm=self.config.shunt_resistance_ohm)
-        self.probe = DifferentialProbe(
-            bandwidth_hz=self.config.probe_bandwidth_hz,
-            noise_rms_v=self.config.probe_noise_rms_v,
-        )
-        self.oscilloscope = Oscilloscope(
-            sampling_frequency_hz=self.config.sampling_frequency_hz,
-            adc_bits=self.config.adc_bits,
-        )
 
     @classmethod
     def from_spec(cls, spec) -> "AcquisitionCampaign":
@@ -120,23 +101,25 @@ class AcquisitionCampaign:
         per_sample = np.sqrt(probe_power**2 + quant_power**2)
         return float(np.sqrt(transient**2 + (per_sample**2) / spc))
 
-    # -- measurement paths --------------------------------------------------------
+    # -- measurement -------------------------------------------------------------
 
-    def measure(
-        self,
-        power_trace: PowerTrace,
-        seed: Optional[int] = None,
-        detailed: bool = False,
-    ) -> MeasuredTrace:
+    def measure(self, power_trace: PowerTrace, seed: Optional[int] = None) -> MeasuredTrace:
         """Measure a chip power trace and return the CPA vector ``Y``."""
         if seed is None:
             seed = self.config.seed
-        if detailed:
-            return self._measure_detailed(power_trace, seed)
-        return self._measure_fast(power_trace, seed)
+        rng = np.random.default_rng(seed)
+        power = power_trace.power_w
+        sigma = self._trace_sigma(power_trace)
+        measured = power + gaussian_noise(rng, sigma, len(power))
+        return MeasuredTrace(
+            name=f"{power_trace.name}/measured",
+            values=measured,
+            config=self.config,
+            seed=seed,
+        )
 
-    def _fast_path_sigma(self, power_trace: PowerTrace) -> float:
-        """Effective per-cycle noise sigma of the fast measurement path.
+    def _trace_sigma(self, power_trace: PowerTrace) -> float:
+        """Effective per-cycle noise sigma of the chain for one power trace.
 
         Shared by :meth:`measure` and :meth:`measure_rows` so the two can
         never drift apart on the acquisition-chain statistics.
@@ -147,21 +130,8 @@ class AcquisitionCampaign:
             (power_trace.peak_power_w / self.config.supply_voltage_v)
             * self.config.shunt_resistance_ohm
         )
-        full_scale = max(peak_voltage * self.oscilloscope.range_headroom, 1e-6)
+        full_scale = max(peak_voltage * RANGE_HEADROOM, 1e-6)
         return self.per_cycle_noise_sigma(mean_power, full_scale)
-
-    def _measure_fast(self, power_trace: PowerTrace, seed: Optional[int]) -> MeasuredTrace:
-        rng = np.random.default_rng(seed)
-        power = power_trace.power_w
-        sigma = self._fast_path_sigma(power_trace)
-        measured = power + gaussian_noise(rng, sigma, len(power))
-        return MeasuredTrace(
-            name=f"{power_trace.name}/measured",
-            values=measured,
-            config=self.config,
-            seed=seed,
-            detailed=False,
-        )
 
     def measure_rows(
         self, power_trace: PowerTrace, seeds: Sequence[Optional[int]]
@@ -169,7 +139,7 @@ class AcquisitionCampaign:
         """Measure the same power trace once per seed, yielding one row at a time.
 
         Row ``r`` is bit-identical to
-        ``measure(power_trace, seed=seeds[r]).values`` on the fast path.  The
+        ``measure(power_trace, seed=seeds[r]).values``.  The
         acquisition-chain statistics (mean power, vertical range, effective
         noise sigma) are computed once, and every row is written into one
         reused ``num_cycles`` buffer: consume (or copy) a row before asking
@@ -181,7 +151,7 @@ class AcquisitionCampaign:
         if not seeds:
             raise ValueError("at least one seed is required")
         power = power_trace.power_w
-        sigma = self._fast_path_sigma(power_trace)
+        sigma = self._trace_sigma(power_trace)
 
         def rows() -> Iterator[np.ndarray]:
             row = np.empty(len(power), dtype=np.float64)
@@ -197,22 +167,14 @@ class AcquisitionCampaign:
         return rows()
 
     def measure_many(
-        self,
-        power_trace: PowerTrace,
-        seeds: Sequence[Optional[int]],
-        detailed: bool = False,
+        self, power_trace: PowerTrace, seeds: Sequence[Optional[int]]
     ) -> np.ndarray:
         """Measure the same power trace once per seed into a trial matrix.
 
         Returns a ``len(seeds) x num_cycles`` array whose row ``r`` is
         bit-identical to ``measure(power_trace, seed=seeds[r]).values``: the
-        rows of :meth:`measure_rows` stacked.  The detailed path falls back
-        to per-row measurement.
+        rows of :meth:`measure_rows` stacked.
         """
-        if detailed:
-            return np.stack(
-                [self.measure(power_trace, seed=seed, detailed=True).values for seed in seeds]
-            )
         return np.stack([row.copy() for row in self.measure_rows(power_trace, seeds)])
 
     # -- chip-level entry points --------------------------------------------------
@@ -225,7 +187,6 @@ class AcquisitionCampaign:
         power_seed: Optional[int] = None,
         seed: Optional[int] = None,
         watermark_phase_offset: int = 0,
-        detailed: bool = False,
     ) -> MeasuredTrace:
         """Measure a chip's total power directly (one acquisition).
 
@@ -241,57 +202,4 @@ class AcquisitionCampaign:
             seed=power_seed,
             watermark_phase_offset=watermark_phase_offset,
         )
-        return self.measure(power, seed=seed, detailed=detailed)
-
-    def _measure_detailed(self, power_trace: PowerTrace, seed: Optional[int]) -> MeasuredTrace:
-        rng = np.random.default_rng(seed)
-        spc = self.config.samples_per_cycle
-        supply = self.config.supply_voltage_v
-        current_per_cycle = power_trace.power_w / supply
-
-        # Expand each cycle into `spc` samples with a two-spike pulse shape
-        # whose per-cycle mean equals the cycle's average current.
-        pulse = self._pulse_shape(spc)
-        samples = np.repeat(current_per_cycle, spc) * np.tile(pulse, len(current_per_cycle))
-
-        # Cycle-to-cycle transient variability that the averaging later does
-        # not remove (di/dt spikes, board resonances); applied per sample so
-        # the detailed and fast paths agree statistically after reduction.
-        mean_power = float(np.mean(power_trace.power_w)) if len(power_trace) else 0.0
-        transient_sigma_cycle = transient_residual_sigma(
-            mean_power,
-            self.config.transient_noise_floor_w,
-            self.config.transient_noise_fraction,
-        )
-        transient_sigma_sample = transient_sigma_cycle * np.sqrt(spc) / supply
-        samples = samples + gaussian_noise(rng, transient_sigma_sample, len(samples))
-
-        shunt_voltage = self.shunt.voltage_from_current(samples)
-        probed = self.probe.apply(shunt_voltage, self.config.sampling_frequency_hz, rng=rng)
-        capture = self.oscilloscope.capture(probed, samples_per_cycle=spc)
-        measured_current = self.shunt.current_from_voltage(capture.per_cycle_average)
-        measured_power = measured_current * supply
-        return MeasuredTrace(
-            name=f"{power_trace.name}/measured",
-            values=measured_power,
-            config=self.config,
-            seed=seed,
-            detailed=True,
-        )
-
-    @staticmethod
-    def _pulse_shape(samples_per_cycle: int) -> np.ndarray:
-        """Two-spike, mean-one pulse shape representing edge-triggered current."""
-        if samples_per_cycle <= 0:
-            raise ValueError("samples_per_cycle must be positive")
-        shape = np.ones(samples_per_cycle, dtype=np.float64)
-        if samples_per_cycle >= 8:
-            edge_width = max(1, samples_per_cycle // 10)
-            rising = np.arange(edge_width)
-            decay = np.exp(-rising / max(1.0, edge_width / 2.0))
-            boost = np.zeros(samples_per_cycle)
-            boost[:edge_width] += decay
-            half = samples_per_cycle // 2
-            boost[half:half + edge_width] += decay
-            shape = shape + 4.0 * boost
-        return shape / shape.mean()
+        return self.measure(power, seed=seed)

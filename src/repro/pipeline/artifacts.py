@@ -5,8 +5,7 @@ A :class:`ScenarioResult` bundles everything one scenario run produced:
 * the :class:`repro.core.spec.ScenarioSpec` that was executed,
 * ``scalars`` -- JSON-able headline metrics,
 * ``arrays`` -- named numpy arrays (correlation spectra, traces, ...),
-* ``report`` -- the human-readable text report (bit-identical to what the
-  legacy driver printed),
+* ``report`` -- the human-readable text report,
 * ``provenance`` -- spec hash, commit, environment, timings.
 
 Artifacts round-trip through a JSON file plus a sibling ``.npz`` for the

@@ -15,7 +15,7 @@ One runner instance shares work across everything it executes:
 * underneath, the module-level M0-window and background-template caches
   (PR 3) and the batched CPA/synthesis engines (PRs 1-2) do the heavy
   lifting, which is why a registry-driven sweep beats the same scenarios
-  run as independent drivers (pinned by
+  run one by one with a fresh runner each (pinned by
   ``benchmarks/test_bench_pipeline_sweep.py``).
 """
 

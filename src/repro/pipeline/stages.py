@@ -3,13 +3,13 @@
 Each scenario kind maps to an ordered list of named stages (chip →
 acquisition → synthesis → detection, or a subset).  A stage is a plain
 function mutating a :class:`StageContext`; the final stage populates the
-context's ``payload`` (the legacy result object), ``report`` (the legacy
-text rendering), plus the typed ``scalars``/``arrays`` that end up in the
+context's ``payload`` (the experiment's result dataclass from
+:mod:`repro.experiments`), ``report`` (its text rendering), plus the typed
+``scalars``/``arrays`` that end up in the
 :class:`repro.pipeline.artifacts.ScenarioResult`.
 
-The stage bodies are the legacy driver bodies, relocated -- same calls in
-the same order at identical seeds, so reports and arrays stay bit-identical
-to the pre-pipeline drivers (pinned by ``tests/test_pipeline_equivalence.py``).
+Reports and arrays are pinned against captured goldens by
+``tests/test_pipeline_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from typing import Any, Callable, Dict, List
 
 import numpy as np
 
+from repro.analysis.masking import run_noise_masking_study, run_starvation_study
+from repro.analysis.overhead import TABLE_II_LOAD_POWERS_W, WGC_REGISTERS
 from repro.core.spec import ScenarioSpec
 from repro.detection.campaign import run_detection_probability_campaign
 from repro.detection.cpa import CPADetector
@@ -26,6 +28,13 @@ from repro.detection.batch import BatchCPADetector
 from repro.detection.spread_spectrum import SpreadSpectrum
 from repro.detection.statistics import RepetitionStatistics
 from repro.experiments.common import build_watermark
+from repro.experiments.fig2 import _compute_fig2
+from repro.experiments.fig3 import Fig3Result
+from repro.experiments.fig5 import _PAPER_PHASE_FRACTION, Fig5Panel, Fig5Result, _panel_key
+from repro.experiments.fig6 import Fig6ChipResult, Fig6Result
+from repro.experiments.robustness_exp import _compute_robustness
+from repro.experiments.table1 import TABLE_I_SWITCHING_REGISTERS, _compute_table1
+from repro.experiments.table2 import _compute_table2
 from repro.measurement.acquisition import AcquisitionCampaign
 from repro.power.trace import PowerTrace
 
@@ -103,8 +112,6 @@ def _chip_stage(ctx: StageContext) -> None:
 @stage_builder("fig2")
 def _fig2_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def simulate(ctx: StageContext) -> None:
-        from repro.experiments.fig2 import _compute_fig2
-
         result = _compute_fig2(
             num_cycles=ctx.spec.param("num_cycles", 64),
             register_count=ctx.spec.param("register_count", 8),
@@ -150,8 +157,6 @@ def _fig3_stages(spec: ScenarioSpec) -> List[PipelineStage]:
         )
 
     def acquisition(ctx: StageContext) -> None:
-        from repro.experiments.fig3 import Fig3Result
-
         campaign = AcquisitionCampaign.from_spec(ctx.spec)
         measured = campaign.measure(ctx.data["total"], seed=ctx.spec.seed)
         result = Fig3Result(
@@ -188,8 +193,6 @@ def _fig3_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 
 
 def _fig5_panel_phase_offset(spec: ScenarioSpec) -> int:
-    from repro.experiments.fig5 import _PAPER_PHASE_FRACTION
-
     if spec.phase_offset is not None:
         return spec.phase_offset
     period = spec.watermark.sequence_period
@@ -211,8 +214,6 @@ def _fig5_panel_stages(spec: ScenarioSpec) -> List[PipelineStage]:
         )
 
     def detection(ctx: StageContext) -> None:
-        from repro.experiments.fig5 import Fig5Panel, _panel_key
-
         chip = ctx.data["chip"]
         detector = CPADetector(ctx.spec.detection)
         sequence = chip.watermark_sequence()
@@ -248,8 +249,8 @@ def _fig5_panel_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 def fig5_panel_spec(spec: ScenarioSpec, chip_name: str, active: bool) -> ScenarioSpec:
     """Derive one Fig. 5 panel spec from the composite Fig. 5 spec.
 
-    Seed offsets follow the legacy driver: +50 for the watermark-inactive
-    control, +7 for chip II.
+    Seeds are offset by +50 for the watermark-inactive control and by +7
+    for chip II.
     """
     return spec.with_overrides(
         kind="fig5_panel",
@@ -263,8 +264,6 @@ def fig5_panel_spec(spec: ScenarioSpec, chip_name: str, active: bool) -> Scenari
 @stage_builder("fig5")
 def _fig5_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def panels(ctx: StageContext) -> None:
-        from repro.experiments.fig5 import Fig5Result, _panel_key
-
         result = Fig5Result(config=ctx.spec.experiment_config)
         arrays: Dict[str, np.ndarray] = {}
         for chip_name in ("chip1", "chip2"):
@@ -315,8 +314,6 @@ def _fig6_chip_stages(spec: ScenarioSpec) -> List[PipelineStage]:
         ctx.data["detections"] = [bool(flag) for flag in batch.detected]
 
     def statistics(ctx: StageContext) -> None:
-        from repro.experiments.fig6 import Fig6ChipResult
-
         stats = RepetitionStatistics.from_correlation_runs(
             ctx.spec.chip, ctx.data["runs"], detected_flags=ctx.data["detections"]
         )
@@ -355,7 +352,7 @@ def _fig6_chip_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 def fig6_chip_spec(spec: ScenarioSpec, chip_name: str) -> ScenarioSpec:
     """Derive one chip's Fig. 6 campaign spec from the composite spec.
 
-    The chip II campaign seeds 500 apart, as in the legacy driver.
+    The chip II campaign seeds 500 apart.
     """
     return spec.with_overrides(
         kind="fig6_chip",
@@ -368,8 +365,6 @@ def fig6_chip_spec(spec: ScenarioSpec, chip_name: str) -> ScenarioSpec:
 @stage_builder("fig6")
 def _fig6_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def chips(ctx: StageContext) -> None:
-        from repro.experiments.fig6 import Fig6Result
-
         result = Fig6Result(
             config=ctx.spec.experiment_config, repetitions=ctx.spec.repetitions
         )
@@ -401,16 +396,10 @@ def _fig6_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 @stage_builder("table1")
 def _table1_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def estimate(ctx: StageContext) -> None:
-        from repro.experiments.table1 import TABLE_I_SWITCHING_REGISTERS, _compute_table1
-
         counts = ctx.spec.param(
             "switching_register_counts", list(TABLE_I_SWITCHING_REGISTERS)
         )
-        result = _compute_table1(
-            switching_register_counts=tuple(counts),
-            estimator=None,
-            config=ctx.spec.watermark,
-        )
+        result = _compute_table1(tuple(counts), ctx.spec.watermark)
         ctx.finish(
             payload=result,
             report=result.to_text(),
@@ -436,14 +425,10 @@ def _table1_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 @stage_builder("table2")
 def _table2_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def estimate(ctx: StageContext) -> None:
-        from repro.analysis.overhead import TABLE_II_LOAD_POWERS_W, WGC_REGISTERS
-        from repro.experiments.table2 import _compute_table2
-
         load_powers = ctx.spec.param("load_powers_w", list(TABLE_II_LOAD_POWERS_W))
         result = _compute_table2(
             load_powers_w=tuple(load_powers),
             wgc_registers=ctx.spec.param("wgc_registers", WGC_REGISTERS),
-            estimator=None,
         )
         ctx.finish(
             payload=result,
@@ -474,11 +459,8 @@ def _table2_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 @stage_builder("robustness")
 def _robustness_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def attack(ctx: StageContext) -> None:
-        from repro.experiments.robustness_exp import _compute_robustness
-
         result = _compute_robustness(
             config=ctx.spec.watermark,
-            attack=None,
             modulated_gates=ctx.spec.param("modulated_gates", 4),
         )
         ctx.finish(
@@ -543,8 +525,6 @@ def _detection_probability_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 
 def _masking_stages(spec: ScenarioSpec, starvation: bool) -> List[PipelineStage]:
     def sweep(ctx: StageContext) -> None:
-        from repro.analysis.masking import run_noise_masking_study, run_starvation_study
-
         spec = ctx.spec
         sequence = build_watermark(spec.watermark).sequence()
         common = dict(

@@ -1,51 +1,69 @@
-"""Tests for the Fig. 2 and Fig. 3 experiment drivers."""
+"""Tests for the Fig. 2 and Fig. 3 experiments, run through the pipeline."""
 
 import numpy as np
 import pytest
 
-from repro.core.config import ExperimentConfig, MeasurementConfig
-from repro.experiments import run_fig2, run_fig3
+from repro.core.config import MeasurementConfig
+from repro.pipeline import ScenarioSpec, run_scenario
+
+
+def simulate_fig2(num_cycles=64):
+    spec = ScenarioSpec(
+        kind="fig2",
+        name="fig2",
+        seed=0b1001,
+        params={"num_cycles": num_cycles, "register_count": 8, "lfsr_width": 4},
+    )
+    return run_scenario(spec).payload
 
 
 class TestFig2:
     def test_waveform_lengths(self):
-        result = run_fig2(num_cycles=64)
+        result = simulate_fig2(num_cycles=64)
         assert result.num_cycles == 64
         assert len(result.wmark) == 64
         assert len(result.baseline_toggles) == 64
         assert len(result.clock_modulation_toggles) == 64
 
     def test_both_architectures_idle_when_wmark_low(self):
-        assert run_fig2().idle_when_wmark_low
+        assert simulate_fig2().idle_when_wmark_low
 
     def test_clock_modulation_switches_more_per_register(self):
-        result = run_fig2()
+        result = simulate_fig2()
         assert (
             result.clock_modulation_toggles_per_active_register
             > result.baseline_toggles_per_active_register
         )
 
     def test_wmark_drives_both_loads(self):
-        result = run_fig2(num_cycles=60)
+        result = simulate_fig2(num_cycles=60)
         high = result.wmark.astype(bool)
         assert np.all(result.baseline_toggles[high] > 0)
         assert np.all(result.clock_modulation_toggles[high] > 0)
 
     def test_text_rendering(self):
-        text = run_fig2().to_text()
+        text = simulate_fig2().to_text()
         assert "WMARK" in text
         assert "clock modulation" in text
 
     def test_invalid_cycles_rejected(self):
         with pytest.raises(ValueError):
-            run_fig2(num_cycles=0)
+            simulate_fig2(num_cycles=0)
 
 
 class TestFig3:
     @pytest.fixture(scope="class")
     def result(self):
-        config = ExperimentConfig(measurement=MeasurementConfig(num_cycles=2048))
-        return run_fig3(num_cycles=2048, config=config)
+        spec = ScenarioSpec(
+            kind="fig3",
+            name="fig3",
+            chip="chip1",
+            measurement=MeasurementConfig(num_cycles=2048),
+            seed=7,
+            m0_window_cycles=2048,
+            params={"num_cycles": 2048},
+        )
+        return run_scenario(spec).payload
 
     def test_total_is_sum_of_components(self, result):
         assert np.allclose(

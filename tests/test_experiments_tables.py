@@ -1,19 +1,15 @@
-"""Tests for the Table I, Table II and Section VI experiment drivers."""
+"""Tests for the Table I, Table II and Section VI experiments, run through the pipeline."""
 
 import pytest
 
-from repro.experiments import (
-    paper_expectations,
-    run_robustness,
-    run_table1,
-    run_table2,
-)
+from repro.experiments import paper_expectations
+from repro.pipeline import ScenarioSpec, run_scenario
 
 
 class TestTable1:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_table1()
+        return run_scenario("table1").payload
 
     def test_four_rows(self, result):
         assert [row.switching_registers for row in result.rows] == [0, 256, 512, 1024]
@@ -59,7 +55,7 @@ class TestTable1:
 class TestTable2:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_table2()
+        return run_scenario("table2").payload
 
     def test_register_counts_match_paper_exactly(self, result):
         expectations = paper_expectations()["table2"]["load_registers"]
@@ -90,7 +86,7 @@ class TestTable2:
 class TestRobustnessExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_robustness()
+        return run_scenario("robustness").payload
 
     def test_baseline_easily_removed(self, result):
         assert result.baseline_removed_by_blind_attack
@@ -106,4 +102,6 @@ class TestRobustnessExperiment:
 
     def test_invalid_gate_count_rejected(self):
         with pytest.raises(ValueError):
-            run_robustness(modulated_gates=0)
+            run_scenario(
+                ScenarioSpec(kind="robustness", name="robustness", params={"modulated_gates": 0})
+            )

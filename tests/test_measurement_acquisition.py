@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from measurement_chain import Oscilloscope, measure_chain, pulse_shape
 from repro.core.config import MeasurementConfig
-from repro.measurement.acquisition import AcquisitionCampaign, MeasuredTrace
+from repro.measurement.acquisition import RANGE_HEADROOM, AcquisitionCampaign, MeasuredTrace
 from repro.power.trace import PowerTrace
 from repro.rtl.signals import Clock
 
@@ -56,36 +57,34 @@ class TestFastPath:
         assert measured.std_power_w == pytest.approx(expected_sigma, rel=0.05)
 
 
-class TestDetailedPath:
-    def test_detailed_measurement_runs(self, clock):
-        config = MeasurementConfig(num_cycles=200)
-        campaign = AcquisitionCampaign(config)
-        power = make_power_trace(clock, num_cycles=200)
-        measured = campaign.measure(power, seed=2, detailed=True)
-        assert measured.detailed
-        assert len(measured) == 200
+class TestMeasurementChainOracle:
+    """The per-cycle model against the sample-level bench chain it stands for."""
 
     def test_detailed_and_fast_statistically_consistent(self, clock):
         config = MeasurementConfig(num_cycles=3000)
         campaign = AcquisitionCampaign(config)
         power = PowerTrace("const", clock, np.full(3000, 5e-3))
         fast = campaign.measure(power, seed=4)
-        detailed = campaign.measure(power, seed=4, detailed=True)
-        # Both paths see the same underlying signal; their means agree within
-        # the statistical uncertainty of a 3,000-cycle average and their noise
+        detailed = MeasuredTrace("chain", measure_chain(config, power, seed=4), config)
+        # Both see the same underlying signal; their means agree within the
+        # statistical uncertainty of a 3,000-cycle average and their noise
         # levels are of the same order.
+        assert len(detailed) == len(fast)
         sigma_of_mean = fast.std_power_w / np.sqrt(len(fast))
         assert detailed.mean_power_w == pytest.approx(fast.mean_power_w, abs=4 * sigma_of_mean)
         assert detailed.std_power_w == pytest.approx(fast.std_power_w, rel=0.35)
 
+    def test_range_headroom_matches_the_scope(self):
+        assert RANGE_HEADROOM == Oscilloscope().range_headroom
+
     def test_pulse_shape_mean_one(self):
-        shape = AcquisitionCampaign._pulse_shape(50)
+        shape = pulse_shape(50)
         assert shape.mean() == pytest.approx(1.0)
         assert shape.max() > 1.0
 
     def test_pulse_shape_invalid(self):
         with pytest.raises(ValueError):
-            AcquisitionCampaign._pulse_shape(0)
+            pulse_shape(0)
 
 
 class TestMeasureRows:
@@ -116,14 +115,6 @@ class TestMeasureMany:
         assert matrix.shape == (len(seeds), len(power))
         for row, seed in enumerate(seeds):
             assert np.array_equal(matrix[row], campaign.measure(power, seed=seed).values)
-
-    def test_detailed_path_falls_back_per_row(self, campaign, clock):
-        power = make_power_trace(clock)
-        matrix = campaign.measure_many(power, seeds=[7, 8], detailed=True)
-        for row, seed in enumerate([7, 8]):
-            assert np.array_equal(
-                matrix[row], campaign.measure(power, seed=seed, detailed=True).values
-            )
 
     def test_requires_at_least_one_seed(self, campaign, clock):
         with pytest.raises(ValueError):

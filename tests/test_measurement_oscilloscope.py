@@ -1,25 +1,21 @@
-"""Unit tests for repro.measurement.oscilloscope."""
+"""Unit tests for the oscilloscope of the measurement-chain oracle."""
 
 import numpy as np
 import pytest
 
-from repro.measurement.oscilloscope import Oscilloscope
+from measurement_chain import Oscilloscope
 
 
 class TestDigitize:
     def test_quantisation_step(self):
         scope = Oscilloscope(adc_bits=8)
-        digitised, full_scale, lsb = scope.digitize(np.linspace(-1, 1, 100), full_scale_v=1.0)
-        assert lsb == pytest.approx(2.0 / 256)
-        assert full_scale == 1.0
+        signal = np.linspace(-1, 1, 100)
+        full_scale = scope.vertical_full_scale(signal)
+        lsb = 2.0 * full_scale / 256
+        assert full_scale == pytest.approx(1.25)
+        digitised = scope.digitize(signal)
         # Quantisation error bounded by half an LSB.
-        assert np.max(np.abs(digitised - np.linspace(-1, 1, 100))) <= lsb / 2 + 1e-12
-
-    def test_clipping_at_full_scale(self):
-        scope = Oscilloscope(adc_bits=8)
-        digitised, _, _ = scope.digitize(np.array([10.0, -10.0]), full_scale_v=1.0)
-        assert digitised[0] <= 1.0
-        assert digitised[1] >= -1.0
+        assert np.max(np.abs(digitised - signal)) <= lsb / 2 + 1e-12
 
     def test_auto_range_includes_headroom(self):
         scope = Oscilloscope(range_headroom=1.25)
@@ -30,8 +26,8 @@ class TestDigitize:
 
     def test_higher_resolution_reduces_error(self):
         signal = np.linspace(-0.9, 0.9, 1000)
-        low = Oscilloscope(adc_bits=6).digitize(signal, full_scale_v=1.0)[0]
-        high = Oscilloscope(adc_bits=12).digitize(signal, full_scale_v=1.0)[0]
+        low = Oscilloscope(adc_bits=6).digitize(signal)
+        high = Oscilloscope(adc_bits=12).digitize(signal)
         assert np.abs(high - signal).max() < np.abs(low - signal).max()
 
 
@@ -39,14 +35,13 @@ class TestCapture:
     def test_per_cycle_average_shape(self):
         scope = Oscilloscope()
         samples = np.tile(np.linspace(0, 1, 50), 10)
-        capture = scope.capture(samples, samples_per_cycle=50)
-        assert capture.num_cycles == 10
-        assert np.allclose(capture.per_cycle_average, capture.per_cycle_average[0])
+        per_cycle = scope.capture(samples, samples_per_cycle=50)
+        assert len(per_cycle) == 10
+        assert np.allclose(per_cycle, per_cycle[0])
 
     def test_partial_last_cycle_dropped(self):
         scope = Oscilloscope()
-        capture = scope.capture(np.ones(130), samples_per_cycle=50)
-        assert capture.num_cycles == 2
+        assert len(scope.capture(np.ones(130), samples_per_cycle=50)) == 2
 
     def test_capture_shorter_than_cycle_rejected(self):
         with pytest.raises(ValueError):
@@ -57,8 +52,6 @@ class TestCapture:
             Oscilloscope().capture(np.ones(100), samples_per_cycle=0)
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            Oscilloscope(sampling_frequency_hz=0)
         with pytest.raises(ValueError):
             Oscilloscope(adc_bits=2)
         with pytest.raises(ValueError):

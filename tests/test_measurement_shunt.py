@@ -1,9 +1,9 @@
-"""Unit tests for repro.measurement.shunt."""
+"""Unit tests for the shunt resistor of the measurement-chain oracle."""
 
 import numpy as np
 import pytest
 
-from repro.measurement.shunt import ShuntResistor
+from measurement_chain import ShuntResistor
 
 
 class TestShuntResistor:
@@ -21,22 +21,6 @@ class TestShuntResistor:
         recovered = shunt.current_from_voltage(shunt.voltage_from_current(current))
         assert np.allclose(recovered, current)
 
-    def test_power_from_voltage(self):
-        shunt = ShuntResistor(resistance_ohm=0.27)
-        power = shunt.power_from_voltage(np.array([2.7e-3]), supply_voltage_v=1.2)
-        assert power[0] == pytest.approx(12e-3)
-
-    def test_invalid_supply_rejected(self):
-        with pytest.raises(ValueError):
-            ShuntResistor().power_from_voltage(np.array([1e-3]), supply_voltage_v=0.0)
-
-    def test_dissipation(self):
-        assert ShuntResistor(resistance_ohm=0.27).dissipation_w(10e-3) == pytest.approx(27e-6)
-
     def test_invalid_resistance_rejected(self):
         with pytest.raises(ValueError):
             ShuntResistor(resistance_ohm=0.0)
-
-    def test_invalid_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            ShuntResistor(tolerance=1.0)

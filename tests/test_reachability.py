@@ -9,7 +9,10 @@ dead code and fails this test.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -124,3 +127,11 @@ def test_package_reexports_are_not_followed():
     # module, not every module the package's __init__ imports.
     assert _resolve("repro.detection", "BatchCPADetector") == "repro.detection.batch"
     assert _resolve("repro.pipeline", "faults") == "repro.pipeline.faults"
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test-only dependency (the measurement-chain oracle): the
+    # library must not pay its import time.
+    code = "import sys, repro; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

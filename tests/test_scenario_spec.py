@@ -138,10 +138,17 @@ class TestConfigSerialization:
         payload["synthesis"] = {"max_trials_per_chunk": 25}
         with pytest.raises(ValueError, match="unknown ScenarioSpec fields"):
             ScenarioSpec.from_json_dict(payload)
+        # Schema v4 dropped the measurement's probe bandwidth (only the
+        # sample-level acquisition path read it).
         payload = _rich_spec().to_json_dict()
-        payload["schema_version"] = 2
-        with pytest.raises(ValueError, match="unsupported spec schema version"):
+        payload["measurement"]["probe_bandwidth_hz"] = 120e6
+        with pytest.raises(ValueError, match="unknown MeasurementConfig fields"):
             ScenarioSpec.from_json_dict(payload)
+        for version in (2, 3):
+            payload = _rich_spec().to_json_dict()
+            payload["schema_version"] = version
+            with pytest.raises(ValueError, match="unsupported spec schema version"):
+                ScenarioSpec.from_json_dict(payload)
 
 
 class TestScenarioResultArtifacts:
