@@ -6,14 +6,38 @@ repetitions for the box plots) and prints a paper-vs-measured comparison.
 Run with::
 
     pytest benchmarks/ --benchmark-only -s
+
+Wall-clock floors are report-only unless ``REPRO_BENCH_RELAXED=0`` (see
+the ``relaxed`` fixture); the equivalence asserts always run.
 """
 
 from __future__ import annotations
+
+import os
+import pathlib
+import sys
 
 import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.experiments.common import paper_expectations
+
+# The benchmarks time the library against the test suite's oracles
+# (tests/rtl_oracle.py), so those are importable here too.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+
+
+@pytest.fixture(scope="session")
+def relaxed() -> bool:
+    """Whether wall-clock floors are report-only (the default).
+
+    A plain ``pytest`` collects the benchmarks as part of tier-1, and a
+    speed floor measured on a small or loaded host says nothing about the
+    code under test, so by default every benchmark only reports its
+    timings and checks equivalence.  Set ``REPRO_BENCH_RELAXED=0`` on a
+    dedicated host to enforce the floors.
+    """
+    return os.environ.get("REPRO_BENCH_RELAXED", "1") != "0"
 
 
 @pytest.fixture(scope="session")

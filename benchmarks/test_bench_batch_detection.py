@@ -10,7 +10,6 @@ reaches the *same detection decisions bit for bit* as looping the live
 single-trace detector over the rows.
 """
 
-import os
 import time
 
 import numpy as np
@@ -26,10 +25,6 @@ PERIOD_WIDTH = 8  # 2**8 - 1 = 255 rotations
 NUM_CYCLES = 100_000
 NUM_TRIALS = 50
 MIN_SPEEDUP = 5.0
-# Shared CI runners can be throttled enough to make any wall-clock ratio
-# flaky; REPRO_BENCH_RELAXED=1 keeps the benchmark report-only there while
-# local / dedicated runs still enforce the floor.
-RELAXED = os.environ.get("REPRO_BENCH_RELAXED") == "1"
 
 
 def _per_trial_reference(sequence: np.ndarray, trace_matrix: np.ndarray, detector: CPADetector):
@@ -75,7 +70,7 @@ def _trial_matrix(sequence: np.ndarray, seed: int = 2024) -> np.ndarray:
     )
 
 
-def test_bench_batch_detection_speedup(benchmark, report):
+def test_bench_batch_detection_speedup(benchmark, report, relaxed):
     sequence = LFSR(width=PERIOD_WIDTH, seed=0x2D).sequence().astype(np.float64)
     trace_matrix = _trial_matrix(sequence)
     single = CPADetector()
@@ -120,7 +115,7 @@ def test_bench_batch_detection_speedup(benchmark, report):
             "speedup": speedup,
             "min_speedup_floor": MIN_SPEEDUP,
             "decisions_identical": True,
-            "relaxed": RELAXED,
+            "relaxed": relaxed,
         },
     )
     report(
@@ -136,7 +131,7 @@ def test_bench_batch_detection_speedup(benchmark, report):
             ]
         ),
     )
-    if not RELAXED:
+    if not relaxed:
         assert speedup >= MIN_SPEEDUP, (
             f"batched campaign only {speedup:.1f}x faster than the per-trial loop "
             f"(expected >= {MIN_SPEEDUP}x)"

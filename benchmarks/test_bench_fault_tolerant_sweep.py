@@ -12,7 +12,6 @@ runs in the benchmark process itself, so the comparison isolates the
 supervision overhead from process-pool scheduling noise.
 """
 
-import os
 import time
 
 from record import record_benchmark
@@ -23,8 +22,6 @@ NUM_CYCLES = 150_000
 REPETITIONS = 100
 MAX_OVERHEAD = 0.05
 ROUNDS = 3
-
-RELAXED = os.environ.get("REPRO_BENCH_RELAXED") == "1"
 
 
 def _grid_specs():
@@ -45,7 +42,7 @@ def _best_of(rounds, run):
     return best
 
 
-def test_bench_supervision_overhead_under_five_percent(report):
+def test_bench_supervision_overhead_under_five_percent(report, relaxed):
     specs = _grid_specs()
     runner = ExperimentRunner()
     # Warm-up: build both chips (M0 windows, templates) so both measured
@@ -69,7 +66,7 @@ def test_bench_supervision_overhead_under_five_percent(report):
         f"plain sweep (no supervision):      {plain_s:.3f} s",
         f"supervised (timeout=300, retries=2): {supervised_s:.3f} s",
         f"overhead: {overhead * 100:+.1f}% "
-        f"(ceiling {MAX_OVERHEAD * 100:.0f}%, relaxed={RELAXED})",
+        f"(ceiling {MAX_OVERHEAD * 100:.0f}%, relaxed={relaxed})",
     ]
     report("Fault-tolerant sweep: supervision overhead", "\n".join(lines))
     record_benchmark(
@@ -82,11 +79,11 @@ def test_bench_supervision_overhead_under_five_percent(report):
             "plain_s": round(plain_s, 4),
             "supervised_s": round(supervised_s, 4),
             "overhead_pct": round(overhead * 100, 2),
-            "relaxed": RELAXED,
+            "relaxed": relaxed,
         },
     )
 
-    if not RELAXED:
+    if not relaxed:
         assert overhead < MAX_OVERHEAD, (
             f"supervision should cost <{MAX_OVERHEAD * 100:.0f}% on a "
             f"fault-free sweep; measured {overhead * 100:+.1f}% "

@@ -9,7 +9,6 @@ cleared, as separate processes would).  The reports must be identical in
 both modes -- the sweep buys time, not different numbers.
 """
 
-import os
 import time
 
 from record import record_benchmark
@@ -21,8 +20,6 @@ from repro.soc import cpu as cpu_module
 NUM_CYCLES = 60_000
 REPETITIONS = 10
 MIN_SPEEDUP = 1.2
-
-RELAXED = os.environ.get("REPRO_BENCH_RELAXED") == "1"
 
 
 def _clear_module_caches() -> None:
@@ -53,7 +50,7 @@ def _run_cold_one_shots(specs):
     return results
 
 
-def test_bench_pipeline_sweep_beats_independent_drivers(report):
+def test_bench_pipeline_sweep_beats_independent_drivers(report, relaxed):
     specs = _sweep_specs()
     assert len(specs) >= 4
     assert all(spec.chip in (None, "chip1") for spec in specs)
@@ -81,7 +78,7 @@ def test_bench_pipeline_sweep_beats_independent_drivers(report):
     lines = [
         f"independent one-shot runs (cold each):  {legacy_s:.2f} s",
         f"registry sweep via run_many:            {sweep_s:.2f} s",
-        f"speedup: {speedup:.2f}x (floor {MIN_SPEEDUP}x, relaxed={RELAXED})",
+        f"speedup: {speedup:.2f}x (floor {MIN_SPEEDUP}x, relaxed={relaxed})",
         f"runner chip cache: {chip_stats}",
         f"M0 window cache:   {window_stats}",
     ]
@@ -94,14 +91,14 @@ def test_bench_pipeline_sweep_beats_independent_drivers(report):
             "legacy_s": round(legacy_s, 4),
             "sweep_s": round(sweep_s, 4),
             "speedup": round(speedup, 2),
-            "relaxed": RELAXED,
+            "relaxed": relaxed,
         },
     )
 
     # The sweep shares one chip per configuration; the M0 window must have
     # been simulated once, not once per scenario.
     assert window_stats["misses"] <= 2
-    if not RELAXED:
+    if not relaxed:
         assert speedup >= MIN_SPEEDUP, (
             f"registry sweep ({sweep_s:.2f} s) should beat independent "
             f"drivers ({legacy_s:.2f} s) by at least {MIN_SPEEDUP}x, got {speedup:.2f}x"

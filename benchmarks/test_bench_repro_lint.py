@@ -12,7 +12,6 @@ interpreter startup.  Warm findings must be identical to cold ones --
 a cache that changes the report is worse than no cache.
 """
 
-import os
 import time
 from pathlib import Path
 
@@ -24,12 +23,11 @@ from repro.analysis.rules import ALL_RULES
 
 MIN_SPEEDUP = 3.0
 
-RELAXED = os.environ.get("REPRO_BENCH_RELAXED") == "1"
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
-def test_bench_warm_lint_beats_cold(tmp_path, report):
+def test_bench_warm_lint_beats_cold(tmp_path, report, relaxed):
     signature = rules_signature(ALL_RULES)
 
     start = time.perf_counter()
@@ -61,7 +59,7 @@ def test_bench_warm_lint_beats_cold(tmp_path, report):
             "speedup_warm": speedup,
             "findings_identical": True,
             "min_speedup_floor": MIN_SPEEDUP,
-            "relaxed": RELAXED,
+            "relaxed": relaxed,
         },
     )
 
@@ -78,7 +76,7 @@ def test_bench_warm_lint_beats_cold(tmp_path, report):
         ),
     )
 
-    if not RELAXED:
+    if not relaxed:
         assert speedup >= MIN_SPEEDUP, (
             f"warm lint only {speedup:.1f}x faster than cold "
             f"(floor {MIN_SPEEDUP}x)"

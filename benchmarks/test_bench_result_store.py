@@ -12,7 +12,6 @@ executed, zero new entries written.
 """
 
 import hashlib
-import os
 import time
 
 import numpy as np
@@ -23,8 +22,6 @@ from repro.pipeline import ExperimentRunner, ResultStore, RunOptions, SpecGrid
 NUM_CYCLES = 150_000
 REPETITIONS = 100
 MIN_SPEEDUP = 5.0
-
-RELAXED = os.environ.get("REPRO_BENCH_RELAXED") == "1"
 
 
 def _grid_specs():
@@ -41,7 +38,7 @@ def _digest(array: np.ndarray) -> str:
     ).hexdigest()
 
 
-def test_bench_warm_store_beats_cold_sweep(tmp_path, report):
+def test_bench_warm_store_beats_cold_sweep(tmp_path, report, relaxed):
     specs = _grid_specs()
     assert len(specs) == 6
 
@@ -87,7 +84,7 @@ def test_bench_warm_store_beats_cold_sweep(tmp_path, report):
         f"{NUM_CYCLES} cycles x {REPETITIONS} repetitions",
         f"cold sweep (store empty):  {cold_s:.2f} s ({len(specs)} cells executed)",
         f"warm sweep (store full):   {warm_s:.4f} s ({stats.hits} hits, 0 executed)",
-        f"speedup: {speedup:.1f}x (floor {MIN_SPEEDUP}x, relaxed={RELAXED})",
+        f"speedup: {speedup:.1f}x (floor {MIN_SPEEDUP}x, relaxed={relaxed})",
     ]
     report("Result store: warm hits vs cold execution", "\n".join(lines))
     record_benchmark(
@@ -101,11 +98,11 @@ def test_bench_warm_store_beats_cold_sweep(tmp_path, report):
             "speedup": round(speedup, 1),
             "hits": stats.hits,
             "results_identical": True,
-            "relaxed": RELAXED,
+            "relaxed": relaxed,
         },
     )
 
-    if not RELAXED:
+    if not relaxed:
         assert speedup >= MIN_SPEEDUP, (
             f"warm store ({warm_s:.4f} s) should beat the cold sweep "
             f"({cold_s:.2f} s) by at least {MIN_SPEEDUP}x, got {speedup:.1f}x"

@@ -13,7 +13,6 @@ client, exactly like production traffic.
 """
 
 import json
-import os
 import threading
 import time
 
@@ -27,10 +26,8 @@ OVERRIDES = {"quick": True}
 DIFFICULTY = 8
 MIN_SPEEDUP = 10.0
 
-RELAXED = os.environ.get("REPRO_BENCH_RELAXED") == "1"
 
-
-def test_bench_warm_verify_beats_cold(tmp_path, report):
+def test_bench_warm_verify_beats_cold(tmp_path, report, relaxed):
     config = ServiceConfig(
         port=0, data_dir=tmp_path / "service-data", difficulty=DIFFICULTY
     )
@@ -69,7 +66,7 @@ def test_bench_warm_verify_beats_cold(tmp_path, report):
         f"scenario: {SCENARIO} (quick), difficulty {DIFFICULTY} bits",
         f"cold /verify (store empty): {cold_s:.3f} s (pipeline executed)",
         f"warm /verify (store hit):   {warm_s * 1e3:.1f} ms (zero recompute)",
-        f"speedup: {speedup:.1f}x (floor {MIN_SPEEDUP}x, relaxed={RELAXED})",
+        f"speedup: {speedup:.1f}x (floor {MIN_SPEEDUP}x, relaxed={relaxed})",
     ]
     report("Detection service: warm vs cold /verify", "\n".join(lines))
     record_benchmark(
@@ -81,11 +78,11 @@ def test_bench_warm_verify_beats_cold(tmp_path, report):
             "warm_s": round(warm_s, 4),
             "speedup": round(speedup, 1),
             "transcripts_identical": True,
-            "relaxed": RELAXED,
+            "relaxed": relaxed,
         },
     )
 
-    if not RELAXED:
+    if not relaxed:
         assert speedup >= MIN_SPEEDUP, (
             f"warm /verify ({warm_s:.4f} s) should beat the cold request "
             f"({cold_s:.3f} s) by at least {MIN_SPEEDUP}x, got {speedup:.1f}x"

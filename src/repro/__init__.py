@@ -11,7 +11,7 @@ The package is organised as follows:
     watermark, and the embedding API.
 ``repro.rtl``
     RTL substrate: registers, integrated clock gates, clock trees,
-    hierarchical modules, netlists and a cycle-level activity simulator.
+    hierarchical modules, netlists and per-cycle activity records.
 ``repro.power``
     Power modelling calibrated to the paper's 65 nm figures.
 ``repro.soc``

@@ -10,8 +10,9 @@ pattern producer:
 Both expose the same interface so that the measurement chain, the CPA
 detector and the area analysis treat them interchangeably:
 
-``step()``
-    advance one cycle, returning the WMARK bit and per-group activity;
+``periodic_activity()``
+    exact per-cycle activity of the WGC and the load over one watermark
+    period, computed as array expressions of the WMARK sequence;
 ``activity_traces(num_cycles)``
     exact per-cycle activity for a long run, computed from one watermark
     period and tiled (the circuits are strictly periodic);
@@ -35,17 +36,7 @@ from repro.core.wgc import WatermarkGenerationCircuit
 from repro.power.estimator import PowerEstimator
 from repro.power.synthesis import PeriodicPowerTemplate
 from repro.power.trace import PowerTrace
-from repro.rtl.activity import ActivityRecord, ActivityTrace
-
-
-def _copy_activity_trace(trace: ActivityTrace) -> ActivityTrace:
-    """An independent copy of a trace (array slices are views, not copies)."""
-    return ActivityTrace(
-        name=trace.name,
-        clock_toggles=trace.clock_toggles.copy(),
-        data_toggles=trace.data_toggles.copy(),
-        comb_toggles=trace.comb_toggles.copy(),
-    )
+from repro.rtl.activity import ActivityTrace
 
 
 class WatermarkArchitecture(abc.ABC):
@@ -54,7 +45,6 @@ class WatermarkArchitecture(abc.ABC):
     def __init__(self, wgc: WatermarkGenerationCircuit, name: str) -> None:
         self.wgc = wgc
         self.name = name
-        self._periodic_activity_cache: Optional[Dict[str, ActivityTrace]] = None
 
     # -- abstract structural/behavioural hooks -----------------------------
 
@@ -64,12 +54,8 @@ class WatermarkArchitecture(abc.ABC):
         """Which architecture this is."""
 
     @abc.abstractmethod
-    def _load_step(self, wmark: int) -> ActivityRecord:
-        """Advance the power-pattern producer one cycle."""
-
-    @abc.abstractmethod
-    def _load_reset(self) -> None:
-        """Reset the power-pattern producer."""
+    def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
+        """Activity of the power-pattern producer under the given WMARK bits."""
 
     @property
     @abc.abstractmethod
@@ -104,60 +90,24 @@ class WatermarkArchitecture(abc.ABC):
         """The watermark model sequence (the CPA vector ``X``)."""
         return self.wgc.sequence(length)
 
-    def reset(self) -> None:
-        """Reset the WGC and the power-pattern producer."""
-        self.wgc.reset()
-        self._load_reset()
-
-    def step(self) -> Dict[str, ActivityRecord]:
-        """Advance one clock cycle.
+    def periodic_activity(self) -> Dict[str, ActivityTrace]:
+        """Exact per-cycle activity over one full watermark period from reset.
 
         Returns the activity of the two watermark sub-circuits under the
-        keys ``"wgc"`` and ``"load"``.  The load sees the WMARK value of the
-        *previous* cycle boundary (registered output), matching the paper's
-        Fig. 2 waveforms where the load responds to the registered WMARK.
+        keys ``"wgc"`` and ``"load"``.  The circuits are strictly periodic
+        with the sequence period, so one period fully characterises them.
+        The load sees the *registered* WMARK: during cycle ``t`` its enable
+        is the WGC output before that cycle's clock edge, ``sequence()[t]``,
+        matching the paper's Fig. 2 waveforms.  Both traces are closed-form
+        array expressions of that vector (no per-cycle stepping), so every
+        call returns fresh, independent arrays.
         """
-        wmark_before = self.wgc.wmark
-        _, wgc_activity = self.wgc.step()
-        load_activity = self._load_step(wmark_before)
-        return {"wgc": wgc_activity, "load": load_activity}
-
-    def periodic_activity(self, use_cache: bool = True) -> Dict[str, ActivityTrace]:
-        """Exact per-cycle activity over one full watermark period.
-
-        The watermark circuits are strictly periodic with the sequence
-        period, so one period fully characterises them.  The cycle-accurate
-        step loop therefore runs at most once per architecture instance
-        (the circuit configuration is fixed at construction): the result is
-        cached and later calls -- including every trace synthesis through
-        :meth:`power_template` -- are pure array work.  Callers receive
-        independent trace copies, so mutating a returned trace cannot
-        corrupt the cache.  Pass ``use_cache=False`` to force a fresh
-        cycle-accurate run.
-        """
-        if use_cache and self._periodic_activity_cache is not None:
-            return {
-                key: _copy_activity_trace(trace)
-                for key, trace in self._periodic_activity_cache.items()
-            }
-        self.reset()
         period = self.sequence_period
-        wgc_records = []
-        load_records = []
-        for _ in range(period):
-            activity = self.step()
-            wgc_records.append(activity["wgc"])
-            load_records.append(activity["load"])
-        self.reset()
-        traces = {
-            "wgc": ActivityTrace.from_records(f"{self.name}/wgc", wgc_records),
-            "load": ActivityTrace.from_records(f"{self.name}/load", load_records),
-        }
-        if use_cache:
-            self._periodic_activity_cache = {
-                key: _copy_activity_trace(trace) for key, trace in traces.items()
-            }
-        return traces
+        wgc = self.wgc.activity(period)
+        wgc.name = f"{self.name}/wgc"
+        load = self._load_activity(self.sequence(period))
+        load.name = f"{self.name}/load"
+        return {"wgc": wgc, "load": load}
 
     def activity_traces(self, num_cycles: int) -> Dict[str, ActivityTrace]:
         """Exact activity traces over ``num_cycles`` cycles (tiled periods)."""
@@ -176,11 +126,7 @@ class WatermarkArchitecture(abc.ABC):
     def power_template(
         self, estimator: PowerEstimator, include_leakage: bool = True
     ) -> PeriodicPowerTemplate:
-        """One-period per-cycle power template of the watermark circuit.
-
-        Computed from the cached periodic activity, so after the first call
-        per architecture no cycle-accurate stepping happens at all.
-        """
+        """One-period per-cycle power template of the watermark circuit."""
         traces = self.periodic_activity()
         static = estimator.leakage_of(self.cell_inventory()) if include_leakage else 0.0
         trace = estimator.combined_power_trace(
@@ -201,9 +147,10 @@ class WatermarkArchitecture(abc.ABC):
         """Per-cycle power contributed by the watermark circuit.
 
         Synthesized from the one-period power template by modular-index
-        extension -- bit-identical to estimating power over cycle-accurate
-        activity of the full acquisition length (the equivalence suite in
-        ``tests/test_power_synthesis.py`` pins this).  ``phase_offset``
+        extension -- bit-identical to estimating power over activity stepped
+        cycle by cycle for the full acquisition length (the equivalence suite
+        in ``tests/test_power_synthesis.py`` pins this against the stepping
+        oracle).  ``phase_offset``
         rotates the trace like ``np.roll(power_w, -phase_offset)``, which
         models the scope trigger being unaligned with the watermark phase.
         """
@@ -259,11 +206,8 @@ class BaselineWatermark(WatermarkArchitecture):
     def kind(self) -> ArchitectureKind:
         return ArchitectureKind.BASELINE_LOAD_CIRCUIT
 
-    def _load_step(self, wmark: int) -> ActivityRecord:
-        return self.load.step(wmark)
-
-    def _load_reset(self) -> None:
-        self.load.reset()
+    def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
+        return self.load.activity(wmark)
 
     @property
     def added_register_count(self) -> int:
@@ -324,11 +268,8 @@ class ClockModulationWatermark(WatermarkArchitecture):
     def kind(self) -> ArchitectureKind:
         return ArchitectureKind.CLOCK_MODULATION
 
-    def _load_step(self, wmark: int) -> ActivityRecord:
-        return self.modulated_block.step(wmark)
-
-    def _load_reset(self) -> None:
-        self.modulated_block.reset()
+    def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
+        return self.modulated_block.activity(wmark)
 
     @property
     def added_register_count(self) -> int:

@@ -16,13 +16,19 @@ Two flavours are provided:
 * :class:`ClockModulatedIPBlock` -- the intended end application: an existing
   commercial IP sub-module whose clock gates are modulated, so the watermark
   adds *no* load registers at all.
+
+Both compute their activity over a whole watermark period at once:
+``activity(wmark)`` takes the registered WMARK bit of every cycle and
+returns the clock/data/comb toggle arrays as closed-form expressions of it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.rtl.activity import ActivityRecord, ZERO_ACTIVITY
+import numpy as np
+
+from repro.rtl.activity import ActivityRecord, ActivityTrace
 from repro.rtl.clock_tree import ClockTree
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, CombinationalBlock, RegisterBank
 
@@ -92,24 +98,33 @@ class ClockModulatedBank:
 
     # -- behaviour ------------------------------------------------------------
 
-    def reset(self) -> None:
-        """Reset the bank contents and clock gates."""
-        self.bank.reset()
+    def activity(self, wmark: np.ndarray) -> ActivityTrace:
+        """Activity of the bank over cycles whose registered WMARK is ``wmark``.
 
-    def step(self, wmark: int, clk_ctrl: int = 1) -> ActivityRecord:
-        """Advance one cycle.
+        ``wmark[t]`` is the ICG enable during cycle ``t`` (``CLK_CTRL`` of
+        the stand-alone bank is tied high), starting from reset.  Each
+        array selects between the idle and the enabled count with the
+        enable as a whole-array mask:
 
-        ``clk_ctrl`` is the original clock-gate control of the host design
-        (Fig. 1(b)); the effective enable is ``WMARK AND CLK_CTRL``.  For the
-        stand-alone redundant bank ``clk_ctrl`` is tied high.
+        * clock: every enabled word toggles its ``word_width`` register
+          clock pins and its ICG's gated root, twice each; the ICG-level
+          tree above the gates keeps running every cycle;
+        * data: the ``switching_registers`` flip on every enabled cycle;
+        * comb: each ICG's enable latch toggles when WMARK changes (it
+          powers up disabled), and the enable glue logic switches while
+          enabled.
         """
-        enable = bool(wmark) and bool(clk_ctrl)
-        activity = self.bank.step(enable)
-        # The ICG-level clock tree above the gates follows the root clock and
-        # keeps running; the enable glue logic switches when WMARK changes.
-        activity = activity + self.icg_clock_tree.step(gated=False)
-        activity = activity + self.enable_logic.step(active=enable)
-        return activity
+        enable = np.asarray(wmark, dtype=np.int64)
+        bank = self.bank
+        enable_changed = np.diff(enable, prepend=0) != 0
+        return ActivityTrace(
+            name=self.name,
+            clock_toggles=enable * (CLOCK_EDGES_PER_CYCLE * bank.num_words * (bank.word_width + 1))
+            + self.icg_clock_tree.toggles_per_cycle(),
+            data_toggles=enable * bank.switching_registers,
+            comb_toggles=bank.num_words * enable_changed
+            + enable * self.enable_logic.active_toggles,
+        )
 
     def expected_active_activity(self) -> ActivityRecord:
         """Activity of one enabled cycle, for analytical power estimates."""
@@ -120,7 +135,7 @@ class ClockModulatedBank:
                 + self.icg_clock_tree.toggles_per_cycle()
             ),
             data_toggles=self.bank.switching_registers,
-            comb_toggles=int(round(self.enable_logic.gate_count * self.enable_logic.activity_factor)),
+            comb_toggles=self.enable_logic.active_toggles,
         )
 
 
@@ -176,24 +191,26 @@ class ClockModulatedIPBlock:
             "clk_buf": self.clock_tree.buffer_count,
         }
 
-    def reset(self) -> None:
-        """The block holds no watermark-owned state."""
-        return None
-
-    def step(self, wmark: int, clk_ctrl: int = 1) -> ActivityRecord:
-        """Activity of the modulated sub-module for one cycle."""
-        enable = bool(wmark) and bool(clk_ctrl)
-        if not enable:
-            return ZERO_ACTIVITY
+    def expected_active_activity(self) -> ActivityRecord:
+        """Activity of one enabled cycle: the block's clock tree and data."""
         register_clocks = CLOCK_EDGES_PER_CYCLE * self.modulated_registers
         gate_clocks = CLOCK_EDGES_PER_CYCLE * self.num_clock_gates
-        tree_clocks = self.clock_tree.toggles_per_cycle()
-        data = int(round(self.modulated_registers * self.data_activity_factor))
         return ActivityRecord(
-            clock_toggles=register_clocks + gate_clocks + tree_clocks,
-            data_toggles=data,
+            clock_toggles=register_clocks + gate_clocks + self.clock_tree.toggles_per_cycle(),
+            data_toggles=int(round(self.modulated_registers * self.data_activity_factor)),
         )
 
-    def expected_active_activity(self) -> ActivityRecord:
-        """Activity of one enabled cycle, for analytical power estimates."""
-        return self.step(wmark=1, clk_ctrl=1)
+    def activity(self, wmark: np.ndarray) -> ActivityTrace:
+        """Activity over cycles whose registered WMARK is ``wmark``.
+
+        The sub-module is idle while WMARK is 0 and runs its enabled-cycle
+        activity while it is 1.
+        """
+        enable = np.asarray(wmark, dtype=np.int64)
+        active = self.expected_active_activity()
+        return ActivityTrace(
+            name=self.name,
+            clock_toggles=enable * active.clock_toggles,
+            data_toggles=enable * active.data_toggles,
+            comb_toggles=enable * active.comb_toggles,
+        )

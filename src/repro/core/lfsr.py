@@ -5,24 +5,23 @@ The watermark generation circuit in the paper's test chips contains two
 Registers or simple circular shift registers; the experiments use a single
 generator configured as a 12-bit maximum-length LFSR (period 4,095).
 
-Both generator types are implemented here.  Each ``step`` advances the
-register one clock cycle, returns the output watermark bit and records the
-switching activity of the generator itself (clock pins, data flips and the
-XOR feedback gates), which the power estimator turns into the WGC's share
-of the watermark dynamic power (the "Total Watermark Dynamic Power" column
-of Table I).
+Both generator types are implemented here, in closed form: the output
+bits, the register states and the switching activity of the generator
+itself (clock pins, data flips and the XOR feedback gates) are array
+expressions over the requested number of cycles.  The power estimator
+turns that activity into the WGC's share of the watermark dynamic power
+(the "Total Watermark Dynamic Power" column of Table I).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.rtl.activity import ActivityRecord
+from repro.rtl.activity import ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
-from repro.rtl.signals import hamming_distance
 
 #: Feedback taps producing maximum-length sequences for Fibonacci LFSRs.
 #: Taps are 1-indexed from the output stage, as conventionally tabulated.
@@ -73,12 +72,10 @@ def max_length_taps(width: int) -> Tuple[int, ...]:
 
 # -- closed-form (vectorised) sequence generation ---------------------------
 #
-# The trace-synthesis fast path (repro.power.synthesis) needs watermark
-# sequences without paying one Python ``step()`` per bit.  The generators
-# below produce arrays that are bit-identical to stepping the registers;
-# the per-cycle ``stepped_sequence`` implementation stays as the golden
-# reference and the equivalence is pinned by property tests for every
-# tabulated width.
+# Watermark sequences are produced without one Python iteration per bit.
+# The generators below produce arrays that are bit-identical to stepping
+# the registers; the cycle-stepping oracle lives in the test suite, which
+# pins the equivalence for every tabulated width.
 
 #: Cache of generated output sequences keyed by generator configuration.
 _SEQUENCE_CACHE: Dict[Tuple, np.ndarray] = {}
@@ -186,7 +183,12 @@ def max_length_period(width: int) -> int:
 
 
 class SequenceGenerator(abc.ABC):
-    """Common interface of watermark sequence generators."""
+    """Common interface of watermark sequence generators.
+
+    Generators are described by their configuration alone: the output bits,
+    the register contents and the switching activity from the seed state on
+    are all computed as arrays, never by stepping the register.
+    """
 
     def __init__(self, name: str, width: int) -> None:
         if width < 2:
@@ -200,19 +202,6 @@ class SequenceGenerator(abc.ABC):
         """Length of the generated periodic sequence."""
 
     @property
-    @abc.abstractmethod
-    def output_bit(self) -> int:
-        """Current output (watermark) bit."""
-
-    @abc.abstractmethod
-    def step(self, clock_enabled: bool = True) -> Tuple[int, ActivityRecord]:
-        """Advance one cycle; return the new output bit and the activity."""
-
-    @abc.abstractmethod
-    def reset(self) -> None:
-        """Return to the seed state."""
-
-    @property
     def register_count(self) -> int:
         """Number of flip-flops in the generator."""
         return self.width
@@ -220,59 +209,54 @@ class SequenceGenerator(abc.ABC):
     def sequence(self, length: Optional[int] = None) -> np.ndarray:
         """Generate ``length`` output bits (default: one full period).
 
-        Served by the closed-form vectorised generator (cached per
-        generator configuration) when the subclass provides one; the
-        bits are identical to :meth:`stepped_sequence`, which remains the
-        cycle-accurate golden reference.  The generator state is never
-        perturbed by either path.
+        Served by the closed-form vectorised generator, cached per
+        generator configuration; callers receive their own copy.
         """
         if length is None:
             length = self.period
         if length <= 0:
             raise ValueError("sequence length must be positive")
-        bits = self._closed_form_sequence(length)
-        if bits is not None:
-            return bits
-        return self.stepped_sequence(length)
+        return self._sequence_bits(length)
 
-    def stepped_sequence(self, length: Optional[int] = None) -> np.ndarray:
-        """Generate ``length`` output bits by stepping one cycle at a time.
+    @abc.abstractmethod
+    def _sequence_bits(self, length: int) -> np.ndarray:
+        """Closed-form output bits (``length`` is validated)."""
 
-        This is the golden reference for the closed-form fast path.  The
-        generator state is saved and restored, so calling this does not
-        perturb an ongoing simulation.
+    @abc.abstractmethod
+    def states(self, length: int) -> np.ndarray:
+        """Register contents before each of the first ``length`` clock edges.
+
+        ``states(n)[0]`` is the seed state; the output bit of every state
+        is its least significant bit, so ``states(n) & 1 == sequence(n)``.
         """
-        if length is None:
-            length = self.period
+
+    def activity(self, length: int) -> ActivityTrace:
+        """Switching activity of ``length`` clocked cycles from the seed.
+
+        Every cycle clocks all ``width`` stages (two clock-pin edges each)
+        and flips the bits that differ between consecutive states.
+        """
         if length <= 0:
-            raise ValueError("sequence length must be positive")
-        saved = self._save_state()
-        self.reset()
-        bits = np.empty(length, dtype=np.int8)
-        bits[0] = self.output_bit
-        for i in range(1, length):
-            bit, _ = self.step()
-            bits[i] = bit
-        self._restore_state(saved)
-        return bits
+            raise ValueError("activity length must be positive")
+        states = self.states(length + 1)
+        return ActivityTrace(
+            name=self.name,
+            clock_toggles=np.full(length, CLOCK_EDGES_PER_CYCLE * self.width, dtype=np.int64),
+            data_toggles=np.bitwise_count(states[:-1] ^ states[1:]).astype(np.int64),
+            comb_toggles=self._comb_toggles(states[:-1]),
+        )
 
-    def _closed_form_sequence(self, length: int) -> Optional[np.ndarray]:
-        """Vectorised sequence generation; ``None`` defers to stepping."""
-        return None
-
-    @abc.abstractmethod
-    def _save_state(self):
-        """Snapshot internal state (used by :meth:`sequence`)."""
-
-    @abc.abstractmethod
-    def _restore_state(self, state) -> None:
-        """Restore a snapshot taken by :meth:`_save_state`."""
+    def _comb_toggles(self, states: np.ndarray) -> np.ndarray:
+        """Combinational (feedback) toggles of the cycles leaving ``states``."""
+        return np.zeros(len(states), dtype=np.int64)
 
 
 class LFSR(SequenceGenerator):
     """Galois linear feedback shift register.
 
-    The feedback taps are the exponents of a primitive polynomial
+    Each clock edge shifts the register right by one stage; when the bit
+    shifted out (the output) is 1 the feedback mask is XORed in.  The
+    feedback taps are the exponents of a primitive polynomial
     ``x^n + ... + 1``; with a primitive polynomial the register cycles
     through all ``2^n - 1`` non-zero states, so the output is a
     maximum-length sequence of period ``2^n - 1``.
@@ -302,7 +286,6 @@ class LFSR(SequenceGenerator):
         if seed == 0:
             raise ValueError("LFSR seed must be non-zero")
         self.seed = seed
-        self.state = seed
         self.taps = tuple(taps) if taps is not None else max_length_taps(width)
         for tap in self.taps:
             if not 1 <= tap <= width:
@@ -315,46 +298,38 @@ class LFSR(SequenceGenerator):
         # Galois feedback mask: the x^width term corresponds to the bit that
         # is shifted out, so it is excluded; the constant term (x^0) injects
         # into the most significant stage.
-        self._feedback_mask = 1 << (width - 1)
-        for tap in self.taps:
-            if tap != width:
-                self._feedback_mask |= 1 << (tap - 1)
+        self._feedback_mask = _galois_feedback_mask(width, self.taps)
 
     @property
     def period(self) -> int:
         return max_length_period(self.width)
 
-    @property
-    def output_bit(self) -> int:
-        """The output bit is the last stage of the register."""
-        return self.state & 1
+    def states(self, length: int) -> np.ndarray:
+        """Register contents, rebuilt stage by stage from the output bits.
 
-    def step(self, clock_enabled: bool = True) -> Tuple[int, ActivityRecord]:
-        if not clock_enabled:
-            return self.output_bit, ActivityRecord()
-        lsb = self.state & 1
-        next_state = self.state >> 1
-        if lsb:
-            next_state ^= self._feedback_mask
-        data_toggles = hamming_distance(self.state, next_state, self.width)
-        self.state = next_state
-        activity = ActivityRecord(
-            clock_toggles=CLOCK_EDGES_PER_CYCLE * self.width,
-            data_toggles=data_toggles,
-            comb_toggles=len(self.taps) if lsb else 0,
-        )
-        return self.output_bit, activity
+        Stage ``i`` of state ``n`` is stage ``i - 1`` of state ``n + 1``
+        with the feedback undone: ``s[n][i] = s[n + 1][i - 1] ^ f[i - 1] o[n]``
+        where ``o[n] = s[n][0]`` is the output and ``f`` the feedback mask.
+        Stage 0 is the output sequence itself, so ``width - 1`` shifted
+        XORs over the first ``length + width - 1`` output bits give every
+        state -- one vectorised pass per stage, none per cycle.
+        """
+        if length <= 0:
+            raise ValueError("state count must be positive")
+        output = self.sequence(length + self.width - 1).astype(np.int64)
+        stage = output
+        states = output[:length].copy()
+        for index in range(1, self.width):
+            feedback = (self._feedback_mask >> (index - 1)) & 1
+            stage = stage[1:] ^ (feedback * output[: len(stage) - 1])
+            states |= stage[:length] << index
+        return states
 
-    def reset(self) -> None:
-        self.state = self.seed
+    def _comb_toggles(self, states: np.ndarray) -> np.ndarray:
+        # The feedback XORs switch on the cycles that shift out a 1.
+        return len(self.taps) * (states & 1)
 
-    def _save_state(self) -> int:
-        return self.state
-
-    def _restore_state(self, state: int) -> None:
-        self.state = state
-
-    def _closed_form_sequence(self, length: int) -> np.ndarray:
+    def _sequence_bits(self, length: int) -> np.ndarray:
         key = ("lfsr", self.width, self.seed, tuple(sorted(set(self.taps))))
         return _cached_sequence_bits(
             key,
@@ -363,52 +338,35 @@ class LFSR(SequenceGenerator):
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LFSR(width={self.width}, taps={self.taps}, state={self.state:#x})"
+        return f"LFSR(width={self.width}, taps={self.taps}, seed={self.seed:#x})"
 
 
 class CircularShiftRegister(SequenceGenerator):
     """A circular shift register emitting a fixed, user-chosen pattern.
 
-    The test-chip WGC can be configured in this mode; the watermark
-    sequence is simply the register's initial pattern repeated forever.
+    The test-chip WGC can be configured in this mode; the register rotates
+    right by one stage per clock edge, so the watermark sequence is simply
+    the register's initial pattern repeated forever.
     """
 
     def __init__(self, pattern: int, width: int = 32, name: str = "csr") -> None:
         super().__init__(name=name, width=width)
         self.pattern = pattern & ((1 << width) - 1)
-        self.state = self.pattern
 
     @property
     def period(self) -> int:
         return self.width
 
-    @property
-    def output_bit(self) -> int:
-        return self.state & 1
+    def states(self, length: int) -> np.ndarray:
+        """The pattern rotated right by ``n`` stages, for ``n < length``."""
+        if length <= 0:
+            raise ValueError("state count must be positive")
+        shifts = np.arange(length, dtype=np.int64) % self.width
+        pattern = np.int64(self.pattern)
+        mask = np.int64((1 << self.width) - 1)
+        return ((pattern >> shifts) | (pattern << (self.width - shifts))) & mask
 
-    def step(self, clock_enabled: bool = True) -> Tuple[int, ActivityRecord]:
-        if not clock_enabled:
-            return self.output_bit, ActivityRecord()
-        lsb = self.state & 1
-        next_state = (self.state >> 1) | (lsb << (self.width - 1))
-        data_toggles = hamming_distance(self.state, next_state, self.width)
-        self.state = next_state
-        activity = ActivityRecord(
-            clock_toggles=CLOCK_EDGES_PER_CYCLE * self.width,
-            data_toggles=data_toggles,
-        )
-        return self.output_bit, activity
-
-    def reset(self) -> None:
-        self.state = self.pattern
-
-    def _save_state(self) -> int:
-        return self.state
-
-    def _restore_state(self, state: int) -> None:
-        self.state = state
-
-    def _closed_form_sequence(self, length: int) -> np.ndarray:
+    def _sequence_bits(self, length: int) -> np.ndarray:
         key = ("csr", self.width, self.pattern)
         return _cached_sequence_bits(
             key,
@@ -417,4 +375,4 @@ class CircularShiftRegister(SequenceGenerator):
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CircularShiftRegister(width={self.width}, state={self.state:#x})"
+        return f"CircularShiftRegister(width={self.width}, pattern={self.pattern:#x})"

@@ -15,13 +15,15 @@ technique removes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
+
+import numpy as np
 
 from repro.power.library import (
     PAPER_CLOCK_BUFFER_POWER_W,
     PAPER_DATA_SWITCHING_POWER_W,
 )
-from repro.rtl.activity import ActivityRecord, ZERO_ACTIVITY
+from repro.rtl.activity import ActivityRecord, ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, ShiftRegister
 
 
@@ -72,7 +74,7 @@ class LoadCircuit:
         index = 0
         while remaining > 0:
             width = min(word_width, remaining)
-            self.words.append(ShiftRegister(f"{name}/sr{index}", width=width, circular=True))
+            self.words.append(ShiftRegister(f"{name}/sr{index}", width=width))
             remaining -= width
             index += 1
 
@@ -105,24 +107,23 @@ class LoadCircuit:
 
     # -- behaviour ------------------------------------------------------------
 
-    def reset(self) -> None:
-        """Re-initialise every word with the alternating pattern."""
-        for word in self.words:
-            word.reset()
+    def activity(self, wmark: np.ndarray) -> ActivityTrace:
+        """Activity over cycles whose registered WMARK is ``wmark``.
 
-    def step(self, wmark: int) -> ActivityRecord:
-        """Advance the load circuit one cycle with the given ``WMARK`` bit.
-
-        When ``WMARK`` is 1 every register shifts: all clock buffers toggle
-        and, thanks to the alternating initialisation, every bit flips.
+        When ``WMARK`` is 1 every word shifts: all clock pins toggle and,
+        thanks to the alternating initialisation, every bit flips (all but
+        one in an odd-width word, see
+        :attr:`~repro.rtl.components.ShiftRegister.toggles_per_shift`).
         When ``WMARK`` is 0 the shift-enable is low and the circuit is idle.
         """
-        if not wmark:
-            return ZERO_ACTIVITY
-        total = ZERO_ACTIVITY
-        for word in self.words:
-            total = total + word.shift(enable=True)
-        return total
+        enable = np.asarray(wmark, dtype=np.int64)
+        toggles_per_shift = sum(word.toggles_per_shift for word in self.words)
+        return ActivityTrace(
+            name=self.name,
+            clock_toggles=enable * (CLOCK_EDGES_PER_CYCLE * self.num_registers),
+            data_toggles=enable * toggles_per_shift,
+            comb_toggles=np.zeros(len(enable), dtype=np.int64),
+        )
 
     def expected_active_activity(self) -> ActivityRecord:
         """Activity of one enabled cycle, for analytical power estimates."""

@@ -18,13 +18,12 @@ Two variants matter for the paper's numbers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.lfsr import LFSR, CircularShiftRegister, SequenceGenerator
-from repro.rtl.activity import ActivityRecord
+from repro.rtl.activity import ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, CombinationalBlock
 
 
@@ -67,7 +66,6 @@ class WatermarkGenerationCircuit:
             f"{name}/control", gate_count=max(1, control_gates), activity_factor=0.1
         )
         self.always_clocked_registers = always_clocked_registers
-        self._wmark = self.active_generator.output_bit
 
     # -- constructors -----------------------------------------------------
 
@@ -114,11 +112,6 @@ class WatermarkGenerationCircuit:
         return self.generators[self.active_index]
 
     @property
-    def wmark(self) -> int:
-        """Current value of the watermark output signal."""
-        return self._wmark
-
-    @property
     def period(self) -> int:
         """Period of the watermark sequence."""
         return self.active_generator.period
@@ -145,28 +138,21 @@ class WatermarkGenerationCircuit:
 
     # -- behaviour ----------------------------------------------------------
 
-    def reset(self) -> None:
-        """Reset every generator to its seed state."""
-        for generator in self.generators:
-            generator.reset()
-        self._wmark = self.active_generator.output_bit
+    def activity(self, length: int) -> ActivityTrace:
+        """The WGC's switching activity over ``length`` cycles from reset.
 
-    def step(self, clock_enabled: bool = True) -> Tuple[int, ActivityRecord]:
-        """Advance the WGC one clock cycle.
-
-        Returns the new ``WMARK`` bit and the WGC's own switching activity
-        (active generator, always-clocked configuration registers and a
-        small amount of control-logic activity).
+        Every cycle clocks the active generator, the always-clocked
+        configuration registers and the control logic; the generator's
+        data and feedback toggles follow its state sequence.
         """
-        if not clock_enabled:
-            return self._wmark, ActivityRecord()
-        bit, generator_activity = self.active_generator.step()
-        self._wmark = bit
-        config_activity = ActivityRecord(
-            clock_toggles=CLOCK_EDGES_PER_CYCLE * self.always_clocked_registers
+        generator = self.active_generator.activity(length)
+        return ActivityTrace(
+            name=self.name,
+            clock_toggles=generator.clock_toggles
+            + CLOCK_EDGES_PER_CYCLE * self.always_clocked_registers,
+            data_toggles=generator.data_toggles,
+            comb_toggles=generator.comb_toggles + self.control.active_toggles,
         )
-        control_activity = self.control.step(active=True)
-        return self._wmark, generator_activity + config_activity + control_activity
 
     def sequence(self, length: Optional[int] = None) -> np.ndarray:
         """The watermark sequence as a numpy array of 0/1 values.

@@ -50,20 +50,18 @@ class BoxPlotStats:
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "BoxPlotStats":
         """Compute the summary from raw samples."""
-        values = np.asarray(list(samples), dtype=np.float64)
+        values = np.asarray(samples, dtype=np.float64)
         if len(values) == 0:
             raise ValueError("cannot summarise an empty sample")
-        whisker_low, whisker_high = np.percentile(values, [2.5, 97.5])
-        outliers = tuple(
-            float(v) for v in values if v < whisker_low or v > whisker_high
-        )
+        whisker_low, q1, q3, whisker_high = np.percentile(values, [2.5, 25, 75, 97.5])
+        outliers = values[(values < whisker_low) | (values > whisker_high)]
         return cls(
             median=float(np.median(values)),
-            q1=float(np.percentile(values, 25)),
-            q3=float(np.percentile(values, 75)),
+            q1=float(q1),
+            q3=float(q3),
             whisker_low=float(whisker_low),
             whisker_high=float(whisker_high),
-            outliers=outliers,
+            outliers=tuple(outliers.tolist()),
         )
 
     @property

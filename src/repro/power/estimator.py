@@ -1,7 +1,8 @@
 """Activity-based power estimation (the PrimeTime-PX analogue).
 
-The estimator consumes per-component activity traces produced by the cycle
-simulator and produces:
+The estimator consumes per-component activity traces (the watermark's
+closed-form periodic activity, the SoC's simulated workload window) and
+produces:
 
 * per-component dynamic/static/total power figures (Table I style),
 * per-cycle power traces that feed the measurement chain and ultimately the

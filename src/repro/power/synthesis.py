@@ -1,11 +1,12 @@
 """Vectorized trace synthesis: watermarked power traces as array operations.
 
-The cycle-accurate simulator (:mod:`repro.rtl.simulator`) steps every block
-once per clock cycle in Python, which makes trace *generation* the dominant
-cost of 100k--300k-cycle acquisitions now that detection is batched
-(:mod:`repro.detection.batch`).  The watermark circuits are strictly
-periodic, so their per-cycle behaviour is fully characterised by one period
-of cycle-accurate stepping; everything past that period is pure indexing.
+Stepping every block once per clock cycle in Python would make trace
+*generation* the dominant cost of 100k--300k-cycle acquisitions now that
+detection is batched (:mod:`repro.detection.batch`).  The watermark
+circuits are strictly periodic, so their per-cycle behaviour is fully
+characterised by one period of closed-form activity
+(:meth:`repro.core.architectures.WatermarkArchitecture.periodic_activity`);
+everything past that period is pure indexing.
 
 This module is the generation-side counterpart of the batched detector.
 It stacks three layers:
@@ -21,10 +22,11 @@ It stacks three layers:
    N(0, sigma)`` one at a time through a reused buffer, straight into
    :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
 
-The per-cycle simulator stays as the golden reference: every fast path here
-is bit-identical to stepping cycle by cycle (pinned by the equivalence
-suite in ``tests/test_power_synthesis.py``), so experiments keep their
-numbers while the generation side runs orders of magnitude faster.
+Every path here is bit-identical to stepping cycle by cycle: the test
+suite keeps the cycle-stepping model as its oracle (``tests/rtl_oracle.py``,
+compared in ``tests/test_power_synthesis.py`` and
+``tests/test_closed_form_activity.py``), so experiments keep their numbers
+while the generation side runs orders of magnitude faster.
 """
 
 from __future__ import annotations
@@ -104,9 +106,8 @@ def gather_periodic_rows(
 class PeriodicPowerTemplate:
     """One period of a strictly periodic per-cycle power trace.
 
-    The watermark circuits repeat exactly with the sequence period, so a
-    single cycle-accurate pass over one period fully characterises their
-    power; acquisitions of any length are then produced by modular-index
+    The watermark circuits repeat exactly with the sequence period, so
+    the exact activity of one period fully characterises their power; acquisitions of any length are then produced by modular-index
     extension instead of further simulation.
     """
 
@@ -182,8 +183,8 @@ class TraceSynthesizer:
     * :meth:`from_sequence` -- the statistical measurement model used by
       the detection-probability campaign and the masking sweeps:
       ``Y = base + amplitude * X(rotated) + N(0, sigma)``.
-    * :meth:`for_watermark` -- the physical model: one cycle-accurate
-      period of a watermark architecture turned into a power template.
+    * :meth:`for_watermark` -- the physical model: one exact period of a
+      watermark architecture's activity turned into a power template.
 
     Trial rows stream straight into
     :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
@@ -231,9 +232,9 @@ class TraceSynthesizer:
     ) -> "TraceSynthesizer":
         """Synthesizer built from a watermark architecture's periodic template.
 
-        Runs the cycle-accurate step loop once per period (cached on the
-        architecture) and keeps the resulting per-cycle power as the
-        template; ``architecture`` is any object exposing the
+        Computes one period of closed-form activity and keeps the
+        resulting per-cycle power as the template; ``architecture`` is any
+        object exposing the
         :class:`repro.core.architectures.WatermarkArchitecture` interface.
         """
         template = architecture.power_template(estimator, include_leakage)

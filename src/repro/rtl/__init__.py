@@ -2,8 +2,8 @@
 
 This package provides the structural building blocks used by the watermark
 architectures and by the SoC model: signals, sequential and clock-network
-components, a hierarchical module system, a flattened netlist graph, and a
-cycle-level simulator that records per-component switching activity.
+components, a hierarchical module system, a flattened netlist graph, and
+the per-cycle switching-activity records the power estimator consumes.
 
 The substrate is intentionally cycle-accurate rather than event-accurate:
 Correlation Power Analysis (the paper's detection technique) consumes one
@@ -12,7 +12,7 @@ the right level of abstraction for reproducing the paper's results.
 """
 
 from repro.rtl.signals import Signal, Clock, LogicLevel
-from repro.rtl.activity import ActivityRecord, ActivityTrace, ActivityAccumulator
+from repro.rtl.activity import ActivityRecord, ActivityTrace
 from repro.rtl.components import (
     Component,
     Register,
@@ -25,7 +25,6 @@ from repro.rtl.components import (
 from repro.rtl.clock_tree import ClockTree, ClockTreeLevel, build_clock_tree
 from repro.rtl.netlist import Netlist, NetlistEdge
 from repro.rtl.module import Module, Port, PortDirection
-from repro.rtl.simulator import CycleSimulator, SimulationResult
 
 __all__ = [
     "Signal",
@@ -33,7 +32,6 @@ __all__ = [
     "LogicLevel",
     "ActivityRecord",
     "ActivityTrace",
-    "ActivityAccumulator",
     "Component",
     "Register",
     "RegisterBank",
@@ -49,6 +47,4 @@ __all__ = [
     "Module",
     "Port",
     "PortDirection",
-    "CycleSimulator",
-    "SimulationResult",
 ]

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.rtl.activity import ActivityRecord
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, ClockBuffer
 
 
@@ -107,16 +106,6 @@ class ClockTree:
             else:
                 toggling_nodes += level.buffer_count
         return toggling_nodes * CLOCK_EDGES_PER_CYCLE
-
-    def step(self, gated: bool = False, active_sinks: Optional[int] = None) -> ActivityRecord:
-        """Activity of the tree for one cycle.
-
-        ``gated=True`` models the watermark clock gate stopping the clock at
-        the root of this (sub-)tree: no node below the gate toggles.
-        """
-        if gated:
-            return ActivityRecord()
-        return ActivityRecord(clock_toggles=self.toggles_per_cycle(active_sinks))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

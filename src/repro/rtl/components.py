@@ -1,33 +1,28 @@
 """Sequential, clock-network and combinational components.
 
-Every component exposes two things:
-
-* a structural description (cell type, register count, area contribution)
-  used by the netlist/area analysis, and
-* a per-cycle behavioural ``step`` that returns an :class:`ActivityRecord`
-  describing how many nodes toggled during that cycle.
+Components are structural: each carries its cell type, register count and
+cell count for the netlist, area and leakage analysis, plus the constants
+the closed-form activity of the watermark circuits is built from.
 
 The clock-power model follows Section II of the paper: when a register's
 clock is *enabled*, its internal clock buffer toggles twice per cycle
 (rising and falling edge) regardless of whether the stored data changes;
 when the clock is gated off, the clock pin does not toggle and no dynamic
 power is consumed.  Data toggles are counted as Hamming distance between
-the old and the new register contents.
+the old and the new register contents.  The cycle-by-cycle stepping of
+these rules lives in the test suite as the oracle the closed forms are
+checked against.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, List, Optional
-
-from repro.rtl.activity import ActivityRecord, ZERO_ACTIVITY
-from repro.rtl.signals import hamming_distance, hamming_weight
+from repro.rtl.signals import hamming_distance
 
 #: Clock-net transitions per cycle when the clock is propagated.
 CLOCK_EDGES_PER_CYCLE = 2
 
 
-class Component(abc.ABC):
+class Component:
     """Base class for all structural components.
 
     Parameters
@@ -55,26 +50,12 @@ class Component(abc.ABC):
         """Number of library cells this component maps to."""
         return 1
 
-    @abc.abstractmethod
-    def reset(self) -> None:
-        """Return the component to its power-on state."""
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
 
 class Register(Component):
-    """A ``width``-bit register word with a clock-enable.
-
-    The register models a word of flip-flops sharing one local clock branch.
-    ``step(clock_enabled, next_value)`` advances one cycle:
-
-    * if the clock is enabled the clock pins of all ``width`` flip-flops
-      toggle twice and the data toggles equal the Hamming distance between
-      the current and next contents;
-    * if the clock is gated the register retains its value and reports zero
-      activity.
-    """
+    """A ``width``-bit register word of flip-flops sharing one clock branch."""
 
     def __init__(self, name: str, width: int = 1, reset_value: int = 0) -> None:
         super().__init__(name, cell_type="dff")
@@ -82,7 +63,6 @@ class Register(Component):
             raise ValueError("register width must be positive")
         self.width = width
         self.reset_value = reset_value & ((1 << width) - 1)
-        self.value = self.reset_value
 
     @property
     def register_count(self) -> int:
@@ -92,97 +72,50 @@ class Register(Component):
     def cell_count(self) -> int:
         return self.width
 
-    def reset(self) -> None:
-        self.value = self.reset_value
-
-    def step(self, clock_enabled: bool, next_value: Optional[int] = None) -> ActivityRecord:
-        """Advance one clock cycle.
-
-        Parameters
-        ----------
-        clock_enabled:
-            Whether the (possibly gated) clock reaches this register word.
-        next_value:
-            Value captured at the clock edge.  ``None`` means "hold".
-        """
-        if not clock_enabled:
-            return ZERO_ACTIVITY
-        clock_toggles = CLOCK_EDGES_PER_CYCLE * self.width
-        data_toggles = 0
-        if next_value is not None:
-            next_value &= (1 << self.width) - 1
-            data_toggles = hamming_distance(self.value, next_value, self.width)
-            self.value = next_value
-        return ActivityRecord(clock_toggles=clock_toggles, data_toggles=data_toggles)
-
 
 class ShiftRegister(Register):
-    """A shift register used as the baseline watermark *load circuit*.
+    """A circular shift register used as the baseline watermark *load circuit*.
 
     The state-of-the-art power watermark (Fig. 1(a) of the paper) drives an
     ``N``-bit shift register initialised with the alternating ``1010...``
-    pattern.  While the shift-enable is high every bit changes on every
-    cycle, maximising dynamic power.
+    pattern.  While the shift-enable is high the register rotates left by
+    one position every cycle, maximising dynamic power; while it is low the
+    register's clock is gated and it is idle.
     """
 
-    #: Alternating pattern that maximises per-shift Hamming distance.
-    ALTERNATING_PATTERN = 0b10
-
-    def __init__(self, name: str, width: int = 8, circular: bool = True) -> None:
+    def __init__(self, name: str, width: int = 8) -> None:
         pattern = 0
         for i in range(width):
             if i % 2 == 1:
                 pattern |= 1 << i
         super().__init__(name, width=width, reset_value=pattern)
-        self.circular = circular
 
-    def shift(self, enable: bool, serial_in: Optional[int] = None) -> ActivityRecord:
-        """Shift by one position when ``enable`` is high.
+    @property
+    def toggles_per_shift(self) -> int:
+        """Data toggles of one enabled cycle (one rotation).
 
-        When the shift-enable is low the register's clock is assumed to be
-        gated (as in the reference architecture, where the enable drives the
-        shift-enable input) and no activity is produced.
+        A rotation flips bit ``i`` exactly when it differs from its cyclic
+        neighbour, and rotating preserves the number of such neighbour
+        pairs, so every shift flips the same count: all ``width`` bits for
+        an even width, ``width - 1`` for an odd one.
         """
-        if not enable:
-            return ZERO_ACTIVITY
-        if serial_in is None:
-            serial_in = (self.value >> (self.width - 1)) & 1 if self.circular else 0
-        next_value = ((self.value << 1) | (serial_in & 1)) & ((1 << self.width) - 1)
-        return self.step(clock_enabled=True, next_value=next_value)
+        mask = (1 << self.width) - 1
+        value = self.reset_value
+        rotated = ((value << 1) | (value >> (self.width - 1))) & mask
+        return hamming_distance(value, rotated, self.width)
 
 
 class ClockGate(Component):
     """An integrated clock-gating cell (ICG).
 
     The ICG propagates the input clock to its output branch when the enable
-    is high.  The cell itself contributes a small amount of activity (its
-    internal latch and the gated-clock root node) which is charged as
-    combinational toggles; the activity of the *driven* registers is
-    accounted for by the registers themselves.
+    is high.  The cell's own activity -- its gated-clock root toggling twice
+    per enabled cycle, and its enable latch toggling whenever the enable
+    changes -- is charged to the block that owns the gate.
     """
 
     def __init__(self, name: str) -> None:
         super().__init__(name, cell_type="icg")
-        self.enabled = False
-        self._previous_enabled = False
-
-    def reset(self) -> None:
-        self.enabled = False
-        self._previous_enabled = False
-
-    def step(self, enable: bool) -> ActivityRecord:
-        """Evaluate the gate for one cycle and return its own activity."""
-        self._previous_enabled = self.enabled
-        self.enabled = bool(enable)
-        # The enable latch toggles when the enable changes; the gated clock
-        # root toggles twice per cycle while enabled.
-        comb = 1 if self.enabled != self._previous_enabled else 0
-        clock = CLOCK_EDGES_PER_CYCLE if self.enabled else 0
-        return ActivityRecord(clock_toggles=clock, comb_toggles=comb)
-
-    def clock_out(self, enable: bool) -> bool:
-        """Whether the downstream clock branch is active this cycle."""
-        return bool(enable)
 
 
 class ClockBuffer(Component):
@@ -198,15 +131,6 @@ class ClockBuffer(Component):
         if fanout <= 0:
             raise ValueError("clock buffer fanout must be positive")
         self.fanout = fanout
-
-    def reset(self) -> None:  # stateless
-        return None
-
-    def step(self, branch_active: bool) -> ActivityRecord:
-        """Return the buffer's activity for one cycle."""
-        if not branch_active:
-            return ZERO_ACTIVITY
-        return ActivityRecord(clock_toggles=CLOCK_EDGES_PER_CYCLE)
 
 
 class CombinationalBlock(Component):
@@ -230,20 +154,10 @@ class CombinationalBlock(Component):
     def cell_count(self) -> int:
         return self.gate_count
 
-    def reset(self) -> None:  # stateless
-        return None
-
-    def step(self, active: bool = True, toggles: Optional[int] = None) -> ActivityRecord:
-        """Return the block's activity for one cycle.
-
-        ``toggles`` overrides the activity-factor estimate when the caller
-        knows the exact transition count (e.g. XOR feedback of an LFSR).
-        """
-        if not active:
-            return ZERO_ACTIVITY
-        if toggles is None:
-            toggles = int(round(self.gate_count * self.activity_factor))
-        return ActivityRecord(comb_toggles=toggles)
+    @property
+    def active_toggles(self) -> int:
+        """Transitions during one active cycle (the activity-factor estimate)."""
+        return int(round(self.gate_count * self.activity_factor))
 
 
 class RegisterBank(Component):
@@ -277,14 +191,6 @@ class RegisterBank(Component):
         self.num_words = num_words
         self.word_width = word_width
         self.switching_registers = switching_registers
-        self.words: List[Register] = [
-            Register(f"{name}/word{i}", width=word_width, reset_value=0)
-            for i in range(num_words)
-        ]
-        self.clock_gates: List[ClockGate] = [
-            ClockGate(f"{name}/icg{i}") for i in range(num_words)
-        ]
-        self._toggle_phase = 0
 
     @property
     def total_registers(self) -> int:
@@ -298,36 +204,3 @@ class RegisterBank(Component):
     @property
     def cell_count(self) -> int:
         return self.total_registers + self.num_words
-
-    def reset(self) -> None:
-        for word in self.words:
-            word.reset()
-        for gate in self.clock_gates:
-            gate.reset()
-        self._toggle_phase = 0
-
-    def step(self, enable: bool) -> ActivityRecord:
-        """Advance the bank one cycle with the watermark bit on the ICG enables.
-
-        When ``enable`` is high every word's clock branch is active, so every
-        register's clock buffer toggles twice; the first
-        ``switching_registers`` registers additionally invert their contents
-        (data toggles).  When ``enable`` is low the bank is completely idle.
-        """
-        total = ZERO_ACTIVITY
-        remaining_switching = self.switching_registers
-        for word, gate in zip(self.words, self.clock_gates):
-            total = total + gate.step(enable)
-            clock_on = gate.clock_out(enable)
-            if not clock_on:
-                continue
-            switching_bits = min(remaining_switching, word.width)
-            remaining_switching -= switching_bits
-            if switching_bits > 0:
-                mask = (1 << switching_bits) - 1
-                next_value = word.value ^ mask
-            else:
-                next_value = word.value
-            total = total + word.step(clock_enabled=True, next_value=next_value)
-        self._toggle_phase ^= 1
-        return total

@@ -219,6 +219,9 @@ class CortexM0Like:
     ) -> None:
         self.name = name
         self.program = program
+        # The fetch datapath sees each instruction's 16-bit word; encode the
+        # program once rather than on every executed instruction.
+        self._fetch_words = [instruction.encode() for instruction in program.instructions]
         self.bus = bus
         self.activity = activity_model or CPUActivityModel()
         self.registers: List[int] = [0] * 16
@@ -335,7 +338,7 @@ class CortexM0Like:
         instruction = self.program.instructions[pc]
         self.stats.instructions += 1
 
-        fetch_word = instruction.encode()
+        fetch_word = self._fetch_words[pc]
         fetch_toggles = hamming_distance(self._prev_fetch_word, fetch_word, 16)
         self._prev_fetch_word = fetch_word
 

@@ -97,6 +97,11 @@ BASE_CYCLES: Dict[Opcode, int] = {
 #: Extra cycles when a branch is taken (pipeline refill).
 TAKEN_BRANCH_PENALTY = 2
 
+#: Opcode and condition fields of the synthetic encoding: each member's
+#: declaration index, looked up once instead of per encoded instruction.
+_OPCODE_FIELD: Dict[Opcode, int] = {op: i & 0x1F for i, op in enumerate(Opcode)}
+_CONDITION_FIELD: Dict[Condition, int] = {cond: i & 0xF for i, cond in enumerate(Condition)}
+
 
 @dataclass(frozen=True)
 class Operand:
@@ -172,8 +177,8 @@ class Instruction:
         data-dependent Hamming distances, which is what the power model
         needs.
         """
-        opcode_field = list(Opcode).index(self.opcode) & 0x1F
-        cond_field = list(Condition).index(self.condition) & 0xF
+        opcode_field = _OPCODE_FIELD[self.opcode]
+        cond_field = _CONDITION_FIELD[self.condition]
         operand_hash = 0
         for i, operand in enumerate(self.operands):
             if operand.kind == "reg":

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from rtl_oracle import SteppedWatermark
 
 from repro.core.architectures import BaselineWatermark, ClockModulationWatermark
 from repro.core.clock_modulation import ClockModulatedIPBlock
@@ -81,8 +82,8 @@ class TestSharedBehaviour:
     def test_step_matches_periodic_activity(self, small_config):
         watermark = ClockModulationWatermark.from_config(small_config)
         periodic = watermark.periodic_activity()
-        watermark.reset()
-        stepped = [watermark.step() for _ in range(10)]
+        stepping = SteppedWatermark(watermark)
+        stepped = [stepping.step() for _ in range(10)]
         for cycle, record in enumerate(stepped):
             assert record["load"] == periodic["load"][cycle]
 

@@ -21,34 +21,26 @@ class TestClockModulatedBank:
 
     def test_wmark_high_produces_clock_activity(self):
         bank = ClockModulatedBank(num_words=4, word_width=8)
-        activity = bank.step(wmark=1)
+        activity = bank.activity([1])[0]
         assert activity.clock_toggles >= 2 * 32
 
     def test_wmark_low_still_clocks_the_gate_tree_only(self):
         bank = ClockModulatedBank(num_words=4, word_width=8)
-        active = bank.step(wmark=1)
-        idle = bank.step(wmark=0)
+        active, idle = bank.activity([1, 0])
         # The tree above the ICGs keeps running, but the gated registers stop,
         # so the modulated (detectable) component is the difference.
         assert idle.clock_toggles < active.clock_toggles
         assert idle.data_toggles == 0
 
-    def test_clk_ctrl_gates_the_bank(self):
-        bank = ClockModulatedBank(num_words=2, word_width=8)
-        gated = bank.step(wmark=1, clk_ctrl=0)
-        assert gated.data_toggles == 0
-        assert gated.clock_toggles < bank.step(wmark=1, clk_ctrl=1).clock_toggles
-
     def test_switching_registers_add_data_activity(self):
         no_switching = ClockModulatedBank(num_words=4, word_width=8, switching_registers=0)
         switching = ClockModulatedBank(num_words=4, word_width=8, switching_registers=32)
-        assert switching.step(wmark=1).data_toggles == 32
-        assert no_switching.step(wmark=1).data_toggles == 0
+        assert switching.activity([1])[0].data_toggles == 32
+        assert no_switching.activity([1])[0].data_toggles == 0
 
     def test_modulation_amplitude_near_paper_value(self, nominal_estimator):
         bank = ClockModulatedBank()  # 1,024 registers, no data switching
-        active = bank.step(wmark=1)
-        idle = bank.step(wmark=0)
+        active, idle = bank.activity([1, 0])
         amplitude = nominal_estimator.cycle_power("dff", active) - nominal_estimator.cycle_power(
             "dff", idle
         )
@@ -56,16 +48,10 @@ class TestClockModulatedBank:
         # adds the ICG cells themselves, so allow a modest margin.
         assert 1.4e-3 < amplitude < 1.75e-3
 
-    def test_reset(self):
-        bank = ClockModulatedBank(num_words=2, word_width=8, switching_registers=16)
-        bank.step(wmark=1)
-        bank.reset()
-        assert all(word.value == 0 for word in bank.bank.words)
-
     def test_expected_active_activity_close_to_step(self):
         bank = ClockModulatedBank(num_words=4, word_width=8)
         expected = bank.expected_active_activity()
-        observed = bank.step(wmark=1)
+        observed = bank.activity([1])[0]
         assert abs(expected.clock_toggles - observed.clock_toggles) <= 8
 
 
@@ -76,20 +62,16 @@ class TestClockModulatedIPBlock:
 
     def test_idle_when_wmark_low(self):
         block = ClockModulatedIPBlock(modulated_registers=256)
-        assert block.step(wmark=0).total_toggles == 0
+        assert block.activity([0])[0].total_toggles == 0
 
     def test_clock_activity_scales_with_block_size(self):
         small = ClockModulatedIPBlock(modulated_registers=128)
         large = ClockModulatedIPBlock(modulated_registers=1024)
-        assert large.step(wmark=1).clock_toggles > small.step(wmark=1).clock_toggles
+        assert large.activity([1])[0].clock_toggles > small.activity([1])[0].clock_toggles
 
     def test_data_activity_factor(self):
         block = ClockModulatedIPBlock(modulated_registers=100, data_activity_factor=0.25)
-        assert block.step(wmark=1).data_toggles == 25
-
-    def test_clk_ctrl_must_also_be_high(self):
-        block = ClockModulatedIPBlock(modulated_registers=64)
-        assert block.step(wmark=1, clk_ctrl=0).total_toggles == 0
+        assert block.activity([1])[0].data_toggles == 25
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

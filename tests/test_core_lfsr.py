@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import rtl_oracle
 
 from repro.core.lfsr import (
     LFSR,
@@ -30,16 +31,13 @@ class TestTapTables:
 class TestLFSR:
     @pytest.mark.parametrize("width", [2, 3, 4, 5, 6, 7, 8, 10, 12])
     def test_maximum_length_period(self, width):
-        lfsr = LFSR(width=width, seed=1)
-        seen = {lfsr.state}
-        for _ in range(max_length_period(width)):
-            lfsr.step()
-            seen.add(lfsr.state)
+        period = max_length_period(width)
+        states = LFSR(width=width, seed=1).states(period + 1)
         # After exactly one period the register is back at the seed and has
         # visited every non-zero state.
-        assert lfsr.state == 1
-        assert len(seen) == max_length_period(width)
-        assert 0 not in seen
+        assert states[-1] == 1
+        assert len(set(states.tolist())) == period
+        assert 0 not in states
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -58,36 +56,15 @@ class TestLFSR:
         # A maximum-length sequence has 2^(n-1) ones and 2^(n-1)-1 zeros.
         assert int(sequence.sum()) == 2048
 
-    def test_sequence_does_not_perturb_state(self):
-        lfsr = LFSR(width=8, seed=0x3C)
-        lfsr.step()
-        state_before = lfsr.state
-        lfsr.sequence(100)
-        assert lfsr.state == state_before
-
     def test_sequence_is_periodic(self):
         lfsr = LFSR(width=6, seed=1)
         sequence = lfsr.sequence(2 * lfsr.period)
         assert np.array_equal(sequence[: lfsr.period], sequence[lfsr.period :])
 
-    def test_gated_step_holds_state(self):
-        lfsr = LFSR(width=12, seed=1)
-        bit, activity = lfsr.step(clock_enabled=False)
-        assert lfsr.state == 1
-        assert activity.total_toggles == 0
-
     def test_step_activity_accounts_clock_and_data(self):
-        lfsr = LFSR(width=12, seed=1)
-        _, activity = lfsr.step()
+        activity = LFSR(width=12, seed=1).activity(1)[0]
         assert activity.clock_toggles == 24
         assert activity.data_toggles > 0
-
-    def test_reset_restores_seed(self):
-        lfsr = LFSR(width=12, seed=0x123)
-        for _ in range(10):
-            lfsr.step()
-        lfsr.reset()
-        assert lfsr.state == 0x123
 
     def test_register_count(self):
         assert LFSR(width=12).register_count == 12
@@ -104,10 +81,7 @@ class TestCircularShiftRegister:
 
     def test_rotation_preserves_pattern(self):
         csr = CircularShiftRegister(pattern=0b0011, width=4)
-        states = []
-        for _ in range(4):
-            csr.step()
-            states.append(csr.state)
+        states = csr.states(5)[1:].tolist()
         assert states[-1] == 0b0011  # back to the initial pattern
         assert set(states) == {0b0011, 0b1001, 0b1100, 0b0110}
 
@@ -115,17 +89,6 @@ class TestCircularShiftRegister:
         csr = CircularShiftRegister(pattern=0b0101, width=4)
         sequence = csr.sequence(8)
         assert list(sequence) == [1, 0, 1, 0, 1, 0, 1, 0]
-
-    def test_gated_step_is_idle(self):
-        csr = CircularShiftRegister(pattern=0b1010, width=4)
-        _, activity = csr.step(clock_enabled=False)
-        assert activity.total_toggles == 0
-
-    def test_reset(self):
-        csr = CircularShiftRegister(pattern=0xF0, width=8)
-        csr.step()
-        csr.reset()
-        assert csr.state == 0xF0
 
     def test_minimum_width_enforced(self):
         with pytest.raises(ValueError):
@@ -141,7 +104,7 @@ class TestVectorizedSequences:
         for seed in (1, 0x5A5 & mask or 1, mask, 0x2D & mask or 3):
             lfsr = LFSR(width=width, seed=seed)
             length = min(max_length_period(width), 1024) + 17
-            assert np.array_equal(lfsr.sequence(length), lfsr.stepped_sequence(length))
+            assert np.array_equal(lfsr.sequence(length), rtl_oracle.stepped_sequence(lfsr, length))
 
     @pytest.mark.parametrize("width", [2, 5, 8, 13, 24, 32])
     def test_csr_closed_form_matches_stepped(self, width):
@@ -149,7 +112,7 @@ class TestVectorizedSequences:
         for pattern in (0b10, 0xAAAAAAAA & mask, 0x5A5 & mask, 1):
             csr = CircularShiftRegister(pattern=pattern, width=width)
             length = 3 * width + 5
-            assert np.array_equal(csr.sequence(length), csr.stepped_sequence(length))
+            assert np.array_equal(csr.sequence(length), rtl_oracle.stepped_sequence(csr, length))
 
     @pytest.mark.parametrize("width", list(range(2, 15)))
     def test_full_period_window_uniqueness(self, width):
@@ -167,7 +130,7 @@ class TestVectorizedSequences:
         # x^4 + x^2 + 1 is reducible (period < 15); the closed form must not
         # assume maximum length.
         lfsr = LFSR(width=4, seed=0b1011, taps=(4, 2))
-        assert np.array_equal(lfsr.sequence(64), lfsr.stepped_sequence(64))
+        assert np.array_equal(lfsr.sequence(64), rtl_oracle.stepped_sequence(lfsr, 64))
 
     def test_cache_serves_copies(self):
         clear_sequence_cache()
@@ -177,18 +140,10 @@ class TestVectorizedSequences:
         second = lfsr.sequence()
         assert second[0] == first[0] ^ 1  # the cache was not corrupted
 
-    def test_sequence_does_not_perturb_state(self):
-        lfsr = LFSR(width=12, seed=0x5A5)
-        lfsr.step()
-        state_before = lfsr.state
-        lfsr.sequence(100)
-        lfsr.stepped_sequence(100)
-        assert lfsr.state == state_before
-
     def test_cache_extension_regenerates_longer_sequences(self):
         clear_sequence_cache()
         lfsr = LFSR(width=6, seed=1)
         short = lfsr.sequence(10)
         longer = lfsr.sequence(200)
         assert np.array_equal(longer[:10], short)
-        assert np.array_equal(longer, lfsr.stepped_sequence(200))
+        assert np.array_equal(longer, rtl_oracle.stepped_sequence(lfsr, 200))

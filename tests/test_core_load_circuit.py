@@ -30,23 +30,17 @@ class TestLoadCircuit:
 
     def test_idle_when_wmark_low(self):
         load = LoadCircuit(num_registers=16)
-        assert load.step(wmark=0).total_toggles == 0
+        assert load.activity([0])[0].total_toggles == 0
 
     def test_full_switching_when_wmark_high(self):
         load = LoadCircuit(num_registers=16, word_width=8)
-        activity = load.step(wmark=1)
+        activity = load.activity([1])[0]
         assert activity.data_toggles == 16
         assert activity.clock_toggles == 32
 
     def test_expected_active_activity_matches_step(self):
         load = LoadCircuit(num_registers=64, word_width=8)
-        assert load.step(wmark=1) == load.expected_active_activity()
-
-    def test_reset_restores_pattern(self):
-        load = LoadCircuit(num_registers=8, word_width=8)
-        load.step(wmark=1)
-        load.reset()
-        assert load.words[0].value == 0b10101010
+        assert load.activity([1])[0] == load.expected_active_activity()
 
     def test_cell_inventory(self):
         load = LoadCircuit(num_registers=100)
@@ -60,7 +54,7 @@ class TestLoadCircuit:
 
     def test_active_power_matches_paper_per_register_figure(self, nominal_estimator):
         load = LoadCircuit(num_registers=576, word_width=8)
-        activity = load.step(wmark=1)
+        activity = load.activity([1])[0]
         power = nominal_estimator.cycle_power("dff", activity)
         # 576 x (1.476 uW + 1.126 uW) ~ 1.5 mW: the Table II operating point.
         assert power == pytest.approx(576 * 2.602e-6, rel=1e-3)

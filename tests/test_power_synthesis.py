@@ -1,14 +1,16 @@
 """Equivalence suite for the vectorized trace-synthesis engine.
 
 Every fast path in :mod:`repro.power.synthesis` must be *bit-identical* to
-the per-cycle golden reference it replaces: the cycle-accurate step loop
-for power traces, and the per-trial Python row loop for trial matrices.
+the per-cycle golden reference it replaces: the cycle-stepping oracle
+(``rtl_oracle``) for power traces, and the per-trial Python row loop for
+trial matrices.
 End-to-end, the synthesized traces must produce the same CPA detection
 decisions as the simulated ones.
 """
 
 import numpy as np
 import pytest
+from rtl_oracle import stepped_activity
 
 from repro.core.architectures import BaselineWatermark, ClockModulationWatermark
 from repro.core.clock_modulation import ClockModulatedBank
@@ -25,7 +27,6 @@ from repro.power.synthesis import (
     gather_periodic_rows,
     periodic_extend,
 )
-from repro.rtl.activity import ActivityTrace
 
 
 def _small_clock_modulation() -> ClockModulationWatermark:
@@ -45,18 +46,7 @@ def _small_baseline() -> BaselineWatermark:
 
 def _stepped_power(architecture, estimator, num_cycles):
     """Golden reference: step the architecture every cycle, then estimate."""
-    architecture.reset()
-    wgc_records = []
-    load_records = []
-    for _ in range(num_cycles):
-        activity = architecture.step()
-        wgc_records.append(activity["wgc"])
-        load_records.append(activity["load"])
-    architecture.reset()
-    traces = {
-        "wgc": ActivityTrace.from_records(f"{architecture.name}/wgc", wgc_records),
-        "load": ActivityTrace.from_records(f"{architecture.name}/load", load_records),
-    }
+    traces = stepped_activity(architecture, num_cycles)
     static = estimator.leakage_of(architecture.cell_inventory())
     return estimator.combined_power_trace(
         traces,
@@ -137,21 +127,17 @@ class TestWatermarkPowerEquivalence:
         rolled = architecture.power_trace(estimator, num_cycles, phase_offset=23)
         assert np.array_equal(rolled.power_w, np.roll(plain.power_w, -23))
 
-    def test_periodic_activity_cached_once(self):
-        architecture = _small_clock_modulation()
-        first = architecture.periodic_activity()
-        assert architecture._periodic_activity_cache is not None
-        second = architecture.periodic_activity()
-        assert np.array_equal(second["wgc"].total_toggles, first["wgc"].total_toggles)
-        fresh = architecture.periodic_activity(use_cache=False)
-        assert np.array_equal(fresh["wgc"].total_toggles, first["wgc"].total_toggles)
-
-    def test_periodic_activity_cache_immune_to_caller_mutation(self):
+    def test_periodic_activity_calls_return_equal_independent_arrays(self):
         architecture = _small_clock_modulation()
         estimator = PowerEstimator.at_nominal()
         before = architecture.power_trace(estimator, 100)
-        traces = architecture.periodic_activity()
-        traces["load"].data_toggles += 1_000  # caller scribbles on its copy
+        first = architecture.periodic_activity()
+        second = architecture.periodic_activity()
+        for key in ("wgc", "load"):
+            for field in ("clock_toggles", "data_toggles", "comb_toggles"):
+                assert np.array_equal(getattr(first[key], field), getattr(second[key], field))
+                assert not np.shares_memory(getattr(first[key], field), getattr(second[key], field))
+        first["load"].data_toggles += 1_000  # caller scribbles on its arrays
         after = architecture.power_trace(estimator, 100)
         assert np.array_equal(before.power_w, after.power_w)
 

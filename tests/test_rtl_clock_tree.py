@@ -49,10 +49,6 @@ class TestClockTreeActivity:
         half = tree.toggles_per_cycle(32)
         assert 0 < half < full
 
-    def test_gated_step_has_no_activity(self):
-        tree = ClockTree("t", num_sinks=16)
-        assert tree.step(gated=True).total_toggles == 0
-
     def test_active_sink_bounds_validated(self):
         tree = ClockTree("t", num_sinks=16)
         with pytest.raises(ValueError):
