@@ -18,7 +18,9 @@ Two detector front-ends share one implementation:
   (peak, off-peak noise floor, z-score, uniqueness) is vectorized across
   trials.  A batch of one is bit-identical to ``CPADetector.detect``.
   :func:`batch_rotation_correlations` exposes the raw batched correlation
-  spectra; :func:`fold_by_phase` the underlying phase fold.
+  spectra; :func:`fold_by_phase` the underlying phase fold.  A producer
+  that draws the fold directly passes a :class:`PhaseFold` instead of
+  rows (the Fig. 6 repetitions do).
 
 Campaign-scale consumers (:func:`run_detection_probability_campaign`, the
 Fig. 6 repetition study, the masking/robustness sweeps) all route their
@@ -28,6 +30,7 @@ trials through the batched engine.
 from repro.detection.batch import (
     BatchCPADetector,
     BatchCPAResult,
+    PhaseFold,
     batch_rotation_correlations,
     fold_by_phase,
 )
@@ -62,6 +65,7 @@ __all__ = [
     "run_detection_probability_campaign",
     "BatchCPADetector",
     "BatchCPAResult",
+    "PhaseFold",
     "batch_rotation_correlations",
     "fold_by_phase",
     "CPADetector",

@@ -24,12 +24,19 @@ iterates its rows).  Each row is reduced to its ``period`` phase sums and
 its ``row @ row`` before the next one is read, so a producer may yield
 every row through one reused buffer: memory is O(trials * period + cycles)
 by construction, and no caller ever holds a trials x cycles matrix.
+
+Those per-row sums are all the detector reads of a trace, and they travel
+as a :class:`PhaseFold`.  A producer that can draw them directly hands the
+detector a :class:`PhaseFold` in place of rows, and the fold is skipped:
+:meth:`repro.measurement.AcquisitionCampaign.measure_folded` does this for
+the Fig. 6 repetitions, drawing each repetition's noise per phase instead
+of per cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +45,7 @@ from repro.core.config import DetectionConfig
 __all__ = [
     "BatchCPADetector",
     "BatchCPAResult",
+    "PhaseFold",
     "batch_rotation_correlations",
     "fold_by_phase",
 ]
@@ -56,12 +64,36 @@ def _trace_rows(traces: Rows) -> Rows:
     return traces
 
 
-def _fold_rows(traces: Rows, period: int) -> Tuple[np.ndarray, np.ndarray, int]:
-    """One pass over the rows: ``(folded, sum_yy, num_cycles)``.
+@dataclass(frozen=True)
+class PhaseFold:
+    """Everything the detector reads of a batch of equal-length trace rows.
 
     ``folded[t, p]`` sums row ``t`` over the cycles ``c`` with
-    ``c % period == p``; ``sum_yy[t]`` is that row's ``row @ row``.  Each
-    row is done with when the next one is read, so it may live in a
+    ``c % period == p``, ``sum_yy[t]`` is that row's ``row @ row`` and
+    ``num_cycles`` is the common row length.
+    """
+
+    folded: np.ndarray
+    sum_yy: np.ndarray
+    num_cycles: int
+
+    def __post_init__(self) -> None:
+        trials, period = np.shape(self.folded)
+        if trials == 0:
+            raise ValueError("the traces must contain at least one trial")
+        if np.shape(self.sum_yy) != (trials,):
+            raise ValueError("sum_yy needs one value per folded row")
+        if self.num_cycles < period:
+            raise ValueError(
+                "traces must cover at least one full watermark period "
+                f"({self.num_cycles} < {period})"
+            )
+
+
+def _fold_rows(traces: Rows, period: int) -> PhaseFold:
+    """One pass over the rows into their :class:`PhaseFold`.
+
+    Each row is done with when the next one is read, so it may live in a
     buffer the producer reuses.
     """
     folds = []
@@ -92,7 +124,7 @@ def _fold_rows(traces: Rows, period: int) -> Tuple[np.ndarray, np.ndarray, int]:
         dots.append(row @ row)
     if not folds:
         raise ValueError("the traces must contain at least one trial")
-    return np.stack(folds), np.array(dots, dtype=np.float64), num_cycles
+    return PhaseFold(np.stack(folds), np.array(dots, dtype=np.float64), num_cycles)
 
 
 def _phase_counts(num_cycles: int, period: int) -> np.ndarray:
@@ -116,8 +148,8 @@ def fold_by_phase(traces: Rows, period: int) -> Tuple[np.ndarray, np.ndarray]:
     """
     if period < 2:
         raise ValueError("the watermark period must be at least two cycles")
-    folded, _, num_cycles = _fold_rows(_trace_rows(traces), period)
-    return folded, _phase_counts(num_cycles, period)
+    fold = _fold_rows(_trace_rows(traces), period)
+    return fold.folded, _phase_counts(fold.num_cycles, period)
 
 
 def _as_sequence_matrix(sequences: np.ndarray) -> np.ndarray:
@@ -139,7 +171,7 @@ def _check_sequence_rows(x: np.ndarray, trials: int) -> None:
 
 def batch_rotation_correlations(
     sequences: np.ndarray,
-    traces: Rows,
+    traces: Union[Rows, PhaseFold],
     method: str = "fft",
 ) -> np.ndarray:
     """Rotation correlation spectra for a whole batch of traces at once.
@@ -153,11 +185,13 @@ def batch_rotation_correlations(
     traces:
         The measured per-cycle power vectors: any iterable of equal-length
         1-D rows, consumed once, row by row (a 2-D array iterates its rows;
-        a 1-D vector is treated as a batch of one).
+        a 1-D vector is treated as a batch of one), or their
+        :class:`PhaseFold`, which skips the fold.
     method:
         ``"fft"`` (default) computes all spectra with one stack of rFFTs;
         ``"naive"`` re-correlates literally per rotation and trial
-        (validation / small problems only).
+        (validation / small problems only; it needs rows, not a
+        :class:`PhaseFold`).
 
     Returns
     -------
@@ -167,13 +201,23 @@ def batch_rotation_correlations(
     x = _as_sequence_matrix(sequences)
     shared = x.ndim == 1
     period = x.shape[-1]
-    rows = _trace_rows(traces)
+    if method not in ("fft", "naive"):
+        raise ValueError(f"unknown correlation method {method!r}")
 
-    if method == "naive":
+    if isinstance(traces, PhaseFold):
+        if method != "fft":
+            raise ValueError("a PhaseFold holds no trace rows to correlate literally")
+        if traces.folded.shape[1] != period:
+            raise ValueError(
+                f"the phase fold has {traces.folded.shape[1]} phases, "
+                f"the sequence period is {period}"
+            )
+        fold = traces
+    elif method == "naive":
         from repro.detection.cpa import rotation_correlations
 
         spectra = []
-        for t, row in enumerate(rows):
+        for t, row in enumerate(_trace_rows(traces)):
             # a row-count mismatch is rejected after the loop
             seq_t = x if shared else x[t % len(x)]
             spectra.append(rotation_correlations(seq_t, row, method="naive"))
@@ -181,10 +225,9 @@ def batch_rotation_correlations(
             raise ValueError("the traces must contain at least one trial")
         _check_sequence_rows(x, len(spectra))
         return np.stack(spectra)
-    if method != "fft":
-        raise ValueError(f"unknown correlation method {method!r}")
-
-    folded, sum_yy, num_cycles = _fold_rows(rows, period)
+    else:
+        fold = _fold_rows(_trace_rows(traces), period)
+    folded, sum_yy, num_cycles = fold.folded, fold.sum_yy, fold.num_cycles
     trials = folded.shape[0]
     _check_sequence_rows(x, trials)
     counts = _phase_counts(num_cycles, period)
@@ -312,11 +355,14 @@ class BatchCPADetector:
     def __init__(self, config: Optional[DetectionConfig] = None) -> None:
         self.config = config or DetectionConfig()
 
-    def detect_many(self, sequences: np.ndarray, traces: Rows) -> BatchCPAResult:
+    def detect_many(
+        self, sequences: np.ndarray, traces: Union[Rows, PhaseFold]
+    ) -> BatchCPAResult:
         """Run CPA on every trace row and apply the detection decision.
 
         ``traces`` is any iterable of equal-length 1-D rows, read once and
-        row by row (see :func:`batch_rotation_correlations`).
+        row by row, or their :class:`PhaseFold` (see
+        :func:`batch_rotation_correlations`).
         """
         method = "fft" if self.config.use_fft else "naive"
         return self.evaluate_many(

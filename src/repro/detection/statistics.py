@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,18 +84,19 @@ class RepetitionStatistics:
     def from_correlation_runs(
         cls,
         label: str,
-        runs: Sequence[np.ndarray],
+        runs: Union[np.ndarray, Sequence[np.ndarray]],
         detected_flags: Optional[Sequence[bool]] = None,
     ) -> "RepetitionStatistics":
         """Aggregate the correlation spectra of many repetitions.
 
-        The peak rotation is determined from the run-averaged |correlation|
+        ``runs`` is a repetitions x rotations matrix (or its rows).  The
+        peak rotation is determined from the run-averaged |correlation|
         (all repetitions share the same physical phase offset in this model,
         as they do on the bench when acquisition is armed the same way).
         """
-        if not runs:
+        stacked = np.asarray(runs, dtype=np.float64)
+        if stacked.ndim != 2 or len(stacked) == 0:
             raise ValueError("need at least one repetition")
-        stacked = np.vstack([np.asarray(r, dtype=np.float64) for r in runs])
         mean_abs = np.mean(np.abs(stacked), axis=0)
         peak_rotation = int(np.argmax(mean_abs))
         peak_values = stacked[:, peak_rotation]
@@ -103,7 +104,7 @@ class RepetitionStatistics:
         if detected_flags is None:
             detections = np.array([detection_z_score(run) >= 4.0 for run in stacked])
         else:
-            detections = np.asarray(list(detected_flags), dtype=bool)
+            detections = np.asarray(detected_flags, dtype=bool)
         return cls(
             label=label,
             peak_rotation=peak_rotation,

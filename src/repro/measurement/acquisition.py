@@ -7,19 +7,25 @@ Gaussian sigma (:meth:`AcquisitionCampaign.per_cycle_noise_sigma`) that is
 added to the chip's per-cycle power.  The result is a
 :class:`MeasuredTrace` whose ``values`` array is the measured per-cycle
 power vector ``Y``.
+
+Repeated acquisitions of one power trace (the Fig. 6 repetitions) never
+materialise their rows: the detector reads only each row's phase fold and
+energy, and :meth:`AcquisitionCampaign.measure_folded` draws exactly those
+from their joint distribution with ``period + 2`` draws per repetition
+instead of ``num_cycles``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import MeasurementConfig
+from repro.detection.batch import PhaseFold, fold_by_phase
 from repro.measurement.noise import (
     gaussian_noise,
-    gaussian_noise_into,
     quantization_noise_rms,
     transient_residual_sigma,
 )
@@ -121,7 +127,7 @@ class AcquisitionCampaign:
     def _trace_sigma(self, power_trace: PowerTrace) -> float:
         """Effective per-cycle noise sigma of the chain for one power trace.
 
-        Shared by :meth:`measure` and :meth:`measure_rows` so the two can
+        Shared by :meth:`measure` and :meth:`measure_folded` so the two can
         never drift apart on the acquisition-chain statistics.
         """
         power = power_trace.power_w
@@ -133,49 +139,78 @@ class AcquisitionCampaign:
         full_scale = max(peak_voltage * RANGE_HEADROOM, 1e-6)
         return self.per_cycle_noise_sigma(mean_power, full_scale)
 
-    def measure_rows(
-        self, power_trace: PowerTrace, seeds: Sequence[Optional[int]]
-    ) -> Iterator[np.ndarray]:
-        """Measure the same power trace once per seed, yielding one row at a time.
-
-        Row ``r`` is bit-identical to
-        ``measure(power_trace, seed=seeds[r]).values``.  The
-        acquisition-chain statistics (mean power, vertical range, effective
-        noise sigma) are computed once, and every row is written into one
-        reused ``num_cycles`` buffer: consume (or copy) a row before asking
-        for the next.  The rows feed straight into
-        :meth:`repro.detection.batch.BatchCPADetector.detect_many`, so a
-        campaign never holds a repetitions x cycles matrix.
-        """
-        seeds = list(seeds)
-        if not seeds:
-            raise ValueError("at least one seed is required")
-        power = power_trace.power_w
-        sigma = self._trace_sigma(power_trace)
-
-        def rows() -> Iterator[np.ndarray]:
-            row = np.empty(len(power), dtype=np.float64)
-            for seed in seeds:
-                rng = np.random.default_rng(self.config.seed if seed is None else seed)
-                # In place: noise straight into the buffer, then add the
-                # shared power template -- bit-identical to
-                # ``power + gaussian_noise``.
-                gaussian_noise_into(rng, sigma, row)
-                row += power
-                yield row
-
-        return rows()
-
     def measure_many(
         self, power_trace: PowerTrace, seeds: Sequence[Optional[int]]
     ) -> np.ndarray:
         """Measure the same power trace once per seed into a trial matrix.
 
         Returns a ``len(seeds) x num_cycles`` array whose row ``r`` is
-        bit-identical to ``measure(power_trace, seed=seeds[r]).values``: the
-        rows of :meth:`measure_rows` stacked.
+        ``measure(power_trace, seed=seeds[r]).values``.
         """
-        return np.stack([row.copy() for row in self.measure_rows(power_trace, seeds)])
+        seeds = list(seeds)
+        if not seeds:
+            raise ValueError("at least one seed is required")
+        return np.stack([self.measure(power_trace, seed=seed).values for seed in seeds])
+
+    def measure_folded(
+        self, power_trace: PowerTrace, seeds: Sequence[Optional[int]], period: int
+    ) -> PhaseFold:
+        """Measure the same power trace once per seed, as the detector reads it.
+
+        Returns the :class:`~repro.detection.batch.PhaseFold` (per-phase
+        sums and ``row @ row``) of one ``measure(power_trace, seed)`` row
+        per seed: equal to it in distribution, not bit for bit, and drawn
+        with ``period + 2`` draws per seed instead of ``num_cycles``.
+
+        Every row is ``s + n``: the shared power ``s`` plus i.i.d.
+        ``N(0, sigma^2)`` noise ``n``.  With ``k`` the cycles per phase,
+        ``m = fold(s) / k`` and the within-phase residual
+        ``r = s - tile(m)`` (computed once), ``n`` splits into its phase
+        sums and a residual that is isotropic in the ``N - P`` dimensions
+        orthogonal to the phases.  Each seed's generator draws, in this
+        order:
+
+        * ``fold(n) = sigma * sqrt(k) * standard_normal(P)``;
+        * ``z = standard_normal()``, the residual noise along ``r``;
+        * ``chi2 = chisquare(N - P - 1)``, the residual energy orthogonal
+          to ``r``.
+
+        The row's statistics are ``folded = fold(s) + fold(n)`` and
+        ``sum_yy = s.s + 2 (m.fold(n) + sigma |r| z) + sum(fold(n)^2 / k)
+        + sigma^2 (z^2 + chi2)``.  With ``N = P`` there is no residual (no
+        ``z``, no ``chi2``) and with ``N = P + 1`` no ``chi2``; a zero
+        sigma draws nothing and gives exactly ``fold(s)`` and ``s.s``.
+        """
+        seeds = list(seeds)
+        if not seeds:
+            raise ValueError("at least one seed is required")
+        power = power_trace.power_w
+        num_cycles = len(power)
+        power_fold, counts = fold_by_phase(power, period)
+        means = power_fold[0] / counts
+        residual = power - np.resize(means, num_cycles)
+        residual_norm = np.sqrt(residual @ residual)
+        residual_dims = num_cycles - period
+        sigma = self._trace_sigma(power_trace)
+
+        noise_folds = np.zeros((len(seeds), period))
+        along_residual = np.zeros(len(seeds))
+        chi2 = np.zeros(len(seeds))
+        if sigma > 0:
+            for index, seed in enumerate(seeds):
+                rng = np.random.default_rng(self.config.seed if seed is None else seed)
+                rng.standard_normal(out=noise_folds[index])
+                if residual_dims >= 1:
+                    along_residual[index] = rng.standard_normal()
+                if residual_dims >= 2:
+                    chi2[index] = rng.chisquare(residual_dims - 1)
+        noise_folds *= sigma * np.sqrt(counts)
+        power_dot_noise = (noise_folds * means).sum(axis=1) + sigma * residual_norm * along_residual
+        noise_dot_noise = (noise_folds * noise_folds / counts).sum(axis=1) + sigma * sigma * (
+            along_residual * along_residual + chi2
+        )
+        sum_yy = power @ power + 2.0 * power_dot_noise + noise_dot_noise
+        return PhaseFold(power_fold + noise_folds, sum_yy, num_cycles)
 
     # -- chip-level entry points --------------------------------------------------
 

@@ -20,28 +20,6 @@ def gaussian_noise(
     return rng.normal(0.0, rms, size=size)
 
 
-def gaussian_noise_into(
-    rng: np.random.Generator, rms: float, out: np.ndarray
-) -> np.ndarray:
-    """Fill ``out`` with zero-mean Gaussian noise of the given RMS, in place.
-
-    Bit-identical to :func:`gaussian_noise` for the same generator state
-    (``standard_normal`` scaled by ``rms`` is the same draw ``normal``
-    performs internally) but writes straight into a caller-provided buffer
-    -- e.g. a reused trace-row buffer -- instead of allocating a fresh
-    array per call.  ``out`` must be contiguous; like :func:`gaussian_noise`,
-    an ``rms`` of zero consumes no random draws.
-    """
-    if rms < 0:
-        raise ValueError("noise RMS must be non-negative")
-    if rms == 0:
-        out[...] = 0.0
-        return out
-    rng.standard_normal(out=out, dtype=out.dtype)
-    out *= rms
-    return out
-
-
 def quantization_noise_rms(full_scale: float, bits: int) -> float:
     """RMS quantisation noise of an ideal ``bits``-bit ADC.
 

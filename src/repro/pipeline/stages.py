@@ -302,20 +302,21 @@ def _fig6_chip_stages(spec: ScenarioSpec) -> List[PipelineStage]:
             seed=spec.seed,
             watermark_phase_offset=_fig5_panel_phase_offset(spec),
         )
-        # Every repetition's row is folded as soon as it is measured, so the
-        # campaign never holds a repetitions x cycles matrix.
-        rows = AcquisitionCampaign.from_spec(spec).measure_rows(
-            power, seeds=range(spec.seed, spec.seed + spec.repetitions)
+        # Each repetition is drawn as its phase fold and energy, which is
+        # all the detector reads of a trace: no repetition's row exists.
+        sequence = chip.watermark_sequence()
+        folds = AcquisitionCampaign.from_spec(spec).measure_folded(
+            power,
+            seeds=range(spec.seed, spec.seed + spec.repetitions),
+            period=len(sequence),
         )
-        batch = BatchCPADetector(spec.detection).detect_many(
-            chip.watermark_sequence(), rows
-        )
-        ctx.data["runs"] = list(batch.correlations)
-        ctx.data["detections"] = [bool(flag) for flag in batch.detected]
+        batch = BatchCPADetector(spec.detection).detect_many(sequence, folds)
+        ctx.data["correlations"] = batch.correlations
+        ctx.data["detections"] = batch.detected
 
     def statistics(ctx: StageContext) -> None:
         stats = RepetitionStatistics.from_correlation_runs(
-            ctx.spec.chip, ctx.data["runs"], detected_flags=ctx.data["detections"]
+            ctx.spec.chip, ctx.data["correlations"], detected_flags=ctx.data["detections"]
         )
         result = Fig6ChipResult(
             chip_name=ctx.spec.chip,
@@ -337,8 +338,8 @@ def _fig6_chip_stages(spec: ScenarioSpec) -> List[PipelineStage]:
                 "peak_median_rho": float(peak.median),
             },
             arrays={
-                "correlations": np.vstack(ctx.data["runs"]),
-                "detected": np.asarray(ctx.data["detections"], dtype=bool),
+                "correlations": ctx.data["correlations"],
+                "detected": ctx.data["detections"],
             },
         )
 

@@ -277,6 +277,12 @@ class TraceSynthesizer:
         (or copy) a row before asking for the next.  The watermark is a
         strided window of one pre-scaled periodic buffer added in place.
         Arguments are validated when this is called, not at the first row.
+
+        The noise stays per cycle.  Unlike the Fig. 6 repetitions
+        (:meth:`repro.measurement.AcquisitionCampaign.measure_folded`),
+        these rows share no signal template: each has its own random phase
+        offset, and a gated row its own random gate, so a row's phase fold
+        cannot be drawn from one fold of a shared trace.
         """
         if trials <= 0:
             raise ValueError("trials must be positive")

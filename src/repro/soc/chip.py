@@ -41,8 +41,8 @@ from repro.soc.assembler import Program
 # The background power of a chip is a deterministic function of the chip
 # configuration, the background seed and the acquisition length: the M0
 # window simulation is keyed by the program, and the stochastic peripheral
-# / A5 draws come from seeded generators.  Fig. 5/6 panels, robustness
-# sweeps and `measure_many` campaigns all re-request the same background,
+# / A5 draws come from seeded generators.  Fig. 5 panels, Fig. 6 campaigns
+# and robustness sweeps all re-request the same background,
 # so the per-cycle template is computed once and shared.
 #
 # Each distinct ``num_cycles`` is its own cache class: the block-activity

@@ -15,17 +15,24 @@ check the per-cycle model against it:
   (:meth:`Oscilloscope.capture`), the reduction of Section III.
 
 :func:`measure_chain` runs a per-cycle power trace through all of it.
+
+It also keeps the per-cycle repetition stream the library no longer
+draws: :func:`measure_rows` measures one power trace once per seed,
+cycle by cycle, which is the oracle that
+:meth:`repro.measurement.AcquisitionCampaign.measure_folded` is checked
+against in distribution (``tests/test_sufficient_statistics.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import signal
 
 from repro.core.config import MeasurementConfig
+from repro.measurement.acquisition import AcquisitionCampaign
 from repro.measurement.noise import gaussian_noise, transient_residual_sigma
 from repro.power.trace import PowerTrace
 
@@ -180,3 +187,48 @@ def measure_chain(
     probed = probe.apply(shunt.voltage_from_current(samples), config.sampling_frequency_hz, rng=rng)
     per_cycle = scope.capture(probed, samples_per_cycle=spc)
     return shunt.current_from_voltage(per_cycle) * supply
+
+
+def gaussian_noise_into(rng: np.random.Generator, rms: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with zero-mean Gaussian noise of the given RMS, in place.
+
+    Bit-identical to :func:`repro.measurement.noise.gaussian_noise` for the
+    same generator state (``standard_normal`` scaled by ``rms`` is the draw
+    ``normal`` performs internally); like it, an ``rms`` of zero consumes
+    no random draws.
+    """
+    if rms < 0:
+        raise ValueError("noise RMS must be non-negative")
+    if rms == 0:
+        out[...] = 0.0
+        return out
+    rng.standard_normal(out=out, dtype=out.dtype)
+    out *= rms
+    return out
+
+
+def measure_rows(
+    campaign: AcquisitionCampaign, power_trace: PowerTrace, seeds: Sequence[Optional[int]]
+) -> Iterator[np.ndarray]:
+    """Measure the same power trace once per seed, yielding one row at a time.
+
+    Row ``r`` is bit-identical to
+    ``campaign.measure(power_trace, seed=seeds[r]).values``.  Every row is
+    written into one reused ``num_cycles`` buffer: consume (or copy) a row
+    before asking for the next.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    power = power_trace.power_w
+    sigma = campaign._trace_sigma(power_trace)
+
+    def rows() -> Iterator[np.ndarray]:
+        row = np.empty(len(power), dtype=np.float64)
+        for seed in seeds:
+            rng = np.random.default_rng(campaign.config.seed if seed is None else seed)
+            gaussian_noise_into(rng, sigma, row)
+            row += power
+            yield row
+
+    return rows()

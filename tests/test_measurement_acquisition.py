@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from measurement_chain import Oscilloscope, measure_chain, pulse_shape
+from measurement_chain import Oscilloscope, measure_chain, measure_rows, pulse_shape
 from repro.core.config import MeasurementConfig
 from repro.measurement.acquisition import RANGE_HEADROOM, AcquisitionCampaign, MeasuredTrace
 from repro.power.trace import PowerTrace
@@ -88,15 +88,17 @@ class TestMeasurementChainOracle:
 
 
 class TestMeasureRows:
+    """The per-cycle repetition oracle is the library's ``measure``, row by row."""
+
     def test_rows_reuse_one_buffer(self, campaign, clock):
         power = make_power_trace(clock)
-        rows = [row for row in campaign.measure_rows(power, seeds=[10, 11, 12])]
+        rows = [row for row in measure_rows(campaign, power, seeds=[10, 11, 12])]
         assert len(rows) == 3
         assert all(row is rows[0] for row in rows)
 
     def test_rows_equal_per_seed_measure_and_differ_per_seed(self, campaign, clock):
         power = make_power_trace(clock)
-        rows = [row.copy() for row in campaign.measure_rows(power, seeds=[10, 11])]
+        rows = [row.copy() for row in measure_rows(campaign, power, seeds=[10, 11])]
         for row, seed in zip(rows, [10, 11]):
             assert np.array_equal(row, campaign.measure(power, seed=seed).values)
         # Different noise realisations per repetition.
@@ -104,7 +106,7 @@ class TestMeasureRows:
 
     def test_requires_at_least_one_seed_when_called(self, campaign, clock):
         with pytest.raises(ValueError):
-            campaign.measure_rows(make_power_trace(clock), seeds=[])
+            measure_rows(campaign, make_power_trace(clock), seeds=[])
 
 
 class TestMeasureMany:
@@ -150,7 +152,7 @@ class TestMeasureChip:
         power = chip.total_power(
             2000, watermark_active=True, seed=6, watermark_phase_offset=40
         )
-        rows = [row.copy() for row in campaign.measure_rows(power, seeds=seeds)]
+        rows = [row.copy() for row in measure_rows(campaign, power, seeds=seeds)]
         for row, seed in zip(rows, seeds):
             single = campaign.measure_chip(
                 chip, 2000, power_seed=6, seed=seed, watermark_phase_offset=40

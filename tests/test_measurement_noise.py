@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from measurement_chain import gaussian_noise_into
 from repro.measurement.noise import (
     gaussian_noise,
-    gaussian_noise_into,
     quantization_noise_rms,
     transient_residual_sigma,
 )
@@ -31,6 +31,8 @@ class TestGaussianNoise:
 
 
 class TestGaussianNoiseInto:
+    """The per-cycle oracle's in-place draw is the library's noise draw."""
+
     def test_bit_identical_to_allocating_variant(self):
         expected = gaussian_noise(np.random.default_rng(42), 1.7e-3, 5000)
         out = np.empty(5000)

@@ -1,9 +1,9 @@
 """Streamed detection bounds campaign memory by construction.
 
-The Fig. 6 campaign stage measures every repetition into one reused row
-buffer and folds it by phase at once, so its peak memory is a few trace
-rows however many repetitions it runs -- it never holds a repetitions x
-cycles matrix.
+The Fig. 6 campaign stage folds the shared power trace once and draws
+every repetition's phase fold and energy directly, so its peak memory is a
+few trace rows however many repetitions it runs -- it never holds a
+repetitions x cycles matrix.
 """
 
 import tracemalloc
