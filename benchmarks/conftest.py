@@ -20,11 +20,13 @@ import sys
 import pytest
 
 from repro.core.config import ExperimentConfig
-from repro.experiments.common import paper_expectations
 
 # The benchmarks time the library against the test suite's oracles
-# (tests/rtl_oracle.py), so those are importable here too.
+# (tests/rtl_oracle.py) and check it against the paper's published values
+# (tests/paper_values.py), so those are importable here too.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+
+from paper_values import PAPER_EXPECTATIONS  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -54,10 +56,10 @@ def report():
 @pytest.fixture(scope="session")
 def paper_config() -> ExperimentConfig:
     """The full-scale configuration matching the paper's experiments."""
-    return ExperimentConfig.paper_defaults()
+    return ExperimentConfig()
 
 
 @pytest.fixture(scope="session")
 def expectations() -> dict:
     """Published values the reproduction is compared against."""
-    return paper_expectations()
+    return PAPER_EXPECTATIONS

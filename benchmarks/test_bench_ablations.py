@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.core.architectures import ClockModulationWatermark
+from repro.core.clock_modulation import ClockModulatedIPBlock
 from repro.core.config import ExperimentConfig, MeasurementConfig, WatermarkConfig
+from repro.core.wgc import WatermarkGenerationCircuit
 from repro.detection.cpa import CPADetector, rotation_correlations
 from repro.measurement.acquisition import AcquisitionCampaign
 from repro.power.estimator import PowerEstimator
@@ -75,7 +77,13 @@ def test_bench_ablation_modulated_block_size(benchmark, report):
     def sweep():
         rows = []
         for registers in (256, 512, 1024, 2048, 4096):
-            watermark = ClockModulationWatermark.reusing_ip_block(modulated_registers=registers)
+            # The end-application variant: a minimal WGC reusing an IP sub-module.
+            watermark = ClockModulationWatermark(
+                wgc=WatermarkGenerationCircuit.minimal(
+                    width=config.watermark.lfsr_width, seed=config.watermark.lfsr_seed
+                ),
+                modulated_block=ClockModulatedIPBlock(modulated_registers=registers),
+            )
             chip = build_chip_one(watermark=watermark, m0_window_cycles=4096)
             power = chip.total_power(config.measurement.num_cycles, seed=registers)
             measured = campaign.measure(power, seed=registers + 1)

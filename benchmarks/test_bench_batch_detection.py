@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from record import record_benchmark
+from trial_matrix import trial_matrix
 
 from repro.core.lfsr import LFSR
 from repro.detection.batch import BatchCPADetector
@@ -168,7 +169,7 @@ def test_bench_batched_campaign_memory_chunking(report):
     synthesizer = TraceSynthesizer.from_sequence(
         sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=20e-3
     )
-    matrix = synthesizer.synthesize_trials(trials, NUM_CYCLES, np.random.default_rng(7))
+    matrix = trial_matrix(synthesizer, trials, NUM_CYCLES, np.random.default_rng(7))
     materialized = BatchCPADetector().detect_many(sequence, matrix)
     assert streamed.points[0].detections == materialized.detection_count
     assert peak_rows < trials / 2

@@ -8,6 +8,8 @@ dual-core A5-class subsystem), each with the watermark active and disabled.
 
 import pytest
 
+from paper_values import single_resolvable_peak
+
 from repro.pipeline import DEFAULT_REGISTRY, ScenarioSpec, run_scenario
 
 
@@ -30,7 +32,7 @@ def test_bench_fig5_panel(benchmark, report, paper_config, expectations, chip_na
     panel = benchmark.pedantic(run_scenario, args=(spec,), rounds=1, iterations=1).payload
     report(
         f"Fig. 5 panel: {panel.label}",
-        panel.cpa.summary() + "\n\n" + panel.spectrum.render_ascii(width=72, height=10),
+        panel.cpa.summary(),
     )
 
     fig5_expect = expectations["fig5"]
@@ -38,7 +40,7 @@ def test_bench_fig5_panel(benchmark, report, paper_config, expectations, chip_na
         low, high = fig5_expect[f"{chip_name}_peak_rho_range"]
         assert panel.cpa.detected
         assert low < panel.cpa.peak_correlation < high
-        assert panel.spectrum.has_single_resolvable_peak()
+        assert single_resolvable_peak(panel.spectrum.correlations)
     else:
         assert not panel.cpa.detected
         assert abs(panel.cpa.peak_correlation) < fig5_expect["noise_floor_abs_max"]

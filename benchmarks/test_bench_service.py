@@ -9,7 +9,10 @@ protocol overhead; if the speedup collapses, the serving layer started
 recomputing or the store lookup regressed.
 
 Both requests run over a real localhost server through the stdlib
-client, exactly like production traffic.
+client, exactly like production traffic.  The cold request starts from
+cold module caches too (LFSR sequences, M0 windows, background
+templates), as in a fresh server process: benchmarks that ran earlier in
+the same pytest run would otherwise have warmed them.
 """
 
 import json
@@ -18,8 +21,11 @@ import time
 
 from record import record_benchmark
 
+from repro.core.lfsr import clear_sequence_cache
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, build_server
+from repro.soc.chip import clear_background_template_cache
+from repro.soc.cpu import clear_m0_window_cache
 
 SCENARIO = "fig5/chip1-active"
 OVERRIDES = {"quick": True}
@@ -39,6 +45,9 @@ def test_bench_warm_verify_beats_cold(tmp_path, report, relaxed):
             server.url, client_id="bench@local", difficulty=DIFFICULTY
         )
 
+        clear_sequence_cache()
+        clear_background_template_cache()
+        clear_m0_window_cache()
         start = time.perf_counter()
         cold = client.verify(scenario=SCENARIO, overrides=OVERRIDES)
         cold_s = time.perf_counter() - start

@@ -26,6 +26,7 @@ import pytest
 
 from record import record_benchmark
 from rtl_oracle import stepped_activity
+from trial_matrix import trial_matrix
 
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.config import DetectionConfig, MeasurementConfig, WatermarkConfig
@@ -75,17 +76,17 @@ def test_bench_synthesis_speedup(report, relaxed):
     for _ in range(3):
         architecture = ClockModulationWatermark.from_config(config)
         start = time.perf_counter()
-        synthesizer = TraceSynthesizer.for_watermark(architecture, estimator)
-        synthesized = synthesizer.synthesize_power(NUM_CYCLES)
+        template = architecture.power_template(estimator)
+        synthesized = template.extend(NUM_CYCLES)
         cold_times.append(time.perf_counter() - start)
     cold_s = min(cold_times)
 
-    # Warm: the synthesizer holds the periodic template, so repeated
-    # acquisitions (campaigns, repetitions) only pay the gather.
+    # Warm: the periodic template is built, so repeated acquisitions
+    # (campaigns, repetitions) only pay the gather.
     warm_times = []
     for _ in range(3):
         start = time.perf_counter()
-        synthesized = synthesizer.synthesize_power(NUM_CYCLES)
+        synthesized = template.extend(NUM_CYCLES)
         warm_times.append(time.perf_counter() - start)
     warm_s = min(warm_times)
 
@@ -202,26 +203,25 @@ def test_bench_trial_matrix_synthesis(report):
         sequence, watermark_amplitude_w=amplitude, noise_sigma_w=sigma, base_power_w=base
     )
 
+    def batched_matrix(seed):
+        return trial_matrix(synthesizer, trials, num_cycles, np.random.default_rng(seed))
+
     # Warm both paths (allocator, page faults), then best of three.  The
     # Gaussian noise draw is inherent to both sides and dominates; the
     # vectorised win is in the signal construction, which the strided
     # window adds collapse to a few full-matrix passes.
     per_trial_loop(1)
-    synthesizer.synthesize_trials(trials, num_cycles, np.random.default_rng(1))
+    batched_matrix(1)
     loop_s = min(
         _timed(lambda: per_trial_loop(2024)) for _ in range(3)
     )
     batch_s = min(
-        _timed(
-            lambda: synthesizer.synthesize_trials(
-                trials, num_cycles, np.random.default_rng(2024)
-            )
-        )
+        _timed(lambda: batched_matrix(2024))
         for _ in range(3)
     )
 
     legacy = per_trial_loop(2024)
-    batched = synthesizer.synthesize_trials(trials, num_cycles, np.random.default_rng(2024))
+    batched = batched_matrix(2024)
     assert np.array_equal(batched, legacy)
     detector = BatchCPADetector()
     decisions = detector.detect_many(sequence, batched)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.analysis import MaskingAttack, assess_detection_robustness
+from repro.analysis import run_noise_masking_study, run_starvation_study
 from repro.core.lfsr import LFSR
 from repro.detection import run_detection_probability_campaign
 
@@ -56,16 +56,14 @@ def main() -> None:
           f"({total_trials / elapsed:.0f} trials/s)")
 
     print("\nMasking robustness at 80,000 cycles (batched sweeps):")
-    assessment = assess_detection_robustness(
-        sequence,
+    sweep = dict(
         watermark_amplitude_w=amplitude_w,
         base_noise_sigma_w=noise_w,
-        attack=MaskingAttack(num_cycles=80_000, trials_per_point=5),
-        seed=2,
+        num_cycles=80_000,
+        trials_per_point=5,
     )
-    print(assessment.noise_study.to_text())
-    print(assessment.starvation_study.to_text())
-    print(assessment.summary())
+    print(run_noise_masking_study(sequence, seed=2, **sweep).to_text())
+    print(run_starvation_study(sequence, seed=3, **sweep).to_text())
 
 
 if __name__ == "__main__":

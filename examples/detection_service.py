@@ -79,8 +79,8 @@ def main() -> None:
           f"{ServiceClient.verify_transcript(second, key_path)}")
     result = result_from(second)
     print(f"rebuilt result: {result.name}, ok={result.ok}, "
-          f"arrays_stripped={result.arrays_stripped} "
-          f"(scalars and provenance bit-exact)")
+          f"arrays={sorted(result.arrays)} "
+          f"(array data stripped in transit; scalars and provenance bit-exact)")
 
     banner("5. the paper trail: hash-chained operation ledger")
     metrics = client.metrics()

@@ -25,7 +25,6 @@ from repro import (
     ClockModulationWatermark,
     CPADetector,
     ExperimentConfig,
-    SpreadSpectrum,
 )
 from repro.soc import build_chip_one
 
@@ -41,12 +40,13 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42, help="noise seed for reproducibility")
     args = parser.parse_args()
 
-    config = ExperimentConfig.paper_defaults()
+    config = ExperimentConfig()
 
     # 1. The proposed watermark architecture (Fig. 1(b) / Fig. 4(a)).
     watermark = ClockModulationWatermark.from_config(config.watermark)
     print(f"watermark sequence period: {watermark.sequence_period} cycles")
-    print(f"registers added by the watermark: {watermark.total_register_count()}")
+    registers = watermark.wgc.register_count + watermark.modulated_block.register_count
+    print(f"registers added by the watermark: {registers}")
 
     # 2. Chip I: Cortex-M0-class SoC running the Dhrystone-like workload.
     chip = build_chip_one(watermark=watermark)
@@ -58,15 +58,11 @@ def main() -> None:
     campaign = AcquisitionCampaign(config.measurement)
     measured = campaign.measure(power, seed=args.seed)
     print(f"measured trace: mean = {measured.mean_power_w * 1e3:.2f} mW, "
-          f"per-cycle sigma = {measured.std_power_w * 1e3:.2f} mW")
+          f"per-cycle sigma = {measured.values.std() * 1e3:.2f} mW")
 
     # 4. CPA over every rotation of the watermark sequence.
     detector = CPADetector(config.detection)
     result = detector.detect(chip.watermark_sequence(), measured.values)
-    spectrum = SpreadSpectrum("chip1 / watermark active", result.correlations)
-
-    print()
-    print(spectrum.render_ascii(width=72, height=10))
     print()
     print(result.summary())
     if result.detected:

@@ -50,11 +50,6 @@ def main() -> None:
     ).payload
     print(fig5.to_text())
     print()
-    for key in sorted(fig5.panels):
-        panel = fig5.panels[key]
-        if panel.watermark_active:
-            print(panel.spectrum.render_ascii(width=72, height=8))
-            print()
 
     print(f"== Repeatability over {repetitions} acquisitions (Fig. 6 scenario) ==")
     fig6 = runner.run(

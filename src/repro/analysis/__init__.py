@@ -7,7 +7,6 @@ from repro.analysis.engine import (
     LintModule,
     Rule,
     lint_paths,
-    lint_source,
     render_json,
     render_text,
     unsuppressed,
@@ -21,14 +20,11 @@ from repro.analysis.overhead import (
 )
 from repro.analysis.attacks import (
     AttackOutcome,
-    MaskingAttack,
     RemovalAttack,
     find_standalone_clusters,
 )
 from repro.analysis.robustness import (
-    DetectionRobustnessAssessment,
     RobustnessAssessment,
-    assess_detection_robustness,
     assess_robustness,
 )
 from repro.analysis.masking import (
@@ -45,7 +41,6 @@ __all__ = [
     "LintModule",
     "Rule",
     "lint_paths",
-    "lint_source",
     "render_json",
     "render_text",
     "unsuppressed",
@@ -58,11 +53,8 @@ __all__ = [
     "area_overhead_reduction",
     "load_circuit_overhead_table",
     "RemovalAttack",
-    "MaskingAttack",
     "AttackOutcome",
     "find_standalone_clusters",
     "RobustnessAssessment",
-    "DetectionRobustnessAssessment",
     "assess_robustness",
-    "assess_detection_robustness",
 ]

@@ -9,23 +9,17 @@ watermark looks like.  The clock-modulation watermark offers no such
 cluster: its WGC output feeds the enable of clock gates that also serve
 functional registers, so removing the suspicious logic breaks the host
 design (quantified as functional components that lose their clock-enable
-drivers).
-
-Besides the structural attacker, :class:`MaskingAttack` models the
-power-domain adversary who leaves the RTL untouched and instead tries to
-drown or starve the watermark at measurement time; its sweeps are
-Monte-Carlo campaigns evaluated in one batched CPA pass per sweep
-(:class:`repro.detection.batch.BatchCPADetector`).
+drivers).  The power-domain adversary, who leaves the RTL untouched and
+drowns or starves the watermark at measurement time, is modelled by the
+sweeps of :mod:`repro.analysis.masking`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Set
 
-import numpy as np
 
-from repro.core.config import DetectionConfig
 from repro.rtl.netlist import Netlist
 
 
@@ -95,11 +89,6 @@ class AttackOutcome:
     broken_functional_instances: Set[str] = field(default_factory=set)
 
     @property
-    def watermark_found(self) -> bool:
-        """Whether the attacker removed at least part of the watermark."""
-        return bool(self.removed_instances & self.true_watermark_instances)
-
-    @property
     def watermark_fully_removed(self) -> bool:
         """Whether every watermark instance was removed."""
         return self.true_watermark_instances.issubset(self.removed_instances)
@@ -111,15 +100,6 @@ class AttackOutcome:
             return 0.0
         return len(self.removed_instances & self.true_watermark_instances) / len(
             self.true_watermark_instances
-        )
-
-    @property
-    def precision(self) -> float:
-        """Fraction of removed instances that actually were watermark."""
-        if not self.removed_instances:
-            return 0.0
-        return len(self.removed_instances & self.true_watermark_instances) / len(
-            self.removed_instances
         )
 
     @property
@@ -203,63 +183,3 @@ class RemovalAttack:
         if missing:
             raise KeyError(f"unknown instances in informed attack: {sorted(missing)}")
         return self._evaluate_removal(netlist, targets)
-
-
-@dataclass
-class MaskingAttack:
-    """A power-domain adversary who hides the watermark instead of removing it.
-
-    The attacker either injects uncorrelated switching activity
-    (``masking_noise_levels_w``) or starves the watermarked sub-module's
-    clock-gate enable (``enable_duties``).  Each sweep is a Monte-Carlo
-    campaign (``trials_per_point`` trials per level) whose trials all stream
-    row by row into one batched CPA pass.
-    """
-
-    masking_noise_levels_w: Sequence[float] = (0.0, 50e-3, 100e-3, 200e-3, 400e-3)
-    enable_duties: Sequence[float] = (1.0, 0.5, 0.25, 0.1, 0.02)
-    trials_per_point: int = 1
-    num_cycles: int = 300_000
-    detection_config: Optional[DetectionConfig] = None
-
-    def sweep_noise_injection(
-        self,
-        sequence: np.ndarray,
-        watermark_amplitude_w: float = 1.5e-3,
-        base_noise_sigma_w: float = 43e-3,
-        seed: int = 0,
-    ):
-        """Noise-injection sweep; returns a :class:`repro.analysis.masking.MaskingStudy`."""
-        from repro.analysis.masking import run_noise_masking_study
-
-        return run_noise_masking_study(
-            sequence,
-            watermark_amplitude_w=watermark_amplitude_w,
-            base_noise_sigma_w=base_noise_sigma_w,
-            masking_noise_levels_w=self.masking_noise_levels_w,
-            num_cycles=self.num_cycles,
-            detection_config=self.detection_config,
-            seed=seed,
-            trials_per_point=self.trials_per_point,
-        )
-
-    def sweep_starvation(
-        self,
-        sequence: np.ndarray,
-        watermark_amplitude_w: float = 1.5e-3,
-        base_noise_sigma_w: float = 43e-3,
-        seed: int = 0,
-    ):
-        """Enable-starvation sweep; returns a :class:`repro.analysis.masking.MaskingStudy`."""
-        from repro.analysis.masking import run_starvation_study
-
-        return run_starvation_study(
-            sequence,
-            watermark_amplitude_w=watermark_amplitude_w,
-            base_noise_sigma_w=base_noise_sigma_w,
-            enable_duties=self.enable_duties,
-            num_cycles=self.num_cycles,
-            detection_config=self.detection_config,
-            seed=seed,
-            trials_per_point=self.trials_per_point,
-        )

@@ -46,9 +46,7 @@ __all__ = [
     "ModuleRecord",
     "Rule",
     "collect_pragmas",
-    "lint_module",
     "lint_paths",
-    "lint_source",
     "lint_sources",
     "render_json",
     "render_text",
@@ -89,24 +87,6 @@ class Finding:
             "suppression_reason": self.suppression_reason,
             "baselined": self.baselined,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_json_dict` (the cache deserializer)."""
-        return cls(
-            rule_id=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            message=str(data["message"]),
-            suppressed=bool(data["suppressed"]),
-            suppression_reason=(
-                None
-                if data.get("suppression_reason") is None
-                else str(data["suppression_reason"])
-            ),
-            baselined=bool(data.get("baselined", False)),
-        )
-
 
 @dataclasses.dataclass
 class LintModule:
@@ -239,37 +219,9 @@ def _default_rules() -> Sequence[Rule]:
     return ALL_RULES
 
 
-def lint_module(
-    module: LintModule, rules: Optional[Sequence[Rule]] = None
-) -> List[Finding]:
-    """Run every rule over one parsed module."""
-    active = list(rules) if rules is not None else list(_default_rules())
-    pragmas, meta_findings = collect_pragmas(module.source, _known_ids(active))
-    findings = [
-        dataclasses.replace(finding, path=module.logical_path)
-        for finding in meta_findings
-    ]
-    for rule in active:
-        if not rule.applies_to(module):
-            continue
-        for line, message in rule.check(module):
-            reason = pragmas.get((line, rule.rule_id))
-            findings.append(
-                Finding(
-                    rule_id=rule.rule_id,
-                    path=module.logical_path,
-                    line=line,
-                    message=message,
-                    suppressed=reason is not None,
-                    suppression_reason=reason,
-                )
-            )
-    return sorted(findings, key=lambda f: (f.line, f.rule_id, f.message))
-
-
 @dataclasses.dataclass
 class ModuleRecord:
-    """The per-module result of the module pass (what the cache persists).
+    """The per-module result of the module pass.
 
     ``summary`` is the serializable project digest
     (:class:`repro.analysis.project.ModuleSummary`), ``None`` when the
@@ -339,7 +291,7 @@ def _finish_project(
     records: Sequence[ModuleRecord], active: Sequence[Rule]
 ) -> List[Finding]:
     """Project rules + the DEAD001 stale-pragma audit over all records."""
-    from repro.analysis.project import LintProject, ModuleSummary, ProjectRule
+    from repro.analysis.project import LintProject, ProjectRule
     from repro.analysis.rules_concurrency import StalePragmaRule
 
     per_path: Dict[str, List[Finding]] = {
@@ -353,10 +305,7 @@ def _finish_project(
         for record in records:
             if record.summary is None:
                 continue
-            summary = record.summary
-            if isinstance(summary, dict):  # cache round-trip
-                summary = ModuleSummary.from_json_dict(summary)
-            summaries.append(summary)
+            summaries.append(record.summary)
         project = LintProject(summaries)
         for rule in project_rules:
             for path, line, message in rule.check_project(project):
@@ -417,15 +366,6 @@ def lint_sources(
     return _finish_project(records, active)
 
 
-def lint_source(
-    source: str,
-    logical_path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint one source string (the fixture entry point used by the tests)."""
-    return lint_sources({logical_path: source}, rules)
-
-
 def iter_python_files(paths: Iterable[str]) -> List[Path]:
     """Every ``.py`` file under ``paths`` (files kept as-is), sorted."""
     files: List[Path] = []
@@ -443,34 +383,17 @@ def iter_python_files(paths: Iterable[str]) -> List[Path]:
 
 
 def lint_paths(
-    paths: Iterable[str],
-    rules: Optional[Sequence[Rule]] = None,
-    cache: Optional[object] = None,
+    paths: Iterable[str], rules: Optional[Sequence[Rule]] = None
 ) -> Tuple[List[Finding], int]:
     """Lint every Python file under ``paths``.
 
     Returns ``(findings, files_checked)``.  A missing path raises
     :class:`FileNotFoundError` (a CI job must not silently lint nothing);
     an unparseable file becomes a ``LINT001`` finding.
-
-    ``cache`` is an optional :class:`repro.analysis.cache.LintCache`: hits
-    skip the parse + per-module rule pass for unchanged files entirely
-    (project rules always re-run, over the cached summaries).
     """
-    active = list(rules) if rules is not None else list(_default_rules())
-    known = _known_ids(active)
     files = iter_python_files(paths)
-    records: List[ModuleRecord] = []
-    for path in files:
-        record: Optional[ModuleRecord] = None
-        if cache is not None:
-            record = cache.lookup(path)  # type: ignore[attr-defined]
-        if record is None:
-            record = _module_pass(path.read_text(), str(path), active, known)
-            if cache is not None:
-                cache.store(path, record)  # type: ignore[attr-defined]
-        records.append(record)
-    return _finish_project(records, active), len(files)
+    sources = {str(path): path.read_text() for path in files}
+    return lint_sources(sources, rules), len(files)
 
 
 # -- reporters -------------------------------------------------------------------

@@ -15,7 +15,7 @@ baseline's point of view.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.load_circuit import registers_for_load_power
 from repro.power.library import (
@@ -49,15 +49,6 @@ class OverheadRow:
     load_power_w: float
     load_registers: int
     overhead_reduction: float
-
-    def as_dict(self) -> dict:
-        """Dictionary form used by experiment drivers and tests."""
-        return {
-            "load_power_w": self.load_power_w,
-            "load_registers": self.load_registers,
-            "overhead_reduction": self.overhead_reduction,
-        }
-
 
 @dataclass
 class OverheadTable:

@@ -10,14 +10,11 @@ threads, two sweep-cell code paths seeding ``default_rng`` identically.
 This module is the cross-module layer those rules need:
 
 ``ModuleSummary``
-    One JSON-serializable digest per module, extracted in a single AST
-    pass: functions and the raw dotted names they call, thread-start and
-    fork call sites, ``default_rng`` call sites with their seed
-    expression text, per-class lock attributes and attribute accesses
-    (with the locks held at each access), and dict get-or-create cache
-    idioms.  Because the digest is plain JSON it is what the incremental
-    lint cache (:mod:`repro.analysis.cache`) persists -- a warm run
-    never re-parses an unchanged file.
+    One digest per module, extracted in a single AST pass: functions and
+    the raw dotted names they call, thread-start and fork call sites,
+    ``default_rng`` call sites with their seed expression text, per-class
+    lock attributes and attribute accesses (with the locks held at each
+    access), and dict get-or-create cache idioms.
 
 ``LintProject``
     The shared symbol table + call graph over every summary, with
@@ -216,49 +213,6 @@ class ModuleSummary:
     global_accesses: List[AttrAccess]
     cache_ops: List[CacheOp]
     starts_threads: bool
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "ModuleSummary":
-        def access(raw: Dict[str, object]) -> AttrAccess:
-            return AttrAccess(**raw)  # type: ignore[arg-type]
-
-        functions = {
-            name: FunctionSummary(
-                qualname=str(raw["qualname"]),
-                lineno=int(raw["lineno"]),  # type: ignore[arg-type]
-                calls=list(raw["calls"]),  # type: ignore[arg-type]
-                starts_thread=bool(raw["starts_thread"]),
-                fork_calls=[tuple(item) for item in raw["fork_calls"]],  # type: ignore[arg-type,misc]
-                rng_calls=[tuple(item) for item in raw["rng_calls"]],  # type: ignore[arg-type,misc]
-            )
-            for name, raw in dict(data["functions"]).items()  # type: ignore[arg-type,call-overload]
-        }
-        classes = {
-            name: ClassSummary(
-                name=str(raw["name"]),
-                lineno=int(raw["lineno"]),  # type: ignore[arg-type]
-                bases=list(raw["bases"]),  # type: ignore[arg-type]
-                lock_attrs=dict(raw["lock_attrs"]),  # type: ignore[arg-type]
-                accesses=[access(item) for item in raw["accesses"]],  # type: ignore[union-attr]
-            )
-            for name, raw in dict(data["classes"]).items()  # type: ignore[arg-type,call-overload]
-        }
-        return cls(
-            logical_path=str(data["logical_path"]),
-            module_key=str(data["module_key"]),
-            module_name=str(data["module_name"]),
-            imports=dict(data["imports"]),  # type: ignore[arg-type]
-            functions=functions,
-            classes=classes,
-            global_locks=list(data["global_locks"]),  # type: ignore[arg-type]
-            global_accesses=[access(item) for item in data["global_accesses"]],  # type: ignore[union-attr]
-            cache_ops=[CacheOp(**item) for item in data["cache_ops"]],  # type: ignore[arg-type,union-attr]
-            starts_threads=bool(data["starts_threads"]),
-        )
-
 
 def _module_name_for(module_key: str) -> str:
     """Dotted import name of a module key (``pipeline/backends.py``)."""

@@ -18,8 +18,8 @@ detector and the area analysis treat them interchangeably:
     period and tiled (the circuits are strictly periodic);
 ``power_trace(estimator, num_cycles)``
     the watermark's per-cycle power contribution;
-``cell_inventory()`` / ``added_register_count``
-    structural figures for the area and leakage analysis.
+``cell_inventory()``
+    structural figures for the leakage analysis.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.clock_modulation import ClockModulatedBank, ClockModulatedIPBlock
+from repro.core.clock_modulation import ClockModulatedBank
 from repro.core.config import ArchitectureKind, WatermarkConfig
 from repro.core.load_circuit import LoadCircuit
 from repro.core.wgc import WatermarkGenerationCircuit
@@ -57,11 +57,6 @@ class WatermarkArchitecture(abc.ABC):
     def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
         """Activity of the power-pattern producer under the given WMARK bits."""
 
-    @property
-    @abc.abstractmethod
-    def added_register_count(self) -> int:
-        """Registers the watermark adds to the host design."""
-
     @abc.abstractmethod
     def cell_inventory(self) -> Dict[str, int]:
         """Cell counts per library class of all watermark-involved hardware.
@@ -69,15 +64,6 @@ class WatermarkArchitecture(abc.ABC):
         Used for leakage estimation: every cell whose activity the watermark
         controls contributes, including reused host cells.
         """
-
-    def added_cell_inventory(self) -> Dict[str, int]:
-        """Cell counts of the hardware the watermark *adds* to the design.
-
-        Differs from :meth:`cell_inventory` for the clock-modulation
-        architecture in its intended end application, where an existing IP
-        sub-module is reused and only the WGC is new.
-        """
-        return self.cell_inventory()
 
     # -- shared behaviour -----------------------------------------------------
 
@@ -115,13 +101,6 @@ class WatermarkArchitecture(abc.ABC):
             raise ValueError("num_cycles must be positive")
         periodic = self.periodic_activity()
         return {key: trace.tile(num_cycles) for key, trace in periodic.items()}
-
-    def combined_activity(self, num_cycles: int) -> ActivityTrace:
-        """Total watermark activity (WGC plus load) over ``num_cycles``."""
-        traces = self.activity_traces(num_cycles)
-        combined = traces["wgc"].add(traces["load"])
-        combined.name = self.name
-        return combined
 
     def power_template(
         self, estimator: PowerEstimator, include_leakage: bool = True
@@ -172,10 +151,6 @@ class WatermarkArchitecture(abc.ABC):
             return 0.0
         return float(np.mean(active))
 
-    def total_register_count(self) -> int:
-        """All registers of the watermark hardware (WGC plus added load)."""
-        return self.wgc.register_count + self.added_register_count
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, period={self.sequence_period})"
 
@@ -208,10 +183,6 @@ class BaselineWatermark(WatermarkArchitecture):
 
     def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
         return self.load.activity(wmark)
-
-    @property
-    def added_register_count(self) -> int:
-        return self.load.register_count
 
     def cell_inventory(self) -> Dict[str, int]:
         inventory = dict(self.wgc.cell_inventory())
@@ -247,23 +218,6 @@ class ClockModulationWatermark(WatermarkArchitecture):
         )
         return cls(wgc=wgc, modulated_block=bank, name=name)
 
-    @classmethod
-    def reusing_ip_block(
-        cls,
-        modulated_registers: int,
-        data_activity_factor: float = 0.0,
-        config: Optional[WatermarkConfig] = None,
-        name: str = "clock_modulation_watermark",
-    ) -> "ClockModulationWatermark":
-        """The end-application variant that reuses an existing IP sub-module."""
-        config = config or WatermarkConfig()
-        wgc = WatermarkGenerationCircuit.minimal(width=config.lfsr_width, seed=config.lfsr_seed)
-        block = ClockModulatedIPBlock(
-            modulated_registers=modulated_registers,
-            data_activity_factor=data_activity_factor,
-        )
-        return cls(wgc=wgc, modulated_block=block, name=name)
-
     @property
     def kind(self) -> ArchitectureKind:
         return ArchitectureKind.CLOCK_MODULATION
@@ -271,19 +225,8 @@ class ClockModulationWatermark(WatermarkArchitecture):
     def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
         return self.modulated_block.activity(wmark)
 
-    @property
-    def added_register_count(self) -> int:
-        return self.modulated_block.register_count
-
     def cell_inventory(self) -> Dict[str, int]:
         inventory = dict(self.wgc.cell_inventory())
         for cell_type, count in self.modulated_block.cell_inventory().items():
             inventory[cell_type] = inventory.get(cell_type, 0) + count
         return inventory
-
-    def added_cell_inventory(self) -> Dict[str, int]:
-        if self.modulated_block.register_count == 0:
-            # The modulated sub-module already exists in the host design;
-            # only the WGC is new hardware.
-            return dict(self.wgc.cell_inventory())
-        return self.cell_inventory()

@@ -82,11 +82,6 @@ class WatermarkConfig:
         """Period of the watermark sequence."""
         return (1 << self.lfsr_width) - 1
 
-    @property
-    def bank_registers(self) -> int:
-        """Total register count of the clock-modulated bank."""
-        return self.num_words * self.word_width
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able representation (the architecture enum becomes its value)."""
         return _config_to_dict(self)
@@ -224,16 +219,6 @@ class ExperimentConfig:
     watermark: WatermarkConfig = field(default_factory=WatermarkConfig)
     measurement: MeasurementConfig = field(default_factory=MeasurementConfig)
     detection: DetectionConfig = field(default_factory=DetectionConfig)
-
-    @classmethod
-    def paper_defaults(cls) -> "ExperimentConfig":
-        """The configuration matching the paper's silicon experiments."""
-        return cls()
-
-    @classmethod
-    def fast(cls, num_cycles: int = 40_000) -> "ExperimentConfig":
-        """A reduced-length configuration for quick tests and CI runs."""
-        return cls(measurement=MeasurementConfig(num_cycles=num_cycles))
 
     @classmethod
     def quick(cls, num_cycles: Optional[int] = None) -> "ExperimentConfig":

@@ -78,17 +78,6 @@ class LoadCircuit:
             remaining -= width
             index += 1
 
-    @classmethod
-    def sized_for_power(
-        cls, load_power_w: float, word_width: int = 8, name: str = "load"
-    ) -> "LoadCircuit":
-        """Build a load circuit sized for a target detectable dynamic power."""
-        return cls(
-            num_registers=registers_for_load_power(load_power_w),
-            word_width=word_width,
-            name=name,
-        )
-
     # -- structural properties ---------------------------------------------
 
     @property

@@ -123,11 +123,6 @@ class WatermarkGenerationCircuit:
         return generators + self.always_clocked_registers
 
     @property
-    def active_register_count(self) -> int:
-        """Flip-flops that are clocked during watermark operation."""
-        return self.active_generator.register_count + self.always_clocked_registers
-
-    @property
     def cell_count(self) -> int:
         """Library cell count (registers plus control gates)."""
         return self.register_count + self.control.gate_count

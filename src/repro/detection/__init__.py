@@ -45,13 +45,10 @@ from repro.detection.statistics import (
     BoxPlotStats,
     RepetitionStatistics,
     detection_z_score,
-    peak_to_second_peak_ratio,
 )
 from repro.detection.metrics import (
-    DetectionCampaignResult,
     detection_probability,
     estimate_required_cycles,
-    watermark_snr,
 )
 from repro.detection.campaign import (
     DetectionOperatingPoint,
@@ -76,9 +73,6 @@ __all__ = [
     "BoxPlotStats",
     "RepetitionStatistics",
     "detection_z_score",
-    "peak_to_second_peak_ratio",
-    "DetectionCampaignResult",
     "detection_probability",
     "estimate_required_cycles",
-    "watermark_snr",
 ]

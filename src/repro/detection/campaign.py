@@ -71,20 +71,6 @@ class DetectionProbabilityCurve:
                 return point.num_cycles
         return None
 
-    def is_monotonic(self, wiggle_tolerance: float = 0.15) -> bool:
-        """Detection probability should not degrade with more cycles (statistically).
-
-        ``wiggle_tolerance`` is how much one point may dip below its
-        predecessor before the curve counts as non-monotonic; the default
-        absorbs the sampling noise of small trial counts.  Pass ``0.0`` to
-        require strict (non-decreasing) monotonicity.
-        """
-        if wiggle_tolerance < 0:
-            raise ValueError("wiggle tolerance must be non-negative")
-        ordered = sorted(self.points, key=lambda p: p.num_cycles)
-        probabilities = [p.detection_probability for p in ordered]
-        return all(b >= a - wiggle_tolerance for a, b in zip(probabilities, probabilities[1:]))
-
     def to_text(self) -> str:
         """Render the curve as a text table."""
         lines = [

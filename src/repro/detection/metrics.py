@@ -2,19 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-def watermark_snr(watermark_amplitude_w: float, noise_sigma_w: float) -> float:
-    """Watermark amplitude over per-cycle noise sigma."""
-    if watermark_amplitude_w < 0 or noise_sigma_w < 0:
-        raise ValueError("amplitude and noise must be non-negative")
-    if noise_sigma_w == 0:
-        return float("inf") if watermark_amplitude_w > 0 else 0.0
-    return watermark_amplitude_w / noise_sigma_w
 
 
 def expected_correlation(watermark_amplitude_w: float, noise_sigma_w: float, duty: float = 0.5) -> float:
@@ -57,40 +47,6 @@ def estimate_required_cycles(
     extreme_factor = np.sqrt(2.0 * np.log(num_rotations))
     required_sigma = confidence_sigma + extreme_factor
     return int(np.ceil((required_sigma / expected_rho) ** 2))
-
-
-@dataclass
-class DetectionCampaignResult:
-    """Summary of a multi-repetition detection campaign."""
-
-    label: str
-    detections: np.ndarray
-    peak_correlations: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.detections = np.asarray(self.detections, dtype=bool)
-        self.peak_correlations = np.asarray(self.peak_correlations, dtype=np.float64)
-        if len(self.detections) != len(self.peak_correlations):
-            raise ValueError("detections and peak correlations must have equal length")
-
-    @property
-    def repetitions(self) -> int:
-        """Number of repetitions in the campaign."""
-        return len(self.detections)
-
-    @property
-    def detection_rate(self) -> float:
-        """Fraction of repetitions with a successful detection."""
-        if self.repetitions == 0:
-            return 0.0
-        return float(np.mean(self.detections))
-
-    @property
-    def mean_peak_correlation(self) -> float:
-        """Average peak correlation over the campaign."""
-        if self.repetitions == 0:
-            return 0.0
-        return float(np.mean(self.peak_correlations))
 
 
 def detection_probability(detections: Sequence[bool]) -> float:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,11 +29,6 @@ class SpreadSpectrum:
         return len(self.correlations)
 
     @property
-    def rotations(self) -> np.ndarray:
-        """The x-axis: rotation indices 0 .. period-1."""
-        return np.arange(len(self.correlations))
-
-    @property
     def peak_rotation(self) -> int:
         """Rotation index of the largest |correlation|."""
         return int(np.argmax(np.abs(self.correlations)))
@@ -43,45 +37,3 @@ class SpreadSpectrum:
     def peak_correlation(self) -> float:
         """Correlation value at the peak rotation."""
         return float(self.correlations[self.peak_rotation])
-
-    @property
-    def noise_floor(self) -> Tuple[float, float]:
-        """(mean, std) of the off-peak correlations."""
-        off_peak = np.delete(self.correlations, self.peak_rotation)
-        return float(np.mean(off_peak)), float(np.std(off_peak))
-
-    def has_single_resolvable_peak(self, threshold_sigma: float = 4.0) -> bool:
-        """Whether exactly one correlation stands above the noise floor."""
-        mean, std = self.noise_floor
-        if std == 0.0:
-            return abs(self.peak_correlation) > 0
-        scores = (np.abs(self.correlations) - abs(mean)) / std
-        significant = int(np.sum(scores >= threshold_sigma))
-        return significant == 1 and scores[self.peak_rotation] >= threshold_sigma
-
-    def to_series(self) -> List[Tuple[int, float]]:
-        """(rotation, correlation) pairs, e.g. for CSV export or plotting."""
-        return list(zip(self.rotations.tolist(), self.correlations.tolist()))
-
-    def downsample(self, max_points: int = 500) -> "SpreadSpectrum":
-        """Envelope-preserving downsampling for terminal-friendly rendering."""
-        if max_points <= 1 or len(self) <= max_points:
-            return self
-        bins = np.array_split(self.correlations, max_points)
-        reduced = np.array([b[np.argmax(np.abs(b))] for b in bins])
-        return SpreadSpectrum(label=f"{self.label} (downsampled)", correlations=reduced)
-
-    def render_ascii(self, width: int = 72, height: int = 12) -> str:
-        """Render the spread spectrum as a small ASCII chart."""
-        reduced = self.downsample(width).correlations
-        low, high = float(np.min(reduced)), float(np.max(reduced))
-        if high - low <= 0:
-            high = low + 1e-9
-        rows = []
-        for level in range(height, -1, -1):
-            threshold = low + (high - low) * level / height
-            row = "".join("#" if value >= threshold else " " for value in reduced)
-            rows.append(f"{threshold:+.4f} |{row}")
-        rows.append(" " * 9 + "+" + "-" * len(reduced))
-        header = f"{self.label}: peak rho={self.peak_correlation:.4f} at rotation {self.peak_rotation}"
-        return "\n".join([header] + rows)

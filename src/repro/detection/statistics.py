@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,17 +19,6 @@ def detection_z_score(correlations: np.ndarray) -> float:
     if std == 0.0:
         return float("inf") if abs(correlations[peak_index]) > 0 else 0.0
     return float((abs(correlations[peak_index]) - abs(np.mean(off_peak))) / std)
-
-
-def peak_to_second_peak_ratio(correlations: np.ndarray) -> float:
-    """|peak| divided by the second largest |correlation|."""
-    correlations = np.asarray(correlations, dtype=np.float64)
-    if len(correlations) < 2:
-        raise ValueError("need at least two rotations")
-    magnitudes = np.sort(np.abs(correlations))[::-1]
-    if magnitudes[1] == 0.0:
-        return float("inf") if magnitudes[0] > 0 else 1.0
-    return float(magnitudes[0] / magnitudes[1])
 
 
 @dataclass(frozen=True)
@@ -63,12 +52,6 @@ class BoxPlotStats:
             whisker_high=float(whisker_high),
             outliers=tuple(outliers.tolist()),
         )
-
-    @property
-    def interquartile_range(self) -> float:
-        """Q3 - Q1."""
-        return self.q3 - self.q1
-
 
 @dataclass
 class RepetitionStatistics:
@@ -132,12 +115,3 @@ class RepetitionStatistics:
     def off_peak_box(self) -> BoxPlotStats:
         """Box-plot statistics of the out-of-phase correlation values."""
         return BoxPlotStats.from_samples(self.off_peak_values)
-
-    def separation(self) -> float:
-        """Gap between the peak box and the off-peak 97.5th percentile.
-
-        Positive separation means the peak box is fully distinguishable from
-        the off-peak distribution, i.e. the Fig. 6 peak is resolvable in
-        every repetition.
-        """
-        return float(self.peak_box().whisker_low - self.off_peak_box().whisker_high)

@@ -9,7 +9,7 @@ scenario pipeline -- ``python -m repro run <name>``,
 dataclass as ``payload``.
 """
 
-from repro.experiments.common import build_watermark, paper_expectations
+from repro.experiments.common import build_watermark
 from repro.experiments.fig2 import Fig2Result
 from repro.experiments.fig3 import Fig3Result
 from repro.experiments.fig5 import Fig5Panel, Fig5Result
@@ -20,7 +20,6 @@ from repro.experiments.robustness_exp import RobustnessResult
 
 __all__ = [
     "build_watermark",
-    "paper_expectations",
     "Fig2Result",
     "Fig3Result",
     "Fig5Panel",

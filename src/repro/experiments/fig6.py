@@ -33,8 +33,9 @@ class Fig6ChipResult:
     def peak_separated(self) -> bool:
         """Whether the peak box is separated from the off-peak distribution.
 
-        The same test as :meth:`RepetitionStatistics.separation`, on the
-        boxes this result already holds.
+        Separated means the peak's lower whisker lies above the off-peak
+        97.5th percentile: the Fig. 6 peak is resolvable in every
+        repetition.
         """
         return self.peak_box.whisker_low - self.off_peak_box.whisker_high > 0
 

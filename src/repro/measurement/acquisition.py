@@ -65,14 +65,6 @@ class MeasuredTrace:
             return 0.0
         return float(np.mean(self.values))
 
-    @property
-    def std_power_w(self) -> float:
-        """Standard deviation of the measured per-cycle power."""
-        if len(self.values) == 0:
-            return 0.0
-        return float(np.std(self.values))
-
-
 class AcquisitionCampaign:
     """Measures chip power traces with the modelled bench setup."""
 

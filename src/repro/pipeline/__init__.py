@@ -11,7 +11,7 @@ The public surface:
   JSON/``.npz`` round-trip and provenance stamps;
 * :data:`DEFAULT_REGISTRY` -- every paper figure/table (plus campaign
   scenarios) as a named spec factory;
-* :class:`SpecGrid` / :func:`grid` -- cartesian sweep builders expanding a
+* :class:`SpecGrid` -- the cartesian sweep builder expanding a
   base scenario along chip/noise/length/seed axes, and
   ``run_many(..., backend="process", max_workers=N)`` to execute such
   grids on a process pool (bit-identical to serial, see
@@ -47,10 +47,9 @@ from repro.pipeline.registry import (
     RegistryEntry,
     RunOptions,
     SpecGrid,
-    grid,
 )
 from repro.pipeline.runner import ExperimentRunner, Pipeline, run_scenario
-from repro.pipeline.stages import PipelineStage, StageContext, registered_kinds
+from repro.pipeline.stages import PipelineStage, StageContext
 
 __all__ = [
     "ScenarioSpec",
@@ -75,11 +74,9 @@ __all__ = [
     "RegistryEntry",
     "RunOptions",
     "SpecGrid",
-    "grid",
     "ExperimentRunner",
     "Pipeline",
     "run_scenario",
     "PipelineStage",
     "StageContext",
-    "registered_kinds",
 ]

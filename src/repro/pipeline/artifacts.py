@@ -178,18 +178,6 @@ class ScenarioResult:
         return self.error is None
 
     @property
-    def arrays_stripped(self) -> bool:
-        """Whether this result lost its array *data* in transit.
-
-        True for a result rebuilt by :meth:`from_wire` from a wire form
-        whose ``npz`` payload was stripped (service responses do this --
-        spectra can be megabytes) while the JSON side still records array
-        metadata.  Scalars, report and provenance remain bit-exact, so
-        transcripts re-verify; only the numeric arrays are gone.
-        """
-        return not self.arrays and bool(getattr(self, "_stripped_arrays", {}))
-
-    @property
     def artifact_stem(self) -> str:
         """The scenario name sanitized into a single path component.
 
@@ -214,7 +202,7 @@ class ScenarioResult:
         }
 
     def _arrays_metadata(self) -> Dict[str, Dict[str, Any]]:
-        # An array-stripped result (see arrays_stripped) keeps the
+        # An array-stripped result (see from_wire) keeps the
         # metadata it arrived with, so the wire JSON round-trips exactly
         # even though the data itself is gone.
         if self.arrays:
@@ -273,9 +261,8 @@ class ScenarioResult:
 
         A wire form whose ``npz`` payload was stripped (``None``) still
         round-trips: the array metadata from the JSON side is retained,
-        ``to_wire()`` re-emits it unchanged, and :attr:`arrays_stripped`
-        reports the data loss -- so a signed transcript re-verifies from
-        the wire JSON alone, no ``.npz`` required.
+        and ``to_wire()`` re-emits it unchanged -- so a signed transcript
+        re-verifies from the wire JSON alone, no ``.npz`` required.
         """
         payload = json.loads(wire["json"])
         arrays: Dict[str, np.ndarray] = {}

@@ -213,21 +213,6 @@ class SpecGrid:
         return specs
 
 
-def grid(
-    base: Union[str, ScenarioSpec],
-    options: Optional[RunOptions] = None,
-    *,
-    chips: Optional[Sequence[str]] = None,
-    noise_scales: Optional[Sequence[float]] = None,
-    lengths: Optional[Sequence[int]] = None,
-    seeds: Optional[Sequence[int]] = None,
-) -> List[ScenarioSpec]:
-    """One-shot :class:`SpecGrid` convenience wrapper."""
-    return SpecGrid(base, options or RunOptions()).build(
-        chips=chips, noise_scales=noise_scales, lengths=lengths, seeds=seeds
-    )
-
-
 DEFAULT_REGISTRY = ExperimentRegistry()
 
 

@@ -55,11 +55,6 @@ class Pipeline:
         """Resolve the stage graph for ``spec`` (raises on unknown kinds)."""
         return cls(spec=spec, stages=tuple(stages_for(spec)))
 
-    @property
-    def stage_names(self) -> Tuple[str, ...]:
-        """The stage names in execution order."""
-        return tuple(stage.name for stage in self.stages)
-
     def execute(self, runner: Optional["ExperimentRunner"] = None) -> ScenarioResult:
         """Run every stage and assemble the typed result artifact."""
         runner = runner or ExperimentRunner()

@@ -93,11 +93,6 @@ def stages_for(spec: ScenarioSpec) -> List[PipelineStage]:
     return builder(spec)
 
 
-def registered_kinds() -> List[str]:
-    """Every kind the stage registry can resolve."""
-    return sorted(_STAGE_BUILDERS)
-
-
 # -- shared stages ---------------------------------------------------------------
 
 

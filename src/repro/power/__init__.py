@@ -15,13 +15,12 @@ from repro.power.models import (
     OperatingPoint,
     scale_energy_with_voltage,
 )
-from repro.power.estimator import PowerEstimator, ComponentPower
-from repro.power.trace import PowerTrace, CurrentTrace
+from repro.power.estimator import PowerEstimator
+from repro.power.trace import PowerTrace
 from repro.power.report import PowerReport, PowerReportRow
 from repro.power.synthesis import (
     PeriodicPowerTemplate,
     TraceSynthesizer,
-    gather_periodic_rows,
     periodic_extend,
 )
 
@@ -34,13 +33,10 @@ __all__ = [
     "OperatingPoint",
     "scale_energy_with_voltage",
     "PowerEstimator",
-    "ComponentPower",
     "PowerTrace",
-    "CurrentTrace",
     "PowerReport",
     "PowerReportRow",
     "PeriodicPowerTemplate",
     "TraceSynthesizer",
-    "gather_periodic_rows",
     "periodic_extend",
 ]

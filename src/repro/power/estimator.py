@@ -11,8 +11,7 @@ produces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -21,20 +20,6 @@ from repro.power.models import DynamicPowerModel, OperatingPoint, StaticPowerMod
 from repro.power.trace import PowerTrace
 from repro.rtl.activity import ActivityRecord, ActivityTrace
 from repro.rtl.signals import Clock
-
-
-@dataclass(frozen=True)
-class ComponentPower:
-    """Power figures of one component (or component group)."""
-
-    name: str
-    dynamic_w: float
-    static_w: float
-
-    @property
-    def total_w(self) -> float:
-        """Dynamic plus static power."""
-        return self.dynamic_w + self.static_w
 
 
 class PowerEstimator:
@@ -65,25 +50,6 @@ class PowerEstimator:
         return cls(OperatingPoint(clock=clock, voltage_v=voltage_v))
 
     # -- component-level reporting ---------------------------------------
-
-    def component_power(
-        self,
-        name: str,
-        cell_type: str,
-        trace: ActivityTrace,
-        cell_counts: Optional[Mapping[str, int]] = None,
-        active_fraction: float = 0.0,
-    ) -> ComponentPower:
-        """Average power of one component over an activity trace.
-
-        ``cell_counts`` gives the leakage-relevant cell inventory
-        (``{"dff": 1024, "icg": 32}``); when omitted a single cell of
-        ``cell_type`` is assumed.
-        """
-        dynamic = self.dynamic_model.average_power(cell_type, trace)
-        counts = dict(cell_counts) if cell_counts else {cell_type: 1}
-        static = self.static_model.total_leakage(counts, active_fraction)
-        return ComponentPower(name=name, dynamic_w=dynamic, static_w=static)
 
     def cycle_power(self, cell_type: str, activity: ActivityRecord) -> float:
         """Average power during a single cycle with the given activity."""

@@ -86,13 +86,6 @@ class CellLibrary:
         """Names of the cell classes in the library."""
         return self.cells.keys()
 
-    def area_of(self, cell_type: str, count: int = 1) -> float:
-        """Total area in um^2 of ``count`` cells of ``cell_type``."""
-        if count < 0:
-            raise ValueError("cell count must be non-negative")
-        return self.cell(cell_type).area_um2 * count
-
-
 def _build_tsmc65lp_like() -> CellLibrary:
     """Build the default 65 nm low-leakage-class library."""
     cells = {

@@ -9,7 +9,7 @@ circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 
 def format_power(value_w: float) -> str:
@@ -39,17 +39,6 @@ class PowerReportRow:
     def total_w(self) -> float:
         """Dynamic plus static power."""
         return self.dynamic_w + self.static_w
-
-    def as_dict(self) -> dict:
-        """Dictionary form used by the experiment drivers and tests."""
-        return {
-            "implementation": self.implementation,
-            "dynamic_w": self.dynamic_w,
-            "static_w": self.static_w,
-            "total_w": self.total_w,
-            "share_of_watermark_dynamic": self.share_of_watermark_dynamic,
-        }
-
 
 @dataclass
 class PowerReport:

@@ -83,25 +83,6 @@ def _periodic_windows(template: np.ndarray, num_cycles: int) -> np.ndarray:
     return sliding_window_view(tiled, num_cycles)
 
 
-def gather_periodic_rows(
-    template: np.ndarray,
-    offsets: np.ndarray,
-    num_cycles: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Gather ``rows[r, i] = template[(offsets[r] + i) % period]`` batched.
-
-    One strided-window gather replaces a Python slice per trial: every row
-    is a window of the tiled template buffer selected by its phase offset.
-    """
-    windows = _periodic_windows(template, num_cycles)
-    offsets = np.asarray(offsets, dtype=np.int64) % len(np.asarray(template))
-    if out is None:
-        return windows[offsets]
-    np.take(windows, offsets, axis=0, out=out)
-    return out
-
-
 @dataclass
 class PeriodicPowerTemplate:
     """One period of a strictly periodic per-cycle power trace.
@@ -176,18 +157,12 @@ def _per_row(
 
 
 class TraceSynthesizer:
-    """Synthesizes watermarked traces and Monte-Carlo trial rows vectorised.
+    """Synthesizes Monte-Carlo trial rows of the measurement model, vectorised.
 
-    Two construction paths cover the pipeline's generation needs:
-
-    * :meth:`from_sequence` -- the statistical measurement model used by
-      the detection-probability campaign and the masking sweeps:
-      ``Y = base + amplitude * X(rotated) + N(0, sigma)``.
-    * :meth:`for_watermark` -- the physical model: one exact period of a
-      watermark architecture's activity turned into a power template.
-
-    Trial rows stream straight into
-    :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
+    :meth:`from_sequence` builds the statistical measurement model used by
+    the detection-probability campaign and the masking sweeps:
+    ``Y = base + amplitude * X(rotated) + N(0, sigma)``.  Trial rows stream
+    straight into :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
     """
 
     def __init__(
@@ -196,7 +171,6 @@ class TraceSynthesizer:
         watermark_amplitude_w: float = 1.0,
         noise_sigma_w: float = 0.0,
         base_power_w: float = 0.0,
-        template: Optional[PeriodicPowerTemplate] = None,
     ) -> None:
         self.sequence = np.asarray(sequence, dtype=np.float64)
         if self.sequence.ndim != 1 or len(self.sequence) == 0:
@@ -206,7 +180,6 @@ class TraceSynthesizer:
         self.watermark_amplitude_w = float(watermark_amplitude_w)
         self.noise_sigma_w = float(noise_sigma_w)
         self.base_power_w = float(base_power_w)
-        self.template = template
 
     # -- constructors -------------------------------------------------------
 
@@ -226,35 +199,12 @@ class TraceSynthesizer:
             base_power_w=base_power_w,
         )
 
-    @classmethod
-    def for_watermark(
-        cls, architecture, estimator, include_leakage: bool = True
-    ) -> "TraceSynthesizer":
-        """Synthesizer built from a watermark architecture's periodic template.
-
-        Computes one period of closed-form activity and keeps the
-        resulting per-cycle power as the template; ``architecture`` is any
-        object exposing the
-        :class:`repro.core.architectures.WatermarkArchitecture` interface.
-        """
-        template = architecture.power_template(estimator, include_leakage)
-        return cls(architecture.sequence(), template=template)
-
     # -- synthesis ----------------------------------------------------------
 
     @property
     def period(self) -> int:
         """Period of the watermark sequence."""
         return len(self.sequence)
-
-    def synthesize_power(self, num_cycles: int, phase_offset: int = 0) -> PowerTrace:
-        """Watermark power trace over ``num_cycles`` from the periodic template."""
-        if self.template is None:
-            raise ValueError(
-                "this synthesizer has no power template; build it with "
-                "TraceSynthesizer.for_watermark"
-            )
-        return self.template.extend(num_cycles, phase_offset)
 
     def trial_rows(
         self,
@@ -327,28 +277,6 @@ class TraceSynthesizer:
 
         return rows()
 
-    def synthesize_trials(
-        self,
-        trials: int,
-        num_cycles: int,
-        rng: np.random.Generator,
-        noise_sigmas: Union[None, float, Sequence[float]] = None,
-        enable_duties: Union[None, float, Sequence[float]] = None,
-        amplitudes: Union[None, float, Sequence[float]] = None,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """The rows of :meth:`trial_rows` stacked into a ``trials x num_cycles`` matrix."""
-        rows = self.trial_rows(
-            trials, num_cycles, rng, noise_sigmas, enable_duties, amplitudes
-        )
-        if out is None:
-            out = np.empty((trials, num_cycles), dtype=np.float64)
-        elif out.shape != (trials, num_cycles):
-            raise ValueError("out must be a trials x num_cycles array")
-        for index, row in enumerate(rows):
-            out[index] = row
-        return out
-
     def detect_trials(
         self,
         detector,
@@ -368,7 +296,4 @@ class TraceSynthesizer:
         return detector.detect_many(self.sequence, rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TraceSynthesizer(period={self.period}, "
-            f"template={'yes' if self.template is not None else 'no'})"
-        )
+        return f"TraceSynthesizer(period={self.period})"

@@ -1,15 +1,12 @@
-"""Power and current traces.
+"""Power traces.
 
 A :class:`PowerTrace` holds one average power value per clock cycle -- the
 quantity that, after the measurement chain, becomes the CPA vector ``Y``.
-A :class:`CurrentTrace` is the same data expressed as supply current, which
-is what the shunt resistor and oscilloscope actually observe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -53,11 +50,6 @@ class PowerTrace:
     def num_cycles(self) -> int:
         """Number of clock cycles covered."""
         return len(self.power_w)
-
-    @property
-    def duration_s(self) -> float:
-        """Wall-clock duration of the trace."""
-        return self.num_cycles * self.clock.period_s
 
     @property
     def average_power_w(self) -> float:
@@ -122,50 +114,5 @@ class PowerTrace:
             name=self.name,
             clock=self.clock,
             power_w=np.tile(self.power_w, reps)[:num_cycles],
-            voltage_v=self.voltage_v,
-        )
-
-    def to_current(self) -> "CurrentTrace":
-        """Convert to the supply-current trace seen by the shunt resistor."""
-        return CurrentTrace(
-            name=self.name,
-            clock=self.clock,
-            current_a=self.power_w / self.voltage_v,
-            voltage_v=self.voltage_v,
-        )
-
-
-@dataclass
-class CurrentTrace:
-    """Per-cycle average supply current in amperes."""
-
-    name: str
-    clock: Clock
-    current_a: np.ndarray
-    voltage_v: float = 1.2
-
-    def __post_init__(self) -> None:
-        self.current_a = np.asarray(self.current_a, dtype=np.float64)
-        if self.current_a.ndim != 1:
-            raise ValueError("current trace must be one-dimensional")
-        if self.voltage_v <= 0:
-            raise ValueError("supply voltage must be positive")
-
-    def __len__(self) -> int:
-        return len(self.current_a)
-
-    @property
-    def average_current_a(self) -> float:
-        """Mean current over the whole trace."""
-        if len(self.current_a) == 0:
-            return 0.0
-        return float(np.mean(self.current_a))
-
-    def to_power(self) -> PowerTrace:
-        """Convert back to a power trace."""
-        return PowerTrace(
-            name=self.name,
-            clock=self.clock,
-            power_w=self.current_a * self.voltage_v,
             voltage_v=self.voltage_v,
         )

@@ -1,7 +1,7 @@
 """Register-transfer-level circuit substrate.
 
 This package provides the structural building blocks used by the watermark
-architectures and by the SoC model: signals, sequential and clock-network
+architectures and by the SoC model: clocks, sequential and clock-network
 components, a hierarchical module system, a flattened netlist graph, and
 the per-cycle switching-activity records the power estimator consumes.
 
@@ -11,7 +11,7 @@ power value per clock cycle, so per-cycle switching-activity accounting is
 the right level of abstraction for reproducing the paper's results.
 """
 
-from repro.rtl.signals import Signal, Clock, LogicLevel
+from repro.rtl.signals import Clock
 from repro.rtl.activity import ActivityRecord, ActivityTrace
 from repro.rtl.components import (
     Component,
@@ -22,14 +22,12 @@ from repro.rtl.components import (
     CombinationalBlock,
     ShiftRegister,
 )
-from repro.rtl.clock_tree import ClockTree, ClockTreeLevel, build_clock_tree
+from repro.rtl.clock_tree import ClockTree, ClockTreeLevel
 from repro.rtl.netlist import Netlist, NetlistEdge
-from repro.rtl.module import Module, Port, PortDirection
+from repro.rtl.module import Module
 
 __all__ = [
-    "Signal",
     "Clock",
-    "LogicLevel",
     "ActivityRecord",
     "ActivityTrace",
     "Component",
@@ -41,10 +39,7 @@ __all__ = [
     "ShiftRegister",
     "ClockTree",
     "ClockTreeLevel",
-    "build_clock_tree",
     "Netlist",
     "NetlistEdge",
     "Module",
-    "Port",
-    "PortDirection",
 ]

@@ -44,13 +44,6 @@ class ActivityRecord:
         """Total transitions across all three categories."""
         return self.clock_toggles + self.data_toggles + self.comb_toggles
 
-    def is_idle(self) -> bool:
-        """True when no node switched during the cycle."""
-        return self.total_toggles == 0
-
-
-ZERO_ACTIVITY = ActivityRecord()
-
 
 class ActivityTrace:
     """Activity of one component (or one group) across many cycles.
@@ -162,14 +155,4 @@ class ActivityTrace:
             clock_toggles=self.clock_toggles[start:stop],
             data_toggles=self.data_toggles[start:stop],
             comb_toggles=self.comb_toggles[start:stop],
-        )
-
-    def mean_record(self) -> ActivityRecord:
-        """Average activity per cycle, rounded to integers (for reporting)."""
-        if len(self) == 0:
-            return ZERO_ACTIVITY
-        return ActivityRecord(
-            clock_toggles=int(round(float(np.mean(self.clock_toggles)))),
-            data_toggles=int(round(float(np.mean(self.data_toggles)))),
-            comb_toggles=int(round(float(np.mean(self.comb_toggles)))),
         )

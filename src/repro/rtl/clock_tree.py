@@ -112,23 +112,3 @@ class ClockTree:
             f"ClockTree(name={self.name!r}, sinks={self.num_sinks}, "
             f"buffers={self.buffer_count}, depth={self.depth})"
         )
-
-
-def build_clock_tree(name: str, num_sinks: int, max_fanout: int = 16) -> ClockTree:
-    """Convenience wrapper mirroring a clock-tree-synthesis (CTS) step."""
-    return ClockTree(name=name, num_sinks=num_sinks, max_fanout=max_fanout)
-
-
-def clock_power_fraction(
-    clock_toggles: float, data_toggles: float, comb_toggles: float
-) -> float:
-    """Fraction of dynamic activity attributable to the clock network.
-
-    The paper cites [14] for the observation that up to 50% of total dynamic
-    power is consumed by the clock signal.  This helper lets tests and
-    reports check that the SoC model lands in a realistic range.
-    """
-    total = clock_toggles + data_toggles + comb_toggles
-    if total <= 0:
-        return 0.0
-    return clock_toggles / total

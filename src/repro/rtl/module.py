@@ -10,32 +10,10 @@ clock gate's enable.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.rtl.components import Component
 from repro.rtl.netlist import Netlist
-
-
-class PortDirection(enum.Enum):
-    """Direction of a module port."""
-
-    INPUT = "input"
-    OUTPUT = "output"
-
-
-@dataclass(frozen=True)
-class Port:
-    """A named module port."""
-
-    name: str
-    direction: PortDirection
-    width: int = 1
-
-    def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError("port width must be positive")
 
 
 class Module:
@@ -55,21 +33,12 @@ class Module:
             raise ValueError(f"module name must be non-empty and not contain '/': {name!r}")
         self.name = name
         self.role = role
-        self.ports: Dict[str, Port] = {}
         self.components: Dict[str, Component] = {}
         self.component_roles: Dict[str, str] = {}
         self.children: Dict[str, "Module"] = {}
         self.connections: List[Tuple[str, str, str]] = []
 
     # -- construction ----------------------------------------------------
-
-    def add_port(self, name: str, direction: PortDirection, width: int = 1) -> Port:
-        """Declare a port on this module."""
-        if name in self.ports:
-            raise ValueError(f"duplicate port {name!r} on module {self.name!r}")
-        port = Port(name=name, direction=direction, width=width)
-        self.ports[name] = port
-        return port
 
     def add_component(self, component: Component, role: Optional[str] = None) -> Component:
         """Add a leaf component to this module."""

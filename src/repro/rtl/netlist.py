@@ -128,10 +128,6 @@ class Netlist:
         """Total number of library cells across all instances."""
         return sum(c.cell_count for c in self.components())
 
-    def registers_by_role(self, role: str) -> int:
-        """Flip-flop count restricted to one role."""
-        return sum(c.register_count for c in self.components(role))
-
     # -- structural analysis --------------------------------------------
 
     def weakly_connected_clusters(self) -> List[Set[str]]:
@@ -147,46 +143,6 @@ class Netlist:
             reachable |= nx.descendants(self.graph, source)
             reachable.add(source)
         return reachable
-
-    def cone_of_influence(self, sinks: Iterable[str]) -> Set[str]:
-        """All instances that can influence the given sinks (backward cone)."""
-        cone: Set[str] = set()
-        for sink in sinks:
-            if sink not in self.graph:
-                raise KeyError(f"component {sink!r} not present in netlist")
-            cone |= nx.ancestors(self.graph, sink)
-            cone.add(sink)
-        return cone
-
-    def remove_components(self, names: Iterable[str]) -> "Netlist":
-        """Return a copy of the netlist with the given instances removed.
-
-        This is the primitive a removal attack applies; the robustness
-        analysis then checks how much functional logic lost its drivers.
-        """
-        names = set(names)
-        missing = names - set(self.graph.nodes)
-        if missing:
-            raise KeyError(f"cannot remove unknown components: {sorted(missing)}")
-        pruned = Netlist(f"{self.name}~removed")
-        pruned.graph = self.graph.copy()
-        pruned.graph.remove_nodes_from(names)
-        return pruned
-
-    def dangling_inputs(self) -> List[str]:
-        """Sequential/functional instances that lost all their drivers.
-
-        A register or clock gate with zero fan-in after an edit indicates a
-        broken design -- the quantity used to show that removing the
-        clock-modulation watermark impairs system functionality.
-        """
-        dangling = []
-        for name, data in self.graph.nodes(data=True):
-            component = data["component"]
-            if component.cell_type in ("dff", "icg", "register_bank"):
-                if self.graph.in_degree(name) == 0:
-                    dangling.append(name)
-        return sorted(dangling)
 
     def subgraph_stats(self, names: Iterable[str]) -> Dict[str, int]:
         """Cell/register counts of a candidate sub-circuit."""

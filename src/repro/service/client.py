@@ -48,8 +48,8 @@ def result_from(response: Dict[str, Any]) -> ScenarioResult:
     """The :class:`ScenarioResult` a ``/verify`` response carries.
 
     The service ships the wire JSON without the ``.npz`` array payload,
-    so the rebuilt result has :attr:`~ScenarioResult.arrays_stripped`
-    set; scalars, report and provenance are bit-exact.
+    so the rebuilt result has no array data (only the arrays' metadata);
+    scalars, report and provenance are bit-exact.
     """
     return ScenarioResult.from_wire({"json": response["result_json"], "npz": None})
 

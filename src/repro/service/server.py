@@ -234,11 +234,6 @@ class DetectionService:
         self._inflight: LRUCache = LRUCache(max_entries=_INFLIGHT_LOCKS)
         self._compute_lock = threading.Lock()
 
-    @property
-    def signing_key(self) -> bytes:
-        """The transcript HMAC key (tests verify signatures offline)."""
-        return self._key
-
     # -- spec resolution -------------------------------------------------------
 
     def resolve_spec(self, payload: Dict[str, Any]) -> ScenarioSpec:

@@ -8,7 +8,7 @@ package provides the equivalents we can build without the proprietary IP:
 * a small Thumb-like instruction set, assembler and in-order scalar core
   (:mod:`repro.soc.cpu`) whose execution produces per-cycle switching
   activity comparable in structure to a Cortex-M0-class microcontroller;
-* SRAM, an AHB-lite-style bus and a cache model;
+* SRAM, an AHB-lite-style bus and cache geometry;
 * a Dhrystone-like synthetic integer workload (:mod:`repro.soc.workloads`);
 * an idle dual-core + cache background model (:mod:`repro.soc.multicore`);
 * the chip I / chip II system assemblies (:mod:`repro.soc.chip`) that turn
@@ -20,7 +20,7 @@ from repro.soc.isa import Opcode, Instruction, Condition, REGISTER_NAMES
 from repro.soc.assembler import Assembler, AssemblyError, Program
 from repro.soc.memory import Memory
 from repro.soc.bus import SystemBus, BusTransfer
-from repro.soc.cache import Cache, CacheConfig
+from repro.soc.cache import CacheConfig
 from repro.soc.cpu import CortexM0Like, CPUActivityModel, ExecutionStats
 from repro.soc.multicore import IdleDualCoreA5Like
 from repro.soc.workloads import (
@@ -42,7 +42,6 @@ __all__ = [
     "Memory",
     "SystemBus",
     "BusTransfer",
-    "Cache",
     "CacheConfig",
     "CortexM0Like",
     "CPUActivityModel",

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 from repro.rtl.activity import ActivityRecord
 from repro.rtl.signals import hamming_distance
-from repro.soc.memory import Memory, MemoryAccessActivity
+from repro.soc.memory import Memory
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,3 @@ class SystemBus:
             comb_toggles=bus_toggles + memory_activity.address_toggles,
         )
         return result, activity, self.wait_states
-
-    def reset(self) -> None:
-        """Clear transfer history and address/data phase state."""
-        self.transfers.clear()
-        self.transfer_count = 0
-        self._last_address = 0
-        self._last_data = 0
-        for slave in self.slaves:
-            slave.reset()

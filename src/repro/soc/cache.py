@@ -1,20 +1,14 @@
-"""Set-associative cache model.
+"""Set-associative cache geometry.
 
 Chip II of the paper contains a dual-core Cortex-A5 with caches; although
 the A5 executes no program during the measurements, its caches are clocked
-and contribute to the background noise.  The cache model is functional
-(lookup, allocate, evict) and reports per-access switching activity; the
-idle background model additionally uses its structural size (tag/data
-arrays) for clock-tree power.
+and contribute to the background noise.  The idle background model uses
+the cache's structural size (tag/data arrays) for clock-tree power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from repro.rtl.activity import ActivityRecord
-from repro.rtl.signals import hamming_distance
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -47,96 +41,3 @@ class CacheConfig:
         offset_bits = self.line_bytes.bit_length() - 1
         index_bits = self.num_sets.bit_length() - 1
         return 32 - offset_bits - index_bits
-
-    @property
-    def storage_bits(self) -> int:
-        """Total bits of tag + data storage (for structural power estimates)."""
-        return self.num_lines * (self.line_bytes * 8 + self.tag_bits + 2)
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def accesses(self) -> int:
-        """Total number of lookups."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit fraction (zero when no accesses have happened)."""
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
-
-class Cache:
-    """A set-associative cache with LRU replacement."""
-
-    def __init__(self, config: Optional[CacheConfig] = None, name: str = "cache") -> None:
-        self.name = name
-        self.config = config or CacheConfig()
-        self.stats = CacheStats()
-        # Per set: list of (tag, last_use_counter) entries, most recent last.
-        self._sets: List[List[Tuple[int, int]]] = [[] for _ in range(self.config.num_sets)]
-        self._access_counter = 0
-        self._last_address = 0
-
-    def _decompose(self, address: int) -> Tuple[int, int]:
-        line_address = address // self.config.line_bytes
-        set_index = line_address % self.config.num_sets
-        tag = line_address // self.config.num_sets
-        return set_index, tag
-
-    def lookup(self, address: int, allocate: bool = True) -> Tuple[bool, ActivityRecord]:
-        """Look up ``address``; returns ``(hit, activity)``.
-
-        A miss optionally allocates the line (evicting the LRU entry when
-        the set is full).
-        """
-        self._access_counter += 1
-        set_index, tag = self._decompose(address)
-        entries = self._sets[set_index]
-        address_toggles = hamming_distance(self._last_address, address, 32)
-        self._last_address = address
-        # Tag comparison activity: all ways' comparators switch.
-        comparator_toggles = self.config.associativity * max(1, self.config.tag_bits // 4)
-
-        hit = any(entry_tag == tag for entry_tag, _ in entries)
-        if hit:
-            self.stats.hits += 1
-            self._sets[set_index] = [
-                (entry_tag, self._access_counter if entry_tag == tag else last_use)
-                for entry_tag, last_use in entries
-            ]
-            data_toggles = self.config.line_bytes  # data array read of one line
-        else:
-            self.stats.misses += 1
-            data_toggles = self.config.line_bytes * 4  # line fill traffic
-            if allocate:
-                if len(entries) >= self.config.associativity:
-                    entries.sort(key=lambda item: item[1])
-                    entries.pop(0)
-                    self.stats.evictions += 1
-                entries.append((tag, self._access_counter))
-        activity = ActivityRecord(
-            data_toggles=data_toggles,
-            comb_toggles=address_toggles + comparator_toggles,
-        )
-        return hit, activity
-
-    def flush(self) -> None:
-        """Invalidate every line (statistics are retained)."""
-        self._sets = [[] for _ in range(self.config.num_sets)]
-
-    def reset(self) -> None:
-        """Invalidate the cache and clear statistics."""
-        self.flush()
-        self.stats = CacheStats()
-        self._access_counter = 0
-        self._last_address = 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,14 +194,6 @@ class ExecutionStats:
         """All stepped cycles, including post-halt idle cycles."""
         return self.cycles + self.halted_cycles
 
-    @property
-    def cpi(self) -> float:
-        """Cycles per instruction (excluding post-halt idle cycles)."""
-        if self.instructions == 0:
-            return 0.0
-        return self.cycles / self.instructions
-
-
 class CPUError(Exception):
     """Raised on invalid program behaviour (bad PC, missing label, ...)."""
 
@@ -230,7 +222,6 @@ class CortexM0Like:
         self.flags = {"n": False, "z": False, "c": False, "v": False}
         self.stats = ExecutionStats()
         self.halted = False
-        self._initial_sp = stack_pointer
         # Datapath history for Hamming-distance switching estimates.
         self._prev_fetch_word = 0
         self._prev_result = 0
@@ -240,20 +231,6 @@ class CortexM0Like:
         self._pending_activity: Optional[ActivityRecord] = None
 
     # -- architectural helpers -----------------------------------------------
-
-    def reset(self) -> None:
-        """Reset architectural and activity state (memory is left alone)."""
-        self.registers = [0] * 16
-        self.registers[SP] = self._initial_sp
-        self.registers[PC] = self.program.entry_point
-        self.flags = {"n": False, "z": False, "c": False, "v": False}
-        self.stats = ExecutionStats()
-        self.halted = False
-        self._prev_fetch_word = 0
-        self._prev_result = 0
-        self._prev_operands = (0, 0)
-        self._stall_cycles = 0
-        self._pending_activity = None
 
     def register(self, index: int) -> int:
         """Read an architectural register."""
@@ -546,14 +523,4 @@ class CortexM0Like:
             raise ValueError("num_cycles must be positive")
         # repro-lint: allow[HOT001] golden reference path: the cycle-accurate ISS is the ground truth the fast paths window-cache
         records = [self.step_cycle() for _ in range(num_cycles)]
-        return ActivityTrace.from_records(self.name, records)
-
-    def run_until_halt(self, max_cycles: int = 1_000_000) -> ActivityTrace:
-        """Run until the program executes ``halt`` (or ``max_cycles`` elapse)."""
-        records = []
-        # repro-lint: allow[HOT001] golden reference path: halt detection needs the cycle-accurate ISS step loop
-        for _ in range(max_cycles):
-            records.append(self.step_cycle())
-            if self.halted:
-                break
         return ActivityTrace.from_records(self.name, records)

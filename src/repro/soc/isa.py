@@ -10,7 +10,7 @@ so the core's fetch datapath has realistic bit-level switching activity.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 #: Architectural register names.  r13 = sp, r14 = lr, r15 = pc.
@@ -142,23 +142,6 @@ class Instruction:
     condition: Condition = Condition.AL
     label: Optional[str] = None
     source_line: int = 0
-
-    @property
-    def is_branch(self) -> bool:
-        """Whether the instruction can redirect control flow."""
-        return self.opcode in (Opcode.B, Opcode.BL, Opcode.BX)
-
-    @property
-    def is_memory(self) -> bool:
-        """Whether the instruction accesses data memory."""
-        return self.opcode in (
-            Opcode.LDR,
-            Opcode.LDRB,
-            Opcode.STR,
-            Opcode.STRB,
-            Opcode.PUSH,
-            Opcode.POP,
-        )
 
     def base_cycles(self) -> int:
         """Execution latency before branch/reglist adjustments."""

@@ -137,11 +137,3 @@ class Memory:
         """Bulk-initialise memory from an ``{address: word}`` mapping."""
         for address, value in words.items():
             self.write_word(address, value)
-
-    def reset(self) -> None:
-        """Clear contents and statistics."""
-        self._bytes.clear()
-        self._last_address = 0
-        self._last_data = 0
-        self.read_count = 0
-        self.write_count = 0

@@ -85,11 +85,6 @@ register_chip(
 )
 
 
-def available_chips() -> Tuple[str, ...]:
-    """Canonical names of every registered chip."""
-    return tuple(sorted(_CHIPS))
-
-
 def chip_entry(name: str) -> ChipEntry:
     """Resolve a chip name or alias to its registry entry."""
     for entry in _CHIPS.values():

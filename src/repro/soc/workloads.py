@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from repro.soc.assembler import Assembler, Program
 
-#: Base address of the data SRAM used by the workloads.
-DATA_BASE = 0x2000_0000
-
 
 _DHRYSTONE_LIKE_SOURCE = """
 ; Dhrystone-like synthetic integer benchmark.

@@ -21,7 +21,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.config import ExperimentConfig, WatermarkConfig
+from repro.core.config import ExperimentConfig, MeasurementConfig, WatermarkConfig
 from repro.pipeline import ScenarioSpec, run_scenario
 
 OUT = pathlib.Path(__file__).with_name("pipeline_golden.json")
@@ -30,8 +30,8 @@ FLOAT_OUT = OUT.with_suffix(".npz")
 
 def golden_specs() -> Dict[str, ScenarioSpec]:
     """The captured experiments: fixed seeds, quick scales."""
-    quick = ExperimentConfig.fast(30_000)
-    paper = ExperimentConfig.paper_defaults()
+    quick = ExperimentConfig(measurement=MeasurementConfig(num_cycles=30_000))
+    paper = ExperimentConfig()
 
     def acquisition(config: ExperimentConfig, **fields) -> ScenarioSpec:
         return ScenarioSpec(

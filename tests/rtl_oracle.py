@@ -33,9 +33,11 @@ import numpy as np
 
 from repro.core import clock_modulation, lfsr, load_circuit, wgc
 from repro.rtl import components
-from repro.rtl.activity import ActivityRecord, ActivityTrace, ZERO_ACTIVITY
+from repro.rtl.activity import ActivityRecord, ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 from repro.rtl.signals import hamming_distance
+
+ZERO_ACTIVITY = ActivityRecord()
 
 
 # -- components ---------------------------------------------------------------

@@ -55,13 +55,11 @@ class TestRemovalAttack:
         outcome = RemovalAttack().execute(netlist)
         assert outcome.watermark_fully_removed
         assert outcome.recall == 1.0
-        assert outcome.precision == 1.0
         assert not outcome.system_impaired
 
     def test_blind_attack_misses_clock_modulation_watermark(self, clock_mod_netlist):
         _, netlist = clock_mod_netlist
         outcome = RemovalAttack().execute(netlist)
-        assert not outcome.watermark_found
         assert outcome.recall == 0.0
 
     def test_informed_removal_of_clock_modulation_breaks_system(self, clock_mod_netlist):
@@ -85,7 +83,6 @@ class TestRemovalAttack:
     def test_outcome_metrics_on_empty_attack(self, clock_mod_netlist):
         _, netlist = clock_mod_netlist
         outcome = RemovalAttack().execute(netlist)
-        assert outcome.precision == 0.0
         assert outcome.collateral_damage == 0
 
 
@@ -106,82 +103,3 @@ class TestRobustnessAssessment:
         assert assessment.removal_breaks_system
         assert assessment.robust
         assert "robust: True" in assessment.summary()
-
-
-class TestMaskingAttackSweeps:
-    @pytest.fixture(scope="class")
-    def sequence(self):
-        from repro.core.lfsr import LFSR
-
-        return LFSR(width=10, seed=0x155).sequence()
-
-    def test_noise_injection_sweep(self, sequence):
-        from repro.analysis.attacks import MaskingAttack
-
-        attack = MaskingAttack(
-            masking_noise_levels_w=(0.0, 500e-3),
-            trials_per_point=3,
-            num_cycles=60_000,
-        )
-        study = attack.sweep_noise_injection(
-            sequence, watermark_amplitude_w=1.5e-3, base_noise_sigma_w=30e-3, seed=1
-        )
-        assert [p.masking_noise_w for p in study.points] == [0.0, 0.5]
-        assert all(p.trials == 3 for p in study.points)
-        assert study.points[0].detected
-        assert not study.points[-1].detected
-
-    def test_starvation_sweep(self, sequence):
-        from repro.analysis.attacks import MaskingAttack
-
-        attack = MaskingAttack(enable_duties=(1.0, 0.02), num_cycles=60_000)
-        study = attack.sweep_starvation(
-            sequence, watermark_amplitude_w=1.5e-3, base_noise_sigma_w=30e-3, seed=2
-        )
-        assert study.points[0].detected
-        assert not study.points[-1].detected
-
-
-class TestDetectionRobustness:
-    def test_assessment_properties_and_summary(self):
-        from repro.analysis.attacks import MaskingAttack
-        from repro.analysis.robustness import assess_detection_robustness
-        from repro.core.lfsr import LFSR
-
-        sequence = LFSR(width=10, seed=0x155).sequence()
-        attack = MaskingAttack(
-            masking_noise_levels_w=(0.0, 500e-3),
-            enable_duties=(1.0, 0.02),
-            trials_per_point=2,
-            num_cycles=60_000,
-        )
-        assessment = assess_detection_robustness(
-            sequence,
-            watermark_amplitude_w=1.5e-3,
-            base_noise_sigma_w=30e-3,
-            attack=attack,
-            seed=3,
-        )
-        assert not assessment.survives_noise_injection
-        assert not assessment.survives_starvation
-        assert assessment.masking_noise_to_defeat_w == pytest.approx(0.5)
-        assert assessment.starvation_duty_to_defeat == pytest.approx(0.02)
-        summary = assessment.summary()
-        assert "noise injection" in summary
-        assert "starvation" in summary
-
-    def test_default_attack_constructed(self):
-        from repro.analysis.robustness import assess_detection_robustness
-        from repro.core.lfsr import LFSR
-
-        sequence = LFSR(width=8, seed=0x2D).sequence()
-        assessment = assess_detection_robustness(
-            sequence,
-            watermark_amplitude_w=2e-3,
-            base_noise_sigma_w=20e-3,
-            num_cycles=20_000,
-            trials_per_point=2,
-            seed=4,
-        )
-        assert len(assessment.noise_study.points) == 5
-        assert len(assessment.starvation_study.points) == 5

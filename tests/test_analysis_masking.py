@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from trial_matrix import trial_matrix
 
 from repro.analysis.masking import run_noise_masking_study, run_starvation_study
 from repro.core.lfsr import LFSR
@@ -139,8 +140,8 @@ class TestMonteCarloMasking:
             sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=0.0
         )
         sigmas = np.repeat([np.sqrt(30e-3**2 + level**2) for level in levels], 3)
-        matrix = synthesizer.synthesize_trials(
-            len(sigmas), 30_000, np.random.default_rng(8), noise_sigmas=sigmas
+        matrix = trial_matrix(
+            synthesizer, len(sigmas), 30_000, np.random.default_rng(8), noise_sigmas=sigmas
         )
         batch = BatchCPADetector().detect_many(sequence, matrix)
         for index, point in enumerate(study.points):

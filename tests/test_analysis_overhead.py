@@ -51,10 +51,6 @@ class TestOverheadTable:
         assert "98.0%" in text
         assert "576" in text
 
-    def test_row_as_dict(self):
-        row = load_circuit_overhead_table().rows[0]
-        assert set(row.as_dict()) == {"load_power_w", "load_registers", "overhead_reduction"}
-
     def test_custom_wgc_size(self):
         table = load_circuit_overhead_table(wgc_registers=32)
         assert table.row_for_power(1.5e-3).overhead_reduction < 0.98

@@ -10,10 +10,10 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from lint_helpers import lint_source
 
 from repro.analysis.engine import (
     LintModule,
-    lint_source,
     lint_sources,
     unsuppressed,
 )
@@ -111,41 +111,6 @@ class TestSummaryExtraction:
             "src/repro/srv.py",
         )
         assert summary.starts_threads
-
-    def test_json_round_trip_is_lossless(self):
-        import json
-
-        summary = summarize(
-            """
-            import threading
-
-            _LOCK = threading.Lock()
-            _TABLE = {}
-
-            class Box:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._cache = {}
-
-                def get(self, key):
-                    with self._lock:
-                        value = self._cache.get(key)
-                        if value is None:
-                            value = key * 2
-                            self._cache[key] = value
-                        return value
-            """,
-            "src/repro/box.py",
-        )
-        wire = json.loads(json.dumps(summary.to_json_dict()))
-        restored = ModuleSummary.from_json_dict(wire)
-        assert restored.classes["Box"].lock_attrs == summary.classes["Box"].lock_attrs
-        assert restored.global_locks == summary.global_locks
-        assert len(restored.cache_ops) == len(summary.cache_ops)
-        assert restored.to_json_dict() == json.loads(
-            json.dumps(summary.to_json_dict())
-        )
-
 
 # -- call graph ------------------------------------------------------------------
 

@@ -1,26 +1,23 @@
-"""repro-lint v2 reporting: SARIF 2.1.0 shape, baselines, incremental cache."""
+"""repro-lint v2 reporting: SARIF 2.1.0 shape and baselines."""
 
 import dataclasses
 import json
-import os
 import textwrap
 
 import pytest
+from lint_helpers import lint_source
 
 from repro.analysis.baseline import (
     apply_baseline,
     load_baseline,
     update_baseline,
 )
-from repro.analysis.cache import CACHE_FORMAT_VERSION, LintCache, rules_signature
 from repro.analysis.engine import (
     META_RULE_ID,
     Finding,
-    lint_paths,
-    lint_source,
     unsuppressed,
 )
-from repro.analysis.rules import ALL_RULES, RULE_INDEX
+from repro.analysis.rules import RULE_INDEX
 from repro.analysis.sarif import SARIF_VERSION, render_sarif, sarif_dict
 
 VIOLATING = textwrap.dedent(
@@ -322,118 +319,3 @@ class TestBaseline:
         )
         total, _ = update_baseline([finding], baseline)
         assert total == 0
-
-
-# -- incremental cache -----------------------------------------------------------
-
-
-class TestLintCache:
-    def _tree(self, tmp_path):
-        root = tmp_path / "src"
-        root.mkdir()
-        (root / "violating.py").write_text(VIOLATING)
-        (root / "clean.py").write_text(CLEAN)
-        return root
-
-    def _cache(self, tmp_path, rules=ALL_RULES):
-        return LintCache(tmp_path / "cache", rules_signature(rules))
-
-    def test_warm_run_hits_and_findings_are_identical(self, tmp_path):
-        root = self._tree(tmp_path)
-        cold_cache = self._cache(tmp_path)
-        cold, files = lint_paths([str(root)], cache=cold_cache)
-        assert cold_cache.hits == 0 and cold_cache.misses == 2
-        warm_cache = self._cache(tmp_path)
-        warm, _ = lint_paths([str(root)], cache=warm_cache)
-        assert warm_cache.hits == 2 and warm_cache.misses == 0
-        assert [f.to_json_dict() for f in warm] == [
-            f.to_json_dict() for f in cold
-        ]
-        assert files == 2
-        assert any(f.rule_id == "RNG001" for f in warm)
-
-    def test_edit_invalidates_only_the_edited_file(self, tmp_path):
-        root = self._tree(tmp_path)
-        lint_paths([str(root)], cache=self._cache(tmp_path))
-        (root / "clean.py").write_text("VALUE = 2\n")
-        cache = self._cache(tmp_path)
-        findings, _ = lint_paths([str(root)], cache=cache)
-        assert cache.hits == 1 and cache.misses == 1
-        assert any(f.rule_id == "RNG001" for f in findings)
-
-    def test_touch_with_same_content_still_hits(self, tmp_path):
-        root = self._tree(tmp_path)
-        lint_paths([str(root)], cache=self._cache(tmp_path))
-        target = root / "clean.py"
-        stat = target.stat()
-        os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns + 5_000_000))
-        cache = self._cache(tmp_path)
-        lint_paths([str(root)], cache=cache)
-        # mtime drifted -> content hash decides -> still a hit
-        assert cache.hits == 2 and cache.misses == 0
-        # and the entry's stat was refreshed: next run takes the fast path
-        again = self._cache(tmp_path)
-        lint_paths([str(root)], cache=again)
-        assert again.hits == 2 and again.misses == 0
-
-    def test_rule_set_change_misses(self, tmp_path):
-        root = self._tree(tmp_path)
-        lint_paths([str(root)], cache=self._cache(tmp_path))
-        subset = [RULE_INDEX["DET001"]]
-        cache = self._cache(tmp_path, rules=subset)
-        findings, _ = lint_paths([str(root)], subset, cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
-        assert all(f.rule_id != "RNG001" for f in unsuppressed(findings))
-
-    def test_signature_covers_format_version(self):
-        assert rules_signature(ALL_RULES) != rules_signature(ALL_RULES[:1])
-        payload = json.dumps(
-            {
-                "format": CACHE_FORMAT_VERSION,
-                "rules": sorted(r.rule_id for r in ALL_RULES),
-            },
-            sort_keys=True,
-        )
-        import hashlib
-
-        assert (
-            rules_signature(ALL_RULES)
-            == hashlib.sha256(payload.encode()).hexdigest()[:16]
-        )
-
-    def test_corrupt_entry_is_a_miss_not_a_crash(self, tmp_path):
-        root = self._tree(tmp_path)
-        cache = self._cache(tmp_path)
-        lint_paths([str(root)], cache=cache)
-        for entry in (tmp_path / "cache").iterdir():
-            entry.write_text("{torn")
-        cache = self._cache(tmp_path)
-        findings, _ = lint_paths([str(root)], cache=cache)
-        assert cache.misses == 2
-        assert any(f.rule_id == "RNG001" for f in findings)
-
-    def test_project_rules_still_run_on_warm_cache(self, tmp_path):
-        # cached summaries must feed the cross-module pass: a CONC003
-        # violation reports identically cold and warm
-        root = tmp_path / "src" / "repro"
-        (root / "service").mkdir(parents=True)
-        (root / "service" / "memo.py").write_text(
-            textwrap.dedent(
-                """
-                _MEMO = {}
-
-                def lookup(key):
-                    if key not in _MEMO:
-                        _MEMO[key] = key * 2
-                    return _MEMO[key]
-                """
-            ).lstrip("\n")
-        )
-        cold, _ = lint_paths([str(root)], cache=self._cache(tmp_path))
-        warm_cache = self._cache(tmp_path)
-        warm, _ = lint_paths([str(root)], cache=warm_cache)
-        assert warm_cache.hits == 1
-        assert [f.rule_id for f in unsuppressed(warm)] == ["CONC003"]
-        assert [f.to_json_dict() for f in warm] == [
-            f.to_json_dict() for f in cold
-        ]

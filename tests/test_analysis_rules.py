@@ -15,12 +15,12 @@ import textwrap
 
 import numpy as np
 import pytest
+from lint_helpers import lint_source
 
 from repro.analysis.engine import (
     META_RULE_ID,
     Finding,
     lint_paths,
-    lint_source,
     render_json,
     render_text,
     unsuppressed,

@@ -5,7 +5,6 @@ import pytest
 from rtl_oracle import SteppedWatermark
 
 from repro.core.architectures import BaselineWatermark, ClockModulationWatermark
-from repro.core.clock_modulation import ClockModulatedIPBlock
 from repro.core.config import ArchitectureKind, WatermarkConfig
 from repro.core.load_circuit import LoadCircuit
 from repro.core.wgc import WatermarkGenerationCircuit
@@ -22,12 +21,12 @@ class TestBaselineWatermark:
 
     def test_from_config(self, small_config):
         watermark = BaselineWatermark.from_config(small_config)
-        assert watermark.added_register_count == 32
+        assert watermark.load.register_count == 32
         assert watermark.sequence_period == 63
 
     def test_added_registers_equal_load_size(self):
         watermark = BaselineWatermark(load=LoadCircuit(num_registers=576))
-        assert watermark.added_register_count == 576
+        assert watermark.load.register_count == 576
 
     def test_load_activity_follows_wmark(self, small_config):
         watermark = BaselineWatermark.from_config(small_config)
@@ -44,14 +43,7 @@ class TestClockModulationWatermark:
 
     def test_from_config_bank_size(self, small_config):
         watermark = ClockModulationWatermark.from_config(small_config)
-        assert watermark.added_register_count == 32  # 4 words x 8 bits (redundant bank)
-
-    def test_reusing_ip_block_adds_no_registers(self, small_config):
-        watermark = ClockModulationWatermark.reusing_ip_block(
-            modulated_registers=4096, config=small_config
-        )
-        assert watermark.added_register_count == 0
-        assert isinstance(watermark.modulated_block, ClockModulatedIPBlock)
+        assert watermark.modulated_block.register_count == 32  # 4 words x 8 bits (redundant bank)
 
     def test_cell_inventory_combines_wgc_and_block(self, small_config):
         watermark = ClockModulationWatermark.from_config(small_config)
@@ -97,10 +89,6 @@ class TestSharedBehaviour:
     def test_average_active_load_power_positive(self, small_config, nominal_estimator):
         watermark = ClockModulationWatermark.from_config(small_config)
         assert watermark.average_active_load_power(nominal_estimator) > 0
-
-    def test_total_register_count(self, small_config):
-        watermark = BaselineWatermark.from_config(small_config)
-        assert watermark.total_register_count() == watermark.wgc.register_count + 32
 
     def test_invalid_cycle_count_rejected(self, small_config):
         watermark = BaselineWatermark.from_config(small_config)

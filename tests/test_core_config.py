@@ -17,7 +17,7 @@ class TestWatermarkConfig:
         assert config.architecture is ArchitectureKind.CLOCK_MODULATION
         assert config.lfsr_width == 12
         assert config.sequence_period == 4095
-        assert config.bank_registers == 1024
+        assert config.num_words * config.word_width == 1024
 
     def test_invalid_lfsr_width(self):
         with pytest.raises(ValueError):
@@ -86,10 +86,6 @@ class TestDetectionConfig:
 
 class TestExperimentConfig:
     def test_paper_defaults_bundle(self):
-        config = ExperimentConfig.paper_defaults()
+        config = ExperimentConfig()
         assert config.measurement.num_cycles == 300_000
         assert config.watermark.lfsr_width == 12
-
-    def test_fast_configuration(self):
-        config = ExperimentConfig.fast(num_cycles=10_000)
-        assert config.measurement.num_cycles == 10_000

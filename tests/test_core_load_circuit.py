@@ -24,10 +24,6 @@ class TestLoadCircuit:
         assert load.register_count == 20
         assert [w.width for w in load.words] == [8, 8, 4]
 
-    def test_sized_for_power(self):
-        load = LoadCircuit.sized_for_power(1.5e-3)
-        assert load.register_count == 576
-
     def test_idle_when_wmark_low(self):
         load = LoadCircuit(num_registers=16)
         assert load.activity([0])[0].total_toggles == 0

@@ -66,11 +66,6 @@ class TestBehaviour:
 
 
 class TestTestChipPowerStructure:
-    def test_active_register_count_larger_than_minimal(self):
-        minimal = WatermarkGenerationCircuit.minimal(width=12)
-        test_chip = WatermarkGenerationCircuit.test_chip(active_width=12)
-        assert test_chip.active_register_count > minimal.active_register_count
-
     def test_wgc_dynamic_power_band(self, nominal_estimator):
         # The test-chip WGC must be small enough for the bank to dominate
         # (Table I: the load circuit is 95.6%-98% of watermark dynamic power).

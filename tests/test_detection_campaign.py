@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from trial_matrix import trial_matrix
 
 from repro.core.lfsr import LFSR
 from repro.detection.batch import BatchCPADetector
 from repro.detection.campaign import (
     DetectionOperatingPoint,
-    DetectionProbabilityCurve,
     run_detection_probability_campaign,
 )
 from repro.power.synthesis import TraceSynthesizer
@@ -76,7 +76,7 @@ class TestCampaign:
         probabilities = [p.detection_probability for p in curve.points]
         assert probabilities[-1] > probabilities[0]
         assert probabilities[-1] == 1.0
-        assert curve.is_monotonic()
+        assert all(b >= a - 0.15 for a, b in zip(probabilities, probabilities[1:]))
 
     def test_analytical_estimate_consistent_with_empirical(self, curve):
         empirical = curve.empirical_required_cycles(target_probability=0.95)
@@ -145,47 +145,11 @@ class TestSeedDeterminism:
         detector = BatchCPADetector()
         rng = np.random.default_rng(_GOLDEN_SEED)
         for point in curve.points:
-            matrix = synthesizer.synthesize_trials(12, point.num_cycles, rng)
+            matrix = trial_matrix(synthesizer, 12, point.num_cycles, rng)
             batch = detector.detect_many(sequence, matrix)
             assert point.detections == batch.detection_count
             assert point.mean_peak_correlation == float(batch.peak_correlations.sum()) / 12
             assert point.mean_z_score == float(batch.z_scores.sum()) / 12
-
-
-class TestMonotonicityTolerance:
-    def _curve_with_probabilities(self, probabilities):
-        curve = DetectionProbabilityCurve(
-            watermark_amplitude_w=1e-3, noise_sigma_w=10e-3, sequence_period=127
-        )
-        for index, probability in enumerate(probabilities):
-            curve.points.append(
-                DetectionOperatingPoint(
-                    num_cycles=1_000 * (index + 1),
-                    trials=10,
-                    detections=int(round(probability * 10)),
-                    mean_peak_correlation=0.0,
-                    mean_z_score=0.0,
-                )
-            )
-        return curve
-
-    def test_default_tolerance_absorbs_small_wiggle(self):
-        curve = self._curve_with_probabilities([0.5, 0.4, 0.9])
-        assert curve.is_monotonic()
-
-    def test_strict_tolerance_flags_any_dip(self):
-        curve = self._curve_with_probabilities([0.5, 0.4, 0.9])
-        assert not curve.is_monotonic(wiggle_tolerance=0.0)
-
-    def test_custom_tolerance_boundary(self):
-        curve = self._curve_with_probabilities([0.8, 0.5, 1.0])
-        assert not curve.is_monotonic(wiggle_tolerance=0.2)
-        assert curve.is_monotonic(wiggle_tolerance=0.4)
-
-    def test_negative_tolerance_rejected(self):
-        curve = self._curve_with_probabilities([0.5, 0.6])
-        with pytest.raises(ValueError):
-            curve.is_monotonic(wiggle_tolerance=-0.1)
 
 
 class TestValidation:

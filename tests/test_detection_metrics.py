@@ -4,24 +4,13 @@ import numpy as np
 import pytest
 
 from repro.detection.metrics import (
-    DetectionCampaignResult,
     detection_probability,
     estimate_required_cycles,
     expected_correlation,
-    watermark_snr,
 )
 
 
 class TestSNRAndExpectedCorrelation:
-    def test_snr(self):
-        assert watermark_snr(1e-3, 40e-3) == pytest.approx(0.025)
-        assert watermark_snr(1e-3, 0.0) == float("inf")
-        assert watermark_snr(0.0, 0.0) == 0.0
-
-    def test_snr_validation(self):
-        with pytest.raises(ValueError):
-            watermark_snr(-1.0, 1.0)
-
     def test_expected_correlation_formula(self):
         # a = 2, sigma = 1, duty 0.5 -> signal std 1 -> rho = 1/sqrt(2)
         assert expected_correlation(2.0, 1.0) == pytest.approx(1 / np.sqrt(2))
@@ -62,20 +51,6 @@ class TestRequiredCycles:
 
 
 class TestCampaignResult:
-    def test_rates(self):
-        result = DetectionCampaignResult(
-            label="chip1",
-            detections=[True, True, False, True],
-            peak_correlations=[0.02, 0.018, 0.004, 0.021],
-        )
-        assert result.repetitions == 4
-        assert result.detection_rate == pytest.approx(0.75)
-        assert result.mean_peak_correlation == pytest.approx(np.mean([0.02, 0.018, 0.004, 0.021]))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DetectionCampaignResult("x", [True], [0.1, 0.2])
-
     def test_detection_probability_helper(self):
         assert detection_probability([True, False, True, True]) == pytest.approx(0.75)
         assert detection_probability([]) == 0.0

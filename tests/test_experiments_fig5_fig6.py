@@ -8,6 +8,7 @@ at the shorter trace length the tests use a shorter watermark sequence
 
 import numpy as np
 import pytest
+from paper_values import single_resolvable_peak
 
 from repro.core.config import (
     DetectionConfig,
@@ -60,7 +61,7 @@ class TestFig5Panels:
     def test_chip1_active_detected(self, reduced_config):
         panel = fig5_panel("chip1", True, reduced_config)
         assert panel.cpa.detected
-        assert panel.spectrum.has_single_resolvable_peak()
+        assert single_resolvable_peak(panel.spectrum.correlations)
 
     def test_chip1_inactive_not_detected(self, reduced_config):
         panel = fig5_panel("chip1", False, reduced_config)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import paper_expectations
+from paper_values import PAPER_EXPECTATIONS
 from repro.pipeline import ScenarioSpec, run_scenario
 
 
@@ -15,7 +15,7 @@ class TestTable1:
         assert [row.switching_registers for row in result.rows] == [0, 256, 512, 1024]
 
     def test_dynamic_power_close_to_paper(self, result):
-        expectations = paper_expectations()["table1"]["dynamic_power_mw"]
+        expectations = PAPER_EXPECTATIONS["table1"]["dynamic_power_mw"]
         for row in result.rows:
             expected_mw = expectations[row.switching_registers]
             assert row.dynamic_w * 1e3 == pytest.approx(expected_mw, rel=0.15)
@@ -37,7 +37,7 @@ class TestTable1:
         assert full - clock_only < clock_only
 
     def test_share_of_watermark_dynamic_high(self, result):
-        expectations = paper_expectations()["table1"]["share_of_watermark_dynamic"]
+        expectations = PAPER_EXPECTATIONS["table1"]["share_of_watermark_dynamic"]
         for row in result.rows:
             assert row.share_of_watermark_dynamic == pytest.approx(
                 expectations[row.switching_registers], abs=0.02
@@ -58,12 +58,12 @@ class TestTable2:
         return run_scenario("table2").payload
 
     def test_register_counts_match_paper_exactly(self, result):
-        expectations = paper_expectations()["table2"]["load_registers"]
+        expectations = PAPER_EXPECTATIONS["table2"]["load_registers"]
         for row in result.table:
             assert row.load_registers == expectations[row.load_power_w]
 
     def test_overhead_reductions_match_paper(self, result):
-        expectations = paper_expectations()["table2"]["overhead_reduction"]
+        expectations = PAPER_EXPECTATIONS["table2"]["overhead_reduction"]
         for row in result.table:
             assert row.overhead_reduction == pytest.approx(expectations[row.load_power_w], abs=5e-3)
 

@@ -19,11 +19,16 @@ from repro.core.spec import ScenarioSpec
 from repro.pipeline import (
     ExperimentRunner,
     Provenance,
+    RunOptions,
     ScenarioResult,
     SpecGrid,
     SweepResult,
-    grid,
 )
+
+
+def grid(base, **axes):
+    """The cells of one :class:`SpecGrid` over the default run options."""
+    return SpecGrid(base, RunOptions()).build(**axes)
 
 
 def _mixed_specs():

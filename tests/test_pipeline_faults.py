@@ -21,14 +21,14 @@ import time
 import pytest
 
 from repro.core.spec import ScenarioSpec
-from repro.pipeline import ExperimentRunner, grid
+from repro.pipeline import ExperimentRunner, RunOptions, SpecGrid
 from repro.pipeline import backends, chaos, faults
 from repro.pipeline.artifacts import ScenarioResult, SweepResult
 from repro.pipeline.store import ResultStore
 
 
 def _specs(n=2):
-    return grid("fig2", seeds=list(range(1, n + 1)))
+    return SpecGrid("fig2", RunOptions()).build(seeds=list(range(1, n + 1)))
 
 
 def _cell(seed):

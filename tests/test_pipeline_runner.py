@@ -12,11 +12,9 @@ from repro.pipeline import (
     Pipeline,
     RegistryEntry,
     RunOptions,
-    registered_kinds,
     run_scenario,
 )
 from repro.soc.registry import (
-    available_chips,
     available_workloads,
     build_registered_chip,
     canonical_chip_name,
@@ -25,9 +23,6 @@ from repro.soc.registry import (
 
 
 class TestChipRegistry:
-    def test_canonical_names(self):
-        assert available_chips() == ("chip1", "chip2")
-
     @pytest.mark.parametrize(
         "alias, canonical",
         [
@@ -75,9 +70,7 @@ class TestExperimentRegistry:
     def test_every_registered_spec_resolves_to_stages(self):
         for entry in DEFAULT_REGISTRY.entries():
             spec = entry.build(RunOptions(quick=True))
-            pipeline = Pipeline.from_spec(spec)
-            assert pipeline.stage_names, entry.name
-            assert spec.kind in registered_kinds()
+            assert Pipeline.from_spec(spec).stages, entry.name
 
     def test_quick_options_shape_the_spec(self):
         spec = DEFAULT_REGISTRY.build("fig5", RunOptions(quick=True))
@@ -109,18 +102,22 @@ class TestExperimentRegistry:
             registry.register(entry)
 
 
+def _stage_names(spec):
+    return tuple(stage.name for stage in Pipeline.from_spec(spec).stages)
+
+
 class TestPipeline:
     def test_fig5_panel_stage_graph(self):
         spec = ScenarioSpec(kind="fig5_panel", chip="chip1")
-        assert Pipeline.from_spec(spec).stage_names == ("chip", "acquisition", "detection")
+        assert _stage_names(spec) == ("chip", "acquisition", "detection")
 
     def test_fig3_stage_graph(self):
         spec = ScenarioSpec(kind="fig3", chip="chip1")
-        assert Pipeline.from_spec(spec).stage_names == ("chip", "power", "acquisition")
+        assert _stage_names(spec) == ("chip", "power", "acquisition")
 
     def test_fig6_chip_stage_graph(self):
         spec = ScenarioSpec(kind="fig6_chip", chip="chip1")
-        assert Pipeline.from_spec(spec).stage_names == ("chip", "campaign", "statistics")
+        assert _stage_names(spec) == ("chip", "campaign", "statistics")
 
 
 class TestExperimentRunner:

@@ -47,13 +47,6 @@ class TestCellLibrary:
         cell = TSMC65LP_LIKE.cell("weird_macro")
         assert cell.name == "comb"
 
-    def test_area_lookup(self):
-        assert TSMC65LP_LIKE.area_of("dff", 100) == pytest.approx(520.0)
-
-    def test_negative_area_count_rejected(self):
-        with pytest.raises(ValueError):
-            TSMC65LP_LIKE.area_of("dff", -1)
-
     def test_empty_library_rejected(self):
         with pytest.raises(ValueError):
             CellLibrary(name="empty", voltage_v=1.2, cells={})

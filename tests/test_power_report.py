@@ -22,13 +22,6 @@ class TestPowerReportRow:
         row = PowerReportRow("x", dynamic_w=1e-3, static_w=1e-6)
         assert row.total_w == pytest.approx(1.001e-3)
 
-    def test_as_dict(self):
-        row = PowerReportRow("x", dynamic_w=1e-3, static_w=0.0, share_of_watermark_dynamic=0.95)
-        data = row.as_dict()
-        assert data["implementation"] == "x"
-        assert data["share_of_watermark_dynamic"] == 0.95
-
-
 class TestPowerReport:
     def test_row_lookup(self):
         report = PowerReport("r")

@@ -11,6 +11,7 @@ decisions as the simulated ones.
 import numpy as np
 import pytest
 from rtl_oracle import stepped_activity
+from trial_matrix import trial_matrix
 
 from repro.core.architectures import BaselineWatermark, ClockModulationWatermark
 from repro.core.clock_modulation import ClockModulatedBank
@@ -24,7 +25,6 @@ from repro.power.estimator import PowerEstimator
 from repro.power.synthesis import (
     PeriodicPowerTemplate,
     TraceSynthesizer,
-    gather_periodic_rows,
     periodic_extend,
 )
 
@@ -74,29 +74,6 @@ class TestPeriodicExtend:
             periodic_extend(np.ones(4), 0)
 
 
-class TestGatherPeriodicRows:
-    def test_matches_per_row_slicing(self):
-        rng = np.random.default_rng(1)
-        template = rng.random(31)
-        period = len(template)
-        num_cycles = 113
-        offsets = rng.integers(0, period, size=9)
-        tiled = np.tile(template, int(np.ceil((num_cycles + period) / period)))
-        expected = np.stack([tiled[o : o + num_cycles] for o in offsets])
-        assert np.array_equal(gather_periodic_rows(template, offsets, num_cycles), expected)
-
-    def test_out_buffer(self):
-        template = np.arange(5, dtype=np.float64)
-        out = np.empty((3, 7))
-        result = gather_periodic_rows(template, [0, 2, 4], 7, out=out)
-        assert result is out
-        assert np.array_equal(out[1], np.array([2, 3, 4, 0, 1, 2, 3], dtype=np.float64))
-
-    def test_rejects_empty_template(self):
-        with pytest.raises(ValueError):
-            gather_periodic_rows(np.array([]), [0], 4)
-
-
 class TestWatermarkPowerEquivalence:
     """Synthesized watermark power == stepping the circuit cycle by cycle."""
 
@@ -106,9 +83,7 @@ class TestWatermarkPowerEquivalence:
         architecture = build()
         num_cycles = 3 * architecture.sequence_period + 11
         reference = _stepped_power(build(), estimator, num_cycles)
-        synthesized = TraceSynthesizer.for_watermark(architecture, estimator).synthesize_power(
-            num_cycles
-        )
+        synthesized = architecture.power_template(estimator).extend(num_cycles)
         assert np.array_equal(synthesized.power_w, reference.power_w)
 
     def test_power_trace_uses_template_and_matches_reference(self):
@@ -178,7 +153,7 @@ class TestSynthesizeTrials:
         synthesizer = TraceSynthesizer.from_sequence(
             sequence, watermark_amplitude_w=amplitude, noise_sigma_w=sigma, base_power_w=base
         )
-        actual = synthesizer.synthesize_trials(trials, num_cycles, np.random.default_rng(3))
+        actual = trial_matrix(synthesizer, trials, num_cycles, np.random.default_rng(3))
         assert np.array_equal(actual, expected)
 
     def test_starvation_and_per_row_sigmas_match_loop(self, sequence):
@@ -201,7 +176,8 @@ class TestSynthesizeTrials:
         synthesizer = TraceSynthesizer.from_sequence(
             sequence, watermark_amplitude_w=amplitude, noise_sigma_w=0.0, base_power_w=base
         )
-        actual = synthesizer.synthesize_trials(
+        actual = trial_matrix(
+            synthesizer,
             len(specs),
             num_cycles,
             np.random.default_rng(11),
@@ -214,31 +190,13 @@ class TestSynthesizeTrials:
         synthesizer = TraceSynthesizer.from_sequence(sequence, 1e-3, 1e-3)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            synthesizer.synthesize_trials(0, 100, rng)
+            synthesizer.trial_rows(0, 100, rng)
         with pytest.raises(ValueError):
-            synthesizer.synthesize_trials(2, 0, rng)
+            synthesizer.trial_rows(2, 0, rng)
         with pytest.raises(ValueError):
-            synthesizer.synthesize_trials(2, 100, rng, noise_sigmas=[1e-3])
+            synthesizer.trial_rows(2, 100, rng, noise_sigmas=[1e-3])
         with pytest.raises(ValueError):
             TraceSynthesizer.from_sequence(sequence, -1.0, 0.0)
-
-    def test_out_buffer_filled_in_place(self, sequence):
-        synthesizer = TraceSynthesizer.from_sequence(sequence, 1.5e-3, 15e-3)
-        out = np.empty((3, 400))
-        result = synthesizer.synthesize_trials(3, 400, np.random.default_rng(9), out=out)
-        assert result is out
-        expected = synthesizer.synthesize_trials(3, 400, np.random.default_rng(9))
-        assert np.array_equal(out, expected)
-        with pytest.raises(ValueError):
-            synthesizer.synthesize_trials(
-                3, 400, np.random.default_rng(9), out=np.empty((3, 401))
-            )
-
-    def test_no_template_guard(self, sequence):
-        synthesizer = TraceSynthesizer.from_sequence(sequence, 1e-3, 1e-3)
-        with pytest.raises(ValueError):
-            synthesizer.synthesize_power(100)
-
 
 class TestEndToEndDecisions:
     def test_synthesized_trials_reach_identical_detection_decisions(self):
@@ -248,7 +206,7 @@ class TestEndToEndDecisions:
         synthesizer = TraceSynthesizer.from_sequence(
             sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=12e-3
         )
-        matrix = synthesizer.synthesize_trials(trials, num_cycles, np.random.default_rng(5))
+        matrix = trial_matrix(synthesizer, trials, num_cycles, np.random.default_rng(5))
 
         config = DetectionConfig()
         batch = BatchCPADetector(config).detect_many(sequence, matrix)
@@ -280,9 +238,7 @@ class TestEndToEndDecisions:
         architecture = _small_clock_modulation()
         num_cycles = 5 * architecture.sequence_period
         reference = _stepped_power(_small_clock_modulation(), estimator, num_cycles)
-        synthesized = TraceSynthesizer.for_watermark(architecture, estimator).synthesize_power(
-            num_cycles
-        )
+        synthesized = architecture.power_template(estimator).extend(num_cycles)
         campaign = AcquisitionCampaign(MeasurementConfig())
         detector = CPADetector(DetectionConfig())
         sequence = architecture.sequence()

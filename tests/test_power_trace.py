@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.power.trace import CurrentTrace, PowerTrace
+from repro.power.trace import PowerTrace
 from repro.rtl.signals import Clock
 
 
@@ -18,7 +18,6 @@ class TestPowerTrace:
         assert trace.average_power_w == pytest.approx(2e-3)
         assert trace.peak_power_w == pytest.approx(3e-3)
         assert trace.num_cycles == 2
-        assert trace.duration_s == pytest.approx(200e-9)
 
     def test_energy(self, clock):
         trace = PowerTrace("t", clock, np.array([2e-3, 2e-3]))
@@ -63,24 +62,7 @@ class TestPowerTrace:
         assert len(tiled) == 7
         assert tiled.power_w[3] == pytest.approx(1e-3)
 
-    def test_to_current_roundtrip(self, clock):
-        trace = PowerTrace("t", clock, np.array([1.2e-3]), voltage_v=1.2)
-        current = trace.to_current()
-        assert current.current_a[0] == pytest.approx(1e-3)
-        back = current.to_power()
-        assert back.power_w[0] == pytest.approx(1.2e-3)
-
     def test_empty_trace_statistics(self, clock):
         trace = PowerTrace("t", clock, np.array([]))
         assert trace.average_power_w == 0.0
         assert trace.peak_power_w == 0.0
-
-
-class TestCurrentTrace:
-    def test_average_current(self, clock):
-        trace = CurrentTrace("i", clock, np.array([1e-3, 3e-3]))
-        assert trace.average_current_a == pytest.approx(2e-3)
-
-    def test_invalid_shape_rejected(self, clock):
-        with pytest.raises(ValueError):
-            CurrentTrace("i", clock, np.zeros((2, 2)))

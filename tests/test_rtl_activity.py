@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rtl.activity import ActivityRecord, ActivityTrace, ZERO_ACTIVITY
+from repro.rtl.activity import ActivityRecord, ActivityTrace
 
 
 class TestActivityRecord:
@@ -13,11 +13,6 @@ class TestActivityRecord:
 
     def test_total_toggles(self):
         assert ActivityRecord(1, 2, 3).total_toggles == 6
-
-    def test_idle_detection(self):
-        assert ZERO_ACTIVITY.is_idle()
-        assert not ActivityRecord(clock_toggles=1).is_idle()
-
 
 class TestActivityTrace:
     def test_from_records_roundtrip(self):
@@ -66,11 +61,3 @@ class TestActivityTrace:
         trace = ActivityTrace.from_records("t", [ActivityRecord(i, 0, 0) for i in range(6)])
         sliced = trace.slice(2, 4)
         assert list(sliced.clock_toggles) == [2, 3]
-
-    def test_mean_record(self):
-        trace = ActivityTrace.from_records("t", [ActivityRecord(2, 4, 6), ActivityRecord(4, 6, 8)])
-        mean = trace.mean_record()
-        assert mean == ActivityRecord(3, 5, 7)
-
-    def test_mean_record_empty(self):
-        assert ActivityTrace.zeros("t", 0).mean_record() == ZERO_ACTIVITY

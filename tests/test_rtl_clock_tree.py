@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rtl.clock_tree import ClockTree, build_clock_tree, clock_power_fraction
+from repro.rtl.clock_tree import ClockTree
 
 
 class TestClockTreeConstruction:
@@ -53,15 +53,3 @@ class TestClockTreeActivity:
         tree = ClockTree("t", num_sinks=16)
         with pytest.raises(ValueError):
             tree.toggles_per_cycle(17)
-
-    def test_build_helper(self):
-        tree = build_clock_tree("cts", 100, max_fanout=20)
-        assert tree.num_sinks == 100
-
-
-class TestClockPowerFraction:
-    def test_zero_activity(self):
-        assert clock_power_fraction(0, 0, 0) == 0.0
-
-    def test_typical_fraction(self):
-        assert clock_power_fraction(50, 30, 20) == pytest.approx(0.5)

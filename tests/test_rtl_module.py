@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rtl.components import ClockGate, CombinationalBlock, Register
-from repro.rtl.module import Module, Port, PortDirection
+from repro.rtl.module import Module
 
 
 def build_sample_hierarchy() -> Module:
@@ -36,17 +36,6 @@ class TestModuleConstruction:
         module.add_child(Module("c"))
         with pytest.raises(ValueError):
             module.add_child(Module("c"))
-
-    def test_duplicate_port_rejected(self):
-        module = Module("m")
-        module.add_port("clk", PortDirection.INPUT)
-        with pytest.raises(ValueError):
-            module.add_port("clk", PortDirection.INPUT)
-
-    def test_port_width_validated(self):
-        with pytest.raises(ValueError):
-            Port("p", PortDirection.INPUT, width=0)
-
 
 class TestModuleQueries:
     def test_iter_components_paths(self):

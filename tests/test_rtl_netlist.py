@@ -59,7 +59,8 @@ class TestNetlistQueries:
 
     def test_register_totals(self, simple_netlist):
         assert simple_netlist.total_registers == 8 + 12 + 64
-        assert simple_netlist.registers_by_role("watermark") == 76
+        watermark = simple_netlist.components("watermark")
+        assert sum(c.register_count for c in watermark) == 76
 
     def test_edges_iteration(self, simple_netlist):
         nets = {edge.net for edge in simple_netlist.edges()}
@@ -75,23 +76,6 @@ class TestNetlistStructure:
 
     def test_reachability(self, simple_netlist):
         assert simple_netlist.reachable_from(["clk_ctrl"]) == {"clk_ctrl", "icg", "reg", "logic"}
-
-    def test_cone_of_influence(self, simple_netlist):
-        assert simple_netlist.cone_of_influence(["logic"]) == {"clk_ctrl", "icg", "reg", "logic"}
-
-    def test_remove_components(self, simple_netlist):
-        pruned = simple_netlist.remove_components(["wm_lfsr", "wm_load"])
-        assert len(pruned) == 4
-        assert "wm_lfsr" not in pruned
-        assert len(simple_netlist) == 6  # original untouched
-
-    def test_remove_unknown_component_rejected(self, simple_netlist):
-        with pytest.raises(KeyError):
-            simple_netlist.remove_components(["ghost"])
-
-    def test_dangling_inputs_after_removal(self, simple_netlist):
-        pruned = simple_netlist.remove_components(["clk_ctrl"])
-        assert "icg" in pruned.dangling_inputs()
 
     def test_subgraph_stats(self, simple_netlist):
         stats = simple_netlist.subgraph_stats(["wm_lfsr", "wm_load"])

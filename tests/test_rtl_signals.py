@@ -2,67 +2,12 @@
 
 import pytest
 
-from repro.rtl.signals import (
-    Clock,
-    LogicLevel,
-    Signal,
-    SignalBundle,
-    hamming_distance,
-    hamming_weight,
-)
-
-
-class TestLogicLevel:
-    def test_from_bool(self):
-        assert LogicLevel.from_bool(True) is LogicLevel.HIGH
-        assert LogicLevel.from_bool(False) is LogicLevel.LOW
-
-    def test_inversion(self):
-        assert ~LogicLevel.HIGH is LogicLevel.LOW
-        assert ~LogicLevel.LOW is LogicLevel.HIGH
-
-
-class TestSignal:
-    def test_initial_value_is_normalised(self):
-        assert Signal("a", value=5).value == 1
-        assert Signal("a", value=0).value == 0
-
-    def test_set_returns_toggle_status(self):
-        signal = Signal("a", value=0)
-        assert signal.set(1) is True
-        assert signal.set(1) is False
-        assert signal.set(0) is True
-
-    def test_toggle_count_accumulates(self):
-        signal = Signal("a")
-        for value in (1, 0, 1, 1, 0):
-            signal.set(value)
-        assert signal.toggle_count == 4
-
-    def test_previous_value_tracked(self):
-        signal = Signal("a", value=0)
-        signal.set(1)
-        assert signal.previous == 0
-        assert signal.toggled()
-
-    def test_reset_clears_statistics(self):
-        signal = Signal("a")
-        signal.set(1)
-        signal.reset()
-        assert signal.value == 0
-        assert signal.toggle_count == 0
+from repro.rtl.signals import Clock, hamming_distance
 
 
 class TestClock:
     def test_period(self):
         assert Clock("clk", 10e6).period_s == pytest.approx(100e-9)
-
-    def test_edges_per_cycle(self):
-        assert Clock("clk", 10e6).edges_per_cycle == 2
-
-    def test_cycles_for_duration(self):
-        clock = Clock("clk", 10e6)
-        assert clock.cycles_for_duration(30e-3) == 300_000
 
     def test_invalid_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -71,34 +16,6 @@ class TestClock:
     def test_invalid_duty_cycle_rejected(self):
         with pytest.raises(ValueError):
             Clock("clk", 10e6, duty_cycle=1.5)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            Clock("clk", 10e6).cycles_for_duration(-1.0)
-
-
-class TestSignalBundle:
-    def test_word_packing(self):
-        bundle = SignalBundle("bus", width=8)
-        bundle.drive(0xA5)
-        assert bundle.word == 0xA5
-
-    def test_drive_counts_toggles(self):
-        bundle = SignalBundle("bus", width=8)
-        assert bundle.drive(0xFF) == 8
-        assert bundle.drive(0xFF) == 0
-        assert bundle.drive(0x0F) == 4
-
-    def test_invalid_width_rejected(self):
-        with pytest.raises(ValueError):
-            SignalBundle("bus", width=0)
-
-    def test_reset_sets_value(self):
-        bundle = SignalBundle("bus", width=4)
-        bundle.reset(0b1010)
-        assert bundle.word == 0b1010
-        assert len(bundle) == 4
-
 
 class TestHammingHelpers:
     @pytest.mark.parametrize(
@@ -110,7 +27,3 @@ class TestHammingHelpers:
 
     def test_hamming_distance_with_width_mask(self):
         assert hamming_distance(0x1FF, 0x0FF, width=8) == 0
-
-    def test_hamming_weight(self):
-        assert hamming_weight(0b1011) == 3
-        assert hamming_weight(0xF0F, width=8) == 4

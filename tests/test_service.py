@@ -301,7 +301,6 @@ def test_verify_transcript_built_from_wire_form_alone():
 def test_wire_roundtrip_with_arrays_is_bit_exact():
     result = ExperimentRunner().run("fig2")
     rebuilt = ScenarioResult.from_wire(result.to_wire())
-    assert not rebuilt.arrays_stripped
     assert set(rebuilt.arrays) == set(result.arrays)
     assert rebuilt.to_wire()["json"] == result.to_wire()["json"]
 
@@ -310,27 +309,15 @@ def test_wire_roundtrip_survives_stripped_arrays():
     result = ExperimentRunner().run("fig2")
     wire = result.to_wire()
     stripped = ScenarioResult.from_wire({"json": wire["json"], "npz": None})
-    assert stripped.arrays_stripped
     assert not stripped.arrays
     # The array *metadata* survives: re-serializing reproduces the wire
     # JSON byte-for-byte even though the data itself is gone.
     assert stripped.to_wire()["json"] == wire["json"]
     assert stripped.to_wire()["npz"] is None
-    # And a second hop keeps reporting the loss.
+    # And a second hop keeps the metadata of the lost arrays.
     twice = ScenarioResult.from_wire(stripped.to_wire())
-    assert twice.arrays_stripped
+    assert not twice.arrays
     assert twice.to_wire()["json"] == wire["json"]
-
-
-def test_result_without_arrays_never_reports_stripped():
-    result = ExperimentRunner().run("table1")
-    rebuilt = ScenarioResult.from_wire(
-        {"json": result.to_wire()["json"], "npz": None}
-    )
-    if result.arrays:
-        assert rebuilt.arrays_stripped
-    else:
-        assert not rebuilt.arrays_stripped
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +399,7 @@ def test_verify_signature_checks_offline(live_server, client):
     response = client.verify(scenario="table2")
     key_path = live_server.service.config.resolved_data_dir() / "hmac.key"
     assert ServiceClient.verify_transcript(response, key_path)
-    assert ServiceClient.verify_transcript(response, live_server.service.signing_key)
+    assert ServiceClient.verify_transcript(response, key_path.read_bytes())
     forged = dict(response, transcript=dict(response["transcript"], decision=False))
     assert not ServiceClient.verify_transcript(forged, key_path)
 

@@ -58,11 +58,3 @@ class TestActivityAndTiming:
         _, small, _ = bus.access(BASE, write=True, value=0)
         _, large, _ = bus.access(BASE + 0x400, write=True, value=0xFFFFFFFF)
         assert large.total_toggles > small.total_toggles
-
-    def test_reset(self, bus):
-        bus.access(BASE, write=True, value=1)
-        bus.reset()
-        assert bus.transfer_count == 0
-        assert bus.transfers == []
-        value, _, _ = bus.access(BASE, write=False)
-        assert value == 0

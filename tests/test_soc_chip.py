@@ -126,10 +126,6 @@ class TestM0ActivityGather:
         # with one np.roll per repetition, drawing shifts from the same
         # seeded generator.
         window = min(num_cycles, chip.description.m0_window_cycles)
-        chip.cpu.reset()
-        chip.bus.reset()
-        if chip.program.data_words:
-            chip.memory.load_words(chip.program.data_words)
         window_trace = chip.cpu.run_cycles(window)
         rng = np.random.default_rng(seed)
         arrays = {

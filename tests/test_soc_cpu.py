@@ -19,7 +19,10 @@ def make_cpu(source: str) -> CortexM0Like:
 
 def run(source: str, max_cycles: int = 2000) -> CortexM0Like:
     cpu = make_cpu(source)
-    cpu.run_until_halt(max_cycles=max_cycles)
+    for _ in range(max_cycles):
+        cpu.step_cycle()
+        if cpu.halted:
+            break
     return cpu
 
 
@@ -189,7 +192,7 @@ class TestTimingAndActivity:
                 halt
             """
         )
-        assert cpu.stats.cpi > 1.0
+        assert cpu.stats.cycles > cpu.stats.instructions
 
     def test_halted_cpu_reports_idle_activity(self):
         cpu = run("main:\n halt")
@@ -199,12 +202,11 @@ class TestTimingAndActivity:
 
     def test_halted_cycles_do_not_inflate_cycle_count(self):
         # Regression: post-halt idle stepping used to increment
-        # ``stats.cycles`` and therefore inflate CPI for ``run_until_halt``
+        # ``stats.cycles`` and therefore inflate cycles per instruction for
         # callers that keep stepping (e.g. fixed-length activity windows).
         cpu = run("main:\n mov r0, #1\n add r0, r0, #2\n halt")
         executed_cycles = cpu.stats.cycles
         executed_instructions = cpu.stats.instructions
-        cpi_at_halt = cpu.stats.cpi
         assert cpu.stats.halted_cycles == 0
         for _ in range(25):
             cpu.step_cycle()
@@ -212,7 +214,6 @@ class TestTimingAndActivity:
         assert cpu.stats.instructions == executed_instructions
         assert cpu.stats.halted_cycles == 25
         assert cpu.stats.total_cycles == executed_cycles + 25
-        assert cpu.stats.cpi == cpi_at_halt
 
     def test_run_cycles_on_halted_core_counts_only_idle(self):
         cpu = run("main:\n halt")
@@ -243,13 +244,6 @@ class TestTimingAndActivity:
         )
         trace = cpu.run_cycles(300)
         assert trace.total_toggles.std() > 0
-
-    def test_reset_restores_architectural_state(self):
-        cpu = run("main:\n mov r0, #9\n halt")
-        cpu.reset()
-        assert cpu.register(0) == 0
-        assert not cpu.halted
-        assert cpu.stats.cycles == 0
 
     def test_activity_model_totals(self):
         model = CPUActivityModel()

@@ -30,16 +30,6 @@ class TestOperand:
 
 
 class TestInstruction:
-    def test_branch_classification(self):
-        branch = Instruction(Opcode.B, (Operand.label("loop"),))
-        assert branch.is_branch
-        assert not Instruction(Opcode.ADD).is_branch
-
-    def test_memory_classification(self):
-        load = Instruction(Opcode.LDR, (Operand.reg(0), Operand.mem(1, 0)))
-        assert load.is_memory
-        assert not Instruction(Opcode.MOV).is_memory
-
     def test_base_cycles_alu(self):
         assert Instruction(Opcode.ADD).base_cycles() == 1
 

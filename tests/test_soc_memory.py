@@ -80,13 +80,6 @@ class TestActivityTrackedAccess:
         _, far = memory.access(BASE + 0x800, write=True, value=0)
         assert far.address_toggles > same.address_toggles
 
-    def test_reset_clears_state(self, memory):
-        memory.access(BASE, write=True, value=5)
-        memory.reset()
-        assert memory.read_word(BASE) == 0
-        assert memory.read_count == 0
-        assert memory.write_count == 0
-
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             Memory(size_bytes=0)
