@@ -250,10 +250,11 @@ class ScenarioResult:
             buffer = io.BytesIO()
             np.savez(buffer, **self.arrays)
             npz_bytes = buffer.getvalue()
-        return {
-            "json": json.dumps(self.to_json_dict(), sort_keys=True),
-            "npz": npz_bytes,
-        }
+        return {"json": self.wire_json(), "npz": npz_bytes}
+
+    def wire_json(self) -> str:
+        """The JSON text of :meth:`to_wire`, without encoding the arrays."""
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_wire(cls, wire: Dict[str, Any]) -> "ScenarioResult":

@@ -19,7 +19,7 @@ using per-cell coefficients from the synthetic 65 nm library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -82,17 +82,6 @@ class ActivityTrace:
                 f"activity arrays of trace {self.name!r} have mismatched lengths: "
                 f"{sorted(lengths)}"
             )
-
-    @classmethod
-    def from_records(cls, name: str, records: Iterable[ActivityRecord]) -> "ActivityTrace":
-        """Build a trace from an iterable of per-cycle records."""
-        records = list(records)
-        return cls(
-            name=name,
-            clock_toggles=np.array([r.clock_toggles for r in records], dtype=np.int64),
-            data_toggles=np.array([r.data_toggles for r in records], dtype=np.int64),
-            comb_toggles=np.array([r.comb_toggles for r in records], dtype=np.int64),
-        )
 
     @classmethod
     def zeros(cls, name: str, num_cycles: int) -> "ActivityTrace":

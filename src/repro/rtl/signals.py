@@ -53,4 +53,4 @@ def hamming_distance(a: int, b: int, width: Optional[int] = None) -> int:
     diff = a ^ b
     if width is not None:
         diff &= (1 << width) - 1
-    return bin(diff).count("1")
+    return diff.bit_count()

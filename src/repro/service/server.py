@@ -342,14 +342,13 @@ class DetectionService:
                 "signature": signature,
             }
         )
-        wire = result.to_wire()
         return 200, {
             "ok": True,
             "cache_hit": cache_hit,
             "transcript": transcript,
             "signature": signature,
             "ledger": anchor.to_json_dict(),
-            "result_json": wire["json"],
+            "result_json": result.wire_json(),
             "schema_versions": schema_versions(),
         }
 

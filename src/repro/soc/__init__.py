@@ -19,7 +19,7 @@ package provides the equivalents we can build without the proprietary IP:
 from repro.soc.isa import Opcode, Instruction, Condition, REGISTER_NAMES
 from repro.soc.assembler import Assembler, AssemblyError, Program
 from repro.soc.memory import Memory
-from repro.soc.bus import SystemBus, BusTransfer
+from repro.soc.bus import SystemBus
 from repro.soc.cache import CacheConfig
 from repro.soc.cpu import CortexM0Like, CPUActivityModel, ExecutionStats
 from repro.soc.multicore import IdleDualCoreA5Like
@@ -41,7 +41,6 @@ __all__ = [
     "Program",
     "Memory",
     "SystemBus",
-    "BusTransfer",
     "CacheConfig",
     "CortexM0Like",
     "CPUActivityModel",

@@ -8,22 +8,10 @@ background-noise contributors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.rtl.activity import ActivityRecord
 from repro.rtl.signals import hamming_distance
 from repro.soc.memory import Memory
-
-
-@dataclass(frozen=True)
-class BusTransfer:
-    """A completed bus transfer (for statistics and tests)."""
-
-    address: int
-    write: bool
-    width: int
-    value: int
 
 
 class SystemBus:
@@ -42,10 +30,8 @@ class SystemBus:
         self.name = name
         self.wait_states = wait_states
         self.slaves: List[Memory] = []
-        self.transfers: List[BusTransfer] = []
         self._last_address = 0
         self._last_data = 0
-        self.transfer_count = 0
 
     def attach(self, memory: Memory) -> None:
         """Attach a memory region to the bus."""
@@ -67,26 +53,21 @@ class SystemBus:
 
     def access(
         self, address: int, write: bool, value: Optional[int] = None, width: int = 4
-    ) -> Tuple[Optional[int], ActivityRecord, int]:
+    ) -> Tuple[int, int, int, int]:
         """Perform a data access.
 
-        Returns ``(read_value, activity, extra_cycles)`` where
-        ``extra_cycles`` is the number of wait states the CPU must stall.
+        Returns ``(data, data_toggles, comb_toggles, extra_cycles)``:
+        ``data`` is the word on the data wires (the value read, or the
+        value written), ``data_toggles`` the SRAM's data-path and array
+        transitions, ``comb_toggles`` the bus wires' and the SRAM address
+        path's, and ``extra_cycles`` the wait states the CPU must stall.
         """
-        slave = self._slave_for(address)
-        result, memory_activity = slave.access(address, write=write, value=value, width=width)
+        data, address_toggles, data_toggles, array_toggles = self._slave_for(address).access(
+            address, write, value, width
+        )
         bus_toggles = hamming_distance(self._last_address, address, 32) + hamming_distance(
-            self._last_data, (value if write else (result or 0)) or 0, 32
+            self._last_data, data, 32
         )
         self._last_address = address
-        self._last_data = (value if write else (result or 0)) or 0
-        self.transfer_count += 1
-        if len(self.transfers) < 10_000:
-            self.transfers.append(
-                BusTransfer(address=address, write=write, width=width, value=(value if write else (result or 0)) or 0)
-            )
-        activity = ActivityRecord(
-            data_toggles=memory_activity.data_toggles + memory_activity.array_toggles,
-            comb_toggles=bus_toggles + memory_activity.address_toggles,
-        )
-        return result, activity, self.wait_states
+        self._last_data = data
+        return data, data_toggles + array_toggles, bus_toggles + address_toggles, self.wait_states

@@ -10,10 +10,12 @@ A :class:`ChipModel` combines:
 
 and produces per-cycle power traces for the measurement chain.  The
 Cortex-M0 workload is simulated cycle by cycle for a representative window
-and tiled to the full acquisition length -- Dhrystone itself is a short
-repeating loop, so this preserves the cycle-to-cycle structure of the
-background power while keeping multi-hundred-thousand-cycle acquisitions
-tractable in pure Python.
+(16,384 cycles by default) and tiled, with a random cyclic shift per
+repetition, to the full acquisition length.  Dhrystone itself is a short
+repeating loop, so the window already holds the cycle-to-cycle structure
+of the background power; simulating every one of a multi-hundred-thousand-
+cycle acquisition would add nothing but time.  The simulated window is
+shared across chips through the window cache in :mod:`repro.soc.cpu`.
 """
 
 from __future__ import annotations

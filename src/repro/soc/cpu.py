@@ -1,20 +1,25 @@
 """Cortex-M0-class scalar in-order core model.
 
 The core executes programs written in the Thumb-like ISA and, for every
-clock cycle, reports a switching-activity record assembled from:
+clock cycle, reports the switching activity of:
 
 * the core's clock network (always-clocked control registers, pipeline
   registers while the core is not sleeping, register-file write banks when
   a result is written),
 * datapath toggles (fetch bus, operand buses, ALU result, load/store data),
 * decode/ALU combinational activity, and
-* the activity returned by the system bus / SRAM for memory accesses.
+* the system bus / SRAM for memory accesses.
 
 Timing loosely follows the Cortex-M0: single-cycle ALU operations,
 two-cycle loads and stores, pipeline-refill penalty on taken branches.
 The goal is not microarchitectural fidelity but a background power trace
 whose cycle-to-cycle structure is driven by real instruction execution --
 exactly the "noise" the CPA detector has to overcome in the paper.
+
+Every instruction is decoded once, when the core is built, into a tuple of
+plain ints (see :func:`_decode`), and the cycle loop keeps the register
+file, flags and datapath history in locals.  ``tests/iss_oracle.py`` keeps
+the stepping core this replaced, which the tests compare against exactly.
 """
 
 from __future__ import annotations
@@ -26,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.caching import LRUCache
-from repro.rtl.activity import ActivityRecord, ActivityTrace
+from repro.rtl.activity import ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
-from repro.rtl.signals import hamming_distance
 from repro.soc.assembler import Program
 from repro.soc.bus import SystemBus
 from repro.soc.isa import (
@@ -43,19 +47,20 @@ from repro.soc.isa import (
 )
 
 _WORD_MASK = 0xFFFFFFFF
+_SIGN_BIT = 0x8000_0000
 
 
 # -- shared M0 window cache ----------------------------------------------------
 #
-# Every ``ChipModel.m0_activity`` call used to re-run the cycle-accurate
-# window simulation -- the last O(cycles) Python loop on the generation
-# side.  The simulated window is a pure function of the program (including
-# its initial memory image), the window length and the structural
+# The simulated window is a pure function of the program (including its
+# initial memory image), the window length and the structural
 # configuration of the core/bus, so one simulation can be shared by every
-# chip instance that executes the same program.  The cache is keyed by a
-# caller-built tuple (see ``ChipModel._m0_window_cache_key``) whose program
-# component comes from :func:`program_fingerprint`, which is what
-# invalidates entries when the program text or memory image differs.
+# chip instance that executes the same program.  A cold window of the
+# paper's 16,384 cycles still costs tens of milliseconds, while a hit is
+# free.  The cache is keyed by a caller-built tuple (see
+# ``ChipModel._m0_window_cache_key``) whose program component comes from
+# :func:`program_fingerprint`, which is what invalidates entries when the
+# program text or memory image differs.
 
 #: Upper bound on retained window traces (LRU eviction beyond this).
 M0_WINDOW_CACHE_MAX_ENTRIES = 32
@@ -144,31 +149,6 @@ class CPUActivityModel:
         """Total flip-flop count of the core."""
         return self.always_clocked_registers + self.pipeline_registers + self.regfile_registers
 
-    def idle_activity(self) -> ActivityRecord:
-        """Activity of a cycle in which the core is clocked but sleeping."""
-        return ActivityRecord(
-            clock_toggles=CLOCK_EDGES_PER_CYCLE * self.always_clocked_registers
-        )
-
-    def cycle_activity(
-        self,
-        executing: bool,
-        regfile_write: bool,
-        datapath_toggles: int,
-        comb_toggles: int,
-    ) -> ActivityRecord:
-        """Assemble the core-internal activity of one cycle."""
-        clocked = self.always_clocked_registers
-        if executing:
-            clocked += self.pipeline_registers
-        if regfile_write:
-            clocked += self.regfile_write_width
-        return ActivityRecord(
-            clock_toggles=CLOCK_EDGES_PER_CYCLE * clocked,
-            data_toggles=datapath_toggles,
-            comb_toggles=comb_toggles,
-        )
-
 
 @dataclass
 class ExecutionStats:
@@ -189,13 +169,179 @@ class ExecutionStats:
     memory_accesses: int = 0
     halted: bool = False
 
-    @property
-    def total_cycles(self) -> int:
-        """All stepped cycles, including post-halt idle cycles."""
-        return self.cycles + self.halted_cycles
 
 class CPUError(Exception):
     """Raised on invalid program behaviour (bad PC, missing label, ...)."""
+
+
+# -- decoding ------------------------------------------------------------------
+#
+# Each instruction decodes once into the tuple
+#
+#     (kind, fetch_word, base_cycles, clock, t0, t1, rd, ra, rb, aux)
+#
+# * ``kind``: the handler of the cycle loop (one of the ``_K_*`` ints);
+# * ``fetch_word``: the synthetic 16-bit encoding the fetch bus carries;
+# * ``base_cycles``: latency before wait states and the taken-branch penalty;
+# * ``clock``: clock-network toggles of the executing cycle (a register-file
+#   write clocks the write bank as well);
+# * ``t0``, ``t1``: operand-file slots of the first two register/immediate
+#   operands, which drive the operand buses (``t0 < 0``: none);
+# * ``rd``, ``ra``, ``rb``, ``aux``: per kind --
+#   ALU/MOV/MVN: destination register and the operand-file slots of the two
+#   sources (CMP: ``ra``, ``rb`` only); loads/stores: data register, base
+#   register, offset and access width; PUSH/POP: ``aux`` is the register
+#   list in transfer order; B/BL: branch target (``None`` when the label is
+#   undefined), label name and, for B, the condition row; BX: the target
+#   register; malformed: ``aux`` is the error message.
+#
+# The operand file is the 16 architectural registers followed by the
+# program's immediates (masked to 32 bits), so every register or immediate
+# operand is one list index.
+
+(
+    _K_ADD, _K_SUB, _K_MUL, _K_AND, _K_ORR, _K_EOR, _K_LSL, _K_LSR, _K_ASR,
+    _K_MOV, _K_MVN, _K_CMP, _K_LOAD, _K_STORE, _K_PUSH, _K_POP,
+    _K_B, _K_BL, _K_BX, _K_NOP, _K_HALT, _K_MALFORMED,
+) = range(22)
+
+_ALU_KINDS = {
+    Opcode.ADD: _K_ADD,
+    Opcode.SUB: _K_SUB,
+    Opcode.MUL: _K_MUL,
+    Opcode.AND: _K_AND,
+    Opcode.ORR: _K_ORR,
+    Opcode.EOR: _K_EOR,
+    Opcode.LSL: _K_LSL,
+    Opcode.LSR: _K_LSR,
+    Opcode.ASR: _K_ASR,
+}
+_MEMORY_KINDS = {
+    Opcode.LDR: (_K_LOAD, 4),
+    Opcode.LDRB: (_K_LOAD, 1),
+    Opcode.STR: (_K_STORE, 4),
+    Opcode.STRB: (_K_STORE, 1),
+}
+_SIMPLE_KINDS = {
+    Opcode.MOV: _K_MOV,
+    Opcode.MVN: _K_MVN,
+    Opcode.NOP: _K_NOP,
+    Opcode.HALT: _K_HALT,
+}
+#: Kinds that write the register file (and so clock its write bank).
+_REGFILE_WRITE_KINDS = frozenset(_ALU_KINDS.values()) | {_K_MOV, _K_MVN, _K_LOAD, _K_POP, _K_BL}
+
+_CONDITIONS: Dict[Condition, Callable[[bool, bool, bool, bool], bool]] = {
+    Condition.AL: lambda n, z, c, v: True,
+    Condition.EQ: lambda n, z, c, v: z,
+    Condition.NE: lambda n, z, c, v: not z,
+    Condition.CS: lambda n, z, c, v: c,
+    Condition.CC: lambda n, z, c, v: not c,
+    Condition.MI: lambda n, z, c, v: n,
+    Condition.PL: lambda n, z, c, v: not n,
+    Condition.LT: lambda n, z, c, v: n != v,
+    Condition.LE: lambda n, z, c, v: z or (n != v),
+    Condition.GT: lambda n, z, c, v: (not z) and (n == v),
+    Condition.GE: lambda n, z, c, v: n == v,
+}
+
+#: Per condition, whether it holds for each flag state, indexed by
+#: ``8*n + 4*z + 2*c + v``.
+_CONDITION_ROWS: Dict[Condition, Tuple[bool, ...]] = {
+    condition: tuple(
+        bool(holds(bool(i & 8), bool(i & 4), bool(i & 2), bool(i & 1))) for i in range(16)
+    )
+    for condition, holds in _CONDITIONS.items()
+}
+
+
+class _OperandFile:
+    """Slot allocation of the operand file (registers, then immediates)."""
+
+    def __init__(self) -> None:
+        #: Immediate value -> slot, in slot order.
+        self.constants: Dict[int, int] = {}
+
+    def slot(self, operand: Operand) -> Optional[int]:
+        """The slot of a register or immediate operand, else ``None``."""
+        if operand.kind == "reg":
+            return operand.value
+        if operand.kind == "imm":
+            return self.constant(operand.value & _WORD_MASK)
+        return None
+
+    def constant(self, value: int) -> int:
+        """The slot of an immediate value, allocated on first use."""
+        return self.constants.setdefault(value, 16 + len(self.constants))
+
+
+def _decode(
+    instruction: Instruction, program: Program, model: CPUActivityModel, slots: _OperandFile
+) -> tuple:
+    """Decode one instruction into the cycle loop's tuple (see above).
+
+    An instruction whose operands do not fit its opcode decodes to a
+    malformed entry, which raises :class:`CPUError` when it executes.
+    """
+    opcode = instruction.opcode
+    operands = instruction.operands
+    kinds = tuple(operand.kind for operand in operands)
+    value_slots = [slots.slot(operand) for operand in operands]
+    values = [slot for slot in value_slots if slot is not None]
+    t0 = values[0] if values else -1
+    t1 = values[1] if len(values) > 1 else slots.constant(0)
+    kind = _K_MALFORMED
+    rd = ra = rb = aux = None
+    sources: Optional[List[Optional[int]]] = None
+    if opcode in _ALU_KINDS and kinds[:1] == ("reg",):
+        kind, rd = _ALU_KINDS[opcode], operands[0].value
+        # Three operands: rd = ra op rb; otherwise rd = rd op operand.
+        sources = value_slots[1:3] if len(operands) == 3 else [rd, *value_slots[1:2]]
+    elif opcode in (Opcode.MOV, Opcode.MVN) and kinds[:1] == ("reg",):
+        kind, rd = _SIMPLE_KINDS[opcode], operands[0].value
+        sources = [*value_slots[1:2], 0]
+    elif opcode is Opcode.CMP:
+        kind, sources = _K_CMP, value_slots[:2]
+    elif opcode in _MEMORY_KINDS and kinds[:2] == ("reg", "mem"):
+        kind, aux = _MEMORY_KINDS[opcode]
+        rd = operands[0].value
+        ra, rb = operands[1].value
+    elif opcode in (Opcode.PUSH, Opcode.POP) and kinds[:1] == ("reglist",):
+        # PUSH stores the highest register first, POP loads the lowest first.
+        registers = operands[0].value
+        kind = _K_PUSH if opcode is Opcode.PUSH else _K_POP
+        aux = tuple(reversed(registers)) if opcode is Opcode.PUSH else tuple(registers)
+    elif opcode in (Opcode.B, Opcode.BL) and kinds[:1] == ("label",):
+        kind = _K_B if opcode is Opcode.B else _K_BL
+        ra = operands[0].value
+        rd = program.labels.get(ra)
+        aux = _CONDITION_ROWS[instruction.condition]
+    elif opcode is Opcode.BX and kinds[:1] == ("reg",):
+        kind, rd = _K_BX, operands[0].value
+    elif opcode in (Opcode.NOP, Opcode.HALT):
+        kind = _SIMPLE_KINDS[opcode]
+    if sources is not None:
+        if len(sources) == 2 and None not in sources:
+            ra, rb = sources
+        else:
+            kind = _K_MALFORMED
+    if kind == _K_MALFORMED:
+        aux = f"malformed operands {kinds} for {opcode.value}"
+    clocked = model.always_clocked_registers + model.pipeline_registers
+    if kind in _REGFILE_WRITE_KINDS:
+        clocked += model.regfile_write_width
+    return (
+        kind,
+        instruction.encode(),
+        instruction.base_cycles(),
+        CLOCK_EDGES_PER_CYCLE * clocked,
+        t0,
+        t1,
+        rd,
+        ra,
+        rb,
+        aux,
+    )
 
 
 class CortexM0Like:
@@ -211,13 +357,16 @@ class CortexM0Like:
     ) -> None:
         self.name = name
         self.program = program
-        # The fetch datapath sees each instruction's 16-bit word; encode the
-        # program once rather than on every executed instruction.
-        self._fetch_words = [instruction.encode() for instruction in program.instructions]
         self.bus = bus
         self.activity = activity_model or CPUActivityModel()
+        slots = _OperandFile()
+        self._decoded = [
+            _decode(instruction, program, self.activity, slots)
+            for instruction in program.instructions
+        ]
+        self._constants = list(slots.constants)
         self.registers: List[int] = [0] * 16
-        self.registers[SP] = stack_pointer
+        self.registers[SP] = stack_pointer & _WORD_MASK
         self.registers[PC] = program.entry_point
         self.flags = {"n": False, "z": False, "c": False, "v": False}
         self.stats = ExecutionStats()
@@ -226,301 +375,205 @@ class CortexM0Like:
         self._prev_fetch_word = 0
         self._prev_result = 0
         self._prev_operands = (0, 0)
-        # Multi-cycle instruction bookkeeping.
+        # Remaining stall cycles of a multi-cycle instruction and the
+        # (clock, data, comb) toggles each of them repeats.
         self._stall_cycles = 0
-        self._pending_activity: Optional[ActivityRecord] = None
-
-    # -- architectural helpers -----------------------------------------------
+        self._stall_toggles = (0, 0, 0)
 
     def register(self, index: int) -> int:
         """Read an architectural register."""
         return self.registers[index] & _WORD_MASK
 
-    def _write_register(self, index: int, value: int) -> None:
-        self.registers[index] = value & _WORD_MASK
-
-    def _operand_value(self, operand: Operand) -> int:
-        if operand.kind == "reg":
-            return self.register(operand.value)
-        if operand.kind == "imm":
-            return operand.value & _WORD_MASK
-        raise CPUError(f"cannot read value of operand kind {operand.kind!r}")
-
-    def _set_nz(self, value: int) -> None:
-        value &= _WORD_MASK
-        self.flags["n"] = bool(value & 0x8000_0000)
-        self.flags["z"] = value == 0
-
-    @staticmethod
-    def _to_signed(value: int) -> int:
-        value &= _WORD_MASK
-        return value - (1 << 32) if value & 0x8000_0000 else value
-
-    def _set_add_flags(self, a: int, b: int, result: int) -> None:
-        self._set_nz(result)
-        self.flags["c"] = result > _WORD_MASK
-        signed_a = self._to_signed(a)
-        signed_b = self._to_signed(b)
-        signed_r = self._to_signed(result)
-        self.flags["v"] = bool((signed_a >= 0) == (signed_b >= 0) and (signed_r >= 0) != (signed_a >= 0))
-
-    def _set_sub_flags(self, a: int, b: int, result: int) -> None:
-        self._set_nz(result)
-        self.flags["c"] = (a & _WORD_MASK) >= (b & _WORD_MASK)
-        signed_a = self._to_signed(a)
-        signed_b = self._to_signed(b)
-        signed_r = self._to_signed(result)
-        self.flags["v"] = bool((signed_a >= 0) != (signed_b >= 0) and (signed_r >= 0) != (signed_a >= 0))
-
-    def _condition_met(self, condition: Condition) -> bool:
-        n, z, c, v = self.flags["n"], self.flags["z"], self.flags["c"], self.flags["v"]
-        table = {
-            Condition.AL: True,
-            Condition.EQ: z,
-            Condition.NE: not z,
-            Condition.CS: c,
-            Condition.CC: not c,
-            Condition.MI: n,
-            Condition.PL: not n,
-            Condition.LT: n != v,
-            Condition.LE: z or (n != v),
-            Condition.GT: (not z) and (n == v),
-            Condition.GE: n == v,
-        }
-        return table[condition]
-
-    # -- execution -----------------------------------------------------------
-
-    def step_cycle(self) -> ActivityRecord:
-        """Advance the core by exactly one clock cycle."""
-        if self.halted:
-            self.stats.halted_cycles += 1
-            return self.activity.idle_activity()
-        self.stats.cycles += 1
-        if self._stall_cycles > 0:
-            self._stall_cycles -= 1
-            activity = self._pending_activity or self.activity.idle_activity()
-            # Stall cycles re-use the clock network but not the full datapath.
-            return ActivityRecord(
-                clock_toggles=activity.clock_toggles,
-                data_toggles=activity.data_toggles // 2,
-                comb_toggles=activity.comb_toggles // 2,
-            )
-        return self._execute_next_instruction()
-
-    def _execute_next_instruction(self) -> ActivityRecord:
-        pc = self.registers[PC]
-        if not 0 <= pc < len(self.program.instructions):
-            raise CPUError(f"program counter {pc} outside program of {len(self.program)} instructions")
-        instruction = self.program.instructions[pc]
-        self.stats.instructions += 1
-
-        fetch_word = self._fetch_words[pc]
-        fetch_toggles = hamming_distance(self._prev_fetch_word, fetch_word, 16)
-        self._prev_fetch_word = fetch_word
-
-        result, next_pc, bus_activity, extra_cycles, regfile_write, operand_toggles = self._execute(
-            instruction, pc
-        )
-
-        result_toggles = hamming_distance(self._prev_result, result, 32)
-        self._prev_result = result
-        datapath_toggles = fetch_toggles + result_toggles + operand_toggles
-        comb_toggles = int(
-            round(
-                (self.activity.decode_gates + self.activity.alu_gates)
-                * self.activity.comb_activity_factor
-            )
-        ) + datapath_toggles // 2
-
-        core_activity = self.activity.cycle_activity(
-            executing=True,
-            regfile_write=regfile_write,
-            datapath_toggles=datapath_toggles,
-            comb_toggles=comb_toggles,
-        )
-        total_activity = core_activity + bus_activity
-
-        total_cycles = instruction.base_cycles() + extra_cycles
-        self._stall_cycles = max(0, total_cycles - 1)
-        self._pending_activity = core_activity
-        self.registers[PC] = next_pc
-        return total_activity
-
-    def _execute(
-        self, instruction: Instruction, pc: int
-    ) -> Tuple[int, int, ActivityRecord, int, bool, int]:
-        """Execute one instruction.
-
-        Returns ``(result, next_pc, bus_activity, extra_cycles,
-        regfile_write, operand_toggles)``.
-        """
-        opcode = instruction.opcode
-        operands = instruction.operands
-        bus_activity = ActivityRecord()
-        extra_cycles = 0
-        regfile_write = False
-        result = 0
-        next_pc = pc + 1
-
-        operand_values = [
-            self._operand_value(op) for op in operands if op.kind in ("reg", "imm")
-        ]
-        operand_toggles = 0
-        if operand_values:
-            a = operand_values[0]
-            b = operand_values[1] if len(operand_values) > 1 else 0
-            operand_toggles = hamming_distance(self._prev_operands[0], a, 32) + hamming_distance(
-                self._prev_operands[1], b, 32
-            )
-            self._prev_operands = (a, b)
-
-        if opcode is Opcode.NOP:
-            pass
-        elif opcode is Opcode.HALT:
-            self.halted = True
-            self.stats.halted = True
-            next_pc = pc
-        elif opcode in (Opcode.MOV, Opcode.MVN):
-            value = self._operand_value(operands[1])
-            result = (~value & _WORD_MASK) if opcode is Opcode.MVN else value
-            self._write_register(operands[0].value, result)
-            self._set_nz(result)
-            regfile_write = True
-        elif opcode in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.ORR, Opcode.EOR,
-                        Opcode.LSL, Opcode.LSR, Opcode.ASR):
-            result, regfile_write = self._execute_alu(opcode, operands)
-        elif opcode is Opcode.CMP:
-            a = self._operand_value(operands[0])
-            b = self._operand_value(operands[1])
-            result = (a - b) & _WORD_MASK
-            self._set_sub_flags(a, b, a - b)
-        elif opcode in (Opcode.LDR, Opcode.LDRB, Opcode.STR, Opcode.STRB):
-            result, bus_activity, extra_cycles, regfile_write = self._execute_memory(opcode, operands)
-            self.stats.memory_accesses += 1
-        elif opcode is Opcode.PUSH:
-            bus_activity, extra_cycles = self._execute_push(operands[0])
-            self.stats.memory_accesses += len(operands[0].value)
-        elif opcode is Opcode.POP:
-            result, next_pc_override, bus_activity, extra_cycles = self._execute_pop(operands[0], next_pc)
-            next_pc = next_pc_override
-            regfile_write = True
-            self.stats.memory_accesses += len(operands[0].value)
-        elif opcode is Opcode.B:
-            self.stats.branches += 1
-            if self._condition_met(instruction.condition):
-                self.stats.taken_branches += 1
-                next_pc = self.program.label_address(operands[0].value)
-                extra_cycles = TAKEN_BRANCH_PENALTY
-        elif opcode is Opcode.BL:
-            self.stats.branches += 1
-            self.stats.taken_branches += 1
-            self._write_register(LR, pc + 1)
-            next_pc = self.program.label_address(operands[0].value)
-            regfile_write = True
-        elif opcode is Opcode.BX:
-            self.stats.branches += 1
-            self.stats.taken_branches += 1
-            next_pc = self.register(operands[0].value)
-        else:  # pragma: no cover - all opcodes handled above
-            raise CPUError(f"unhandled opcode {opcode}")
-        return result, next_pc, bus_activity, extra_cycles, regfile_write, operand_toggles
-
-    def _execute_alu(self, opcode: Opcode, operands: Tuple[Operand, ...]) -> Tuple[int, bool]:
-        destination = operands[0].value
-        if len(operands) == 3:
-            a = self._operand_value(operands[1])
-            b = self._operand_value(operands[2])
-        else:
-            a = self.register(destination)
-            b = self._operand_value(operands[1])
-        if opcode is Opcode.ADD:
-            raw = a + b
-            result = raw & _WORD_MASK
-            self._set_add_flags(a, b, raw)
-        elif opcode is Opcode.SUB:
-            raw = a - b
-            result = raw & _WORD_MASK
-            self._set_sub_flags(a, b, raw)
-        elif opcode is Opcode.MUL:
-            result = (a * b) & _WORD_MASK
-            self._set_nz(result)
-        elif opcode is Opcode.AND:
-            result = a & b
-            self._set_nz(result)
-        elif opcode is Opcode.ORR:
-            result = a | b
-            self._set_nz(result)
-        elif opcode is Opcode.EOR:
-            result = a ^ b
-            self._set_nz(result)
-        elif opcode is Opcode.LSL:
-            shift = b & 0x1F
-            result = (a << shift) & _WORD_MASK
-            self._set_nz(result)
-        elif opcode is Opcode.LSR:
-            shift = b & 0x1F
-            result = (a & _WORD_MASK) >> shift
-            self._set_nz(result)
-        else:  # ASR
-            shift = b & 0x1F
-            result = (self._to_signed(a) >> shift) & _WORD_MASK
-            self._set_nz(result)
-        self._write_register(destination, result)
-        return result, True
-
-    def _execute_memory(
-        self, opcode: Opcode, operands: Tuple[Operand, ...]
-    ) -> Tuple[int, ActivityRecord, int, bool]:
-        register_index = operands[0].value
-        base, offset = operands[1].value
-        address = (self.register(base) + offset) & _WORD_MASK
-        width = 1 if opcode in (Opcode.LDRB, Opcode.STRB) else 4
-        if opcode in (Opcode.LDR, Opcode.LDRB):
-            value, activity, wait = self.bus.access(address, write=False, width=width)
-            self._write_register(register_index, value or 0)
-            return value or 0, activity, wait, True
-        value = self.register(register_index)
-        if width == 1:
-            value &= 0xFF
-        _, activity, wait = self.bus.access(address, write=True, value=value, width=width)
-        return value, activity, wait, False
-
-    def _execute_push(self, reglist: Operand) -> Tuple[ActivityRecord, int]:
-        activity = ActivityRecord()
-        wait_total = 0
-        for register_index in reversed(reglist.value):
-            self._write_register(SP, self.register(SP) - 4)
-            _, access_activity, wait = self.bus.access(
-                self.register(SP), write=True, value=self.register(register_index), width=4
-            )
-            activity = activity + access_activity
-            wait_total += wait
-        return activity, wait_total
-
-    def _execute_pop(self, reglist: Operand, next_pc: int) -> Tuple[int, int, ActivityRecord, int]:
-        activity = ActivityRecord()
-        wait_total = 0
-        result = 0
-        for register_index in reglist.value:
-            value, access_activity, wait = self.bus.access(self.register(SP), write=False, width=4)
-            self._write_register(SP, self.register(SP) + 4)
-            activity = activity + access_activity
-            wait_total += wait
-            value = value or 0
-            result = value
-            if register_index == PC:
-                next_pc = value
-            else:
-                self._write_register(register_index, value)
-        return result, next_pc, activity, wait_total
-
-    # -- trace generation ----------------------------------------------------
-
     def run_cycles(self, num_cycles: int) -> ActivityTrace:
         """Run for ``num_cycles`` clock cycles and return the activity trace."""
         if num_cycles <= 0:
             raise ValueError("num_cycles must be positive")
-        # repro-lint: allow[HOT001] golden reference path: the cycle-accurate ISS is the ground truth the fast paths window-cache
-        records = [self.step_cycle() for _ in range(num_cycles)]
-        return ActivityTrace.from_records(self.name, records)
+        clock, data, comb = self._run(num_cycles)
+        return ActivityTrace(
+            name=self.name,
+            clock_toggles=np.array(clock, dtype=np.int64),
+            data_toggles=np.array(data, dtype=np.int64),
+            comb_toggles=np.array(comb, dtype=np.int64),
+        )
+
+    def _run(self, num_cycles: int) -> Tuple[List[int], List[int], List[int]]:
+        """Advance ``num_cycles`` clock cycles; each cycle's clock, data and comb toggles.
+
+        An instruction's first cycle carries its datapath and bus activity;
+        each further (stall) cycle repeats the core's clock toggles and half
+        its datapath and comb toggles.  A halted core is clocked but idle.
+        The core's state lives in locals while the loop runs and is stored
+        back when it ends, also when it raises.
+        """
+        clock_out: List[int] = []
+        data_out: List[int] = []
+        comb_out: List[int] = []
+        activity = self.activity
+        idle_clock = CLOCK_EDGES_PER_CYCLE * activity.always_clocked_registers
+        comb_base = int(round((activity.decode_gates + activity.alu_gates) * activity.comb_activity_factor))
+        decoded = self._decoded
+        program_length = len(decoded)
+        access = self.bus.access
+        operands = self.registers + self._constants
+        pc = operands[PC]
+        flags = self.flags
+        flag_n, flag_z, flag_c, flag_v = flags["n"], flags["z"], flags["c"], flags["v"]
+        stats = self.stats
+        cycles, halted_cycles, instructions = stats.cycles, stats.halted_cycles, stats.instructions
+        branches, taken_branches, memory_accesses = stats.branches, stats.taken_branches, stats.memory_accesses
+        halted = self.halted
+        prev_fetch, prev_result = self._prev_fetch_word, self._prev_result
+        prev_a, prev_b = self._prev_operands
+        stall = self._stall_cycles
+        stall_clock, stall_data, stall_comb = self._stall_toggles
+        cycles_left = num_cycles
+        try:
+            # repro-lint: allow[HOT001] the ISS is sequential by nature: each instruction's activity depends on the state the previous one left; run once per program and window, then cached
+            while cycles_left:
+                if halted:
+                    clock_out += [idle_clock] * cycles_left
+                    data_out += [0] * cycles_left
+                    comb_out += [0] * cycles_left
+                    halted_cycles += cycles_left
+                    break
+                if stall:
+                    repeat = min(stall, cycles_left)
+                    clock_out += [stall_clock] * repeat
+                    data_out += [stall_data] * repeat
+                    comb_out += [stall_comb] * repeat
+                    stall -= repeat
+                    cycles += repeat
+                    cycles_left -= repeat
+                    continue
+                cycles += 1
+                cycles_left -= 1
+                if not 0 <= pc < program_length:
+                    raise CPUError(f"program counter {pc} outside program of {program_length} instructions")
+                kind, word, base_cycles, clock, t0, t1, rd, ra, rb, aux = decoded[pc]
+                instructions += 1
+                datapath = (prev_fetch ^ word).bit_count()
+                prev_fetch = word
+                if t0 >= 0:
+                    a = operands[t0]
+                    b = operands[t1]
+                    datapath += (prev_a ^ a).bit_count() + (prev_b ^ b).bit_count()
+                    prev_a = a
+                    prev_b = b
+                next_pc = pc + 1
+                result = 0
+                bus_data = bus_comb = extra_cycles = 0
+                if kind <= _K_ASR:  # the nine ALU kinds number first
+                    a = operands[ra]
+                    b = operands[rb]
+                    if kind == _K_ADD:
+                        raw = a + b
+                        result = raw & _WORD_MASK
+                        flag_c = raw > _WORD_MASK
+                        flag_v = (a ^ result) & (b ^ result) & _SIGN_BIT != 0
+                    elif kind == _K_SUB:
+                        result = (a - b) & _WORD_MASK
+                        flag_c = a >= b
+                        flag_v = (a ^ b) & (a ^ result) & _SIGN_BIT != 0
+                    elif kind == _K_MUL:
+                        result = (a * b) & _WORD_MASK
+                    elif kind == _K_AND:
+                        result = a & b
+                    elif kind == _K_ORR:
+                        result = a | b
+                    elif kind == _K_EOR:
+                        result = a ^ b
+                    elif kind == _K_LSL:
+                        result = (a << (b & 0x1F)) & _WORD_MASK
+                    elif kind == _K_LSR:
+                        result = a >> (b & 0x1F)
+                    else:
+                        signed = a - (1 << 32) if a & _SIGN_BIT else a
+                        result = (signed >> (b & 0x1F)) & _WORD_MASK
+                    operands[rd] = result
+                    flag_n = result >= _SIGN_BIT
+                    flag_z = result == 0
+                elif kind == _K_MOV or kind == _K_MVN:
+                    result = operands[ra] if kind == _K_MOV else ~operands[ra] & _WORD_MASK
+                    operands[rd] = result
+                    flag_n = result >= _SIGN_BIT
+                    flag_z = result == 0
+                elif kind == _K_CMP:
+                    a = operands[ra]
+                    b = operands[rb]
+                    result = (a - b) & _WORD_MASK
+                    flag_n = result >= _SIGN_BIT
+                    flag_z = result == 0
+                    flag_c = a >= b
+                    flag_v = (a ^ b) & (a ^ result) & _SIGN_BIT != 0
+                elif kind == _K_B:
+                    branches += 1
+                    if aux[8 * flag_n + 4 * flag_z + 2 * flag_c + flag_v]:
+                        taken_branches += 1
+                        next_pc = rd if rd is not None else self.program.label_address(ra)
+                        extra_cycles = TAKEN_BRANCH_PENALTY
+                elif kind == _K_LOAD:
+                    memory_accesses += 1
+                    address = (operands[ra] + rb) & _WORD_MASK
+                    result, bus_data, bus_comb, extra_cycles = access(address, False, None, aux)
+                    operands[rd] = result
+                elif kind == _K_STORE:
+                    memory_accesses += 1
+                    address = (operands[ra] + rb) & _WORD_MASK
+                    result = operands[rd] if aux == 4 else operands[rd] & 0xFF
+                    _, bus_data, bus_comb, extra_cycles = access(address, True, result, aux)
+                elif kind == _K_PUSH:
+                    memory_accesses += len(aux)
+                    for register in aux:
+                        address = operands[SP] = (operands[SP] - 4) & _WORD_MASK
+                        _, access_data, access_comb, wait = access(address, True, operands[register], 4)
+                        bus_data += access_data
+                        bus_comb += access_comb
+                        extra_cycles += wait
+                elif kind == _K_POP:
+                    memory_accesses += len(aux)
+                    for register in aux:
+                        address = operands[SP]
+                        result, access_data, access_comb, wait = access(address, False, None, 4)
+                        operands[SP] = (address + 4) & _WORD_MASK
+                        bus_data += access_data
+                        bus_comb += access_comb
+                        extra_cycles += wait
+                        if register == PC:
+                            next_pc = result
+                        else:
+                            operands[register] = result
+                elif kind == _K_BL:
+                    branches += 1
+                    taken_branches += 1
+                    operands[LR] = (pc + 1) & _WORD_MASK
+                    next_pc = rd if rd is not None else self.program.label_address(ra)
+                elif kind == _K_BX:
+                    branches += 1
+                    taken_branches += 1
+                    next_pc = operands[rd]
+                elif kind == _K_HALT:
+                    halted = True
+                    next_pc = pc
+                elif kind == _K_MALFORMED:
+                    raise CPUError(f"{aux} at program counter {pc}")
+                datapath += (prev_result ^ result).bit_count()
+                prev_result = result
+                comb = comb_base + datapath // 2
+                clock_out.append(clock)
+                data_out.append(datapath + bus_data)
+                comb_out.append(comb + bus_comb)
+                stall = base_cycles + extra_cycles - 1
+                stall_clock, stall_data, stall_comb = clock, datapath // 2, comb // 2
+                pc = operands[PC] = next_pc
+        finally:
+            self.registers[:] = operands[:16]
+            flags.update(n=flag_n, z=flag_z, c=flag_c, v=flag_v)
+            stats.cycles, stats.halted_cycles, stats.instructions = cycles, halted_cycles, instructions
+            stats.branches, stats.taken_branches = branches, taken_branches
+            stats.memory_accesses = memory_accesses
+            stats.halted = self.halted = halted
+            self._prev_fetch_word, self._prev_result = prev_fetch, prev_result
+            self._prev_operands = (prev_a, prev_b)
+            self._stall_cycles = stall
+            self._stall_toggles = (stall_clock, stall_data, stall_comb)
+        return clock_out, data_out, comb_out

@@ -8,24 +8,9 @@ sparse byte store, adequate for the synthetic workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.rtl.signals import hamming_distance
-
-
-@dataclass
-class MemoryAccessActivity:
-    """Switching activity caused by one memory access."""
-
-    address_toggles: int = 0
-    data_toggles: int = 0
-    array_toggles: int = 0
-
-    @property
-    def total(self) -> int:
-        """Total transitions of the access."""
-        return self.address_toggles + self.data_toggles + self.array_toggles
 
 
 class Memory:
@@ -57,8 +42,6 @@ class Memory:
         self._bytes: Dict[int, int] = {}
         self._last_address = 0
         self._last_data = 0
-        self.read_count = 0
-        self.write_count = 0
 
     # -- address handling ----------------------------------------------------
 
@@ -88,25 +71,31 @@ class Memory:
     def read_word(self, address: int) -> int:
         """Read a little-endian 32-bit word."""
         self._check(address, 4)
+        read = self._bytes.get
         return (
-            self.read_byte(address)
-            | (self.read_byte(address + 1) << 8)
-            | (self.read_byte(address + 2) << 16)
-            | (self.read_byte(address + 3) << 24)
+            read(address, 0)
+            | (read(address + 1, 0) << 8)
+            | (read(address + 2, 0) << 16)
+            | (read(address + 3, 0) << 24)
         )
 
     def write_word(self, address: int, value: int) -> None:
         """Write a little-endian 32-bit word."""
         self._check(address, 4)
         for i in range(4):
-            self.write_byte(address + i, (value >> (8 * i)) & 0xFF)
+            self._bytes[address + i] = (value >> (8 * i)) & 0xFF
 
     # -- activity-tracked access -------------------------------------------------
 
-    def access(self, address: int, write: bool, value: Optional[int] = None, width: int = 4) -> tuple:
-        """Perform an access and return ``(read_value, activity)``.
+    def access(
+        self, address: int, write: bool, value: Optional[int] = None, width: int = 4
+    ) -> Tuple[int, int, int, int]:
+        """Perform an access and return ``(data, address_toggles, data_toggles, array_toggles)``.
 
-        ``width`` is 1 (byte) or 4 (word).
+        ``width`` is 1 (byte) or 4 (word).  ``data`` is the word on the data
+        path: the value read, or the value written.  The toggles are the
+        Hamming distances of the address and data paths against the
+        previous access, and the internal bit-line/word-line transitions.
         """
         if width not in (1, 4):
             raise ValueError("access width must be 1 or 4 bytes")
@@ -118,20 +107,14 @@ class Memory:
             else:
                 self.write_byte(address, value)
             data = value
-            self.write_count += 1
-            result = None
         else:
             data = self.read_word(address) if width == 4 else self.read_byte(address)
-            self.read_count += 1
-            result = data
-        activity = MemoryAccessActivity(
-            address_toggles=hamming_distance(self._last_address, address, 32),
-            data_toggles=hamming_distance(self._last_data, data or 0, 32),
-            array_toggles=self.word_access_toggles if width == 4 else self.word_access_toggles // 4,
-        )
+        address_toggles = hamming_distance(self._last_address, address, 32)
+        data_toggles = hamming_distance(self._last_data, data, 32)
         self._last_address = address
-        self._last_data = data or 0
-        return result, activity
+        self._last_data = data
+        array_toggles = self.word_access_toggles if width == 4 else self.word_access_toggles // 4
+        return data, address_toggles, data_toggles, array_toggles
 
     def load_words(self, words: Dict[int, int]) -> None:
         """Bulk-initialise memory from an ``{address: word}`` mapping."""

@@ -17,7 +17,9 @@ the two against each other exactly:
 * the three power-pattern producers (:class:`ClockModulatedBank`,
   :class:`ClockModulatedIPBlock`, :class:`LoadCircuit`);
 * :class:`SteppedWatermark`, a whole architecture, and
-  :func:`stepped_activity`, its per-cycle traces.
+  :func:`stepped_activity`, its per-cycle traces;
+* :func:`trace_from_records`, which builds a trace from the per-cycle
+  records a stepping model returns.
 
 Each twin subclasses the library class it mirrors, so it takes the same
 constructor arguments and reuses the library's structure and validation;
@@ -27,7 +29,7 @@ added here.  A twin starts at reset; build a new one to start again.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +40,17 @@ from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 from repro.rtl.signals import hamming_distance
 
 ZERO_ACTIVITY = ActivityRecord()
+
+
+def trace_from_records(name: str, records: Iterable[ActivityRecord]) -> ActivityTrace:
+    """Build a trace from an iterable of per-cycle records."""
+    records = list(records)
+    return ActivityTrace(
+        name=name,
+        clock_toggles=np.array([r.clock_toggles for r in records], dtype=np.int64),
+        data_toggles=np.array([r.data_toggles for r in records], dtype=np.int64),
+        comb_toggles=np.array([r.comb_toggles for r in records], dtype=np.int64),
+    )
 
 
 # -- components ---------------------------------------------------------------
@@ -340,7 +353,7 @@ def stepped_activity(architecture, num_cycles: Optional[int] = None) -> Dict[str
     stepping = SteppedWatermark(architecture)
     records = [stepping.step() for _ in range(num_cycles)]
     return {
-        key: ActivityTrace.from_records(
+        key: trace_from_records(
             f"{architecture.name}/{key}", [record[key] for record in records]
         )
         for key in ("wgc", "load")

@@ -264,9 +264,9 @@ class TestWarmPathHasNoPerCycleLoop:
         chip = build_chip_one(watermark=watermark, m0_window_cycles=512)
         chip.total_power(3000, seed=4)  # cold: simulates and caches
 
-        def boom(self):  # pragma: no cover - the assertion is that it never runs
+        def boom(self, *args):  # pragma: no cover - the assertion is that it never runs
             raise AssertionError("warm path stepped the core cycle by cycle")
 
-        monkeypatch.setattr(cpu_module.CortexM0Like, "step_cycle", boom)
+        monkeypatch.setattr(cpu_module.CortexM0Like, "_run", boom)
         warm = chip.total_power(3000, seed=4)
         assert len(warm) == 3000

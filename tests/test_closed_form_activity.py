@@ -18,7 +18,6 @@ from repro.core.config import WatermarkConfig
 from repro.core.lfsr import LFSR, CircularShiftRegister, max_length_period
 from repro.core.load_circuit import LoadCircuit
 from repro.core.wgc import WatermarkGenerationCircuit
-from repro.rtl.activity import ActivityTrace
 
 FIELDS = ("clock_toggles", "data_toggles", "comb_toggles")
 
@@ -35,7 +34,7 @@ def _assert_equal(closed_form, stepped):
 
 def _stepped_producer(producer, wmark):
     twin = rtl_oracle.stepped_producer(producer)
-    return ActivityTrace.from_records(
+    return rtl_oracle.trace_from_records(
         producer.name, [twin.step(int(bit)) for bit in wmark]
     )
 
@@ -58,7 +57,7 @@ def test_lfsr_states_and_activity_match_stepping(width, seed, length):
         states.append(twin.state)
         records.append(twin.step()[1])
     assert lfsr.states(length).tolist() == states
-    _assert_equal(lfsr.activity(length), ActivityTrace.from_records("lfsr", records))
+    _assert_equal(lfsr.activity(length), rtl_oracle.trace_from_records("lfsr", records))
 
 
 @settings(max_examples=20, deadline=None)
@@ -67,7 +66,7 @@ def test_lfsr_with_non_maximum_taps_matches_stepping(seed, length):
     lfsr = LFSR(width=4, seed=seed, taps=(4, 2))
     twin = rtl_oracle.stepped_generator(lfsr)
     records = [twin.step()[1] for _ in range(length)]
-    _assert_equal(lfsr.activity(length), ActivityTrace.from_records("lfsr", records))
+    _assert_equal(lfsr.activity(length), rtl_oracle.trace_from_records("lfsr", records))
 
 
 @settings(max_examples=30, deadline=None)
@@ -80,7 +79,7 @@ def test_circular_shift_register_activity_matches_stepping(width, pattern, lengt
     csr = CircularShiftRegister(pattern=pattern, width=width)
     twin = rtl_oracle.stepped_generator(csr)
     records = [twin.step()[1] for _ in range(length)]
-    _assert_equal(csr.activity(length), ActivityTrace.from_records("csr", records))
+    _assert_equal(csr.activity(length), rtl_oracle.trace_from_records("csr", records))
 
 
 @settings(max_examples=30, deadline=None)
@@ -96,7 +95,7 @@ def test_wgc_activity_matches_stepping(width, seed, test_chip, length):
     wgc = build(seed=_seed(width, seed), **kwargs)
     twin = rtl_oracle.stepped_wgc(wgc)
     records = [twin.step()[1] for _ in range(length)]
-    _assert_equal(wgc.activity(length), ActivityTrace.from_records("wgc", records))
+    _assert_equal(wgc.activity(length), rtl_oracle.trace_from_records("wgc", records))
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rtl_oracle import trace_from_records
 from repro.power.estimator import PowerEstimator
 from repro.rtl.activity import ActivityRecord, ActivityTrace
 
@@ -22,7 +23,7 @@ class TestCalibration:
 
 class TestComponentPower:
     def test_component_power_includes_leakage(self, nominal_estimator):
-        trace = ActivityTrace.from_records("bank", [ActivityRecord(clock_toggles=2048)] * 4)
+        trace = trace_from_records("bank", [ActivityRecord(clock_toggles=2048)] * 4)
         dynamic_w = nominal_estimator.dynamic_model.average_power("dff", trace)
         static_w = nominal_estimator.leakage_of({"dff": 1024, "icg": 32})
         assert dynamic_w == pytest.approx(1024 * 1.476e-6, rel=1e-6)
@@ -35,14 +36,14 @@ class TestComponentPower:
 
 class TestPowerTraces:
     def test_power_trace_adds_static(self, nominal_estimator):
-        trace = ActivityTrace.from_records("t", [ActivityRecord(clock_toggles=2)] * 3)
+        trace = trace_from_records("t", [ActivityRecord(clock_toggles=2)] * 3)
         power = nominal_estimator.power_trace(trace, static_w=1e-6)
         assert np.allclose(power.power_w, 1.476e-6 + 1e-6)
 
     def test_combined_power_trace(self, nominal_estimator):
         traces = {
-            "a": ActivityTrace.from_records("a", [ActivityRecord(clock_toggles=2)] * 2),
-            "b": ActivityTrace.from_records("b", [ActivityRecord(data_toggles=1)] * 2),
+            "a": trace_from_records("a", [ActivityRecord(clock_toggles=2)] * 2),
+            "b": trace_from_records("b", [ActivityRecord(data_toggles=1)] * 2),
         }
         combined = nominal_estimator.combined_power_trace(traces)
         assert np.allclose(combined.power_w, (1.476 + 1.126) * 1e-6)

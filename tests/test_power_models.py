@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rtl_oracle import trace_from_records
 from repro.power.library import TSMC65LP_LIKE
 from repro.power.models import (
     DynamicPowerModel,
@@ -61,7 +62,7 @@ class TestDynamicPowerModel:
 
     def test_average_power_over_trace(self, operating_point):
         model = DynamicPowerModel(TSMC65LP_LIKE, operating_point)
-        trace = ActivityTrace.from_records(
+        trace = trace_from_records(
             "t", [ActivityRecord(clock_toggles=2), ActivityRecord(clock_toggles=0)]
         )
         assert model.average_power("dff", trace) == pytest.approx(1.476e-6 / 2)
@@ -72,7 +73,7 @@ class TestDynamicPowerModel:
 
     def test_power_per_cycle_vectorised(self, operating_point):
         model = DynamicPowerModel(TSMC65LP_LIKE, operating_point)
-        trace = ActivityTrace.from_records("t", [ActivityRecord(clock_toggles=2)] * 5)
+        trace = trace_from_records("t", [ActivityRecord(clock_toggles=2)] * 5)
         per_cycle = model.power_per_cycle("dff", trace)
         assert per_cycle.shape == (5,)
         assert np.allclose(per_cycle, 1.476e-6)

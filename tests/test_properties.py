@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from rtl_oracle import Register
+from rtl_oracle import Register, trace_from_records
 
 from repro.core.lfsr import LFSR, CircularShiftRegister, max_length_period
 from repro.core.load_circuit import registers_for_load_power
@@ -11,7 +11,7 @@ from repro.analysis.overhead import area_overhead_reduction
 from repro.detection.batch import BatchCPADetector, batch_rotation_correlations
 from repro.detection.cpa import pearson_correlation, rotation_correlations
 from repro.power.models import scale_energy_with_voltage
-from repro.rtl.activity import ActivityRecord, ActivityTrace
+from repro.rtl.activity import ActivityRecord
 from repro.rtl.clock_tree import ClockTree
 from repro.rtl.signals import hamming_distance
 
@@ -79,6 +79,20 @@ def test_hamming_distance_symmetry_and_identity(a, b):
     assert hamming_distance(a, a) == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(min_value=-(2**70), max_value=2**70),
+    b=st.integers(min_value=-(2**70), max_value=2**70),
+    width=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
+)
+def test_hamming_distance_counts_the_bits_of_the_binary_form(a, b, width):
+    """``bit_count`` counts what ``bin(diff).count("1")`` counts, sign included."""
+    diff = a ^ b
+    if width is not None:
+        diff &= (1 << width) - 1
+    assert hamming_distance(a, b, width) == bin(diff).count("1")
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     records=st.lists(
@@ -93,7 +107,7 @@ def test_hamming_distance_symmetry_and_identity(a, b):
     reps=st.integers(min_value=1, max_value=4),
 )
 def test_activity_trace_tile_preserves_per_cycle_values(records, reps):
-    trace = ActivityTrace.from_records("t", [ActivityRecord(*r) for r in records])
+    trace = trace_from_records("t", [ActivityRecord(*r) for r in records])
     tiled = trace.tile(len(records) * reps)
     for i in range(len(tiled)):
         assert tiled[i] == trace[i % len(trace)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rtl_oracle import trace_from_records
 from repro.rtl.activity import ActivityRecord, ActivityTrace
 
 
@@ -17,7 +18,7 @@ class TestActivityRecord:
 class TestActivityTrace:
     def test_from_records_roundtrip(self):
         records = [ActivityRecord(2, 1, 0), ActivityRecord(0, 0, 0), ActivityRecord(4, 2, 1)]
-        trace = ActivityTrace.from_records("t", records)
+        trace = trace_from_records("t", records)
         assert len(trace) == 3
         assert trace[0] == records[0]
         assert list(trace) == records
@@ -32,7 +33,7 @@ class TestActivityTrace:
         assert int(trace.total_toggles.sum()) == 0
 
     def test_total_toggles_vector(self):
-        trace = ActivityTrace.from_records("t", [ActivityRecord(1, 1, 1), ActivityRecord(2, 0, 0)])
+        trace = trace_from_records("t", [ActivityRecord(1, 1, 1), ActivityRecord(2, 0, 0)])
         assert list(trace.total_toggles) == [3, 2]
 
     def test_add_requires_equal_length(self):
@@ -42,13 +43,13 @@ class TestActivityTrace:
             a.add(b)
 
     def test_add_elementwise(self):
-        a = ActivityTrace.from_records("a", [ActivityRecord(1, 0, 0)] * 3)
-        b = ActivityTrace.from_records("b", [ActivityRecord(0, 2, 0)] * 3)
+        a = trace_from_records("a", [ActivityRecord(1, 0, 0)] * 3)
+        b = trace_from_records("b", [ActivityRecord(0, 2, 0)] * 3)
         combined = a.add(b)
         assert combined[1] == ActivityRecord(1, 2, 0)
 
     def test_tile_extends_to_length(self):
-        trace = ActivityTrace.from_records("t", [ActivityRecord(1, 0, 0), ActivityRecord(2, 0, 0)])
+        trace = trace_from_records("t", [ActivityRecord(1, 0, 0), ActivityRecord(2, 0, 0)])
         tiled = trace.tile(5)
         assert len(tiled) == 5
         assert list(tiled.clock_toggles) == [1, 2, 1, 2, 1]
@@ -58,6 +59,6 @@ class TestActivityTrace:
             ActivityTrace.zeros("t", 0).tile(4)
 
     def test_slice(self):
-        trace = ActivityTrace.from_records("t", [ActivityRecord(i, 0, 0) for i in range(6)])
+        trace = trace_from_records("t", [ActivityRecord(i, 0, 0) for i in range(6)])
         sliced = trace.slice(2, 4)
         assert list(sliced.clock_toggles) == [2, 3]

@@ -33,7 +33,7 @@ from repro.service.protocol import (
     ticket_digest,
     validate_request,
 )
-from repro.service.server import ServiceConfig, build_server
+from repro.service.server import DetectionService, ServiceConfig, build_server
 from repro.service.transcripts import (
     build_verify_transcript,
     load_or_create_secret,
@@ -318,6 +318,23 @@ def test_wire_roundtrip_survives_stripped_arrays():
     twice = ScenarioResult.from_wire(stripped.to_wire())
     assert not twice.arrays
     assert twice.to_wire()["json"] == wire["json"]
+
+
+@pytest.mark.parametrize("stripped", [False, True], ids=["arrays", "stripped"])
+def test_verify_result_json_is_the_wire_json(tmp_path, monkeypatch, stripped):
+    """``/verify`` answers with ``to_wire()``'s JSON, byte for byte."""
+    result = ExperimentRunner().run("fig2")
+    assert result.arrays
+    if stripped:
+        result = ScenarioResult.from_wire({"json": result.to_wire()["json"], "npz": None})
+        assert not result.arrays
+    service = DetectionService(ServiceConfig(data_dir=tmp_path, difficulty=8))
+    monkeypatch.setattr(service, "_execute", lambda spec: (result, False))
+    body = {"client_id": "alice", "scenario": "fig2"}
+    body["nonce"] = mine_nonce("alice", VERIFY_ENDPOINT, body, difficulty=8)
+    status, response = service.handle_verify(body)
+    assert status == 200
+    assert response["result_json"] == result.to_wire()["json"]
 
 
 # ---------------------------------------------------------------------------
