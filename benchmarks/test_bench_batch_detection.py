@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from record import record_benchmark
-from trial_matrix import trial_matrix
 
 from repro.core.lfsr import LFSR
 from repro.detection.batch import BatchCPADetector
@@ -145,7 +144,7 @@ def test_bench_batch_detection_speedup(benchmark, report, relaxed):
 
 
 def test_bench_batched_campaign_memory_chunking(report):
-    """The streamed campaign holds a few rows, not the trial matrix, and detects the same."""
+    """The campaign draws trial folds: it never holds even one trace row."""
     import tracemalloc
 
     from repro.detection.campaign import run_detection_probability_campaign
@@ -155,7 +154,7 @@ def test_bench_batched_campaign_memory_chunking(report):
     trials = 20
     tracemalloc.start()
     try:
-        streamed = run_detection_probability_campaign(
+        curve = run_detection_probability_campaign(
             sequence,
             watermark_amplitude_w=1.5e-3,
             noise_sigma_w=20e-3,
@@ -169,13 +168,12 @@ def test_bench_batched_campaign_memory_chunking(report):
     synthesizer = TraceSynthesizer.from_sequence(
         sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=20e-3
     )
-    matrix = trial_matrix(synthesizer, trials, NUM_CYCLES, np.random.default_rng(7))
-    materialized = BatchCPADetector().detect_many(sequence, matrix)
-    assert streamed.points[0].detections == materialized.detection_count
-    assert peak_rows < trials / 2
+    folds = synthesizer.trial_folds(trials, NUM_CYCLES, np.random.default_rng(7))
+    direct = BatchCPADetector().detect_many(sequence, folds)
+    assert curve.points[0].detections == direct.detection_count
+    assert peak_rows < 1.0
     report(
-        "Streamed campaign memory",
-        f"detections streamed={streamed.points[0].detections} "
-        f"materialized={materialized.detection_count} ({trials} trials, "
-        f"{NUM_CYCLES:,} cycles); peak {peak_rows:.1f} trace rows",
+        "Campaign memory",
+        f"detections {curve.points[0].detections}/{trials} ({NUM_CYCLES:,} cycles); "
+        f"peak {peak_rows:.2f} trace rows",
     )

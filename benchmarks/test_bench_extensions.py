@@ -5,11 +5,68 @@ library provides: watermark sizing via detection-probability curves and
 masking and starvation attacks.
 """
 
+import os
+import pathlib
+import statistics
+import subprocess
+import sys
+
 import numpy as np
+
+from record import record_benchmark
 
 from repro.analysis.masking import run_noise_masking_study, run_starvation_study
 from repro.core.lfsr import LFSR
 from repro.detection.campaign import run_detection_probability_campaign
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+#: Ceiling for the median cold paper-scale ``detection-probability`` run
+#: (fresh process, import excluded).  Five runs on a 2-CPU host took
+#: 0.021-0.034 s (median 0.025 s), so the ceiling leaves 3.5x headroom over
+#: the slowest; the per-cycle trial rows the campaign drew before took
+#: 0.34-0.50 s there.
+MAX_COLD_DETECTION_PROBABILITY_S = 0.12
+
+_COLD_RUN = """
+import time
+from repro.pipeline import run_scenario
+start = time.perf_counter()
+result = run_scenario("detection-probability")
+print(time.perf_counter() - start, result.scalars["empirical_required_cycles"])
+"""
+
+
+def test_bench_detection_probability_cold_budget(report, relaxed):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = []
+    for _ in range(3):
+        out = subprocess.run(
+            [sys.executable, "-c", _COLD_RUN], env=env, capture_output=True, text=True, check=True
+        )
+        run_s, required = out.stdout.split()
+        runs.append(float(run_s))
+        assert int(required) == 80_000
+    run_s = statistics.median(runs)
+    record_benchmark(
+        "detection_probability_cold",
+        {
+            "runs": len(runs),
+            "median_run_s": run_s,
+            "max_run_s": MAX_COLD_DETECTION_PROBABILITY_S,
+            "relaxed": relaxed,
+        },
+    )
+    report(
+        "Cold paper-scale detection-probability run",
+        f"median of {len(runs)} fresh processes: {run_s * 1e3:.1f} ms "
+        f"(ceiling {MAX_COLD_DETECTION_PROBABILITY_S * 1e3:.0f} ms)",
+    )
+    if not relaxed:
+        assert run_s < MAX_COLD_DETECTION_PROBABILITY_S, (
+            f"cold detection-probability run took {run_s * 1e3:.1f} ms "
+            f"(ceiling {MAX_COLD_DETECTION_PROBABILITY_S * 1e3:.0f} ms)"
+        )
 
 
 def test_bench_detection_probability_curve(benchmark, report):

@@ -26,15 +26,12 @@ import pytest
 
 from record import record_benchmark
 from rtl_oracle import stepped_activity
-from trial_matrix import trial_matrix
 
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.config import DetectionConfig, MeasurementConfig, WatermarkConfig
-from repro.detection.batch import BatchCPADetector
 from repro.detection.cpa import CPADetector
 from repro.measurement.acquisition import AcquisitionCampaign
 from repro.power.estimator import PowerEstimator
-from repro.power.synthesis import TraceSynthesizer
 
 NUM_CYCLES = 100_000
 MIN_SPEEDUP = 10.0
@@ -177,75 +174,3 @@ def test_bench_periodic_activity_paper_config(report, relaxed):
             f"periodic_activity took {closed_form_s * 1e3:.2f} ms "
             f"(ceiling {MAX_PERIODIC_ACTIVITY_S * 1e3:.0f} ms)"
         )
-
-
-def test_bench_trial_matrix_synthesis(report):
-    """Trial-matrix synthesis: batched gather vs the per-trial slice loop."""
-    from repro.core.lfsr import LFSR
-
-    sequence = LFSR(width=12, seed=0x5A5).sequence().astype(np.float64)
-    period = len(sequence)
-    trials = 40
-    num_cycles = NUM_CYCLES
-    amplitude, base, sigma = 1.5e-3, 5e-3, 20e-3
-
-    def per_trial_loop(seed):
-        rng = np.random.default_rng(seed)
-        tiled = np.tile(sequence, int(np.ceil((num_cycles + period) / period)))
-        matrix = np.empty((trials, num_cycles))
-        for row in range(trials):
-            offset = int(rng.integers(0, period))
-            signal = base + tiled[offset : offset + num_cycles] * amplitude
-            matrix[row] = signal + rng.normal(0.0, sigma, num_cycles)
-        return matrix
-
-    synthesizer = TraceSynthesizer.from_sequence(
-        sequence, watermark_amplitude_w=amplitude, noise_sigma_w=sigma, base_power_w=base
-    )
-
-    def batched_matrix(seed):
-        return trial_matrix(synthesizer, trials, num_cycles, np.random.default_rng(seed))
-
-    # Warm both paths (allocator, page faults), then best of three.  The
-    # Gaussian noise draw is inherent to both sides and dominates; the
-    # vectorised win is in the signal construction, which the strided
-    # window adds collapse to a few full-matrix passes.
-    per_trial_loop(1)
-    batched_matrix(1)
-    loop_s = min(
-        _timed(lambda: per_trial_loop(2024)) for _ in range(3)
-    )
-    batch_s = min(
-        _timed(lambda: batched_matrix(2024))
-        for _ in range(3)
-    )
-
-    legacy = per_trial_loop(2024)
-    batched = batched_matrix(2024)
-    assert np.array_equal(batched, legacy)
-    detector = BatchCPADetector()
-    decisions = detector.detect_many(sequence, batched)
-
-    record_benchmark(
-        "synthesis_trial_matrix",
-        {
-            "trials": trials,
-            "num_cycles": num_cycles,
-            "per_trial_loop_s": loop_s,
-            "batched_synthesis_s": batch_s,
-            "speedup": loop_s / batch_s,
-            "matrices_bit_identical": True,
-            "detections": int(decisions.detection_count),
-        },
-    )
-    report(
-        f"Trial-matrix synthesis ({trials} trials x {num_cycles:,} cycles)",
-        "\n".join(
-            [
-                f"per-trial slice loop:  {loop_s * 1e3:8.1f} ms",
-                f"batched synthesis:     {batch_s * 1e3:8.1f} ms",
-                f"speedup:               {loop_s / batch_s:8.2f}x (noise-draw bound)",
-                f"matrices bit-identical: True; detections {decisions.detection_count}/{trials}",
-            ]
-        ),
-    )

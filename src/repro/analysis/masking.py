@@ -11,9 +11,10 @@ acquisition length -- the flip side of the detection-probability analysis in
 :mod:`repro.detection.campaign`.
 
 All sweep points (and, with ``trials_per_point > 1``, all Monte-Carlo
-trials per point) share one acquisition length, so the whole sweep streams
-row by row into one :class:`repro.detection.batch.BatchCPADetector` pass
-instead of one CPA round trip per configuration.
+trials per point) share one acquisition length, so the whole sweep is
+drawn as phase folds in one call
+(:meth:`repro.power.synthesis.TraceSynthesizer.trial_folds`) and detected
+in one :class:`repro.detection.batch.BatchCPADetector` pass.
 """
 
 from __future__ import annotations
@@ -106,16 +107,15 @@ def _run_sweep(
     detector: BatchCPADetector,
     base_power_w: float = 5e-3,
 ) -> Optional[BatchCPAResult]:
-    """Synthesize and detect the trial rows of a masking sweep.
+    """Draw and detect the trials of a masking sweep.
 
-    One row per (sweep point, trial), in sweep order; each row draws its
-    random phase offset, starvation gate and acquisition noise in the same
-    order a per-trial simulation would.  The rows come out of
-    :meth:`repro.power.synthesis.TraceSynthesizer.trial_rows` one at a
-    time and stream into a single batched CPA pass (starvation gates model
-    the host's CLK_CTRL being low part of the time, Fig. 1(b): the
-    effective enable is WMARK AND CLK_CTRL).  An empty sweep (no levels)
-    returns ``None``.
+    One trial per (sweep point, trial), in sweep order, each with its own
+    random phase offset, starvation gate and acquisition noise, drawn as
+    phase folds by
+    :meth:`repro.power.synthesis.TraceSynthesizer.trial_folds` and detected
+    in a single batched CPA pass (starvation gates model the host's
+    CLK_CTRL being low part of the time, Fig. 1(b): the effective enable is
+    WMARK AND CLK_CTRL).  An empty sweep (no levels) returns ``None``.
     """
     total_rows = len(noise_sigmas) * trials_per_point
     if total_rows == 0:
@@ -126,14 +126,14 @@ def _run_sweep(
         noise_sigma_w=0.0,
         base_power_w=base_power_w,
     )
-    return synthesizer.detect_trials(
-        detector,
+    folds = synthesizer.trial_folds(
         total_rows,
         num_cycles,
         rng,
         noise_sigmas=np.repeat(noise_sigmas, trials_per_point),
         enable_duties=np.repeat(enable_duties, trials_per_point),
     )
+    return detector.detect_many(sequence, folds)
 
 
 def _aggregate_points(
@@ -178,7 +178,7 @@ def run_noise_masking_study(
     power (and therefore energy cost to the attacker's product) is needed to
     push the correlation peak below the detection threshold at the paper's
     acquisition length.  All sweep levels (times ``trials_per_point``
-    Monte-Carlo trials each) stream row by row into one batched CPA pass.
+    Monte-Carlo trials each) are detected in one batched CPA pass.
     """
     sequence = np.asarray(sequence, dtype=np.float64)
     if trials_per_point <= 0:
@@ -231,8 +231,8 @@ def run_starvation_study(
     time; the watermark amplitude scales with the duty and detection
     eventually fails, quantifying the paper's remark that the watermark can
     be exercised while the system is inactive to avoid exactly this.  All
-    duties (times ``trials_per_point`` Monte-Carlo trials each) stream row
-    by row into one batched CPA pass.
+    duties (times ``trials_per_point`` Monte-Carlo trials each) are
+    detected in one batched CPA pass.
     """
     sequence = np.asarray(sequence, dtype=np.float64)
     if trials_per_point <= 0:

@@ -194,7 +194,6 @@ class DetectionConfig:
 
     detection_threshold: float = 4.0
     uniqueness_margin: float = 0.95
-    use_fft: bool = True
 
     def __post_init__(self) -> None:
         if self.detection_threshold <= 0:

@@ -11,16 +11,15 @@ Two detector front-ends share one implementation:
 * :class:`CPADetector` -- the single-trace API of the paper
   (``detect(sequence, measured) -> CPAResult``).
 * :class:`BatchCPADetector` -- the batched engine
-  (``detect_many(sequences, traces) -> BatchCPAResult``): every trace row
-  of a Monte-Carlo campaign is folded by phase as it arrives (any iterable
-  of rows, so producers stream them through one reused buffer), all rows
-  are correlated with one stack of rFFTs, and the detection decision
-  (peak, off-peak noise floor, z-score, uniqueness) is vectorized across
-  trials.  A batch of one is bit-identical to ``CPADetector.detect``.
+  (``detect_many(sequences, traces) -> BatchCPAResult``): every trace of
+  a batch is reduced to its per-phase sums and energy, all trials are
+  correlated with one stack of rFFTs, and the detection decision (peak,
+  off-peak noise floor, z-score, uniqueness) is vectorized across trials.
+  A batch of one is bit-identical to ``CPADetector.detect``.
   :func:`batch_rotation_correlations` exposes the raw batched correlation
-  spectra; :func:`fold_by_phase` the underlying phase fold.  A producer
-  that draws the fold directly passes a :class:`PhaseFold` instead of
-  rows (the Fig. 6 repetitions do).
+  spectra; :func:`fold_by_phase` the underlying phase fold.  Traces arrive
+  as per-cycle arrays or, from producers that draw the fold directly (the
+  Fig. 6 repetitions and the Monte-Carlo trials), as a :class:`PhaseFold`.
 
 Campaign-scale consumers (:func:`run_detection_probability_campaign`, the
 Fig. 6 repetition study, the masking/robustness sweeps) all route their
@@ -34,12 +33,7 @@ from repro.detection.batch import (
     batch_rotation_correlations,
     fold_by_phase,
 )
-from repro.detection.cpa import (
-    CPADetector,
-    CPAResult,
-    pearson_correlation,
-    rotation_correlations,
-)
+from repro.detection.cpa import CPADetector, CPAResult, rotation_correlations
 from repro.detection.spread_spectrum import SpreadSpectrum
 from repro.detection.statistics import (
     BoxPlotStats,
@@ -67,7 +61,6 @@ __all__ = [
     "fold_by_phase",
     "CPADetector",
     "CPAResult",
-    "pearson_correlation",
     "rotation_correlations",
     "SpreadSpectrum",
     "BoxPlotStats",

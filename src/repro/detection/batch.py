@@ -6,37 +6,32 @@ sweeps, multi-vendor audits -- multiplies one CPA evaluation by hundreds of
 Monte-Carlo trials.  This module makes "N traces at once" the native shape
 of the detector:
 
-* :func:`batch_rotation_correlations` folds every trace row into per-phase
-  sums as the row arrives and computes the full rotation correlation
-  spectrum of every trial with a single stack of rFFTs,
-  O(trials * cycles + trials * period log period).
+* :func:`batch_rotation_correlations` reduces every trace to its
+  per-phase sums and energy -- its :class:`PhaseFold` -- and computes the
+  full rotation correlation spectrum of every trial with a single stack of
+  rFFTs, O(trials * cycles + trials * period log period).
 * :class:`BatchCPADetector` vectorizes the evaluate step (peak, off-peak
   noise floor, z-score, uniqueness) across rows and returns a structured
   :class:`BatchCPAResult`.
 
-The single-trace :class:`repro.detection.cpa.CPADetector` delegates its FFT
-and evaluation paths to this engine, so a batch of one is *bit-identical*
-to a single detection -- the equivalence suite in
-``tests/test_detection_batch.py`` locks this in.
+The single-trace :class:`repro.detection.cpa.CPADetector` delegates to this
+engine, so a batch of one is *bit-identical* to a single detection -- the
+equivalence suite in ``tests/test_detection_batch.py`` locks this in.
 
-Traces arrive as any iterable of equal-length 1-D rows (a 2-D array
-iterates its rows).  Each row is reduced to its ``period`` phase sums and
-its ``row @ row`` before the next one is read, so a producer may yield
-every row through one reused buffer: memory is O(trials * period + cycles)
-by construction, and no caller ever holds a trials x cycles matrix.
-
-Those per-row sums are all the detector reads of a trace, and they travel
-as a :class:`PhaseFold`.  A producer that can draw them directly hands the
-detector a :class:`PhaseFold` in place of rows, and the fold is skipped:
+Traces arrive either as per-cycle arrays (one 1-D trace, or a ``trials x
+cycles`` matrix), which are folded here, or as their :class:`PhaseFold`,
+which skips the fold.  Producers that can draw the fold directly hand it
+over and never materialise a per-cycle row:
 :meth:`repro.measurement.AcquisitionCampaign.measure_folded` does this for
-the Fig. 6 repetitions, drawing each repetition's noise per phase instead
-of per cycle.
+the Fig. 6 repetitions and
+:meth:`repro.power.synthesis.TraceSynthesizer.trial_folds` for the
+Monte-Carlo trials of the detection-probability and masking studies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,19 +44,6 @@ __all__ = [
     "batch_rotation_correlations",
     "fold_by_phase",
 ]
-
-
-Rows = Iterable[np.ndarray]
-
-
-def _trace_rows(traces: Rows) -> Rows:
-    """Iterate the rows of ``traces``; a 1-D array is a batch of one."""
-    if isinstance(traces, np.ndarray):
-        if traces.ndim == 1:
-            return (traces,)
-        if traces.ndim != 2:
-            raise ValueError("a trace matrix must be 2-D (trials x cycles)")
-    return traces
 
 
 @dataclass(frozen=True)
@@ -90,41 +72,28 @@ class PhaseFold:
             )
 
 
-def _fold_rows(traces: Rows, period: int) -> PhaseFold:
-    """One pass over the rows into their :class:`PhaseFold`.
-
-    Each row is done with when the next one is read, so it may live in a
-    buffer the producer reuses.
-    """
-    folds = []
-    dots = []
-    num_cycles = -1
-    full = 0
-    for trace in traces:
-        row = np.asarray(trace, dtype=np.float64)
-        if row.ndim != 1:
-            raise ValueError("every trace row must be one-dimensional")
-        if num_cycles < 0:
-            num_cycles = len(row)
-            if num_cycles < period:
-                raise ValueError(
-                    "traces must cover at least one full watermark period "
-                    f"({num_cycles} < {period})"
-                )
-            full = (num_cycles // period) * period
-        elif len(row) != num_cycles:
-            raise ValueError(
-                f"trace rows must have equal lengths ({len(row)} != {num_cycles})"
-            )
-        fold = row[:full].reshape(-1, period).sum(axis=0)
-        fold[: num_cycles - full] += row[full:]
-        folds.append(fold)
-        # Per-row BLAS dots round the same whatever the batch size, which
-        # keeps a batch of N bit-identical to N batches of one.
-        dots.append(row @ row)
-    if not folds:
+def _fold_traces(traces: np.ndarray, period: int) -> PhaseFold:
+    """The :class:`PhaseFold` of one 1-D trace or a ``trials x cycles`` matrix."""
+    matrix = np.asarray(traces, dtype=np.float64)
+    if matrix.ndim == 1:
+        matrix = matrix[None, :]
+    if matrix.ndim != 2:
+        raise ValueError("traces must be a 1-D trace or a 2-D (trials x cycles) matrix")
+    trials, num_cycles = matrix.shape
+    if trials == 0:
         raise ValueError("the traces must contain at least one trial")
-    return PhaseFold(np.stack(folds), np.array(dots, dtype=np.float64), num_cycles)
+    if num_cycles < period:
+        raise ValueError(
+            "traces must cover at least one full watermark period "
+            f"({num_cycles} < {period})"
+        )
+    full = num_cycles - num_cycles % period
+    folded = matrix[:, :full].reshape(trials, -1, period).sum(axis=1)
+    folded[:, : num_cycles - full] += matrix[:, full:]
+    # Per-row BLAS dots round the same whatever the batch size, which
+    # keeps a batch of N bit-identical to N batches of one.
+    sum_yy = np.array([row @ row for row in matrix])
+    return PhaseFold(folded, sum_yy, num_cycles)
 
 
 def _phase_counts(num_cycles: int, period: int) -> np.ndarray:
@@ -134,21 +103,20 @@ def _phase_counts(num_cycles: int, period: int) -> np.ndarray:
     return counts
 
 
-def fold_by_phase(traces: Rows, period: int) -> Tuple[np.ndarray, np.ndarray]:
+def fold_by_phase(traces: np.ndarray, period: int) -> Tuple[np.ndarray, np.ndarray]:
     """Fold every trace row into per-phase sums.
 
-    ``traces`` is any iterable of equal-length 1-D rows (a 2-D array
-    iterates its rows).  Returns ``(folded, counts)`` where
-    ``folded[t, p]`` is the sum of row ``t`` over all cycles ``c`` with
-    ``c % period == p`` and ``counts[p]`` is the number of such cycles
-    (identical for every row).
+    ``traces`` is one 1-D trace or a ``trials x cycles`` matrix.  Returns
+    ``(folded, counts)`` where ``folded[t, p]`` is the sum of row ``t`` over
+    all cycles ``c`` with ``c % period == p`` and ``counts[p]`` is the
+    number of such cycles (identical for every row).
 
     The fold is the O(trials * cycles) part of batched CPA; everything after
     it operates on ``trials x period`` arrays.
     """
     if period < 2:
         raise ValueError("the watermark period must be at least two cycles")
-    fold = _fold_rows(_trace_rows(traces), period)
+    fold = _fold_traces(traces, period)
     return fold.folded, _phase_counts(fold.num_cycles, period)
 
 
@@ -170,9 +138,7 @@ def _check_sequence_rows(x: np.ndarray, trials: int) -> None:
 
 
 def batch_rotation_correlations(
-    sequences: np.ndarray,
-    traces: Union[Rows, PhaseFold],
-    method: str = "fft",
+    sequences: np.ndarray, traces: Union[np.ndarray, PhaseFold]
 ) -> np.ndarray:
     """Rotation correlation spectra for a whole batch of traces at once.
 
@@ -183,15 +149,9 @@ def batch_rotation_correlations(
         vector shared by every trial or a ``trials x period`` matrix giving
         each trial its own sequence (same period).
     traces:
-        The measured per-cycle power vectors: any iterable of equal-length
-        1-D rows, consumed once, row by row (a 2-D array iterates its rows;
-        a 1-D vector is treated as a batch of one), or their
-        :class:`PhaseFold`, which skips the fold.
-    method:
-        ``"fft"`` (default) computes all spectra with one stack of rFFTs;
-        ``"naive"`` re-correlates literally per rotation and trial
-        (validation / small problems only; it needs rows, not a
-        :class:`PhaseFold`).
+        The measured per-cycle power: a ``trials x cycles`` matrix or one
+        1-D trace (a batch of one), or the traces' :class:`PhaseFold`,
+        which skips the fold.
 
     Returns
     -------
@@ -201,32 +161,15 @@ def batch_rotation_correlations(
     x = _as_sequence_matrix(sequences)
     shared = x.ndim == 1
     period = x.shape[-1]
-    if method not in ("fft", "naive"):
-        raise ValueError(f"unknown correlation method {method!r}")
-
     if isinstance(traces, PhaseFold):
-        if method != "fft":
-            raise ValueError("a PhaseFold holds no trace rows to correlate literally")
         if traces.folded.shape[1] != period:
             raise ValueError(
                 f"the phase fold has {traces.folded.shape[1]} phases, "
                 f"the sequence period is {period}"
             )
         fold = traces
-    elif method == "naive":
-        from repro.detection.cpa import rotation_correlations
-
-        spectra = []
-        for t, row in enumerate(_trace_rows(traces)):
-            # a row-count mismatch is rejected after the loop
-            seq_t = x if shared else x[t % len(x)]
-            spectra.append(rotation_correlations(seq_t, row, method="naive"))
-        if not spectra:
-            raise ValueError("the traces must contain at least one trial")
-        _check_sequence_rows(x, len(spectra))
-        return np.stack(spectra)
     else:
-        fold = _fold_rows(_trace_rows(traces), period)
+        fold = _fold_traces(traces, period)
     folded, sum_yy, num_cycles = fold.folded, fold.sum_yy, fold.num_cycles
     trials = folded.shape[0]
     _check_sequence_rows(x, trials)
@@ -245,7 +188,7 @@ def batch_rotation_correlations(
     fft_counts = np.fft.rfft(counts)
     s_xy = np.fft.irfft(np.conj(np.fft.rfft(folded, axis=-1)) * fft_x, n=period, axis=-1)
     s_x = np.fft.irfft(np.conj(fft_counts) * fft_x, n=period, axis=-1)
-    if np.all(np.isin(np.unique(x), (0.0, 1.0))):
+    if np.all((x == 0.0) | (x == 1.0)):
         s_xx = s_x
     else:
         s_xx = np.fft.irfft(
@@ -356,18 +299,14 @@ class BatchCPADetector:
         self.config = config or DetectionConfig()
 
     def detect_many(
-        self, sequences: np.ndarray, traces: Union[Rows, PhaseFold]
+        self, sequences: np.ndarray, traces: Union[np.ndarray, PhaseFold]
     ) -> BatchCPAResult:
-        """Run CPA on every trace row and apply the detection decision.
+        """Run CPA on every trace and apply the detection decision.
 
-        ``traces`` is any iterable of equal-length 1-D rows, read once and
-        row by row, or their :class:`PhaseFold` (see
-        :func:`batch_rotation_correlations`).
+        ``traces`` is a ``trials x cycles`` matrix, one 1-D trace or their
+        :class:`PhaseFold` (see :func:`batch_rotation_correlations`).
         """
-        method = "fft" if self.config.use_fft else "naive"
-        return self.evaluate_many(
-            batch_rotation_correlations(sequences, traces, method=method)
-        )
+        return self.evaluate_many(batch_rotation_correlations(sequences, traces))
 
     def evaluate_many(self, correlations: np.ndarray) -> BatchCPAResult:
         """Apply the detection decision to precomputed correlation spectra.

@@ -106,14 +106,11 @@ def run_detection_probability_campaign(
     N(0, sigma)`` -- which keeps the campaign fast enough to sweep dozens of
     operating points while remaining faithful to what CPA actually sees.
 
-    The trials of one acquisition length are synthesized row by row by
-    :class:`repro.power.synthesis.TraceSynthesizer` and streamed into one
-    batched CPA pass, so memory stays at one trace row plus the per-phase
-    sums however long the acquisitions are.  Each trial's random draws
-    (phase offset, then its noise row) happen in the same order as the
-    pre-batching per-trial loop, so a given seed produces the *same curve*
-    as the original implementation -- the golden values in
-    ``tests/test_detection_campaign.py`` pin this.
+    The trials of one acquisition length are drawn as their phase folds
+    by :meth:`repro.power.synthesis.TraceSynthesizer.trial_folds` (O(period)
+    per trial, equal in distribution to per-cycle rows) and detected in one
+    batched CPA pass.  ``tests/test_detection_campaign.py`` pins the curve
+    for a fixed seed.
     """
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 1 or len(sequence) < 3:
@@ -145,7 +142,8 @@ def run_detection_probability_campaign(
             raise ValueError(
                 f"acquisition of {num_cycles} cycles is shorter than the sequence period {period}"
             )
-        batch = synthesizer.detect_trials(detector, trials_per_point, num_cycles, rng)
+        folds = synthesizer.trial_folds(trials_per_point, num_cycles, rng)
+        batch = detector.detect_many(sequence, folds)
         curve.points.append(
             DetectionOperatingPoint(
                 num_cycles=num_cycles,

@@ -17,28 +17,32 @@ It stacks three layers:
 2. **Periodic templates** -- :class:`PeriodicPowerTemplate` holds one period
    of a per-cycle power trace and extends it to arbitrary acquisition
    lengths (including trigger-phase rotations) with a modular-index gather.
-3. **Trial synthesis** -- :class:`TraceSynthesizer` emits trial rows of
-   the statistical measurement model ``Y = base + a * X(rotated) +
-   N(0, sigma)`` one at a time through a reused buffer, straight into
-   :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
+3. **Trial synthesis** -- :class:`TraceSynthesizer` draws Monte-Carlo
+   trials of the statistical measurement model ``Y = base + a * X(rotated)
+   + N(0, sigma)`` as their phase folds and energies, the only statistics
+   :meth:`repro.detection.batch.BatchCPADetector.detect_many` reads, with
+   O(period) work per trial and no per-cycle row.
 
-Every path here is bit-identical to stepping cycle by cycle: the test
-suite keeps the cycle-stepping model as its oracle (``tests/rtl_oracle.py``,
-compared in ``tests/test_power_synthesis.py`` and
-``tests/test_closed_form_activity.py``), so experiments keep their numbers
-while the generation side runs orders of magnitude faster.
+The first two layers are bit-identical to stepping cycle by cycle: the
+test suite keeps the cycle-stepping model as its oracle
+(``tests/rtl_oracle.py``, compared in ``tests/test_power_synthesis.py`` and
+``tests/test_closed_form_activity.py``).  The trial folds equal the
+per-cycle trial rows in distribution; ``tests/trial_oracle.py`` keeps the
+row stream they replace, checked in ``tests/test_trial_folds.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.power.trace import PowerTrace
 from repro.rtl.signals import Clock
+
+if TYPE_CHECKING:  # circular at runtime: repro.detection imports this module
+    from repro.detection.batch import PhaseFold
 
 
 def periodic_extend(
@@ -65,22 +69,6 @@ def periodic_extend(
         index %= num_cycles
     index %= period
     return template[index]
-
-
-def _periodic_windows(template: np.ndarray, num_cycles: int) -> np.ndarray:
-    """All ``period`` phase-shifted windows of a periodic template, as a view.
-
-    The template is tiled once to ``num_cycles + period - 1`` values;
-    ``result[offset]`` is the length-``num_cycles`` window starting at that
-    phase offset, without copying until a window is actually gathered.
-    """
-    template = np.asarray(template)
-    if template.ndim != 1 or len(template) == 0:
-        raise ValueError("the periodic template must be a non-empty 1-D array")
-    period = len(template)
-    span = num_cycles + period - 1
-    tiled = np.tile(template, -(-span // period))[:span]
-    return sliding_window_view(tiled, num_cycles)
 
 
 @dataclass
@@ -157,12 +145,13 @@ def _per_row(
 
 
 class TraceSynthesizer:
-    """Synthesizes Monte-Carlo trial rows of the measurement model, vectorised.
+    """Draws Monte-Carlo trials of the measurement model, vectorised.
 
     :meth:`from_sequence` builds the statistical measurement model used by
     the detection-probability campaign and the masking sweeps:
-    ``Y = base + amplitude * X(rotated) + N(0, sigma)``.  Trial rows stream
-    straight into :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
+    ``Y = base + amplitude * X(rotated) + N(0, sigma)``.  :meth:`trial_folds`
+    draws the trials' phase folds for
+    :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
     """
 
     def __init__(
@@ -206,7 +195,7 @@ class TraceSynthesizer:
         """Period of the watermark sequence."""
         return len(self.sequence)
 
-    def trial_rows(
+    def trial_folds(
         self,
         trials: int,
         num_cycles: int,
@@ -214,86 +203,85 @@ class TraceSynthesizer:
         noise_sigmas: Union[None, float, Sequence[float]] = None,
         enable_duties: Union[None, float, Sequence[float]] = None,
         amplitudes: Union[None, float, Sequence[float]] = None,
-    ) -> Iterator[np.ndarray]:
-        """Yield ``trials`` rows of the measurement model, one at a time.
+    ) -> "PhaseFold":
+        """Draw ``trials`` rows of the measurement model as the detector reads them.
 
-        Each trial draws a uniform phase offset, optionally a starvation
-        gate (``enable_duties`` below 1 model the host clock-gate control
-        being low part of the time) and its Gaussian noise row -- in
-        exactly the order a per-trial loop would draw them, so a given seed
-        stream produces the same rows as the pre-vectorised drivers.
+        Returns the :class:`~repro.detection.batch.PhaseFold` (per-phase sums
+        and ``row @ row``) of ``trials`` rows ``base + a * gate * X(rotated)
+        + N(0, sigma^2)``, one per trial: equal to them in distribution, not
+        bit for bit, and drawn with O(period) work per trial instead of
+        O(num_cycles).  ``noise_sigmas``, ``enable_duties`` and
+        ``amplitudes`` are scalars or one value per trial.
 
-        Every row is written into one reused ``num_cycles`` buffer: consume
-        (or copy) a row before asking for the next.  The watermark is a
-        strided window of one pre-scaled periodic buffer added in place.
-        Arguments are validated when this is called, not at the first row.
+        Each trial has a uniform phase offset ``o``.  Phase ``k`` covers
+        ``c_k`` of the ``num_cycles`` cycles and carries the signal ``s_k =
+        base + a * x[(k + o) mod P]``.  A starvation gate of duty ``d`` (the
+        host's clock-gate control being high that fraction of the time)
+        leaves the watermark on for ``m_k ~ Binomial(c_k, d)`` of them and
+        off (power ``base``) for the other ``u_k = c_k - m_k``; without a
+        gate (``d = 1``) ``m_k = c_k``.  The noise sums of the two groups
+        are ``G_k = sigma sqrt(m_k) z_k ~ N(0, sigma^2 m_k)`` and ``U_k =
+        sigma sqrt(u_k) w_k ~ N(0, sigma^2 u_k)``, and the rest of the noise
+        energy is ``sigma^2`` times a chi-square with ``dof = sum(max(m_k -
+        1, 0) + max(u_k - 1, 0))`` degrees of freedom.  The generator draws,
+        for all trials at once and in this order:
 
-        The noise stays per cycle.  Unlike the Fig. 6 repetitions
-        (:meth:`repro.measurement.AcquisitionCampaign.measure_folded`),
-        these rows share no signal template: each has its own random phase
-        offset, and a gated row its own random gate, so a row's phase fold
-        cannot be drawn from one fold of a shared trace.
+        * the offsets ``o``: ``integers(0, P, trials)``;
+        * ``m`` of the gated trials (``d < 1``): ``binomial(c, d)``;
+        * ``z`` of every trial: ``standard_normal((trials, P))``;
+        * ``w`` of the gated trials: ``standard_normal((gated, P))``;
+        * the chi-square: ``2 * standard_gamma(dof / 2)``.
+
+        A row's statistics are ``folded = u base + m s + G + U`` and
+        ``sum_yy = sum(u base^2 + m s^2) + 2 sum(s G + base U) + sum(G^2 / m
+        + U^2 / u) + sigma^2 chi2``, where an empty group (``m_k = 0`` or
+        ``u_k = 0``) contributes nothing.
         """
+        from repro.detection.batch import PhaseFold  # at call time: the import is circular
+
+        period = self.period
         if trials <= 0:
             raise ValueError("trials must be positive")
-        if num_cycles <= 0:
-            raise ValueError("num_cycles must be positive")
-        sigmas = _per_row(noise_sigmas, self.noise_sigma_w, trials, "noise_sigmas")
-        amps = _per_row(amplitudes, self.watermark_amplitude_w, trials, "amplitudes")
-        duties = _per_row(enable_duties, 1.0, trials, "enable_duties")
-        # Rows without a starvation gate add a window of one pre-scaled
-        # template (base + amplitude * X) straight into their noise row;
-        # scaling the period-long template once is bit-identical to scaling
-        # every gathered element.  Gated or per-row-amplitude rows need the
-        # raw sequence because the gate applies before the amplitude.
-        scaled_windows: Optional[np.ndarray] = None
-        if np.all(amps == amps[0]):
-            scaled_windows = _periodic_windows(
-                self.base_power_w + self.sequence * amps[0], num_cycles
+        if num_cycles < period:
+            raise ValueError(
+                f"acquisitions must cover at least one sequence period ({num_cycles} < {period})"
             )
+        sigmas = _per_row(noise_sigmas, self.noise_sigma_w, trials, "noise_sigmas")[:, None]
+        amps = _per_row(amplitudes, self.watermark_amplitude_w, trials, "amplitudes")[:, None]
+        duties = _per_row(enable_duties, 1.0, trials, "enable_duties")[:, None]
+        if np.any(sigmas < 0):
+            raise ValueError("noise sigmas must be non-negative")
+        if np.any((duties < 0) | (duties > 1)):
+            raise ValueError("enable duties must be within [0, 1]")
+        counts = np.full(period, num_cycles // period, dtype=np.int64)
+        counts[: num_cycles % period] += 1
+        gated = duties[:, 0] < 1.0
 
-        def rows() -> Iterator[np.ndarray]:
-            raw_windows: Optional[np.ndarray] = None
-            row = np.empty(num_cycles, dtype=np.float64)
-            # repro-lint: allow[HOT001] per-row draw order: replays the pre-batching per-trial random stream bit-for-bit; each row's work is vectorized
-            for index in range(trials):
-                offset = rng.integers(0, self.period)
-                gate = None
-                if duties[index] < 1.0:
-                    gate = rng.random(num_cycles) < duties[index]
-                row[:] = rng.normal(0.0, sigmas[index], num_cycles)
-                if gate is None and scaled_windows is not None:
-                    row += scaled_windows[offset]
-                else:
-                    if raw_windows is None:
-                        raw_windows = _periodic_windows(self.sequence, num_cycles)
-                    watermark = raw_windows[offset].copy()
-                    if gate is not None:
-                        watermark *= gate
-                    watermark *= amps[index]
-                    watermark += self.base_power_w
-                    row += watermark
-                yield row
+        offsets = rng.integers(0, period, size=trials)
+        on = np.tile(counts.astype(np.float64), (trials, 1))
+        on[gated] = rng.binomial(counts, duties[gated])
+        z = rng.standard_normal((trials, period))
+        w = rng.standard_normal((np.count_nonzero(gated), period))
+        off = counts - on[gated]
+        dof = num_cycles - np.count_nonzero(on, axis=1)
+        dof[gated] -= np.count_nonzero(off, axis=1)
+        chi2 = 2.0 * rng.standard_gamma(dof / 2.0)
 
-        return rows()
-
-    def detect_trials(
-        self,
-        detector,
-        trials: int,
-        num_cycles: int,
-        rng: np.random.Generator,
-        **trial_kwargs,
-    ):
-        """Stream :meth:`trial_rows` through a batched detector.
-
-        ``detector`` is a :class:`repro.detection.batch.BatchCPADetector`
-        (duck-typed to keep this package free of detection imports);
-        returns its :class:`BatchCPAResult`.  No trials x cycles matrix is
-        ever held.
-        """
-        rows = self.trial_rows(trials, num_cycles, rng, **trial_kwargs)
-        return detector.detect_many(self.sequence, rows)
+        # The watermark-on group: every cycle of an ungated trial.
+        base = self.base_power_w
+        signal = base + amps * self.sequence.take(np.arange(period) + offsets[:, None], mode="wrap")
+        on_noise = sigmas * np.sqrt(on) * z
+        folded = on * signal + on_noise
+        energy = on * signal * signal + 2.0 * signal * on_noise
+        # G^2 / m = sigma^2 z^2 where m > 0; an empty group adds nothing.
+        unit_energy = np.where(on > 0, z * z, 0.0).sum(axis=1) + chi2
+        # The watermark-off group of the gated trials.
+        off_noise = sigmas[gated] * np.sqrt(off) * w
+        folded[gated] += off * base + off_noise
+        energy[gated] += off * (base * base) + 2.0 * base * off_noise
+        unit_energy[gated] += np.where(off > 0, w * w, 0.0).sum(axis=1)
+        sum_yy = energy.sum(axis=1) + sigmas[:, 0] ** 2 * unit_energy
+        return PhaseFold(folded, sum_yy, num_cycles)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceSynthesizer(period={self.period})"

@@ -10,10 +10,9 @@ clock-gate path with the functional IP block.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.rtl.components import Component
 
@@ -45,7 +44,12 @@ class Netlist:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.graph = nx.DiGraph()
+        # Instance -> (component, role, module), in insertion order.
+        self._nodes: Dict[str, Tuple[Component, str, str]] = {}
+        # Adjacency in both directions: node -> {neighbour: net}, in
+        # insertion order, so iteration order never depends on hashing.
+        self._succ: Dict[str, Dict[str, str]] = {}
+        self._pred: Dict[str, Dict[str, str]] = {}
 
     # -- construction --------------------------------------------------
 
@@ -54,69 +58,76 @@ class Netlist:
         component: Component,
         role: str = "functional",
         module: str = "",
+        instance: Optional[str] = None,
     ) -> None:
-        """Add a component instance to the netlist."""
-        if component.name in self.graph:
-            raise ValueError(f"duplicate component name: {component.name!r}")
+        """Add a component instance (named ``instance``, default its own name)."""
+        name = component.name if instance is None else instance
+        if name in self._nodes:
+            raise ValueError(f"duplicate component name: {name!r}")
         if role not in ("functional", "watermark", "clock"):
             raise ValueError(f"unknown role {role!r}")
-        self.graph.add_node(component.name, component=component, role=role, module=module)
+        self._nodes[name] = (component, role, module)
+        self._succ[name] = {}
+        self._pred[name] = {}
 
     def connect(self, source: str, target: str, net: str = "") -> None:
         """Add a directed connection (``source`` drives ``target``)."""
         for node in (source, target):
-            if node not in self.graph:
+            if node not in self._nodes:
                 raise KeyError(f"component {node!r} not present in netlist {self.name!r}")
-        self.graph.add_edge(source, target, net=net or f"{source}->{target}")
+        net = net or f"{source}->{target}"
+        self._succ[source][target] = net
+        self._pred[target][source] = net
 
     # -- queries --------------------------------------------------------
 
     def __contains__(self, name: str) -> bool:
-        return name in self.graph
+        return name in self._nodes
 
     def __len__(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._nodes)
 
     def component(self, name: str) -> Component:
         """Return the component object stored under ``name``."""
-        return self.graph.nodes[name]["component"]
+        return self._nodes[name][0]
 
     def role(self, name: str) -> str:
         """Return the ground-truth role of an instance."""
-        return self.graph.nodes[name]["role"]
+        return self._nodes[name][1]
 
     def components(self, role: Optional[str] = None) -> List[Component]:
         """All components, optionally filtered by role."""
-        result = []
-        for name, data in self.graph.nodes(data=True):
-            if role is None or data["role"] == role:
-                result.append(data["component"])
-        return result
+        return [
+            component
+            for component, node_role, _ in self._nodes.values()
+            if role is None or node_role == role
+        ]
 
     def component_names(self, role: Optional[str] = None) -> List[str]:
-        """Instance names (graph keys), optionally filtered by role.
+        """Instance names, optionally filtered by role.
 
         For flattened hierarchies the instance name is the full
         hierarchical path, which may differ from the leaf component name.
         """
         return [
             name
-            for name, data in self.graph.nodes(data=True)
-            if role is None or data["role"] == role
+            for name, (_, node_role, _) in self._nodes.items()
+            if role is None or node_role == role
         ]
 
     def edges(self) -> Iterator[NetlistEdge]:
         """Iterate over all connections."""
-        for source, target, data in self.graph.edges(data=True):
-            yield NetlistEdge(source=source, target=target, net=data.get("net", ""))
+        for source, targets in self._succ.items():
+            for target, net in targets.items():
+                yield NetlistEdge(source=source, target=target, net=net)
 
     def fan_in(self, name: str) -> List[str]:
         """Instances driving ``name``."""
-        return sorted(self.graph.predecessors(name))
+        return sorted(self._pred[name])
 
     def fan_out(self, name: str) -> List[str]:
         """Instances driven by ``name``."""
-        return sorted(self.graph.successors(name))
+        return sorted(self._succ[name])
 
     @property
     def total_registers(self) -> int:
@@ -130,19 +141,39 @@ class Netlist:
 
     # -- structural analysis --------------------------------------------
 
+    def _search(self, sources: Iterable[str], undirected: bool) -> Set[str]:
+        """Breadth-first closure of ``sources`` over driven (and driving) edges."""
+        seen = set(sources)
+        queue = deque(seen)
+        while queue:
+            node = queue.popleft()
+            neighbours = list(self._succ[node])
+            if undirected:
+                neighbours += self._pred[node]
+            for neighbour in neighbours:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    queue.append(neighbour)
+        return seen
+
     def weakly_connected_clusters(self) -> List[Set[str]]:
-        """Weakly-connected clusters of the netlist graph."""
-        return [set(c) for c in nx.weakly_connected_components(self.graph)]
+        """Weakly-connected clusters, ordered by their first-added instance."""
+        clusters: List[Set[str]] = []
+        clustered: Set[str] = set()
+        for name in self._nodes:
+            if name not in clustered:
+                cluster = self._search([name], undirected=True)
+                clustered |= cluster
+                clusters.append(cluster)
+        return clusters
 
     def reachable_from(self, sources: Iterable[str]) -> Set[str]:
         """All instances reachable (forward) from the given sources."""
-        reachable: Set[str] = set()
+        sources = list(sources)
         for source in sources:
-            if source not in self.graph:
+            if source not in self._nodes:
                 raise KeyError(f"component {source!r} not present in netlist")
-            reachable |= nx.descendants(self.graph, source)
-            reachable.add(source)
-        return reachable
+        return self._search(sources, undirected=False)
 
     def subgraph_stats(self, names: Iterable[str]) -> Dict[str, int]:
         """Cell/register counts of a candidate sub-circuit."""
@@ -152,7 +183,5 @@ class Netlist:
         return {"instances": len(names), "registers": registers, "cells": cells}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Netlist(name={self.name!r}, instances={len(self)}, "
-            f"edges={self.graph.number_of_edges()})"
-        )
+        edges = sum(len(targets) for targets in self._succ.values())
+        return f"Netlist(name={self.name!r}, instances={len(self)}, edges={edges})"

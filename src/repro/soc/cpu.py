@@ -511,26 +511,26 @@ class CortexM0Like:
                         taken_branches += 1
                         next_pc = rd if rd is not None else self.program.label_address(ra)
                         extra_cycles = TAKEN_BRANCH_PENALTY
+                # An instruction's accesses count once all of them succeed.
                 elif kind == _K_LOAD:
-                    memory_accesses += 1
                     address = (operands[ra] + rb) & _WORD_MASK
                     result, bus_data, bus_comb, extra_cycles = access(address, False, None, aux)
                     operands[rd] = result
-                elif kind == _K_STORE:
                     memory_accesses += 1
+                elif kind == _K_STORE:
                     address = (operands[ra] + rb) & _WORD_MASK
                     result = operands[rd] if aux == 4 else operands[rd] & 0xFF
                     _, bus_data, bus_comb, extra_cycles = access(address, True, result, aux)
+                    memory_accesses += 1
                 elif kind == _K_PUSH:
-                    memory_accesses += len(aux)
                     for register in aux:
                         address = operands[SP] = (operands[SP] - 4) & _WORD_MASK
                         _, access_data, access_comb, wait = access(address, True, operands[register], 4)
                         bus_data += access_data
                         bus_comb += access_comb
                         extra_cycles += wait
-                elif kind == _K_POP:
                     memory_accesses += len(aux)
+                elif kind == _K_POP:
                     for register in aux:
                         address = operands[SP]
                         result, access_data, access_comb, wait = access(address, False, None, 4)
@@ -542,6 +542,7 @@ class CortexM0Like:
                             next_pc = result
                         else:
                             operands[register] = result
+                    memory_accesses += len(aux)
                 elif kind == _K_BL:
                     branches += 1
                     taken_branches += 1

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from trial_matrix import trial_matrix
 
 from repro.analysis.masking import run_noise_masking_study, run_starvation_study
 from repro.core.lfsr import LFSR
 from repro.detection.batch import BatchCPADetector
+from repro.pipeline import run_scenario
 from repro.power.synthesis import TraceSynthesizer
 
 
@@ -65,7 +65,9 @@ class TestStarvationStudy:
             watermark_amplitude_w=1.5e-3,
             base_noise_sigma_w=30e-3,
             enable_duties=(1.0, 0.5, 0.02),
-            num_cycles=120_000,
+            # At the paper's acquisition length the peak ordering below held
+            # for all of 300 seeds; at 120k cycles, for only ~87% of them.
+            num_cycles=300_000,
             seed=4,
         )
 
@@ -123,9 +125,9 @@ class TestMonteCarloMasking:
         with pytest.raises(ValueError):
             run_starvation_study(sequence, num_cycles=2000, trials_per_point=-1)
 
-    def test_streamed_sweep_matches_materialized_rows(self, sequence):
-        # The sweep streams its rows into detect_many; stacking the same
-        # rows into a matrix first must give the same outcomes bit for bit.
+    def test_sweep_matches_its_trial_folds(self, sequence):
+        # The sweep draws every (level, trial) fold in one call and detects
+        # them in one batched pass.
         levels = (0.0, 60e-3, 500e-3)
         study = run_noise_masking_study(
             sequence,
@@ -140,10 +142,10 @@ class TestMonteCarloMasking:
             sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=0.0
         )
         sigmas = np.repeat([np.sqrt(30e-3**2 + level**2) for level in levels], 3)
-        matrix = trial_matrix(
-            synthesizer, len(sigmas), 30_000, np.random.default_rng(8), noise_sigmas=sigmas
+        folds = synthesizer.trial_folds(
+            len(sigmas), 30_000, np.random.default_rng(8), noise_sigmas=sigmas
         )
-        batch = BatchCPADetector().detect_many(sequence, matrix)
+        batch = BatchCPADetector().detect_many(sequence, folds)
         for index, point in enumerate(study.points):
             rows = slice(3 * index, 3 * index + 3)
             assert point.detections == int(np.count_nonzero(batch.detected[rows]))
@@ -163,3 +165,19 @@ class TestMonteCarloMasking:
             trials_per_point=2,
         )
         assert "P(detect)" in study.to_text()
+
+
+class TestPaperScaleSweeps:
+    """The registry's paper-scale sweeps keep the paper-level outcomes."""
+
+    def test_noise_masking(self):
+        study = run_scenario("masking-noise").payload
+        detected = {round(p.masking_noise_w * 1e3): p.detected for p in study.points}
+        assert detected[0] and detected[50]
+        assert not detected[400]
+
+    def test_starvation(self):
+        study = run_scenario("masking-starvation").payload
+        detected = {p.enable_duty: p.detected for p in study.points}
+        assert detected[1.0]
+        assert not detected[0.1] and not detected[0.02]

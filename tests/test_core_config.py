@@ -1,5 +1,7 @@
 """Unit tests for repro.core.config."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -73,7 +75,10 @@ class TestDetectionConfig:
         config = DetectionConfig()
         assert config.detection_threshold == 4.0
         assert 0 < config.uniqueness_margin <= 1.0
-        assert config.use_fft
+        assert [field.name for field in dataclasses.fields(config)] == [
+            "detection_threshold",
+            "uniqueness_margin",
+        ]
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):

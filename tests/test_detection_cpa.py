@@ -1,15 +1,12 @@
-"""Unit tests for repro.detection.cpa."""
+"""Unit tests for repro.detection.cpa, against the literal CPA oracle."""
 
 import numpy as np
 import pytest
+from trial_oracle import naive_rotation_correlations, pearson_correlation
 
 from repro.core.config import DetectionConfig
 from repro.core.lfsr import LFSR
-from repro.detection.cpa import (
-    CPADetector,
-    pearson_correlation,
-    rotation_correlations,
-)
+from repro.detection.cpa import CPADetector, rotation_correlations
 
 
 def make_measurement(period=63, num_cycles=5000, amplitude=1.0, noise=5.0, offset=17, seed=0):
@@ -57,15 +54,15 @@ class TestPearsonCorrelation:
 class TestRotationCorrelations:
     def test_fft_matches_naive(self):
         sequence, measured = make_measurement(period=63, num_cycles=2000)
-        fft_result = rotation_correlations(sequence, measured, method="fft")
-        naive_result = rotation_correlations(sequence, measured, method="naive")
+        fft_result = rotation_correlations(sequence, measured)
+        naive_result = naive_rotation_correlations(sequence, measured)
         assert np.allclose(fft_result, naive_result, atol=1e-10)
 
     def test_fft_matches_naive_non_multiple_length(self):
         sequence, measured = make_measurement(period=63, num_cycles=2017)
         assert np.allclose(
-            rotation_correlations(sequence, measured, method="fft"),
-            rotation_correlations(sequence, measured, method="naive"),
+            rotation_correlations(sequence, measured),
+            naive_rotation_correlations(sequence, measured),
             atol=1e-10,
         )
 
@@ -89,11 +86,6 @@ class TestRotationCorrelations:
         correlations = rotation_correlations(sequence, measured)
         assert np.all(np.abs(correlations) <= 1.0 + 1e-12)
 
-    def test_unknown_method_rejected(self):
-        sequence, measured = make_measurement()
-        with pytest.raises(ValueError):
-            rotation_correlations(sequence, measured, method="magic")
-
     def test_short_measurement_rejected(self):
         sequence = LFSR(width=8, seed=1).sequence()
         with pytest.raises(ValueError):
@@ -103,8 +95,8 @@ class TestRotationCorrelations:
         rng = np.random.default_rng(3)
         sequence = rng.normal(size=63)
         measured = np.tile(sequence, 40) + rng.normal(0, 0.1, 63 * 40)
-        fft_result = rotation_correlations(sequence, measured, method="fft")
-        naive_result = rotation_correlations(sequence, measured, method="naive")
+        fft_result = rotation_correlations(sequence, measured)
+        naive_result = naive_rotation_correlations(sequence, measured)
         assert np.allclose(fft_result, naive_result, atol=1e-10)
         assert int(np.argmax(fft_result)) == 0
 

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import iss_oracle
 from repro.soc.assembler import Assembler
@@ -142,14 +142,52 @@ def _assert_same_run(library, oracle, chunks):
     return None
 
 
+#: Programs whose last memory instruction faults (r10 or sp leaves the
+#: 64 KiB SRAM), with the memory accesses that completed before it.
+FAULTING = {
+    # BX returns to the LSL, which shifts r10 to 0: the LDR then faults.
+    "ldr": (
+        "main:\nmov r10, #32\nlsl r10, r10, #24\nbl L1\n"
+        "L1: add r14, r0, #1\nldr r0, [r10, #0]\nbx r14",
+        1,
+    ),
+    # Two of four pushed words fit above the SRAM base.
+    "push": (
+        "main:\nmov r10, #32\nlsl r10, r10, #24\nadd sp, r10, #8\n"
+        "mov r1, #7\npush {r0, r1, r2, r3}\nhalt",
+        0,
+    ),
+    # Two of three popped words lie below the SRAM top.
+    "pop": (
+        "main:\nmov r10, #32\nlsl r10, r10, #24\nadd sp, r10, #65528\n"
+        "pop {r0, r1, r2}\nhalt",
+        0,
+    ),
+}
+
+
+def _faulting(name):
+    return Assembler().assemble(FAULTING[name][0], entry_label="main")
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     program=programs(),
     wait_states=st.integers(min_value=0, max_value=2),
     chunks=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=10),
 )
+@example(program=_faulting("ldr"), wait_states=0, chunks=[17])
 def test_generated_programs_match_the_stepping_core(program, wait_states, chunks):
     _assert_same_run(*_pair(program, wait_states), chunks)
+
+
+@pytest.mark.parametrize("name", sorted(FAULTING))
+def test_a_faulting_access_leaves_both_cores_alike(name):
+    # The state comparison covers SP, memory and the statistics; a memory
+    # instruction's accesses count only once all of them have succeeded.
+    library, oracle = _pair(_faulting(name))
+    assert _assert_same_run(library, oracle, [17]) is IndexError
+    assert library[0].stats.memory_accesses == FAULTING[name][1]
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,17 +1,17 @@
 """Equivalence suite for the vectorized trace-synthesis engine.
 
-Every fast path in :mod:`repro.power.synthesis` must be *bit-identical* to
-the per-cycle golden reference it replaces: the cycle-stepping oracle
-(``rtl_oracle``) for power traces, and the per-trial Python row loop for
-trial matrices.
-End-to-end, the synthesized traces must produce the same CPA detection
-decisions as the simulated ones.
+The power-trace paths in :mod:`repro.power.synthesis` must be
+*bit-identical* to the cycle-stepping oracle (``rtl_oracle``) they replace,
+and the per-cycle trial-row oracle (``trial_oracle.trial_rows``) to the
+per-trial Python row loop it documents.  End-to-end, the synthesized traces
+must produce the same CPA detection decisions as the simulated ones.  The
+trial folds are checked against the row oracle in ``test_trial_folds.py``.
 """
 
 import numpy as np
 import pytest
 from rtl_oracle import stepped_activity
-from trial_matrix import trial_matrix
+from trial_oracle import trial_matrix, trial_rows
 
 from repro.core.architectures import BaselineWatermark, ClockModulationWatermark
 from repro.core.clock_modulation import ClockModulatedBank
@@ -190,11 +190,17 @@ class TestSynthesizeTrials:
         synthesizer = TraceSynthesizer.from_sequence(sequence, 1e-3, 1e-3)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            synthesizer.trial_rows(0, 100, rng)
+            synthesizer.trial_folds(0, 1000, rng)
+        with pytest.raises(ValueError, match="sequence period"):
+            synthesizer.trial_folds(2, len(sequence) - 1, rng)
         with pytest.raises(ValueError):
-            synthesizer.trial_rows(2, 0, rng)
+            synthesizer.trial_folds(2, 1000, rng, noise_sigmas=[1e-3])
+        with pytest.raises(ValueError, match="non-negative"):
+            synthesizer.trial_folds(2, 1000, rng, noise_sigmas=[1e-3, -1e-3])
+        with pytest.raises(ValueError, match="within"):
+            synthesizer.trial_folds(2, 1000, rng, enable_duties=1.5)
         with pytest.raises(ValueError):
-            synthesizer.trial_rows(2, 100, rng, noise_sigmas=[1e-3])
+            trial_rows(synthesizer, 2, 0, rng)
         with pytest.raises(ValueError):
             TraceSynthesizer.from_sequence(sequence, -1.0, 0.0)
 
@@ -217,15 +223,13 @@ class TestEndToEndDecisions:
             assert int(batch.peak_rotations[row]) == result.peak_rotation
             assert np.array_equal(batch.correlations[row], result.correlations)
 
-    def test_detect_trials_pipes_into_batch_detector(self):
+    def test_trial_folds_pipe_into_batch_detector(self):
         sequence = LFSR(width=7, seed=0x41).sequence().astype(np.float64)
         synthesizer = TraceSynthesizer.from_sequence(
             sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=2e-3
         )
-        detector = BatchCPADetector()
-        batch = synthesizer.detect_trials(
-            detector, trials=6, num_cycles=3000, rng=np.random.default_rng(9)
-        )
+        folds = synthesizer.trial_folds(6, 3000, np.random.default_rng(9))
+        batch = BatchCPADetector().detect_many(sequence, folds)
         assert len(batch.detected) == 6
         assert batch.detection_count == 6  # strong watermark, low noise
 

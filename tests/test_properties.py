@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from rtl_oracle import Register, trace_from_records
+from trial_oracle import fold_rows, naive_rotation_correlations, pearson_correlation
 
 from repro.core.lfsr import LFSR, CircularShiftRegister, max_length_period
 from repro.core.load_circuit import registers_for_load_power
 from repro.analysis.overhead import area_overhead_reduction
-from repro.detection.batch import BatchCPADetector, batch_rotation_correlations
-from repro.detection.cpa import pearson_correlation, rotation_correlations
+from repro.detection.batch import BatchCPADetector
+from repro.detection.cpa import rotation_correlations
 from repro.power.models import scale_energy_with_voltage
 from repro.rtl.activity import ActivityRecord
 from repro.rtl.clock_tree import ClockTree
@@ -210,8 +211,8 @@ def test_rotation_correlation_fft_equals_naive(seed):
         sequence[0] = 1.0 - sequence[0]
     measured = rng.normal(size=701)
     assert np.allclose(
-        rotation_correlations(sequence, measured, method="fft"),
-        rotation_correlations(sequence, measured, method="naive"),
+        rotation_correlations(sequence, measured),
+        naive_rotation_correlations(sequence, measured),
         atol=1e-10,
     )
 
@@ -224,7 +225,7 @@ def test_rotation_correlation_fft_equals_naive(seed):
     data=st.data(),
 )
 def test_streamed_detection_matches_matrix_and_naive(trials, period, binary, data):
-    """Rows streamed through one reused buffer detect exactly like the matrix."""
+    """Rows streamed through one reused buffer into their fold detect like the matrix."""
     num_cycles = data.draw(st.integers(min_value=period, max_value=8 * period))
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     if binary:
@@ -241,9 +242,9 @@ def test_streamed_detection_matches_matrix_and_naive(trials, period, binary, dat
 
     detector = BatchCPADetector()
     stacked = detector.detect_many(sequence, matrix)
-    streamed = detector.detect_many(sequence, one_buffer())
+    streamed = detector.detect_many(sequence, fold_rows(one_buffer(), period))
     assert np.array_equal(streamed.correlations, stacked.correlations)
     assert np.array_equal(streamed.z_scores, stacked.z_scores)
     assert np.array_equal(streamed.detected, stacked.detected)
-    naive = batch_rotation_correlations(sequence, one_buffer(), method="naive")
+    naive = np.stack([naive_rotation_correlations(sequence, row) for row in matrix])
     np.testing.assert_allclose(streamed.correlations, naive, rtol=0.0, atol=1e-9)

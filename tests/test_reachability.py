@@ -470,3 +470,11 @@ def test_import_leaves_scipy_out():
     code = "import sys, repro; assert 'scipy' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_leaves_networkx_out():
+    # The netlist keeps its own adjacency; importing the package must not
+    # load a graph library.
+    code = "import sys, repro; assert 'networkx' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -144,7 +144,13 @@ class TestConfigSerialization:
         payload["measurement"]["probe_bandwidth_hz"] = 120e6
         with pytest.raises(ValueError, match="unknown MeasurementConfig fields"):
             ScenarioSpec.from_json_dict(payload)
-        for version in (2, 3):
+        # Schema v6 dropped the detector's use_fft knob (the literal
+        # per-rotation correlator is a test oracle now).
+        payload = _rich_spec().to_json_dict()
+        payload["detection"]["use_fft"] = True
+        with pytest.raises(ValueError, match="unknown DetectionConfig fields"):
+            ScenarioSpec.from_json_dict(payload)
+        for version in (2, 3, 5):
             payload = _rich_spec().to_json_dict()
             payload["schema_version"] = version
             with pytest.raises(ValueError, match="unsupported spec schema version"):

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from measurement_chain import measure_rows
 from scipy.stats import ks_2samp
+from trial_oracle import fold_rows
 
 from repro.core.config import MeasurementConfig
 from repro.detection.batch import BatchCPADetector, PhaseFold, fold_by_phase
@@ -221,7 +222,7 @@ def test_detection_matches_the_oracle_in_distribution():
     detector = BatchCPADetector()
     drawn = detector.detect_many(sequence, campaign.measure_folded(trace, range(SAMPLES), period))
     oracle = detector.detect_many(
-        sequence, measure_rows(campaign, trace, range(10**6, 10**6 + SAMPLES))
+        sequence, fold_rows(measure_rows(campaign, trace, range(10**6, 10**6 + SAMPLES)), period)
     )
     peak = int(np.argmax(np.abs(oracle.correlations).mean(axis=0)))
     assert peak == offset
