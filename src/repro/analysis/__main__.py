@@ -3,11 +3,6 @@
 Check-only by default (there is deliberately no ``--fix``: every
 violation is either a real bug or needs a reasoned pragma).  Exit codes:
 ``0`` clean, ``1`` unsuppressed findings, ``2`` usage error.
-
-The committed baseline (``src/repro/analysis/baseline.json``) is applied
-automatically when it exists; ``--no-baseline`` shows everything raw and
-``--update-baseline`` regenerates the file from the current findings
-(new entries get an empty justification the committer must write).
 ``--sarif``/``--format=sarif`` emit SARIF 2.1.0 for code scanning.
 """
 
@@ -18,14 +13,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    default_baseline_path,
-    update_baseline,
-)
 from repro.analysis.engine import (
     Rule,
-    iter_python_files,
     lint_paths,
     render_json,
     render_text,
@@ -102,24 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="additionally write a SARIF 2.1.0 report to FILE",
     )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "baseline file to apply (default: the committed "
-            "src/repro/analysis/baseline.json when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline; report every finding raw",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit",
-    )
     return parser
 
 
@@ -133,13 +104,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         print("repro-lint: no paths given", file=sys.stderr)
         return USAGE_EXIT
-    if options.no_baseline and (options.baseline or options.update_baseline):
-        print(
-            "repro-lint: --no-baseline conflicts with "
-            "--baseline/--update-baseline",
-            file=sys.stderr,
-        )
-        return USAGE_EXIT
     try:
         rules = _select_rules(options.rules)
     except SystemExit as error:
@@ -151,25 +115,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as error:
         print(f"repro-lint: {error}", file=sys.stderr)
         return USAGE_EXIT
-
-    baseline_path: Optional[Path] = None
-    if not options.no_baseline:
-        baseline_path = (
-            Path(options.baseline) if options.baseline else default_baseline_path()
-        )
-
-    if options.update_baseline:
-        target = baseline_path or default_baseline_path()
-        total, missing = update_baseline(findings, target)
-        print(
-            f"repro-lint: wrote {total} baseline entr{'y' if total == 1 else 'ies'}"
-            f" to {target}"
-            + (f" ({missing} need a justification)" if missing else "")
-        )
-        return 0
-
-    linted = [str(path) for path in iter_python_files(options.paths)]
-    findings = apply_baseline(findings, baseline_path, linted_paths=linted)
 
     if options.sarif:
         Path(options.sarif).write_text(render_sarif(findings, rules) + "\n")

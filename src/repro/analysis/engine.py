@@ -72,9 +72,6 @@ class Finding:
     message: str
     suppressed: bool = False
     suppression_reason: Optional[str] = None
-    #: True when the suppression came from the committed baseline file
-    #: rather than an in-source pragma.
-    baselined: bool = False
 
     def to_json_dict(self) -> Dict[str, object]:
         """JSON-able representation (the ``--format=json`` entry shape)."""
@@ -85,7 +82,6 @@ class Finding:
             "message": self.message,
             "suppressed": self.suppressed,
             "suppression_reason": self.suppression_reason,
-            "baselined": self.baselined,
         }
 
 @dataclasses.dataclass

@@ -14,7 +14,8 @@ All sweep points (and, with ``trials_per_point > 1``, all Monte-Carlo
 trials per point) share one acquisition length, so the whole sweep is
 drawn as phase folds in one call
 (:meth:`repro.power.synthesis.TraceSynthesizer.trial_folds`) and detected
-in one :class:`repro.detection.batch.BatchCPADetector` pass.
+in one :class:`repro.detection.batch.BatchCPADetector` pass.  Each study
+draws from its own named stream of the seed (:mod:`repro.core.seeds`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import DetectionConfig
+from repro.core.seeds import stream
 from repro.detection.batch import BatchCPADetector, BatchCPAResult
 from repro.power.synthesis import TraceSynthesizer
 
@@ -192,7 +194,7 @@ def run_noise_masking_study(
         float(np.sqrt(base_noise_sigma_w**2 + masking**2)) for masking in levels
     ]
     duties = [1.0] * len(total_sigmas)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "masking-noise")
     detector = BatchCPADetector(detection_config or DetectionConfig())
     batch = _run_sweep(
         sequence,
@@ -243,7 +245,7 @@ def run_starvation_study(
         if not 0.0 <= duty <= 1.0:
             raise ValueError("enable duty must be within [0, 1]")
     sigmas = [base_noise_sigma_w] * len(duties)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "masking-starvation")
     detector = BatchCPADetector(detection_config or DetectionConfig())
     batch = _run_sweep(
         sequence,

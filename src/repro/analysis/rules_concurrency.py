@@ -18,10 +18,12 @@ CONC003    thread-shared caches must be the locking ``caching.LRUCache``:
            ``pipeline/`` or ``caching.py``
 RNG002     seed-stream collision: two ``default_rng(...)`` call sites
            reachable in one sweep cell whose seed expressions are
-           syntactically identical draw the *same* stream
+           syntactically identical draw the *same* stream (the library
+           has one site, :func:`repro.core.seeds.stream`, so a second one
+           is what this catches)
 DEAD001    stale suppression: an ``allow[ID]`` pragma whose target line no
-           longer triggers ID (and an expired baseline entry) is itself a
-           violation -- the suppression inventory must stay live
+           longer triggers ID is itself a violation -- the suppression
+           inventory must stay live
 ========== =====================================================================
 
 CONC001--003 and RNG002 are :class:`ProjectRule` subclasses; DEAD001 is a
@@ -263,8 +265,8 @@ class SeedStreamCollisionRule(ProjectRule):
         "Two default_rng(...) sites with the same seed expression, both "
         "reachable while executing one sweep cell, draw the *same* "
         "stream: noise correlates with signal and Monte-Carlo variance "
-        "silently halves. Streams must be per-contributor "
-        "(SeedSequence.spawn or distinct derivation)."
+        "silently halves. Streams must be per-contributor: draw through "
+        "repro.core.seeds.stream(seed, name)."
     )
 
     #: Call-graph roots: executing one sweep cell starts here.
@@ -296,8 +298,8 @@ class SeedStreamCollisionRule(ProjectRule):
             for path, line, qualname, key in distinct:
                 # collision partners named by stable module key and
                 # qualname -- not the invocation-dependent path, nor line
-                # numbers that drift with unrelated edits -- so baseline
-                # entries match however the lint was launched
+                # numbers that drift with unrelated edits -- so the message
+                # is the same however the lint was launched
                 others = sorted(
                     {
                         f"{o_key}:{o_qualname}"

@@ -10,9 +10,9 @@ kept to the subset those consumers read:
 * ``runs[].results``: one result per finding with ``ruleId``,
   ``ruleIndex``, ``message.text`` and a single physical location
   (``artifactLocation.uri`` + ``region.startLine``);
-* suppressed findings are *included* with a ``suppressions`` entry
-  (``inSource`` for pragmas, ``external`` for baseline matches) so the
-  suppression inventory is visible to the scanner, per §3.27.23.
+* suppressed findings are *included* with an ``inSource`` ``suppressions``
+  entry (every suppression is a pragma) so the suppression inventory is
+  visible to the scanner, per §3.27.23.
 
 The shape is pinned by ``tests/test_analysis_reporting.py``, which
 validates the required-property skeleton of the 2.1.0 schema.
@@ -53,8 +53,8 @@ def _meta_rule_descriptor() -> Dict[str, object]:
         "shortDescription": {"text": "lint inventory hygiene"},
         "fullDescription": {
             "text": (
-                "Malformed/unknown/reason-less suppression pragmas, "
-                "malformed baseline entries and unparseable files."
+                "Malformed/unknown/reason-less suppression pragmas "
+                "and unparseable files."
             )
         },
         "defaultConfiguration": {"level": "error"},
@@ -98,7 +98,7 @@ def sarif_dict(
         if finding.suppressed:
             result["suppressions"] = [
                 {
-                    "kind": "external" if finding.baselined else "inSource",
+                    "kind": "inSource",
                     "justification": finding.suppression_reason or "",
                 }
             ]

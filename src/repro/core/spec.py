@@ -50,7 +50,7 @@ SCENARIO_KINDS: Tuple[str, ...] = (
 #: code-version salt (:func:`repro.pipeline.store.code_version_salt`): a
 #: schema bump invalidates memoized results whose spec serialization
 #: changed meaning.
-SPEC_SCHEMA_VERSION = 6
+SPEC_SCHEMA_VERSION = 7
 
 _SPEC_SCHEMA_VERSION = SPEC_SCHEMA_VERSION
 

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import DetectionConfig
+from repro.core.seeds import stream
 from repro.detection.batch import BatchCPADetector
 from repro.detection.metrics import estimate_required_cycles, expected_correlation
 from repro.power.synthesis import TraceSynthesizer
@@ -109,8 +110,9 @@ def run_detection_probability_campaign(
     The trials of one acquisition length are drawn as their phase folds
     by :meth:`repro.power.synthesis.TraceSynthesizer.trial_folds` (O(period)
     per trial, equal in distribution to per-cycle rows) and detected in one
-    batched CPA pass.  ``tests/test_detection_campaign.py`` pins the curve
-    for a fixed seed.
+    batched CPA pass, from the ``"detection-probability"`` stream of
+    ``seed``.  ``tests/test_detection_campaign.py`` pins the curve for a
+    fixed seed.
     """
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 1 or len(sequence) < 3:
@@ -130,7 +132,7 @@ def run_detection_probability_campaign(
         noise_sigma_w=noise_sigma_w,
         base_power_w=base_power_w,
     )
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "detection-probability")
     curve = DetectionProbabilityCurve(
         watermark_amplitude_w=watermark_amplitude_w,
         noise_sigma_w=noise_sigma_w,

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.config import MeasurementConfig
+from repro.core.seeds import stream
 from repro.detection.batch import PhaseFold, fold_by_phase
 from repro.measurement.noise import (
     gaussian_noise,
@@ -102,13 +103,15 @@ class AcquisitionCampaign:
     # -- measurement -------------------------------------------------------------
 
     def measure(self, power_trace: PowerTrace, seed: Optional[int] = None) -> MeasuredTrace:
-        """Measure a chip power trace and return the CPA vector ``Y``."""
+        """Measure a chip power trace and return the CPA vector ``Y``.
+
+        The noise is drawn from the ``"noise"`` stream of ``seed``.
+        """
         if seed is None:
             seed = self.config.seed
-        rng = np.random.default_rng(seed)
         power = power_trace.power_w
         sigma = self._trace_sigma(power_trace)
-        measured = power + gaussian_noise(rng, sigma, len(power))
+        measured = power + gaussian_noise(stream(seed, "noise"), sigma, len(power))
         return MeasuredTrace(
             name=f"{power_trace.name}/measured",
             values=measured,
@@ -159,8 +162,8 @@ class AcquisitionCampaign:
         ``m = fold(s) / k`` and the within-phase residual
         ``r = s - tile(m)`` (computed once), ``n`` splits into its phase
         sums and a residual that is isotropic in the ``N - P`` dimensions
-        orthogonal to the phases.  Each seed's generator draws, in this
-        order:
+        orthogonal to the phases.  Each seed's ``"noise"`` stream draws, in
+        this order:
 
         * ``fold(n) = sigma * sqrt(k) * standard_normal(P)``;
         * ``z = standard_normal()``, the residual noise along ``r``;
@@ -190,7 +193,7 @@ class AcquisitionCampaign:
         chi2 = np.zeros(len(seeds))
         if sigma > 0:
             for index, seed in enumerate(seeds):
-                rng = np.random.default_rng(self.config.seed if seed is None else seed)
+                rng = stream(self.config.seed if seed is None else seed, "noise")
                 rng.standard_normal(out=noise_folds[index])
                 if residual_dims >= 1:
                     along_residual[index] = rng.standard_normal()

@@ -8,6 +8,11 @@ context's ``payload`` (the experiment's result dataclass from
 ``scalars``/``arrays`` that end up in the
 :class:`repro.pipeline.artifacts.ScenarioResult`.
 
+Every random draw of a stage comes from :mod:`repro.core.seeds`: a
+composite spec's sub-specs (Fig. 5 panels, Fig. 6 chips) and Fig. 6
+repetitions get child seeds named by chip, watermark state and repetition
+index, so no two cells or repetitions share a stream.
+
 Reports and arrays are pinned against captured goldens by
 ``tests/test_pipeline_equivalence.py``.
 """
@@ -21,6 +26,7 @@ import numpy as np
 
 from repro.analysis.masking import run_noise_masking_study, run_starvation_study
 from repro.analysis.overhead import TABLE_II_LOAD_POWERS_W, WGC_REGISTERS
+from repro.core.seeds import child_seed
 from repro.core.spec import ScenarioSpec
 from repro.detection.campaign import run_detection_probability_campaign
 from repro.detection.cpa import CPADetector
@@ -244,15 +250,15 @@ def _fig5_panel_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 def fig5_panel_spec(spec: ScenarioSpec, chip_name: str, active: bool) -> ScenarioSpec:
     """Derive one Fig. 5 panel spec from the composite Fig. 5 spec.
 
-    Seeds are offset by +50 for the watermark-inactive control and by +7
-    for chip II.
+    The panel's seed is the composite seed's child named by chip and
+    watermark state.
     """
     return spec.with_overrides(
         kind="fig5_panel",
         name=f"{spec.name or 'fig5'}/{chip_name}-{'active' if active else 'inactive'}",
         chip=chip_name,
         watermark_active=active,
-        seed=spec.seed + (0 if active else 50) + (0 if chip_name == "chip1" else 7),
+        seed=child_seed(spec.seed, chip_name, "active" if active else "inactive"),
     )
 
 
@@ -302,7 +308,9 @@ def _fig6_chip_stages(spec: ScenarioSpec) -> List[PipelineStage]:
         sequence = chip.watermark_sequence()
         folds = AcquisitionCampaign.from_spec(spec).measure_folded(
             power,
-            seeds=range(spec.seed, spec.seed + spec.repetitions),
+            seeds=[
+                child_seed(spec.seed, "repetition", r) for r in range(spec.repetitions)
+            ],
             period=len(sequence),
         )
         batch = BatchCPADetector(spec.detection).detect_many(sequence, folds)
@@ -348,13 +356,13 @@ def _fig6_chip_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 def fig6_chip_spec(spec: ScenarioSpec, chip_name: str) -> ScenarioSpec:
     """Derive one chip's Fig. 6 campaign spec from the composite spec.
 
-    The chip II campaign seeds 500 apart.
+    The campaign's seed is the composite seed's child named by chip.
     """
     return spec.with_overrides(
         kind="fig6_chip",
         name=f"{spec.name or 'fig6'}/{chip_name}",
         chip=chip_name,
-        seed=spec.seed + (0 if chip_name == "chip1" else 500),
+        seed=child_seed(spec.seed, chip_name),
     )
 
 

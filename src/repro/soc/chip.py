@@ -16,6 +16,10 @@ repeating loop, so the window already holds the cycle-to-cycle structure
 of the background power; simulating every one of a multi-hundred-thousand-
 cycle acquisition would add nothing but time.  The simulated window is
 shared across chips through the window cache in :mod:`repro.soc.cpu`.
+
+Every stochastic contributor of a chip's background draws from its own
+named stream of the background seed (:mod:`repro.core.seeds`): ``"m0"``
+for the window shifts, ``"peripherals"`` and ``"a5"`` for the idle blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 
 from repro.caching import LRUCache
 from repro.core.architectures import WatermarkArchitecture
+from repro.core.seeds import stream
 from repro.power.estimator import PowerEstimator
 from repro.power.trace import PowerTrace
 from repro.rtl.activity import ActivityTrace
@@ -42,8 +47,8 @@ from repro.soc.assembler import Program
 #
 # The background power of a chip is a deterministic function of the chip
 # configuration, the background seed and the acquisition length: the M0
-# window simulation is keyed by the program, and the stochastic peripheral
-# / A5 draws come from seeded generators.  Fig. 5 panels, Fig. 6 campaigns
+# window simulation is keyed by the program, and the stochastic draws come
+# from the seed's named streams.  Fig. 5 panels, Fig. 6 campaigns
 # and robustness sweeps all re-request the same background,
 # so the per-cycle template is computed once and shared.
 #
@@ -176,7 +181,8 @@ class ChipModel:
 
         The core is simulated cycle-accurately for a representative window
         and the window is then repeated with a random cyclic shift per
-        repetition.  The shifts reflect that on the bench the benchmark
+        repetition, drawn from the ``"m0"`` stream of ``seed``.  The
+        shifts reflect that on the bench the benchmark
         loop is not phase-locked to the acquisition window; without them an
         exactly periodic background could alias into the watermark-period
         phase bins and bias the CPA noise floor.
@@ -195,18 +201,12 @@ class ChipModel:
             trace = self._simulate_m0_window(window)
         if window >= num_cycles:
             return trace
-        rng = np.random.default_rng(self.seed if seed is None else seed)
-        # One modular-index gather replaces the np.roll-per-repetition list
-        # tiling: repetition r of the window is read at indices
-        # (i - shift_r) mod window, which is exactly np.roll(values, shift_r).
-        # The shifts stay scalar draws so a given seed yields the identical
-        # activity trace as the pre-vectorised implementation (pinned in
-        # tests/test_soc_chip.py).
+        # One modular-index gather: repetition r of the window is read at
+        # indices (i - shift_r) mod window, which is np.roll(values, shift_r).
         repetitions = -(-num_cycles // window)
-        shifts = np.empty(repetitions, dtype=np.int64)
-        # repro-lint: allow[HOT001] golden reference path: scalar shift draws pin the pre-vectorised seed stream
-        for repetition in range(repetitions):
-            shifts[repetition] = rng.integers(0, window)
+        shifts = stream(self.seed if seed is None else seed, "m0").integers(
+            0, window, size=repetitions
+        )
         index = np.arange(window, dtype=np.int64)[None, :] - shifts[:, None]
         index %= window
         index = index.reshape(-1)[:num_cycles]
@@ -220,14 +220,20 @@ class ChipModel:
     def background_activity(
         self, num_cycles: int, seed: Optional[int] = None, use_cache: bool = True
     ) -> Dict[str, ActivityTrace]:
-        """Per-contributor background activity (everything except the watermark)."""
+        """Per-contributor background activity (everything except the watermark).
+
+        Each contributor draws from the stream of ``seed`` named after its
+        key in the returned dict.
+        """
         seed = self.seed if seed is None else seed
         traces = {
             "m0": self.m0_activity(num_cycles, seed=seed, use_cache=use_cache),
-            "peripherals": self.peripherals.activity_trace(num_cycles, seed=seed + 1),
+            "peripherals": self.peripherals.activity_trace(
+                num_cycles, stream(seed, "peripherals")
+            ),
         }
         if self.a5_subsystem is not None:
-            traces["a5"] = self.a5_subsystem.activity_trace(num_cycles, seed=seed + 2)
+            traces["a5"] = self.a5_subsystem.activity_trace(num_cycles, stream(seed, "a5"))
         return traces
 
     # -- power traces -------------------------------------------------------------

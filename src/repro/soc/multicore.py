@@ -12,7 +12,7 @@ are represented by structural activity models: a register/clock-tree
 inventory whose non-gated fraction toggles every cycle, plus a stochastic
 per-cycle component representing asynchronous housekeeping activity
 (timers, snoop logic, bus arbiters).  The traces are generated vectorised
-with a seeded generator so experiments are reproducible.
+from a generator the chip hands in, so experiments are reproducible.
 """
 
 from __future__ import annotations
@@ -67,11 +67,10 @@ class _IdleActivitySource:
         """Registers whose clock is not gated while the block idles."""
         return int(round(self.parameters.register_count * self.parameters.ungated_fraction))
 
-    def activity_trace(self, num_cycles: int, seed: Optional[int] = None) -> ActivityTrace:
+    def activity_trace(self, num_cycles: int, rng: np.random.Generator) -> ActivityTrace:
         """Per-cycle activity of the idle block over ``num_cycles`` cycles."""
         if num_cycles <= 0:
             raise ValueError("num_cycles must be positive")
-        rng = np.random.default_rng(seed)
         clock = np.full(
             num_cycles, CLOCK_EDGES_PER_CYCLE * self.clocked_registers, dtype=np.int64
         )

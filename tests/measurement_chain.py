@@ -32,6 +32,7 @@ import numpy as np
 from scipy import signal
 
 from repro.core.config import MeasurementConfig
+from repro.core.seeds import stream
 from repro.measurement.acquisition import AcquisitionCampaign
 from repro.measurement.noise import gaussian_noise, transient_residual_sigma
 from repro.power.trace import PowerTrace
@@ -226,7 +227,7 @@ def measure_rows(
     def rows() -> Iterator[np.ndarray]:
         row = np.empty(len(power), dtype=np.float64)
         for seed in seeds:
-            rng = np.random.default_rng(campaign.config.seed if seed is None else seed)
+            rng = stream(campaign.config.seed if seed is None else seed, "noise")
             gaussian_noise_into(rng, sigma, row)
             row += power
             yield row

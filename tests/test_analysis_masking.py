@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.masking import run_noise_masking_study, run_starvation_study
 from repro.core.lfsr import LFSR
+from repro.core.seeds import stream
 from repro.detection.batch import BatchCPADetector
 from repro.pipeline import run_scenario
 from repro.power.synthesis import TraceSynthesizer
@@ -143,7 +144,7 @@ class TestMonteCarloMasking:
         )
         sigmas = np.repeat([np.sqrt(30e-3**2 + level**2) for level in levels], 3)
         folds = synthesizer.trial_folds(
-            len(sigmas), 30_000, np.random.default_rng(8), noise_sigmas=sigmas
+            len(sigmas), 30_000, stream(8, "masking-noise"), noise_sigmas=sigmas
         )
         batch = BatchCPADetector().detect_many(sequence, folds)
         for index, point in enumerate(study.points):

@@ -11,6 +11,7 @@ import dataclasses
 import importlib.util
 import json
 import pathlib
+import shutil
 import textwrap
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.analysis.engine import (
     META_RULE_ID,
     Finding,
     lint_paths,
+    module_key_for,
     render_json,
     render_text,
     unsuppressed,
@@ -745,16 +747,8 @@ class TestReporting:
 class TestSrcTreeSelfCheck:
     @staticmethod
     def _gated_findings():
-        """The tree's findings as the CI gate sees them: baseline applied."""
-        from repro.analysis.baseline import apply_baseline, default_baseline_path
-        from repro.analysis.engine import iter_python_files
-
-        findings, files_checked = lint_paths([str(SRC)])
-        linted = [str(path) for path in iter_python_files([str(SRC)])]
-        findings = apply_baseline(
-            findings, default_baseline_path(), linted_paths=linted
-        )
-        return findings, files_checked
+        """The tree's findings as the CI gate sees them."""
+        return lint_paths([str(SRC)])
 
     def test_src_has_zero_unsuppressed_violations(self):
         findings, files_checked = self._gated_findings()
@@ -769,23 +763,33 @@ class TestSrcTreeSelfCheck:
         for finding in suppressed:
             assert finding.suppression_reason, finding
 
-    def test_baseline_entries_are_all_justified_rng002(self):
-        # The committed baseline exists to absorb the pinned seed-stream
-        # findings, nothing else: every entry is RNG002 with a reason.
-        from repro.analysis.baseline import default_baseline_path, load_baseline
-
-        entries, problems = load_baseline(default_baseline_path())
-        assert problems == []
-        assert entries, "expected the committed RNG002 baseline"
-        for entry in entries:
-            assert entry["rule"] == "RNG002"
-            assert str(entry["justification"]).strip()
-
-    def test_src_concurrency_rules_are_live_on_the_tree(self):
-        # Without the baseline the pinned RNG002 collisions must surface:
-        # proof the project pass actually runs over src/, not a no-op.
-        findings, _ = lint_paths([str(SRC)])
-        assert "RNG002" in {f.rule_id for f in unsuppressed(findings)}
+    def test_src_concurrency_rules_are_live_on_the_tree(self, tmp_path):
+        # The library's one default_rng site is core/seeds.py.  A copy of
+        # the tree with a second, identically seeded site reachable from
+        # the stage graph must trip RNG002 at both sites: proof the project
+        # pass runs over the real tree, not a no-op.
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            SRC / "repro", tree, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        site = next(
+            line
+            for line in (tree / "core" / "seeds.py").read_text().splitlines()
+            if "default_rng(" in line
+        )
+        stages = tree / "pipeline" / "stages.py"
+        stages.write_text(
+            stages.read_text() + "\n\ndef _second_stream(seed, path):\n" + site + "\n"
+        )
+        findings, _ = lint_paths([str(tree)], [RULE_INDEX["RNG002"]])
+        hits = {
+            module_key_for(f.path): f.message
+            for f in unsuppressed(findings)
+            if f.rule_id == "RNG002"
+        }
+        assert sorted(hits) == ["core/seeds.py", "pipeline/stages.py"]
+        assert "pipeline/stages.py:_second_stream" in hits["core/seeds.py"]
+        assert "core/seeds.py:stream" in hits["pipeline/stages.py"]
 
     def test_rule_inventory_is_complete(self):
         assert sorted(RULE_INDEX) == [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.lfsr import LFSR
+from repro.core.seeds import stream
 from repro.detection.batch import BatchCPADetector
 from repro.detection.campaign import (
     DetectionOperatingPoint,
@@ -20,9 +21,9 @@ from repro.power.synthesis import TraceSynthesizer
 _GOLDEN_SEED = 42
 _GOLDEN_POINTS = [
     # (num_cycles, detections, mean_peak_correlation, mean_z_score)
-    (1_000, 0, 0.028271499977447007, 2.8545180743527934),
-    (4_000, 0, 0.034727844832699785, 3.2113845747252445),
-    (16_000, 12, 0.04897293240393532, 6.2119873272685675),
+    (1_000, 0, 0.034169867036946605, 2.7851807499179286),
+    (4_000, 1, 0.021236306108472495, 3.293647324267203),
+    (16_000, 12, 0.051879790201471127, 6.563121113628828),
 ]
 
 
@@ -142,7 +143,7 @@ class TestSeedDeterminism:
             sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=15e-3
         )
         detector = BatchCPADetector()
-        rng = np.random.default_rng(_GOLDEN_SEED)
+        rng = stream(_GOLDEN_SEED, "detection-probability")
         for point in curve.points:
             folds = synthesizer.trial_folds(12, point.num_cycles, rng)
             batch = detector.detect_many(sequence, folds)

@@ -473,8 +473,18 @@ def test_import_leaves_scipy_out():
 
 
 def test_import_leaves_networkx_out():
-    # The netlist keeps its own adjacency; importing the package must not
-    # load a graph library.
-    code = "import sys, repro; assert 'networkx' not in sys.modules"
+    # The netlist keeps its own adjacency, and the linter loads only
+    # through its own submodules: importing the package and its pipeline
+    # loads neither a graph library nor repro-lint.
+    lint = [
+        f"repro.analysis.{name}"
+        for name in ("engine", "project", "rules", "rules_concurrency", "sarif")
+    ]
+    code = (
+        "import sys, repro, repro.pipeline\n"
+        "assert 'networkx' not in sys.modules\n"
+        f"loaded = [name for name in {lint!r} if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -150,7 +150,7 @@ class TestConfigSerialization:
         payload["detection"]["use_fft"] = True
         with pytest.raises(ValueError, match="unknown DetectionConfig fields"):
             ScenarioSpec.from_json_dict(payload)
-        for version in (2, 3, 5):
+        for version in (2, 3, 5, 6):
             payload = _rich_spec().to_json_dict()
             payload["schema_version"] = version
             with pytest.raises(ValueError, match="unsupported spec schema version"):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.config import WatermarkConfig
+from repro.core.seeds import stream
 from repro.soc.chip import ChipDescription, ChipModel, build_chip_one, build_chip_two
 
 
@@ -122,24 +123,20 @@ class TestM0ActivityGather:
         num_cycles = 1500
         seed = 97
 
-        # Pre-vectorisation reference: simulate the window, then tile it
-        # with one np.roll per repetition, drawing shifts from the same
-        # seeded generator.
+        # Reference: simulate the window, then tile it with one np.roll per
+        # repetition, using the shifts of the seed's "m0" stream.
         window = min(num_cycles, chip.description.m0_window_cycles)
         window_trace = chip.cpu.run_cycles(window)
-        rng = np.random.default_rng(seed)
+        shifts = stream(seed, "m0").integers(0, window, size=-(-num_cycles // window))
         arrays = {
             "clock_toggles": window_trace.clock_toggles,
             "data_toggles": window_trace.data_toggles,
             "comb_toggles": window_trace.comb_toggles,
         }
-        tiled = {key: [] for key in arrays}
-        produced = 0
-        while produced < num_cycles:
-            shift = int(rng.integers(0, window))
-            for key, values in arrays.items():
-                tiled[key].append(np.roll(values, shift))
-            produced += window
+        tiled = {
+            key: [np.roll(values, shift) for shift in shifts]
+            for key, values in arrays.items()
+        }
         expected = {key: np.concatenate(parts)[:num_cycles] for key, parts in tiled.items()}
 
         actual = chip.m0_activity(num_cycles, seed=seed)

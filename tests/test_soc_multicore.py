@@ -25,27 +25,27 @@ class TestIdleDualCoreA5Like:
 
     def test_activity_trace_shape_and_determinism(self):
         a5 = IdleDualCoreA5Like()
-        first = a5.activity_trace(500, seed=3)
-        second = a5.activity_trace(500, seed=3)
+        first = a5.activity_trace(500, np.random.default_rng(3))
+        second = a5.activity_trace(500, np.random.default_rng(3))
         assert len(first) == 500
         assert np.array_equal(first.data_toggles, second.data_toggles)
 
     def test_different_seeds_differ(self):
         a5 = IdleDualCoreA5Like()
         assert not np.array_equal(
-            a5.activity_trace(500, seed=1).data_toggles,
-            a5.activity_trace(500, seed=2).data_toggles,
+            a5.activity_trace(500, np.random.default_rng(1)).data_toggles,
+            a5.activity_trace(500, np.random.default_rng(2)).data_toggles,
         )
 
     def test_clock_component_is_constant(self):
         a5 = IdleDualCoreA5Like()
-        trace = a5.activity_trace(100, seed=0)
+        trace = a5.activity_trace(100, np.random.default_rng(0))
         assert np.all(trace.clock_toggles == trace.clock_toggles[0])
         assert trace.clock_toggles[0] == 2 * a5.clocked_registers
 
     def test_invalid_cycle_count_rejected(self):
         with pytest.raises(ValueError):
-            IdleDualCoreA5Like().activity_trace(0)
+            IdleDualCoreA5Like().activity_trace(0, np.random.default_rng(0))
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -59,6 +59,6 @@ class TestBackgroundIPBlocks:
         assert peripherals.clocked_registers < a5.clocked_registers
 
     def test_activity_nonnegative(self):
-        trace = BackgroundIPBlocks().activity_trace(1000, seed=5)
+        trace = BackgroundIPBlocks().activity_trace(1000, np.random.default_rng(5))
         assert trace.data_toggles.min() >= 0
         assert trace.comb_toggles.min() >= 0

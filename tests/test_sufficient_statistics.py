@@ -25,6 +25,7 @@ from scipy.stats import ks_2samp
 from trial_oracle import fold_rows
 
 from repro.core.config import MeasurementConfig
+from repro.core.seeds import stream
 from repro.detection.batch import BatchCPADetector, PhaseFold, fold_by_phase
 from repro.measurement.acquisition import AcquisitionCampaign
 from repro.power.trace import PowerTrace
@@ -70,7 +71,7 @@ def residual_projection(vector: np.ndarray, period: int) -> np.ndarray:
 def explicit_noise(s, period, sigma, seed):
     """A per-cycle noise vector realising the documented draws of ``seed``."""
     num_cycles = len(s)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "noise")
     counts = fold_by_phase(np.zeros(num_cycles), period)[1]
     noise_fold = sigma * np.sqrt(counts) * rng.standard_normal(period)
     dims = num_cycles - period
