@@ -1,10 +1,4 @@
-"""Area, overhead and robustness analysis (Sections V and VI of the paper).
-
-The package also holds repro-lint, the static determinism & cache-safety
-analyzer (``python -m repro.analysis``); import it from its submodules
-(:mod:`repro.analysis.engine`, :mod:`repro.analysis.rules`), so that
-``import repro`` does not load it.
-"""
+"""Area, overhead and robustness analysis (Sections V and VI of the paper)."""
 
 from repro.analysis.overhead import (
     OverheadRow,

@@ -1,4 +1,4 @@
-"""``python -m repro.analysis`` -- the repro-lint command line.
+"""``python -m repro.lint`` -- the repro-lint command line.
 
 Check-only by default (there is deliberately no ``--fix``: every
 violation is either a real bug or needs a reasoned pragma).  Exit codes:
@@ -13,15 +13,15 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.engine import (
+from repro.lint.engine import (
     Rule,
     lint_paths,
     render_json,
     render_text,
     unsuppressed,
 )
-from repro.analysis.rules import ALL_RULES, RULE_INDEX
-from repro.analysis.sarif import render_sarif
+from repro.lint.rules import ALL_RULES, RULE_INDEX
+from repro.lint.sarif import render_sarif
 
 USAGE_EXIT = 2
 
@@ -54,7 +54,7 @@ def _list_rules() -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
+        prog="python -m repro.lint",
         description=(
             "repro-lint: project-wide determinism, cache-safety and "
             "concurrency checks over this repository's pinned invariants."

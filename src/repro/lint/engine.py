@@ -4,10 +4,10 @@ Every pinned guarantee of this reproduction -- bit-identical
 serial/process/resume sweeps, seed-stream compatibility, read-only
 cache-served templates -- is an *invariant of the source*, not of any one
 test run.  This engine walks Python files with per-rule AST visitors
-(:mod:`repro.analysis.rules`) and reports violations of those invariants
+(:mod:`repro.lint.rules`) and reports violations of those invariants
 at CI time, before a golden test has to catch them downstream.
 
-Usage (also via ``python -m repro.analysis``)::
+Usage (also via ``python -m repro.lint``)::
 
     findings = lint_paths(["src/"])
     print(render_text(findings))
@@ -210,7 +210,7 @@ def collect_pragmas(
 
 
 def _default_rules() -> Sequence[Rule]:
-    from repro.analysis.rules import ALL_RULES
+    from repro.lint.rules import ALL_RULES
 
     return ALL_RULES
 
@@ -220,7 +220,7 @@ class ModuleRecord:
     """The per-module result of the module pass.
 
     ``summary`` is the serializable project digest
-    (:class:`repro.analysis.project.ModuleSummary`), ``None`` when the
+    (:class:`repro.lint.project.ModuleSummary`), ``None`` when the
     file did not parse.
     """
 
@@ -248,7 +248,7 @@ def _module_pass(
     known_ids: Iterable[str],
 ) -> ModuleRecord:
     """Parse + per-module rules + pragma table + project digest for one file."""
-    from repro.analysis.project import summarize_module
+    from repro.lint.project import summarize_module
 
     try:
         module = LintModule.from_source(source, logical_path)
@@ -287,8 +287,8 @@ def _finish_project(
     records: Sequence[ModuleRecord], active: Sequence[Rule]
 ) -> List[Finding]:
     """Project rules + the DEAD001 stale-pragma audit over all records."""
-    from repro.analysis.project import LintProject, ProjectRule
-    from repro.analysis.rules_concurrency import StalePragmaRule
+    from repro.lint.project import LintProject, ProjectRule
+    from repro.lint.rules import StalePragmaRule
 
     per_path: Dict[str, List[Finding]] = {
         record.logical_path: list(record.findings) for record in records
@@ -351,7 +351,7 @@ def lint_sources(
     """Lint several sources as one project (the multi-module fixture API).
 
     ``sources`` maps logical path -> source text; project rules see all
-    of them through one shared :class:`~repro.analysis.project.LintProject`.
+    of them through one shared :class:`~repro.lint.project.LintProject`.
     """
     active = list(rules) if rules is not None else list(_default_rules())
     known = _known_ids(active)

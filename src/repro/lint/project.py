@@ -1,6 +1,6 @@
 """Project-wide symbol table, call graph and per-module summaries.
 
-The first-generation repro-lint rules (:mod:`repro.analysis.rules`) are
+The first-generation repro-lint rules (:mod:`repro.lint.rules`) are
 strictly per-module AST visitors: each rule sees one file at a time.
 That is blind to exactly the bug class the concurrent subsystems invite
 -- an attribute guarded by a lock in one method but mutated bare in
@@ -19,7 +19,7 @@ This module is the cross-module layer those rules need:
 ``LintProject``
     The shared symbol table + call graph over every summary, with
     import-aware call resolution and forward reachability.  Project
-    rules (:mod:`repro.analysis.rules_concurrency`) query it instead of
+    rules (:mod:`repro.lint.rules`) query it instead of
     re-walking ASTs.
 
 Resolution is module-level and deliberately lightweight: bare names via
@@ -36,7 +36,7 @@ import ast
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.engine import LintModule, Rule
+from repro.lint.engine import LintModule, Rule
 
 __all__ = [
     "AttrAccess",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.engine import META_RULE_ID, Finding, Rule
+from repro.lint.engine import META_RULE_ID, Finding, Rule
 
 __all__ = ["render_sarif", "sarif_dict"]
 
@@ -71,7 +71,7 @@ def sarif_dict(
 ) -> Dict[str, object]:
     """The SARIF log as a JSON-able dict (see :func:`render_sarif`)."""
     if rules is None:
-        from repro.analysis.rules import ALL_RULES
+        from repro.lint.rules import ALL_RULES
 
         rules = ALL_RULES
     descriptors = [_meta_rule_descriptor()]

@@ -2,7 +2,7 @@
 
 from typing import List, Optional, Sequence
 
-from repro.analysis.engine import Finding, Rule, lint_sources
+from repro.lint.engine import Finding, Rule, lint_sources
 
 
 def lint_source(

@@ -12,18 +12,18 @@ from pathlib import Path
 import pytest
 from lint_helpers import lint_source
 
-from repro.analysis.engine import (
+from repro.lint.engine import (
     LintModule,
     lint_sources,
     unsuppressed,
 )
-from repro.analysis.project import (
+from repro.lint.project import (
     MODULE_BODY,
     LintProject,
     ModuleSummary,
     summarize_module,
 )
-from repro.analysis.rules import RULE_INDEX
+from repro.lint.rules import RULE_INDEX
 
 
 def snippet(text: str) -> str:

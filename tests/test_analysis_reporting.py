@@ -5,9 +5,9 @@ import textwrap
 
 from lint_helpers import lint_source
 
-from repro.analysis.engine import META_RULE_ID
-from repro.analysis.rules import RULE_INDEX
-from repro.analysis.sarif import SARIF_VERSION, render_sarif, sarif_dict
+from repro.lint.engine import META_RULE_ID
+from repro.lint.rules import RULE_INDEX
+from repro.lint.sarif import SARIF_VERSION, render_sarif, sarif_dict
 
 
 def _findings_with_suppressions():

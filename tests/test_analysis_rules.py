@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from lint_helpers import lint_source
 
-from repro.analysis.engine import (
+from repro.lint.engine import (
     META_RULE_ID,
     Finding,
     lint_paths,
@@ -27,7 +27,7 @@ from repro.analysis.engine import (
     render_text,
     unsuppressed,
 )
-from repro.analysis.rules import (
+from repro.lint.rules import (
     ALL_RULES,
     RULE_INDEX,
     SchemaManifestRule,
@@ -704,7 +704,7 @@ class TestReporting:
         assert entry["suppressed"] is False
 
     def test_cli_flags_violations_with_exit_1(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
+        from repro.lint.__main__ import main
 
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nt = time.time()\n")
@@ -712,7 +712,7 @@ class TestReporting:
         assert "DET001" in capsys.readouterr().out
 
     def test_cli_clean_file_exits_0_json(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
+        from repro.lint.__main__ import main
 
         good = tmp_path / "good.py"
         good.write_text("x = 1\n")
@@ -721,7 +721,7 @@ class TestReporting:
         assert payload["summary"]["violations"] == 0
 
     def test_cli_usage_errors_exit_2(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
+        from repro.lint.__main__ import main
 
         assert main([]) == 2
         assert main([str(tmp_path / "missing.py")]) == 2
@@ -730,7 +730,7 @@ class TestReporting:
         assert main([str(good), "--rules", "BOGUS"]) == 2
 
     def test_cli_rule_selection_and_listing(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
+        from repro.lint.__main__ import main
 
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nt = time.time()\n")

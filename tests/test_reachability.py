@@ -70,7 +70,7 @@ ROOTS = (
     "repro.pipeline.runner",
     "repro.service.server",
     "repro.service.client",
-    "repro.analysis.__main__",
+    "repro.lint.__main__",
 )
 
 #: Library modules kept only as oracles that tests compare the library
@@ -473,17 +473,13 @@ def test_import_leaves_scipy_out():
 
 
 def test_import_leaves_networkx_out():
-    # The netlist keeps its own adjacency, and the linter loads only
-    # through its own submodules: importing the package and its pipeline
-    # loads neither a graph library nor repro-lint.
-    lint = [
-        f"repro.analysis.{name}"
-        for name in ("engine", "project", "rules", "rules_concurrency", "sarif")
-    ]
+    # The netlist keeps its own adjacency, and repro-lint is a package the
+    # library never imports: importing the package and its pipeline loads
+    # neither a graph library nor any repro.lint module.
     code = (
         "import sys, repro, repro.pipeline\n"
         "assert 'networkx' not in sys.modules\n"
-        f"loaded = [name for name in {lint!r} if name in sys.modules]\n"
+        "loaded = [name for name in sys.modules if name.startswith('repro.lint')]\n"
         "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
