@@ -268,7 +268,6 @@ class BatchCPAResult:
         return self.num_trials
 
     def __iter__(self) -> Iterator:
-        # repro-lint: allow[HOT001] convenience iterator materializing scalar CPAResult views; not on the measured path
         for index in range(self.num_trials):
             yield self.result(index)
 

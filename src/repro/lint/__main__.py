@@ -3,14 +3,12 @@
 Check-only by default (there is deliberately no ``--fix``: every
 violation is either a real bug or needs a reasoned pragma).  Exit codes:
 ``0`` clean, ``1`` unsuppressed findings, ``2`` usage error.
-``--sarif``/``--format=sarif`` emit SARIF 2.1.0 for code scanning.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.lint.engine import (
@@ -21,7 +19,6 @@ from repro.lint.engine import (
     unsuppressed,
 )
 from repro.lint.rules import ALL_RULES, RULE_INDEX
-from repro.lint.sarif import render_sarif
 
 USAGE_EXIT = 2
 
@@ -56,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "repro-lint: project-wide determinism, cache-safety and "
+            "repro-lint: project-wide cache-safety, exception and "
             "concurrency checks over this repository's pinned invariants."
         ),
     )
@@ -67,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -85,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule inventory and exit",
-    )
-    parser.add_argument(
-        "--sarif",
-        metavar="FILE",
-        help="additionally write a SARIF 2.1.0 report to FILE",
     )
     return parser
 
@@ -116,12 +108,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro-lint: {error}", file=sys.stderr)
         return USAGE_EXIT
 
-    if options.sarif:
-        Path(options.sarif).write_text(render_sarif(findings, rules) + "\n")
     if options.format == "json":
         print(render_json(findings, files_checked))
-    elif options.format == "sarif":
-        print(render_sarif(findings, rules))
     else:
         print(
             render_text(

@@ -1,11 +1,10 @@
-"""repro-lint: the AST-based determinism & cache-safety lint engine.
+"""repro-lint: the AST-based cache-safety & concurrency lint engine.
 
-Every pinned guarantee of this reproduction -- bit-identical
-serial/process/resume sweeps, seed-stream compatibility, read-only
-cache-served templates -- is an *invariant of the source*, not of any one
-test run.  This engine walks Python files with per-rule AST visitors
-(:mod:`repro.lint.rules`) and reports violations of those invariants
-at CI time, before a golden test has to catch them downstream.
+Read-only cache-served arrays, interrupt-safe exception handling and
+lock discipline are *invariants of the source*, not of any one test
+run.  This engine walks Python files with the rules of
+:mod:`repro.lint.rules` and reports violations of those invariants at CI
+time, before a race or a corrupted cache entry shows up downstream.
 
 Usage (also via ``python -m repro.lint``)::
 
@@ -18,11 +17,10 @@ Suppression pragma grammar
 A finding is suppressed by a pragma **with a reason** on the same line or
 on a standalone comment line directly above::
 
-    value = datetime.datetime.now()  # repro-lint: allow[DET001] provenance stamp
+    lock = cache.get_or_compute(key, Lock)  # repro-lint: allow[CACHE001] caches locks, not arrays
 
-    # repro-lint: allow[HOT001] golden reference path, pinned bit-identical
-    for cycle in range(num_cycles):
-        ...
+    # repro-lint: allow[CONC001] monitoring read; a stale value is fine
+    return self._total
 
 A malformed pragma, an unknown rule id, or an empty reason is itself a
 finding (``LINT001``) and cannot be suppressed: the suppression inventory
@@ -232,7 +230,7 @@ class ModuleRecord:
 
 def _known_ids(active: Sequence[Rule]) -> set:
     # Pragmas naming any *registered* rule stay valid when linting with a
-    # subset (--rules SCHEMA001 must not misread a DET001 pragma as
+    # subset (--rules EXC001 must not misread a CACHE001 pragma as
     # unknown); only genuinely unregistered ids are LINT001 findings.
     return (
         {rule.rule_id for rule in active}

@@ -1,25 +1,22 @@
 """Project-wide symbol table, call graph and per-module summaries.
 
-The first-generation repro-lint rules (:mod:`repro.lint.rules`) are
-strictly per-module AST visitors: each rule sees one file at a time.
-That is blind to exactly the bug class the concurrent subsystems invite
--- an attribute guarded by a lock in one method but mutated bare in
-another, a fork in code reachable from a module that already started
-threads, two sweep-cell code paths seeding ``default_rng`` identically.
+A per-module AST visitor sees one file at a time.  That is blind to
+exactly the bug class the concurrent subsystems invite -- an attribute
+guarded by a lock in one method but mutated bare in another, a fork in
+code reachable from a module that already started threads.
 
 This module is the cross-module layer those rules need:
 
 ``ModuleSummary``
     One digest per module, extracted in a single AST pass: functions and
     the raw dotted names they call, thread-start and fork call sites,
-    ``default_rng`` call sites with their seed expression text, per-class
-    lock attributes and attribute accesses (with the locks held at each
-    access), and dict get-or-create cache idioms.
+    per-class lock attributes and attribute accesses (with the locks held
+    at each access), and dict get-or-create cache idioms.
 
 ``LintProject``
     The shared symbol table + call graph over every summary, with
     import-aware call resolution and forward reachability.  Project
-    rules (:mod:`repro.lint.rules`) query it instead of
+    rules (CONC001--003 in :mod:`repro.lint.rules`) query it instead of
     re-walking ASTs.
 
 Resolution is module-level and deliberately lightweight: bare names via
@@ -46,6 +43,7 @@ __all__ = [
     "LintProject",
     "ModuleSummary",
     "ProjectRule",
+    "dotted_name",
     "summarize_module",
 ]
 
@@ -126,7 +124,7 @@ _FALLBACK_BLOCKLIST = {
 _FALLBACK_LIMIT = 12
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else ``None``."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -180,8 +178,6 @@ class FunctionSummary:
     starts_thread: bool
     #: ``(line, dotted)`` fork/process-spawn call sites.
     fork_calls: List[Tuple[int, str]]
-    #: ``(line, seed_expression_source)`` ``default_rng`` call sites.
-    rng_calls: List[Tuple[int, str]]
 
 
 @dataclasses.dataclass
@@ -287,19 +283,6 @@ class _SummaryExtractor:
             return raw
         return None
 
-    def _rng_seed_src(self, node: ast.Call, resolved: Optional[str]) -> Optional[str]:
-        if not resolved or resolved.rsplit(".", 1)[-1] != "default_rng":
-            return None
-        if not (resolved == "numpy.random.default_rng" or ".random." in resolved
-                or resolved == "default_rng"):
-            return None
-        seed: Optional[ast.expr] = node.args[0] if node.args else None
-        if seed is None:
-            for keyword in node.keywords:
-                if keyword.arg == "seed":
-                    seed = keyword.value
-        return "" if seed is None else ast.unparse(seed)
-
     # - module body -
 
     def run(self) -> ModuleSummary:
@@ -311,7 +294,7 @@ class _SummaryExtractor:
                     if isinstance(target, ast.Name):
                         self.module_globals.add(target.id)
                         if isinstance(node.value, ast.Call) and self._is_lock_factory(
-                            self._resolve(_dotted(node.value.func))
+                            self._resolve(dotted_name(node.value.func))
                         ):
                             self.global_locks.append(target.id)
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -319,7 +302,7 @@ class _SummaryExtractor:
 
         module_body = FunctionSummary(
             qualname=MODULE_BODY, lineno=1, calls=[], starts_thread=False,
-            fork_calls=[], rng_calls=[],
+            fork_calls=[],
         )
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -350,7 +333,7 @@ class _SummaryExtractor:
     # - classes -
 
     def _extract_class(self, node: ast.ClassDef) -> None:
-        bases = [self._resolve(_dotted(base)) or "" for base in node.bases]
+        bases = [self._resolve(dotted_name(base)) or "" for base in node.bases]
         summary = ClassSummary(
             name=node.name, lineno=node.lineno, bases=bases,
             lock_attrs={}, accesses=[],
@@ -369,7 +352,7 @@ class _SummaryExtractor:
                 if not isinstance(sub, ast.Assign):
                     continue
                 if not (isinstance(sub.value, ast.Call) and self._is_lock_factory(
-                    self._resolve(_dotted(sub.value.func))
+                    self._resolve(dotted_name(sub.value.func))
                 )):
                     continue
                 for target in sub.targets:
@@ -406,7 +389,7 @@ class _SummaryExtractor:
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         summary = FunctionSummary(
             qualname=qualname, lineno=node.lineno, calls=[],
-            starts_thread=False, fork_calls=[], rng_calls=[],
+            starts_thread=False, fork_calls=[],
         )
         self.functions[qualname] = summary
         self._extract_statements(
@@ -627,7 +610,7 @@ class _SummaryExtractor:
             return
 
         if isinstance(node, ast.Call):
-            raw = _dotted(node.func)
+            raw = dotted_name(node.func)
             resolved = self._resolve(raw)
             if raw is not None:
                 summary.calls.append(raw)
@@ -638,15 +621,12 @@ class _SummaryExtractor:
             fork = self._fork_api(resolved, raw)
             if fork is not None:
                 summary.fork_calls.append((node.lineno, fork))
-            seed_src = self._rng_seed_src(node, resolved)
-            if seed_src is not None:
-                summary.rng_calls.append((node.lineno, seed_src))
             # a callable handed to Thread(target=...)/Process(target=...)
             # or executor.submit(fn, ...) runs -- that is a call edge
             if self._is_thread_start(resolved) or fork is not None:
                 for keyword in node.keywords:
                     if keyword.arg == "target":
-                        ref = _dotted(keyword.value)
+                        ref = dotted_name(keyword.value)
                         if ref is not None:
                             summary.calls.append(ref)
             if (
@@ -654,7 +634,7 @@ class _SummaryExtractor:
                 and node.func.attr == "submit"
                 and node.args
             ):
-                ref = _dotted(node.args[0])
+                ref = dotted_name(node.args[0])
                 if ref is not None:
                     summary.calls.append(ref)
             # ``self.X.append(...)`` style in-place mutation

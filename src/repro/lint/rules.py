@@ -1,36 +1,38 @@
-"""The repro-lint rule set: this repository's invariants, machine-checked.
-
-Each rule codifies one hard-won guarantee (see the engine docstring in
-:mod:`repro.lint.engine`):
+"""The repro-lint rule set: the checks that have caught real bugs here.
 
 ========== =====================================================================
-RNG001     no global-state randomness; all draws flow through a seeded
-           ``np.random.Generator``
-DET001     no wall-clock/entropy calls outside the sanctioned provenance clock
-HOT001     no per-cycle/per-trial Python loops in hot modules unless pragma'd
-           as a golden-reference path
 CACHE001   cache-serving compute callables must freeze (``writeable=False``)
            the arrays they hand to a shared cache, and nothing may re-thaw them
 EXC001     ``pipeline/`` and ``service/`` must never catch the
            ``BaseException``-derived control-flow exceptions
            (``CellTimeout``/``SweepInterrupted``) by accident
-SCHEMA001  ``ScenarioSpec``/``ScenarioResult``/``Provenance`` field sets must
-           match the pinned ``schema_manifest.json``; drift requires a schema
-           version bump (and a manifest update) in the same change
-FROZEN001  config dataclasses in ``core/spec.py``/``core/config.py`` stay
-           ``frozen=True`` with no mutable default fields
+CONC001    lock discipline: an attribute guarded by a ``Lock``/``RLock``
+           in *any* method must be accessed under that lock in *every*
+           method/function of the same class (or module, for globals);
+           flags the off-lock read and read-modify-write
+CONC002    fork-after-thread: no ``os.fork`` / ``Process(...)`` start in
+           code reachable from a module that starts threads, outside the
+           sanctioned supervisor (``pipeline/backends.py``)
+CONC003    thread-shared caches must be the locking ``caching.LRUCache``:
+           no bare-dict get-or-create memoization in ``service/``,
+           ``pipeline/`` or ``caching.py``
+DEAD001    stale suppression: an ``allow[ID]`` pragma whose target line no
+           longer triggers ID is itself a violation -- the suppression
+           inventory must stay live
 ========== =====================================================================
 
-The rules are pure AST analyses -- no imports of the linted code -- so the
-linter runs on any checkout, broken or not.
+CACHE001 and EXC001 visit one module at a time; CONC001--003 are
+:class:`~repro.lint.project.ProjectRule` subclasses over the shared
+symbol table and call graph; DEAD001 is a post-pass the engine runs once
+per module after every other rule reported.  The rules are pure AST
+analyses -- no imports of the linted code -- so the linter runs on any
+checkout, broken or not.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.engine import Finding, LintModule, Rule
 from repro.lint.project import (
@@ -39,367 +41,40 @@ from repro.lint.project import (
     LintProject,
     ModuleSummary,
     ProjectRule,
+    dotted_name,
 )
 
 __all__ = [
     "ALL_RULES",
     "RULE_INDEX",
     "CacheFreezeRule",
-    "DeterminismRule",
     "ExceptionDisciplineRule",
     "ForkAfterThreadRule",
-    "FrozenConfigRule",
-    "GlobalRandomnessRule",
-    "HotLoopRule",
     "LockDisciplineRule",
-    "SchemaManifestRule",
-    "SeedStreamCollisionRule",
     "SharedCacheRule",
     "StalePragmaRule",
-    "schema_manifest_path",
 ]
 
 Violations = List[Tuple[int, str]]
 ProjectViolations = List[Tuple[str, int, str]]
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def _name_words(identifier: str) -> Set[str]:
-    """Lower-case underscore-separated words of one identifier."""
-    return {word for word in identifier.lower().split("_") if word}
-
-
-# -- RNG001 ----------------------------------------------------------------------
-
-#: ``np.random`` attributes that *construct* seeded generators (allowed);
-#: everything else on ``np.random`` is the legacy global-state API.
-_NP_RANDOM_ALLOWED = {
-    "default_rng",
-    "Generator",
-    "SeedSequence",
-    "BitGenerator",
-    "Philox",
-    "PCG64",
-    "PCG64DXSM",
-    "MT19937",
-}
-
-#: ``random``-module attributes that are seeded instances, not global state.
-_STDLIB_RANDOM_ALLOWED = {"Random"}
-
-
-class GlobalRandomnessRule(Rule):
-    rule_id = "RNG001"
-    title = "no global-state randomness"
-    rationale = (
-        "Global RNG state (np.random.seed/normal/..., random.*) breaks "
-        "bit-identical replay across backends and resume; every draw must "
-        "flow through a np.random.Generator threaded from a spec seed."
-    )
-
-    def check(self, module: LintModule) -> Violations:
-        found: Violations = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                dotted = _dotted_name(node.func)
-                if dotted is None:
-                    continue
-                parts = dotted.split(".")
-                if parts[0] in ("np", "numpy") and len(parts) >= 3 and parts[1] == "random":
-                    if parts[2] not in _NP_RANDOM_ALLOWED:
-                        found.append(
-                            (
-                                node.lineno,
-                                f"global-state numpy randomness {dotted}(); draw "
-                                "through a seeded np.random.Generator instead",
-                            )
-                        )
-                elif parts[0] == "random" and len(parts) >= 2:
-                    if parts[1] not in _STDLIB_RANDOM_ALLOWED:
-                        found.append(
-                            (
-                                node.lineno,
-                                f"global-state stdlib randomness {dotted}(); draw "
-                                "through a seeded np.random.Generator instead",
-                            )
-                        )
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random":
-                        found.append(
-                            (
-                                node.lineno,
-                                "import of the global-state stdlib random module",
-                            )
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "random":
-                    banned = [
-                        alias.name
-                        for alias in node.names
-                        if alias.name not in _STDLIB_RANDOM_ALLOWED
-                    ]
-                    if banned:
-                        found.append(
-                            (
-                                node.lineno,
-                                "from random import "
-                                f"{', '.join(banned)} pulls in global-state "
-                                "randomness",
-                            )
-                        )
-                elif node.module == "numpy.random":
-                    banned = [
-                        alias.name
-                        for alias in node.names
-                        if alias.name not in _NP_RANDOM_ALLOWED
-                    ]
-                    if banned:
-                        found.append(
-                            (
-                                node.lineno,
-                                "from numpy.random import "
-                                f"{', '.join(banned)} pulls in global-state "
-                                "randomness",
-                            )
-                        )
-        return found
-
-
-# -- DET001 ----------------------------------------------------------------------
-
-#: Dotted-call suffixes that read the wall clock or OS entropy.  Matching
-#: is suffix-at-a-dot, so ``datetime.datetime.now`` matches ``datetime.now``.
-_CLOCK_ENTROPY_SUFFIXES = (
-    "time.time",
-    "time.time_ns",
-    "datetime.now",
-    "datetime.utcnow",
-    "date.today",
-    "os.urandom",
-    "uuid.uuid1",
-    "uuid.uuid4",
-)
-
-#: ``from <module> import <name>`` pairs that smuggle the same calls in
-#: under bare names the call-site scan cannot see.
-_CLOCK_ENTROPY_IMPORTS = {
-    "time": {"time", "time_ns"},
-    "os": {"urandom"},
-    "uuid": {"uuid1", "uuid4"},
-}
-
-
-def _matches_suffix(dotted: str, suffix: str) -> bool:
-    return dotted == suffix or dotted.endswith("." + suffix)
-
-
-class DeterminismRule(Rule):
-    rule_id = "DET001"
-    title = "no wall-clock or entropy calls"
-    rationale = (
-        "Results must be a pure function of (spec, seed, code version); "
-        "time.time/datetime.now/os.urandom/uuid4 belong only in the one "
-        "sanctioned provenance-stamping helper."
-    )
-
-    def check(self, module: LintModule) -> Violations:
-        found: Violations = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                dotted = _dotted_name(node.func)
-                if dotted is None:
-                    continue
-                parts = dotted.split(".")
-                if parts[0] == "secrets":
-                    found.append(
-                        (node.lineno, f"entropy call {dotted}() is nondeterministic")
-                    )
-                    continue
-                for suffix in _CLOCK_ENTROPY_SUFFIXES:
-                    if _matches_suffix(dotted, suffix):
-                        found.append(
-                            (
-                                node.lineno,
-                                f"wall-clock/entropy call {dotted}(); results "
-                                "must be a pure function of the spec and seed "
-                                "(provenance stamping goes through "
-                                "provenance_clock())",
-                            )
-                        )
-                        break
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "secrets":
-                        found.append(
-                            (node.lineno, "import of the entropy module secrets")
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                banned_names = _CLOCK_ENTROPY_IMPORTS.get(node.module or "")
-                if node.module == "secrets":
-                    found.append(
-                        (node.lineno, "import from the entropy module secrets")
-                    )
-                elif banned_names:
-                    smuggled = [
-                        alias.name for alias in node.names if alias.name in banned_names
-                    ]
-                    if smuggled:
-                        found.append(
-                            (
-                                node.lineno,
-                                f"from {node.module} import "
-                                f"{', '.join(smuggled)} smuggles in a "
-                                "wall-clock/entropy call under a bare name",
-                            )
-                        )
-        return found
-
-
-# -- HOT001 ----------------------------------------------------------------------
-
-#: Module keys (or directory prefixes) on the measured hot path.
-_HOT_PREFIXES = ("detection/", "power/")
-_HOT_MODULES = {"soc/chip.py", "soc/cpu.py"}
-
-#: Identifier words that mark a loop as iterating per cycle/trial.
-_HOT_WORDS = {
-    "cycle",
-    "cycles",
-    "trial",
-    "trials",
-    "repetition",
-    "repetitions",
-    "period",
-    "periods",
-    "rotation",
-    "rotations",
-}
-
-
-def _identifiers_in(node: ast.AST) -> Set[str]:
-    names: Set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            names.add(child.id)
-        elif isinstance(child, ast.Attribute):
-            names.add(child.attr)
-    return names
-
-
-def _hot_words_in(node: ast.AST) -> Set[str]:
-    words: Set[str] = set()
-    for identifier in _identifiers_in(node):
-        words |= _name_words(identifier) & _HOT_WORDS
-    return words
-
-
-def _range_call(node: ast.AST) -> Optional[ast.Call]:
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "range"
-    ):
-        return node
-    return None
-
-
-class HotLoopRule(Rule):
-    rule_id = "HOT001"
-    title = "no per-cycle Python loops in hot modules"
-    rationale = (
-        "The north star is trace synthesis and detection as fast as the "
-        "hardware allows; a Python-level loop over cycles/trials in "
-        "detection/, power/, soc/chip.py or soc/cpu.py reintroduces the "
-        "O(n) interpreter overhead the batched engines removed.  Golden "
-        "reference paths stay, explicitly pragma'd."
-    )
-
-    def applies_to(self, module: LintModule) -> bool:
-        key = module.module_key
-        return key in _HOT_MODULES or any(
-            key.startswith(prefix) for prefix in _HOT_PREFIXES
-        )
-
-    def check(self, module: LintModule) -> Violations:
-        found: Violations = []
-
-        def flag(line: int, construct: str, words: Iterable[str]) -> None:
-            found.append(
-                (
-                    line,
-                    f"{construct} iterates per {'/'.join(sorted(words))} in a "
-                    "hot module; vectorize it or pragma it as a "
-                    "golden-reference path",
-                )
-            )
-
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                rng = _range_call(node.iter)
-                if rng is None:
-                    continue
-                words = _hot_words_in(node.target) | set().union(
-                    *(_hot_words_in(arg) for arg in rng.args), set()
-                )
-                if words:
-                    flag(node.lineno, "for loop", words)
-            elif isinstance(node, ast.While):
-                words = _hot_words_in(node.test)
-                if words:
-                    flag(node.lineno, "while loop", words)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                for generator in node.generators:
-                    rng = _range_call(generator.iter)
-                    if rng is None:
-                        continue
-                    words = _hot_words_in(generator.target) | set().union(
-                        *(_hot_words_in(arg) for arg in rng.args), set()
-                    )
-                    if words:
-                        flag(node.lineno, "comprehension", words)
-                        break
-        return found
-
-
 # -- CACHE001 --------------------------------------------------------------------
 
 
-def _assign_freezes(node: ast.Assign) -> bool:
-    """``x.flags.writeable = False``?"""
-    if not (isinstance(node.value, ast.Constant) and node.value.value is False):
-        return False
-    return any(
+def _assigned_writeable(node: ast.Assign) -> Optional[bool]:
+    """The constant of ``x.flags.writeable = <bool>``, if that's what it is."""
+    if not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, bool)):
+        return None
+    if any(
         isinstance(target, ast.Attribute)
         and target.attr == "writeable"
         and isinstance(target.value, ast.Attribute)
         and target.value.attr == "flags"
         for target in node.targets
-    )
-
-
-def _assign_thaws(node: ast.Assign) -> bool:
-    """``x.flags.writeable = True``?"""
-    if not (isinstance(node.value, ast.Constant) and node.value.value is True):
-        return False
-    return any(
-        isinstance(target, ast.Attribute)
-        and target.attr == "writeable"
-        and isinstance(target.value, ast.Attribute)
-        and target.value.attr == "flags"
-        for target in node.targets
-    )
+    ):
+        return node.value.value
+    return None
 
 
 def _setflags_write(node: ast.Call) -> Optional[bool]:
@@ -414,7 +89,7 @@ def _setflags_write(node: ast.Call) -> Optional[bool]:
 
 def _function_freezes_directly(func: ast.AST) -> bool:
     for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and _assign_freezes(node):
+        if isinstance(node, ast.Assign) and _assigned_writeable(node) is False:
             return True
         if isinstance(node, ast.Call) and _setflags_write(node) is False:
             return True
@@ -524,7 +199,7 @@ class CacheFreezeRule(Rule):
             if problem is not None:
                 found.append((node.lineno, problem))
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Assign) and _assign_thaws(node):
+            if isinstance(node, ast.Assign) and _assigned_writeable(node) is True:
                 found.append(
                     (
                         node.lineno,
@@ -554,7 +229,7 @@ def _exception_names(handler_type: Optional[ast.AST]) -> Set[str]:
         nodes = [handler_type]
     names: Set[str] = set()
     for node in nodes:
-        dotted = _dotted_name(node)
+        dotted = dotted_name(node)
         if dotted is not None:
             names.add(dotted.split(".")[-1])
         else:
@@ -630,209 +305,6 @@ class ExceptionDisciplineRule(Rule):
                             "without a re-raise or an explicit sibling "
                             "CellTimeout/SweepInterrupted handler; narrow the "
                             "catch or name the control flow",
-                        )
-                    )
-        return found
-
-
-# -- SCHEMA001 -------------------------------------------------------------------
-
-
-def schema_manifest_path() -> Path:
-    """Where the pinned schema manifest lives."""
-    return Path(__file__).resolve().parent / "schema_manifest.json"
-
-
-#: (class name, version constant) pairs checked per module key.
-_SCHEMA_SCOPE: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
-    "core/spec.py": (("ScenarioSpec",), "SPEC_SCHEMA_VERSION", "spec_schema_version"),
-    "pipeline/artifacts.py": (
-        ("ScenarioResult", "Provenance"),
-        "ARTIFACT_SCHEMA_VERSION",
-        "artifact_schema_version",
-    ),
-}
-
-
-def _dataclass_field_names(cls: ast.ClassDef) -> List[str]:
-    return [
-        statement.target.id
-        for statement in cls.body
-        if isinstance(statement, ast.AnnAssign)
-        and isinstance(statement.target, ast.Name)
-    ]
-
-
-class SchemaManifestRule(Rule):
-    rule_id = "SCHEMA001"
-    title = "serialized schemas must match the pinned manifest"
-    rationale = (
-        "ScenarioSpec/ScenarioResult/Provenance field sets are load-bearing "
-        "wire formats (artifacts, the result store's code-version salt, the "
-        "process backend).  Drifting a field set without bumping "
-        "SPEC_SCHEMA_VERSION/ARTIFACT_SCHEMA_VERSION silently serves stale "
-        "memoized results; the manifest forces the bump and the field "
-        "change into the same reviewed diff."
-    )
-
-    def __init__(self, manifest: Optional[Dict[str, object]] = None) -> None:
-        self._manifest = manifest
-
-    def manifest(self) -> Dict[str, object]:
-        if self._manifest is None:
-            self._manifest = json.loads(schema_manifest_path().read_text())
-        return self._manifest
-
-    def applies_to(self, module: LintModule) -> bool:
-        return module.module_key in _SCHEMA_SCOPE
-
-    def check(self, module: LintModule) -> Violations:
-        found: Violations = []
-        class_names, version_constant, manifest_version_key = _SCHEMA_SCOPE[
-            module.module_key
-        ]
-        manifest = self.manifest()
-        classes = {
-            node.name: node
-            for node in ast.walk(module.tree)
-            if isinstance(node, ast.ClassDef)
-        }
-        for class_name in class_names:
-            cls = classes.get(class_name)
-            if cls is None:
-                continue
-            pinned = list(manifest.get(class_name, []))
-            actual = _dataclass_field_names(cls)
-            if actual != pinned:
-                added = sorted(set(actual) - set(pinned))
-                removed = sorted(set(pinned) - set(actual))
-                drift = []
-                if added:
-                    drift.append(f"added {added}")
-                if removed:
-                    drift.append(f"removed {removed}")
-                if not drift:
-                    drift.append(f"reordered to {actual}")
-                found.append(
-                    (
-                        cls.lineno,
-                        f"{class_name} fields drifted from "
-                        f"schema_manifest.json ({'; '.join(drift)}); update "
-                        f"the manifest and bump {version_constant} in the "
-                        "same change",
-                    )
-                )
-        pinned_version = manifest.get(manifest_version_key)
-        for node in module.tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == version_constant
-                    and isinstance(node.value, ast.Constant)
-                    and node.value.value != pinned_version
-                ):
-                    found.append(
-                        (
-                            node.lineno,
-                            f"{version_constant} is {node.value.value!r} but "
-                            f"schema_manifest.json pins {pinned_version!r}; "
-                            "bump them together",
-                        )
-                    )
-        return found
-
-
-# -- FROZEN001 -------------------------------------------------------------------
-
-_MUTABLE_DEFAULT_CALLS = {"list", "dict", "set", "bytearray"}
-_MUTABLE_NUMPY_CALLS = {"array", "zeros", "ones", "empty", "full", "arange"}
-
-
-def _dataclass_decorator(cls: ast.ClassDef) -> Optional[ast.AST]:
-    for decorator in cls.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        dotted = _dotted_name(target)
-        if dotted is not None and dotted.split(".")[-1] == "dataclass":
-            return decorator
-    return None
-
-
-def _is_frozen(decorator: ast.AST) -> bool:
-    if not isinstance(decorator, ast.Call):
-        return False  # bare @dataclass
-    return any(
-        keyword.arg == "frozen"
-        and isinstance(keyword.value, ast.Constant)
-        and keyword.value.value is True
-        for keyword in decorator.keywords
-    )
-
-
-def _mutable_default(value: Optional[ast.AST]) -> Optional[str]:
-    if value is None:
-        return None
-    if isinstance(value, (ast.List, ast.Dict, ast.Set)):
-        return "a mutable literal"
-    if isinstance(value, ast.Call):
-        dotted = _dotted_name(value.func)
-        if dotted is None:
-            return None
-        parts = dotted.split(".")
-        if dotted in _MUTABLE_DEFAULT_CALLS:
-            return f"a mutable {dotted}() value"
-        if (
-            parts[0] in ("np", "numpy")
-            and len(parts) == 2
-            and parts[1] in _MUTABLE_NUMPY_CALLS
-        ):
-            return f"a mutable {dotted}() array"
-    return None
-
-
-class FrozenConfigRule(Rule):
-    rule_id = "FROZEN001"
-    title = "config dataclasses stay frozen with immutable defaults"
-    rationale = (
-        "Specs and configs are cache keys and spec-hash inputs; a "
-        "non-frozen config (or a shared mutable default) lets one scenario "
-        "mutate every other scenario's identity in place."
-    )
-
-    def applies_to(self, module: LintModule) -> bool:
-        return module.module_key in ("core/spec.py", "core/config.py")
-
-    def check(self, module: LintModule) -> Violations:
-        found: Violations = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            decorator = _dataclass_decorator(node)
-            if decorator is None:
-                continue
-            if not _is_frozen(decorator):
-                found.append(
-                    (
-                        node.lineno,
-                        f"config dataclass {node.name} must be "
-                        "@dataclass(frozen=True)",
-                    )
-                )
-            for statement in node.body:
-                if not (
-                    isinstance(statement, ast.AnnAssign)
-                    and isinstance(statement.target, ast.Name)
-                ):
-                    continue
-                problem = _mutable_default(statement.value)
-                if problem is not None:
-                    found.append(
-                        (
-                            statement.lineno,
-                            f"field {node.name}.{statement.target.id} defaults "
-                            f"to {problem}, shared across instances; use "
-                            "field(default_factory=...)",
                         )
                     )
         return found
@@ -1039,71 +511,6 @@ class SharedCacheRule(ProjectRule):
         return found
 
 
-# -- RNG002 ----------------------------------------------------------------------
-
-
-class SeedStreamCollisionRule(ProjectRule):
-    rule_id = "RNG002"
-    title = "no identically-seeded default_rng sites in one sweep cell"
-    rationale = (
-        "Two default_rng(...) sites with the same seed expression, both "
-        "reachable while executing one sweep cell, draw the *same* "
-        "stream: noise correlates with signal and Monte-Carlo variance "
-        "silently halves. Streams must be per-contributor: draw through "
-        "repro.core.seeds.stream(seed, name)."
-    )
-
-    #: Call-graph roots: executing one sweep cell starts here.
-    root_modules = ("pipeline/stages.py", "pipeline/runner.py")
-
-    def check_project(self, project: LintProject) -> ProjectViolations:
-        roots: List[str] = []
-        for module_key in self.root_modules:
-            roots.extend(project.functions_of_module(module_key))
-        if not roots:
-            return []
-        reached = project.reachable_from(roots)
-        sites: Dict[str, List[Tuple[str, int, str, str]]] = {}
-        for key, summary in project.modules.items():
-            for qualname, function in summary.functions.items():
-                if project.function_id(key, qualname) not in reached:
-                    continue
-                for line, seed_src in function.rng_calls:
-                    if not seed_src:
-                        continue  # unseeded: fresh OS entropy, RNG001's turf
-                    sites.setdefault(seed_src, []).append(
-                        (summary.logical_path, line, qualname, key)
-                    )
-        found: ProjectViolations = []
-        for seed_src, group in sorted(sites.items()):
-            distinct = sorted(set(group))
-            if len(distinct) < 2:
-                continue
-            for path, line, qualname, key in distinct:
-                # collision partners named by stable module key and
-                # qualname -- not the invocation-dependent path, nor line
-                # numbers that drift with unrelated edits -- so the message
-                # is the same however the lint was launched
-                others = sorted(
-                    {
-                        f"{o_key}:{o_qualname}"
-                        for o_path, o_line, o_qualname, o_key in distinct
-                        if (o_path, o_line) != (path, line)
-                    }
-                )
-                found.append(
-                    (
-                        path,
-                        line,
-                        f"default_rng({seed_src}) in {qualname} collides with "
-                        f"{', '.join(others)} -- identical seed expression "
-                        "reachable in one sweep cell yields one shared "
-                        "stream; derive per-contributor seeds",
-                    )
-                )
-        return found
-
-
 # -- DEAD001 ---------------------------------------------------------------------
 
 
@@ -1154,17 +561,11 @@ class StalePragmaRule(Rule):
 # -- registry --------------------------------------------------------------------
 
 ALL_RULES: Tuple[Rule, ...] = (
-    GlobalRandomnessRule(),
-    DeterminismRule(),
-    HotLoopRule(),
     CacheFreezeRule(),
     ExceptionDisciplineRule(),
-    SchemaManifestRule(),
-    FrozenConfigRule(),
     LockDisciplineRule(),
     ForkAfterThreadRule(),
     SharedCacheRule(),
-    SeedStreamCollisionRule(),
     StalePragmaRule(),
 )
 

@@ -85,7 +85,6 @@ def provenance_clock() -> str:
     deterministic-replay tooling can monkeypatch one symbol instead of
     chasing ``datetime.now`` call sites.
     """
-    # repro-lint: allow[DET001] the one sanctioned provenance wall-clock read
     return datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds"
     )

@@ -77,7 +77,6 @@ def load_or_create_secret(path: PathLike, num_bytes: int = 32) -> bytes:
         secret = path.read_bytes()
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
-        # repro-lint: allow[DET001] server-key generation is the service's one sanctioned entropy site
         secret = os.urandom(num_bytes)
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
         try:

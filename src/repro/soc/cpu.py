@@ -428,7 +428,9 @@ class CortexM0Like:
         stall_clock, stall_data, stall_comb = self._stall_toggles
         cycles_left = num_cycles
         try:
-            # repro-lint: allow[HOT001] the ISS is sequential by nature: each instruction's activity depends on the state the previous one left; run once per program and window, then cached
+            # Sequential by nature: each instruction's activity depends on the
+            # state the previous one left.  It runs once per program and window,
+            # then the window is cached.
             while cycles_left:
                 if halted:
                     clock_out += [idle_clock] * cycles_left

@@ -1,6 +1,6 @@
-# Seeded DEAD001: the pragma below excuses a DET001 violation that no
-# longer exists on the target line.  CI lints with --rules DET001,DEAD001
+# Seeded DEAD001: the pragma below excuses a CACHE001 violation that no
+# longer exists on the target line.  CI lints with --rules CACHE001,DEAD001
 # and asserts the linter flags the stale pragma.
 
-# repro-lint: allow[DET001] the time.time() call this excused is gone
+# repro-lint: allow[CACHE001] the re-thaw this excused is gone
 VALUE = 1

@@ -1,4 +1,4 @@
-"""repro-lint v2: symbol table / call graph units + the concurrency rule pack.
+"""repro-lint: symbol table / call graph units + the project rules.
 
 Per the house style each rule gets a violating fixture (asserting rule id
 *and* line), a clean fixture, and a pragma'd fixture; the project layer
@@ -73,19 +73,17 @@ class TestSummaryExtraction:
         init = [a for a in box.accesses if a.function == "Box.__init__"]
         assert all(a.in_init for a in init)
 
-    def test_thread_fork_and_rng_sites(self):
+    def test_thread_and_fork_sites(self):
         summary = summarize(
             """
             import multiprocessing
             import os
             import threading
-            from numpy.random import default_rng
 
             def serve():
                 threading.Thread(target=work).start()
 
             def work(seed):
-                rng = default_rng(seed + 1)
                 os.fork()
                 multiprocessing.Process(target=work).start()
             """,
@@ -94,11 +92,10 @@ class TestSummaryExtraction:
         assert summary.starts_threads
         assert summary.functions["serve"].starts_thread
         work = summary.functions["work"]
-        assert [api for _, api in work.fork_calls] == [
-            "os.fork",
-            "multiprocessing.Process",
+        assert [(line, api) for line, api in work.fork_calls] == [
+            (9, "os.fork"),
+            (10, "multiprocessing.Process"),
         ]
-        assert [src for _, src in work.rng_calls] == ["seed + 1"]
 
     def test_threading_server_base_marks_module(self):
         summary = summarize(
@@ -451,95 +448,6 @@ class TestCONC003:
         assert violations(findings, "CONC003") == []
 
 
-# -- RNG002 ----------------------------------------------------------------------
-
-
-def _rng_sources(second_seed: str = "seed"):
-    return {
-        "src/repro/pipeline/stages.py": snippet(
-            """
-            from repro.detection import det
-            from repro.measurement import meas
-
-            def run_cell(spec):
-                meas.acquire(spec.seed)
-                det.detect(spec.seed)
-            """
-        ),
-        "src/repro/measurement/meas.py": snippet(
-            """
-            from numpy.random import default_rng
-
-            def acquire(seed):
-                return default_rng(seed)
-            """
-        ),
-        "src/repro/detection/det.py": snippet(
-            f"""
-            from numpy.random import default_rng
-
-            def detect(seed):
-                return default_rng({second_seed})
-            """
-        ),
-    }
-
-
-class TestRNG002:
-    def test_identical_seed_expressions_in_one_cell_collide(self):
-        findings = lint_sources(_rng_sources())
-        found = violations(findings, "RNG002")
-        assert {(f.path, f.line) for f in found} == {
-            ("src/repro/measurement/meas.py", 4),
-            ("src/repro/detection/det.py", 4),
-        }
-        assert "detection/det.py:detect" in [
-            f.message for f in found if f.path.endswith("meas.py")
-        ][0]
-
-    def test_messages_do_not_move_with_line_numbers(self):
-        # Baseline entries match on the message, so an unrelated edit above
-        # one colliding site must not reword any RNG002 finding.
-        sources = _rng_sources()
-        before = sorted(f.message for f in violations(lint_sources(sources), "RNG002"))
-        sources["src/repro/detection/det.py"] = sources[
-            "src/repro/detection/det.py"
-        ].replace("def detect(seed):", "\ndef detect(seed):")
-        shifted = violations(lint_sources(sources), "RNG002")
-        assert ("src/repro/detection/det.py", 5) in {(f.path, f.line) for f in shifted}
-        assert sorted(f.message for f in shifted) == before
-
-    def test_distinct_seed_expressions_are_clean(self):
-        findings = lint_sources(_rng_sources(second_seed="seed + 1"))
-        assert violations(findings, "RNG002") == []
-
-    def test_unreachable_site_does_not_collide(self):
-        sources = _rng_sources()
-        sources["src/repro/pipeline/stages.py"] = snippet(
-            """
-            from repro.measurement import meas
-
-            def run_cell(spec):
-                meas.acquire(spec.seed)
-            """
-        )
-        findings = lint_sources(sources)
-        assert violations(findings, "RNG002") == []
-
-    def test_pragma_suppresses(self):
-        sources = _rng_sources()
-        sources["src/repro/detection/det.py"] = sources[
-            "src/repro/detection/det.py"
-        ].replace(
-            "    return default_rng(seed)",
-            "    # repro-lint: allow[RNG002] upstream derives distinct seeds\n"
-            "    return default_rng(seed)",
-        )
-        found = violations(lint_sources(sources), "RNG002")
-        # only the unpragma'd partner still reports
-        assert {f.path for f in found} == {"src/repro/measurement/meas.py"}
-
-
 # -- DEAD001 ---------------------------------------------------------------------
 
 
@@ -548,7 +456,7 @@ class TestDEAD001:
         findings = lint_source(
             snippet(
                 """
-                # repro-lint: allow[DET001] stale: the call below was removed
+                # repro-lint: allow[CACHE001] stale: the re-thaw below was removed
                 x = 1
                 """
             ),
@@ -556,33 +464,32 @@ class TestDEAD001:
         )
         found = violations(findings, "DEAD001")
         assert [f.line for f in found] == [2]
-        assert "DET001" in found[0].message
+        assert "CACHE001" in found[0].message
 
     def test_live_pragma_is_not_stale(self):
         findings = lint_source(
             snippet(
                 """
-                import time
-
-                # repro-lint: allow[DET001] wall-clock needed for the log banner
-                t = time.time()
+                def thaw(array):
+                    # repro-lint: allow[CACHE001] the caller owns this private copy
+                    array.flags.writeable = True
                 """
             ),
             "src/repro/mod.py",
         )
         assert violations(findings, "DEAD001") == []
-        assert any(f.rule_id == "DET001" and f.suppressed for f in findings)
+        assert any(f.rule_id == "CACHE001" and f.suppressed for f in findings)
 
     def test_pragma_for_inactive_rule_is_not_judged(self):
         findings = lint_source(
             snippet(
                 """
-                # repro-lint: allow[DET001] only judged when DET001 runs
+                # repro-lint: allow[CACHE001] only judged when CACHE001 runs
                 x = 1
                 """
             ),
             "src/repro/mod.py",
-            rules=[RULE_INDEX["RNG001"], RULE_INDEX["DEAD001"]],
+            rules=[RULE_INDEX["EXC001"], RULE_INDEX["DEAD001"]],
         )
         assert violations(findings, "DEAD001") == []
 
@@ -590,7 +497,7 @@ class TestDEAD001:
         findings = lint_source(
             snippet(
                 """
-                x = 1  # repro-lint: allow[DET001]
+                x = 1  # repro-lint: allow[CACHE001]
                 """
             ),
             "src/repro/mod.py",
@@ -605,7 +512,7 @@ _SEEDED = Path(__file__).resolve().parent / "fixtures" / "lint_seeded" / "repro"
 
 
 class TestSeededFixtures:
-    """Each new rule's CI smoke fixture must exist and still trigger.
+    """Each rule's CI smoke fixture must exist and still trigger.
 
     CI lints these files and requires a nonzero exit; this test pins the
     same facts in tier-1, so deleting or 'fixing' a fixture fails both.
@@ -614,10 +521,11 @@ class TestSeededFixtures:
     @pytest.mark.parametrize(
         "relative, rule_id",
         [
+            ("serve_cache001.py", "CACHE001"),
+            ("pipeline/handler_exc001.py", "EXC001"),
             ("counter_conc001.py", "CONC001"),
             ("forker_conc002.py", "CONC002"),
             ("service/memo_conc003.py", "CONC003"),
-            ("pipeline/stages.py", "RNG002"),
             ("stale_dead001.py", "DEAD001"),
         ],
     )

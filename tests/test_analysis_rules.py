@@ -1,13 +1,12 @@
-"""repro-lint rule suite: per-rule fixtures plus the src/ self-check.
+"""repro-lint rule suite: per-module rule fixtures plus the src/ self-check.
 
-Every rule gets (at least) one minimal violating snippet -- asserting the
-rule ID and the exact line -- and one clean or pragma'd snippet.  The
-self-check then pins the acceptance criterion directly: the shipped
-``src/`` tree has zero unsuppressed violations and every suppression
-carries a reason.
+CACHE001 and EXC001 each get minimal violating snippets -- asserting the
+rule ID and the exact line -- and clean and pragma'd snippets (the
+project rules live in ``test_analysis_project.py``).  The self-check
+then pins the acceptance criterion directly: the shipped ``src/`` tree
+has zero unsuppressed violations and every suppression carries a reason.
 """
 
-import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -27,12 +26,7 @@ from repro.lint.engine import (
     render_text,
     unsuppressed,
 )
-from repro.lint.rules import (
-    ALL_RULES,
-    RULE_INDEX,
-    SchemaManifestRule,
-    schema_manifest_path,
-)
+from repro.lint.rules import ALL_RULES, RULE_INDEX
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -54,197 +48,6 @@ def the_finding(findings, rule_id: str) -> Finding:
     matches = [f for f in findings if f.rule_id == rule_id]
     assert len(matches) == 1, f"expected exactly one {rule_id}, got {matches}"
     return matches[0]
-
-
-# -- RNG001 ----------------------------------------------------------------------
-
-
-class TestRNG001:
-    def test_global_numpy_randomness_is_flagged_with_line(self):
-        findings = lint_source(
-            snippet(
-                """
-                import numpy as np
-                np.random.seed(0)
-                x = np.random.normal(0.0, 1.0, 10)
-                """
-            ),
-            "src/repro/power/noise.py",
-        )
-        assert rule_ids(findings) == ["RNG001", "RNG001"]
-        assert [f.line for f in findings] == [2, 3]
-
-    def test_stdlib_random_calls_and_imports_are_flagged(self):
-        findings = lint_source(
-            snippet(
-                """
-                import random
-                value = random.random()
-                """
-            ),
-            "src/repro/x.py",
-        )
-        assert rule_ids(findings) == ["RNG001", "RNG001"]
-
-    def test_from_imports_of_global_state_are_flagged(self):
-        findings = lint_source(
-            "from random import shuffle\n", "src/repro/x.py"
-        )
-        assert rule_ids(findings) == ["RNG001"]
-        findings = lint_source(
-            "from numpy.random import normal\n", "src/repro/x.py"
-        )
-        assert rule_ids(findings) == ["RNG001"]
-
-    def test_seeded_generator_draws_are_clean(self):
-        findings = lint_source(
-            snippet(
-                """
-                import numpy as np
-                from numpy.random import default_rng
-                rng = np.random.default_rng(7)
-                x = rng.normal(0.0, 1.0, 10)
-                y = np.random.Generator(np.random.PCG64(7)).integers(0, 4)
-                """
-            ),
-            "src/repro/power/noise.py",
-        )
-        assert unsuppressed(findings) == []
-
-
-# -- DET001 ----------------------------------------------------------------------
-
-
-class TestDET001:
-    def test_wall_clock_and_entropy_calls_are_flagged(self):
-        findings = lint_source(
-            snippet(
-                """
-                import datetime
-                import os
-                import time
-                import uuid
-                a = time.time()
-                b = datetime.datetime.now()
-                c = os.urandom(8)
-                d = uuid.uuid4()
-                """
-            ),
-            "src/repro/x.py",
-        )
-        assert rule_ids(findings) == ["DET001"] * 4
-        assert [f.line for f in findings] == [5, 6, 7, 8]
-
-    def test_monotonic_and_perf_counter_are_clean(self):
-        findings = lint_source(
-            snippet(
-                """
-                import time
-                a = time.monotonic()
-                b = time.perf_counter()
-                time.sleep(0.01)
-                """
-            ),
-            "src/repro/x.py",
-        )
-        assert unsuppressed(findings) == []
-
-    def test_smuggling_from_import_is_flagged(self):
-        findings = lint_source(
-            "from time import time\n", "src/repro/x.py"
-        )
-        assert rule_ids(findings) == ["DET001"]
-
-    def test_inline_pragma_suppresses_with_reason(self):
-        findings = lint_source(
-            snippet(
-                """
-                import time
-                stamp = time.time()  # repro-lint: allow[DET001] provenance stamp
-                """
-            ),
-            "src/repro/x.py",
-        )
-        assert unsuppressed(findings) == []
-        suppressed = the_finding(findings, "DET001")
-        assert suppressed.suppressed
-        assert suppressed.suppression_reason == "provenance stamp"
-        assert suppressed.line == 2
-
-
-# -- HOT001 ----------------------------------------------------------------------
-
-HOT_LOOP = snippet(
-    """
-    def fold(matrix, trials):
-        total = 0.0
-        for t in range(trials):
-            total += matrix[t].sum()
-        return total
-    """
-)
-
-
-class TestHOT001:
-    def test_trial_loop_in_hot_module_is_flagged(self):
-        findings = lint_source(HOT_LOOP, "src/repro/detection/fold.py")
-        assert rule_ids(findings) == ["HOT001"]
-        assert the_finding(findings, "HOT001").line == 3
-
-    def test_same_loop_outside_hot_modules_is_clean(self):
-        assert lint_source(HOT_LOOP, "src/repro/experiments/fold.py") == []
-
-    def test_soc_chip_and_cpu_are_hot(self):
-        for path in ("src/repro/soc/chip.py", "src/repro/soc/cpu.py"):
-            assert rule_ids(lint_source(HOT_LOOP, path)) == ["HOT001"]
-
-    def test_while_loop_over_cycles_is_flagged(self):
-        findings = lint_source(
-            snippet(
-                """
-                def run(num_cycles):
-                    cycle = 0
-                    while cycle < num_cycles:
-                        cycle += 1
-                """
-            ),
-            "src/repro/power/sim.py",
-        )
-        assert rule_ids(findings) == ["HOT001"]
-        assert the_finding(findings, "HOT001").line == 3
-
-    def test_comprehension_over_trials_is_flagged(self):
-        findings = lint_source(
-            "def f(trials):\n    return [t * t for t in range(trials)]\n",
-            "src/repro/detection/x.py",
-        )
-        assert rule_ids(findings) == ["HOT001"]
-
-    def test_standalone_pragma_suppresses_next_line(self):
-        findings = lint_source(
-            snippet(
-                """
-                def fold(matrix, trials):
-                    total = 0.0
-                    # repro-lint: allow[HOT001] golden reference path
-                    for t in range(trials):
-                        total += matrix[t].sum()
-                    return total
-                """
-            ),
-            "src/repro/detection/fold.py",
-        )
-        assert unsuppressed(findings) == []
-        assert the_finding(findings, "HOT001").suppression_reason == (
-            "golden reference path"
-        )
-
-    def test_loops_over_other_ranges_are_clean(self):
-        findings = lint_source(
-            "def f(items):\n    return [x + 1 for x in items]\n",
-            "src/repro/detection/x.py",
-        )
-        assert findings == []
 
 
 # -- CACHE001 --------------------------------------------------------------------
@@ -495,148 +298,6 @@ class TestEXC001:
         assert lint_source(safe, "src/repro/service/server.py") == []
 
 
-# -- SCHEMA001 -------------------------------------------------------------------
-
-SPEC_MANIFEST = {
-    "spec_schema_version": 1,
-    "ScenarioSpec": ["kind", "name", "seed"],
-}
-
-SPEC_SOURCE = snippet(
-    """
-    SPEC_SCHEMA_VERSION = 1
-
-    @dataclass(frozen=True)
-    class ScenarioSpec:
-        kind: str
-        name: str = ""
-        seed: int = 0
-    """
-)
-
-
-class TestSCHEMA001:
-    def rule(self, manifest):
-        return [SchemaManifestRule(manifest=manifest)]
-
-    def test_matching_fields_and_version_are_clean(self):
-        findings = lint_source(
-            SPEC_SOURCE, "src/repro/core/spec.py", rules=self.rule(SPEC_MANIFEST)
-        )
-        assert findings == []
-
-    def test_field_drift_without_bump_is_flagged(self):
-        drifted = SPEC_SOURCE.replace("    seed: int = 0", "    seed: int = 0\n    extra: int = 1")
-        findings = lint_source(
-            drifted, "src/repro/core/spec.py", rules=self.rule(SPEC_MANIFEST)
-        )
-        finding = the_finding(findings, "SCHEMA001")
-        assert "ScenarioSpec" in finding.message
-        assert "extra" in finding.message
-        assert "SPEC_SCHEMA_VERSION" in finding.message
-        assert finding.line == 4  # the class statement
-
-    def test_version_mismatch_with_manifest_is_flagged(self):
-        findings = lint_source(
-            SPEC_SOURCE.replace(
-                "SPEC_SCHEMA_VERSION = 1", "SPEC_SCHEMA_VERSION = 2"
-            ),
-            "src/repro/core/spec.py",
-            rules=self.rule(SPEC_MANIFEST),
-        )
-        finding = the_finding(findings, "SCHEMA001")
-        assert finding.line == 1
-
-    def test_rule_is_scoped_to_schema_modules(self):
-        findings = lint_source(
-            SPEC_SOURCE, "src/repro/core/other.py", rules=self.rule(SPEC_MANIFEST)
-        )
-        assert findings == []
-
-    def test_shipped_manifest_matches_the_real_dataclasses(self):
-        from repro.core.spec import SPEC_SCHEMA_VERSION, ScenarioSpec
-        from repro.pipeline.artifacts import (
-            ARTIFACT_SCHEMA_VERSION,
-            Provenance,
-            ScenarioResult,
-        )
-
-        manifest = json.loads(schema_manifest_path().read_text())
-        assert manifest["spec_schema_version"] == SPEC_SCHEMA_VERSION
-        assert manifest["artifact_schema_version"] == ARTIFACT_SCHEMA_VERSION
-        for cls in (ScenarioSpec, ScenarioResult, Provenance):
-            names = [f.name for f in dataclasses.fields(cls)]
-            assert manifest[cls.__name__] == names, cls.__name__
-
-    def test_shipped_spec_and_artifacts_modules_pass(self):
-        for module in ("core/spec.py", "pipeline/artifacts.py"):
-            path = SRC / "repro" / module
-            findings = lint_source(
-                path.read_text(),
-                str(path),
-                rules=[SchemaManifestRule()],
-            )
-            assert unsuppressed(findings) == [], module
-
-
-# -- FROZEN001 -------------------------------------------------------------------
-
-
-class TestFROZEN001:
-    def test_unfrozen_dataclass_is_flagged(self):
-        findings = lint_source(
-            snippet(
-                """
-                @dataclass
-                class MeasurementConfig:
-                    trials: int = 16
-                """
-            ),
-            "src/repro/core/config.py",
-        )
-        finding = the_finding(findings, "FROZEN001")
-        assert finding.line == 2
-        assert "MeasurementConfig" in finding.message
-
-    def test_mutable_defaults_are_flagged(self):
-        findings = lint_source(
-            snippet(
-                """
-                @dataclass(frozen=True)
-                class DetectionConfig:
-                    taps: list = []
-                    weights: dict = {}
-                    template: np.ndarray = np.zeros(4)
-                """
-            ),
-            "src/repro/core/config.py",
-        )
-        assert rule_ids(findings) == ["FROZEN001"] * 3
-        assert [f.line for f in findings] == [3, 4, 5]
-
-    def test_frozen_with_default_factory_is_clean(self):
-        findings = lint_source(
-            snippet(
-                """
-                @dataclass(frozen=True)
-                class DetectionConfig:
-                    trials: int = 16
-                    taps: Tuple[int, ...] = (3, 1)
-                    weights: Dict[str, float] = field(default_factory=dict)
-                """
-            ),
-            "src/repro/core/config.py",
-        )
-        assert findings == []
-
-    def test_rule_is_scoped_to_config_modules(self):
-        findings = lint_source(
-            "@dataclass\nclass Loose:\n    x: int = 0\n",
-            "src/repro/pipeline/x.py",
-        )
-        assert findings == []
-
-
 # -- LINT001 (pragma meta-rule) --------------------------------------------------
 
 
@@ -645,14 +306,14 @@ class TestLINT001:
         findings = lint_source(
             snippet(
                 """
-                import time
-                stamp = time.time()  # repro-lint: allow[DET001]
+                def thaw(array):
+                    array.flags.writeable = True  # repro-lint: allow[CACHE001]
                 """
             ),
             "src/repro/x.py",
         )
         ids = sorted(rule_ids(findings))
-        assert ids == ["DET001", "LINT001"]
+        assert ids == ["CACHE001", "LINT001"]
 
     def test_unknown_rule_id_is_a_finding(self):
         findings = lint_source(
@@ -684,22 +345,26 @@ class TestLINT001:
 # -- reporters & CLI -------------------------------------------------------------
 
 
+#: One CACHE001 violation on line 2 (the rule applies to every module).
+RETHAW = "import numpy as np\nnp.ones(3).flags.writeable = True\n"
+
+
 class TestReporting:
     def test_text_report_format(self):
-        findings = lint_source("import time\nt = time.time()\n", "src/repro/x.py")
+        findings = lint_source(RETHAW, "src/repro/x.py")
         text = render_text(findings, files_checked=1)
-        assert "src/repro/x.py:2: DET001" in text
+        assert "src/repro/x.py:2: CACHE001" in text
         assert "1 violation(s), 0 suppressed across 1 file(s)" in text
 
     def test_json_report_shape(self):
-        findings = lint_source("import time\nt = time.time()\n", "src/repro/x.py")
+        findings = lint_source(RETHAW, "src/repro/x.py")
         payload = json.loads(render_json(findings, files_checked=1))
         assert payload["tool"] == "repro-lint"
         assert payload["summary"] == {
             "files": 1, "violations": 1, "suppressed": 0,
         }
         (entry,) = payload["findings"]
-        assert entry["rule"] == "DET001"
+        assert entry["rule"] == "CACHE001"
         assert entry["line"] == 2
         assert entry["suppressed"] is False
 
@@ -707,9 +372,9 @@ class TestReporting:
         from repro.lint.__main__ import main
 
         bad = tmp_path / "bad.py"
-        bad.write_text("import time\nt = time.time()\n")
+        bad.write_text(RETHAW)
         assert main([str(bad)]) == 1
-        assert "DET001" in capsys.readouterr().out
+        assert "CACHE001" in capsys.readouterr().out
 
     def test_cli_clean_file_exits_0_json(self, tmp_path, capsys):
         from repro.lint.__main__ import main
@@ -733,12 +398,16 @@ class TestReporting:
         from repro.lint.__main__ import main
 
         bad = tmp_path / "bad.py"
-        bad.write_text("import time\nt = time.time()\n")
-        assert main([str(bad), "--rules", "RNG001"]) == 0
+        bad.write_text(RETHAW)
+        assert main([str(bad), "--rules", "EXC001"]) == 0
+        capsys.readouterr()
         assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in ALL_RULES:
-            assert rule.rule_id in out
+        listed = [
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line and not line.startswith(" ")
+        ]
+        assert listed == [rule.rule_id for rule in ALL_RULES]
 
 
 # -- the self-check: the shipped tree is clean -----------------------------------
@@ -764,32 +433,31 @@ class TestSrcTreeSelfCheck:
             assert finding.suppression_reason, finding
 
     def test_src_concurrency_rules_are_live_on_the_tree(self, tmp_path):
-        # The library's one default_rng site is core/seeds.py.  A copy of
-        # the tree with a second, identically seeded site reachable from
-        # the stage graph must trip RNG002 at both sites: proof the project
-        # pass runs over the real tree, not a no-op.
+        # The only fork in the library is the supervised pool.  A copy of
+        # the tree with a fork in pipeline/store.py, reached only through a
+        # new call from the threaded service, must trip CONC002 there:
+        # proof the project pass resolves calls across the real tree.
         tree = tmp_path / "repro"
         shutil.copytree(
             SRC / "repro", tree, ignore=shutil.ignore_patterns("__pycache__")
         )
-        site = next(
-            line
-            for line in (tree / "core" / "seeds.py").read_text().splitlines()
-            if "default_rng(" in line
+        store = tree / "pipeline" / "store.py"
+        store.write_text(
+            store.read_text() + "\n\ndef _fork_snapshot(root):\n    os.fork()\n"
         )
-        stages = tree / "pipeline" / "stages.py"
-        stages.write_text(
-            stages.read_text() + "\n\ndef _second_stream(seed, path):\n" + site + "\n"
+        findings, _ = lint_paths([str(tree)], [RULE_INDEX["CONC002"]])
+        assert unsuppressed(findings) == []
+        server = tree / "service" / "server.py"
+        server.write_text(
+            server.read_text()
+            + "\n\ndef _snapshot(root):\n"
+            "    from repro.pipeline import store\n"
+            "    store._fork_snapshot(root)\n"
         )
-        findings, _ = lint_paths([str(tree)], [RULE_INDEX["RNG002"]])
-        hits = {
-            module_key_for(f.path): f.message
-            for f in unsuppressed(findings)
-            if f.rule_id == "RNG002"
-        }
-        assert sorted(hits) == ["core/seeds.py", "pipeline/stages.py"]
-        assert "pipeline/stages.py:_second_stream" in hits["core/seeds.py"]
-        assert "core/seeds.py:stream" in hits["pipeline/stages.py"]
+        findings, _ = lint_paths([str(tree)], [RULE_INDEX["CONC002"]])
+        (hit,) = unsuppressed(findings)
+        assert (hit.rule_id, module_key_for(hit.path)) == ("CONC002", "pipeline/store.py")
+        assert "os.fork in _fork_snapshot" in hit.message
 
     def test_rule_inventory_is_complete(self):
         assert sorted(RULE_INDEX) == [
@@ -798,13 +466,7 @@ class TestSrcTreeSelfCheck:
             "CONC002",
             "CONC003",
             "DEAD001",
-            "DET001",
             "EXC001",
-            "FROZEN001",
-            "HOT001",
-            "RNG001",
-            "RNG002",
-            "SCHEMA001",
         ]
         for rule in ALL_RULES:
             assert rule.title and rule.rationale

@@ -1,20 +1,32 @@
 """Spec/result serialization: lossless round-trips and stable hashes."""
 
+import dataclasses
 import json
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from repro.core import config as config_module
+from repro.core import spec as spec_module
 from repro.core.config import (
     DetectionConfig,
     MeasurementConfig,
     WatermarkConfig,
 )
-from repro.core.spec import ScenarioSpec
-from repro.pipeline.artifacts import Provenance, ScenarioResult, SweepResult
+from repro.core.spec import SPEC_SCHEMA_VERSION, ScenarioSpec
+from repro.pipeline.artifacts import (
+    ARTIFACT_SCHEMA_VERSION,
+    Provenance,
+    ScenarioResult,
+    SweepResult,
+)
 from repro.pipeline.runner import ExperimentRunner
+
+#: The pinned wire-format field lists and schema versions.
+SCHEMA_MANIFEST = pathlib.Path(__file__).resolve().parent / "data" / "schema_manifest.json"
 
 
 def _rich_spec() -> ScenarioSpec:
@@ -155,6 +167,111 @@ class TestConfigSerialization:
             payload["schema_version"] = version
             with pytest.raises(ValueError, match="unsupported spec schema version"):
                 ScenarioSpec.from_json_dict(payload)
+
+
+def _schema_drift(classes, spec_version, artifact_version):
+    """How ``classes`` and the two schema versions differ from the manifest."""
+    manifest = json.loads(SCHEMA_MANIFEST.read_text())
+    drift = []
+    for cls in classes:
+        names = [f.name for f in dataclasses.fields(cls)]
+        if names != manifest.get(cls.__name__):
+            drift.append(f"{cls.__name__} fields {names} != pinned {manifest.get(cls.__name__)}")
+    for key, version in (
+        ("spec_schema_version", spec_version),
+        ("artifact_schema_version", artifact_version),
+    ):
+        if manifest[key] != version:
+            drift.append(f"{key} {version} != pinned {manifest[key]}")
+    return drift
+
+
+def _unfrozen_configs(classes):
+    """Dataclasses that are not frozen or have an unhashable default."""
+    problems = []
+    for cls in classes:
+        if not cls.__dataclass_params__.frozen:
+            problems.append(f"{cls.__name__} is not frozen")
+        for f in dataclasses.fields(cls):
+            if f.default is dataclasses.MISSING:
+                continue
+            try:
+                hash(f.default)
+            except TypeError:
+                problems.append(f"{cls.__name__}.{f.name} has an unhashable default")
+    return problems
+
+
+def _module_dataclasses(module):
+    return [
+        value
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and dataclasses.is_dataclass(value)
+        and value.__module__ == module.__name__
+    ]
+
+
+class TestWireSchema:
+    """Changing a wire field without bumping its schema version serves stale
+    memoized results: the field lists and versions are pinned together."""
+
+    def test_fields_and_versions_match_the_manifest(self):
+        assert _schema_drift(
+            (ScenarioSpec, ScenarioResult, Provenance),
+            SPEC_SCHEMA_VERSION,
+            ARTIFACT_SCHEMA_VERSION,
+        ) == []
+
+    def test_an_extra_field_is_drift(self):
+        names = [f.name for f in dataclasses.fields(ScenarioSpec)]
+        drifted = dataclasses.make_dataclass("ScenarioSpec", [*names, "extra"], frozen=True)
+        (problem,) = _schema_drift(
+            (drifted, ScenarioResult, Provenance),
+            SPEC_SCHEMA_VERSION,
+            ARTIFACT_SCHEMA_VERSION,
+        )
+        assert "ScenarioSpec" in problem and "extra" in problem
+
+    def test_a_version_bump_without_the_manifest_is_drift(self):
+        (problem,) = _schema_drift(
+            (ScenarioSpec, ScenarioResult, Provenance),
+            SPEC_SCHEMA_VERSION + 1,
+            ARTIFACT_SCHEMA_VERSION,
+        )
+        assert problem.startswith("spec_schema_version")
+
+
+class TestFrozenConfigs:
+    """Specs and configs are cache keys and spec-hash inputs, so none of
+    them may change in place or share a mutable default."""
+
+    def test_spec_and_config_dataclasses_are_frozen(self):
+        classes = _module_dataclasses(spec_module) + _module_dataclasses(config_module)
+        assert {cls.__name__ for cls in classes} >= {
+            "ScenarioSpec",
+            "WatermarkConfig",
+            "MeasurementConfig",
+            "DetectionConfig",
+            "ExperimentConfig",
+        }
+        assert _unfrozen_configs(classes) == []
+
+    def test_an_unfrozen_dataclass_fails(self):
+        @dataclasses.dataclass
+        class LooseConfig:
+            trials: int = 16
+
+        # dataclasses rejects list/dict/set defaults itself, not a tuple
+        # that holds one
+        @dataclasses.dataclass(frozen=True)
+        class SharedConfig:
+            taps: tuple = ([3, 1],)
+
+        assert _unfrozen_configs([LooseConfig, SharedConfig]) == [
+            "LooseConfig is not frozen",
+            "SharedConfig.taps has an unhashable default",
+        ]
 
 
 class TestScenarioResultArtifacts:

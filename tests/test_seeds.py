@@ -1,5 +1,6 @@
 """The seed policy: one stream per (cell seed, contributor name)."""
 
+import ast
 import contextlib
 import io
 import os
@@ -13,6 +14,86 @@ from repro.core.seeds import child_seed, stream
 from repro.pipeline import DEFAULT_REGISTRY, RunOptions, run_scenario
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: The one module that may build generators; everywhere else ``np.random``
+#: may only name these types.
+SEEDS_MODULE = "core/seeds.py"
+RANDOM_TYPES = {"Generator", "SeedSequence"}
+
+
+def _is_np_random(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "random"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
+
+
+def seed_policy_violations(source, module_key):
+    """Lines of ``source`` that draw randomness outside ``core/seeds.py``."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [
+                (node.lineno, f"import {alias.name}")
+                for alias in node.names
+                if alias.name.split(".")[0] == "random"
+                or (alias.name == "numpy.random" and module_key != SEEDS_MODULE)
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            found.append((node.lineno, "from random import"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            if module_key != SEEDS_MODULE:
+                found.append((node.lineno, "from numpy.random import"))
+    if module_key == SEEDS_MODULE:
+        return found
+    typed = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in RANDOM_TYPES
+        and _is_np_random(node.value)
+    }
+    found += [
+        (node.lineno, "np.random beyond the Generator/SeedSequence types")
+        for node in ast.walk(tree)
+        if _is_np_random(node) and id(node) not in typed
+    ]
+    return sorted(found)
+
+
+def test_every_draw_goes_through_core_seeds():
+    package = SRC / "repro"
+    checked, found = 0, {}
+    for path in sorted(package.rglob("*.py")):
+        if package / "lint" in path.parents:
+            continue
+        key = path.relative_to(package).as_posix()
+        checked += 1
+        violations = seed_policy_violations(path.read_text(), key)
+        if violations:
+            found[key] = violations
+    assert checked > 50
+    assert found == {}
+
+
+def test_a_second_generator_site_breaks_the_policy():
+    # The same draw passes in core/seeds.py and fails anywhere else.
+    source = (
+        "import numpy as np\n"
+        "\n"
+        "def noise(n, rng: np.random.Generator):\n"
+        "    return np.random.default_rng(0).normal(size=n)\n"
+    )
+    assert seed_policy_violations(source, SEEDS_MODULE) == []
+    assert seed_policy_violations(source, "measurement/noise.py") == [
+        (4, "np.random beyond the Generator/SeedSequence types")
+    ]
+    assert seed_policy_violations(
+        "from numpy.random import default_rng\nimport random\n", "x.py"
+    ) == [(1, "from numpy.random import"), (2, "import random")]
 
 
 def test_adjacent_cells_share_no_repetition():
