@@ -257,6 +257,31 @@ class TestEndToEndDecisions:
         assert np.array_equal(cpa_ref.correlations, cpa_syn.correlations)
 
 
+    def test_paper_config_trace_and_spectra_match_the_oracle(self):
+        """Paper configuration over three periods and a partial one."""
+        from repro.core.config import MeasurementConfig
+        from repro.measurement.acquisition import AcquisitionCampaign
+
+        estimator = PowerEstimator.at_nominal()
+        config = WatermarkConfig()
+        architecture = ClockModulationWatermark.from_config(config)
+        num_cycles = 3 * architecture.sequence_period + 1_001
+        assert num_cycles % 4_095 != 0
+        reference = _stepped_power(
+            ClockModulationWatermark.from_config(config), estimator, num_cycles
+        )
+        synthesized = architecture.power_template(estimator).extend(num_cycles)
+        assert np.array_equal(synthesized.power_w, reference.power_w)
+
+        campaign = AcquisitionCampaign(MeasurementConfig())
+        detector = CPADetector(DetectionConfig())
+        sequence = architecture.sequence()
+        cpa_ref = detector.detect(sequence, campaign.measure(reference, seed=77).values)
+        cpa_syn = detector.detect(sequence, campaign.measure(synthesized, seed=77).values)
+        assert cpa_ref.detected == cpa_syn.detected
+        assert cpa_ref.peak_rotation == cpa_syn.peak_rotation
+        assert np.array_equal(cpa_ref.correlations, cpa_syn.correlations)
+
 class TestPeriodicPowerTemplate:
     def test_from_power_trace_roundtrip(self):
         estimator = PowerEstimator.at_nominal()
