@@ -17,7 +17,7 @@ Suppression pragma grammar
 A finding is suppressed by a pragma **with a reason** on the same line or
 on a standalone comment line directly above::
 
-    lock = cache.get_or_compute(key, Lock)  # repro-lint: allow[CACHE001] caches locks, not arrays
+    lock = cache.get_or_compute(key, Lock)  # repro-lint: allow[CACHE001] not an array
 
     # repro-lint: allow[CONC001] monitoring read; a stale value is fine
     return self._total
@@ -91,7 +91,7 @@ class LintModule:
     ``module_key`` is the path relative to the ``repro`` package root
     (e.g. ``"pipeline/backends.py"``), or ``""`` when the file is not
     under a ``repro`` directory -- rules that scope to repo modules
-    (hot paths, pipeline-only) match on it.
+    (``pipeline/``, ``service/``) match on it.
     """
 
     logical_path: str

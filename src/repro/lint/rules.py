@@ -111,8 +111,8 @@ class CacheFreezeRule(Rule):
         "Shared caches (LRUCache.get_or_compute) hand the same array to "
         "every caller; a compute callable that does not set "
         "writeable=False lets one caller silently corrupt every other "
-        "caller's data -- the class of bug behind PR 3's template cache "
-        "design.  Re-marking a served array writeable is equally banned."
+        "caller's data -- the class of bug the template cache is designed "
+        "against.  Re-marking a served array writeable is equally banned."
     )
 
     def check(self, module: LintModule) -> Violations:
