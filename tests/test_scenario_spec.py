@@ -223,6 +223,27 @@ class TestWireSchema:
             ARTIFACT_SCHEMA_VERSION,
         ) == []
 
+    def test_the_manifest_pins_exactly_the_wire_classes(self):
+        # A manifest entry for a renamed or deleted class would never be
+        # compared against anything.
+        assert set(json.loads(SCHEMA_MANIFEST.read_text())) - {"comment"} == {
+            "ScenarioSpec",
+            "ScenarioResult",
+            "Provenance",
+            "spec_schema_version",
+            "artifact_schema_version",
+        }
+
+    def test_a_matching_local_dataclass_is_clean(self):
+        # Classes are compared by name and field list, not by identity.
+        names = [f.name for f in dataclasses.fields(ScenarioSpec)]
+        twin = dataclasses.make_dataclass("ScenarioSpec", names, frozen=True)
+        assert _schema_drift(
+            (twin, ScenarioResult, Provenance),
+            SPEC_SCHEMA_VERSION,
+            ARTIFACT_SCHEMA_VERSION,
+        ) == []
+
     def test_an_extra_field_is_drift(self):
         names = [f.name for f in dataclasses.fields(ScenarioSpec)]
         drifted = dataclasses.make_dataclass("ScenarioSpec", [*names, "extra"], frozen=True)
@@ -262,15 +283,20 @@ class TestFrozenConfigs:
         class LooseConfig:
             trials: int = 16
 
+        assert _unfrozen_configs([LooseConfig]) == ["LooseConfig is not frozen"]
+
+    def test_an_unhashable_default_fails(self):
         # dataclasses rejects list/dict/set defaults itself, not a tuple
         # that holds one
         @dataclasses.dataclass(frozen=True)
         class SharedConfig:
+            trials: int = 16
             taps: tuple = ([3, 1],)
+            weights: tuple = ({"m0": 1.0},)
 
-        assert _unfrozen_configs([LooseConfig, SharedConfig]) == [
-            "LooseConfig is not frozen",
+        assert _unfrozen_configs([SharedConfig]) == [
             "SharedConfig.taps has an unhashable default",
+            "SharedConfig.weights has an unhashable default",
         ]
 
 

@@ -91,6 +91,30 @@ def test_a_second_generator_site_breaks_the_policy():
     assert seed_policy_violations(source, "measurement/noise.py") == [
         (4, "np.random beyond the Generator/SeedSequence types")
     ]
+
+
+def test_global_numpy_randomness_breaks_the_policy():
+    source = "import numpy as np\nnp.random.seed(0)\nx = np.random.normal(0.0, 1.0, 10)\n"
+    assert seed_policy_violations(source, "power/noise.py") == [
+        (2, "np.random beyond the Generator/SeedSequence types"),
+        (3, "np.random beyond the Generator/SeedSequence types"),
+    ]
+
+
+def test_stdlib_random_breaks_the_policy():
+    # Not even core/seeds.py may reach for the stdlib's global state.
+    source = "import random\nvalue = random.random()\n"
+    for key in ("x.py", SEEDS_MODULE):
+        assert seed_policy_violations(source, key) == [(1, "import random")]
+
+
+def test_from_imports_of_global_state_break_the_policy():
+    assert seed_policy_violations("from random import shuffle\n", "x.py") == [
+        (1, "from random import")
+    ]
+    assert seed_policy_violations("from numpy.random import normal\n", "x.py") == [
+        (1, "from numpy.random import")
+    ]
     assert seed_policy_violations(
         "from numpy.random import default_rng\nimport random\n", "x.py"
     ) == [(1, "from numpy.random import"), (2, "import random")]
