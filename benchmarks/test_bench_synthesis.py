@@ -5,8 +5,8 @@ sub-circuit once per clock cycle in Python; at the paper's acquisition
 lengths (100k-300k cycles) that per-cycle tax dominated the whole
 pipeline.  The library now computes one sequence period (4,095 cycles for
 the paper's 12-bit LFSR) of activity in closed form, turns it into a
-per-cycle power template and extends it to the acquisition length with a
-modular-index gather.
+per-cycle power template and extends it to the acquisition length with
+slice copies.
 
 These benchmarks gate that shipped path with absolute ceilings.  Its
 bit-identity with the stepping oracle (``tests/rtl_oracle.py``) and the

@@ -125,7 +125,7 @@ class WatermarkArchitecture(abc.ABC):
     ) -> PowerTrace:
         """Per-cycle power contributed by the watermark circuit.
 
-        Synthesized from the one-period power template by modular-index
+        Synthesized from the one-period power template by slice-copy
         extension -- bit-identical to estimating power over activity stepped
         cycle by cycle for the full acquisition length (the equivalence suite
         in ``tests/test_power_synthesis.py`` pins this against the stepping

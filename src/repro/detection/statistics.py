@@ -42,10 +42,14 @@ class BoxPlotStats:
         values = np.asarray(samples, dtype=np.float64)
         if len(values) == 0:
             raise ValueError("cannot summarise an empty sample")
-        whisker_low, q1, q3, whisker_high = np.percentile(values, [2.5, 25, 75, 97.5])
+        # One sort serves every order statistic: on sorted input numpy's
+        # selection finds each quantile at once, where the multi-kth
+        # partition of the raw sample costs more than the sort itself.
+        ordered = np.sort(values)
+        whisker_low, q1, q3, whisker_high = np.percentile(ordered, [2.5, 25, 75, 97.5])
         outliers = values[(values < whisker_low) | (values > whisker_high)]
         return cls(
-            median=float(np.median(values)),
+            median=float(np.median(ordered)),
             q1=float(q1),
             q3=float(q3),
             whisker_low=float(whisker_low),
@@ -76,6 +80,7 @@ class RepetitionStatistics:
         peak rotation is determined from the run-averaged |correlation|
         (all repetitions share the same physical phase offset in this model,
         as they do on the bench when acquisition is armed the same way).
+        ``detected_flags``, when given, holds one flag per repetition.
         """
         stacked = np.asarray(runs, dtype=np.float64)
         if stacked.ndim != 2 or len(stacked) == 0:
@@ -88,6 +93,11 @@ class RepetitionStatistics:
             detections = np.array([detection_z_score(run) >= 4.0 for run in stacked])
         else:
             detections = np.asarray(detected_flags, dtype=bool)
+            if detections.shape != (len(stacked),):
+                raise ValueError(
+                    f"need one detection flag per repetition ({len(stacked)}), "
+                    f"got shape {detections.shape}"
+                )
         return cls(
             label=label,
             peak_rotation=peak_rotation,

@@ -11,7 +11,7 @@ whole redundant bank).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +55,8 @@ class DynamicPowerModel:
         self.library = library
         self.operating_point = operating_point
 
-    def _energies(self, cell_type: str) -> tuple:
+    def toggle_energies(self, cell_type: str) -> Tuple[float, float, float]:
+        """Clock, data and combinational toggle energies (J) at the supply voltage."""
         cell = self.library.cell(cell_type)
         v = self.operating_point.voltage_v
         return (
@@ -66,7 +67,7 @@ class DynamicPowerModel:
 
     def cycle_energy(self, cell_type: str, activity: ActivityRecord) -> float:
         """Energy in joules dissipated by one component in one cycle."""
-        e_clk, e_data, e_comb = self._energies(cell_type)
+        e_clk, e_data, e_comb = self.toggle_energies(cell_type)
         return (
             activity.clock_toggles * e_clk
             + activity.data_toggles * e_data
@@ -75,7 +76,7 @@ class DynamicPowerModel:
 
     def cycle_energy_array(self, cell_type: str, trace: ActivityTrace) -> np.ndarray:
         """Vector of per-cycle energies (joules) for an activity trace."""
-        e_clk, e_data, e_comb = self._energies(cell_type)
+        e_clk, e_data, e_comb = self.toggle_energies(cell_type)
         return (
             trace.clock_toggles * e_clk
             + trace.data_toggles * e_data

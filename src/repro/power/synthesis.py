@@ -16,7 +16,7 @@ It stacks three layers:
    generator configuration).
 2. **Periodic templates** -- :class:`PeriodicPowerTemplate` holds one period
    of a per-cycle power trace and extends it to arbitrary acquisition
-   lengths (including trigger-phase rotations) with a modular-index gather.
+   lengths (including trigger-phase rotations) with slice copies.
 3. **Trial synthesis** -- :class:`TraceSynthesizer` draws Monte-Carlo
    trials of the statistical measurement model ``Y = base + a * X(rotated)
    + N(0, sigma)`` as their phase folds and energies, the only statistics
@@ -45,6 +45,26 @@ if TYPE_CHECKING:  # circular at runtime: repro.detection imports this module
     from repro.detection.batch import PhaseFold
 
 
+def _fill_cyclic(out: np.ndarray, template: np.ndarray, start: int) -> None:
+    """Set ``out[j] = template[(start + j) % len(template)]`` by slice copies.
+
+    The template's tail from ``start`` goes first; the rest begins at phase
+    zero, so after one period is in place every further copy doubles the
+    whole periods already written.
+    """
+    period = len(template)
+    start %= period
+    head = min(period - start, len(out))
+    out[:head] = template[start : start + head]
+    rest = out[head:]
+    filled = min(period, len(rest))
+    rest[:filled] = template[:filled]
+    while filled < len(rest):
+        step = min(filled, len(rest) - filled)
+        rest[filled : filled + step] = rest[:step]
+        filled += step
+
+
 def periodic_extend(
     template: np.ndarray, num_cycles: int, phase_offset: int = 0
 ) -> np.ndarray:
@@ -55,20 +75,39 @@ def periodic_extend(
     (the tile-then-roll idiom of the measurement chain: the acquisition is
     truncated to ``num_cycles`` first, then rotated, so the wraparound
     splices the truncated tail to the front) without materialising the
-    tiled array or the roll copy.
+    tiled array or the roll copy: the output is filled from slices of the
+    template.
     """
     template = np.asarray(template)
-    period = len(template)
-    if period == 0:
+    if len(template) == 0:
         raise ValueError("cannot extend an empty template")
     if num_cycles <= 0:
         raise ValueError("num_cycles must be positive")
-    index = np.arange(num_cycles, dtype=np.int64)
-    if phase_offset:
-        index += int(phase_offset)
-        index %= num_cycles
-    index %= period
-    return template[index]
+    out = np.empty(num_cycles, dtype=template.dtype)
+    # Cycle j < split reads the tiled acquisition at j + offset; the cycles
+    # from split on read its start again.
+    split = num_cycles - int(phase_offset) % num_cycles
+    _fill_cyclic(out[:split], template, num_cycles - split)
+    _fill_cyclic(out[split:], template, 0)
+    return out
+
+
+def rolled_blocks(template: np.ndarray, shifts: np.ndarray, num_cycles: int) -> np.ndarray:
+    """Blocks of ``template``, block ``r`` rolled by ``shifts[r]``, truncated.
+
+    Bit-identical to
+    ``np.concatenate([np.roll(template, s) for s in shifts])[:num_cycles]``
+    (the gather ``template[(arange(window) - s) % window]`` per block),
+    with two slice copies per block.  ``shifts`` must cover ``num_cycles``.
+    """
+    template = np.asarray(template)
+    window = len(template)
+    if window * len(shifts) < num_cycles:
+        raise ValueError("the shifted blocks do not cover num_cycles")
+    out = np.empty(num_cycles, dtype=template.dtype)
+    for block, shift in enumerate(shifts):
+        _fill_cyclic(out[block * window : (block + 1) * window], template, -int(shift))
+    return out
 
 
 @dataclass
@@ -76,8 +115,9 @@ class PeriodicPowerTemplate:
     """One period of a strictly periodic per-cycle power trace.
 
     The watermark circuits repeat exactly with the sequence period, so
-    the exact activity of one period fully characterises their power; acquisitions of any length are then produced by modular-index
-    extension instead of further simulation.
+    the exact activity of one period fully characterises their power;
+    acquisitions of any length are then produced by slice-copy extension
+    instead of further simulation.
     """
 
     name: str

@@ -10,12 +10,20 @@ A :class:`ChipModel` combines:
 
 and produces per-cycle power traces for the measurement chain.  The
 Cortex-M0 workload is simulated cycle by cycle for a representative window
-(16,384 cycles by default) and tiled, with a random cyclic shift per
-repetition, to the full acquisition length.  Dhrystone itself is a short
-repeating loop, so the window already holds the cycle-to-cycle structure
-of the background power; simulating every one of a multi-hundred-thousand-
-cycle acquisition would add nothing but time.  The simulated window is
-shared across chips through the window cache in :mod:`repro.soc.cpu`.
+(16,384 cycles by default).  Dhrystone itself is a short repeating loop, so
+the window already holds the cycle-to-cycle structure of the background
+power; simulating every one of a multi-hundred-thousand-cycle acquisition
+would add nothing but time.  The simulated window is shared across chips
+through the window cache in :mod:`repro.soc.cpu`.
+
+The background power is computed straight in watts.  The window's
+per-cycle power is computed once and tiled to the full acquisition length
+with a random cyclic shift per repetition, two slice copies per
+repetition.  The idle blocks draw their per-cycle power in place
+(:meth:`repro.soc.multicore.IdleDualCoreA5Like.draw_power`).  The activity
+path it replaces -- one activity trace per contributor, summed by
+:meth:`repro.power.estimator.PowerEstimator.combined_power_trace` -- is the
+test oracle ``tests/background_oracle.py``, equal to it byte for byte.
 
 Every stochastic contributor of a chip's background draws from its own
 named stream of the background seed (:mod:`repro.core.seeds`): ``"m0"``
@@ -33,6 +41,7 @@ from repro.caching import LRUCache
 from repro.core.architectures import WatermarkArchitecture
 from repro.core.seeds import stream
 from repro.power.estimator import PowerEstimator
+from repro.power.synthesis import rolled_blocks
 from repro.power.trace import PowerTrace
 from repro.rtl.activity import ActivityTrace
 from repro.soc.bus import SystemBus
@@ -52,8 +61,8 @@ from repro.soc.assembler import Program
 # and robustness sweeps all re-request the same background,
 # so the per-cycle template is computed once and shared.
 #
-# Each distinct ``num_cycles`` is its own cache class: the block-activity
-# generators draw normals, uniforms and integers in length-dependent order,
+# Each distinct ``num_cycles`` is its own cache class: the idle blocks
+# draw normals, uniforms and integers in length-dependent order,
 # so truncating a longer template would *not* be bit-identical to drawing
 # the shorter trace directly -- and bit-identity with the pre-cache
 # implementation is the contract pinned by the equivalence suite.
@@ -174,6 +183,25 @@ class ChipModel:
         )
         return cpu.run_cycles(window)
 
+    def _m0_window(self, num_cycles: int, use_cache: bool) -> ActivityTrace:
+        """The simulated M0 window of an acquisition of ``num_cycles`` cycles.
+
+        The window is shared across chip instances through the module-level
+        cache in :mod:`repro.soc.cpu` (keyed by program identity and window
+        length); ``use_cache=False`` forces a fresh cycle-accurate run,
+        which is bit-identical by construction.
+        """
+        window = min(num_cycles, self.description.m0_window_cycles)
+        if use_cache:
+            return cached_window_trace(
+                self._m0_window_cache_key(window), lambda: self._simulate_m0_window(window)
+            )
+        return self._simulate_m0_window(window)
+
+    def _m0_shifts(self, num_cycles: int, window: int, seed: int) -> np.ndarray:
+        """One cyclic shift per window repetition, from the ``"m0"`` stream."""
+        return stream(seed, "m0").integers(0, window, size=-(-num_cycles // window))
+
     def m0_activity(
         self, num_cycles: int, seed: Optional[int] = None, use_cache: bool = True
     ) -> ActivityTrace:
@@ -181,60 +209,24 @@ class ChipModel:
 
         The core is simulated cycle-accurately for a representative window
         and the window is then repeated with a random cyclic shift per
-        repetition, drawn from the ``"m0"`` stream of ``seed``.  The
-        shifts reflect that on the bench the benchmark
-        loop is not phase-locked to the acquisition window; without them an
-        exactly periodic background could alias into the watermark-period
-        phase bins and bias the CPA noise floor.
-
-        The simulated window is shared across chip instances through the
-        module-level cache in :mod:`repro.soc.cpu` (keyed by program
-        identity and window length); ``use_cache=False`` forces a fresh
-        cycle-accurate run, which is bit-identical by construction.
+        repetition, drawn from the ``"m0"`` stream of ``seed``: repetition
+        ``r`` is ``np.roll(window, shift_r)``.  The shifts reflect that on
+        the bench the benchmark loop is not phase-locked to the acquisition
+        window; without them an exactly periodic background could alias into
+        the watermark-period phase bins and bias the CPA noise floor.
+        :meth:`background_power` tiles the window's power the same way.
         """
-        window = min(num_cycles, self.description.m0_window_cycles)
-        if use_cache:
-            trace = cached_window_trace(
-                self._m0_window_cache_key(window), lambda: self._simulate_m0_window(window)
-            )
-        else:
-            trace = self._simulate_m0_window(window)
+        trace = self._m0_window(num_cycles, use_cache)
+        window = len(trace)
         if window >= num_cycles:
             return trace
-        # One modular-index gather: repetition r of the window is read at
-        # indices (i - shift_r) mod window, which is np.roll(values, shift_r).
-        repetitions = -(-num_cycles // window)
-        shifts = stream(self.seed if seed is None else seed, "m0").integers(
-            0, window, size=repetitions
-        )
-        index = np.arange(window, dtype=np.int64)[None, :] - shifts[:, None]
-        index %= window
-        index = index.reshape(-1)[:num_cycles]
+        shifts = self._m0_shifts(num_cycles, window, self.seed if seed is None else seed)
         return ActivityTrace(
             name=trace.name,
-            clock_toggles=trace.clock_toggles[index],
-            data_toggles=trace.data_toggles[index],
-            comb_toggles=trace.comb_toggles[index],
+            clock_toggles=rolled_blocks(trace.clock_toggles, shifts, num_cycles),
+            data_toggles=rolled_blocks(trace.data_toggles, shifts, num_cycles),
+            comb_toggles=rolled_blocks(trace.comb_toggles, shifts, num_cycles),
         )
-
-    def background_activity(
-        self, num_cycles: int, seed: Optional[int] = None, use_cache: bool = True
-    ) -> Dict[str, ActivityTrace]:
-        """Per-contributor background activity (everything except the watermark).
-
-        Each contributor draws from the stream of ``seed`` named after its
-        key in the returned dict.
-        """
-        seed = self.seed if seed is None else seed
-        traces = {
-            "m0": self.m0_activity(num_cycles, seed=seed, use_cache=use_cache),
-            "peripherals": self.peripherals.activity_trace(
-                num_cycles, stream(seed, "peripherals")
-            ),
-        }
-        if self.a5_subsystem is not None:
-            traces["a5"] = self.a5_subsystem.activity_trace(num_cycles, stream(seed, "a5"))
-        return traces
 
     # -- power traces -------------------------------------------------------------
 
@@ -295,29 +287,37 @@ class ChipModel:
         """
         resolved_seed = self.seed if seed is None else seed
 
-        def compute() -> PowerTrace:
-            traces = self.background_activity(
-                num_cycles, seed=resolved_seed, use_cache=use_cache
+        def compute() -> np.ndarray:
+            # The sum order (m0, peripherals, a5, static) is part of the
+            # bit-identity with the activity path.
+            model = self.estimator.dynamic_model
+            window = self._m0_window(num_cycles, use_cache)
+            power_w = model.power_per_cycle("dff", window)
+            if len(window) < num_cycles:
+                shifts = self._m0_shifts(num_cycles, len(window), resolved_seed)
+                power_w = rolled_blocks(power_w, shifts, num_cycles)
+            power_w += self.peripherals.draw_power(
+                num_cycles, stream(resolved_seed, "peripherals"), model
             )
-            static = self.estimator.leakage_of(self.system_cell_inventory())
-            return self.estimator.combined_power_trace(
-                traces,
-                cell_types={"m0": "dff", "peripherals": "dff", "a5": "dff"},
-                static_w=static,
-                name=f"{self.name}/background",
+            if self.a5_subsystem is not None:
+                power_w += self.a5_subsystem.draw_power(
+                    num_cycles, stream(resolved_seed, "a5"), model
+                )
+            power_w += self.estimator.leakage_of(self.system_cell_inventory())
+            return power_w
+
+        if use_cache:
+
+            def compute_template() -> np.ndarray:
+                template = compute()
+                template.flags.writeable = False
+                return template
+
+            power_w = _BACKGROUND_TEMPLATE_CACHE.get_or_compute(
+                self._background_template_key(num_cycles, resolved_seed), compute_template
             )
-
-        if not use_cache:
-            return compute()
-
-        def compute_template() -> np.ndarray:
-            template = compute().power_w
-            template.flags.writeable = False
-            return template
-
-        power_w = _BACKGROUND_TEMPLATE_CACHE.get_or_compute(
-            self._background_template_key(num_cycles, resolved_seed), compute_template
-        )
+        else:
+            power_w = compute()
         return PowerTrace(
             name=f"{self.name}/background",
             clock=self.estimator.operating_point.clock,

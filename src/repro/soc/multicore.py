@@ -11,8 +11,9 @@ instruction level (no RTL is available, and they are idle anyway), so they
 are represented by structural activity models: a register/clock-tree
 inventory whose non-gated fraction toggles every cycle, plus a stochastic
 per-cycle component representing asynchronous housekeeping activity
-(timers, snoop logic, bus arbiters).  The traces are generated vectorised
-from a generator the chip hands in, so experiments are reproducible.
+(timers, snoop logic, bus arbiters).  Their per-cycle power is drawn
+vectorised, straight in watts, from a generator the chip hands in, so
+experiments are reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.rtl.activity import ActivityTrace
+from repro.power.models import DynamicPowerModel
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 from repro.soc.cache import CacheConfig
 
@@ -47,7 +48,7 @@ class IdleBlockParameters:
 
 
 class _IdleActivitySource:
-    """Common trace generation for idle-but-clocked blocks."""
+    """Common power generation for idle-but-clocked blocks."""
 
     def __init__(self, parameters: IdleBlockParameters) -> None:
         self.parameters = parameters
@@ -67,26 +68,39 @@ class _IdleActivitySource:
         """Registers whose clock is not gated while the block idles."""
         return int(round(self.parameters.register_count * self.parameters.ungated_fraction))
 
-    def activity_trace(self, num_cycles: int, rng: np.random.Generator) -> ActivityTrace:
-        """Per-cycle activity of the idle block over ``num_cycles`` cycles."""
+    def draw_power(
+        self, num_cycles: int, rng: np.random.Generator, dynamic_model: DynamicPowerModel
+    ) -> np.ndarray:
+        """Per-cycle power (W) of the idle block over ``num_cycles`` cycles.
+
+        The ungated clock tree toggles every cycle; the data activity is a
+        clipped normal draw plus occasional housekeeping bursts (timer
+        rollovers, arbitration), with combinational activity at 0.6x the
+        data activity.  ``rng`` is drawn, in this order, for the data
+        activity (``normal``), the burst mask (``random``) and the burst
+        sizes (``integers``); the toggle counts are converted to watts in
+        place with flip-flop toggle energies.
+        """
         if num_cycles <= 0:
             raise ValueError("num_cycles must be positive")
-        clock = np.full(
-            num_cycles, CLOCK_EDGES_PER_CYCLE * self.clocked_registers, dtype=np.int64
-        )
+        e_clock, e_data, e_comb = dynamic_model.toggle_energies("dff")
         mean = self.parameters.mean_data_activity
         std = self.parameters.data_activity_std
-        data = np.clip(rng.normal(mean, std, size=num_cycles), 0, None)
-        # Occasional housekeeping bursts (timer rollovers, arbitration).
+        data = rng.normal(mean, std, size=num_cycles)
+        np.clip(data, 0, None, out=data)
         burst_mask = rng.random(num_cycles) < 0.002
-        data = data + burst_mask * rng.integers(50, 400, size=num_cycles)
+        data += burst_mask * rng.integers(50, 400, size=num_cycles)
         comb = data * 0.6
-        return ActivityTrace(
-            name=self.name,
-            clock_toggles=clock,
-            data_toggles=np.round(data).astype(np.int64),
-            comb_toggles=np.round(comb).astype(np.int64),
-        )
+        # Toggle counts are whole numbers.  Rounding in float64 gives the
+        # same exact integers an int64 count would.
+        np.round(data, out=data)
+        np.round(comb, out=comb)
+        data *= e_data
+        data += CLOCK_EDGES_PER_CYCLE * self.clocked_registers * e_clock
+        comb *= e_comb
+        data += comb
+        data /= dynamic_model.operating_point.cycle_time_s
+        return data
 
 
 class IdleDualCoreA5Like(_IdleActivitySource):

@@ -77,6 +77,15 @@ class TestRepetitionStatistics:
         )
         assert stats.detection_rate == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("count", [0, 9, 11])
+    def test_detection_flags_must_match_repetitions(self, count):
+        # Regression: flags of any length were accepted, so the detection
+        # rate was silently taken over the wrong number of repetitions.
+        with pytest.raises(ValueError, match="one detection flag per repetition"):
+            RepetitionStatistics.from_correlation_runs(
+                "chip", make_runs(num_runs=10), detected_flags=[True] * count
+            )
+
     def test_detection_rate_computed_from_z_scores(self):
         stats = RepetitionStatistics.from_correlation_runs("chip", make_runs(peak_value=0.05))
         assert stats.detection_rate == 1.0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from rtl_oracle import Register, trace_from_records
 from trial_oracle import fold_rows, naive_rotation_correlations, pearson_correlation
 
@@ -11,7 +11,9 @@ from repro.core.load_circuit import registers_for_load_power
 from repro.analysis.overhead import area_overhead_reduction
 from repro.detection.batch import BatchCPADetector
 from repro.detection.cpa import rotation_correlations
+from repro.detection.statistics import BoxPlotStats
 from repro.power.models import scale_energy_with_voltage
+from repro.power.synthesis import periodic_extend, rolled_blocks
 from repro.rtl.activity import ActivityRecord
 from repro.rtl.clock_tree import ClockTree
 from repro.rtl.signals import hamming_distance
@@ -112,6 +114,82 @@ def test_activity_trace_tile_preserves_per_cycle_values(records, reps):
     tiled = trace.tile(len(records) * reps)
     for i in range(len(tiled)):
         assert tiled[i] == trace[i % len(trace)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    period=st.integers(min_value=1, max_value=40),
+    num_cycles=st.integers(min_value=1, max_value=300),
+    offset=st.one_of(
+        st.integers(min_value=-1000, max_value=1000),
+        st.sampled_from(["n", "-n", "n+1", "2n+3"]),
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_periodic_extend_is_tile_then_roll(period, num_cycles, offset, seed):
+    """Slice-copy extension equals tile-truncate-roll for any offset, n or beyond."""
+    if isinstance(offset, str):
+        offset = {"n": num_cycles, "-n": -num_cycles, "n+1": num_cycles + 1,
+                  "2n+3": 2 * num_cycles + 3}[offset]
+    template = np.random.default_rng(seed).normal(size=period)
+    reps = -(-num_cycles // period)
+    expected = np.roll(np.tile(template, reps)[:num_cycles], -offset)
+    actual = periodic_extend(template, num_cycles, offset)
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    window=st.integers(min_value=1, max_value=64),
+    data=st.data(),
+)
+def test_rolled_blocks_equals_modular_gather(window, data):
+    """The M0 block fill equals the (arange - shift) % window gather it replaced."""
+    num_cycles = data.draw(st.integers(min_value=1, max_value=6 * window))
+    repetitions = -(-num_cycles // window)
+    shifts = np.array(
+        data.draw(st.lists(st.integers(0, window - 1), min_size=repetitions, max_size=repetitions)),
+        dtype=np.int64,
+    )
+    template = np.array(
+        data.draw(st.lists(st.integers(0, 10_000), min_size=window, max_size=window)),
+        dtype=np.int64,
+    )
+    index = np.arange(window, dtype=np.int64)[None, :] - shifts[:, None]
+    index %= window
+    expected = template[index.reshape(-1)[:num_cycles]]
+    actual = rolled_blocks(template, shifts, num_cycles)
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.lists(
+        st.one_of(
+            st.sampled_from([-1.0, 0.0, 0.25, 3.0]),  # ties
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=120,
+    )
+)
+@example(samples=[0.5])  # n = 1
+@example(samples=[2.0, 1.0, 1.0, 2.0])  # even n, ties
+@example(samples=[3.0, 1.0, 2.0])  # odd n
+@example(samples=[5.0] + [0.0] * 40 + [-5.0] + [0.0] * 40 + [6.0])  # unsorted outliers
+def test_box_stats_equal_percentile_of_the_raw_sample(samples):
+    """Sort-once box statistics equal numpy's quantiles of the raw sample, bit for bit."""
+    values = np.asarray(samples, dtype=np.float64)
+    box = BoxPlotStats.from_samples(samples)
+    low, q1, q3, high = np.percentile(values, [2.5, 25, 75, 97.5])
+    assert box.median == float(np.median(values))
+    assert (box.whisker_low, box.q1, box.q3, box.whisker_high) == (
+        float(low), float(q1), float(q3), float(high)
+    )
+    # Outliers keep the input order, not the sorted one.
+    assert box.outliers == tuple(v for v in samples if v < low or v > high)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from background_oracle import background_activity, background_power
 
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.config import WatermarkConfig
 from repro.core.seeds import stream
+from repro.soc import chip as chip_module
 from repro.soc.chip import ChipDescription, ChipModel, build_chip_one, build_chip_two
 
 
@@ -63,8 +65,8 @@ class TestActivityAndPower:
         assert trace.total_toggles.min() > 0
 
     def test_background_activity_contributors(self, chip1, chip2):
-        traces1 = chip1.background_activity(500)
-        traces2 = chip2.background_activity(500)
+        traces1 = background_activity(chip1, 500)
+        traces2 = background_activity(chip2, 500)
         assert set(traces1) == {"m0", "peripherals"}
         assert set(traces2) == {"m0", "peripherals", "a5"}
 
@@ -104,7 +106,7 @@ class TestActivityAndPower:
         # the watermark architectures and Table I include via
         # leakage_of(cell_inventory())).
         background = chip1.background_power(64, seed=9, use_cache=False)
-        traces = chip1.background_activity(64, seed=9)
+        traces = background_activity(chip1, 64, seed=9)
         dynamic = np.zeros(64)
         for trace in traces.values():
             dynamic += chip1.estimator.dynamic_model.power_per_cycle("dff", trace)
@@ -115,8 +117,33 @@ class TestActivityAndPower:
         assert expected > dff_only
 
 
+class TestBackgroundOracle:
+    """Background power straight in watts equals the activity path byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def chips(self):
+        return {"chip1": build_chip_one(), "chip2": build_chip_two()}
+
+    @pytest.fixture(autouse=True)
+    def fresh_templates(self):
+        chip_module.clear_background_template_cache()
+        yield
+        chip_module.clear_background_template_cache()
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("seed", [0, 7, 2014])
+    @pytest.mark.parametrize("num_cycles", [1, 100, 16_384, 16_385, 40_000, 300_001])
+    @pytest.mark.parametrize("chip_name", ["chip1", "chip2"])
+    def test_background_power_equals_oracle(self, chips, chip_name, num_cycles, seed, use_cache):
+        chip = chips[chip_name]
+        actual = chip.background_power(num_cycles, seed=seed, use_cache=use_cache)
+        expected = background_power(chip, num_cycles, seed=seed, use_cache=use_cache)
+        assert actual.power_w.dtype == expected.power_w.dtype
+        assert actual.power_w.tobytes() == expected.power_w.tobytes()
+
+
 class TestM0ActivityGather:
-    """The modular-index gather must reproduce the np.roll tiling exactly."""
+    """The slice-copy tiling must reproduce the np.roll tiling exactly."""
 
     def test_fixed_seed_yields_identical_trace_as_legacy_tiling(self):
         chip = build_chip_one(m0_window_cycles=256)
