@@ -171,12 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_options(sweep_parser)
     sweep_parser.add_argument(
         "--backend",
-        choices=("auto", "serial", "process"),
-        default="auto",
-        help=(
-            "execution backend: in-process serial, a process pool, or auto "
-            "(default: serial unless >=2 CPUs and >=2 cells make the pool win)"
-        ),
+        choices=("serial", "process"),
+        default="serial",
+        help="execution backend: in-process serial (default) or a process pool",
     )
     sweep_parser.add_argument(
         "--workers",
@@ -238,13 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
             '"attempts": [1]}] (modes: raise, hang, kill), or @FILE to '
             "read the JSON from a file"
         ),
-    )
-    sweep_parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        metavar="SEED",
-        help="seed for probabilistic --chaos rules (default: 0)",
     )
     sweep_parser.add_argument(
         "--grid-chips",
@@ -510,7 +500,7 @@ def _chaos_plan(
         except OSError as error:
             parser.error(f"--chaos: cannot read {text[1:]!r}: {error}")
     try:
-        return ChaosPlan.coerce(text, seed=args.chaos_seed)
+        return ChaosPlan.coerce(text)
     except (ValueError, KeyError, TypeError) as error:
         parser.error(f"--chaos: invalid fault plan: {error}")
 

@@ -23,15 +23,15 @@ The public surface:
 * :class:`RetryPolicy` / :class:`Supervision` / :data:`FAILURE_KINDS` --
   the fault-tolerance policy layer (per-cell timeouts, retries with
   deterministic backoff, failure taxonomy, graceful shutdown; see
-  :mod:`repro.pipeline.faults`), plus :class:`ChaosPlan` /
-  :class:`FaultSpec` for deterministic fault injection
-  (:mod:`repro.pipeline.chaos`).
+  :mod:`repro.pipeline.faults`).  ``run_many(..., chaos=...)`` takes
+  deterministic fault injection rules (:mod:`repro.pipeline.chaos`).
+
+The backends and the chaos harness load with the first ``run_many``, so
+importing the package starts no :mod:`multiprocessing` machinery.
 """
 
 from repro.core.spec import ScenarioSpec
 from repro.pipeline.artifacts import Provenance, ScenarioResult, SweepResult
-from repro.pipeline.backends import BACKEND_CHOICES, BACKENDS
-from repro.pipeline.chaos import ChaosPlan, FaultSpec
 from repro.pipeline.faults import (
     FAILURE_KINDS,
     CellFailed,
@@ -56,16 +56,12 @@ __all__ = [
     "Provenance",
     "ScenarioResult",
     "SweepResult",
-    "BACKENDS",
-    "BACKEND_CHOICES",
     "FAILURE_KINDS",
     "RetryPolicy",
     "Supervision",
     "CellFailed",
     "TransientError",
     "InjectedFault",
-    "ChaosPlan",
-    "FaultSpec",
     "ResultStore",
     "StoreStats",
     "code_version_salt",

@@ -2,7 +2,7 @@
 
 Two backends execute a resolved list of :class:`ScenarioSpec` cells:
 
-``serial``
+``serial`` (the default)
     The cells run in submission order inside the calling process, through
     the caller's runner (shared chip provider, warm module-level caches).
     Per-cell wall-clock timeouts use a SIGALRM deadline (main thread
@@ -19,33 +19,28 @@ Two backends execute a resolved list of :class:`ScenarioSpec` cells:
     stay bit-identical to the serial backend while the in-memory
     ``payload`` is dropped.
 
-Both backends run under one supervision policy
-(:class:`repro.pipeline.faults.Supervision`):
+Both backends drain one :class:`_Sweep` -- the specs, their result
+slots, a queue of ``(index, attempt, ready_at)`` attempts and per-cell
+worker-crash counts -- so the supervision policy
+(:class:`repro.pipeline.faults.Supervision`) is written once:
 
-* every failure is *classified* (``exception`` / ``timeout`` /
-  ``worker-crash`` / ``cancelled``) and captured per cell -- one bad cell
-  never kills the sweep;
-* transient failures (timeouts, worker crashes, :class:`TransientError`)
-  retry with deterministic exponential backoff, and the attempt count is
-  recorded in the result's provenance -- a retried cell re-executes the
-  same frozen spec, so its result is bit-identical to a clean run;
-* a cell over its wall-clock budget has its worker killed and replaced,
-  so a hung cell cannot stall sibling cells;
-* a cell that repeatedly kills its worker is quarantined instead of
-  poisoning the pool, and a pool that keeps breaking falls back to the
-  serial backend for the remaining cells;
-* ``on_result`` fires in the parent as each cell finishes (success or
-  failure), which is how ``run_many`` flushes completed cells to the
-  result store incrementally -- an interrupt mid-sweep loses nothing that
-  already finished;
-* :class:`SweepInterrupted` (SIGINT/SIGTERM under
-  :func:`faults.graceful_shutdown`) stops the sweep orderly: in-flight
-  and queued cells are recorded as ``cancelled``, never as spurious
-  failures.
+* every failure is classified (see :data:`faults.FAILURE_KINDS`) and
+  captured per cell, so one bad cell never kills the sweep;
+* transient failures retry with deterministic backoff; a retry goes to
+  the front of the queue, so the serial backend finishes a cell before it
+  starts the next, and re-executes the same frozen spec bit-identically;
+* a cell over its wall-clock budget is interrupted (serial) or has its
+  worker killed and replaced (process);
+* a cell that kills its worker :data:`QUARANTINE_AFTER_CRASHES` times is
+  quarantined, and a pool that loses :data:`SERIAL_FALLBACK_CRASHES`
+  workers requeues its in-flight attempts and drains the rest serially;
+* ``on_result`` fires as each cell settles, which is how ``run_many``
+  flushes completed cells to the result store incrementally;
+* :class:`faults.SweepInterrupted` records running attempts and queued
+  cells as ``cancelled``, never as failures.
 
 Fault injection (:mod:`repro.pipeline.chaos`) hooks in just before a
-cell's pipeline runs, on both backends, so the whole supervision layer is
-testable deterministically.
+cell's pipeline runs, on both backends.
 """
 
 from __future__ import annotations
@@ -53,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import logging
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -67,9 +63,11 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    Union,
     cast,
 )
 
@@ -83,14 +81,14 @@ logger = logging.getLogger(__name__)
 #: Concrete execution backends.
 BACKENDS = ("serial", "process")
 
-#: Everything ``run_many`` accepts: ``"auto"`` resolves to a concrete
-#: backend per sweep via :func:`choose_backend`.
-BACKEND_CHOICES = ("auto",) + BACKENDS
+#: A cell whose worker dies this many times is quarantined -- recorded as
+#: FAILED (``worker-crash``) and never resubmitted -- instead of being
+#: allowed to keep killing fresh workers.
+QUARANTINE_AFTER_CRASHES = 2
 
-#: Minimum sweep size for ``auto`` to reach for the process pool: a
-#: single cell has nothing to overlap, so fork + wire overhead can only
-#: lose (BENCH.json ``parallel_sweep`` measured 0.75x on one CPU).
-AUTO_MIN_CELLS = 2
+#: Worker deaths (across all cells) after which the process pool is
+#: declared unsound and the rest of the sweep drains serially.
+SERIAL_FALLBACK_CRASHES = 5
 
 #: Supervisor idle tick: the upper bound on how late a deadline or a
 #: backed-off retry is noticed (messages from workers wake it instantly).
@@ -98,41 +96,6 @@ _SUPERVISOR_TICK_S = 0.2
 
 #: The per-cell result callback: ``on_result(index, result)``.
 OnResult = Optional[Callable[[int, ScenarioResult], None]]
-
-
-def choose_backend(num_specs: int) -> str:
-    """The backend ``"auto"`` resolves to for a sweep of ``num_specs``.
-
-    The process pool only wins when there are at least two schedulable
-    CPUs *and* enough cells to overlap; otherwise serialization and fork
-    overhead make it strictly slower than the serial backend, so small
-    grids and single-CPU hosts stay serial.  The choice is logged at INFO
-    on the ``repro.pipeline.backends`` logger.
-    """
-    cpus = available_cpus()
-    if cpus >= 2 and num_specs >= AUTO_MIN_CELLS:
-        choice = "process"
-        reason = f"{num_specs} cell(s) across {cpus} schedulable CPUs"
-    else:
-        choice = "serial"
-        reason = (
-            f"only {cpus} schedulable CPU(s)"
-            if cpus < 2
-            else f"only {num_specs} cell(s)"
-        )
-    logger.info("backend auto: chose %r (%s)", choice, reason)
-    return choice
-
-
-def resolve_backend(backend: str, num_specs: int) -> str:
-    """Validate a ``run_many`` backend name, resolving ``"auto"``."""
-    if backend == "auto":
-        return choose_backend(num_specs)
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
-        )
-    return backend
 
 
 def _cell_name(spec: ScenarioSpec) -> str:
@@ -197,6 +160,128 @@ def default_max_workers(num_specs: int) -> int:
     return max(1, min(num_specs, available_cpus()))
 
 
+# -- the sweep both backends drain ---------------------------------------------
+
+
+class _Sweep:
+    """One sweep's cells, attempt queue and supervision policy.
+
+    A backend takes attempts with :meth:`start` and reports each outcome
+    through :meth:`succeed` or :meth:`fail`; :meth:`cancel` closes the
+    sweep on an interrupt.  ``running`` mirrors the attempts a backend has
+    started and not yet reported, so a cancel records them as started.
+    """
+
+    def __init__(
+        self,
+        specs: Sequence[ScenarioSpec],
+        sup: faults.Supervision,
+        on_result: OnResult,
+    ) -> None:
+        self.specs = list(specs)
+        self.sup = sup
+        self.on_result = on_result
+        self.results: List[Optional[ScenarioResult]] = [None] * len(self.specs)
+        #: (index, attempt, ready_at) attempts awaiting a start; ``ready_at``
+        #: (monotonic seconds) gates a backed-off retry.
+        self.queue: Deque[Tuple[int, int, float]] = deque(
+            (index, 1, 0.0) for index in range(len(self.specs))
+        )
+        #: index -> attempt started and not yet reported
+        self.running: Dict[int, int] = {}
+        #: index -> worker crashes caused by that cell
+        self.crashes: Dict[int, int] = {}
+
+    def unfinished(self) -> int:
+        return sum(result is None for result in self.results)
+
+    def start(self, now: float) -> Optional[Tuple[int, int]]:
+        """Begin the first queued attempt whose backoff has elapsed by ``now``."""
+        for position, (index, attempt, ready_at) in enumerate(self.queue):
+            if ready_at <= now:
+                self.running[index] = attempt
+                del self.queue[position]
+                return index, attempt
+        return None
+
+    def requeue(self, index: int, attempt: int) -> None:
+        """Put a started attempt back at the front, to start again as is."""
+        self.queue.appendleft((index, attempt, 0.0))
+        del self.running[index]
+
+    def succeed(self, index: int, attempt: int, result: ScenarioResult) -> None:
+        self.running.pop(index, None)
+        result.provenance = dataclasses.replace(result.provenance, attempts=attempt)
+        self.settle(index, result)
+
+    def fail(self, index: int, attempt: int, failure: faults.CellFailure) -> None:
+        """Quarantine the cell, queue a backed-off retry, or settle it FAILED."""
+        self.running.pop(index, None)
+        spec = self.specs[index]
+        if failure.kind == faults.WORKER_CRASH:
+            crashes = self.crashes[index] = self.crashes.get(index, 0) + 1
+            if crashes >= QUARANTINE_AFTER_CRASHES:
+                self.settle(
+                    index,
+                    failed_result(
+                        spec,
+                        f"{failure.message}\nquarantined after {crashes} worker "
+                        "crash(es); not retried",
+                        kind=faults.WORKER_CRASH,
+                        attempts=attempt,
+                    ),
+                )
+                return
+        if self.sup.retry.should_retry(failure, attempt):
+            delay = self.sup.retry.backoff_for(attempt, key=spec.spec_hash())
+            logger.warning(
+                "cell %s attempt %d failed (%s); retrying in %.2f s",
+                _cell_name(spec), attempt, failure.kind, delay,
+            )
+            self.queue.appendleft((index, attempt + 1, time.monotonic() + delay))
+            return
+        self.settle(
+            index,
+            failed_result(spec, failure.message, kind=failure.kind, attempts=attempt),
+        )
+
+    def settle(self, index: int, result: ScenarioResult) -> None:
+        """Record a cell's final result; raise under ``on_failure="raise"``."""
+        self.results[index] = result
+        if self.on_result is not None:
+            self.on_result(index, result)
+        if (
+            not result.ok
+            and result.error_kind != faults.CANCELLED
+            and self.sup.on_failure == faults.ON_FAILURE_RAISE
+        ):
+            raise faults.CellFailed(result)
+
+    def cancel(self) -> None:
+        """Record running attempts and queued cells as cancelled."""
+        started = {index: attempt - 1 for index, attempt, _ in self.queue}
+        started.update(self.running)
+        self.queue.clear()
+        self.running.clear()
+        for index, result in enumerate(self.results):
+            if result is None:
+                self.settle(
+                    index, cancelled_result(self.specs[index], started.get(index, 0))
+                )
+
+    def run(self, drain: Callable[[], None]) -> List[ScenarioResult]:
+        """Run a backend's ``drain`` until every cell settles or is cancelled."""
+        try:
+            drain()
+        except faults.SweepInterrupted as stop:
+            logger.warning(
+                "%s; cancelling %d unfinished cell(s)", stop, self.unfinished()
+            )
+            self.cancel()
+        # The backend or ``cancel`` settled every slot.
+        return cast(List[ScenarioResult], self.results)
+
+
 # -- serial backend ------------------------------------------------------------
 
 
@@ -241,76 +326,57 @@ def _cell_timeout(timeout_s: Optional[float]) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
-def _attempt_serial(
+def _attempt(
     spec: ScenarioSpec,
-    runner,
-    sup: faults.Supervision,
-    chaos: Optional[chaos_mod.ChaosPlan],
     attempt: int,
-) -> Tuple[Optional[ScenarioResult], Optional[faults.CellFailure]]:
-    """One serial attempt: ``(result, None)`` or ``(None, CellFailure)``."""
+    runner,
+    chaos: Optional[chaos_mod.ChaosPlan],
+    serial: bool,
+    timeout_s: Optional[float] = None,
+) -> Union[ScenarioResult, faults.CellFailure]:
+    """One attempt of one cell on either backend: its result or its failure.
+
+    The planned chaos fault, if any, fires before the pipeline runs; a
+    pool ``kill`` never returns.  ``timeout_s`` arms the serial SIGALRM
+    deadline (the pool enforces its deadlines from the parent instead).
+    """
     from repro.pipeline.runner import Pipeline
 
     try:
-        with _cell_timeout(sup.timeout_s):
+        with _cell_timeout(timeout_s):
             if chaos is not None:
                 fault = chaos.fault_for(_cell_name(spec), attempt)
                 if fault is not None:
-                    chaos_mod.trigger(fault, serial=True)
+                    chaos_mod.trigger(fault, serial=serial)
             result = Pipeline.from_spec(spec).execute(runner)
     except faults.CellTimeout:
-        return None, faults.timeout_failure(sup.timeout_s)
+        assert timeout_s is not None  # only an armed deadline raises it
+        return faults.timeout_failure(timeout_s)
     except Exception as exc:
-        return None, faults.classify_exception(exc, traceback.format_exc())
-    return result, None
+        return faults.classify_exception(exc, traceback.format_exc())
+    return result
 
 
-def _run_cell_serial(
-    spec: ScenarioSpec,
-    runner,
-    sup: faults.Supervision,
-    chaos: Optional[chaos_mod.ChaosPlan],
-    start_attempt: int = 1,
-    prior_crashes: int = 0,
-) -> ScenarioResult:
-    """Execute one cell under the supervision policy, in this process.
-
-    ``start_attempt``/``prior_crashes`` carry accounting over when the
-    process supervisor falls back to serial mid-cell.
-    """
-    attempt = start_attempt
-    crashes = prior_crashes
-    while True:
-        result, failure = _attempt_serial(spec, runner, sup, chaos, attempt)
-        if failure is None:
-            assert result is not None  # the attempt contract: one of the two
-            result.provenance = dataclasses.replace(
-                result.provenance, attempts=attempt
-            )
-            return result
-        if failure.kind == faults.WORKER_CRASH:
-            crashes += 1
-            if crashes >= sup.quarantine_after_crashes:
-                return failed_result(
-                    spec,
-                    f"{failure.message}\nquarantined after {crashes} worker "
-                    "crash(es); not retried",
-                    kind=faults.WORKER_CRASH,
-                    attempts=attempt,
-                )
-        if sup.retry.should_retry(failure, attempt):
-            delay = sup.retry.backoff_for(attempt, key=spec.spec_hash())
-            logger.warning(
-                "cell %s attempt %d failed (%s); retrying in %.2f s",
-                _cell_name(spec), attempt, failure.kind, delay,
-            )
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
-            continue
-        return failed_result(
-            spec, failure.message, kind=failure.kind, attempts=attempt
+def _drain_serial(
+    sweep: _Sweep, runner, chaos: Optional[chaos_mod.ChaosPlan]
+) -> None:
+    """Run the sweep's queued attempts in order, in this process."""
+    while sweep.queue:
+        # The head always runs next: a backed-off retry is never overtaken.
+        _, _, ready_at = sweep.queue[0]
+        delay = ready_at - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        started = sweep.start(math.inf)
+        assert started is not None  # the queue is not empty
+        index, attempt = started
+        outcome = _attempt(
+            sweep.specs[index], attempt, runner, chaos, True, sweep.sup.timeout_s
         )
+        if isinstance(outcome, ScenarioResult):
+            sweep.succeed(index, attempt, outcome)
+        else:
+            sweep.fail(index, attempt, outcome)
 
 
 def run_serial(
@@ -324,34 +390,12 @@ def run_serial(
 
     ``on_result(index, result)`` fires as each cell settles (success,
     failure, or cancellation).  A :class:`faults.SweepInterrupted` raised
-    mid-sweep (see :func:`faults.graceful_shutdown`) records the current
-    and remaining cells as ``cancelled`` and returns the partial results
+    mid-sweep (see :func:`faults.graceful_shutdown`) records the running
+    and queued cells as ``cancelled`` and returns the partial results
     instead of propagating.
     """
-    sup = supervision or faults.Supervision()
-    results: List[Optional[ScenarioResult]] = [None] * len(specs)
-
-    def settle(index: int, result: ScenarioResult) -> None:
-        results[index] = result
-        if on_result is not None:
-            on_result(index, result)
-
-    try:
-        for index, spec in enumerate(specs):
-            result = _run_cell_serial(spec, runner, sup, chaos)
-            settle(index, result)
-            if not result.ok and sup.on_failure == faults.ON_FAILURE_RAISE:
-                raise faults.CellFailed(result)
-    except faults.SweepInterrupted as stop:
-        logger.warning(
-            "%s; cancelling %d unfinished cell(s)",
-            stop, sum(result is None for result in results),
-        )
-    for index, spec in enumerate(specs):
-        if results[index] is None:
-            settle(index, cancelled_result(spec))
-    # Every slot was settled above; the Optional is only for mid-sweep state.
-    return cast(List[ScenarioResult], results)
+    sweep = _Sweep(specs, supervision or faults.Supervision(), on_result)
+    return sweep.run(lambda: _drain_serial(sweep, runner, chaos))
 
 
 # -- process backend -----------------------------------------------------------
@@ -368,19 +412,18 @@ def _pool_context():
 def _supervised_worker(conn, runner, chaos) -> None:
     """Worker body: one cell at a time over ``conn``, until ``None``/EOF.
 
-    Exceptions never cross the pipe raw: the worker ships
-    ``("ok", wire)``, ``("transient", traceback)`` or
-    ``("error", traceback)`` and the parent classifies.  A chaos ``kill``
-    fault hard-exits here (``os._exit``), which the parent observes as a
-    dead worker.  SIGINT is ignored -- a Ctrl-C to the foreground process
-    group must interrupt only the parent's supervisor, not look like a
-    spontaneous crash of every worker.
+    Exceptions never cross the pipe raw: the worker ships ``("ok", wire)``
+    or ``("failed", CellFailure)``, classified as on the serial backend.
+    A chaos ``kill`` fault hard-exits here (``os._exit``), which the
+    parent observes as a dead worker.  SIGINT is ignored -- a Ctrl-C to
+    the foreground process group must interrupt only the parent's
+    supervisor, not look like a spontaneous crash of every worker.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic contexts
         pass
-    from repro.pipeline.runner import ExperimentRunner, Pipeline
+    from repro.pipeline.runner import ExperimentRunner
 
     if runner is None:
         runner = ExperimentRunner()
@@ -392,38 +435,25 @@ def _supervised_worker(conn, runner, chaos) -> None:
         if task is None:
             return
         spec_json, attempt = task
-        try:
-            spec = ScenarioSpec.from_json(spec_json)
-            if chaos is not None:
-                fault = chaos.fault_for(_cell_name(spec), attempt)
-                if fault is not None:
-                    chaos_mod.trigger(fault)  # "kill" never returns
-            result = Pipeline.from_spec(spec).execute(runner)
-            message = ("ok", result.to_wire())
-        except (faults.CellTimeout, faults.SweepInterrupted):
-            # BaseException-derived control flow must never be folded into
-            # the ("error", ...) taxonomy: the parent supervisor owns
-            # timeout/interrupt handling, so let it propagate.
-            raise
-        except faults.TransientError:
-            message = ("transient", traceback.format_exc())
-        except Exception:
-            message = ("error", traceback.format_exc())
+        spec = ScenarioSpec.from_json(spec_json)
+        outcome = _attempt(spec, attempt, runner, chaos, False)
+        if isinstance(outcome, ScenarioResult):
+            message = ("ok", outcome.to_wire())
+        else:
+            message = ("failed", outcome)
         try:
             conn.send(message)
         except (BrokenPipeError, OSError):  # parent went away
             return
 
 
-class _Task:
+class _Task(NamedTuple):
     """One in-flight attempt of one cell on one worker."""
 
-    __slots__ = ("index", "attempt", "deadline")
-
-    def __init__(self, index: int, attempt: int, deadline: Optional[float]):
-        self.index = index
-        self.attempt = attempt
-        self.deadline = deadline
+    index: int
+    attempt: int
+    #: Monotonic seconds; ``inf`` without a per-cell timeout.
+    deadline: float
 
 
 class _Worker:
@@ -437,63 +467,48 @@ class _Worker:
         self.task: Optional[_Task] = None
 
 
-class _ProcessSupervisor:
-    """Supervises a pool of single-cell workers executing one sweep.
+class _ProcessPool:
+    """Drains a :class:`_Sweep` on a pool of single-cell worker processes.
 
-    The event loop dispatches at most one cell per worker, watches worker
-    pipes and process sentinels, enforces per-cell deadlines by killing
-    and replacing hung workers, classifies and retries failures per the
-    supervision policy, quarantines cells that repeatedly kill their
-    worker, and degrades to the serial backend when the pool itself keeps
-    breaking.
+    The event loop dispatches at most one attempt per worker, watches
+    worker pipes and process sentinels, kills and replaces a worker whose
+    attempt overruns its deadline, and reports every outcome to the sweep.
+    After :data:`SERIAL_FALLBACK_CRASHES` worker deaths it requeues its
+    in-flight attempts and hands the sweep to the serial drain.
     """
 
     def __init__(
         self,
-        specs: Sequence[ScenarioSpec],
+        sweep: _Sweep,
         max_workers: int,
         runner,
-        sup: faults.Supervision,
         chaos: Optional[chaos_mod.ChaosPlan],
-        on_result: OnResult,
     ) -> None:
-        self.specs = list(specs)
+        self.sweep = sweep
         self.max_workers = max_workers
         self.runner = runner
-        self.sup = sup
         self.chaos = chaos
-        self.on_result = on_result
         self.context = _pool_context()
-        self.results: List[Optional[ScenarioResult]] = [None] * len(self.specs)
-        #: (index, attempt, ready_at) cells awaiting dispatch, FIFO with
-        #: backed-off retries gated by ``ready_at`` (monotonic seconds).
-        self.queue: Deque[Tuple[int, int, float]] = deque(
-            (index, 1, 0.0) for index in range(len(self.specs))
-        )
-        #: index -> worker crashes caused by that cell
-        self.crashes: Dict[int, int] = {}
-        self.total_crashes = 0
+        self.crashes = 0
         self.workers: List[_Worker] = []
 
-    # -- lifecycle -------------------------------------------------------------
-
-    def run(self) -> List[ScenarioResult]:
-        for _ in range(min(self.max_workers, len(self.specs))):
+    def drain(self) -> None:
+        sweep = self.sweep
+        for _ in range(min(self.max_workers, len(sweep.specs))):
             self.workers.append(self._spawn_worker())
         try:
-            try:
-                self._supervise()
-            except faults.SweepInterrupted as stop:
-                logger.warning(
-                    "%s; cancelling %d unfinished cell(s)",
-                    stop,
-                    sum(result is None for result in self.results),
-                )
-                self._cancel_unfinished()
+            while sweep.unfinished():
+                self._reap()
+                if self.crashes >= SERIAL_FALLBACK_CRASHES:
+                    self._fall_back()
+                    return
+                self._dispatch()
+                if sweep.unfinished():
+                    self._wait()
         finally:
             self._shutdown()
-        # ``_supervise``/``_cancel_unfinished`` settled every slot.
-        return cast(List[ScenarioResult], self.results)
+
+    # -- workers ---------------------------------------------------------------
 
     def _spawn_worker(self) -> _Worker:
         parent_conn, child_conn = self.context.Pipe()
@@ -515,7 +530,7 @@ class _ProcessSupervisor:
             worker.conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
-        if worker.process.is_alive():  # pragma: no cover - defensive
+        if worker.process.is_alive():
             worker.process.kill()
         worker.process.join(1.0)
         self.workers[self.workers.index(worker)] = self._spawn_worker()
@@ -539,254 +554,125 @@ class _ProcessSupervisor:
 
     # -- event loop ------------------------------------------------------------
 
-    def _done(self) -> bool:
-        return all(result is not None for result in self.results)
+    def _receive(self, worker: _Worker) -> bool:
+        """Consume one buffered worker message; ``False`` at end-of-file.
 
-    def _supervise(self) -> None:
-        while not self._done():
-            self._reap_messages()
-            self._reap_crashes()
-            self._reap_timeouts()
-            if self.total_crashes >= self.sup.serial_fallback_crashes:
-                self._fall_back_to_serial()
-                return
-            self._dispatch()
-            if self._done():
-                return
-            self._wait()
-
-    def _settle(self, index: int, result: ScenarioResult) -> None:
-        self.results[index] = result
-        if self.on_result is not None:
-            self.on_result(index, result)
-        if not result.ok and self.sup.on_failure == faults.ON_FAILURE_RAISE:
-            raise faults.CellFailed(result)
-
-    def _resolve_failure(self, task: _Task, failure: faults.CellFailure) -> None:
-        spec = self.specs[task.index]
-        if failure.kind == faults.WORKER_CRASH:
-            count = self.crashes.get(task.index, 0) + 1
-            self.crashes[task.index] = count
-            self.total_crashes += 1
-            if count >= self.sup.quarantine_after_crashes:
-                self._settle(
-                    task.index,
-                    failed_result(
-                        spec,
-                        f"{failure.message}\nquarantined after {count} worker "
-                        "crash(es); not retried",
-                        kind=faults.WORKER_CRASH,
-                        attempts=task.attempt,
-                    ),
-                )
-                return
-        if self.sup.retry.should_retry(failure, task.attempt):
-            delay = self.sup.retry.backoff_for(task.attempt, key=spec.spec_hash())
-            logger.warning(
-                "cell %s attempt %d failed (%s); retrying in %.2f s",
-                _cell_name(spec), task.attempt, failure.kind, delay,
-            )
-            self.queue.append(
-                (task.index, task.attempt + 1, time.monotonic() + delay)
-            )
-            return
-        self._settle(
-            task.index,
-            failed_result(
-                spec, failure.message, kind=failure.kind, attempts=task.attempt
-            ),
-        )
-
-    def _try_receive(self, worker: _Worker) -> Optional[str]:
-        """Consume one buffered worker message, settling its task.
-
-        Returns ``"msg"`` if a message was consumed, ``"eof"`` if the
-        pipe is at end-of-file (the worker is dead -- a dead worker's
-        closed pipe reads as *ready*, so ``poll()`` alone cannot tell a
-        result from a corpse), or ``None`` if nothing is buffered.
+        A dead worker's closed pipe reads as *ready*, so ``poll()`` alone
+        cannot tell a result from a corpse: only ``recv`` can.
         """
         if not worker.conn.poll(0):
-            return None
+            return True
         try:
             status, payload = worker.conn.recv()
         except (EOFError, OSError):
-            return "eof"
+            return False
         task, worker.task = worker.task, None
         if task is None:  # pragma: no cover - defensive
-            return "msg"
+            return True
         if status == "ok":
-            result = ScenarioResult.from_wire(payload)
-            result.provenance = dataclasses.replace(
-                result.provenance, attempts=task.attempt
+            self.sweep.succeed(
+                task.index, task.attempt, ScenarioResult.from_wire(payload)
             )
-            self._settle(task.index, result)
         else:
-            self._resolve_failure(
-                task,
-                faults.CellFailure(
-                    kind=faults.EXCEPTION,
-                    message=payload,
-                    retryable=(status == "transient"),
-                ),
-            )
-        return "msg"
+            self.sweep.fail(task.index, task.attempt, payload)
+        return True
 
-    def _handle_dead_worker(self, worker: _Worker) -> None:
-        task, worker.task = worker.task, None
-        exitcode = worker.process.exitcode
-        self._replace_worker(worker)
-        if task is None:
-            # An idle worker dying is still a broken pool.
-            self.total_crashes += 1
-            return
-        detail = (
-            f"worker process died (exit code {exitcode}) while executing "
-            f"attempt {task.attempt} of cell "
-            f"{_cell_name(self.specs[task.index])}"
-        )
-        logger.warning("%s", detail)
-        self._resolve_failure(task, faults.crash_failure(detail))
-
-    def _reap_messages(self) -> None:
-        for worker in list(self.workers):
-            if worker.task is None:
-                continue
-            if self._try_receive(worker) == "eof":
-                self._handle_dead_worker(worker)
-
-    def _reap_crashes(self) -> None:
-        for worker in list(self.workers):
-            if worker.process.is_alive():
-                continue
-            # A worker that finished its cell and then died still has the
-            # result buffered -- consume it before declaring the crash.
-            self._try_receive(worker)
-            self._handle_dead_worker(worker)
-
-    def _reap_timeouts(self) -> None:
-        if self.sup.timeout_s is None:
-            return
+    def _reap(self) -> None:
+        """Collect results, then replace dead workers and overdue ones."""
         now = time.monotonic()
+        timeout_s = self.sweep.sup.timeout_s
         for worker in list(self.workers):
+            # A worker that finished its cell and then died still has the
+            # result buffered: consume it before declaring the crash.
+            alive = self._receive(worker) and worker.process.is_alive()
             task = worker.task
-            if task is None or task.deadline is None or now < task.deadline:
+            if alive and (task is None or now < task.deadline):
                 continue
             worker.task = None
-            logger.warning(
-                "cell %s attempt %d exceeded its %.1f s timeout; killing "
-                "worker pid %s",
-                _cell_name(self.specs[task.index]), task.attempt,
-                self.sup.timeout_s, worker.process.pid,
-            )
-            worker.process.kill()
+            if alive:
+                # Overdue: only an armed deadline is ever passed.
+                assert task is not None and timeout_s is not None
+                logger.warning(
+                    "cell %s attempt %d exceeded its %.1f s timeout; killing "
+                    "worker pid %s",
+                    _cell_name(self.sweep.specs[task.index]), task.attempt,
+                    timeout_s, worker.process.pid,
+                )
+                self._replace_worker(worker)
+                self.sweep.fail(
+                    task.index, task.attempt, faults.timeout_failure(timeout_s)
+                )
+                continue
             self._replace_worker(worker)
-            self._resolve_failure(task, faults.timeout_failure(self.sup.timeout_s))
+            # An idle worker dying is still a broken pool.
+            self.crashes += 1
+            if task is None:
+                continue
+            detail = (
+                f"worker process died (exit code {worker.process.exitcode}) "
+                f"while executing attempt {task.attempt} of cell "
+                f"{_cell_name(self.sweep.specs[task.index])}"
+            )
+            logger.warning("%s", detail)
+            self.sweep.fail(task.index, task.attempt, faults.crash_failure(detail))
 
     def _dispatch(self) -> None:
         now = time.monotonic()
+        timeout_s = self.sweep.sup.timeout_s
         for worker in self.workers:
             if worker.task is not None:
                 continue
-            item = self._pop_ready(now)
-            if item is None:
+            started = self.sweep.start(now)
+            if started is None:
                 return
-            index, attempt, _ = item
-            deadline = (
-                now + self.sup.timeout_s if self.sup.timeout_s is not None else None
-            )
+            index, attempt = started
             try:
                 worker.conn.send(
-                    (self.specs[index].to_json(indent=None), attempt)
+                    (self.sweep.specs[index].to_json(indent=None), attempt)
                 )
             except (BrokenPipeError, OSError):
                 # Worker died before it could accept the task; requeue and
-                # let the crash reaper replace the worker.
-                self.queue.appendleft((index, attempt, 0.0))
+                # let the reaper replace the worker.
+                self.sweep.requeue(index, attempt)
                 continue
+            deadline = now + timeout_s if timeout_s is not None else math.inf
             worker.task = _Task(index, attempt, deadline)
-
-    def _pop_ready(self, now: float) -> Optional[Tuple[int, int, float]]:
-        """The first queued cell whose backoff has elapsed, if any."""
-        for position, item in enumerate(self.queue):
-            if item[2] <= now:
-                del self.queue[position]
-                return item
-        return None
 
     def _wait(self) -> None:
         now = time.monotonic()
         waits = [_SUPERVISOR_TICK_S]
-        for worker in self.workers:
-            if worker.task is not None and worker.task.deadline is not None:
-                waits.append(worker.task.deadline - now)
-        for _, _, ready_at in self.queue:
-            waits.append(ready_at - now)
-        timeout = max(0.001, min(waits))
+        waits.extend(ready_at - now for _, _, ready_at in self.sweep.queue)
         handles = []
         for worker in self.workers:
             if worker.task is not None:
-                handles.append(worker.conn)
-                handles.append(worker.process.sentinel)
+                waits.append(worker.task.deadline - now)
+                handles.extend((worker.conn, worker.process.sentinel))
+        timeout = max(0.001, min(waits))
         if handles:
             multiprocessing.connection.wait(handles, timeout)
         else:
             time.sleep(min(timeout, 0.05))
 
-    # -- degradation paths -----------------------------------------------------
-
-    def _unfinished(self) -> List[Tuple[int, int]]:
-        """Every unsettled (index, attempt) pair, in submission order."""
-        pairs = {index: attempt for index, attempt, _ in self.queue}
-        for worker in self.workers:
-            if worker.task is not None:
-                pairs[worker.task.index] = worker.task.attempt
-        return sorted(pairs.items())
-
-    def _fall_back_to_serial(self) -> None:
-        unfinished = self._unfinished()
+    def _fall_back(self) -> None:
+        """Requeue in-flight attempts, stop the pool, drain serially."""
+        in_flight = [worker.task for worker in self.workers if worker.task is not None]
+        for task in sorted(in_flight, reverse=True):
+            self.sweep.requeue(task.index, task.attempt)
         logger.warning(
             "process pool broke %d time(s); falling back to the serial "
             "backend for %d unfinished cell(s)",
-            self.total_crashes, len(unfinished),
+            self.crashes, self.sweep.unfinished(),
         )
         for worker in self.workers:
             worker.task = None
             if worker.process.is_alive():
                 worker.process.kill()
-        self.queue.clear()
         runner = self.runner
         if runner is None:
             from repro.pipeline.runner import ExperimentRunner
 
             runner = ExperimentRunner()
-        for index, attempt in unfinished:
-            self._settle(
-                index,
-                _run_cell_serial(
-                    self.specs[index],
-                    runner,
-                    self.sup,
-                    self.chaos,
-                    start_attempt=attempt,
-                    prior_crashes=self.crashes.get(index, 0),
-                ),
-            )
-
-    def _cancel_unfinished(self) -> None:
-        for worker in self.workers:
-            task, worker.task = worker.task, None
-            if task is not None and self.results[task.index] is None:
-                self._settle(
-                    task.index,
-                    cancelled_result(self.specs[task.index], attempts=task.attempt),
-                )
-        while self.queue:
-            index, attempt, _ = self.queue.popleft()
-            if self.results[index] is None:
-                self._settle(
-                    index,
-                    cancelled_result(self.specs[index], attempts=attempt - 1),
-                )
+        _drain_serial(self.sweep, runner, self.chaos)
 
 
 def run_process(
@@ -804,13 +690,9 @@ def run_process(
     of) that runner, inheriting its warm chips; otherwise each worker
     builds a fresh runner on first use.  Supervision semantics (timeouts,
     retries, quarantine, serial fallback, cancellation, ``on_result``)
-    are described on :class:`_ProcessSupervisor` and in
-    :mod:`repro.pipeline.faults`.
+    are those of :class:`_Sweep`, shared with :func:`run_serial`.
     """
-    sup = supervision or faults.Supervision()
+    sweep = _Sweep(specs, supervision or faults.Supervision(), on_result)
     if max_workers is None:
         max_workers = default_max_workers(len(specs))
-    supervisor = _ProcessSupervisor(
-        specs, max_workers, runner, sup, chaos, on_result
-    )
-    return supervisor.run()
+    return sweep.run(_ProcessPool(sweep, max_workers, runner, chaos).drain)

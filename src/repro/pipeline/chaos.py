@@ -1,11 +1,12 @@
-"""Deterministic, seeded fault injection for sweep cells.
+"""Deterministic fault injection for sweep cells.
 
 The chaos harness makes a *named* cell misbehave on chosen attempts so the
 fault-tolerance layer (:mod:`repro.pipeline.faults`,
 :mod:`repro.pipeline.backends`) can be exercised reproducibly -- by the
 test suite, the CI chaos job, and ``sweep --chaos`` on the command line.
 
-A :class:`ChaosPlan` is a list of :class:`FaultSpec` rules::
+A :class:`ChaosPlan` is a list of :class:`FaultSpec` rules (JSON text may
+also wrap the list as ``{"faults": [...]}``)::
 
     ChaosPlan.coerce([
         {"cell": "fig2[seed=1]", "mode": "kill", "attempts": [1]},
@@ -31,15 +32,13 @@ Modes:
 
 Injection happens strictly *before* the cell's pipeline executes, so an
 attempt that survives injection is bit-identical to a clean run of the
-same spec.  Probabilistic rules (``probability < 1``) roll a pure
-``sha256(seed|cell|attempt)`` hash -- not a live RNG -- so a plan fires
+same spec.  A rule fires on every matching attempt, so a plan fires
 identically in every process and on every re-run.
 """
 
 from __future__ import annotations
 
 import fnmatch
-import hashlib
 import json
 import os
 import time
@@ -69,9 +68,6 @@ class FaultSpec:
     #: 1-based attempt numbers on which the fault fires; empty = every
     #: attempt (a *poison* cell that never recovers).
     attempts: Tuple[int, ...] = ()
-    #: Probability the fault fires on a matching attempt (rolled
-    #: deterministically from the plan seed).
-    probability: float = 1.0
     hang_s: float = DEFAULT_HANG_S
 
     def __post_init__(self) -> None:
@@ -84,8 +80,6 @@ class FaultSpec:
             )
         if any(int(a) != a or a < 1 for a in self.attempts):
             raise ValueError("fault 'attempts' must be 1-based attempt numbers")
-        if not 0.0 < self.probability <= 1.0:
-            raise ValueError("fault 'probability' must be in (0, 1]")
         if self.hang_s <= 0:
             raise ValueError("fault 'hang_s' must be positive")
 
@@ -108,8 +102,6 @@ class FaultSpec:
         payload: Dict[str, Any] = {"cell": self.cell, "mode": self.mode}
         if self.attempts:
             payload["attempts"] = list(self.attempts)
-        if self.probability != 1.0:
-            payload["probability"] = self.probability
         if self.hang_s != DEFAULT_HANG_S:
             payload["hang_s"] = self.hang_s
         return payload
@@ -117,24 +109,22 @@ class FaultSpec:
     @classmethod
     def from_json_dict(cls, payload: Dict[str, Any]) -> "FaultSpec":
         """Rebuild from :meth:`to_json_dict` output (extra keys rejected)."""
-        unknown = set(payload) - {"cell", "mode", "attempts", "probability", "hang_s"}
+        unknown = set(payload) - {"cell", "mode", "attempts", "hang_s"}
         if unknown:
             raise ValueError(f"unknown fault field(s): {sorted(unknown)}")
         return cls(
             cell=payload["cell"],
             mode=payload["mode"],
             attempts=tuple(payload.get("attempts", ())),
-            probability=float(payload.get("probability", 1.0)),
             hang_s=float(payload.get("hang_s", DEFAULT_HANG_S)),
         )
 
 
 @dataclass(frozen=True)
 class ChaosPlan:
-    """A seeded set of injection rules, safe to ship to worker processes."""
+    """A set of injection rules, safe to ship to worker processes."""
 
     faults: Tuple[FaultSpec, ...] = ()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
@@ -143,19 +133,20 @@ class ChaosPlan:
     def coerce(
         cls,
         value: Optional[Union["ChaosPlan", str, Sequence]],
-        seed: int = 0,
     ) -> Optional["ChaosPlan"]:
         """``None``, a plan, JSON text, or a rule list -> an optional plan.
 
         JSON text may be either a list of fault objects or
-        ``{"seed": ..., "faults": [...]}``.
+        ``{"faults": [...]}`` (extra keys rejected).
         """
         if value is None or isinstance(value, ChaosPlan):
             return value
         if isinstance(value, str):
             value = json.loads(value)
         if isinstance(value, dict):
-            seed = int(value.get("seed", seed))
+            unknown = set(value) - {"faults"}
+            if unknown:
+                raise ValueError(f"unknown chaos plan field(s): {sorted(unknown)}")
             value = value.get("faults", ())
         rules: List[FaultSpec] = []
         for entry in value:
@@ -163,30 +154,18 @@ class ChaosPlan:
                 rules.append(entry)
             else:
                 rules.append(FaultSpec.from_json_dict(entry))
-        return cls(faults=tuple(rules), seed=seed)
+        return cls(faults=tuple(rules))
 
     def to_json(self) -> str:
         """The plan as JSON (accepted back by :meth:`coerce`)."""
         return json.dumps(
-            {"seed": self.seed, "faults": [f.to_json_dict() for f in self.faults]},
-            sort_keys=True,
+            {"faults": [f.to_json_dict() for f in self.faults]}, sort_keys=True
         )
-
-    def _roll(self, cell_name: str, attempt: int) -> float:
-        """Deterministic uniform [0, 1) fraction for a (cell, attempt)."""
-        digest = hashlib.sha256(
-            f"{self.seed}|{cell_name}|{attempt}".encode("utf-8")
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / 2.0**64
 
     def fault_for(self, cell_name: str, attempt: int) -> Optional[FaultSpec]:
         """The first rule firing for ``cell_name`` on 1-based ``attempt``."""
         for fault in self.faults:
-            if not fault.matches(cell_name, attempt):
-                continue
-            if fault.probability >= 1.0:
-                return fault
-            if self._roll(cell_name, attempt) < fault.probability:
+            if fault.matches(cell_name, attempt):
                 return fault
         return None
 

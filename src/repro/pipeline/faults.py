@@ -1,8 +1,9 @@
 """Fault taxonomy and supervision policy for sweep execution.
 
 This module is the *policy* half of the fault-tolerance layer (the
-*mechanism* -- supervised serial loop and process-pool supervisor -- lives
-in :mod:`repro.pipeline.backends`):
+*mechanism* -- one sweep state drained by the serial loop or the process
+pool -- lives in :mod:`repro.pipeline.backends`, with its fixed
+quarantine and serial-fallback thresholds):
 
 * a failure taxonomy: every failed sweep cell is classified as one of
   :data:`FAILURE_KINDS` (``exception`` / ``timeout`` / ``worker-crash`` /
@@ -13,10 +14,9 @@ in :mod:`repro.pipeline.backends`):
   crashes, and exceptions deriving from :class:`TransientError`.  A
   deterministic in-cell exception (bad spec, bug in a stage) fails
   immediately on its first attempt -- retrying it could only burn time;
-* :class:`Supervision` -- the full per-sweep policy: per-cell wall-clock
-  timeout, retry policy, what to do when a cell exhausts its attempts
-  (``on_failure``), when a repeatedly worker-killing cell is quarantined,
-  and when a repeatedly breaking pool degrades to the serial backend;
+* :class:`Supervision` -- the per-sweep policy: per-cell wall-clock
+  timeout, retry policy, and what to do when a cell exhausts its attempts
+  (``on_failure``);
 * :func:`graceful_shutdown` -- a context manager turning SIGINT/SIGTERM
   into :class:`SweepInterrupted` so a sweep stops *between* (or inside) a
   cell, marks unfinished cells ``cancelled``, and returns normally with
@@ -150,13 +150,21 @@ def crash_failure(detail: str) -> CellFailure:
     return CellFailure(kind=WORKER_CRASH, message=detail, retryable=True)
 
 
+#: Growth of the retry delay per failed attempt.
+BACKOFF_FACTOR = 2.0
+#: Cap on one retry delay, in seconds (before jitter).
+MAX_BACKOFF_S = 30.0
+#: Fractional spread of the deterministic jitter on each delay.
+JITTER = 0.1
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries with exponential backoff and deterministic jitter.
 
     ``max_attempts`` counts *total* attempts (1 = never retry).  The delay
-    before attempt ``n + 1`` is ``backoff_s * backoff_factor ** (n - 1)``
-    capped at ``max_backoff_s``, then jittered by up to ``+/- jitter``
+    before attempt ``n + 1`` is ``backoff_s * BACKOFF_FACTOR ** (n - 1)``
+    capped at :data:`MAX_BACKOFF_S`, then jittered by up to ``+/- JITTER``
     (fractional).  The jitter is a pure function of ``(key, attempt)`` --
     the key is the cell's spec hash -- so two runs of the same sweep back
     off identically and stay reproducible.
@@ -164,19 +172,12 @@ class RetryPolicy:
 
     max_attempts: int = 3
     backoff_s: float = 0.1
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 30.0
-    jitter: float = 0.1
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.backoff_s < 0 or self.max_backoff_s < 0:
-            raise ValueError("backoff durations must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be at least 1.0")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
+        if self.backoff_s < 0:
+            raise ValueError("backoff_s must be non-negative")
 
     @classmethod
     def none(cls) -> "RetryPolicy":
@@ -214,15 +215,12 @@ class RetryPolicy:
         ``sha256(key:attempt)``, not a live RNG, so resumed/retried sweeps
         are reproducible run to run.
         """
-        base = min(
-            self.backoff_s * self.backoff_factor ** (attempt - 1),
-            self.max_backoff_s,
-        )
-        if self.jitter <= 0.0 or base <= 0.0:
+        base = min(self.backoff_s * BACKOFF_FACTOR ** (attempt - 1), MAX_BACKOFF_S)
+        if base <= 0.0:
             return base
         digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
         fraction = int.from_bytes(digest[:8], "big") / 2.0**64
-        return base * (1.0 + self.jitter * (2.0 * fraction - 1.0))
+        return base * (1.0 + JITTER * (2.0 * fraction - 1.0))
 
 
 @dataclass(frozen=True)
@@ -238,14 +236,6 @@ class Supervision:
     #: result and the sweep continues.  ``"raise"``: the sweep aborts
     #: with :class:`CellFailed` (completed cells are already flushed).
     on_failure: str = ON_FAILURE_RECORD
-    #: A cell whose worker dies this many times is quarantined -- recorded
-    #: as FAILED (``worker-crash``) and never resubmitted -- instead of
-    #: being allowed to keep killing fresh workers.
-    quarantine_after_crashes: int = 2
-    #: Total worker crashes (across all cells) after which the process
-    #: pool is declared unsound and the remaining cells fall back to the
-    #: serial backend.
-    serial_fallback_crashes: int = 5
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -255,10 +245,6 @@ class Supervision:
                 f"on_failure must be one of {ON_FAILURE_CHOICES}, "
                 f"got {self.on_failure!r}"
             )
-        if self.quarantine_after_crashes < 1:
-            raise ValueError("quarantine_after_crashes must be at least 1")
-        if self.serial_fallback_crashes < 1:
-            raise ValueError("serial_fallback_crashes must be at least 1")
 
 
 #: Signals :func:`graceful_shutdown` converts into an orderly stop.

@@ -25,17 +25,19 @@ import logging
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union, cast
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union, cast
 
 from repro.caching import LRUCache
 from repro.core.spec import ScenarioSpec
 from repro.experiments.common import build_watermark
-from repro.pipeline import backends, faults
+from repro.pipeline import faults
 from repro.pipeline.artifacts import Provenance, ScenarioResult, SweepResult
-from repro.pipeline.chaos import ChaosPlan
 from repro.pipeline.stages import PipelineStage, StageContext, stages_for
 from repro.pipeline.store import ResultStore
 from repro.soc.registry import build_registered_chip, workload_program
+
+if TYPE_CHECKING:  # loaded by run_many only, so importing the package forks nothing
+    from repro.pipeline.chaos import ChaosPlan
 
 logger = logging.getLogger(__name__)
 
@@ -168,7 +170,7 @@ class ExperimentRunner:
     def run_many(
         self,
         scenarios: Iterable[Union[ScenarioSpec, str, pathlib.Path]],
-        backend: str = "auto",
+        backend: str = "serial",
         max_workers: Optional[int] = None,
         store: Optional[Union[ResultStore, str, pathlib.Path]] = None,
         resume: bool = True,
@@ -187,10 +189,10 @@ class ExperimentRunner:
         (each with its own runner and naturally warming caches) and is
         bit-identical in scalars, arrays and reports -- only the in-memory
         ``payload`` objects are dropped, exactly as after
-        :meth:`ScenarioResult.load`.  The default ``"auto"`` picks the
-        process pool only when the host has at least two schedulable CPUs
-        and the sweep has enough cells to win (the choice is logged, see
-        :func:`repro.pipeline.backends.choose_backend`).
+        :meth:`ScenarioResult.load`.  Serial is the default: on a 2-CPU
+        host the pool ran a 6-cell grid at 0.51x serial speed
+        (BENCH.json ``parallel_sweep``).  Both backends share one
+        supervision path (:mod:`repro.pipeline.backends`).
 
         With ``store`` the sweep becomes resumable and memoized: before
         executing, every cell already present under the current (spec
@@ -229,10 +231,16 @@ class ExperimentRunner:
         already computed and ``--resume`` picks up exactly where it
         stopped.
         """
+        from repro.pipeline import backends
+        from repro.pipeline.chaos import ChaosPlan
+
         specs: Sequence[ScenarioSpec] = [self.resolve(s) for s in scenarios]
         if not specs:
             raise ValueError("at least one scenario is required")
-        chosen = backends.resolve_backend(backend, len(specs))
+        if backend not in backends.BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; expected one of {backends.BACKENDS}"
+            )
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
         supervision = faults.Supervision(
@@ -269,7 +277,7 @@ class ExperimentRunner:
                     store.put(result)
 
             with faults.graceful_shutdown():
-                if chosen == "serial":
+                if backend == "serial":
                     backends.run_serial(
                         pending_specs,
                         self,

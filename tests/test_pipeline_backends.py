@@ -299,57 +299,19 @@ class TestSpecGrid:
         assert len({spec.spec_hash() for spec in specs}) == 3
 
 
-class TestAutoBackend:
-    """``backend="auto"`` picks process only when it can plausibly pay off."""
+class TestDefaultBackend:
+    """Serial is the default backend; ``auto`` is gone."""
 
-    def test_multi_cpu_multi_cell_chooses_process(self, monkeypatch):
-        from repro.pipeline import backends
-
-        monkeypatch.setattr(backends, "available_cpus", lambda: 4)
-        assert backends.choose_backend(6) == "process"
-
-    def test_single_cpu_chooses_serial(self, monkeypatch):
-        from repro.pipeline import backends
-
-        monkeypatch.setattr(backends, "available_cpus", lambda: 1)
-        assert backends.choose_backend(100) == "serial"
-
-    def test_tiny_grid_chooses_serial(self, monkeypatch):
-        from repro.pipeline import backends
-
-        monkeypatch.setattr(backends, "available_cpus", lambda: 8)
-        assert backends.choose_backend(1) == "serial"
-
-    def test_choice_is_logged(self, monkeypatch, caplog):
-        import logging
-
-        from repro.pipeline import backends
-
-        monkeypatch.setattr(backends, "available_cpus", lambda: 1)
-        with caplog.at_level(logging.INFO, logger="repro.pipeline.backends"):
-            backends.choose_backend(3)
-        assert any("backend auto" in record.message for record in caplog.records)
-
-    def test_resolve_passes_explicit_backends_through(self):
-        from repro.pipeline.backends import resolve_backend
-
-        assert resolve_backend("serial", 10) == "serial"
-        assert resolve_backend("process", 10) == "process"
-        assert resolve_backend("auto", 10) in ("serial", "process")
-
-    def test_resolve_rejects_unknown_backend(self):
-        from repro.pipeline.backends import resolve_backend
-
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("threads", 10)
-
-    def test_backend_choices_exposed(self):
-        from repro.pipeline import BACKEND_CHOICES, BACKENDS
-
-        assert BACKEND_CHOICES == ("auto",) + BACKENDS
-
-    def test_run_many_defaults_to_auto(self):
+    def test_run_many_defaults_to_serial(self):
         import inspect
 
         signature = inspect.signature(ExperimentRunner.run_many)
-        assert signature.parameters["backend"].default == "auto"
+        assert signature.parameters["backend"].default == "serial"
+
+    def test_cli_rejects_auto_backend(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "fig2", "--backend", "auto"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err

@@ -52,13 +52,11 @@ def _assert_matches_clean(result, clean):
 class TestRetryPolicy:
     def test_defaults_and_validation(self):
         policy = faults.RetryPolicy()
-        assert policy.max_attempts == 3
+        assert (policy.max_attempts, policy.backoff_s) == (3, 0.1)
         with pytest.raises(ValueError, match="max_attempts"):
             faults.RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="backoff_factor"):
-            faults.RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError, match="jitter"):
-            faults.RetryPolicy(jitter=1.0)
+        with pytest.raises(ValueError, match="backoff_s"):
+            faults.RetryPolicy(backoff_s=-1.0)
 
     def test_coerce_forms(self):
         assert faults.RetryPolicy.coerce(None).max_attempts == 1
@@ -82,23 +80,41 @@ class TestRetryPolicy:
         assert not policy.should_retry(deterministic, 1)
 
     def test_backoff_is_exponential_capped_and_deterministic(self):
-        policy = faults.RetryPolicy(
-            backoff_s=1.0, backoff_factor=2.0, max_backoff_s=3.0, jitter=0.1
+        # The exact delays of the default policy: 0.1 s doubled per
+        # attempt, capped at 30 s (attempts 10-12), jittered by +/-10%
+        # from sha256(key:attempt).  Pinned to the last digit.
+        policy = faults.RetryPolicy()
+        assert [policy.backoff_for(n, key="cell") for n in range(1, 13)] == [
+            0.09232894215664411,
+            0.19557562028901937,
+            0.43940669223485984,
+            0.7747361088572315,
+            1.5265222980305266,
+            2.963642849453249,
+            5.842956581975664,
+            12.187660209346634,
+            25.536550744746265,
+            31.817333074044353,
+            29.122191537477583,
+            29.973866125986575,
+        ]
+        assert [policy.backoff_for(n) for n in range(1, 4)] == [
+            0.10063905438293855,
+            0.19282395784630904,
+            0.4176770711553222,
+        ]
+        assert (faults.BACKOFF_FACTOR, faults.MAX_BACKOFF_S, faults.JITTER) == (
+            2.0,
+            30.0,
+            0.1,
         )
-        first = policy.backoff_for(1, key="cell")
-        second = policy.backoff_for(2, key="cell")
-        third = policy.backoff_for(3, key="cell")
-        assert 0.9 <= first <= 1.1
-        assert 1.8 <= second <= 2.2
-        assert 2.7 <= third <= 3.3  # base capped at 3.0, then jittered
-        # Pure function of (key, attempt): reproducible run to run.
-        assert first == policy.backoff_for(1, key="cell")
-        assert first != policy.backoff_for(1, key="other-cell")
+        assert policy.backoff_for(1, key="cell") != policy.backoff_for(
+            1, key="other-cell"
+        )
 
-    def test_zero_jitter_is_exact(self):
-        policy = faults.RetryPolicy(backoff_s=0.5, jitter=0.0)
-        assert policy.backoff_for(1) == 0.5
-        assert policy.backoff_for(2) == 1.0
+    def test_zero_backoff_is_exact(self):
+        policy = faults.RetryPolicy(backoff_s=0.0)
+        assert [policy.backoff_for(n, key="cell") for n in (1, 2, 12)] == [0.0] * 3
 
 
 class TestChaosPlan:
@@ -126,36 +142,20 @@ class TestChaosPlan:
             chaos.FaultSpec(cell="x", mode="explode")
         with pytest.raises(ValueError, match="attempts"):
             chaos.FaultSpec(cell="x", mode="raise", attempts=(0,))
-        with pytest.raises(ValueError, match="probability"):
-            chaos.FaultSpec(cell="x", mode="raise", probability=0.0)
-        with pytest.raises(ValueError, match="unknown fault field"):
-            chaos.FaultSpec.from_json_dict({"cell": "x", "mode": "raise", "oops": 1})
-
-    def test_probability_roll_is_deterministic(self):
-        plan = chaos.ChaosPlan(
-            faults=(chaos.FaultSpec(cell="*", mode="raise", probability=0.5),),
-            seed=7,
-        )
-        outcomes = [plan.fault_for(f"cell-{i}", 1) is not None for i in range(32)]
-        assert outcomes == [
-            plan.fault_for(f"cell-{i}", 1) is not None for i in range(32)
-        ]
-        assert any(outcomes) and not all(outcomes)
-        other_seed = chaos.ChaosPlan(faults=plan.faults, seed=8)
-        assert outcomes != [
-            other_seed.fault_for(f"cell-{i}", 1) is not None for i in range(32)
-        ]
+        for extra in ("oops", "probability"):
+            with pytest.raises(ValueError, match="unknown fault field"):
+                chaos.FaultSpec.from_json_dict(
+                    {"cell": "x", "mode": "raise", extra: 0.5}
+                )
 
     def test_json_round_trip_and_coerce(self):
-        plan = chaos.ChaosPlan.coerce(
-            [{"cell": "a", "mode": "hang", "hang_s": 2.5, "attempts": [1, 3]}],
-            seed=3,
-        )
+        rules = [{"cell": "a", "mode": "hang", "hang_s": 2.5, "attempts": [1, 3]}]
+        plan = chaos.ChaosPlan.coerce(rules)
         assert chaos.ChaosPlan.coerce(plan.to_json()) == plan
+        assert chaos.ChaosPlan.coerce(json.dumps({"faults": rules})) == plan
         assert chaos.ChaosPlan.coerce(None) is None
-        assert chaos.ChaosPlan.coerce(
-            json.dumps({"seed": 3, "faults": [{"cell": "a", "mode": "raise"}]})
-        ).seed == 3
+        with pytest.raises(ValueError, match="unknown chaos plan field"):
+            chaos.ChaosPlan.coerce(json.dumps({"seed": 3, "faults": rules}))
 
     def test_first_matching_rule_wins(self):
         plan = chaos.ChaosPlan.coerce(
@@ -334,29 +334,37 @@ class TestFaultScenarios:
 
 
 class TestSerialFallback:
-    def test_broken_pool_falls_back_to_serial(self, caplog, clean_sweep):
+    def test_broken_pool_falls_back_to_serial(self, caplog):
+        # Cells 1 and 2 each kill two workers (quarantined at the second
+        # crash); cell 3's first kill is the pool's fifth crash, so its
+        # retry runs on the serial drain of the same sweep.
+        assert backends.QUARANTINE_AFTER_CRASHES == 2
+        assert backends.SERIAL_FALLBACK_CRASHES == 5
         supervision = faults.Supervision(
-            retry=faults.RetryPolicy(max_attempts=4, backoff_s=0.0, jitter=0.0),
-            quarantine_after_crashes=10,
-            serial_fallback_crashes=2,
+            retry=faults.RetryPolicy(max_attempts=4, backoff_s=0.0)
         )
         plan = chaos.ChaosPlan.coerce(
-            [{"cell": _cell(1), "mode": "kill", "attempts": [1, 2]}]
+            [
+                {"cell": _cell(1), "mode": "kill", "attempts": [1, 2]},
+                {"cell": _cell(2), "mode": "kill", "attempts": [1, 2]},
+                {"cell": _cell(3), "mode": "kill", "attempts": [1]},
+            ]
         )
         with caplog.at_level(logging.WARNING, logger="repro.pipeline.backends"):
             results = backends.run_process(
-                _specs(2),
+                _specs(3),
                 max_workers=1,
                 supervision=supervision,
                 chaos=plan,
             )
         assert any("falling back" in record.message for record in caplog.records)
-        assert all(result.ok for result in results)
-        # Attempts 1 and 2 crashed the pool; attempt 3 ran serially (the
-        # serial path simulates further kills, but the rule stops at 2).
-        assert results[0].provenance.attempts == 3
-        _assert_matches_clean(results[0], clean_sweep[0])
-        _assert_matches_clean(results[1], clean_sweep[1])
+        for quarantined in results[:2]:
+            assert quarantined.error_kind == faults.WORKER_CRASH
+            assert "quarantined" in quarantined.error
+            assert quarantined.provenance.attempts == 2
+        assert results[2].ok and results[2].provenance.attempts == 2
+        clean = ExperimentRunner().run_many(_specs(3)[2:], backend="serial")[0]
+        _assert_matches_clean(results[2], clean)
 
 
 class TestGracefulShutdown:
@@ -407,6 +415,9 @@ class TestGracefulShutdown:
         kinds = [result.error_kind for result in interrupted]
         assert kinds[0] is None and kinds[1] is None
         assert faults.CANCELLED in kinds[2:]
+        # The hung cell had started its first attempt; the last never ran.
+        assert interrupted[2].provenance.attempts == 1
+        assert interrupted[3].provenance.attempts == 0
         assert not any(
             kind == faults.EXCEPTION for kind in kinds
         ), "never-ran cells must not be reported as failures"
@@ -424,14 +435,37 @@ class TestGracefulShutdown:
             _assert_matches_clean(got, expected)
 
 
+    @BOTH_BACKENDS
+    def test_sigterm_under_on_failure_raise_cancels_instead_of_raising(
+        self, backend
+    ):
+        # A cancelled cell did not fail: "raise" must not turn the orderly
+        # stop into a CellFailed abort.
+        timer = threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGTERM))
+        timer.start()
+        try:
+            sweep = ExperimentRunner().run_many(
+                _specs(3),
+                backend=backend,
+                max_workers=1,
+                on_failure="raise",
+                chaos=[{"cell": _cell(2), "mode": "hang", "hang_s": 60}],
+            )
+        finally:
+            timer.cancel()
+        assert [(cell.error_kind, cell.provenance.attempts) for cell in sweep] == [
+            (None, 1),
+            (faults.CANCELLED, 1),
+            (faults.CANCELLED, 0),
+        ]
+
+
 class TestSupervisionPlumbing:
     def test_supervision_validation(self):
         with pytest.raises(ValueError, match="timeout_s"):
             faults.Supervision(timeout_s=0)
         with pytest.raises(ValueError, match="on_failure"):
             faults.Supervision(on_failure="explode")
-        with pytest.raises(ValueError, match="quarantine"):
-            faults.Supervision(quarantine_after_crashes=0)
 
     def test_run_many_rejects_bad_on_failure(self):
         with pytest.raises(ValueError, match="on_failure"):

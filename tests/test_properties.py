@@ -12,6 +12,7 @@ from repro.analysis.overhead import area_overhead_reduction
 from repro.detection.batch import BatchCPADetector
 from repro.detection.cpa import rotation_correlations
 from repro.detection.statistics import BoxPlotStats
+from repro.pipeline import ExperimentRunner, RetryPolicy, RunOptions, SpecGrid
 from repro.power.models import scale_energy_with_voltage
 from repro.power.synthesis import periodic_extend, rolled_blocks
 from repro.rtl.activity import ActivityRecord
@@ -326,3 +327,59 @@ def test_streamed_detection_matches_matrix_and_naive(trials, period, binary, dat
     assert np.array_equal(streamed.detected, stacked.detected)
     naive = np.stack([naive_rotation_correlations(sequence, row) for row in matrix])
     np.testing.assert_allclose(streamed.correlations, naive, rtol=0.0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Sweep supervision
+# ---------------------------------------------------------------------------
+
+_SWEEP_SEEDS = (1, 2, 3, 4)
+
+#: Chaos rules over the four fig2 cells: one per targeted cell, firing
+#: ``raise`` or ``kill`` on a subset of attempts 1-3.
+_chaos_rules = st.lists(
+    st.tuples(
+        st.sampled_from([f"fig2[seed={seed}]" for seed in _SWEEP_SEEDS]),
+        st.sampled_from(["raise", "kill"]),
+        st.sets(st.integers(min_value=1, max_value=3), min_size=1),
+    ),
+    max_size=4,
+    unique_by=lambda rule: rule[0],
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    rules=_chaos_rules,
+    max_attempts=st.integers(min_value=1, max_value=4),
+    max_workers=st.sampled_from([1, 2]),
+)
+def test_serial_and_process_backends_settle_cells_alike(rules, max_attempts, max_workers):
+    """One supervision policy: retries, quarantine and pool fallback agree.
+
+    The serial backend simulates a worker kill as a raised crash; the
+    process backend loses a real worker.  Every cell must still end with
+    the same error kind after the same number of attempts, and the cells
+    that succeed must report the same bytes.
+    """
+    plan = [
+        {"cell": cell, "mode": mode, "attempts": sorted(attempts)}
+        for cell, mode, attempts in rules
+    ]
+    specs = SpecGrid("fig2", RunOptions()).build(seeds=list(_SWEEP_SEEDS))
+    serial, parallel = (
+        ExperimentRunner().run_many(
+            specs,
+            backend=backend,
+            max_workers=max_workers,
+            retry=RetryPolicy(max_attempts=max_attempts, backoff_s=0.0),
+            chaos=plan,
+        )
+        for backend in ("serial", "process")
+    )
+    assert [(cell.error_kind, cell.provenance.attempts) for cell in serial] == [
+        (cell.error_kind, cell.provenance.attempts) for cell in parallel
+    ]
+    for one, other in zip(serial, parallel):
+        if one.ok:
+            assert one.report == other.report

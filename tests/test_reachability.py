@@ -475,11 +475,16 @@ def test_import_leaves_scipy_out():
 def test_import_leaves_networkx_out():
     # The netlist keeps its own adjacency, and repro-lint is a package the
     # library never imports: importing the package and its pipeline loads
-    # neither a graph library nor any repro.lint module.
+    # neither a graph library nor any repro.lint module.  The sweep
+    # backends and the chaos harness load with the first run_many, so the
+    # import starts no multiprocessing machinery either.
     code = (
         "import sys, repro, repro.pipeline\n"
         "assert 'networkx' not in sys.modules\n"
         "loaded = [name for name in sys.modules if name.startswith('repro.lint')]\n"
+        "assert not loaded, loaded\n"
+        "lazy = ('repro.pipeline.backends', 'repro.pipeline.chaos', 'multiprocessing')\n"
+        "loaded = [name for name in lazy if name in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
