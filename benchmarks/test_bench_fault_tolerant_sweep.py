@@ -14,7 +14,9 @@ cannot be resolved on a sweep of a third of a second, so the grid takes
 over a second (24 cells, each arming its own deadline).  Each round times
 one plain and one supervised sweep back to back, in alternating order, and
 the gate reads the median of the per-round supervised/plain ratios: a slow
-spell of the host then scales both sides of a round alike.
+spell of the host then scales both sides of a round alike.  The gate
+(``REPRO_BENCH_RELAXED=0``) reads 7 rounds; a relaxed run only reports, so
+it reads 3 and says so in its record.
 """
 
 import statistics
@@ -29,6 +31,7 @@ REPETITIONS = 100
 SEEDS = tuple(range(1_000, 13_000, 1_000))
 MAX_OVERHEAD = 0.05
 ROUNDS = 7
+RELAXED_ROUNDS = 3
 
 
 def _grid_specs():
@@ -68,8 +71,9 @@ def test_bench_supervision_overhead_under_five_percent(report, relaxed):
     # passes see identical warm caches.
     runner.run_many(specs, backend="serial")
 
+    rounds = RELAXED_ROUNDS if relaxed else ROUNDS
     pairs = _paired_rounds(
-        ROUNDS,
+        rounds,
         lambda: runner.run_many(specs, backend="serial"),
         lambda: runner.run_many(
             specs, backend="serial", timeout=300.0, retry=2
@@ -83,7 +87,7 @@ def test_bench_supervision_overhead_under_five_percent(report, relaxed):
     lines = [
         f"grid: {len(specs)} Fig. 6 cells (2 chips x {len(SEEDS)} seeds), "
         f"{NUM_CYCLES} cycles x {REPETITIONS} repetitions, "
-        f"{ROUNDS} paired rounds",
+        f"{rounds} paired rounds",
         f"plain sweep (no supervision), median:      {plain_s:.3f} s",
         f"supervised (timeout=300, retries=2), median: {supervised_s:.3f} s",
         "per-round overhead: "
@@ -98,7 +102,7 @@ def test_bench_supervision_overhead_under_five_percent(report, relaxed):
             "num_cycles": NUM_CYCLES,
             "cells": len(specs),
             "repetitions": REPETITIONS,
-            "rounds": ROUNDS,
+            "rounds": rounds,
             "plain_s": round(plain_s, 4),
             "supervised_s": round(supervised_s, 4),
             "overhead_pct": round(overhead * 100, 2),
@@ -112,5 +116,5 @@ def test_bench_supervision_overhead_under_five_percent(report, relaxed):
         assert overhead < MAX_OVERHEAD, (
             f"supervision should cost <{MAX_OVERHEAD * 100:.0f}% on a "
             f"fault-free sweep; measured a median {overhead * 100:+.1f}% "
-            f"over {ROUNDS} rounds ({plain_s:.3f} s -> {supervised_s:.3f} s)"
+            f"over {rounds} rounds ({plain_s:.3f} s -> {supervised_s:.3f} s)"
         )

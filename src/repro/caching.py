@@ -10,8 +10,9 @@ Sharing contract: a cached value is served to *every* caller, so an
 ndarray handed to :meth:`LRUCache.get_or_compute`'s ``compute`` must be
 frozen (``array.flags.writeable = False``) before it is returned -- one
 caller mutating a served array would silently corrupt every other
-caller's "cached" result.  The ``CACHE001`` rule in
-:mod:`repro.analysis` enforces this statically at the call sites.
+caller's "cached" result.  The CACHE001 scan in
+``tests/test_code_policy.py`` keeps ``get_or_compute`` to the known call
+sites and bans re-thawing an array anywhere in the library.
 """
 
 from __future__ import annotations

@@ -102,7 +102,8 @@ class ExperimentRunner:
                 m0_window_cycles=spec.m0_window_cycles,
             )
 
-        # repro-lint: allow[CACHE001] the chip provider caches ChipModel objects, not arrays; array freezing happens inside the chip's own window cache
+        # Caches ChipModel objects, not arrays; the chip freezes the arrays
+        # of its own window cache.
         return self._chips.get_or_compute(key, build)
 
     def chip_cache_stats(self):

@@ -141,16 +141,13 @@ class Netlist:
 
     # -- structural analysis --------------------------------------------
 
-    def _search(self, sources: Iterable[str], undirected: bool) -> Set[str]:
-        """Breadth-first closure of ``sources`` over driven (and driving) edges."""
+    def _search(self, sources: Iterable[str]) -> Set[str]:
+        """Breadth-first closure of ``sources`` over driven and driving edges."""
         seen = set(sources)
         queue = deque(seen)
         while queue:
             node = queue.popleft()
-            neighbours = list(self._succ[node])
-            if undirected:
-                neighbours += self._pred[node]
-            for neighbour in neighbours:
+            for neighbour in [*self._succ[node], *self._pred[node]]:
                 if neighbour not in seen:
                     seen.add(neighbour)
                     queue.append(neighbour)
@@ -162,18 +159,10 @@ class Netlist:
         clustered: Set[str] = set()
         for name in self._nodes:
             if name not in clustered:
-                cluster = self._search([name], undirected=True)
+                cluster = self._search([name])
                 clustered |= cluster
                 clusters.append(cluster)
         return clusters
-
-    def reachable_from(self, sources: Iterable[str]) -> Set[str]:
-        """All instances reachable (forward) from the given sources."""
-        sources = list(sources)
-        for source in sources:
-            if source not in self._nodes:
-                raise KeyError(f"component {source!r} not present in netlist")
-        return self._search(sources, undirected=False)
 
     def subgraph_stats(self, names: Iterable[str]) -> Dict[str, int]:
         """Cell/register counts of a candidate sub-circuit."""

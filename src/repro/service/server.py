@@ -281,7 +281,7 @@ class DetectionService:
     # -- execution with store coalescing ---------------------------------------
 
     def _inflight_lock(self, key: str) -> threading.Lock:
-        # repro-lint: allow[CACHE001] caches Lock objects, not arrays
+        # Caches Lock objects, not arrays.
         return self._inflight.get_or_compute(key, threading.Lock)
 
     def _execute(self, spec: ScenarioSpec) -> Tuple[ScenarioResult, bool]:

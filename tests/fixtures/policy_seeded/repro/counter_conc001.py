@@ -1,5 +1,5 @@
 # Seeded CONC001: self._total is guarded by self._lock in add() but
-# touched bare in bump() and peek().  CI asserts the linter flags this.
+# touched bare in bump() and peek().  The CONC001 scan must flag both.
 import threading
 
 

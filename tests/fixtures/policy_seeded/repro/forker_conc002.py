@@ -1,6 +1,5 @@
 # Seeded CONC002: this module starts threads, then fork()s outside the
-# sanctioned supervisor (pipeline/backends.py).  CI asserts the linter
-# flags this.
+# supervised pool (pipeline/backends.py).  The CONC002 scan must flag it.
 import os
 import threading
 

@@ -1,5 +1,5 @@
 # Seeded EXC001: a broad except in pipeline/ that neither re-raises nor
-# names CellTimeout/SweepInterrupted.  CI asserts the linter flags this.
+# names CellTimeout/SweepInterrupted.  The EXC001 scan must flag it.
 
 
 def run_cell(cell, record):

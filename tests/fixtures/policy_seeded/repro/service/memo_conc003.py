@@ -1,6 +1,6 @@
 # Seeded CONC003: bare-dict get-or-create memoization in a service/
-# module (must be the locking caching.LRUCache).  CI asserts the linter
-# flags this.
+# module (must be the locking caching.LRUCache).  The CONC003 scan must
+# flag it.
 _MEMO = {}
 
 

@@ -1,23 +1,36 @@
-"""Threaded stress tests pinning this PR's concurrency fixes.
+"""Threaded stress tests for the lock-holding classes of the library.
 
-repro-lint's CONC001/CONC003 rules surfaced two real races in the
-service layer; each fix gets a targeted stress test so a regression
-fails loudly rather than flaking once a month:
+Each class that keeps shared state behind a lock gets a test under
+concurrent callers, so a lost update or a torn read fails loudly rather
+than flaking once a month.  The CONC001 scan in ``tests/test_code_policy.py``
+checks the same classes statically (every touch of lock-guarded state holds
+the lock); these tests pin what the locking buys:
 
-* ``Ledger.count``/``tip_digest`` read ``_count``/``_tip`` off-lock
-  (CONC001) -- now locked property reads, hammered here against
-  concurrent appends;
-* ``DetectionService._inflight`` was an unbounded bare dict guarded by
-  a second lock (CONC003) -- now a bounded ``caching.LRUCache``,
-  hammered here for coalescing and boundedness.
+* ``Ledger.count``/``tip_digest`` read ``_count``/``_tip`` under the
+  ledger's lock, hammered here against concurrent appends;
+* ``DetectionService._inflight`` is a bounded ``caching.LRUCache`` of
+  per-spec locks, hammered here for coalescing and boundedness;
+* ``TokenBucket``, ``ServiceMetrics`` and ``ResultStore``'s counters add
+  up exactly under 8 threads behind a barrier.
 """
 
+import sys
 import threading
 
 import pytest
 
+from repro.core.spec import ScenarioSpec
+from repro.pipeline import ExperimentRunner, ResultStore
 from repro.service.ledger import Ledger
-from repro.service.server import _INFLIGHT_LOCKS, DetectionService, ServiceConfig
+from repro.service.protocol import TokenBucket
+from repro.service.server import (
+    _INFLIGHT_LOCKS,
+    DetectionService,
+    ServiceConfig,
+    ServiceMetrics,
+)
+
+THREADS = 8
 
 
 def _run_threads(workers):
@@ -140,3 +153,72 @@ class TestInflightLockTable:
         _run_threads([refetch] * 8)
         assert len({id(lock) for lock in locks}) == 1
         assert locks[0] is not first
+
+
+@pytest.fixture()
+def switch_often():
+    # Hand the GIL over every microsecond, so an unlocked check-then-set
+    # interleaves in a run this short.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestExactCountsUnderContention:
+    CALLS_EACH = 16
+
+    def test_token_bucket_grants_exactly_its_capacity(self, switch_often):
+        bucket = TokenBucket(capacity=64, refill_per_s=0)
+        granted = []
+        guard = threading.Lock()
+
+        def consume():
+            mine = sum(bucket.consume("client") for _ in range(self.CALLS_EACH))
+            with guard:
+                granted.append(mine)
+
+        _run_threads([consume] * THREADS)
+        assert sum(granted) == 64
+        assert not bucket.consume("client")
+
+    def test_service_metrics_counts_add_up(self, switch_often):
+        metrics = ServiceMetrics()
+
+        def record(index):
+            def run():
+                for i in range(self.CALLS_EACH):
+                    metrics.observe(f"/e{index % 2}", 500 if i % 4 == 0 else 200, float(i))
+                    metrics.cache_event(hit=i % 2 == 0)
+
+            return run
+
+        _run_threads([record(i) for i in range(THREADS)])
+        calls = THREADS * self.CALLS_EACH
+        snapshot = metrics.snapshot()
+        assert snapshot["requests"]["total"] == calls
+        assert snapshot["requests"]["by_endpoint"] == {"/e0": calls // 2, "/e1": calls // 2}
+        assert snapshot["requests"]["errors"] == calls // 4
+        assert snapshot["cache"]["hits"] == snapshot["cache"]["misses"] == calls // 2
+        assert snapshot["latency_ms"]["count"] == calls
+
+    def test_result_store_counts_every_concurrent_get(self, tmp_path):
+        # At the default switch interval: a hit parses the npz header with
+        # ast.literal_eval, and under microsecond switching CPython 3.11
+        # raised SystemError ("AST constructor recursion depth mismatch")
+        # from a concurrent get.
+        store = ResultStore(tmp_path)
+        stored = ScenarioSpec(kind="fig2", name="stored", seed=1)
+        absent = ScenarioSpec(kind="fig2", name="absent", seed=2)
+        store.put(ExperimentRunner().run(stored))
+
+        def get():
+            for _ in range(self.CALLS_EACH // 2):
+                assert store.get(stored) is not None
+                assert store.get(absent) is None
+
+        _run_threads([get] * THREADS)
+        stats = store.stats()
+        assert stats.hits == stats.misses == THREADS * self.CALLS_EACH // 2

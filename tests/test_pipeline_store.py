@@ -182,6 +182,13 @@ class TestCorruptionDetection:
         assert removed == 2  # entry document + its corrupt npz
         assert stored.stats().entries == 0 and stored.verify() == []
 
+    def test_store_rebuild_errors_exclude_exception(self):
+        from repro.pipeline.store import _REBUILD_ERRORS
+
+        assert Exception not in _REBUILD_ERRORS
+        assert BaseException not in _REBUILD_ERRORS
+        assert ValueError in _REBUILD_ERRORS
+
 
 class TestCodeVersionInvalidation:
     def test_entries_from_another_commit_miss(self, tmp_path):

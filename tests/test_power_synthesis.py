@@ -300,3 +300,23 @@ class TestPeriodicPowerTemplate:
             PeriodicPowerTemplate(name="t", clock=clock, power_w=np.array([]))
         with pytest.raises(ValueError):
             PeriodicPowerTemplate(name="t", clock=clock, power_w=np.ones((2, 2)))
+
+    def test_periodic_template_is_served_read_only(self):
+        from repro.rtl.signals import Clock
+
+        template = PeriodicPowerTemplate(
+            name="t", clock=Clock(name="clk", frequency_hz=1e6), power_w=np.ones(8)
+        )
+        assert not template.power_w.flags.writeable
+        with pytest.raises(ValueError):
+            template.power_w[0] = 2.0
+
+    def test_freezing_does_not_alias_the_caller_array(self):
+        from repro.rtl.signals import Clock
+
+        mine = np.ones(8)
+        PeriodicPowerTemplate(
+            name="t", clock=Clock(name="clk", frequency_hz=1e6), power_w=mine
+        )
+        assert mine.flags.writeable  # the template froze its own copy
+        mine[0] = 5.0  # and my array still works

@@ -1,11 +1,11 @@
 """Every library module and every symbol is reachable from an entry point.
 
 Modules.  Walks the static import graph (module-level and function-local
-imports) from the CLI, the scenario pipeline, the detection service and the
-linter's ``__main__``.  A name imported from a package resolves to the
-module that package re-exports it from, so a package ``__init__`` reaches
-nothing by itself: a module that only a re-export, a test or an example
-imports is dead code and fails this test.
+imports) from the CLI, the scenario pipeline and the detection service.  A
+name imported from a package resolves to the module that package re-exports
+it from, so a package ``__init__`` reaches nothing by itself: a module that
+only a re-export, a test or an example imports is dead code and fails this
+test.
 
 Symbols.  Every top-level function and class and every method of a reached
 module must be reached too.  A plain AST name-reference pass decides it: a
@@ -70,7 +70,6 @@ ROOTS = (
     "repro.pipeline.runner",
     "repro.service.server",
     "repro.service.client",
-    "repro.lint.__main__",
 )
 
 #: Library modules kept only as oracles that tests compare the library
@@ -473,16 +472,13 @@ def test_import_leaves_scipy_out():
 
 
 def test_import_leaves_networkx_out():
-    # The netlist keeps its own adjacency, and repro-lint is a package the
-    # library never imports: importing the package and its pipeline loads
-    # neither a graph library nor any repro.lint module.  The sweep
-    # backends and the chaos harness load with the first run_many, so the
-    # import starts no multiprocessing machinery either.
+    # The netlist keeps its own adjacency: importing the package and its
+    # pipeline loads no graph library.  The sweep backends and the chaos
+    # harness load with the first run_many, so the import starts no
+    # multiprocessing machinery either.
     code = (
         "import sys, repro, repro.pipeline\n"
         "assert 'networkx' not in sys.modules\n"
-        "loaded = [name for name in sys.modules if name.startswith('repro.lint')]\n"
-        "assert not loaded, loaded\n"
         "lazy = ('repro.pipeline.backends', 'repro.pipeline.chaos', 'multiprocessing')\n"
         "loaded = [name for name in lazy if name in sys.modules]\n"
         "assert not loaded, loaded\n"

@@ -74,9 +74,6 @@ class TestNetlistStructure:
         sizes = sorted(len(c) for c in clusters)
         assert sizes == [2, 4]
 
-    def test_reachability(self, simple_netlist):
-        assert simple_netlist.reachable_from(["clk_ctrl"]) == {"clk_ctrl", "icg", "reg", "logic"}
-
     def test_subgraph_stats(self, simple_netlist):
         stats = simple_netlist.subgraph_stats(["wm_lfsr", "wm_load"])
         assert stats == {"instances": 2, "registers": 76, "cells": 76}

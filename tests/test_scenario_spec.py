@@ -339,6 +339,21 @@ class TestScenarioResultArtifacts:
         assert provenance.environment["numpy"] == np.__version__
         assert provenance.created_at
 
+    def test_provenance_clock_is_the_single_patch_point(self, monkeypatch):
+        from repro.pipeline import artifacts
+
+        monkeypatch.setattr(
+            artifacts, "provenance_clock", lambda: "2026-01-01T00:00:00+00:00"
+        )
+        prov = artifacts.Provenance(spec_hash="abc")
+        assert prov.created_at == "2026-01-01T00:00:00+00:00"
+
+    def test_provenance_clock_returns_utc_iso8601(self):
+        from repro.pipeline.artifacts import provenance_clock
+
+        stamp = provenance_clock()
+        assert stamp.endswith("+00:00")
+
     def test_json_dict_contains_array_metadata_only(self, tmp_path):
         result = ExperimentRunner().run(ScenarioSpec(kind="fig2", name="fig2", seed=9))
         payload = result.to_json_dict()
