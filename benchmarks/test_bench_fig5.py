@@ -40,7 +40,7 @@ def test_bench_fig5_panel(benchmark, report, paper_config, expectations, chip_na
         low, high = fig5_expect[f"{chip_name}_peak_rho_range"]
         assert panel.cpa.detected
         assert low < panel.cpa.peak_correlation < high
-        assert single_resolvable_peak(panel.spectrum.correlations)
+        assert single_resolvable_peak(panel.cpa.correlations)
     else:
         assert not panel.cpa.detected
         assert abs(panel.cpa.peak_correlation) < fig5_expect["noise_floor_abs_max"]

@@ -54,7 +54,7 @@ from repro.core import (
     ExperimentConfig,
     WatermarkGenerationCircuit,
 )
-from repro.detection import BatchCPADetector, CPADetector, SpreadSpectrum
+from repro.detection import BatchCPADetector, CPADetector
 from repro.measurement import AcquisitionCampaign
 from repro.power import PowerEstimator
 from repro.soc import build_chip_one, build_chip_two
@@ -80,7 +80,6 @@ __all__ = [
     "WatermarkGenerationCircuit",
     "CPADetector",
     "BatchCPADetector",
-    "SpreadSpectrum",
     "AcquisitionCampaign",
     "PowerEstimator",
     "build_chip_one",

@@ -50,9 +50,7 @@ SCENARIO_KINDS: Tuple[str, ...] = (
 #: code-version salt (:func:`repro.pipeline.store.code_version_salt`): a
 #: schema bump invalidates memoized results whose spec serialization
 #: changed meaning.
-SPEC_SCHEMA_VERSION = 7
-
-_SPEC_SCHEMA_VERSION = SPEC_SCHEMA_VERSION
+SPEC_SCHEMA_VERSION = 8
 
 
 #: Marker distinguishing a frozen mapping from a frozen list in ``params``.
@@ -214,7 +212,7 @@ class ScenarioSpec:
     def to_json_dict(self) -> Dict[str, Any]:
         """Nested JSON-able representation (round-trips via :meth:`from_json_dict`)."""
         return {
-            "schema_version": _SPEC_SCHEMA_VERSION,
+            "schema_version": SPEC_SCHEMA_VERSION,
             "kind": self.kind,
             "name": self.name,
             "chip": self.chip,
@@ -234,8 +232,8 @@ class ScenarioSpec:
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_json_dict` output."""
         payload = dict(payload)
-        version = payload.pop("schema_version", _SPEC_SCHEMA_VERSION)
-        if version != _SPEC_SCHEMA_VERSION:
+        version = payload.pop("schema_version", SPEC_SCHEMA_VERSION)
+        if version != SPEC_SCHEMA_VERSION:
             raise ValueError(f"unsupported spec schema version {version!r}")
         known = {
             "kind", "name", "chip", "workload", "watermark", "measurement",

@@ -18,12 +18,13 @@ The single-trace :class:`repro.detection.cpa.CPADetector` delegates to this
 engine, so a batch of one is *bit-identical* to a single detection -- the
 equivalence suite in ``tests/test_detection_batch.py`` locks this in.
 
+Every trial is correlated against one shared 1-D watermark sequence.
 Traces arrive either as per-cycle arrays (one 1-D trace, or a ``trials x
 cycles`` matrix), which are folded here, or as their :class:`PhaseFold`,
 which skips the fold.  Producers that can draw the fold directly hand it
 over and never materialise a per-cycle row:
 :meth:`repro.measurement.AcquisitionCampaign.measure_folded` does this for
-the Fig. 6 repetitions and
+the Fig. 5 panels and the Fig. 6 repetitions and
 :meth:`repro.power.synthesis.TraceSynthesizer.trial_folds` for the
 Monte-Carlo trials of the detection-probability and masking studies.
 """
@@ -120,34 +121,26 @@ def fold_by_phase(traces: np.ndarray, period: int) -> Tuple[np.ndarray, np.ndarr
     return fold.folded, _phase_counts(fold.num_cycles, period)
 
 
-def _as_sequence_matrix(sequences: np.ndarray) -> np.ndarray:
-    """``sequences`` as float64: one shared vector or one row per trial."""
-    x = np.asarray(sequences, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise ValueError("sequences must be a 1-D vector or a (trials x period) matrix")
-    if x.shape[-1] < 2:
+def _as_sequence(sequence: np.ndarray) -> np.ndarray:
+    """``sequence`` as a float64 vector: one period shared by every trial."""
+    x = np.asarray(sequence, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("the watermark sequence must be a 1-D period shared by every trial")
+    if len(x) < 2:
         raise ValueError("the watermark sequence must contain at least two cycles")
     return x
 
 
-def _check_sequence_rows(x: np.ndarray, trials: int) -> None:
-    if x.ndim == 2 and x.shape[0] != trials:
-        raise ValueError(
-            f"per-trial sequences need one row per trial ({x.shape[0]} != {trials})"
-        )
-
-
 def batch_rotation_correlations(
-    sequences: np.ndarray, traces: Union[np.ndarray, PhaseFold]
+    sequence: np.ndarray, traces: Union[np.ndarray, PhaseFold]
 ) -> np.ndarray:
     """Rotation correlation spectra for a whole batch of traces at once.
 
     Parameters
     ----------
-    sequences:
-        One period of the watermark model sequence, either a single 1-D
-        vector shared by every trial or a ``trials x period`` matrix giving
-        each trial its own sequence (same period).
+    sequence:
+        One period of the watermark model sequence, a 1-D vector shared by
+        every trial.
     traces:
         The measured per-cycle power: a ``trials x cycles`` matrix or one
         1-D trace (a batch of one), or the traces' :class:`PhaseFold`,
@@ -156,11 +149,10 @@ def batch_rotation_correlations(
     Returns
     -------
     ``trials x period`` matrix; row ``t`` equals
-    ``rotation_correlations(sequence_t, trace_t)``.
+    ``rotation_correlations(sequence, trace_t)``.
     """
-    x = _as_sequence_matrix(sequences)
-    shared = x.ndim == 1
-    period = x.shape[-1]
+    x = _as_sequence(sequence)
+    period = len(x)
     if isinstance(traces, PhaseFold):
         if traces.folded.shape[1] != period:
             raise ValueError(
@@ -172,7 +164,6 @@ def batch_rotation_correlations(
         fold = _fold_traces(traces, period)
     folded, sum_yy, num_cycles = fold.folded, fold.sum_yy, fold.num_cycles
     trials = folded.shape[0]
-    _check_sequence_rows(x, trials)
     counts = _phase_counts(num_cycles, period)
     # Per-row totals: folded already holds every cycle's contribution, so the
     # row sum falls out of the fold without another pass over the traces.
@@ -184,20 +175,15 @@ def batch_rotation_correlations(
     #   S_x(r)     = sum_p counts[p]    * x[(p + r) mod period]
     #   S_xx(r)    = S_x(r) when x is 0/1 valued
     # -- circular cross-correlations, evaluated as one stack of rFFTs.
-    fft_x = np.fft.rfft(x, axis=-1)
+    fft_x = np.fft.rfft(x)
     fft_counts = np.fft.rfft(counts)
     s_xy = np.fft.irfft(np.conj(np.fft.rfft(folded, axis=-1)) * fft_x, n=period, axis=-1)
-    s_x = np.fft.irfft(np.conj(fft_counts) * fft_x, n=period, axis=-1)
+    s_x = np.fft.irfft(np.conj(fft_counts) * fft_x, n=period)
     if np.all((x == 0.0) | (x == 1.0)):
         s_xx = s_x
     else:
-        s_xx = np.fft.irfft(
-            np.conj(fft_counts) * np.fft.rfft(x * x, axis=-1), n=period, axis=-1
-        )
+        s_xx = np.fft.irfft(np.conj(fft_counts) * np.fft.rfft(x * x), n=period)
 
-    if shared:
-        s_x = s_x[None, :]
-        s_xx = s_xx[None, :]
     numerator = num_cycles * s_xy - s_x * sum_y[:, None]
     var_x = num_cycles * s_xx - s_x * s_x
     denominator = np.sqrt(np.clip(var_x, 0.0, None)) * np.sqrt(
@@ -298,14 +284,14 @@ class BatchCPADetector:
         self.config = config or DetectionConfig()
 
     def detect_many(
-        self, sequences: np.ndarray, traces: Union[np.ndarray, PhaseFold]
+        self, sequence: np.ndarray, traces: Union[np.ndarray, PhaseFold]
     ) -> BatchCPAResult:
         """Run CPA on every trace and apply the detection decision.
 
         ``traces`` is a ``trials x cycles`` matrix, one 1-D trace or their
         :class:`PhaseFold` (see :func:`batch_rotation_correlations`).
         """
-        return self.evaluate_many(batch_rotation_correlations(sequences, traces))
+        return self.evaluate_many(batch_rotation_correlations(sequence, traces))
 
     def evaluate_many(self, correlations: np.ndarray) -> BatchCPAResult:
         """Apply the detection decision to precomputed correlation spectra.

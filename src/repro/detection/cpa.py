@@ -7,7 +7,9 @@ cycles (the two are not phase-aligned on the bench).  The number of
 rotations equals the watermark sequence period.
 
 The measured vector is folded into per-phase sums (the model sequence is
-periodic, so only the phase of each cycle matters) and all rotation
+periodic, so only the phase of each cycle matters), or arrives already
+folded as a one-row :class:`~repro.detection.batch.PhaseFold` (the Fig. 5
+panel draws it with ``AcquisitionCampaign.measure_folded``), and all rotation
 correlations are obtained with one circular cross-correlation via FFT,
 O(N + period log period).  The test suite keeps the literal per-rotation
 correlator as its oracle (``tests/trial_oracle.py``).
@@ -21,15 +23,17 @@ bit-identical to row ``i`` of ``BatchCPADetector.detect_many``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.core.config import DetectionConfig
-from repro.detection.batch import BatchCPADetector, batch_rotation_correlations
+from repro.detection.batch import BatchCPADetector, PhaseFold, batch_rotation_correlations
 
 
-def rotation_correlations(sequence: np.ndarray, measured: np.ndarray) -> np.ndarray:
+def rotation_correlations(
+    sequence: np.ndarray, measured: Union[np.ndarray, PhaseFold]
+) -> np.ndarray:
     """Correlation coefficient for every rotation of the watermark sequence.
 
     Parameters
@@ -37,21 +41,18 @@ def rotation_correlations(sequence: np.ndarray, measured: np.ndarray) -> np.ndar
     sequence:
         One period of the watermark model sequence (0/1 values).
     measured:
-        Measured per-cycle power vector ``Y``.
+        Measured per-cycle power vector ``Y``, or its one-row
+        :class:`~repro.detection.batch.PhaseFold`.
     """
-    sequence = np.asarray(sequence, dtype=np.float64)
-    measured = np.asarray(measured, dtype=np.float64)
-    if sequence.ndim != 1 or measured.ndim != 1:
-        raise ValueError("sequence and measured vectors must be one-dimensional")
-    if len(sequence) < 2:
-        raise ValueError("the watermark sequence must contain at least two cycles")
-    if len(measured) < len(sequence):
-        raise ValueError(
-            "the measured trace must cover at least one full watermark period "
-            f"({len(measured)} < {len(sequence)})"
-        )
+    if isinstance(measured, PhaseFold):
+        single = measured.folded.shape[0] == 1
+    else:
+        measured = np.asarray(measured, dtype=np.float64)
+        single = measured.ndim == 1
+    if not single:
+        raise ValueError("a single-trace detection reads one 1-D trace or a one-row phase fold")
     # One code path for single and batched detection: a batch of one.
-    return batch_rotation_correlations(sequence, measured[None, :])[0]
+    return batch_rotation_correlations(sequence, measured)[0]
 
 
 @dataclass
@@ -100,8 +101,14 @@ class CPADetector:
     def __init__(self, config: Optional[DetectionConfig] = None) -> None:
         self.config = config or DetectionConfig()
 
-    def detect(self, sequence: np.ndarray, measured: np.ndarray) -> CPAResult:
-        """Run CPA over all rotations and apply the detection decision."""
+    def detect(
+        self, sequence: np.ndarray, measured: Union[np.ndarray, PhaseFold]
+    ) -> CPAResult:
+        """Run CPA over all rotations and apply the detection decision.
+
+        ``measured`` is one per-cycle trace or its one-row
+        :class:`~repro.detection.batch.PhaseFold`.
+        """
         return self.evaluate(rotation_correlations(sequence, measured))
 
     def evaluate(self, correlations: np.ndarray) -> CPAResult:

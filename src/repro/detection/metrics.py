@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -47,11 +45,3 @@ def estimate_required_cycles(
     extreme_factor = np.sqrt(2.0 * np.log(num_rotations))
     required_sigma = confidence_sigma + extreme_factor
     return int(np.ceil((required_sigma / expected_rho) ** 2))
-
-
-def detection_probability(detections: Sequence[bool]) -> float:
-    """Fraction of successful detections in a sequence of attempts."""
-    detections = list(detections)
-    if not detections:
-        return 0.0
-    return float(np.mean(np.asarray(detections, dtype=bool)))

@@ -14,16 +14,14 @@ from typing import Dict
 
 from repro.core.config import ExperimentConfig
 from repro.detection.cpa import CPAResult
-from repro.detection.spread_spectrum import SpreadSpectrum
 
 
 @dataclass
 class Fig5Panel:
-    """One of the four panels of Fig. 5."""
+    """One of the four panels of Fig. 5: its spread spectrum is ``cpa.correlations``."""
 
     chip_name: str
     watermark_active: bool
-    spectrum: SpreadSpectrum
     cpa: CPAResult
 
     @property

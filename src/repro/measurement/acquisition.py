@@ -8,11 +8,13 @@ added to the chip's per-cycle power.  The result is a
 :class:`MeasuredTrace` whose ``values`` array is the measured per-cycle
 power vector ``Y``.
 
-Repeated acquisitions of one power trace (the Fig. 6 repetitions) never
-materialise their rows: the detector reads only each row's phase fold and
-energy, and :meth:`AcquisitionCampaign.measure_folded` draws exactly those
-from their joint distribution with ``period + 2`` draws per repetition
-instead of ``num_cycles``.
+Acquisitions that only feed a detection decision (each Fig. 5 panel's
+one acquisition and the Fig. 6 repetitions) never materialise their rows:
+the detector reads only each row's phase fold and energy, and
+:meth:`AcquisitionCampaign.measure_folded` draws exactly those from their
+joint distribution with ``period + 2`` draws per acquisition instead of
+``num_cycles``.  :meth:`AcquisitionCampaign.measure` draws the per-cycle
+row for callers that display it (Fig. 3).
 """
 
 from __future__ import annotations
@@ -206,30 +208,3 @@ class AcquisitionCampaign:
         )
         sum_yy = power @ power + 2.0 * power_dot_noise + noise_dot_noise
         return PhaseFold(power_fold + noise_folds, sum_yy, num_cycles)
-
-    # -- chip-level entry points --------------------------------------------------
-
-    def measure_chip(
-        self,
-        chip,
-        num_cycles: int,
-        watermark_active: bool = True,
-        power_seed: Optional[int] = None,
-        seed: Optional[int] = None,
-        watermark_phase_offset: int = 0,
-    ) -> MeasuredTrace:
-        """Measure a chip's total power directly (one acquisition).
-
-        Convenience wrapper over ``chip.total_power(...)`` followed by
-        :meth:`measure`; because the chip's background power is served from
-        the chip-level template cache, repeated acquisitions of the same
-        chip configuration skip both the M0 window simulation and the
-        background block-activity draws entirely.
-        """
-        power = chip.total_power(
-            num_cycles,
-            watermark_active=watermark_active,
-            seed=power_seed,
-            watermark_phase_offset=watermark_phase_offset,
-        )
-        return self.measure(power, seed=seed)

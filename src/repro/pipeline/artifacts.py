@@ -40,8 +40,6 @@ PathLike = Union[str, pathlib.Path]
 #: and ``provenance.attempts`` (retry accounting); v1 artifacts still load.
 ARTIFACT_SCHEMA_VERSION = 2
 
-_ARTIFACT_SCHEMA_VERSION = ARTIFACT_SCHEMA_VERSION
-
 #: Versions :meth:`ScenarioResult.load`/``SweepResult.load`` accept.
 _READABLE_SCHEMA_VERSIONS = (1, 2)
 
@@ -190,7 +188,7 @@ class ScenarioResult:
     def to_json_dict(self) -> Dict[str, Any]:
         """JSON-able representation (array *metadata* only, data lives in .npz)."""
         return {
-            "schema_version": _ARTIFACT_SCHEMA_VERSION,
+            "schema_version": ARTIFACT_SCHEMA_VERSION,
             "spec": self.spec.to_json_dict(),
             "provenance": self.provenance.to_json_dict(),
             "scalars": dict(self.scalars),
@@ -216,7 +214,7 @@ class ScenarioResult:
     def _from_json_dict(
         cls, payload: Dict[str, Any], arrays: Dict[str, np.ndarray]
     ) -> "ScenarioResult":
-        version = payload.get("schema_version", _ARTIFACT_SCHEMA_VERSION)
+        version = payload.get("schema_version", ARTIFACT_SCHEMA_VERSION)
         if version not in _READABLE_SCHEMA_VERSIONS:
             raise ValueError(f"unsupported artifact schema version {version!r}")
         error = payload.get("error")
@@ -429,7 +427,7 @@ class SweepResult:
     def to_json_dict(self) -> Dict[str, Any]:
         """JSON-able representation of the whole sweep."""
         return {
-            "schema_version": _ARTIFACT_SCHEMA_VERSION,
+            "schema_version": ARTIFACT_SCHEMA_VERSION,
             "elapsed_s": self.elapsed_s,
             "results": [result.to_json_dict() for result in self.results],
         }
@@ -463,7 +461,7 @@ class SweepResult:
         """Read a sweep artifact written by :meth:`save`."""
         json_path = _json_path(path)
         payload = json.loads(json_path.read_text())
-        version = payload.get("schema_version", _ARTIFACT_SCHEMA_VERSION)
+        version = payload.get("schema_version", ARTIFACT_SCHEMA_VERSION)
         if version not in _READABLE_SCHEMA_VERSIONS:
             raise ValueError(f"unsupported artifact schema version {version!r}")
         stacked: Dict[str, np.ndarray] = {}

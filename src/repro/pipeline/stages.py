@@ -30,8 +30,7 @@ from repro.core.seeds import child_seed
 from repro.core.spec import ScenarioSpec
 from repro.detection.campaign import run_detection_probability_campaign
 from repro.detection.cpa import CPADetector
-from repro.detection.batch import BatchCPADetector
-from repro.detection.spread_spectrum import SpreadSpectrum
+from repro.detection.batch import BatchCPADetector, PhaseFold
 from repro.detection.statistics import RepetitionStatistics
 from repro.experiments.common import build_watermark
 from repro.experiments.fig2 import _compute_fig2
@@ -193,38 +192,43 @@ def _fig3_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 # -- Fig. 5 ----------------------------------------------------------------------
 
 
-def _fig5_panel_phase_offset(spec: ScenarioSpec) -> int:
+def _phase_offset(spec: ScenarioSpec) -> int:
     if spec.phase_offset is not None:
         return spec.phase_offset
     period = spec.watermark.sequence_period
     return int(_PAPER_PHASE_FRACTION.get(spec.chip, 0.5) * period)
 
 
+def _measure_folded(ctx: StageContext, seeds: List[int]) -> PhaseFold:
+    """The spec's chip power, measured once per seed as the detector reads it.
+
+    Each acquisition is drawn as its phase fold and energy, which is all
+    the detector reads of a trace: no per-cycle row exists.
+    """
+    chip = ctx.data["chip"]
+    spec = ctx.spec
+    power = chip.total_power(
+        spec.measurement.num_cycles,
+        watermark_active=spec.watermark_active,
+        seed=spec.seed,
+        watermark_phase_offset=_phase_offset(spec),
+    )
+    return AcquisitionCampaign.from_spec(spec).measure_folded(
+        power, seeds=seeds, period=len(chip.watermark_sequence())
+    )
+
+
 @stage_builder("fig5_panel")
 def _fig5_panel_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def acquisition(ctx: StageContext) -> None:
-        chip = ctx.data["chip"]
-        campaign = AcquisitionCampaign.from_spec(ctx.spec)
-        ctx.data["measured"] = campaign.measure_chip(
-            chip,
-            ctx.spec.measurement.num_cycles,
-            watermark_active=ctx.spec.watermark_active,
-            power_seed=ctx.spec.seed,
-            seed=ctx.spec.seed,
-            watermark_phase_offset=_fig5_panel_phase_offset(ctx.spec),
-        )
+        ctx.data["fold"] = _measure_folded(ctx, [ctx.spec.seed])
 
     def detection(ctx: StageContext) -> None:
-        chip = ctx.data["chip"]
-        detector = CPADetector(ctx.spec.detection)
-        sequence = chip.watermark_sequence()
-        cpa = detector.detect(sequence, ctx.data["measured"].values)
-        key = _panel_key(ctx.spec.chip, ctx.spec.watermark_active)
-        spectrum = SpreadSpectrum(label=key, correlations=cpa.correlations)
+        sequence = ctx.data["chip"].watermark_sequence()
+        cpa = CPADetector(ctx.spec.detection).detect(sequence, ctx.data["fold"])
         panel = Fig5Panel(
             chip_name=ctx.spec.chip,
             watermark_active=ctx.spec.watermark_active,
-            spectrum=spectrum,
             cpa=cpa,
         )
         ctx.finish(
@@ -295,24 +299,11 @@ def _fig5_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 @stage_builder("fig6_chip")
 def _fig6_chip_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def campaign_stage(ctx: StageContext) -> None:
-        chip = ctx.data["chip"]
         spec = ctx.spec
-        power = chip.total_power(
-            spec.measurement.num_cycles,
-            watermark_active=spec.watermark_active,
-            seed=spec.seed,
-            watermark_phase_offset=_fig5_panel_phase_offset(spec),
+        folds = _measure_folded(
+            ctx, [child_seed(spec.seed, "repetition", r) for r in range(spec.repetitions)]
         )
-        # Each repetition is drawn as its phase fold and energy, which is
-        # all the detector reads of a trace: no repetition's row exists.
-        sequence = chip.watermark_sequence()
-        folds = AcquisitionCampaign.from_spec(spec).measure_folded(
-            power,
-            seeds=[
-                child_seed(spec.seed, "repetition", r) for r in range(spec.repetitions)
-            ],
-            period=len(sequence),
-        )
+        sequence = ctx.data["chip"].watermark_sequence()
         batch = BatchCPADetector(spec.detection).detect_many(sequence, folds)
         ctx.data["correlations"] = batch.correlations
         ctx.data["detections"] = batch.detected

@@ -12,10 +12,14 @@ the lock); these tests pin what the locking buys:
   per-spec locks, hammered here for coalescing and boundedness;
 * ``TokenBucket``, ``ServiceMetrics`` and ``ResultStore``'s counters add
   up exactly under 8 threads behind a barrier.
+
+Every thread is a daemon joined within :data:`DEADLINE_S`, so a deadlock
+fails its test with the names of the stuck threads.
 """
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -33,8 +37,23 @@ from repro.service.server import (
 THREADS = 8
 
 
-def _run_threads(workers):
-    barrier = threading.Barrier(len(workers))
+#: Seconds a stress run's threads get to finish: a deadlock in the class
+#: under test then fails the test, naming the stuck threads, instead of
+#: hanging the suite.
+DEADLINE_S = 60.0
+
+
+def _join_all(threads, deadline_s=DEADLINE_S):
+    """Join daemon ``threads`` within one shared deadline; fail on stragglers."""
+    deadline = time.monotonic() + deadline_s
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = [thread.name for thread in threads if thread.is_alive()]
+    assert not alive, f"threads still running after {deadline_s} s: {alive}"
+
+
+def _run_threads(workers, deadline_s=DEADLINE_S):
+    barrier = threading.Barrier(len(workers), timeout=deadline_s)
     errors = []
 
     def wrap(fn):
@@ -47,12 +66,24 @@ def _run_threads(workers):
 
         return run
 
-    threads = [threading.Thread(target=wrap(fn)) for fn in workers]
+    threads = [
+        threading.Thread(target=wrap(fn), name=f"stress-worker-{index}", daemon=True)
+        for index, fn in enumerate(workers)
+    ]
     for thread in threads:
         thread.start()
-    for thread in threads:
-        thread.join()
+    _join_all(threads, deadline_s)
     assert errors == []
+
+
+class TestRunThreadsDeadline:
+    def test_a_stuck_worker_fails_with_its_name(self):
+        release = threading.Event()
+        try:
+            with pytest.raises(AssertionError, match="stress-worker-1"):
+                _run_threads([lambda: None, release.wait], deadline_s=0.2)
+        finally:
+            release.set()
 
 
 class TestLedgerLockDiscipline:
@@ -84,15 +115,17 @@ class TestLedgerLockDiscipline:
 
         writers = [writer(i) for i in range(self.N_WRITERS)]
 
-        reader_threads = [threading.Thread(target=reader) for _ in range(2)]
+        reader_threads = [
+            threading.Thread(target=reader, name=f"ledger-reader-{index}", daemon=True)
+            for index in range(2)
+        ]
         for thread in reader_threads:
             thread.start()
         try:
             _run_threads(writers)
         finally:
             stop.set()
-            for thread in reader_threads:
-                thread.join()
+            _join_all(reader_threads)
 
         assert ledger.count == self.N_WRITERS * self.APPENDS_EACH
         assert ledger.verify() == []

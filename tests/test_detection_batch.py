@@ -118,19 +118,6 @@ class TestCorrelationEquivalence:
         for row, rotation in zip(batched, (0, 3, 9)):
             assert row[rotation] == pytest.approx(1.0)
 
-    def test_per_trial_sequence_matrix(self):
-        rng = np.random.default_rng(14)
-        period, num_cycles = 31, 620
-        rows, sequences = [], []
-        for _ in range(3):
-            sequence, measured = synthesize(rng, period, num_cycles)
-            sequences.append(sequence)
-            rows.append(measured)
-        batched = batch_rotation_correlations(np.stack(sequences), np.stack(rows))
-        for i in range(3):
-            expected = naive_rotation_correlations(sequences[i], rows[i])
-            assert np.allclose(batched[i], expected, atol=1e-9)
-
     def test_non_binary_sequences(self):
         rng = np.random.default_rng(15)
         sequence = rng.normal(size=63)
@@ -172,20 +159,6 @@ class TestBatchOfOneExactness:
         assert np.array_equal(full.correlations, rows.correlations)
         assert np.array_equal(full.detected, rows.detected)
         assert np.array_equal(full.z_scores, rows.z_scores)
-
-    def test_streamed_rows_with_per_trial_sequences(self):
-        rng = np.random.default_rng(21)
-        sequences = np.stack([synthesize(rng, 63, 63)[0] for _ in range(4)])
-        matrix = np.stack([synthesize(rng, 63, 5000)[1] for _ in range(4)])
-        expected = batch_rotation_correlations(sequences, matrix)
-        spectra = batch_rotation_correlations(sequences, fold_rows(streamed(matrix), 63))
-        assert np.array_equal(spectra, expected)
-        for i in range(4):
-            assert np.allclose(
-                expected[i], naive_rotation_correlations(sequences[i], matrix[i]), atol=1e-9
-            )
-        with pytest.raises(ValueError, match="one row per trial"):
-            batch_rotation_correlations(sequences, fold_rows(streamed(matrix[:3]), 63))
 
     def test_evaluate_many_matches_single_evaluate(self):
         rng = np.random.default_rng(22)
@@ -295,6 +268,15 @@ class TestValidation:
     def test_rejects_sequence_row_mismatch(self):
         with pytest.raises(ValueError):
             batch_rotation_correlations(np.ones((3, 8)), np.zeros((2, 16)))
+
+    def test_rejects_a_per_trial_sequence_matrix(self):
+        # Every trial shares one sequence; a (trials x period) matrix is refused
+        # even when its row count matches the traces or their fold.
+        traces = np.zeros((2, 16))
+        with pytest.raises(ValueError, match="1-D period shared by every trial"):
+            batch_rotation_correlations(np.ones((2, 8)), traces)
+        with pytest.raises(ValueError, match="1-D period shared by every trial"):
+            BatchCPADetector().detect_many(np.ones((2, 8)), fold_rows(traces, 8))
 
     def test_rejects_empty_trace_matrix(self):
         with pytest.raises(ValueError, match="at least one trial"):

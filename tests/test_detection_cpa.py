@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from trial_oracle import naive_rotation_correlations, pearson_correlation
+from trial_oracle import fold_rows, naive_rotation_correlations, pearson_correlation
 
 from repro.core.config import DetectionConfig
 from repro.core.lfsr import LFSR
@@ -131,6 +131,22 @@ class TestCPADetector:
         strict = CPADetector(DetectionConfig(detection_threshold=50.0))
         assert lenient.detect(sequence, measured).z_score == strict.detect(sequence, measured).z_score
         assert not strict.detect(sequence, measured).detected
+
+    def test_detect_reads_a_one_row_phase_fold(self):
+        sequence, measured = make_measurement(num_cycles=20_000, noise=4.0, offset=29)
+        from_trace = CPADetector().detect(sequence, measured)
+        from_fold = CPADetector().detect(sequence, fold_rows([measured], len(sequence)))
+        assert np.array_equal(from_fold.correlations, from_trace.correlations)
+        assert from_fold.z_score == from_trace.z_score
+        assert from_fold.detected and from_fold.peak_rotation == 29
+
+    def test_detect_rejects_more_than_one_trace(self):
+        sequence, measured = make_measurement()
+        two = np.stack([measured, measured])
+        with pytest.raises(ValueError, match="one 1-D trace or a one-row phase fold"):
+            CPADetector().detect(sequence, two)
+        with pytest.raises(ValueError, match="one 1-D trace or a one-row phase fold"):
+            CPADetector().detect(sequence, fold_rows(two, len(sequence)))
 
     def test_evaluate_requires_enough_rotations(self):
         with pytest.raises(ValueError):

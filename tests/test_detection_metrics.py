@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.detection.metrics import (
-    detection_probability,
-    estimate_required_cycles,
-    expected_correlation,
-)
+from repro.detection.metrics import estimate_required_cycles, expected_correlation
 
 
 class TestSNRAndExpectedCorrelation:
@@ -49,8 +45,3 @@ class TestRequiredCycles:
         with pytest.raises(ValueError):
             estimate_required_cycles(0.5, 4095, confidence_sigma=0.0)
 
-
-class TestCampaignResult:
-    def test_detection_probability_helper(self):
-        assert detection_probability([True, False, True, True]) == pytest.approx(0.75)
-        assert detection_probability([]) == 0.0

@@ -16,7 +16,9 @@ from repro.core.config import (
     MeasurementConfig,
     WatermarkConfig,
 )
-from repro.pipeline import ScenarioSpec, run_scenario
+from repro.detection.cpa import CPADetector
+from repro.measurement.acquisition import AcquisitionCampaign
+from repro.pipeline import ExperimentRunner, ScenarioSpec, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +35,8 @@ def reduced_config() -> ExperimentConfig:
     )
 
 
-def run(kind, config, **fields):
-    spec = ScenarioSpec(
+def make_spec(kind, config, **fields):
+    return ScenarioSpec(
         kind=kind,
         watermark=config.watermark,
         measurement=config.measurement,
@@ -42,11 +44,14 @@ def run(kind, config, **fields):
         m0_window_cycles=2048,
         **fields,
     )
-    return run_scenario(spec).payload
 
 
-def fig5_panel(chip_name, watermark_active, config, phase_offset=None):
-    return run(
+def run(kind, config, **fields):
+    return run_scenario(make_spec(kind, config, **fields)).payload
+
+
+def fig5_panel_spec(chip_name, watermark_active, config, phase_offset=None):
+    return make_spec(
         "fig5_panel",
         config,
         name=f"fig5/{chip_name}-{'active' if watermark_active else 'inactive'}",
@@ -57,11 +62,77 @@ def fig5_panel(chip_name, watermark_active, config, phase_offset=None):
     )
 
 
+def fig5_panel(chip_name, watermark_active, config, phase_offset=None):
+    return run_scenario(
+        fig5_panel_spec(chip_name, watermark_active, config, phase_offset)
+    ).payload
+
+
+def planted_spectrum(peak_value=0.02, peak_rotation=100, size=4095, noise=0.002, seed=0):
+    """Gaussian off-peak correlations with one planted peak."""
+    rng = np.random.default_rng(seed)
+    correlations = rng.normal(0, noise, size)
+    correlations[min(peak_rotation, size - 1)] = peak_value
+    return correlations
+
+
+class TestPanelSpectrum:
+    """A panel's spread spectrum is its ``CPAResult``'s correlations."""
+
+    def test_peak_properties(self):
+        cpa = CPADetector().evaluate(planted_spectrum(peak_value=0.02, peak_rotation=1234))
+        assert cpa.peak_rotation == 1234
+        assert cpa.peak_correlation == pytest.approx(0.02)
+        assert cpa.num_rotations == 4095
+
+    # The Fig. 5 "single resolvable peak" criterion the experiment tests
+    # assert with (tests/paper_values.py).
+    def test_single_resolvable_peak(self):
+        assert single_resolvable_peak(planted_spectrum(peak_value=0.02))
+
+    def test_no_peak_in_noise_only_spectrum(self):
+        rng = np.random.default_rng(1)
+        assert not single_resolvable_peak(rng.normal(0, 0.002, 4095))
+
+    def test_two_peaks_not_single(self):
+        correlations = planted_spectrum(peak_value=0.02)
+        correlations[2000] = 0.019
+        assert not single_resolvable_peak(correlations)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            CPADetector().evaluate(np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            CPADetector().evaluate(np.array([0.1]))
+
+
 class TestFig5Panels:
     def test_chip1_active_detected(self, reduced_config):
         panel = fig5_panel("chip1", True, reduced_config)
         assert panel.cpa.detected
-        assert single_resolvable_peak(panel.spectrum.correlations)
+        assert single_resolvable_peak(panel.cpa.correlations)
+
+    def test_panel_decides_from_one_measured_phase_fold(self, reduced_config):
+        # The panel's spectrum is, bit for bit, the single-trace detection of
+        # one measure_folded draw of the chip's total power under the panel seed.
+        spec = fig5_panel_spec("chip1", True, reduced_config, phase_offset=123)
+        runner = ExperimentRunner()
+        panel = runner.run(spec).payload
+        chip = runner.chip_for(spec)
+        sequence = chip.watermark_sequence()
+        power = chip.total_power(
+            spec.measurement.num_cycles,
+            watermark_active=True,
+            seed=spec.seed,
+            watermark_phase_offset=spec.phase_offset,
+        )
+        fold = AcquisitionCampaign(spec.measurement).measure_folded(
+            power, [spec.seed], len(sequence)
+        )
+        expected = CPADetector(spec.detection).detect(sequence, fold)
+        assert np.array_equal(panel.cpa.correlations, expected.correlations)
+        assert panel.cpa.detected == expected.detected
+        assert panel.cpa.z_score == expected.z_score
 
     def test_chip1_inactive_not_detected(self, reduced_config):
         panel = fig5_panel("chip1", False, reduced_config)

@@ -122,8 +122,14 @@ class TestMeasureMany:
             campaign.measure_many(make_power_trace(clock), seeds=[])
 
 
+def measure_chip(campaign, chip, num_cycles, power_seed, seed, **power_options):
+    """One acquisition of a chip: ``chip.total_power`` and then ``measure``."""
+    power = chip.total_power(num_cycles, seed=power_seed, **power_options)
+    return campaign.measure(power, seed=seed)
+
+
 class TestMeasureChip:
-    """Chip-level entry points routed through the cached background templates."""
+    """Per-cycle acquisitions of a chip's total power."""
 
     @pytest.fixture(scope="class")
     def chip(self):
@@ -141,10 +147,15 @@ class TestMeasureChip:
             2000, watermark_active=True, seed=6, watermark_phase_offset=40
         )
         expected = campaign.measure(power, seed=9)
-        measured = campaign.measure_chip(
-            chip, 2000, power_seed=6, seed=9, watermark_phase_offset=40
+        # The chip power is redrawn from its seed, and the noise from its own.
+        measured = measure_chip(
+            campaign, chip, 2000, power_seed=6, seed=9, watermark_phase_offset=40
         )
         assert np.array_equal(measured.values, expected.values)
+        other_power = measure_chip(
+            campaign, chip, 2000, power_seed=7, seed=9, watermark_phase_offset=40
+        )
+        assert not np.array_equal(other_power.values, expected.values)
 
     def test_measure_rows_of_chip_power_equal_measure_chip(self, campaign, chip):
         seeds = [11, 12, 13]
@@ -153,14 +164,14 @@ class TestMeasureChip:
         )
         rows = [row.copy() for row in measure_rows(campaign, power, seeds=seeds)]
         for row, seed in zip(rows, seeds):
-            single = campaign.measure_chip(
-                chip, 2000, power_seed=6, seed=seed, watermark_phase_offset=40
+            single = measure_chip(
+                campaign, chip, 2000, power_seed=6, seed=seed, watermark_phase_offset=40
             )
             assert np.array_equal(row, single.values)
 
     def test_measure_chip_without_watermark(self, campaign, chip):
-        active = campaign.measure_chip(chip, 1000, power_seed=2, seed=3)
-        inactive = campaign.measure_chip(
-            chip, 1000, watermark_active=False, power_seed=2, seed=3
+        active = measure_chip(campaign, chip, 1000, power_seed=2, seed=3)
+        inactive = measure_chip(
+            campaign, chip, 1000, power_seed=2, seed=3, watermark_active=False
         )
         assert active.values.mean() > inactive.values.mean()
