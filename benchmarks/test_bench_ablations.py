@@ -72,7 +72,7 @@ def test_bench_ablation_cpa_methods_agree(benchmark, report):
 
 def test_bench_ablation_modulated_block_size(benchmark, report):
     config = ExperimentConfig(measurement=MeasurementConfig(num_cycles=100_000))
-    estimator = PowerEstimator.at_nominal()
+    estimator = PowerEstimator()
     campaign = AcquisitionCampaign(config.measurement)
     detector = CPADetector(config.detection)
 

@@ -55,6 +55,6 @@ def test_bench_fig5_all_panels(benchmark, report):
     assert result.no_inactive_panel_detected
     # Chip II has far more background noise (idle dual-core A5 + caches), so
     # its peak is lower than chip I's -- the ordering visible in the paper.
-    chip1 = result.panel("chip1", True).cpa.peak_correlation
-    chip2 = result.panel("chip2", True).cpa.peak_correlation
+    chip1 = result.panels["chip1/active"].cpa.peak_correlation
+    chip2 = result.panels["chip2/active"].cpa.peak_correlation
     assert chip2 < chip1

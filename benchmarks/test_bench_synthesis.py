@@ -43,7 +43,7 @@ def _timed(fn) -> float:
 
 
 def test_bench_synthesis_cold_ceiling(report, relaxed):
-    estimator = PowerEstimator.at_nominal()
+    estimator = PowerEstimator()
     config = WatermarkConfig()  # the paper's test-chip configuration
 
     # Cold: every round builds a fresh architecture, so it pays the full

@@ -57,7 +57,7 @@ def main() -> None:
     # 3. The measurement chain produces the per-cycle power vector Y.
     campaign = AcquisitionCampaign(config.measurement)
     measured = campaign.measure(power, seed=args.seed)
-    print(f"measured trace: mean = {measured.mean_power_w * 1e3:.2f} mW, "
+    print(f"measured trace: mean = {measured.values.mean() * 1e3:.2f} mW, "
           f"per-cycle sigma = {measured.values.std() * 1e3:.2f} mW")
 
     # 4. CPA over every rotation of the watermark sequence.

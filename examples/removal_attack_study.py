@@ -39,7 +39,7 @@ def describe_attack_surface() -> None:
         print(f"  [{label}] suspicious stand-alone clusters found: {len(clusters)}")
         for cluster in clusters:
             print(
-                f"      cluster with {cluster.size} instances, {cluster.registers} registers "
+                f"      cluster with {len(cluster.instances)} instances, {cluster.registers} registers "
                 f"(drives functional logic: {cluster.drives_functional_logic})"
             )
 

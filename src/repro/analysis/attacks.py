@@ -32,11 +32,6 @@ class ClusterCandidate:
     cells: int
     drives_functional_logic: bool
 
-    @property
-    def size(self) -> int:
-        """Number of instances in the cluster."""
-        return len(self.instances)
-
 
 def find_standalone_clusters(
     netlist: Netlist,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from repro.core.load_circuit import registers_for_load_power
-from repro.power.library import (
+from repro.power.estimator import (
     PAPER_CLOCK_BUFFER_POWER_W,
     PAPER_DATA_SWITCHING_POWER_W,
 )

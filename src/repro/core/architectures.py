@@ -108,12 +108,7 @@ class WatermarkArchitecture(abc.ABC):
         """One-period per-cycle power template of the watermark circuit."""
         traces = self.periodic_activity()
         static = estimator.leakage_of(self.cell_inventory()) if include_leakage else 0.0
-        trace = estimator.combined_power_trace(
-            traces,
-            cell_types={key: "dff" for key in traces},
-            static_w=static,
-            name=self.name,
-        )
+        trace = estimator.combined_power_trace(traces, static_w=static, name=self.name)
         return PeriodicPowerTemplate.from_power_trace(trace)
 
     def power_trace(
@@ -145,7 +140,7 @@ class WatermarkArchitecture(abc.ABC):
         """
         periodic = self.periodic_activity()
         wmark = self.sequence(self.sequence_period).astype(bool)
-        load_power = estimator.dynamic_model.power_per_cycle("dff", periodic["load"])
+        load_power = estimator.power_per_cycle(periodic["load"])
         active = load_power[wmark[: len(load_power)]]
         if len(active) == 0:
             return 0.0

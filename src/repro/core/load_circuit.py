@@ -19,7 +19,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.power.library import (
+from repro.power.estimator import (
     PAPER_CLOCK_BUFFER_POWER_W,
     PAPER_DATA_SWITCHING_POWER_W,
 )

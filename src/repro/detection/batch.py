@@ -219,11 +219,6 @@ class BatchCPAResult:
         return self.correlations.shape[0]
 
     @property
-    def num_rotations(self) -> int:
-        """Number of evaluated rotations (the sequence period)."""
-        return self.correlations.shape[1]
-
-    @property
     def detection_count(self) -> int:
         """Number of trials in which the watermark was detected."""
         return int(np.count_nonzero(self.detected))

@@ -68,11 +68,6 @@ class CPAResult:
     detected: bool
     threshold: float
 
-    @property
-    def num_rotations(self) -> int:
-        """Number of evaluated rotations (the sequence period)."""
-        return len(self.correlations)
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         status = "DETECTED" if self.detected else "not detected"

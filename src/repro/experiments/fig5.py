@@ -38,13 +38,6 @@ class Fig5Result:
     config: ExperimentConfig
     panels: Dict[str, Fig5Panel] = field(default_factory=dict)
 
-    def panel(self, chip_name: str, watermark_active: bool) -> Fig5Panel:
-        """Look up one panel."""
-        key = _panel_key(chip_name, watermark_active)
-        if key not in self.panels:
-            raise KeyError(f"panel {key!r} was not produced; available: {sorted(self.panels)}")
-        return self.panels[key]
-
     @property
     def all_active_panels_detected(self) -> bool:
         """Whether every watermark-active panel shows a detected watermark."""

@@ -3,7 +3,9 @@
 The table sweeps how many of the 1,024 registers of the clock-modulated
 redundant bank switch their data when the watermark enables their clocks
 (0, 256, 512, 1,024) and reports the load circuit's dynamic, static and
-total power plus its share of the total watermark dynamic power.
+total power plus its share of the total watermark dynamic power.  The
+state-dependent part of the leakage scales with the switching fraction of
+the bank's registers.
 """
 
 from __future__ import annotations
@@ -14,10 +16,23 @@ from typing import List, Sequence
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.config import WatermarkConfig
 from repro.power.estimator import PowerEstimator
-from repro.power.report import PowerReport, PowerReportRow
 
 #: Switching-register counts evaluated by the paper's Table I.
 TABLE_I_SWITCHING_REGISTERS: Sequence[int] = (0, 256, 512, 1024)
+
+
+def _format_power(value_w: float) -> str:
+    """Human-readable power value with engineering units."""
+    if value_w == 0:
+        return "0 W"
+    magnitude = abs(value_w)
+    if magnitude >= 1e-3:
+        return f"{value_w * 1e3:.2f} mW"
+    if magnitude >= 1e-6:
+        return f"{value_w * 1e6:.3g} uW"
+    if magnitude >= 1e-9:
+        return f"{value_w * 1e9:.3g} nW"
+    return f"{value_w * 1e12:.3g} pW"
 
 
 @dataclass
@@ -49,42 +64,38 @@ class Table1Result:
     rows: List[Table1Row] = field(default_factory=list)
     wgc_dynamic_w: float = 0.0
 
-    def row(self, switching_registers: int) -> Table1Row:
-        """Look up the row for a switching-register count."""
-        for row in self.rows:
-            if row.switching_registers == switching_registers:
-                return row
-        raise KeyError(f"no row for {switching_registers} switching registers")
-
     def dynamic_power_monotonic(self) -> bool:
         """Dynamic power must grow with the number of switching registers."""
         dynamics = [row.dynamic_w for row in self.rows]
         return all(b > a for a, b in zip(dynamics, dynamics[1:]))
 
-    def to_power_report(self) -> PowerReport:
-        """Render as a :class:`PowerReport` (Table I layout)."""
-        report = PowerReport(title="Table I: power consumption of placed and routed load circuit")
-        for row in self.rows:
-            report.add_row(
-                PowerReportRow(
-                    implementation=row.implementation,
-                    dynamic_w=row.dynamic_w,
-                    static_w=row.static_w,
-                    share_of_watermark_dynamic=row.share_of_watermark_dynamic,
-                )
-            )
-        return report
-
     def to_text(self) -> str:
-        """Text rendering."""
-        return self.to_power_report().to_text()
+        """Render as a fixed-width text table (Table I layout)."""
+        header = (
+            f"{'Implementation':<44} {'Dynamic':>12} {'Static':>12} "
+            f"{'Total':>12} {'% WM dyn':>10}"
+        )
+        lines = [
+            "Table I: power consumption of placed and routed load circuit",
+            "=" * len(header),
+            header,
+            "-" * len(header),
+        ]
+        for row in self.rows:
+            share = f"{row.share_of_watermark_dynamic * 100:.1f}%"
+            lines.append(
+                f"{row.implementation:<44} {_format_power(row.dynamic_w):>12} "
+                f"{_format_power(row.static_w):>12} {_format_power(row.total_w):>12} "
+                f"{share:>10}"
+            )
+        return "\n".join(lines)
 
 
 def _compute_table1(
     switching_register_counts: Sequence[int], base_config: WatermarkConfig
 ) -> Table1Result:
     """The Table I computation (pipeline stage body)."""
-    estimator = PowerEstimator.at_nominal()
+    estimator = PowerEstimator()
     result = Table1Result()
 
     for switching in switching_register_counts:
@@ -106,11 +117,14 @@ def _compute_table1(
 
         # WGC dynamic power (it is clocked every cycle).
         periodic = watermark.periodic_activity()
-        wgc_dynamic = estimator.dynamic_model.average_power("dff", periodic["wgc"])
+        wgc_dynamic = estimator.average_power(periodic["wgc"])
 
-        # Leakage of the bank (registers + clock gates + local buffers).
-        bank_inventory = watermark.modulated_block.cell_inventory()
-        static = estimator.leakage_of(bank_inventory, active_fraction=switching / 1024.0)
+        # Leakage of the bank (registers + clock gates + local buffers); the
+        # state-dependent part follows the bank's switching fraction.
+        bank = watermark.modulated_block
+        static = estimator.leakage_of(
+            bank.cell_inventory(), active_fraction=switching / bank.register_count
+        )
 
         share = load_dynamic / (load_dynamic + wgc_dynamic) if load_dynamic > 0 else 0.0
         result.rows.append(

@@ -61,7 +61,7 @@ def _compute_table2(load_powers_w: Sequence[float], wgc_registers: int) -> Table
     activity-based power model reproduces the paper's published
     per-register figures.
     """
-    estimator = PowerEstimator.at_nominal()
+    estimator = PowerEstimator()
     clock_power = estimator.per_register_clock_power()
     data_power = estimator.per_register_data_power()
     table = load_circuit_overhead_table(

@@ -61,13 +61,6 @@ class MeasuredTrace:
         """Number of per-cycle values."""
         return len(self.values)
 
-    @property
-    def mean_power_w(self) -> float:
-        """Mean of the measured per-cycle power."""
-        if len(self.values) == 0:
-            return 0.0
-        return float(np.mean(self.values))
-
 class AcquisitionCampaign:
     """Measures chip power traces with the modelled bench setup."""
 

@@ -37,11 +37,16 @@ PathLike = Union[str, pathlib.Path]
 #: Schema version of the artifact JSON form.  Part of the result store's
 #: code-version salt: bumping it invalidates memoized results whose
 #: serialized shape changed.  v2 added ``error_kind`` (failure taxonomy)
-#: and ``provenance.attempts`` (retry accounting); v1 artifacts still load.
+#: and ``provenance.attempts`` (retry accounting).  Only this version
+#: loads: a v1 artifact embeds a spec of a schema the spec reader rejects.
 ARTIFACT_SCHEMA_VERSION = 2
 
-#: Versions :meth:`ScenarioResult.load`/``SweepResult.load`` accept.
-_READABLE_SCHEMA_VERSIONS = (1, 2)
+
+def _check_schema_version(payload: Dict[str, Any]) -> None:
+    """Reject an artifact document written under another schema version."""
+    version = payload.get("schema_version")
+    if version != ARTIFACT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported artifact schema version {version!r}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -214,23 +219,15 @@ class ScenarioResult:
     def _from_json_dict(
         cls, payload: Dict[str, Any], arrays: Dict[str, np.ndarray]
     ) -> "ScenarioResult":
-        version = payload.get("schema_version", ARTIFACT_SCHEMA_VERSION)
-        if version not in _READABLE_SCHEMA_VERSIONS:
-            raise ValueError(f"unsupported artifact schema version {version!r}")
-        error = payload.get("error")
-        # v1 artifacts predate the taxonomy: a recorded failure without a
-        # category is a plain in-cell exception.
-        error_kind = payload.get("error_kind")
-        if error is not None and error_kind is None:
-            error_kind = "exception"
+        _check_schema_version(payload)
         return cls(
             spec=ScenarioSpec.from_json_dict(payload["spec"]),
             provenance=Provenance.from_json_dict(payload["provenance"]),
             scalars=dict(payload.get("scalars", {})),
             arrays=arrays,
             report=payload.get("report", ""),
-            error=error,
-            error_kind=error_kind if error is not None else None,
+            error=payload.get("error"),
+            error_kind=payload.get("error_kind"),
         )
 
     def to_wire(self) -> Dict[str, Any]:
@@ -461,9 +458,7 @@ class SweepResult:
         """Read a sweep artifact written by :meth:`save`."""
         json_path = _json_path(path)
         payload = json.loads(json_path.read_text())
-        version = payload.get("schema_version", ARTIFACT_SCHEMA_VERSION)
-        if version not in _READABLE_SCHEMA_VERSIONS:
-            raise ValueError(f"unsupported artifact schema version {version!r}")
+        _check_schema_version(payload)
         stacked: Dict[str, np.ndarray] = {}
         arrays_file = payload.get("arrays_file")
         if arrays_file:

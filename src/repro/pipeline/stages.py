@@ -149,12 +149,7 @@ def _fig3_stages(spec: ScenarioSpec) -> List[PipelineStage]:
         total = system.add(watermark)
         ctx.data["system"] = system
         ctx.data["watermark"] = watermark
-        ctx.data["total"] = PowerTrace(
-            name=f"{chip.name}/total",
-            clock=total.clock,
-            power_w=total.power_w,
-            voltage_v=total.voltage_v,
-        )
+        ctx.data["total"] = PowerTrace(name=f"{chip.name}/total", power_w=total.power_w)
 
     def acquisition(ctx: StageContext) -> None:
         campaign = AcquisitionCampaign.from_spec(ctx.spec)

@@ -1,23 +1,16 @@
-"""Power modelling: synthetic 65 nm library, estimator, traces and reports.
+"""Power modelling: the estimator, per-cycle traces and trace synthesis.
 
 This package plays the role of the signoff power tool used in the paper
-(Synopsys PrimeTime-PX with a TSMC 65 nm low-leakage library).  The cell
-library is synthetic but calibrated to the two per-cell figures the paper
-publishes (clock-buffer dynamic power of 1.476 uW and register data-switching
-power of 1.126 uW per register at 10 MHz / 1.2 V), so Tables I and II are
-reproduced from the same coefficients the analysis in Section V uses.
+(Synopsys PrimeTime-PX with a TSMC 65 nm low-leakage library) at the one
+operating point the paper characterises, 10 MHz / 1.2 V.  The flip-flop
+toggle energies are derived from the two per-register figures the paper
+publishes (clock-buffer dynamic power of 1.476 uW and register
+data-switching power of 1.126 uW), so Tables I and II are reproduced from
+the same coefficients the analysis in Section V uses.
 """
 
-from repro.power.library import CellCharacteristics, CellLibrary, TSMC65LP_LIKE
-from repro.power.models import (
-    DynamicPowerModel,
-    StaticPowerModel,
-    OperatingPoint,
-    scale_energy_with_voltage,
-)
 from repro.power.estimator import PowerEstimator
 from repro.power.trace import PowerTrace
-from repro.power.report import PowerReport, PowerReportRow
 from repro.power.synthesis import (
     PeriodicPowerTemplate,
     TraceSynthesizer,
@@ -25,17 +18,8 @@ from repro.power.synthesis import (
 )
 
 __all__ = [
-    "CellCharacteristics",
-    "CellLibrary",
-    "TSMC65LP_LIKE",
-    "DynamicPowerModel",
-    "StaticPowerModel",
-    "OperatingPoint",
-    "scale_energy_with_voltage",
     "PowerEstimator",
     "PowerTrace",
-    "PowerReport",
-    "PowerReportRow",
     "PeriodicPowerTemplate",
     "TraceSynthesizer",
     "periodic_extend",

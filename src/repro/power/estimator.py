@@ -1,130 +1,135 @@
 """Activity-based power estimation (the PrimeTime-PX analogue).
 
+The paper characterises its flow at one operating point -- 10 MHz, 1.2 V,
+TSMC 65 nm low-leakage -- and publishes two per-register figures there
+(Section V):
+
+* average dynamic power of a single register's clock buffer: **1.476 uW**
+* average dynamic power of data switching in a single register: **1.126 uW**
+
+Converted to per-transition energies of a flip-flop:
+
+* its clock pin toggles twice per cycle, so each clock transition costs
+  ``1.476 uW / 10 MHz / 2 = 73.8 fJ``;
+* its content flips at most once per cycle in the load circuit, so each
+  data toggle costs ``1.126 uW / 10 MHz = 112.6 fJ``;
+* a combinational (glue-logic) toggle costs half a data toggle.
+
+Every dynamic figure of Tables I/II and Figs. 3, 5 and 6 is costed with
+these three energies.  Leakage is a per-cell-class table chosen so that the
+1,024-register + 32-ICG redundant bank leaks ~0.40 uW, matching the static
+column of Table I.
+
 The estimator consumes per-component activity traces (the watermark's
 closed-form periodic activity, the SoC's simulated workload window) and
-produces:
-
-* per-component dynamic/static/total power figures (Table I style),
-* per-cycle power traces that feed the measurement chain and ultimately the
-  CPA detector.
+produces per-cycle power traces for the measurement chain and the average
+dynamic and static figures of Table I.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
-from repro.power.library import CellLibrary, TSMC65LP_LIKE
-from repro.power.models import DynamicPowerModel, OperatingPoint, StaticPowerModel
 from repro.power.trace import PowerTrace
-from repro.rtl.activity import ActivityRecord, ActivityTrace
-from repro.rtl.signals import Clock
+from repro.rtl.activity import ActivityTrace
+from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
+
+#: Paper-published per-register dynamic powers at 10 MHz / 1.2 V.
+PAPER_CLOCK_BUFFER_POWER_W = 1.476e-6
+PAPER_DATA_SWITCHING_POWER_W = 1.126e-6
+
+#: The test chips' clock and the duration of one of its cycles.
+CLOCK_FREQUENCY_HZ = 10e6
+CYCLE_TIME_S = 1.0 / CLOCK_FREQUENCY_HZ
+
+#: Flip-flop energy per clock-pin, data and combinational toggle (joule).
+CLOCK_TOGGLE_ENERGY_J = PAPER_CLOCK_BUFFER_POWER_W / CLOCK_FREQUENCY_HZ / 2.0
+DATA_TOGGLE_ENERGY_J = PAPER_DATA_SWITCHING_POWER_W / CLOCK_FREQUENCY_HZ
+COMB_TOGGLE_ENERGY_J = DATA_TOGGLE_ENERGY_J * 0.5
+
+#: Leakage power (W) of one cell per class; unknown classes leak as ``comb``.
+LEAKAGE_W: Mapping[str, float] = {
+    "dff": 0.38e-9,
+    "icg": 0.45e-9,
+    "clk_buf": 0.25e-9,
+    "comb": 0.15e-9,
+    "register_bank": 0.38e-9,
+    "sram": 0.05e-9,
+}
+
+#: Fractional leakage increase of a cell whose state toggles all the time
+#: (the tiny rise of Table I's static column with more switching registers).
+STATE_DEPENDENCE = 0.01
 
 
 class PowerEstimator:
-    """Estimates power from switching activity using a cell library.
+    """Estimates flip-flop power from switching activity at 10 MHz / 1.2 V."""
 
-    Parameters
-    ----------
-    library:
-        Cell library (defaults to the calibrated 65 nm-class library).
-    operating_point:
-        Clock, supply voltage and temperature.
-    """
-
-    def __init__(
-        self,
-        operating_point: OperatingPoint,
-        library: CellLibrary = TSMC65LP_LIKE,
-    ) -> None:
-        self.library = library
-        self.operating_point = operating_point
-        self.dynamic_model = DynamicPowerModel(library, operating_point)
-        self.static_model = StaticPowerModel(library, operating_point)
-
-    @classmethod
-    def at_nominal(cls, frequency_hz: float = 10e6, voltage_v: float = 1.2) -> "PowerEstimator":
-        """Estimator at the paper's nominal operating point (10 MHz, 1.2 V)."""
-        clock = Clock("clk", frequency_hz)
-        return cls(OperatingPoint(clock=clock, voltage_v=voltage_v))
-
-    # -- component-level reporting ---------------------------------------
-
-    def cycle_power(self, cell_type: str, activity: ActivityRecord) -> float:
-        """Average power during a single cycle with the given activity."""
-        energy = self.dynamic_model.cycle_energy(cell_type, activity)
-        return energy / self.operating_point.cycle_time_s
-
-    # -- trace-level estimation -------------------------------------------
-
-    def power_trace(
-        self,
-        trace: ActivityTrace,
-        cell_type: str = "dff",
-        static_w: float = 0.0,
-    ) -> PowerTrace:
-        """Per-cycle power trace of one activity trace.
-
-        ``static_w`` is added to every cycle (leakage is activity
-        independent at this granularity).
-        """
-        per_cycle = self.dynamic_model.power_per_cycle(cell_type, trace) + static_w
-        return PowerTrace(
-            name=trace.name,
-            clock=self.operating_point.clock,
-            power_w=per_cycle,
-            voltage_v=self.operating_point.voltage_v,
+    @staticmethod
+    def _cycle_energy(trace: ActivityTrace) -> np.ndarray:
+        """Per-cycle energy (J) of an activity trace."""
+        return (
+            trace.clock_toggles * CLOCK_TOGGLE_ENERGY_J
+            + trace.data_toggles * DATA_TOGGLE_ENERGY_J
+            + trace.comb_toggles * COMB_TOGGLE_ENERGY_J
         )
+
+    def power_per_cycle(self, trace: ActivityTrace) -> np.ndarray:
+        """Per-cycle average power in watts of an activity trace."""
+        return self._cycle_energy(trace) / CYCLE_TIME_S
+
+    def average_power(self, trace: ActivityTrace) -> float:
+        """Average dynamic power in watts over an activity trace."""
+        if len(trace) == 0:
+            return 0.0
+        return float(np.mean(self._cycle_energy(trace))) / CYCLE_TIME_S
 
     def combined_power_trace(
         self,
         traces: Mapping[str, ActivityTrace],
-        cell_types: Optional[Mapping[str, str]] = None,
         static_w: float = 0.0,
         name: str = "total",
     ) -> PowerTrace:
-        """Sum per-cycle power over several activity traces.
-
-        ``cell_types`` maps trace name to library cell class; traces without
-        a mapping default to the flip-flop class.
-        """
+        """Sum per-cycle power over several activity traces, plus ``static_w``."""
         if not traces:
             raise ValueError("no activity traces supplied")
         lengths = {len(t) for t in traces.values()}
         if len(lengths) != 1:
             raise ValueError(f"activity traces have mismatched lengths: {sorted(lengths)}")
-        num_cycles = lengths.pop()
-        total = np.zeros(num_cycles, dtype=np.float64)
-        for trace_name, trace in traces.items():
-            cell_type = (cell_types or {}).get(trace_name, "dff")
-            total += self.dynamic_model.power_per_cycle(cell_type, trace)
+        total = np.zeros(lengths.pop(), dtype=np.float64)
+        for trace in traces.values():
+            total += self.power_per_cycle(trace)
         total += static_w
-        return PowerTrace(
-            name=name,
-            clock=self.operating_point.clock,
-            power_w=total,
-            voltage_v=self.operating_point.voltage_v,
-        )
-
-    # -- convenience -------------------------------------------------------
+        return PowerTrace(name=name, power_w=total)
 
     def leakage_of(self, cell_counts: Mapping[str, int], active_fraction: float = 0.0) -> float:
-        """Leakage power of a cell inventory."""
-        return self.static_model.total_leakage(dict(cell_counts), active_fraction)
+        """Leakage power of a cell inventory given as ``{cell_type: count}``.
+
+        ``active_fraction`` is the fraction of the cells whose state is
+        exercised; it adds the small state-dependent component.
+        """
+        if not 0.0 <= active_fraction <= 1.0:
+            raise ValueError("active_fraction must be within [0, 1]")
+        total = 0.0
+        for cell_type, count in cell_counts.items():
+            if count < 0:
+                raise ValueError("cell counts must be non-negative")
+            leakage = LEAKAGE_W.get(cell_type, LEAKAGE_W["comb"])
+            total += leakage * (1.0 + STATE_DEPENDENCE * active_fraction) * count
+        return total
 
     def per_register_clock_power(self) -> float:
         """Dynamic power of one register's clock buffer toggling every cycle.
 
-        At the nominal operating point this reproduces the paper's 1.476 uW.
+        Reproduces the paper's 1.476 uW.
         """
-        activity = ActivityRecord(clock_toggles=2)
-        return self.cycle_power("dff", activity)
+        return CLOCK_EDGES_PER_CYCLE * CLOCK_TOGGLE_ENERGY_J / CYCLE_TIME_S
 
     def per_register_data_power(self) -> float:
         """Dynamic power of one register whose content flips every cycle.
 
-        At the nominal operating point this reproduces the paper's 1.126 uW.
+        Reproduces the paper's 1.126 uW.
         """
-        activity = ActivityRecord(data_toggles=1)
-        return self.cycle_power("dff", activity)
+        return DATA_TOGGLE_ENERGY_J / CYCLE_TIME_S

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Sequence, Union
 import numpy as np
 
 from repro.power.trace import PowerTrace
-from repro.rtl.signals import Clock
 
 if TYPE_CHECKING:  # circular at runtime: repro.detection imports this module
     from repro.detection.batch import PhaseFold
@@ -121,9 +120,7 @@ class PeriodicPowerTemplate:
     """
 
     name: str
-    clock: Clock
     power_w: np.ndarray
-    voltage_v: float = 1.2
 
     def __post_init__(self) -> None:
         # Copy (np.array, not np.asarray) so freezing never flips the
@@ -134,18 +131,11 @@ class PeriodicPowerTemplate:
         self.power_w.flags.writeable = False
         if self.power_w.ndim != 1 or len(self.power_w) == 0:
             raise ValueError("a periodic template must be a non-empty 1-D array")
-        if self.voltage_v <= 0:
-            raise ValueError("supply voltage must be positive")
 
     @classmethod
     def from_power_trace(cls, trace: PowerTrace) -> "PeriodicPowerTemplate":
         """Wrap a one-period power trace as a template."""
-        return cls(
-            name=trace.name,
-            clock=trace.clock,
-            power_w=trace.power_w,
-            voltage_v=trace.voltage_v,
-        )
+        return cls(name=trace.name, power_w=trace.power_w)
 
     @property
     def period(self) -> int:
@@ -160,10 +150,7 @@ class PeriodicPowerTemplate:
         ``np.roll(tiled, -phase_offset)`` on the truncated acquisition.
         """
         return PowerTrace(
-            name=self.name,
-            clock=self.clock,
-            power_w=periodic_extend(self.power_w, num_cycles, phase_offset),
-            voltage_v=self.voltage_v,
+            name=self.name, power_w=periodic_extend(self.power_w, num_cycles, phase_offset)
         )
 
 

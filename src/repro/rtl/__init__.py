@@ -1,7 +1,7 @@
 """Register-transfer-level circuit substrate.
 
 This package provides the structural building blocks used by the watermark
-architectures and by the SoC model: clocks, sequential and clock-network
+architectures and by the SoC model: sequential and clock-network
 components, a hierarchical module system, a flattened netlist graph, and
 the per-cycle switching-activity records the power estimator consumes.
 
@@ -11,7 +11,6 @@ power value per clock cycle, so per-cycle switching-activity accounting is
 the right level of abstraction for reproducing the paper's results.
 """
 
-from repro.rtl.signals import Clock
 from repro.rtl.activity import ActivityRecord, ActivityTrace
 from repro.rtl.components import (
     Component,
@@ -23,11 +22,10 @@ from repro.rtl.components import (
     ShiftRegister,
 )
 from repro.rtl.clock_tree import ClockTree, ClockTreeLevel
-from repro.rtl.netlist import Netlist, NetlistEdge
+from repro.rtl.netlist import Netlist
 from repro.rtl.module import Module
 
 __all__ = [
-    "Clock",
     "ActivityRecord",
     "ActivityTrace",
     "Component",
@@ -40,6 +38,5 @@ __all__ = [
     "ClockTree",
     "ClockTreeLevel",
     "Netlist",
-    "NetlistEdge",
     "Module",
 ]

@@ -12,8 +12,9 @@ per-cycle counters:
 ``comb_toggles``
     Combinational/glue-logic transitions (enable logic, XOR feedback, etc.).
 
-The power estimator (:mod:`repro.power`) converts these counters to energy
-using per-cell coefficients from the synthetic 65 nm library.
+The power estimator (:mod:`repro.power.estimator`) converts these counters
+to energy with the flip-flop toggle energies calibrated to the paper's
+per-register figures.
 """
 
 from __future__ import annotations
@@ -83,12 +84,6 @@ class ActivityTrace:
                 f"{sorted(lengths)}"
             )
 
-    @classmethod
-    def zeros(cls, name: str, num_cycles: int) -> "ActivityTrace":
-        """An all-idle trace of ``num_cycles`` cycles."""
-        z = np.zeros(num_cycles, dtype=np.int64)
-        return cls(name=name, clock_toggles=z.copy(), data_toggles=z.copy(), comb_toggles=z.copy())
-
     def __len__(self) -> int:
         return len(self.clock_toggles)
 
@@ -135,13 +130,4 @@ class ActivityTrace:
             clock_toggles=np.tile(self.clock_toggles, reps)[:num_cycles],
             data_toggles=np.tile(self.data_toggles, reps)[:num_cycles],
             comb_toggles=np.tile(self.comb_toggles, reps)[:num_cycles],
-        )
-
-    def slice(self, start: int, stop: int) -> "ActivityTrace":
-        """Return the sub-trace covering cycles ``[start, stop)``."""
-        return ActivityTrace(
-            name=self.name,
-            clock_toggles=self.clock_toggles[start:stop],
-            data_toggles=self.data_toggles[start:stop],
-            comb_toggles=self.comb_toggles[start:stop],
         )

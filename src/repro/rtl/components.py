@@ -30,8 +30,8 @@ class Component:
     name:
         Hierarchical instance name, unique within a netlist.
     cell_type:
-        Library cell class used for power/area lookup
-        (``"dff"``, ``"icg"``, ``"clk_buf"``, ``"comb"``).
+        Cell class (``"dff"``, ``"icg"``, ``"clk_buf"``, ``"comb"``); the
+        removal-attack analysis tells sequential cells apart by it.
     """
 
     def __init__(self, name: str, cell_type: str) -> None:

@@ -11,22 +11,10 @@ clock-gate path with the functional IP block.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.rtl.components import Component
 
-
-@dataclass(frozen=True)
-class NetlistEdge:
-    """A directed connection between two component instances."""
-
-    source: str
-    target: str
-    net: str
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.source} -> {self.target} [{self.net}]"
 
 
 class Netlist:
@@ -114,12 +102,6 @@ class Netlist:
             for name, (_, node_role, _) in self._nodes.items()
             if role is None or node_role == role
         ]
-
-    def edges(self) -> Iterator[NetlistEdge]:
-        """Iterate over all connections."""
-        for source, targets in self._succ.items():
-            for target, net in targets.items():
-                yield NetlistEdge(source=source, target=target, net=net)
 
     def fan_in(self, name: str) -> List[str]:
         """Instances driving ``name``."""

@@ -224,20 +224,3 @@ class Ledger:
             return None
         return head if isinstance(head, dict) else None
 
-    def records(self) -> List[Dict[str, Any]]:
-        """Every parseable record, in file order (verification not implied)."""
-        out: List[Dict[str, Any]] = []
-        try:
-            lines = self.path.read_text().splitlines()
-        except FileNotFoundError:
-            return out
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                out.append(record)
-        return out

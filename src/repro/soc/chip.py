@@ -56,10 +56,11 @@ from repro.soc.assembler import Program
 #
 # The background power of a chip is a deterministic function of the chip
 # configuration, the background seed and the acquisition length: the M0
-# window simulation is keyed by the program, and the stochastic draws come
-# from the seed's named streams.  Fig. 5 panels, Fig. 6 campaigns
-# and robustness sweeps all re-request the same background,
-# so the per-cycle template is computed once and shared.
+# window simulation is keyed by the program, the stochastic draws come
+# from the seed's named streams, and the power model has no parameters
+# (:mod:`repro.power.estimator` costs everything at 10 MHz / 1.2 V).
+# Fig. 5 panels, Fig. 6 campaigns and robustness sweeps all re-request the
+# same background, so the per-cycle template is computed once and shared.
 #
 # Each distinct ``num_cycles`` is its own cache class: the idle blocks
 # draw normals, uniforms and integers in length-dependent order,
@@ -107,12 +108,11 @@ class ChipModel:
         description: ChipDescription,
         watermark: Optional[WatermarkArchitecture] = None,
         program: Optional[Program] = None,
-        estimator: Optional[PowerEstimator] = None,
         seed: int = 2014,
     ) -> None:
         self.description = description
         self.watermark = watermark
-        self.estimator = estimator or PowerEstimator.at_nominal()
+        self.estimator = PowerEstimator()
         self.seed = seed
 
         self.memory = Memory(size_bytes=description.sram_bytes)
@@ -230,32 +230,13 @@ class ChipModel:
 
     # -- power traces -------------------------------------------------------------
 
-    def _estimator_fingerprint(self) -> Hashable:
-        """Hashable identity of the power model (operating point + library).
-
-        The library is fingerprinted by value (name, voltage and every
-        cell's characteristics), not by name alone: two same-named but
-        differently calibrated libraries must never alias one cached
-        template.
-        """
-        point = self.estimator.operating_point
-        library = self.estimator.library
-        return (
-            point.clock.frequency_hz,
-            point.voltage_v,
-            point.temperature_c,
-            library.name,
-            library.voltage_v,
-            tuple(sorted(library.cells.items())),
-        )
-
     def _background_template_key(self, num_cycles: int, seed: int) -> Hashable:
         """Cache key of the seeded background-power template.
 
         Covers the chip configuration (description, program identity, core
-        activity model, background-block parameters), the power model
-        (operating point and cell library, by value) and the seeded
-        acquisition class ``(seed, num_cycles)``.
+        activity model, background-block parameters) and the seeded
+        acquisition class ``(seed, num_cycles)``.  The power model is fixed
+        (:mod:`repro.power.estimator`), so it is not part of the key.
         """
         return (
             "background-power",
@@ -264,7 +245,6 @@ class ChipModel:
             self.cpu.activity,
             self.peripherals.parameters,
             self.a5_subsystem.parameters if self.a5_subsystem is not None else None,
-            self._estimator_fingerprint(),
             seed,
             num_cycles,
         )
@@ -290,19 +270,16 @@ class ChipModel:
         def compute() -> np.ndarray:
             # The sum order (m0, peripherals, a5, static) is part of the
             # bit-identity with the activity path.
-            model = self.estimator.dynamic_model
             window = self._m0_window(num_cycles, use_cache)
-            power_w = model.power_per_cycle("dff", window)
+            power_w = self.estimator.power_per_cycle(window)
             if len(window) < num_cycles:
                 shifts = self._m0_shifts(num_cycles, len(window), resolved_seed)
                 power_w = rolled_blocks(power_w, shifts, num_cycles)
             power_w += self.peripherals.draw_power(
-                num_cycles, stream(resolved_seed, "peripherals"), model
+                num_cycles, stream(resolved_seed, "peripherals")
             )
             if self.a5_subsystem is not None:
-                power_w += self.a5_subsystem.draw_power(
-                    num_cycles, stream(resolved_seed, "a5"), model
-                )
+                power_w += self.a5_subsystem.draw_power(num_cycles, stream(resolved_seed, "a5"))
             power_w += self.estimator.leakage_of(self.system_cell_inventory())
             return power_w
 
@@ -318,12 +295,7 @@ class ChipModel:
             )
         else:
             power_w = compute()
-        return PowerTrace(
-            name=f"{self.name}/background",
-            clock=self.estimator.operating_point.clock,
-            power_w=power_w,
-            voltage_v=self.estimator.operating_point.voltage_v,
-        )
+        return PowerTrace(name=f"{self.name}/background", power_w=power_w)
 
     def watermark_power(self, num_cycles: int, phase_offset: int = 0) -> PowerTrace:
         """Power contributed by the embedded watermark circuit.
@@ -360,20 +332,10 @@ class ChipModel:
         """
         background = self.background_power(num_cycles, seed=seed, use_cache=use_cache)
         if not watermark_active or self.watermark is None:
-            return PowerTrace(
-                name=f"{self.name}/total",
-                clock=background.clock,
-                power_w=background.power_w,
-                voltage_v=background.voltage_v,
-            )
+            return PowerTrace(name=f"{self.name}/total", power_w=background.power_w)
         watermark = self.watermark_power(num_cycles, phase_offset=watermark_phase_offset)
         total = background.add(watermark)
-        return PowerTrace(
-            name=f"{self.name}/total",
-            clock=total.clock,
-            power_w=total.power_w,
-            voltage_v=total.voltage_v,
-        )
+        return PowerTrace(name=f"{self.name}/total", power_w=total.power_w)
 
     def watermark_sequence(self, length: Optional[int] = None) -> np.ndarray:
         """The watermark model sequence of the embedded watermark."""

@@ -23,7 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.power.models import DynamicPowerModel
+from repro.power.estimator import (
+    CLOCK_TOGGLE_ENERGY_J,
+    COMB_TOGGLE_ENERGY_J,
+    CYCLE_TIME_S,
+    DATA_TOGGLE_ENERGY_J,
+)
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 from repro.soc.cache import CacheConfig
 
@@ -68,9 +73,7 @@ class _IdleActivitySource:
         """Registers whose clock is not gated while the block idles."""
         return int(round(self.parameters.register_count * self.parameters.ungated_fraction))
 
-    def draw_power(
-        self, num_cycles: int, rng: np.random.Generator, dynamic_model: DynamicPowerModel
-    ) -> np.ndarray:
+    def draw_power(self, num_cycles: int, rng: np.random.Generator) -> np.ndarray:
         """Per-cycle power (W) of the idle block over ``num_cycles`` cycles.
 
         The ungated clock tree toggles every cycle; the data activity is a
@@ -83,7 +86,6 @@ class _IdleActivitySource:
         """
         if num_cycles <= 0:
             raise ValueError("num_cycles must be positive")
-        e_clock, e_data, e_comb = dynamic_model.toggle_energies("dff")
         mean = self.parameters.mean_data_activity
         std = self.parameters.data_activity_std
         data = rng.normal(mean, std, size=num_cycles)
@@ -95,11 +97,11 @@ class _IdleActivitySource:
         # same exact integers an int64 count would.
         np.round(data, out=data)
         np.round(comb, out=comb)
-        data *= e_data
-        data += CLOCK_EDGES_PER_CYCLE * self.clocked_registers * e_clock
-        comb *= e_comb
+        data *= DATA_TOGGLE_ENERGY_J
+        data += CLOCK_EDGES_PER_CYCLE * self.clocked_registers * CLOCK_TOGGLE_ENERGY_J
+        comb *= COMB_TOGGLE_ENERGY_J
         data += comb
-        data /= dynamic_model.operating_point.cycle_time_s
+        data /= CYCLE_TIME_S
         return data
 
 

@@ -66,7 +66,6 @@ def background_power(
     traces = background_activity(chip, num_cycles, seed=seed, use_cache=use_cache)
     return chip.estimator.combined_power_trace(
         traces,
-        cell_types={"m0": "dff", "peripherals": "dff", "a5": "dff"},
         static_w=chip.estimator.leakage_of(chip.system_cell_inventory()),
         name=f"{chip.name}/background",
     )

@@ -16,19 +16,12 @@ from repro.core.config import (
     WatermarkConfig,
 )
 from repro.power.estimator import PowerEstimator
-from repro.rtl.signals import Clock
 
 
 @pytest.fixture(scope="session")
 def nominal_estimator() -> PowerEstimator:
-    """Power estimator at the paper's nominal operating point (10 MHz, 1.2 V)."""
-    return PowerEstimator.at_nominal()
-
-
-@pytest.fixture(scope="session")
-def nominal_clock() -> Clock:
-    """The 10 MHz system clock of the test chips."""
-    return Clock("clk", 10e6)
+    """Power estimator at the paper's operating point (10 MHz, 1.2 V)."""
+    return PowerEstimator()
 
 
 @pytest.fixture(scope="session")

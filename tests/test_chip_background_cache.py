@@ -188,34 +188,6 @@ class TestBackgroundTemplateCache:
         other.background_power(1000, seed=1)
         assert chip_module.background_template_cache_stats()["misses"] == 2
 
-    def test_same_named_but_recalibrated_library_misses(self, chip):
-        # Regression: the template key must identify the cell library by
-        # value, not by name -- a recalibrated library that keeps the
-        # default name must never be served the default library's template.
-        from dataclasses import replace
-
-        from repro.power.estimator import PowerEstimator
-        from repro.power.library import CellLibrary, TSMC65LP_LIKE
-
-        chip.background_power(1000, seed=1)
-        hotter = CellLibrary(
-            name=TSMC65LP_LIKE.name,  # deliberately the same name
-            voltage_v=TSMC65LP_LIKE.voltage_v,
-            cells={
-                cell_type: replace(cell, leakage_w=cell.leakage_w * 10)
-                for cell_type, cell in TSMC65LP_LIKE.cells.items()
-            },
-        )
-        estimator = PowerEstimator(
-            chip.estimator.operating_point, library=hotter
-        )
-        other = build_chip_one(m0_window_cycles=512)
-        other.estimator = estimator
-        trace = other.background_power(1000, seed=1)
-        assert chip_module.background_template_cache_stats()["misses"] == 2
-        reference = chip.background_power(1000, seed=1, use_cache=False)
-        assert trace.power_w.mean() > reference.power_w.mean()
-
     def test_shared_across_equivalent_instances(self, chip):
         chip.background_power(1000, seed=1)
         sibling = build_chip_one(m0_window_cycles=512)  # watermark is irrelevant

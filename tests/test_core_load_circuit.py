@@ -50,7 +50,6 @@ class TestLoadCircuit:
 
     def test_active_power_matches_paper_per_register_figure(self, nominal_estimator):
         load = LoadCircuit(num_registers=576, word_width=8)
-        activity = load.activity([1])[0]
-        power = nominal_estimator.cycle_power("dff", activity)
+        power = nominal_estimator.power_per_cycle(load.activity([1]))[0]
         # 576 x (1.476 uW + 1.126 uW) ~ 1.5 mW: the Table II operating point.
         assert power == pytest.approx(576 * 2.602e-6, rel=1e-3)

@@ -70,5 +70,5 @@ class TestTestChipPowerStructure:
         # The test-chip WGC must be small enough for the bank to dominate
         # (Table I: the load circuit is 95.6%-98% of watermark dynamic power).
         trace = WatermarkGenerationCircuit.test_chip(active_width=12).activity(200)
-        power = nominal_estimator.dynamic_model.average_power("dff", trace)
+        power = nominal_estimator.average_power(trace)
         assert 30e-6 < power < 120e-6

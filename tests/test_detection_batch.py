@@ -213,7 +213,7 @@ class TestBatchCPAResult:
 
     def test_shape_accessors(self, batch):
         assert batch.num_trials == len(batch) == 4
-        assert batch.num_rotations == 31
+        assert batch.correlations.shape[1] == 31
 
     def test_detection_counters(self, batch):
         assert batch.detection_count == int(np.count_nonzero(batch.detected))
@@ -222,7 +222,7 @@ class TestBatchCPAResult:
     def test_iteration_yields_scalar_results(self, batch):
         results = list(batch)
         assert len(results) == 4
-        assert all(r.num_rotations == 31 for r in results)
+        assert all(len(r.correlations) == 31 for r in results)
 
     def test_summary_text(self, batch):
         text = batch.summary()

@@ -156,7 +156,7 @@ class TestCPADetector:
         sequence, measured = make_measurement(num_cycles=20_000, noise=2.0)
         result = CPADetector().detect(sequence, measured)
         assert "rho" in result.summary()
-        assert result.num_rotations == 63
+        assert len(result.correlations) == 63
 
     def test_summary_formats_infinite_z_score(self):
         # Zero noise floor (all off-peak correlations identical) drives the

@@ -83,7 +83,7 @@ class TestPanelSpectrum:
         cpa = CPADetector().evaluate(planted_spectrum(peak_value=0.02, peak_rotation=1234))
         assert cpa.peak_rotation == 1234
         assert cpa.peak_correlation == pytest.approx(0.02)
-        assert cpa.num_rotations == 4095
+        assert len(cpa.correlations) == 4095
 
     # The Fig. 5 "single resolvable peak" criterion the experiment tests
     # assert with (tests/paper_values.py).
@@ -158,10 +158,12 @@ class TestFig5Panels:
 
     def test_panel_lookup(self, reduced_config):
         result = run("fig5", reduced_config, name="fig5", seed=100)
-        panel = result.panel("chip2", watermark_active=False)
+        panel = result.panels["chip2/inactive"]
         assert panel.chip_name == "chip2"
-        with pytest.raises(KeyError):
-            result.panel("chip3", True)
+        assert not panel.watermark_active
+        assert sorted(result.panels) == [
+            "chip1/active", "chip1/inactive", "chip2/active", "chip2/inactive"
+        ]
 
 
 class TestFig6ReducedCampaign:

@@ -1,9 +1,31 @@
 """Tests for the Table I, Table II and Section VI experiments, run through the pipeline."""
 
+import dataclasses
+
 import pytest
 
 from paper_values import PAPER_EXPECTATIONS
+from repro.core.architectures import ClockModulationWatermark
+from repro.core.config import WatermarkConfig
+from repro.experiments.table1 import _format_power
 from repro.pipeline import ScenarioSpec, run_scenario
+from repro.power.estimator import PowerEstimator
+
+
+def _rows_by_switching(result):
+    return {row.switching_registers: row for row in result.rows}
+
+
+class TestFormatPower:
+    @pytest.mark.parametrize(
+        "value, expected_unit",
+        [(1.5e-3, "mW"), (2e-6, "uW"), (3e-9, "nW"), (4e-12, "pW"), (0.0, "W")],
+    )
+    def test_units(self, value, expected_unit):
+        assert expected_unit in _format_power(value)
+
+    def test_milliwatt_value(self):
+        assert _format_power(1.51e-3) == "1.51 mW"
 
 
 class TestTable1:
@@ -32,8 +54,9 @@ class TestTable1:
         # Going from 0 to 1,024 switching registers adds data power for all
         # 1,024 registers; that increase must stay below the clock-only row,
         # i.e. per-register clock power > per-register data power.
-        clock_only = result.row(0).dynamic_w
-        full = result.row(1024).dynamic_w
+        rows = _rows_by_switching(result)
+        clock_only = rows[0].dynamic_w
+        full = rows[1024].dynamic_w
         assert full - clock_only < clock_only
 
     def test_share_of_watermark_dynamic_high(self, result):
@@ -44,12 +67,40 @@ class TestTable1:
             )
 
     def test_row_lookup_and_rendering(self, result):
-        assert result.row(512).switching_registers == 512
-        with pytest.raises(KeyError):
-            result.row(999)
+        assert _rows_by_switching(result)[512].switching_registers == 512
         text = result.to_text()
+        assert "Table I" in text
         assert "No Data Switching" in text
         assert "1024 Switching Registers" in text
+        full = result.rows[-1]
+        assert f"{full.share_of_watermark_dynamic * 100:.1f}%" in text
+
+    @staticmethod
+    def _run(num_words, counts):
+        spec = ScenarioSpec(
+            kind="table1",
+            name="table1",
+            watermark=WatermarkConfig(num_words=num_words),
+            params={"switching_register_counts": counts},
+        )
+        return run_scenario(spec).payload
+
+    def test_a_larger_bank_switches_all_its_registers(self):
+        # 64 words x 32 bits = 2,048 registers: every one may switch.
+        result = self._run(64, [0, 1024, 2048])
+        assert [row.switching_registers for row in result.rows] == [0, 1024, 2048]
+        statics = [row.static_w for row in result.rows]
+        assert statics[0] < statics[1] < statics[2]
+
+    def test_state_dependent_leakage_follows_the_bank_size(self):
+        # A 512-register bank at full switching carries the whole
+        # state-dependent leakage of its cells, not half of it.
+        result = self._run(16, [0, 512])
+        config = dataclasses.replace(WatermarkConfig(num_words=16), switching_registers=512)
+        bank = ClockModulationWatermark.from_config(config).modulated_block
+        assert bank.register_count == 512
+        full = PowerEstimator().leakage_of(bank.cell_inventory(), active_fraction=1.0)
+        assert result.rows[-1].static_w == full
 
 
 class TestTable2:

@@ -7,12 +7,6 @@ from measurement_chain import Oscilloscope, measure_chain, measure_rows, pulse_s
 from repro.core.config import MeasurementConfig
 from repro.measurement.acquisition import RANGE_HEADROOM, AcquisitionCampaign, MeasuredTrace
 from repro.power.trace import PowerTrace
-from repro.rtl.signals import Clock
-
-
-@pytest.fixture
-def clock() -> Clock:
-    return Clock("clk", 10e6)
 
 
 @pytest.fixture
@@ -20,15 +14,15 @@ def campaign() -> AcquisitionCampaign:
     return AcquisitionCampaign(MeasurementConfig(num_cycles=2000))
 
 
-def make_power_trace(clock, num_cycles=2000, amplitude=1.5e-3, base=4e-3) -> PowerTrace:
+def make_power_trace(num_cycles=2000, amplitude=1.5e-3, base=4e-3) -> PowerTrace:
     wmark = (np.arange(num_cycles) % 63 < 32).astype(float)
-    return PowerTrace("test", clock, base + amplitude * wmark)
+    return PowerTrace("test", base + amplitude * wmark)
 
 
 class TestMeasuredTrace:
-    def test_statistics(self, clock):
+    def test_statistics(self):
         trace = MeasuredTrace("m", np.array([1.0, 3.0]), MeasurementConfig())
-        assert trace.mean_power_w == pytest.approx(2.0)
+        assert np.mean(trace.values) == pytest.approx(2.0)
         assert trace.num_cycles == 2
 
     def test_shape_validation(self):
@@ -37,20 +31,20 @@ class TestMeasuredTrace:
 
 
 class TestFastPath:
-    def test_preserves_length_and_mean(self, campaign, clock):
-        power = make_power_trace(clock)
+    def test_preserves_length_and_mean(self, campaign):
+        power = make_power_trace()
         measured = campaign.measure(power, seed=1)
         assert len(measured) == len(power)
-        assert measured.mean_power_w == pytest.approx(power.average_power_w, abs=5e-3)
+        assert np.mean(measured.values) == pytest.approx(power.average_power_w, abs=5e-3)
 
-    def test_reproducible_with_seed(self, campaign, clock):
-        power = make_power_trace(clock)
+    def test_reproducible_with_seed(self, campaign):
+        power = make_power_trace()
         a = campaign.measure(power, seed=3)
         b = campaign.measure(power, seed=3)
         assert np.array_equal(a.values, b.values)
 
-    def test_noise_level_matches_model(self, campaign, clock):
-        power = PowerTrace("const", clock, np.full(50_000, 5e-3))
+    def test_noise_level_matches_model(self, campaign):
+        power = PowerTrace("const", np.full(50_000, 5e-3))
         measured = campaign.measure(power, seed=0)
         expected_sigma = campaign.per_cycle_noise_sigma(5e-3, 1e-3)
         assert np.std(measured.values) == pytest.approx(expected_sigma, rel=0.05)
@@ -59,10 +53,10 @@ class TestFastPath:
 class TestMeasurementChainOracle:
     """The per-cycle model against the sample-level bench chain it stands for."""
 
-    def test_detailed_and_fast_statistically_consistent(self, clock):
+    def test_detailed_and_fast_statistically_consistent(self):
         config = MeasurementConfig(num_cycles=3000)
         campaign = AcquisitionCampaign(config)
-        power = PowerTrace("const", clock, np.full(3000, 5e-3))
+        power = PowerTrace("const", np.full(3000, 5e-3))
         fast = campaign.measure(power, seed=4)
         detailed = MeasuredTrace("chain", measure_chain(config, power, seed=4), config)
         # Both see the same underlying signal; their means agree within the
@@ -70,7 +64,7 @@ class TestMeasurementChainOracle:
         # levels are of the same order.
         assert len(detailed) == len(fast)
         sigma_of_mean = np.std(fast.values) / np.sqrt(len(fast))
-        assert detailed.mean_power_w == pytest.approx(fast.mean_power_w, abs=4 * sigma_of_mean)
+        assert np.mean(detailed.values) == pytest.approx(np.mean(fast.values), abs=4 * sigma_of_mean)
         assert np.std(detailed.values) == pytest.approx(np.std(fast.values), rel=0.35)
 
     def test_range_headroom_matches_the_scope(self):
@@ -89,37 +83,37 @@ class TestMeasurementChainOracle:
 class TestMeasureRows:
     """The per-cycle repetition oracle is the library's ``measure``, row by row."""
 
-    def test_rows_reuse_one_buffer(self, campaign, clock):
-        power = make_power_trace(clock)
+    def test_rows_reuse_one_buffer(self, campaign):
+        power = make_power_trace()
         rows = [row for row in measure_rows(campaign, power, seeds=[10, 11, 12])]
         assert len(rows) == 3
         assert all(row is rows[0] for row in rows)
 
-    def test_rows_equal_per_seed_measure_and_differ_per_seed(self, campaign, clock):
-        power = make_power_trace(clock)
+    def test_rows_equal_per_seed_measure_and_differ_per_seed(self, campaign):
+        power = make_power_trace()
         rows = [row.copy() for row in measure_rows(campaign, power, seeds=[10, 11])]
         for row, seed in zip(rows, [10, 11]):
             assert np.array_equal(row, campaign.measure(power, seed=seed).values)
         # Different noise realisations per repetition.
         assert not np.array_equal(rows[0], rows[1])
 
-    def test_requires_at_least_one_seed_when_called(self, campaign, clock):
+    def test_requires_at_least_one_seed_when_called(self, campaign):
         with pytest.raises(ValueError):
-            measure_rows(campaign, make_power_trace(clock), seeds=[])
+            measure_rows(campaign, make_power_trace(), seeds=[])
 
 
 class TestMeasureMany:
-    def test_rows_bit_identical_to_per_seed_measure(self, campaign, clock):
-        power = make_power_trace(clock)
+    def test_rows_bit_identical_to_per_seed_measure(self, campaign):
+        power = make_power_trace()
         seeds = [3, 4, 5]
         matrix = campaign.measure_many(power, seeds=seeds)
         assert matrix.shape == (len(seeds), len(power))
         for row, seed in enumerate(seeds):
             assert np.array_equal(matrix[row], campaign.measure(power, seed=seed).values)
 
-    def test_requires_at_least_one_seed(self, campaign, clock):
+    def test_requires_at_least_one_seed(self, campaign):
         with pytest.raises(ValueError):
-            campaign.measure_many(make_power_trace(clock), seeds=[])
+            campaign.measure_many(make_power_trace(), seeds=[])
 
 
 def measure_chip(campaign, chip, num_cycles, power_seed, seed, **power_options):

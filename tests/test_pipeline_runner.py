@@ -282,6 +282,36 @@ class TestArtifactSaveHygiene:
         )
 
 
+class TestArtifactSchemaVersion:
+    """Only the current artifact schema loads; a v1 file is rejected."""
+
+    @staticmethod
+    def _downgrade(json_path):
+        import json
+
+        payload = json.loads(json_path.read_text())
+        payload["schema_version"] = 1
+        json_path.write_text(json.dumps(payload))
+
+    def test_scenario_load_rejects_a_v1_artifact(self, tmp_path):
+        from repro.pipeline import ScenarioResult
+
+        result = ExperimentRunner().run(ScenarioSpec(kind="fig2", name="ok", seed=9))
+        path = result.save(tmp_path / "res")
+        self._downgrade(path)
+        with pytest.raises(ValueError, match="unsupported artifact schema version 1"):
+            ScenarioResult.load(path)
+
+    def test_sweep_load_rejects_a_v1_artifact(self, tmp_path):
+        from repro.pipeline import SweepResult
+
+        result = ExperimentRunner().run(ScenarioSpec(kind="fig2", name="ok", seed=9))
+        path = SweepResult(results=[result], elapsed_s=1.0).save(tmp_path / "sweep")
+        self._downgrade(path)
+        with pytest.raises(ValueError, match="unsupported artifact schema version 1"):
+            SweepResult.load(path)
+
+
 class TestFailedCellRoundTrip:
     """``error``/``ok``/FAILED counts survive save/load and the wire format."""
 

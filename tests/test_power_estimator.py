@@ -1,43 +1,74 @@
-"""Unit tests for repro.power.estimator."""
+"""Unit tests for repro.power.estimator: the calibration at 10 MHz / 1.2 V."""
 
 import numpy as np
 import pytest
 
 from rtl_oracle import trace_from_records
-from repro.power.estimator import PowerEstimator
+from repro.power.estimator import (
+    CLOCK_TOGGLE_ENERGY_J,
+    CYCLE_TIME_S,
+    DATA_TOGGLE_ENERGY_J,
+    LEAKAGE_W,
+    STATE_DEPENDENCE,
+)
 from repro.rtl.activity import ActivityRecord, ActivityTrace
 
 
 class TestCalibration:
+    def test_clock_toggle_energy_matches_paper(self):
+        # Two clock transitions per cycle at 10 MHz must give 1.476 uW.
+        assert CLOCK_TOGGLE_ENERGY_J == pytest.approx(73.8e-15)
+        assert 2 * CLOCK_TOGGLE_ENERGY_J / CYCLE_TIME_S == pytest.approx(1.476e-6)
+
+    def test_data_toggle_energy_matches_paper(self):
+        assert DATA_TOGGLE_ENERGY_J == pytest.approx(112.6e-15)
+        assert DATA_TOGGLE_ENERGY_J / CYCLE_TIME_S == pytest.approx(1.126e-6)
+
+    def test_cycle_time(self):
+        assert CYCLE_TIME_S == pytest.approx(100e-9)
+
     def test_per_register_clock_power(self, nominal_estimator):
         assert nominal_estimator.per_register_clock_power() == pytest.approx(1.476e-6, rel=1e-6)
 
     def test_per_register_data_power(self, nominal_estimator):
         assert nominal_estimator.per_register_data_power() == pytest.approx(1.126e-6, rel=1e-6)
 
-    def test_at_nominal_constructor(self):
-        estimator = PowerEstimator.at_nominal(frequency_hz=20e6)
-        # Same energy per toggle, double frequency -> double power.
-        assert estimator.per_register_clock_power() == pytest.approx(2 * 1.476e-6, rel=1e-6)
+
+class TestDynamicPower:
+    def test_average_power_over_trace(self, nominal_estimator):
+        trace = trace_from_records(
+            "t", [ActivityRecord(clock_toggles=2), ActivityRecord(clock_toggles=0)]
+        )
+        assert nominal_estimator.average_power(trace) == pytest.approx(1.476e-6 / 2)
+
+    def test_average_power_of_empty_trace_is_zero(self, nominal_estimator):
+        assert nominal_estimator.average_power(ActivityTrace("t")) == 0.0
+
+    def test_power_per_cycle_vectorised(self, nominal_estimator):
+        trace = trace_from_records("t", [ActivityRecord(clock_toggles=2)] * 5)
+        per_cycle = nominal_estimator.power_per_cycle(trace)
+        assert per_cycle.shape == (5,)
+        assert np.allclose(per_cycle, 1.476e-6)
 
 
 class TestComponentPower:
     def test_component_power_includes_leakage(self, nominal_estimator):
         trace = trace_from_records("bank", [ActivityRecord(clock_toggles=2048)] * 4)
-        dynamic_w = nominal_estimator.dynamic_model.average_power("dff", trace)
+        dynamic_w = nominal_estimator.average_power(trace)
         static_w = nominal_estimator.leakage_of({"dff": 1024, "icg": 32})
         assert dynamic_w == pytest.approx(1024 * 1.476e-6, rel=1e-6)
         assert 0.3e-6 < static_w < 0.5e-6
 
     def test_cycle_power(self, nominal_estimator):
-        value = nominal_estimator.cycle_power("dff", ActivityRecord(clock_toggles=2, data_toggles=1))
+        trace = trace_from_records("t", [ActivityRecord(clock_toggles=2, data_toggles=1)])
+        value = nominal_estimator.power_per_cycle(trace)[0]
         assert value == pytest.approx((1.476 + 1.126) * 1e-6, rel=1e-6)
 
 
 class TestPowerTraces:
     def test_power_trace_adds_static(self, nominal_estimator):
         trace = trace_from_records("t", [ActivityRecord(clock_toggles=2)] * 3)
-        power = nominal_estimator.power_trace(trace, static_w=1e-6)
+        power = nominal_estimator.combined_power_trace({"t": trace}, static_w=1e-6)
         assert np.allclose(power.power_w, 1.476e-6 + 1e-6)
 
     def test_combined_power_trace(self, nominal_estimator):
@@ -54,11 +85,40 @@ class TestPowerTraces:
 
     def test_combined_power_trace_length_mismatch_rejected(self, nominal_estimator):
         traces = {
-            "a": ActivityTrace.zeros("a", 2),
-            "b": ActivityTrace.zeros("b", 3),
+            "a": trace_from_records("a", [ActivityRecord()] * 2),
+            "b": trace_from_records("b", [ActivityRecord()] * 3),
         }
         with pytest.raises(ValueError):
             nominal_estimator.combined_power_trace(traces)
 
     def test_leakage_of_inventory(self, nominal_estimator):
-        assert nominal_estimator.leakage_of({"dff": 1024, "icg": 32}) == pytest.approx(4.0e-7, rel=0.2)
+        # 1,024 DFFs + 32 ICGs leak around 0.40 uW (Table I static column).
+        leak = nominal_estimator.leakage_of({"dff": 1024, "icg": 32})
+        assert 0.35e-6 < leak < 0.45e-6
+        assert leak == pytest.approx(4.0e-7, rel=0.2)
+
+
+class TestLeakage:
+    def test_leakage_table_has_expected_cells(self):
+        for cell_type in ("dff", "icg", "clk_buf", "comb", "sram", "register_bank"):
+            assert LEAKAGE_W[cell_type] > 0
+
+    def test_unknown_cell_leaks_as_comb(self, nominal_estimator):
+        assert nominal_estimator.leakage_of({"weird_macro": 3}) == nominal_estimator.leakage_of(
+            {"comb": 3}
+        )
+
+    def test_state_dependence_is_small(self, nominal_estimator):
+        idle = nominal_estimator.leakage_of({"dff": 1}, active_fraction=0.0)
+        active = nominal_estimator.leakage_of({"dff": 1}, active_fraction=1.0)
+        assert idle < active < idle * 1.05
+        assert active == pytest.approx(idle * (1.0 + STATE_DEPENDENCE))
+
+    def test_invalid_active_fraction_rejected(self, nominal_estimator):
+        for fraction in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                nominal_estimator.leakage_of({"dff": 1}, active_fraction=fraction)
+
+    def test_negative_count_rejected(self, nominal_estimator):
+        with pytest.raises(ValueError):
+            nominal_estimator.leakage_of({"dff": -1})

@@ -48,12 +48,7 @@ def _stepped_power(architecture, estimator, num_cycles):
     """Golden reference: step the architecture every cycle, then estimate."""
     traces = stepped_activity(architecture, num_cycles)
     static = estimator.leakage_of(architecture.cell_inventory())
-    return estimator.combined_power_trace(
-        traces,
-        cell_types={key: "dff" for key in traces},
-        static_w=static,
-        name=architecture.name,
-    )
+    return estimator.combined_power_trace(traces, static_w=static, name=architecture.name)
 
 
 class TestPeriodicExtend:
@@ -79,7 +74,7 @@ class TestWatermarkPowerEquivalence:
 
     @pytest.mark.parametrize("build", [_small_clock_modulation, _small_baseline])
     def test_bit_identical_over_multiple_periods(self, build):
-        estimator = PowerEstimator.at_nominal()
+        estimator = PowerEstimator()
         architecture = build()
         num_cycles = 3 * architecture.sequence_period + 11
         reference = _stepped_power(build(), estimator, num_cycles)
@@ -87,7 +82,7 @@ class TestWatermarkPowerEquivalence:
         assert np.array_equal(synthesized.power_w, reference.power_w)
 
     def test_power_trace_uses_template_and_matches_reference(self):
-        estimator = PowerEstimator.at_nominal()
+        estimator = PowerEstimator()
         architecture = _small_clock_modulation()
         num_cycles = 2 * architecture.sequence_period + 5
         reference = _stepped_power(_small_clock_modulation(), estimator, num_cycles)
@@ -95,7 +90,7 @@ class TestWatermarkPowerEquivalence:
         assert np.array_equal(trace.power_w, reference.power_w)
 
     def test_phase_offset_matches_roll(self):
-        estimator = PowerEstimator.at_nominal()
+        estimator = PowerEstimator()
         architecture = _small_clock_modulation()
         num_cycles = 150
         plain = architecture.power_trace(estimator, num_cycles)
@@ -104,7 +99,7 @@ class TestWatermarkPowerEquivalence:
 
     def test_periodic_activity_calls_return_equal_independent_arrays(self):
         architecture = _small_clock_modulation()
-        estimator = PowerEstimator.at_nominal()
+        estimator = PowerEstimator()
         before = architecture.power_trace(estimator, 100)
         first = architecture.periodic_activity()
         second = architecture.periodic_activity()
@@ -119,7 +114,7 @@ class TestWatermarkPowerEquivalence:
     def test_paper_scale_template_short_window(self):
         # The full test-chip configuration (period 4,095) stays bit-exact
         # over a window that crosses the period boundary.
-        estimator = PowerEstimator.at_nominal()
+        estimator = PowerEstimator()
         config = WatermarkConfig()
         architecture = ClockModulationWatermark.from_config(config)
         period = architecture.sequence_period
@@ -238,7 +233,7 @@ class TestEndToEndDecisions:
         from repro.core.config import MeasurementConfig
         from repro.measurement.acquisition import AcquisitionCampaign
 
-        estimator = PowerEstimator.at_nominal()
+        estimator = PowerEstimator()
         architecture = _small_clock_modulation()
         num_cycles = 5 * architecture.sequence_period
         reference = _stepped_power(_small_clock_modulation(), estimator, num_cycles)
@@ -262,7 +257,7 @@ class TestEndToEndDecisions:
         from repro.core.config import MeasurementConfig
         from repro.measurement.acquisition import AcquisitionCampaign
 
-        estimator = PowerEstimator.at_nominal()
+        estimator = PowerEstimator()
         config = WatermarkConfig()
         architecture = ClockModulationWatermark.from_config(config)
         num_cycles = 3 * architecture.sequence_period + 1_001
@@ -284,7 +279,7 @@ class TestEndToEndDecisions:
 
 class TestPeriodicPowerTemplate:
     def test_from_power_trace_roundtrip(self):
-        estimator = PowerEstimator.at_nominal()
+        estimator = PowerEstimator()
         architecture = _small_baseline()
         template = architecture.power_template(estimator)
         assert template.period == architecture.sequence_period
@@ -293,30 +288,19 @@ class TestPeriodicPowerTemplate:
         assert np.array_equal(extended.power_w[: template.period], template.power_w)
 
     def test_rejects_empty_or_2d(self):
-        from repro.rtl.signals import Clock
-
-        clock = Clock("clk", 10e6)
         with pytest.raises(ValueError):
-            PeriodicPowerTemplate(name="t", clock=clock, power_w=np.array([]))
+            PeriodicPowerTemplate(name="t", power_w=np.array([]))
         with pytest.raises(ValueError):
-            PeriodicPowerTemplate(name="t", clock=clock, power_w=np.ones((2, 2)))
+            PeriodicPowerTemplate(name="t", power_w=np.ones((2, 2)))
 
     def test_periodic_template_is_served_read_only(self):
-        from repro.rtl.signals import Clock
-
-        template = PeriodicPowerTemplate(
-            name="t", clock=Clock(name="clk", frequency_hz=1e6), power_w=np.ones(8)
-        )
+        template = PeriodicPowerTemplate(name="t", power_w=np.ones(8))
         assert not template.power_w.flags.writeable
         with pytest.raises(ValueError):
             template.power_w[0] = 2.0
 
     def test_freezing_does_not_alias_the_caller_array(self):
-        from repro.rtl.signals import Clock
-
         mine = np.ones(8)
-        PeriodicPowerTemplate(
-            name="t", clock=Clock(name="clk", frequency_hz=1e6), power_w=mine
-        )
+        PeriodicPowerTemplate(name="t", power_w=mine)
         assert mine.flags.writeable  # the template froze its own copy
         mine[0] = 5.0  # and my array still works

@@ -13,7 +13,6 @@ from repro.detection.batch import BatchCPADetector
 from repro.detection.cpa import rotation_correlations
 from repro.detection.statistics import BoxPlotStats
 from repro.pipeline import ExperimentRunner, RetryPolicy, RunOptions, SpecGrid
-from repro.power.models import scale_energy_with_voltage
 from repro.power.synthesis import periodic_extend, rolled_blocks
 from repro.rtl.activity import ActivityRecord
 from repro.rtl.clock_tree import ClockTree
@@ -203,17 +202,6 @@ def test_clock_tree_toggles_monotonic_in_active_sinks(num_sinks, fanout):
         assert toggles >= previous
         previous = toggles
     assert tree.toggles_per_cycle(num_sinks) >= 2 * num_sinks
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    energy=st.floats(min_value=1e-18, max_value=1e-9, allow_nan=False),
-    voltage=st.floats(min_value=0.5, max_value=1.3, allow_nan=False),
-)
-def test_voltage_scaling_is_quadratic_and_monotonic(energy, voltage):
-    scaled = scale_energy_with_voltage(energy, voltage, 1.2)
-    assert scaled == pytest.approx(energy * (voltage / 1.2) ** 2)
-    assert (scaled <= energy) == (voltage <= 1.2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,14 @@ test.
 Symbols.  Every top-level function and class and every method of a reached
 module must be reached too.  A plain AST name-reference pass decides it: a
 symbol is reached when a reached body, or the module-level code of a
-reached module, names it -- as a bare name, as an attribute (``x.name``),
-or as the string constant of ``getattr``/``hasattr``.  Import statements,
-type annotations and package ``__init__`` re-exports name nothing.  A
-method needs its class reached as well.  The roots are
+reached module, names it.  A function or class is named by a bare name or
+an attribute (``module.name``); a method or property only by an attribute
+(``x.name``) or the string constant of ``getattr``/``hasattr`` -- a bare
+name in a body is a local, a parameter or a builtin (``slice(...)``), not
+the method.  An attribute read off a name bound by a non-repro import
+(``np.tile``) names nothing of the library.  Import statements, type
+annotations and package ``__init__`` re-exports name nothing.  A method
+needs its class reached as well.  The roots are
 
 * the module-level code of every reached module;
 * a function or class registered by a project decorator
@@ -30,8 +34,9 @@ method needs its class reached as well.  The roots are
   ``tests/measurement_chain.py``) use only reached library API and add
   nothing.
 
-A name matches every symbol of that name, so the pass over-approximates
-reach: what it flags is named by no reached code at all.
+An attribute name matches every method of that name, so the pass
+over-approximates reach: what it flags is named by no reached code at all.
+Code that nothing reaches is deleted, not kept for tests.
 """
 
 import ast
@@ -250,25 +255,64 @@ def _walk(node: ast.AST) -> Iterator[ast.AST]:
             todo.extend(child for child in children if isinstance(child, ast.AST))
 
 
-def _names(nodes: Iterable[ast.AST], aliases: Dict[str, str]) -> Set[str]:
-    """The names ``nodes`` use (import statements and annotations excluded)."""
-    found: Set[str] = set()
+class _Names(NamedTuple):
+    """What a piece of code names: bare names, and attribute names."""
+
+    bare: Set[str]
+    attributes: Set[str]
+
+    def __ior__(self, other: "_Names") -> "_Names":
+        self.bare.update(other.bare)
+        self.attributes.update(other.attributes)
+        return self
+
+
+def _off_foreign(node: ast.expr, foreign: FrozenSet[str]) -> bool:
+    """Whether ``node`` is (an attribute chain rooted at) a non-repro import."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in foreign
+
+
+def _names(nodes: Iterable[ast.AST], aliases: Dict[str, str], foreign: FrozenSet[str]) -> _Names:
+    """The names ``nodes`` use (import statements and annotations excluded).
+
+    An attribute read off a name a non-repro ``import`` binds (``np.tile``)
+    names nothing of the library.
+    """
+    found = _Names(set(), set())
     for node in nodes:
         for sub in _walk(node):
             if isinstance(sub, ast.Name):
-                found.add(aliases.get(sub.id, sub.id))
+                found.bare.add(aliases.get(sub.id, sub.id))
             elif isinstance(sub, ast.Attribute):
-                found.add(sub.attr)
+                if not _off_foreign(sub, foreign):
+                    found.attributes.add(sub.attr)
             elif (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Name)
                 and sub.func.id in _NAMED_BY_STRING
                 and len(sub.args) >= 2
+                and not _off_foreign(sub.args[0], foreign)
                 and isinstance(sub.args[1], ast.Constant)
                 and isinstance(sub.args[1].value, str)
             ):
-                found.add(sub.args[1].value)
+                found.attributes.add(sub.args[1].value)
     return found
+
+
+def _foreign_imports(tree: ast.AST) -> FrozenSet[str]:
+    """Local names bound by the module's ``import``s of non-repro code."""
+    bound: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if not alias.name.startswith("repro"):
+                    bound.add(alias.asname or alias.name.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if not (node.module or "").startswith("repro"):
+                bound.update(alias.asname or alias.name for alias in node.names)
+    return frozenset(bound)
 
 
 def _registered(node: ast.AST) -> bool:
@@ -293,15 +337,16 @@ class _Definition(NamedTuple):
     owner: Optional[Symbol]
     nodes: List[ast.AST]
     aliases: Dict[str, str]
+    foreign: FrozenSet[str]
     root: bool
 
 
 def _definitions(
     sources: Dict[str, str], is_root: Callable[[Symbol], bool]
-) -> Tuple[Dict[Symbol, _Definition], Set[str]]:
+) -> Tuple[Dict[Symbol, _Definition], _Names]:
     """Every symbol of ``sources`` and the names their module-level code uses."""
     definitions: Dict[Symbol, _Definition] = {}
-    module_names: Set[str] = set()
+    module_names = _Names(set(), set())
     for module, source in sources.items():
         tree = ast.parse(source)
         aliases = {
@@ -311,10 +356,11 @@ def _definitions(
             for alias in node.names
             if alias.asname
         }
+        foreign = _foreign_imports(tree)
         for node in tree.body:
             if isinstance(node, _FUNCTIONS):
                 definitions[module, node.name] = _Definition(
-                    node.name, None, [node], aliases,
+                    node.name, None, [node], aliases, foreign,
                     _registered(node) or is_root((module, node.name)),
                 )
             elif isinstance(node, ast.ClassDef):
@@ -323,28 +369,34 @@ def _definitions(
                 shell = [*node.decorator_list, *node.bases, *node.keywords]
                 shell += [item for item in node.body if not isinstance(item, _FUNCTIONS)]
                 definitions[module, node.name] = _Definition(
-                    node.name, None, shell, aliases,
+                    node.name, None, shell, aliases, foreign,
                     _registered(node) or is_root((module, node.name)),
                 )
                 for item in node.body:
                     if isinstance(item, _FUNCTIONS):
                         qualname = f"{node.name}.{item.name}"
                         definitions[module, qualname] = _Definition(
-                            item.name, (module, node.name), [item], aliases,
+                            item.name, (module, node.name), [item], aliases, foreign,
                             _is_dunder(item.name)
                             or item.name in STDLIB_HOOKS
                             or _registered(item)
                             or is_root((module, qualname)),
                         )
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                module_names |= _names([node], aliases)
+                module_names |= _names([node], aliases, foreign)
     return definitions, module_names
 
 
 def unreached_symbols(
     sources: Dict[str, str], is_root: Callable[[Symbol], bool]
 ) -> Set[Symbol]:
-    """The symbols of ``sources`` that no root reaches by name."""
+    """The symbols of ``sources`` that no root reaches by name.
+
+    A top-level function or class is reached by its bare name or as an
+    attribute (``module.name``); a method or property only as an attribute
+    (``x.name``) or a ``getattr``-family string, since a bare name in a
+    body is a local, a parameter or a builtin, never the method.
+    """
     definitions, referenced = _definitions(sources, is_root)
     reached: Set[Symbol] = set()
     changed = True
@@ -355,9 +407,12 @@ def unreached_symbols(
                 continue
             if definition.owner is not None and definition.owner not in reached:
                 continue
-            if definition.root or definition.name in referenced:
+            named = definition.name in referenced.attributes or (
+                definition.owner is None and definition.name in referenced.bare
+            )
+            if definition.root or named:
                 reached.add(symbol)
-                referenced |= _names(definition.nodes, definition.aliases)
+                referenced |= _names(definition.nodes, definition.aliases, definition.foreign)
                 changed = True
     return set(definitions) - reached
 
@@ -418,6 +473,39 @@ def test_an_uncalled_public_function_is_flagged():
         ("repro.rtl.netlist", "orphan_helper"),
         ("repro.soc.chip", "Orphan"),
         ("repro.soc.chip", "Orphan.used"),
+    }
+
+
+def test_a_method_named_like_a_builtin_or_a_local_is_flagged():
+    # analysis/masking.py calls the builtin ``slice(...)`` and
+    # AcquisitionCampaign.per_cycle_noise_sigma reads its ``mean_power_w``
+    # parameter: bare names, which reach no method or property of that name.
+    sources = library_sources()
+    sources["repro.rtl.activity"] += (
+        "\n\nclass Seeded:\n"
+        "    def slice(self):\n        pass\n"
+        "    @property\n    def mean_power_w(self):\n        return 0.0\n"
+        "\n\nSEEDED = Seeded()\n"
+    )
+    assert unreached_symbols(sources, _is_root) == {
+        ("repro.rtl.activity", "Seeded.slice"),
+        ("repro.rtl.activity", "Seeded.mean_power_w"),
+    }
+
+
+def test_an_attribute_of_a_foreign_import_names_no_library_symbol():
+    # ``np.zeros(...)`` across the library names numpy's function, not a
+    # library method or function called ``zeros``.
+    sources = library_sources()
+    sources["repro.rtl.activity"] += (
+        "\n\nclass Seeded:\n"
+        "    def zeros(self):\n        pass\n"
+        "\n\ndef zeros():\n    pass\n"
+        "\n\nSEEDED = Seeded()\n"
+    )
+    assert unreached_symbols(sources, _is_root) == {
+        ("repro.rtl.activity", "Seeded.zeros"),
+        ("repro.rtl.activity", "zeros"),
     }
 
 

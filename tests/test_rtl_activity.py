@@ -27,18 +27,13 @@ class TestActivityTrace:
         with pytest.raises(ValueError):
             ActivityTrace("t", clock_toggles=np.array([1, 2]), data_toggles=np.array([1]), comb_toggles=np.array([1, 2]))
 
-    def test_zeros(self):
-        trace = ActivityTrace.zeros("t", 10)
-        assert len(trace) == 10
-        assert int(trace.total_toggles.sum()) == 0
-
     def test_total_toggles_vector(self):
         trace = trace_from_records("t", [ActivityRecord(1, 1, 1), ActivityRecord(2, 0, 0)])
         assert list(trace.total_toggles) == [3, 2]
 
     def test_add_requires_equal_length(self):
-        a = ActivityTrace.zeros("a", 4)
-        b = ActivityTrace.zeros("b", 5)
+        a = trace_from_records("a", [ActivityRecord()] * 4)
+        b = trace_from_records("b", [ActivityRecord()] * 5)
         with pytest.raises(ValueError):
             a.add(b)
 
@@ -56,9 +51,4 @@ class TestActivityTrace:
 
     def test_tile_empty_rejected(self):
         with pytest.raises(ValueError):
-            ActivityTrace.zeros("t", 0).tile(4)
-
-    def test_slice(self):
-        trace = trace_from_records("t", [ActivityRecord(i, 0, 0) for i in range(6)])
-        sliced = trace.slice(2, 4)
-        assert list(sliced.clock_toggles) == [2, 3]
+            ActivityTrace("t").tile(4)

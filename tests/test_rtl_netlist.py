@@ -62,10 +62,6 @@ class TestNetlistQueries:
         watermark = simple_netlist.components("watermark")
         assert sum(c.register_count for c in watermark) == 76
 
-    def test_edges_iteration(self, simple_netlist):
-        nets = {edge.net for edge in simple_netlist.edges()}
-        assert "wmark" in nets
-
 
 class TestNetlistStructure:
     def test_weakly_connected_clusters(self, simple_netlist):

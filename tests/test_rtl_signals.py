@@ -2,20 +2,8 @@
 
 import pytest
 
-from repro.rtl.signals import Clock, hamming_distance
+from repro.rtl.signals import hamming_distance
 
-
-class TestClock:
-    def test_period(self):
-        assert Clock("clk", 10e6).period_s == pytest.approx(100e-9)
-
-    def test_invalid_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            Clock("clk", 0.0)
-
-    def test_invalid_duty_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            Clock("clk", 10e6, duty_cycle=1.5)
 
 class TestHammingHelpers:
     @pytest.mark.parametrize(

@@ -162,7 +162,7 @@ def test_ledger_chains_and_verifies(tmp_path):
     assert [anchor.index for anchor in anchors] == [0, 1, 2]
     assert ledger.count == 3
     assert ledger.tip_digest == anchors[-1].digest
-    records = ledger.records()
+    records = [json.loads(line) for line in ledger.path.read_text().splitlines()]
     assert records[0]["prev"] == GENESIS_DIGEST
     assert records[1]["prev"] == records[0]["digest"]
     assert ledger.verify() == []

@@ -109,7 +109,7 @@ class TestActivityAndPower:
         traces = background_activity(chip1, 64, seed=9)
         dynamic = np.zeros(64)
         for trace in traces.values():
-            dynamic += chip1.estimator.dynamic_model.power_per_cycle("dff", trace)
+            dynamic += chip1.estimator.power_per_cycle(trace)
         static = background.power_w - dynamic
         expected = chip1.estimator.leakage_of(chip1.system_cell_inventory())
         assert np.allclose(static, expected, rtol=1e-9, atol=0)

@@ -29,7 +29,6 @@ from repro.core.seeds import stream
 from repro.detection.batch import BatchCPADetector, PhaseFold, fold_by_phase
 from repro.measurement.acquisition import AcquisitionCampaign
 from repro.power.trace import PowerTrace
-from repro.rtl.signals import Clock
 
 #: Significance of every distributional check; the seeds are fixed, so a
 #: check either always passes or always fails.
@@ -50,7 +49,7 @@ class FixedSigmaCampaign(AcquisitionCampaign):
 
 
 def power_trace(values: np.ndarray) -> PowerTrace:
-    return PowerTrace("s", Clock("clk", 10e6), np.asarray(values, dtype=np.float64))
+    return PowerTrace("s", np.asarray(values, dtype=np.float64))
 
 
 def oracle_statistics(campaign, trace: PowerTrace, seeds, period: int):
