@@ -7,7 +7,7 @@ import pytest
 from paper_values import PAPER_EXPECTATIONS
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.config import WatermarkConfig
-from repro.experiments.table1 import _format_power
+from repro.experiments.table1 import Table1Result, Table1Row, _format_power
 from repro.pipeline import ScenarioSpec, run_scenario
 from repro.power.estimator import PowerEstimator
 
@@ -74,6 +74,14 @@ class TestTable1:
         assert "1024 Switching Registers" in text
         full = result.rows[-1]
         assert f"{full.share_of_watermark_dynamic * 100:.1f}%" in text
+
+    def test_text_rendering_contains_rows(self):
+        table = Table1Result(rows=[Table1Row(0, 1.51e-3, 0.4e-6, 0.956)])
+        text = table.to_text()
+        assert "Table I" in text
+        assert "No Data Switching" in text
+        assert "95.6%" in text
+        assert "1.51 mW" in text
 
     @staticmethod
     def _run(num_words, counts):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rtl_oracle import trace_from_records
+from repro.core.config import MeasurementConfig
 from repro.power.estimator import (
     CLOCK_TOGGLE_ENERGY_J,
     CYCLE_TIME_S,
@@ -27,6 +28,10 @@ class TestCalibration:
     def test_cycle_time(self):
         assert CYCLE_TIME_S == pytest.approx(100e-9)
 
+    def test_clock_period_matches_measurement_clock(self):
+        # The power model's cycle is one period of the measured chip clock.
+        assert 1.0 / MeasurementConfig().clock_frequency_hz == pytest.approx(CYCLE_TIME_S)
+
     def test_per_register_clock_power(self, nominal_estimator):
         assert nominal_estimator.per_register_clock_power() == pytest.approx(1.476e-6, rel=1e-6)
 
@@ -35,6 +40,19 @@ class TestCalibration:
 
 
 class TestDynamicPower:
+    def test_single_register_clock_power_matches_paper(self, nominal_estimator):
+        # One register's two clock edges in one cycle, through the trace path.
+        trace = trace_from_records("dff", [ActivityRecord(clock_toggles=2)])
+        power = nominal_estimator.average_power(trace)
+        assert power == pytest.approx(1.476e-6, rel=1e-6)
+        assert power == pytest.approx(nominal_estimator.per_register_clock_power())
+
+    def test_single_register_data_power_matches_paper(self, nominal_estimator):
+        trace = trace_from_records("dff", [ActivityRecord(data_toggles=1)])
+        power = nominal_estimator.average_power(trace)
+        assert power == pytest.approx(1.126e-6, rel=1e-6)
+        assert power == pytest.approx(nominal_estimator.per_register_data_power())
+
     def test_average_power_over_trace(self, nominal_estimator):
         trace = trace_from_records(
             "t", [ActivityRecord(clock_toggles=2), ActivityRecord(clock_toggles=0)]
@@ -102,6 +120,20 @@ class TestLeakage:
     def test_leakage_table_has_expected_cells(self):
         for cell_type in ("dff", "icg", "clk_buf", "comb", "sram", "register_bank"):
             assert LEAKAGE_W[cell_type] > 0
+
+    def test_redundant_bank_leakage_near_paper_value(self):
+        # 1,024 DFFs + 32 ICGs should leak around 0.40 uW (Table I static column).
+        leak = LEAKAGE_W["dff"] * 1024 + LEAKAGE_W["icg"] * 32
+        assert 0.35e-6 < leak < 0.45e-6
+
+    def test_total_leakage_of_inventory(self, nominal_estimator):
+        # An inventory leaks the sum of its cells' leakage.
+        leak = nominal_estimator.leakage_of({"dff": 1024, "icg": 32})
+        dff = nominal_estimator.leakage_of({"dff": 1})
+        icg = nominal_estimator.leakage_of({"icg": 1})
+        per_cell = 1024 * dff + 32 * icg
+        assert leak == pytest.approx(per_cell)
+        assert 0.35e-6 < leak < 0.45e-6
 
     def test_unknown_cell_leaks_as_comb(self, nominal_estimator):
         assert nominal_estimator.leakage_of({"weird_macro": 3}) == nominal_estimator.leakage_of(
