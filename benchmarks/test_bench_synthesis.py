@@ -22,7 +22,6 @@ from record import record_benchmark
 
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.config import WatermarkConfig
-from repro.power.estimator import PowerEstimator
 
 NUM_CYCLES = 100_000
 #: Ceiling for a cold template build plus ``extend(NUM_CYCLES)`` at the
@@ -43,7 +42,6 @@ def _timed(fn) -> float:
 
 
 def test_bench_synthesis_cold_ceiling(report, relaxed):
-    estimator = PowerEstimator()
     config = WatermarkConfig()  # the paper's test-chip configuration
 
     # Cold: every round builds a fresh architecture, so it pays the full
@@ -52,13 +50,13 @@ def test_bench_synthesis_cold_ceiling(report, relaxed):
     for _ in range(5):
         architecture = ClockModulationWatermark.from_config(config)
         cold_times.append(
-            _timed(lambda: architecture.power_template(estimator).extend(NUM_CYCLES))
+            _timed(lambda: architecture.power_template().extend(NUM_CYCLES))
         )
     cold_s = statistics.median(cold_times)
 
     # Warm: the periodic template is built, so repeated acquisitions
     # (campaigns, repetitions) only pay the gather.
-    template = architecture.power_template(estimator)
+    template = architecture.power_template()
     warm_s = min(_timed(lambda: template.extend(NUM_CYCLES)) for _ in range(5))
 
     record_benchmark(

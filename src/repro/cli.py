@@ -35,12 +35,9 @@ clock (a hung worker is killed and replaced), ``--retries``/
 ``--retry-backoff`` re-run transiently failed cells (timeouts, worker
 crashes) with deterministic exponential backoff, and
 ``--on-failure raise`` aborts on the first cell that exhausts its
-attempts instead of recording it as FAILED.  ``--chaos`` injects
-deterministic faults for testing the supervision layer itself::
+attempts instead of recording it as FAILED::
 
-    python -m repro sweep fig2 --grid-seeds 1 2 3 --timeout 120 \
-        --retries 2 --chaos '[{"cell": "fig2[seed=1]", "mode": "kill",
-        "attempts": [1]}]'
+    python -m repro sweep fig2 --grid-seeds 1 2 3 --timeout 120 --retries 2
 
 ``serve`` exposes the same scenarios as an HTTP detection service (see
 :mod:`repro.service`): PoW-metered ``/verify``/``/issue`` endpoints,
@@ -63,7 +60,6 @@ from typing import List, Optional
 
 from repro.core.config import QUICK_CYCLES, QUICK_REPETITIONS  # noqa: F401 (re-export)
 from repro.pipeline import faults
-from repro.pipeline.chaos import ChaosPlan
 from repro.pipeline.registry import DEFAULT_REGISTRY, RunOptions, SpecGrid
 from repro.pipeline.runner import ExperimentRunner
 from repro.pipeline.store import ResultStore
@@ -223,17 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
             "result and the sweep continues (default); raise: abort the "
             "sweep on the first such cell (completed cells are already in "
             "--store)"
-        ),
-    )
-    sweep_parser.add_argument(
-        "--chaos",
-        default=None,
-        metavar="JSON",
-        help=(
-            "deterministic fault injection for testing: a JSON list of "
-            'rules like [{"cell": "fig2[seed=1]", "mode": "kill", '
-            '"attempts": [1]}] (modes: raise, hang, kill), or @FILE to '
-            "read the JSON from a file"
         ),
     )
     sweep_parser.add_argument(
@@ -487,24 +472,6 @@ def _expand_grid(parser: argparse.ArgumentParser, args: argparse.Namespace, spec
     return expanded
 
 
-def _chaos_plan(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> Optional[ChaosPlan]:
-    """Parse ``--chaos`` (inline JSON or ``@FILE``), if given."""
-    text = args.chaos
-    if text is None:
-        return None
-    if text.startswith("@"):
-        try:
-            text = pathlib.Path(text[1:]).read_text()
-        except OSError as error:
-            parser.error(f"--chaos: cannot read {text[1:]!r}: {error}")
-    try:
-        return ChaosPlan.coerce(text)
-    except (ValueError, KeyError, TypeError) as error:
-        parser.error(f"--chaos: invalid fault plan: {error}")
-
-
 def _cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     runner = ExperimentRunner()
     specs = _resolve_or_exit(parser, runner, args, args.scenarios)
@@ -525,7 +492,6 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             timeout=args.timeout,
             retry=retry,
             on_failure=args.on_failure,
-            chaos=_chaos_plan(parser, args),
         )
     except faults.CellFailed as failure:
         print(f"sweep aborted (--on-failure raise): {failure}", file=sys.stderr)

@@ -16,7 +16,7 @@ detector and the area analysis treat them interchangeably:
 ``activity_traces(num_cycles)``
     exact per-cycle activity for a long run, computed from one watermark
     period and tiled (the circuits are strictly periodic);
-``power_trace(estimator, num_cycles)``
+``power_trace(num_cycles)``
     the watermark's per-cycle power contribution;
 ``cell_inventory()``
     structural figures for the leakage analysis.
@@ -102,10 +102,9 @@ class WatermarkArchitecture(abc.ABC):
         periodic = self.periodic_activity()
         return {key: trace.tile(num_cycles) for key, trace in periodic.items()}
 
-    def power_template(
-        self, estimator: PowerEstimator, include_leakage: bool = True
-    ) -> PeriodicPowerTemplate:
+    def power_template(self, include_leakage: bool = True) -> PeriodicPowerTemplate:
         """One-period per-cycle power template of the watermark circuit."""
+        estimator = PowerEstimator()
         traces = self.periodic_activity()
         static = estimator.leakage_of(self.cell_inventory()) if include_leakage else 0.0
         trace = estimator.combined_power_trace(traces, static_w=static, name=self.name)
@@ -113,7 +112,6 @@ class WatermarkArchitecture(abc.ABC):
 
     def power_trace(
         self,
-        estimator: PowerEstimator,
         num_cycles: int,
         include_leakage: bool = True,
         phase_offset: int = 0,
@@ -128,10 +126,10 @@ class WatermarkArchitecture(abc.ABC):
         rotates the trace like ``np.roll(power_w, -phase_offset)``, which
         models the scope trigger being unaligned with the watermark phase.
         """
-        template = self.power_template(estimator, include_leakage)
+        template = self.power_template(include_leakage)
         return template.extend(num_cycles, phase_offset)
 
-    def average_active_load_power(self, estimator: PowerEstimator) -> float:
+    def average_active_load_power(self) -> float:
         """Average load dynamic power during WMARK-high cycles.
 
         This is the quantity Table I reports ("power consumption of the
@@ -140,7 +138,7 @@ class WatermarkArchitecture(abc.ABC):
         """
         periodic = self.periodic_activity()
         wmark = self.sequence(self.sequence_period).astype(bool)
-        load_power = estimator.power_per_cycle(periodic["load"])
+        load_power = PowerEstimator().power_per_cycle(periodic["load"])
         active = load_power[wmark[: len(load_power)]]
         if len(active) == 0:
             return 0.0

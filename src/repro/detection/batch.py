@@ -73,6 +73,17 @@ class PhaseFold:
             )
 
 
+def sum_of_squares(values: np.ndarray) -> float:
+    """``values @ values``, summed in one fixed order.
+
+    BLAS ``ddot`` splits a long vector across threads, so its last bits
+    depend on how many threads the host's BLAS runs; ``np.einsum``
+    (without ``optimize``) sums in numpy's own loop, the same on any
+    thread count.
+    """
+    return np.einsum("i,i->", values, values)
+
+
 def _fold_traces(traces: np.ndarray, period: int) -> PhaseFold:
     """The :class:`PhaseFold` of one 1-D trace or a ``trials x cycles`` matrix."""
     matrix = np.asarray(traces, dtype=np.float64)
@@ -91,9 +102,9 @@ def _fold_traces(traces: np.ndarray, period: int) -> PhaseFold:
     full = num_cycles - num_cycles % period
     folded = matrix[:, :full].reshape(trials, -1, period).sum(axis=1)
     folded[:, : num_cycles - full] += matrix[:, full:]
-    # Per-row BLAS dots round the same whatever the batch size, which
-    # keeps a batch of N bit-identical to N batches of one.
-    sum_yy = np.array([row @ row for row in matrix])
+    # Per-row sums round the same whatever the batch size, which keeps a
+    # batch of N bit-identical to N batches of one.
+    sum_yy = np.array([sum_of_squares(row) for row in matrix])
     return PhaseFold(folded, sum_yy, num_cycles)
 
 

@@ -71,8 +71,9 @@ class Table1Result:
 
     def to_text(self) -> str:
         """Render as a fixed-width text table (Table I layout)."""
+        width = max([len("Implementation")] + [len(row.implementation) for row in self.rows])
         header = (
-            f"{'Implementation':<44} {'Dynamic':>12} {'Static':>12} "
+            f"{'Implementation':<{width}} {'Dynamic':>12} {'Static':>12} "
             f"{'Total':>12} {'% WM dyn':>10}"
         )
         lines = [
@@ -84,7 +85,7 @@ class Table1Result:
         for row in self.rows:
             share = f"{row.share_of_watermark_dynamic * 100:.1f}%"
             lines.append(
-                f"{row.implementation:<44} {_format_power(row.dynamic_w):>12} "
+                f"{row.implementation:<{width}} {_format_power(row.dynamic_w):>12} "
                 f"{_format_power(row.static_w):>12} {_format_power(row.total_w):>12} "
                 f"{share:>10}"
             )
@@ -113,7 +114,7 @@ def _compute_table1(
 
         # Dynamic power of the load (the modulated bank) during enabled cycles,
         # which is what a signoff tool reports for the placed-and-routed macro.
-        load_dynamic = watermark.average_active_load_power(estimator)
+        load_dynamic = watermark.average_active_load_power()
 
         # WGC dynamic power (it is clocked every cycle).
         periodic = watermark.periodic_activity()

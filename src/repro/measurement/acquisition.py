@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.config import MeasurementConfig
 from repro.core.seeds import stream
-from repro.detection.batch import PhaseFold, fold_by_phase
+from repro.detection.batch import PhaseFold, fold_by_phase, sum_of_squares
 from repro.measurement.noise import (
     gaussian_noise,
     quantization_noise_rms,
@@ -179,7 +179,7 @@ class AcquisitionCampaign:
         power_fold, counts = fold_by_phase(power, period)
         means = power_fold[0] / counts
         residual = power - np.resize(means, num_cycles)
-        residual_norm = np.sqrt(residual @ residual)
+        residual_norm = np.sqrt(sum_of_squares(residual))
         residual_dims = num_cycles - period
         sigma = self._trace_sigma(power_trace)
 
@@ -199,5 +199,5 @@ class AcquisitionCampaign:
         noise_dot_noise = (noise_folds * noise_folds / counts).sum(axis=1) + sigma * sigma * (
             along_residual * along_residual + chi2
         )
-        sum_yy = power @ power + 2.0 * power_dot_noise + noise_dot_noise
+        sum_yy = sum_of_squares(power) + 2.0 * power_dot_noise + noise_dot_noise
         return PhaseFold(power_fold + noise_folds, sum_yy, num_cycles)

@@ -23,11 +23,10 @@ The public surface:
 * :class:`RetryPolicy` / :class:`Supervision` / :data:`FAILURE_KINDS` --
   the fault-tolerance policy layer (per-cell timeouts, retries with
   deterministic backoff, failure taxonomy, graceful shutdown; see
-  :mod:`repro.pipeline.faults`).  ``run_many(..., chaos=...)`` takes
-  deterministic fault injection rules (:mod:`repro.pipeline.chaos`).
+  :mod:`repro.pipeline.faults`).
 
-The backends and the chaos harness load with the first ``run_many``, so
-importing the package starts no :mod:`multiprocessing` machinery.
+The backends load with the first ``run_many``, so importing the package
+starts no :mod:`multiprocessing` machinery.
 """
 
 from repro.core.spec import ScenarioSpec
@@ -35,7 +34,6 @@ from repro.pipeline.artifacts import Provenance, ScenarioResult, SweepResult
 from repro.pipeline.faults import (
     FAILURE_KINDS,
     CellFailed,
-    InjectedFault,
     RetryPolicy,
     Supervision,
     TransientError,
@@ -61,7 +59,6 @@ __all__ = [
     "Supervision",
     "CellFailed",
     "TransientError",
-    "InjectedFault",
     "ResultStore",
     "StoreStats",
     "code_version_salt",

@@ -130,7 +130,7 @@ class Provenance:
             environment=dict(payload.get("environment", {})),
             created_at=payload.get("created_at", ""),
             elapsed_s=float(payload.get("elapsed_s", 0.0)),
-            attempts=int(payload.get("attempts", 1)),
+            attempts=int(payload["attempts"]),
         )
 
 

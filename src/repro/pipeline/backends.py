@@ -6,7 +6,7 @@ Two backends execute a resolved list of :class:`ScenarioSpec` cells:
     The cells run in submission order inside the calling process, through
     the caller's runner (shared chip provider, warm module-level caches).
     Per-cell wall-clock timeouts use a SIGALRM deadline (main thread
-    only); chaos worker-kills are *simulated* as raised crashes.
+    only).
 
 ``process``
     The cells are dispatched to a supervised pool of worker processes.
@@ -38,9 +38,6 @@ worker-crash counts -- so the supervision policy
   flushes completed cells to the result store incrementally;
 * :class:`faults.SweepInterrupted` records running attempts and queued
   cells as ``cancelled``, never as failures.
-
-Fault injection (:mod:`repro.pipeline.chaos`) hooks in just before a
-cell's pipeline runs, on both backends.
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ from typing import (
 )
 
 from repro.core.spec import ScenarioSpec
-from repro.pipeline import chaos as chaos_mod
 from repro.pipeline import faults
 from repro.pipeline.artifacts import Provenance, ScenarioResult
 
@@ -330,24 +326,20 @@ def _attempt(
     spec: ScenarioSpec,
     attempt: int,
     runner,
-    chaos: Optional[chaos_mod.ChaosPlan],
-    serial: bool,
     timeout_s: Optional[float] = None,
 ) -> Union[ScenarioResult, faults.CellFailure]:
     """One attempt of one cell on either backend: its result or its failure.
 
-    The planned chaos fault, if any, fires before the pipeline runs; a
-    pool ``kill`` never returns.  ``timeout_s`` arms the serial SIGALRM
-    deadline (the pool enforces its deadlines from the parent instead).
+    ``timeout_s`` arms the serial SIGALRM deadline (the pool enforces its
+    deadlines from the parent instead).  Every attempt re-executes the
+    same frozen spec; the 1-based ``attempt`` number is passed for
+    wrappers such as the fault-injection harness in
+    ``tests/fault_injection.py``.
     """
     from repro.pipeline.runner import Pipeline
 
     try:
         with _cell_timeout(timeout_s):
-            if chaos is not None:
-                fault = chaos.fault_for(_cell_name(spec), attempt)
-                if fault is not None:
-                    chaos_mod.trigger(fault, serial=serial)
             result = Pipeline.from_spec(spec).execute(runner)
     except faults.CellTimeout:
         assert timeout_s is not None  # only an armed deadline raises it
@@ -357,9 +349,7 @@ def _attempt(
     return result
 
 
-def _drain_serial(
-    sweep: _Sweep, runner, chaos: Optional[chaos_mod.ChaosPlan]
-) -> None:
+def _drain_serial(sweep: _Sweep, runner) -> None:
     """Run the sweep's queued attempts in order, in this process."""
     while sweep.queue:
         # The head always runs next: a backed-off retry is never overtaken.
@@ -370,9 +360,7 @@ def _drain_serial(
         started = sweep.start(math.inf)
         assert started is not None  # the queue is not empty
         index, attempt = started
-        outcome = _attempt(
-            sweep.specs[index], attempt, runner, chaos, True, sweep.sup.timeout_s
-        )
+        outcome = _attempt(sweep.specs[index], attempt, runner, sweep.sup.timeout_s)
         if isinstance(outcome, ScenarioResult):
             sweep.succeed(index, attempt, outcome)
         else:
@@ -383,7 +371,6 @@ def run_serial(
     specs: Sequence[ScenarioSpec],
     runner,
     supervision: Optional[faults.Supervision] = None,
-    chaos: Optional[chaos_mod.ChaosPlan] = None,
     on_result: OnResult = None,
 ) -> List[ScenarioResult]:
     """Execute every cell in order through the caller's runner.
@@ -395,7 +382,7 @@ def run_serial(
     instead of propagating.
     """
     sweep = _Sweep(specs, supervision or faults.Supervision(), on_result)
-    return sweep.run(lambda: _drain_serial(sweep, runner, chaos))
+    return sweep.run(lambda: _drain_serial(sweep, runner))
 
 
 # -- process backend -----------------------------------------------------------
@@ -409,13 +396,13 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-def _supervised_worker(conn, runner, chaos) -> None:
+def _supervised_worker(conn, runner) -> None:
     """Worker body: one cell at a time over ``conn``, until ``None``/EOF.
 
     Exceptions never cross the pipe raw: the worker ships ``("ok", wire)``
     or ``("failed", CellFailure)``, classified as on the serial backend.
-    A chaos ``kill`` fault hard-exits here (``os._exit``), which the
-    parent observes as a dead worker.  SIGINT is ignored -- a Ctrl-C to
+    A worker that exits mid-cell is observed by the parent as a dead
+    worker (:meth:`_ProcessPool._reap`).  SIGINT is ignored -- a Ctrl-C to
     the foreground process group must interrupt only the parent's
     supervisor, not look like a spontaneous crash of every worker.
     """
@@ -436,7 +423,7 @@ def _supervised_worker(conn, runner, chaos) -> None:
             return
         spec_json, attempt = task
         spec = ScenarioSpec.from_json(spec_json)
-        outcome = _attempt(spec, attempt, runner, chaos, False)
+        outcome = _attempt(spec, attempt, runner)
         if isinstance(outcome, ScenarioResult):
             message = ("ok", outcome.to_wire())
         else:
@@ -482,12 +469,10 @@ class _ProcessPool:
         sweep: _Sweep,
         max_workers: int,
         runner,
-        chaos: Optional[chaos_mod.ChaosPlan],
     ) -> None:
         self.sweep = sweep
         self.max_workers = max_workers
         self.runner = runner
-        self.chaos = chaos
         self.context = _pool_context()
         self.crashes = 0
         self.workers: List[_Worker] = []
@@ -518,7 +503,7 @@ class _ProcessPool:
         runner = self.runner if self.context.get_start_method() == "fork" else None
         process = self.context.Process(
             target=_supervised_worker,
-            args=(child_conn, runner, self.chaos),
+            args=(child_conn, runner),
             daemon=True,
         )
         process.start()
@@ -672,7 +657,7 @@ class _ProcessPool:
             from repro.pipeline.runner import ExperimentRunner
 
             runner = ExperimentRunner()
-        _drain_serial(self.sweep, runner, self.chaos)
+        _drain_serial(self.sweep, runner)
 
 
 def run_process(
@@ -680,7 +665,6 @@ def run_process(
     max_workers: Optional[int] = None,
     runner=None,
     supervision: Optional[faults.Supervision] = None,
-    chaos: Optional[chaos_mod.ChaosPlan] = None,
     on_result: OnResult = None,
 ) -> List[ScenarioResult]:
     """Execute the cells on a supervised process pool, in submission order.
@@ -695,4 +679,4 @@ def run_process(
     sweep = _Sweep(specs, supervision or faults.Supervision(), on_result)
     if max_workers is None:
         max_workers = default_max_workers(len(specs))
-    return sweep.run(_ProcessPool(sweep, max_workers, runner, chaos).drain)
+    return sweep.run(_ProcessPool(sweep, max_workers, runner).drain)

@@ -23,9 +23,7 @@ quarantine and serial-fallback thresholds):
   every completed cell already flushed to the result store.
 
 Retried cells are bit-identical to a clean run: a retry re-executes the
-same frozen spec with the same seeds, and fault injection
-(:mod:`repro.pipeline.chaos`) happens strictly *before* the cell's
-pipeline runs.
+same frozen spec with the same seeds.
 """
 
 from __future__ import annotations
@@ -59,18 +57,10 @@ class TransientError(Exception):
     """Base class for in-cell exceptions worth retrying.
 
     Raise (or subclass) this for failures that are plausibly environmental
-    -- an I/O hiccup, a chaos-injected flake -- rather than deterministic
+    -- an I/O hiccup, a flaky resource -- rather than deterministic
     properties of the cell.  Everything else is assumed deterministic and
     never retried.
     """
-
-
-class InjectedFault(TransientError):
-    """A chaos-injected in-cell failure (``mode="raise"``)."""
-
-
-class WorkerCrashError(TransientError):
-    """A worker crash observed (or, on the serial backend, simulated)."""
 
 
 class CellTimeout(BaseException):
@@ -126,11 +116,10 @@ def classify_exception(exc: BaseException, message: str) -> CellFailure:
     """Classify an in-cell exception into the failure taxonomy.
 
     ``message`` is the full traceback text (it becomes
-    ``ScenarioResult.error``).  Worker crashes and :class:`TransientError`
-    subclasses are retryable; any other exception is deterministic.
+    ``ScenarioResult.error``).  :class:`TransientError` subclasses are
+    retryable; any other exception is deterministic.  (A dead worker is
+    no exception: the pool records it with :func:`crash_failure`.)
     """
-    if isinstance(exc, WorkerCrashError):
-        return CellFailure(kind=WORKER_CRASH, message=message, retryable=True)
     if isinstance(exc, TransientError):
         return CellFailure(kind=EXCEPTION, message=message, retryable=True)
     return CellFailure(kind=EXCEPTION, message=message, retryable=False)

@@ -25,7 +25,7 @@ import logging
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union, cast
+from typing import Iterable, List, Optional, Sequence, Tuple, Union, cast
 
 from repro.caching import LRUCache
 from repro.core.spec import ScenarioSpec
@@ -35,9 +35,6 @@ from repro.pipeline.artifacts import Provenance, ScenarioResult, SweepResult
 from repro.pipeline.stages import PipelineStage, StageContext, stages_for
 from repro.pipeline.store import ResultStore
 from repro.soc.registry import build_registered_chip, workload_program
-
-if TYPE_CHECKING:  # loaded by run_many only, so importing the package forks nothing
-    from repro.pipeline.chaos import ChaosPlan
 
 logger = logging.getLogger(__name__)
 
@@ -178,7 +175,6 @@ class ExperimentRunner:
         timeout: Optional[float] = None,
         retry: Optional[Union[int, faults.RetryPolicy]] = None,
         on_failure: str = faults.ON_FAILURE_RECORD,
-        chaos: Optional[Union[ChaosPlan, str, Sequence]] = None,
     ) -> SweepResult:
         """Execute a batch of scenarios, serially or on a process pool.
 
@@ -221,9 +217,7 @@ class ExperimentRunner:
         deterministic backoff, and attempt counts land in each result's
         provenance.  ``on_failure="raise"`` aborts the sweep with
         :class:`~repro.pipeline.faults.CellFailed` once a cell exhausts
-        its attempts (default ``"record"`` keeps sweeping).  ``chaos``
-        injects deterministic faults for testing (see
-        :mod:`repro.pipeline.chaos`).
+        its attempts (default ``"record"`` keeps sweeping).
 
         Completed cells are flushed to the store *as they finish*, and
         SIGINT/SIGTERM during the sweep trigger an orderly shutdown:
@@ -232,8 +226,8 @@ class ExperimentRunner:
         already computed and ``--resume`` picks up exactly where it
         stopped.
         """
+        # Loaded here, so importing the package forks nothing.
         from repro.pipeline import backends
-        from repro.pipeline.chaos import ChaosPlan
 
         specs: Sequence[ScenarioSpec] = [self.resolve(s) for s in scenarios]
         if not specs:
@@ -249,7 +243,6 @@ class ExperimentRunner:
             retry=faults.RetryPolicy.coerce(retry),
             on_failure=on_failure,
         )
-        chaos_plan = ChaosPlan.coerce(chaos)
         store = ResultStore.coerce(store)
         start = time.perf_counter()
         results: List[Optional[ScenarioResult]] = [None] * len(specs)
@@ -283,7 +276,6 @@ class ExperimentRunner:
                         pending_specs,
                         self,
                         supervision=supervision,
-                        chaos=chaos_plan,
                         on_result=on_result,
                     )
                 else:
@@ -292,7 +284,6 @@ class ExperimentRunner:
                         max_workers=max_workers,
                         runner=self,
                         supervision=supervision,
-                        chaos=chaos_plan,
                         on_result=on_result,
                     )
         # Every cell is settled: store hits above, the backend (which

@@ -112,7 +112,6 @@ class ChipModel:
     ) -> None:
         self.description = description
         self.watermark = watermark
-        self.estimator = PowerEstimator()
         self.seed = seed
 
         self.memory = Memory(size_bytes=description.sram_bytes)
@@ -270,8 +269,9 @@ class ChipModel:
         def compute() -> np.ndarray:
             # The sum order (m0, peripherals, a5, static) is part of the
             # bit-identity with the activity path.
+            estimator = PowerEstimator()
             window = self._m0_window(num_cycles, use_cache)
-            power_w = self.estimator.power_per_cycle(window)
+            power_w = estimator.power_per_cycle(window)
             if len(window) < num_cycles:
                 shifts = self._m0_shifts(num_cycles, len(window), resolved_seed)
                 power_w = rolled_blocks(power_w, shifts, num_cycles)
@@ -280,7 +280,7 @@ class ChipModel:
             )
             if self.a5_subsystem is not None:
                 power_w += self.a5_subsystem.draw_power(num_cycles, stream(resolved_seed, "a5"))
-            power_w += self.estimator.leakage_of(self.system_cell_inventory())
+            power_w += estimator.leakage_of(self.system_cell_inventory())
             return power_w
 
         if use_cache:
@@ -306,9 +306,7 @@ class ChipModel:
         """
         if self.watermark is None:
             raise ValueError(f"chip {self.name!r} has no embedded watermark")
-        return self.watermark.power_trace(
-            self.estimator, num_cycles, phase_offset=phase_offset
-        )
+        return self.watermark.power_trace(num_cycles, phase_offset=phase_offset)
 
     def total_power(
         self,

@@ -16,6 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.seeds import stream
+from repro.power.estimator import PowerEstimator
 from repro.power.trace import PowerTrace
 from repro.rtl.activity import ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
@@ -64,8 +65,9 @@ def background_power(
 ) -> PowerTrace:
     """The chip's background power, summed from its activity traces."""
     traces = background_activity(chip, num_cycles, seed=seed, use_cache=use_cache)
-    return chip.estimator.combined_power_trace(
+    estimator = PowerEstimator()
+    return estimator.combined_power_trace(
         traces,
-        static_w=chip.estimator.leakage_of(chip.system_cell_inventory()),
+        static_w=estimator.leakage_of(chip.system_cell_inventory()),
         name=f"{chip.name}/background",
     )

@@ -26,6 +26,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([name])
 
+    def test_fault_injection_option_removed(self):
+        # Fault injection is test apparatus (tests/fault_injection.py).
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "fig2", "--chaos", "[]"])
+
     def test_options(self):
         args = build_parser().parse_args(["run", "fig5", "--cycles", "1000", "--quick"])
         assert args.cycles == 1000

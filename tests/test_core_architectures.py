@@ -79,16 +79,16 @@ class TestSharedBehaviour:
         for cycle, record in enumerate(stepped):
             assert record["load"] == periodic["load"][cycle]
 
-    def test_power_trace_has_watermark_shape(self, small_config, nominal_estimator):
+    def test_power_trace_has_watermark_shape(self, small_config):
         watermark = ClockModulationWatermark.from_config(small_config)
         period = small_config.sequence_period
-        power = watermark.power_trace(nominal_estimator, 2 * period)
+        power = watermark.power_trace(2 * period)
         wmark = watermark.sequence(2 * period).astype(bool)
         assert power.power_w[wmark].mean() > power.power_w[~wmark].mean()
 
-    def test_average_active_load_power_positive(self, small_config, nominal_estimator):
+    def test_average_active_load_power_positive(self, small_config):
         watermark = ClockModulationWatermark.from_config(small_config)
-        assert watermark.average_active_load_power(nominal_estimator) > 0
+        assert watermark.average_active_load_power() > 0
 
     def test_invalid_cycle_count_rejected(self, small_config):
         watermark = BaselineWatermark.from_config(small_config)

@@ -75,6 +75,17 @@ class TestTable1:
         full = result.rows[-1]
         assert f"{full.share_of_watermark_dynamic * 100:.1f}%" in text
 
+    def test_columns_line_up(self, result):
+        # Every row is as wide as the header, whatever its label's length,
+        # so the power columns sit under their headings.
+        lines = result.to_text().splitlines()
+        header = lines[2]
+        rows = lines[4:]
+        assert len(rows) == 4
+        assert {len(line) for line in rows} == {len(header)}
+        dynamic_end = header.index("Dynamic") + len("Dynamic")
+        assert all(line[dynamic_end - 2 : dynamic_end] == "mW" for line in rows)
+
     def test_text_rendering_contains_rows(self):
         table = Table1Result(rows=[Table1Row(0, 1.51e-3, 0.4e-6, 0.956)])
         text = table.to_text()

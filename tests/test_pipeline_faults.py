@@ -1,4 +1,4 @@
-"""Fault-tolerant sweep execution: supervision policy + chaos harness.
+"""Fault-tolerant sweep execution: the supervision policy under injected faults.
 
 The supervision layer must keep a sweep correct under every failure mode
 it claims to handle: flaky cells retry and end bit-identical to a clean
@@ -8,7 +8,7 @@ resubmitted, a poison cell is quarantined instead of killing workers
 forever, a repeatedly-breaking pool degrades to the serial backend, and
 SIGINT/SIGTERM stop the sweep orderly with completed cells already
 flushed to the result store -- on *both* backends, driven by the
-deterministic chaos harness (:mod:`repro.pipeline.chaos`).
+deterministic fault-injection harness in ``tests/fault_injection.py``.
 """
 
 import json
@@ -19,10 +19,12 @@ import threading
 import time
 
 import pytest
+from fault_injection import KILL_EXIT_CODE, Fault, inject_faults
 
+from repro.cli import main
 from repro.core.spec import ScenarioSpec
 from repro.pipeline import ExperimentRunner, RunOptions, SpecGrid
-from repro.pipeline import backends, chaos, faults
+from repro.pipeline import backends, faults
 from repro.pipeline.artifacts import ScenarioResult, SweepResult
 from repro.pipeline.store import ResultStore
 
@@ -117,63 +119,29 @@ class TestRetryPolicy:
         assert [policy.backoff_for(n, key="cell") for n in (1, 2, 12)] == [0.0] * 3
 
 
-class TestChaosPlan:
-    def test_exact_cell_name_with_brackets_matches(self):
-        # Grid names contain "[...]" which fnmatch would read as a
-        # character class; a rule naming the cell verbatim must hit it.
-        fault = chaos.FaultSpec(cell="fig2[seed=1]", mode="raise")
-        assert fault.matches("fig2[seed=1]", 1)
-        assert not fault.matches("fig2[seed=2]", 1)
+class TestFaultInjectionHarness:
+    def test_patches_are_undone_on_exit(self):
+        from repro.pipeline.runner import Pipeline
 
-    def test_glob_patterns_match(self):
-        fault = chaos.FaultSpec(cell="fig2*", mode="raise")
-        assert fault.matches("fig2[seed=7]", 1)
-        assert not fault.matches("fig6[seed=7]", 1)
+        attempt, execute = backends._attempt, Pipeline.execute
+        with pytest.raises(RuntimeError):
+            with inject_faults(Fault(_cell(1), "raise")):
+                assert backends._attempt is not attempt
+                assert Pipeline.execute is not execute
+                raise RuntimeError("leave the block early")
+        assert backends._attempt is attempt
+        assert Pipeline.execute is execute
 
-    def test_attempt_gating(self):
-        fault = chaos.FaultSpec(cell="x", mode="raise", attempts=(2,))
-        assert not fault.matches("x", 1)
-        assert fault.matches("x", 2)
-        poison = chaos.FaultSpec(cell="x", mode="raise")
-        assert all(poison.matches("x", attempt) for attempt in (1, 2, 5))
-
-    def test_validation(self):
+    def test_unknown_mode_is_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            chaos.FaultSpec(cell="x", mode="explode")
-        with pytest.raises(ValueError, match="attempts"):
-            chaos.FaultSpec(cell="x", mode="raise", attempts=(0,))
-        for extra in ("oops", "probability"):
-            with pytest.raises(ValueError, match="unknown fault field"):
-                chaos.FaultSpec.from_json_dict(
-                    {"cell": "x", "mode": "raise", extra: 0.5}
-                )
-
-    def test_json_round_trip_and_coerce(self):
-        rules = [{"cell": "a", "mode": "hang", "hang_s": 2.5, "attempts": [1, 3]}]
-        plan = chaos.ChaosPlan.coerce(rules)
-        assert chaos.ChaosPlan.coerce(plan.to_json()) == plan
-        assert chaos.ChaosPlan.coerce(json.dumps({"faults": rules})) == plan
-        assert chaos.ChaosPlan.coerce(None) is None
-        with pytest.raises(ValueError, match="unknown chaos plan field"):
-            chaos.ChaosPlan.coerce(json.dumps({"seed": 3, "faults": rules}))
-
-    def test_first_matching_rule_wins(self):
-        plan = chaos.ChaosPlan.coerce(
-            [
-                {"cell": "a", "mode": "raise"},
-                {"cell": "*", "mode": "kill"},
-            ]
-        )
-        assert plan.fault_for("a", 1).mode == "raise"
-        assert plan.fault_for("b", 1).mode == "kill"
+            with inject_faults(Fault(_cell(1), "explode")):
+                pass
 
 
 class TestFailureTaxonomy:
     def test_classification(self):
-        crash = faults.classify_exception(faults.WorkerCrashError("x"), "tb")
-        flaky = faults.classify_exception(faults.InjectedFault("x"), "tb")
+        flaky = faults.classify_exception(faults.TransientError("x"), "tb")
         bug = faults.classify_exception(ValueError("x"), "tb")
-        assert crash.kind == faults.WORKER_CRASH and crash.retryable
         assert flaky.kind == faults.EXCEPTION and flaky.retryable
         assert bug.kind == faults.EXCEPTION and not bug.retryable
 
@@ -222,13 +190,12 @@ BOTH_BACKENDS = pytest.mark.parametrize("backend", ["serial", "process"])
 
 
 class TestFaultScenarios:
-    """Chaos-injected failures on both backends, bit-identity asserted."""
+    """Injected failures on both backends, bit-identity asserted."""
 
-    def _run(self, backend, chaos_rules, n=2, **kwargs):
+    def _run(self, backend, plan, n=2, **kwargs):
         kwargs.setdefault("max_workers", 2)
-        return ExperimentRunner().run_many(
-            _specs(n), backend=backend, chaos=chaos_rules, **kwargs
-        )
+        with inject_faults(*plan):
+            return ExperimentRunner().run_many(_specs(n), backend=backend, **kwargs)
 
     @BOTH_BACKENDS
     def test_flaky_cell_retries_then_succeeds_bit_identically(
@@ -236,7 +203,7 @@ class TestFaultScenarios:
     ):
         sweep = self._run(
             backend,
-            [{"cell": _cell(1), "mode": "raise", "attempts": [1]}],
+            [Fault(_cell(1), "raise", (1,))],
             retry=2,
         )
         assert sweep.ok
@@ -264,7 +231,7 @@ class TestFaultScenarios:
     def test_hung_cell_times_out_and_retry_succeeds(self, backend, clean_sweep):
         sweep = self._run(
             backend,
-            [{"cell": _cell(2), "mode": "hang", "attempts": [1], "hang_s": 30}],
+            [Fault(_cell(2), "hang", (1,), hang_s=30)],
             timeout=1.0,
             retry=1,
         )
@@ -276,7 +243,7 @@ class TestFaultScenarios:
     def test_timeout_without_retry_is_categorised(self, backend):
         sweep = self._run(
             backend,
-            [{"cell": _cell(1), "mode": "hang", "hang_s": 30}],
+            [Fault(_cell(1), "hang", hang_s=30)],
             timeout=1.0,
         )
         assert not sweep[0].ok
@@ -285,24 +252,33 @@ class TestFaultScenarios:
         assert sweep[1].ok  # the sibling cell was not stalled
 
     @BOTH_BACKENDS
-    def test_killed_worker_is_replaced_and_cell_rerun(self, backend, clean_sweep):
+    def test_killed_worker_is_replaced_and_cell_rerun(
+        self, backend, clean_sweep, caplog
+    ):
         # On the process backend this is a real os._exit hard kill; the
-        # serial backend simulates it (killing the caller would take the
-        # test suite down too).
-        sweep = self._run(
-            backend,
-            [{"cell": _cell(1), "mode": "kill", "attempts": [1]}],
-            retry=2,
-        )
+        # serial backend records the failure a dead worker leaves (killing
+        # the caller would take the test suite down too).
+        with caplog.at_level(logging.WARNING, logger="repro.pipeline.backends"):
+            sweep = self._run(backend, [Fault(_cell(1), "kill", (1,))], retry=2)
         assert sweep.ok
         assert sweep[0].provenance.attempts == 2
         _assert_matches_clean(sweep[0], clean_sweep[0])
+        died = [
+            record.message
+            for record in caplog.records
+            if f"exit code {KILL_EXIT_CODE}" in record.message
+        ]
+        # The parent saw the worker die while it ran attempt 1 of the cell.
+        if backend == "process":
+            assert len(died) == 1 and "attempt 1 of cell fig2[seed=1]" in died[0]
+        else:
+            assert died == []
 
     @BOTH_BACKENDS
     def test_poison_cell_is_quarantined_not_retried_forever(self, backend):
         sweep = self._run(
             backend,
-            [{"cell": _cell(1), "mode": "kill"}],  # kills on every attempt
+            [Fault(_cell(1), "kill")],  # kills on every attempt
             retry=10,
         )
         failed = sweep[0]
@@ -319,14 +295,14 @@ class TestFaultScenarios:
     ):
         store = ResultStore(tmp_path / "store")
         with pytest.raises(faults.CellFailed, match="fig2"):
-            ExperimentRunner().run_many(
-                _specs(3),
-                backend="serial" if backend == "serial" else "process",
-                max_workers=1,  # one worker => strictly in order
-                store=store,
-                chaos=[{"cell": _cell(3), "mode": "raise"}],
-                on_failure="raise",
-            )
+            with inject_faults(Fault(_cell(3), "raise")):
+                ExperimentRunner().run_many(
+                    _specs(3),
+                    backend=backend,
+                    max_workers=1,  # one worker => strictly in order
+                    store=store,
+                    on_failure="raise",
+                )
         # Cells completed before the abort were flushed incrementally.
         assert store.get(_specs(3)[0]) is not None
         assert store.get(_specs(3)[1]) is not None
@@ -343,20 +319,16 @@ class TestSerialFallback:
         supervision = faults.Supervision(
             retry=faults.RetryPolicy(max_attempts=4, backoff_s=0.0)
         )
-        plan = chaos.ChaosPlan.coerce(
-            [
-                {"cell": _cell(1), "mode": "kill", "attempts": [1, 2]},
-                {"cell": _cell(2), "mode": "kill", "attempts": [1, 2]},
-                {"cell": _cell(3), "mode": "kill", "attempts": [1]},
-            ]
+        plan = (
+            Fault(_cell(1), "kill", (1, 2)),
+            Fault(_cell(2), "kill", (1, 2)),
+            Fault(_cell(3), "kill", (1,)),
         )
         with caplog.at_level(logging.WARNING, logger="repro.pipeline.backends"):
-            results = backends.run_process(
-                _specs(3),
-                max_workers=1,
-                supervision=supervision,
-                chaos=plan,
-            )
+            with inject_faults(*plan):
+                results = backends.run_process(
+                    _specs(3), max_workers=1, supervision=supervision
+                )
         assert any("falling back" in record.message for record in caplog.records)
         for quarantined in results[:2]:
             assert quarantined.error_kind == faults.WORKER_CRASH
@@ -395,20 +367,19 @@ class TestGracefulShutdown:
         """
         store_dir = tmp_path / "store"
         specs = _specs(4)
-        plan = [{"cell": _cell(3), "mode": "hang", "hang_s": 60}]
         timer = threading.Timer(
             1.0, os.kill, (os.getpid(), signal.SIGTERM)
         )
         timer.start()
         try:
-            interrupted = ExperimentRunner().run_many(
-                specs,
-                backend=backend,
-                max_workers=1,  # one worker => cells finish strictly in order
-                store=store_dir,
-                resume=True,
-                chaos=plan,
-            )
+            with inject_faults(Fault(_cell(3), "hang", hang_s=60)):
+                interrupted = ExperimentRunner().run_many(
+                    specs,
+                    backend=backend,
+                    max_workers=1,  # one worker => cells finish strictly in order
+                    store=store_dir,
+                    resume=True,
+                )
         finally:
             timer.cancel()
         assert not interrupted.ok
@@ -425,7 +396,7 @@ class TestGracefulShutdown:
         store = ResultStore(store_dir)
         assert store.get(specs[0]) is not None
         assert store.get(specs[1]) is not None
-        # Resume executes exactly the unfinished cells, without chaos.
+        # Resume executes exactly the unfinished cells, without faults.
         resumed = ExperimentRunner().run_many(
             specs, backend=backend, max_workers=1, store=store_dir, resume=True
         )
@@ -444,13 +415,10 @@ class TestGracefulShutdown:
         timer = threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGTERM))
         timer.start()
         try:
-            sweep = ExperimentRunner().run_many(
-                _specs(3),
-                backend=backend,
-                max_workers=1,
-                on_failure="raise",
-                chaos=[{"cell": _cell(2), "mode": "hang", "hang_s": 60}],
-            )
+            with inject_faults(Fault(_cell(2), "hang", hang_s=60)):
+                sweep = ExperimentRunner().run_many(
+                    _specs(3), backend=backend, max_workers=1, on_failure="raise"
+                )
         finally:
             timer.cancel()
         assert [(cell.error_kind, cell.provenance.attempts) for cell in sweep] == [
@@ -458,6 +426,95 @@ class TestGracefulShutdown:
             (faults.CANCELLED, 1),
             (faults.CANCELLED, 0),
         ]
+
+
+def _sigterm_after_flushes(store_dir, count, settle_s=0.5, patience_s=60.0):
+    """SIGTERM this process once ``count`` cells are in the store.
+
+    ``settle_s`` gives the sweep time to start its next (hanging) cell.
+    """
+    deadline = time.monotonic() + patience_s
+    while time.monotonic() < deadline:
+        if len(list(store_dir.glob("*/*.json"))) >= count:
+            break
+        time.sleep(0.05)
+    time.sleep(settle_s)
+    os.kill(os.getpid(), signal.SIGTERM)
+
+
+def _comparable(sweep_json):
+    """A sweep's JSON without its wall-clock fields."""
+    sweep = json.loads(sweep_json.read_text())
+    del sweep["elapsed_s"]
+    for entry in sweep["results"]:
+        del entry["provenance"]["elapsed_s"]
+        del entry["provenance"]["created_at"]
+    return sweep
+
+
+class TestSweepCommandUnderFaults:
+    """``repro sweep`` end to end: a killed worker, a flaky cell, a SIGTERM."""
+
+    @BOTH_BACKENDS
+    def test_killed_and_flaky_cells_finish_with_no_failed_cell(
+        self, backend, tmp_path, capsys
+    ):
+        out = tmp_path / "sweep.json"
+        plan = (Fault(_cell(1), "kill", (1,)), Fault(_cell(2), "raise", (1,)))
+        with inject_faults(*plan):
+            code = main(
+                [
+                    "sweep", "fig2", "--grid-seeds", "1", "2", "3",
+                    "--backend", backend, "--workers", "2",
+                    "--timeout", "120", "--retries", "2",
+                    "--json", str(out),
+                ]
+            )
+        assert code == 0
+        results = json.loads(out.read_text())["results"]
+        assert [entry["error"] for entry in results] == [None, None, None]
+        assert {
+            entry["spec"]["name"]: entry["provenance"]["attempts"]
+            for entry in results
+        } == {
+            _cell(1): 2,  # worker killed on attempt 1, rerun
+            _cell(2): 2,  # flaked on attempt 1, retried
+            _cell(3): 1,  # untouched
+        }
+
+    @BOTH_BACKENDS
+    def test_sigterm_then_resume_matches_a_clean_run(
+        self, backend, tmp_path, capsys
+    ):
+        store = tmp_path / "store"
+        sweep = [
+            "sweep", "fig2", "--grid-seeds", "1", "2", "3", "4",
+            "--backend", backend, "--workers", "1",
+        ]
+        stored = [*sweep, "--store", str(store), "--resume", "--json"]
+        stop = threading.Thread(target=_sigterm_after_flushes, args=(store, 2))
+        stop.start()
+        try:
+            with inject_faults(Fault(_cell(3), "hang", hang_s=60)):
+                code = main([*stored, str(tmp_path / "interrupted.json")])
+        finally:
+            stop.join()
+        assert code != 0
+        interrupted = json.loads((tmp_path / "interrupted.json").read_text())
+        assert [
+            (entry["error_kind"], entry["provenance"]["attempts"])
+            for entry in interrupted["results"]
+        ] == [
+            (None, 1),
+            (None, 1),
+            (faults.CANCELLED, 1),  # hung: its attempt had started
+            (faults.CANCELLED, 0),  # queued: never started
+        ]
+        assert main([*stored, str(tmp_path / "resumed.json")]) == 0
+        assert main([*sweep, "--json", str(tmp_path / "clean.json")]) == 0
+        assert _comparable(tmp_path / "resumed.json") == _comparable(
+            tmp_path / "clean.json"
+        )
 
 
 class TestSupervisionPlumbing:

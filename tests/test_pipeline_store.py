@@ -157,6 +157,17 @@ class TestCorruptionDetection:
         assert stored.get(_spec(1)) is None
         assert any("missing" in p for p in stored.verify())
 
+    def test_provenance_without_attempts_misses(self, stored):
+        # Every schema-2 writer records the attempt count; an artifact
+        # without it is malformed, not a first attempt.
+        path = stored._json_path(stored.key_for(_spec(1)))
+        document = json.loads(path.read_text())
+        del document["artifact"]["provenance"]["attempts"]
+        path.write_text(json.dumps(document))
+        assert stored.get(_spec(1)) is None
+        assert stored.stats().corrupt == 1
+        assert any("attempts" in problem for problem in stored.verify())
+
     def test_unreadable_document_misses(self, stored):
         json_path = stored._json_path(stored.key_for(_spec(1)))
         json_path.write_text("{not json")

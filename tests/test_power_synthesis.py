@@ -78,7 +78,7 @@ class TestWatermarkPowerEquivalence:
         architecture = build()
         num_cycles = 3 * architecture.sequence_period + 11
         reference = _stepped_power(build(), estimator, num_cycles)
-        synthesized = architecture.power_template(estimator).extend(num_cycles)
+        synthesized = architecture.power_template().extend(num_cycles)
         assert np.array_equal(synthesized.power_w, reference.power_w)
 
     def test_power_trace_uses_template_and_matches_reference(self):
@@ -86,21 +86,19 @@ class TestWatermarkPowerEquivalence:
         architecture = _small_clock_modulation()
         num_cycles = 2 * architecture.sequence_period + 5
         reference = _stepped_power(_small_clock_modulation(), estimator, num_cycles)
-        trace = architecture.power_trace(estimator, num_cycles)
+        trace = architecture.power_trace(num_cycles)
         assert np.array_equal(trace.power_w, reference.power_w)
 
     def test_phase_offset_matches_roll(self):
-        estimator = PowerEstimator()
         architecture = _small_clock_modulation()
         num_cycles = 150
-        plain = architecture.power_trace(estimator, num_cycles)
-        rolled = architecture.power_trace(estimator, num_cycles, phase_offset=23)
+        plain = architecture.power_trace(num_cycles)
+        rolled = architecture.power_trace(num_cycles, phase_offset=23)
         assert np.array_equal(rolled.power_w, np.roll(plain.power_w, -23))
 
     def test_periodic_activity_calls_return_equal_independent_arrays(self):
         architecture = _small_clock_modulation()
-        estimator = PowerEstimator()
-        before = architecture.power_trace(estimator, 100)
+        before = architecture.power_trace(100)
         first = architecture.periodic_activity()
         second = architecture.periodic_activity()
         for key in ("wgc", "load"):
@@ -108,7 +106,7 @@ class TestWatermarkPowerEquivalence:
                 assert np.array_equal(getattr(first[key], field), getattr(second[key], field))
                 assert not np.shares_memory(getattr(first[key], field), getattr(second[key], field))
         first["load"].data_toggles += 1_000  # caller scribbles on its arrays
-        after = architecture.power_trace(estimator, 100)
+        after = architecture.power_trace(100)
         assert np.array_equal(before.power_w, after.power_w)
 
     def test_paper_scale_template_short_window(self):
@@ -122,7 +120,7 @@ class TestWatermarkPowerEquivalence:
         reference = _stepped_power(
             ClockModulationWatermark.from_config(config), estimator, num_cycles
         )
-        synthesized = architecture.power_trace(estimator, num_cycles)
+        synthesized = architecture.power_trace(num_cycles)
         assert np.array_equal(synthesized.power_w, reference.power_w)
 
 
@@ -237,7 +235,7 @@ class TestEndToEndDecisions:
         architecture = _small_clock_modulation()
         num_cycles = 5 * architecture.sequence_period
         reference = _stepped_power(_small_clock_modulation(), estimator, num_cycles)
-        synthesized = architecture.power_template(estimator).extend(num_cycles)
+        synthesized = architecture.power_template().extend(num_cycles)
         campaign = AcquisitionCampaign(MeasurementConfig())
         detector = CPADetector(DetectionConfig())
         sequence = architecture.sequence()
@@ -265,7 +263,7 @@ class TestEndToEndDecisions:
         reference = _stepped_power(
             ClockModulationWatermark.from_config(config), estimator, num_cycles
         )
-        synthesized = architecture.power_template(estimator).extend(num_cycles)
+        synthesized = architecture.power_template().extend(num_cycles)
         assert np.array_equal(synthesized.power_w, reference.power_w)
 
         campaign = AcquisitionCampaign(MeasurementConfig())
@@ -279,9 +277,8 @@ class TestEndToEndDecisions:
 
 class TestPeriodicPowerTemplate:
     def test_from_power_trace_roundtrip(self):
-        estimator = PowerEstimator()
         architecture = _small_baseline()
-        template = architecture.power_template(estimator)
+        template = architecture.power_template()
         assert template.period == architecture.sequence_period
         extended = template.extend(2 * template.period + 3)
         assert len(extended) == 2 * template.period + 3

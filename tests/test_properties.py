@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from fault_injection import Fault, inject_faults
 from rtl_oracle import Register, trace_from_records
 from trial_oracle import fold_rows, naive_rotation_correlations, pearson_correlation
 
@@ -323,9 +324,9 @@ def test_streamed_detection_matches_matrix_and_naive(trials, period, binary, dat
 
 _SWEEP_SEEDS = (1, 2, 3, 4)
 
-#: Chaos rules over the four fig2 cells: one per targeted cell, firing
+#: Faults over the four fig2 cells: one per targeted cell, firing
 #: ``raise`` or ``kill`` on a subset of attempts 1-3.
-_chaos_rules = st.lists(
+_fault_rules = st.lists(
     st.tuples(
         st.sampled_from([f"fig2[seed={seed}]" for seed in _SWEEP_SEEDS]),
         st.sampled_from(["raise", "kill"]),
@@ -338,33 +339,30 @@ _chaos_rules = st.lists(
 
 @settings(max_examples=12, deadline=None)
 @given(
-    rules=_chaos_rules,
+    rules=_fault_rules,
     max_attempts=st.integers(min_value=1, max_value=4),
     max_workers=st.sampled_from([1, 2]),
 )
 def test_serial_and_process_backends_settle_cells_alike(rules, max_attempts, max_workers):
     """One supervision policy: retries, quarantine and pool fallback agree.
 
-    The serial backend simulates a worker kill as a raised crash; the
-    process backend loses a real worker.  Every cell must still end with
+    The serial backend records an injected kill as the failure a dead
+    worker leaves; the process backend loses a real worker.  Every cell must still end with
     the same error kind after the same number of attempts, and the cells
     that succeed must report the same bytes.
     """
-    plan = [
-        {"cell": cell, "mode": mode, "attempts": sorted(attempts)}
-        for cell, mode, attempts in rules
-    ]
+    plan = [Fault(cell, mode, tuple(sorted(attempts))) for cell, mode, attempts in rules]
     specs = SpecGrid("fig2", RunOptions()).build(seeds=list(_SWEEP_SEEDS))
-    serial, parallel = (
-        ExperimentRunner().run_many(
-            specs,
-            backend=backend,
-            max_workers=max_workers,
-            retry=RetryPolicy(max_attempts=max_attempts, backoff_s=0.0),
-            chaos=plan,
+    with inject_faults(*plan):
+        serial, parallel = (
+            ExperimentRunner().run_many(
+                specs,
+                backend=backend,
+                max_workers=max_workers,
+                retry=RetryPolicy(max_attempts=max_attempts, backoff_s=0.0),
+            )
+            for backend in ("serial", "process")
         )
-        for backend in ("serial", "process")
-    )
     assert [(cell.error_kind, cell.provenance.attempts) for cell in serial] == [
         (cell.error_kind, cell.provenance.attempts) for cell in parallel
     ]

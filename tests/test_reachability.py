@@ -561,13 +561,13 @@ def test_import_leaves_scipy_out():
 
 def test_import_leaves_networkx_out():
     # The netlist keeps its own adjacency: importing the package and its
-    # pipeline loads no graph library.  The sweep backends and the chaos
-    # harness load with the first run_many, so the import starts no
-    # multiprocessing machinery either.
+    # pipeline loads no graph library.  The sweep backends load with the
+    # first run_many, so the import starts no multiprocessing machinery
+    # either.
     code = (
         "import sys, repro, repro.pipeline\n"
         "assert 'networkx' not in sys.modules\n"
-        "lazy = ('repro.pipeline.backends', 'repro.pipeline.chaos', 'multiprocessing')\n"
+        "lazy = ('repro.pipeline.backends', 'multiprocessing')\n"
         "loaded = [name for name in lazy if name in sys.modules]\n"
         "assert not loaded, loaded\n"
     )

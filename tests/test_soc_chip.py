@@ -7,6 +7,7 @@ from background_oracle import background_activity, background_power
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.config import WatermarkConfig
 from repro.core.seeds import stream
+from repro.power.estimator import PowerEstimator
 from repro.soc import chip as chip_module
 from repro.soc.chip import ChipDescription, ChipModel, build_chip_one, build_chip_two
 
@@ -109,11 +110,11 @@ class TestActivityAndPower:
         traces = background_activity(chip1, 64, seed=9)
         dynamic = np.zeros(64)
         for trace in traces.values():
-            dynamic += chip1.estimator.power_per_cycle(trace)
+            dynamic += PowerEstimator().power_per_cycle(trace)
         static = background.power_w - dynamic
-        expected = chip1.estimator.leakage_of(chip1.system_cell_inventory())
+        expected = PowerEstimator().leakage_of(chip1.system_cell_inventory())
         assert np.allclose(static, expected, rtol=1e-9, atol=0)
-        dff_only = chip1.estimator.leakage_of({"dff": chip1.system_register_count()})
+        dff_only = PowerEstimator().leakage_of({"dff": chip1.system_register_count()})
         assert expected > dff_only
 
 

@@ -89,7 +89,8 @@ def fold_rows(rows: Iterable[np.ndarray], period: int) -> PhaseFold:
 
     Each row is done with before the next one is read, so it may live in a
     buffer the producer reuses.  The sums round as the library's fold of a
-    trace matrix does, so the two folds are bit-identical.
+    trace matrix does (the energy in einsum's fixed order, not a threaded
+    BLAS dot), so the two folds are bit-identical.
     """
     folds, energies = [], []
     for row in rows:
@@ -97,7 +98,7 @@ def fold_rows(rows: Iterable[np.ndarray], period: int) -> PhaseFold:
         fold = row[:full].reshape(-1, period).sum(axis=0)
         fold[: len(row) - full] += row[full:]
         folds.append(fold)
-        energies.append(row @ row)
+        energies.append(np.einsum("i,i->", row, row))
     return PhaseFold(np.array(folds), np.array(energies), len(row))
 
 
