@@ -27,6 +27,7 @@ from repro.core.config import ExperimentConfig
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 
 from paper_values import PAPER_EXPECTATIONS  # noqa: E402
+from record import DEFAULT_RESULTS_FILE, RESULTS_ENV, results_path  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +41,27 @@ def relaxed() -> bool:
     dedicated host to enforce the floors.
     """
     return os.environ.get("REPRO_BENCH_RELAXED", "1") != "0"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def bench_results_file(relaxed, tmp_path_factory):
+    """Where the benchmarks record their timings (``benchmarks/record.py``).
+
+    A relaxed run (the tier-1 default) with ``REPRO_BENCH_JSON`` unset
+    records into pytest's temporary directory, so running the tests
+    leaves the tracked ``BENCH.json`` alone.  To refresh ``BENCH.json`` on
+    purpose, set ``REPRO_BENCH_JSON=BENCH.json``; an enforcing run
+    (``REPRO_BENCH_RELAXED=0``) also writes it by default.
+    """
+    if relaxed and RESULTS_ENV not in os.environ:
+        path = tmp_path_factory.mktemp("bench") / DEFAULT_RESULTS_FILE
+        os.environ[RESULTS_ENV] = str(path)
+        try:
+            yield path
+        finally:
+            del os.environ[RESULTS_ENV]
+    else:
+        yield pathlib.Path(results_path())
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ background activity level, and acquisition length.
 
 import numpy as np
 import pytest
+from cpu_programs import background_power_running, idle_loop_program
 from trial_oracle import naive_rotation_correlations
 
 from repro.core.architectures import ClockModulationWatermark
@@ -17,7 +18,7 @@ from repro.detection.cpa import CPADetector, rotation_correlations
 from repro.measurement.acquisition import AcquisitionCampaign
 from repro.power.estimator import PowerEstimator
 from repro.soc.chip import build_chip_one
-from repro.soc.workloads import dhrystone_like_program, idle_loop_program
+from repro.soc.workloads import dhrystone_like_program
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +122,12 @@ def test_bench_ablation_background_workload(benchmark, report):
     # the BACKGROUND_ACQUISITION_SEEDS acquisitions, not by one draw.
     def sweep():
         results = {}
+        num_cycles = config.measurement.num_cycles
+        watermark = ClockModulationWatermark.from_config(config.watermark)
+        chip = build_chip_one(watermark=watermark, m0_window_cycles=4096)
         for label, program in (("idle", idle_loop_program()), ("dhrystone", dhrystone_like_program())):
-            watermark = ClockModulationWatermark.from_config(config.watermark)
-            chip = build_chip_one(watermark=watermark, program=program, m0_window_cycles=4096)
-            power = chip.total_power(config.measurement.num_cycles, seed=5)
+            background = background_power_running(chip, program, num_cycles, seed=5)
+            power = background.add(chip.watermark_power(num_cycles))
             results[label] = [
                 detector.detect(
                     chip.watermark_sequence(), campaign.measure(power, seed=seed).values

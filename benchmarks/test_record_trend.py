@@ -5,10 +5,16 @@ to record.py because the benchmarks directory is its import root.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import record
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _write(path, benchmarks, schema=record.SCHEMA_VERSION):
@@ -120,3 +126,21 @@ class TestTrendCheck:
         _write(cur, {"bench": {"run_s": 1.1, "environment": env}})
         assert record.main(["--check-trend", "--baseline", str(base), "--current", str(cur)]) == 0
         capsys.readouterr()
+
+
+class TestSessionResultsFile:
+    def test_default_path_is_the_session_file(self, bench_results_file):
+        entry = record.record_benchmark("session_probe", {"elapsed_s": 0.0})
+        recorded = json.loads(bench_results_file.read_text())["benchmarks"]
+        assert recorded["session_probe"] == entry
+
+    def test_a_relaxed_run_leaves_bench_json_alone(self, tmp_path):
+        env = {key: value for key, value in os.environ.items() if key != record.RESULTS_ENV}
+        env.update(REPRO_BENCH_RELAXED="1", PYTHONPATH=str(ROOT / "src"))
+        probe = f"{__file__}::TestSessionResultsFile::test_default_path_is_the_session_file"
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", probe],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert not (tmp_path / record.DEFAULT_RESULTS_FILE).exists()

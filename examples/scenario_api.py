@@ -44,7 +44,7 @@ def main() -> None:
     cycles = 40_000 if args.quick else 100_000
 
     # 1. A scenario is data: this is Fig. 5's chip-I active panel, but any
-    #    field -- chip, workload, noise, detection threshold -- is one edit.
+    #    field -- chip, noise, detection threshold, seed -- is one edit.
     spec = ScenarioSpec(
         kind="fig5_panel",
         name="demo/chip1-active",

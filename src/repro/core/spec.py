@@ -1,12 +1,12 @@
 """Declarative scenario specifications.
 
 A :class:`ScenarioSpec` is a frozen, JSON-serializable description of one
-experiment cell: which chip, which watermark configuration, which workload,
-the measurement/noise bench, the detection parameters and the seed.  The pipeline runner
-(:mod:`repro.pipeline.runner`) resolves a spec into chip → acquisition →
-synthesis → detection stages; nothing in a spec is executable, so specs can
-be hashed, diffed, stored next to result artifacts and replayed on another
-machine.
+experiment cell: which chip, which watermark configuration, the
+measurement/noise bench, the detection parameters and the seed.  The
+pipeline runner (:mod:`repro.pipeline.runner`) resolves a spec into chip →
+acquisition → synthesis → detection stages; nothing in a spec is
+executable, so specs can be hashed, diffed, stored next to result
+artifacts and replayed on another machine.
 
 ``spec_hash`` is a content hash of the canonical JSON form (sorted keys,
 no whitespace), so it is stable across processes and Python versions --
@@ -50,7 +50,7 @@ SCENARIO_KINDS: Tuple[str, ...] = (
 #: code-version salt (:func:`repro.pipeline.store.code_version_salt`): a
 #: schema bump invalidates memoized results whose spec serialization
 #: changed meaning.
-SPEC_SCHEMA_VERSION = 8
+SPEC_SCHEMA_VERSION = 9
 
 
 #: Marker distinguishing a frozen mapping from a frozen list in ``params``.
@@ -90,8 +90,9 @@ def _thaw(value: Any) -> Any:
 class ScenarioSpec:
     """One declarative experiment cell.
 
-    ``kind`` selects the stage graph; ``chip`` is a canonical chip-registry
-    name (or ``None`` for chip-less analyses such as Table II); ``params``
+    ``kind`` selects the stage graph; ``chip`` names one of the paper's two
+    chips, ``"chip1"`` or ``"chip2"`` (or ``None`` for chip-less analyses
+    such as Table II); ``params``
     carries kind-specific knobs as a frozen key/value tuple (pass a plain
     dict, it is normalised in ``__post_init__``).
     """
@@ -99,7 +100,6 @@ class ScenarioSpec:
     kind: str
     name: str = ""
     chip: Optional[str] = None
-    workload: str = "dhrystone"
     watermark: WatermarkConfig = field(default_factory=WatermarkConfig)
     measurement: MeasurementConfig = field(default_factory=MeasurementConfig)
     detection: DetectionConfig = field(default_factory=DetectionConfig)
@@ -115,19 +115,12 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown scenario kind {self.kind!r}; expected one of {sorted(SCENARIO_KINDS)}"
             )
-        from repro.soc.registry import available_workloads
+        from repro.soc.chip import CHIP_BUILDERS
 
-        if self.workload not in available_workloads():
+        if self.chip is not None and self.chip not in CHIP_BUILDERS:
             raise ValueError(
-                f"unknown workload {self.workload!r}; "
-                f"expected one of {sorted(available_workloads())}"
+                f"unknown chip name {self.chip!r}; expected one of {sorted(CHIP_BUILDERS)}"
             )
-        if self.chip is not None:
-            # Canonicalise eagerly so aliases ("chipI") never leak into the
-            # spec hash and two spellings of one chip share cached work.
-            from repro.soc.registry import canonical_chip_name
-
-            object.__setattr__(self, "chip", canonical_chip_name(self.chip))
         if self.repetitions <= 0:
             raise ValueError("repetitions must be positive")
         if self.m0_window_cycles <= 0:
@@ -176,7 +169,7 @@ class ScenarioSpec:
         return replace(self, seed=seed)
 
     def with_chip(self, chip: str) -> "ScenarioSpec":
-        """A copy targeting another chip (aliases canonicalise as usual)."""
+        """A copy targeting another chip."""
         return replace(self, chip=chip)
 
     def with_num_cycles(self, num_cycles: int) -> "ScenarioSpec":
@@ -216,7 +209,6 @@ class ScenarioSpec:
             "kind": self.kind,
             "name": self.name,
             "chip": self.chip,
-            "workload": self.workload,
             "watermark": self.watermark.to_dict(),
             "measurement": self.measurement.to_dict(),
             "detection": self.detection.to_dict(),
@@ -236,7 +228,7 @@ class ScenarioSpec:
         if version != SPEC_SCHEMA_VERSION:
             raise ValueError(f"unsupported spec schema version {version!r}")
         known = {
-            "kind", "name", "chip", "workload", "watermark", "measurement",
+            "kind", "name", "chip", "watermark", "measurement",
             "detection", "watermark_active", "seed",
             "phase_offset", "repetitions", "m0_window_cycles", "params",
         }
@@ -252,7 +244,6 @@ class ScenarioSpec:
             kind=payload["kind"],
             name=payload.get("name", ""),
             chip=payload.get("chip"),
-            workload=payload.get("workload", "dhrystone"),
             watermark=WatermarkConfig.from_dict(payload.get("watermark", {})),
             measurement=MeasurementConfig.from_dict(payload.get("measurement", {})),
             detection=DetectionConfig.from_dict(payload.get("detection", {})),

@@ -25,6 +25,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
@@ -40,6 +41,12 @@ PathLike = Union[str, pathlib.Path]
 #: and ``provenance.attempts`` (retry accounting).  Only this version
 #: loads: a v1 artifact embeds a spec of a schema the spec reader rejects.
 ARTIFACT_SCHEMA_VERSION = 2
+
+#: Serialises ``.npz`` decoding.  numpy parses each member's header with
+#: ``ast.literal_eval``, which is not thread-safe on CPython 3.11: two
+#: threads decoding at once raised ``SystemError('AST constructor
+#: recursion depth mismatch')`` from concurrent result-store reads.
+_NPZ_DECODE_LOCK = threading.Lock()
 
 
 def _check_schema_version(payload: Dict[str, Any]) -> None:
@@ -262,7 +269,7 @@ class ScenarioResult:
         payload = json.loads(wire["json"])
         arrays: Dict[str, np.ndarray] = {}
         if wire.get("npz"):
-            with np.load(io.BytesIO(wire["npz"]), allow_pickle=False) as data:
+            with _NPZ_DECODE_LOCK, np.load(io.BytesIO(wire["npz"]), allow_pickle=False) as data:
                 arrays = {key: np.array(data[key]) for key in data.files}
         result = cls._from_json_dict(payload, arrays)
         metadata = payload.get("arrays") or {}

@@ -162,13 +162,6 @@ class SpecGrid:
         seeds: Optional[Sequence[int]] = None,
     ) -> List[ScenarioSpec]:
         """The cartesian product of the given axes as a list of specs."""
-        if chips is not None:
-            # Canonicalise before the duplicate check: two alias spellings
-            # of one chip ("chip1", "chipI") are the same grid cell and
-            # would otherwise produce duplicate cell names.
-            from repro.soc.registry import canonical_chip_name
-
-            chips = [canonical_chip_name(chip) for chip in chips]
         for axis_name, axis in (
             ("chips", chips),
             ("noise_scales", noise_scales),
@@ -244,7 +237,6 @@ def _fig3(options: RunOptions) -> ScenarioSpec:
         chip="chip1",
         measurement=options.measurement(),
         seed=_seed(options, 7),
-        m0_window_cycles=min(num_cycles, 8_192),
         params={"num_cycles": num_cycles},
     )
 

@@ -9,7 +9,7 @@ in a typed :class:`repro.pipeline.artifacts.ScenarioResult`.
 One runner instance shares work across everything it executes:
 
 * a chip provider caches :class:`repro.soc.chip.ChipModel` instances per
-  (chip, watermark config, workload, M0 window), so a sweep's scenarios
+  (chip, watermark config, M0 window), so a sweep's scenarios
   reuse one chip -- and therefore one watermark period template -- instead
   of rebuilding it per scenario;
 * underneath, the module-level M0-window and background-template caches
@@ -34,7 +34,7 @@ from repro.pipeline import faults
 from repro.pipeline.artifacts import Provenance, ScenarioResult, SweepResult
 from repro.pipeline.stages import PipelineStage, StageContext, stages_for
 from repro.pipeline.store import ResultStore
-from repro.soc.registry import build_registered_chip, workload_program
+from repro.soc.chip import build_registered_chip
 
 logger = logging.getLogger(__name__)
 
@@ -89,13 +89,12 @@ class ExperimentRunner:
         if spec.chip is None:
             raise ValueError(f"scenario kind {spec.kind!r} requires a chip")
         chip_name = spec.chip  # bound post-check: narrowing does not cross closures
-        key = (chip_name, spec.watermark, spec.workload, spec.m0_window_cycles)
+        key = (chip_name, spec.watermark, spec.m0_window_cycles)
 
         def build():
             return build_registered_chip(
                 chip_name,
                 watermark=build_watermark(spec.watermark),
-                program=workload_program(spec.workload),
                 m0_window_cycles=spec.m0_window_cycles,
             )
 

@@ -302,7 +302,8 @@ class DetectionService:
                 return cached, True
             start = time.perf_counter()
             with self._compute_lock:
-                result = self.runner.run(spec, store=self.store, resume=True)
+                # Both store reads above missed: compute and write back.
+                result = self.runner.run(spec, store=self.store, resume=False)
             self.metrics.cache_event(hit=False)
             logger.info(
                 "verify %s: computed in %.3f s (%s)",

@@ -8,27 +8,23 @@ package provides the equivalents we can build without the proprietary IP:
 * a small Thumb-like instruction set, assembler and in-order scalar core
   (:mod:`repro.soc.cpu`) whose execution produces per-cycle switching
   activity comparable in structure to a Cortex-M0-class microcontroller;
-* SRAM, an AHB-lite-style bus and cache geometry;
-* a Dhrystone-like synthetic integer workload (:mod:`repro.soc.workloads`);
-* an idle dual-core + cache background model (:mod:`repro.soc.multicore`);
-* the chip I / chip II system assemblies (:mod:`repro.soc.chip`) that turn
-  all of the above into the background power traces the measurement chain
-  consumes.
+* SRAM and an AHB-lite-style bus;
+* the Dhrystone-like synthetic integer benchmark the core runs
+  (:mod:`repro.soc.workloads`);
+* the two idle-but-clocked background blocks, the peripherals and chip
+  II's dual-core A5-class subsystem with caches (:mod:`repro.soc.multicore`);
+* the two fixed chip assemblies, chip I and chip II (:mod:`repro.soc.chip`),
+  that turn all of the above into the background power traces the
+  measurement chain consumes.
 """
 
 from repro.soc.isa import Opcode, Instruction, Condition, REGISTER_NAMES
 from repro.soc.assembler import Assembler, AssemblyError, Program
 from repro.soc.memory import Memory
 from repro.soc.bus import SystemBus
-from repro.soc.cache import CacheConfig
 from repro.soc.cpu import CortexM0Like, CPUActivityModel, ExecutionStats
-from repro.soc.multicore import IdleDualCoreA5Like
-from repro.soc.workloads import (
-    dhrystone_like_program,
-    memcopy_program,
-    idle_loop_program,
-    checksum_program,
-)
+from repro.soc.multicore import IdleBlock
+from repro.soc.workloads import dhrystone_like_program
 from repro.soc.chip import ChipModel, build_chip_one, build_chip_two
 
 __all__ = [
@@ -41,15 +37,11 @@ __all__ = [
     "Program",
     "Memory",
     "SystemBus",
-    "CacheConfig",
     "CortexM0Like",
     "CPUActivityModel",
     "ExecutionStats",
-    "IdleDualCoreA5Like",
+    "IdleBlock",
     "dhrystone_like_program",
-    "memcopy_program",
-    "idle_loop_program",
-    "checksum_program",
     "ChipModel",
     "build_chip_one",
     "build_chip_two",

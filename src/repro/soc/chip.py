@@ -1,26 +1,32 @@
-"""Chip-level system assemblies (the paper's chip I and chip II).
+"""The paper's two test chips, chip I and chip II.
 
 A :class:`ChipModel` combines:
 
-* a Cortex-M0-class core running a workload (Dhrystone-like by default),
-* its SRAM and system bus,
-* the other clocked IP blocks of the SoC (peripherals, and for chip II the
-  idle dual-core A5-class subsystem with caches),
+* a Cortex-M0-class core running the Dhrystone-like benchmark from its SRAM
+  over the system bus,
+* the other clocked IP blocks of the SoC (the peripherals, and for chip II
+  the idle dual-core A5-class subsystem with caches; both are fixed
+  parameter sets in :mod:`repro.soc.multicore`),
 * optionally an embedded watermark architecture,
 
-and produces per-cycle power traces for the measurement chain.  The
-Cortex-M0 workload is simulated cycle by cycle for a representative window
+and produces per-cycle power traces for the measurement chain.  The two
+configurations are declared once, at the bottom of this module, and
+:data:`CHIP_BUILDERS` maps their canonical names (``"chip1"``,
+``"chip2"``) to their builders.
+
+The Cortex-M0 is simulated cycle by cycle for a representative window
 (16,384 cycles by default).  Dhrystone itself is a short repeating loop, so
 the window already holds the cycle-to-cycle structure of the background
 power; simulating every one of a multi-hundred-thousand-cycle acquisition
-would add nothing but time.  The simulated window is shared across chips
-through the window cache in :mod:`repro.soc.cpu`.
+would add nothing but time.  The simulated window depends on its length
+only, so it is shared across chips through the window cache in
+:mod:`repro.soc.cpu`.
 
 The background power is computed straight in watts.  The window's
 per-cycle power is computed once and tiled to the full acquisition length
 with a random cyclic shift per repetition, two slice copies per
 repetition.  The idle blocks draw their per-cycle power in place
-(:meth:`repro.soc.multicore.IdleDualCoreA5Like.draw_power`).  The activity
+(:meth:`repro.soc.multicore.IdleBlock.draw_power`).  The activity
 path it replaces -- one activity trace per contributor, summed by
 :meth:`repro.power.estimator.PowerEstimator.combined_power_trace` -- is the
 test oracle ``tests/background_oracle.py``, equal to it byte for byte.
@@ -45,19 +51,21 @@ from repro.power.synthesis import rolled_blocks
 from repro.power.trace import PowerTrace
 from repro.rtl.activity import ActivityTrace
 from repro.soc.bus import SystemBus
-from repro.soc.cpu import CortexM0Like, cached_window_trace, program_fingerprint
+from repro.soc.cpu import CortexM0Like, CPUActivityModel, cached_window_trace
 from repro.soc.memory import Memory
-from repro.soc.multicore import BackgroundIPBlocks, IdleDualCoreA5Like
+from repro.soc.multicore import A5_SUBSYSTEM, PERIPHERALS, IdleBlock
 from repro.soc.workloads import dhrystone_like_program
-from repro.soc.assembler import Program
+
+#: SRAM of the Cortex-M0 (64 KiB), which holds Dhrystone's data.
+SRAM_BYTES = 64 * 1024
 
 
 # -- chip-level background-power template cache --------------------------------
 #
 # The background power of a chip is a deterministic function of the chip
-# configuration, the background seed and the acquisition length: the M0
-# window simulation is keyed by the program, the stochastic draws come
-# from the seed's named streams, and the power model has no parameters
+# description, the background seed and the acquisition length: the M0
+# window depends on its length only, the stochastic draws come from the
+# seed's named streams, and the power model has no parameters
 # (:mod:`repro.power.estimator` costs everything at 10 MHz / 1.2 V).
 # Fig. 5 panels, Fig. 6 campaigns and robustness sweeps all re-request the
 # same background, so the per-cycle template is computed once and shared.
@@ -84,6 +92,21 @@ def background_template_cache_stats() -> Dict[str, int]:
     return _BACKGROUND_TEMPLATE_CACHE.stats()
 
 
+def simulate_m0_window(window: int) -> ActivityTrace:
+    """Cycle-accurately run Dhrystone for ``window`` cycles from reset.
+
+    A fresh core/bus/SRAM triple is built for every run, so the window is
+    a pure function of its length and safe to share across chip instances
+    through the module-level window cache.
+    """
+    program = dhrystone_like_program()
+    memory = Memory(size_bytes=SRAM_BYTES)
+    bus = SystemBus()
+    bus.attach(memory)
+    memory.load_words(program.data_words)
+    return CortexM0Like(program, bus).run_cycles(window)
+
+
 @dataclass(frozen=True)
 class ChipDescription:
     """Static description of a chip configuration."""
@@ -91,13 +114,10 @@ class ChipDescription:
     name: str
     has_a5_subsystem: bool
     m0_window_cycles: int = 16_384
-    sram_bytes: int = 64 * 1024
 
     def __post_init__(self) -> None:
         if self.m0_window_cycles <= 0:
             raise ValueError("the M0 simulation window must be positive")
-        if self.sram_bytes <= 0:
-            raise ValueError("SRAM size must be positive")
 
 
 class ChipModel:
@@ -107,23 +127,14 @@ class ChipModel:
         self,
         description: ChipDescription,
         watermark: Optional[WatermarkArchitecture] = None,
-        program: Optional[Program] = None,
         seed: int = 2014,
     ) -> None:
         self.description = description
         self.watermark = watermark
         self.seed = seed
-
-        self.memory = Memory(size_bytes=description.sram_bytes)
-        self.bus = SystemBus()
-        self.bus.attach(self.memory)
-        self.program = program or dhrystone_like_program()
-        if self.program.data_words:
-            self.memory.load_words(self.program.data_words)
-        self.cpu = CortexM0Like(self.program, self.bus)
-        self.peripherals = BackgroundIPBlocks()
-        self.a5_subsystem: Optional[IdleDualCoreA5Like] = (
-            IdleDualCoreA5Like() if description.has_a5_subsystem else None
+        self.peripherals: IdleBlock = PERIPHERALS
+        self.a5_subsystem: Optional[IdleBlock] = (
+            A5_SUBSYSTEM if description.has_a5_subsystem else None
         )
 
     # -- structural information ----------------------------------------------
@@ -135,7 +146,7 @@ class ChipModel:
 
     def system_register_count(self) -> int:
         """Flip-flop count of the functional system (excluding the watermark)."""
-        total = self.cpu.activity.total_registers + self.peripherals.register_count
+        total = CPUActivityModel().total_registers + self.peripherals.register_count
         if self.a5_subsystem is not None:
             total += self.a5_subsystem.register_count
         return total
@@ -143,59 +154,22 @@ class ChipModel:
     def system_cell_inventory(self) -> Dict[str, int]:
         """Approximate cell inventory of the functional system (for leakage)."""
         registers = self.system_register_count()
-        return {"dff": registers, "comb": registers * 6, "sram": self.description.sram_bytes * 8}
+        return {"dff": registers, "comb": registers * 6, "sram": SRAM_BYTES * 8}
 
     # -- activity traces --------------------------------------------------------
-
-    def _m0_window_cache_key(self, window: int) -> Hashable:
-        """Cache key of the simulated M0 window.
-
-        Covers everything the window simulation depends on: the program
-        (instructions, labels, entry point *and* initial memory image, via
-        :func:`repro.soc.cpu.program_fingerprint`), the window length, the
-        core's structural activity model and the memory configuration.
-        """
-        return (
-            "m0-window",
-            program_fingerprint(self.program),
-            window,
-            self.cpu.activity,
-            self.cpu.name,
-            self.description.sram_bytes,
-        )
-
-    def _simulate_m0_window(self, window: int) -> ActivityTrace:
-        """Cycle-accurately simulate the M0 window in a pristine environment.
-
-        A fresh core/bus/memory triple is used so the simulated window is a
-        pure function of the program and configuration -- exactly what a
-        newly built chip would produce -- and therefore safe to share
-        across chip instances through the module-level window cache.
-        """
-        memory = Memory(size_bytes=self.description.sram_bytes)
-        bus = SystemBus()
-        bus.attach(memory)
-        if self.program.data_words:
-            memory.load_words(self.program.data_words)
-        cpu = CortexM0Like(
-            self.program, bus, activity_model=self.cpu.activity, name=self.cpu.name
-        )
-        return cpu.run_cycles(window)
 
     def _m0_window(self, num_cycles: int, use_cache: bool) -> ActivityTrace:
         """The simulated M0 window of an acquisition of ``num_cycles`` cycles.
 
         The window is shared across chip instances through the module-level
-        cache in :mod:`repro.soc.cpu` (keyed by program identity and window
-        length); ``use_cache=False`` forces a fresh cycle-accurate run,
-        which is bit-identical by construction.
+        cache in :mod:`repro.soc.cpu`, keyed by the window length;
+        ``use_cache=False`` forces a fresh cycle-accurate run, which is
+        bit-identical by construction.
         """
         window = min(num_cycles, self.description.m0_window_cycles)
         if use_cache:
-            return cached_window_trace(
-                self._m0_window_cache_key(window), lambda: self._simulate_m0_window(window)
-            )
-        return self._simulate_m0_window(window)
+            return cached_window_trace(("m0-window", window), lambda: simulate_m0_window(window))
+        return simulate_m0_window(window)
 
     def _m0_shifts(self, num_cycles: int, window: int, seed: int) -> np.ndarray:
         """One cyclic shift per window repetition, from the ``"m0"`` stream."""
@@ -232,21 +206,10 @@ class ChipModel:
     def _background_template_key(self, num_cycles: int, seed: int) -> Hashable:
         """Cache key of the seeded background-power template.
 
-        Covers the chip configuration (description, program identity, core
-        activity model, background-block parameters) and the seeded
-        acquisition class ``(seed, num_cycles)``.  The power model is fixed
-        (:mod:`repro.power.estimator`), so it is not part of the key.
+        The description names the chip and its M0 window; the rest of the
+        chip is fixed, and so is the power model (:mod:`repro.power.estimator`).
         """
-        return (
-            "background-power",
-            self.description,
-            program_fingerprint(self.program),
-            self.cpu.activity,
-            self.peripherals.parameters,
-            self.a5_subsystem.parameters if self.a5_subsystem is not None else None,
-            seed,
-            num_cycles,
-        )
+        return ("background-power", self.description, seed, num_cycles)
 
     def background_power(
         self, num_cycles: int, seed: Optional[int] = None, use_cache: bool = True
@@ -350,21 +313,32 @@ class ChipModel:
 
 def build_chip_one(
     watermark: Optional[WatermarkArchitecture] = None,
-    program: Optional[Program] = None,
     m0_window_cycles: int = 16_384,
     seed: int = 2014,
 ) -> ChipModel:
     """Chip I: Cortex-M0-class SoC with peripherals, watermark as a macro."""
     description = ChipDescription(name="chip1", has_a5_subsystem=False, m0_window_cycles=m0_window_cycles)
-    return ChipModel(description, watermark=watermark, program=program, seed=seed)
+    return ChipModel(description, watermark=watermark, seed=seed)
 
 
 def build_chip_two(
     watermark: Optional[WatermarkArchitecture] = None,
-    program: Optional[Program] = None,
     m0_window_cycles: int = 16_384,
     seed: int = 2015,
 ) -> ChipModel:
     """Chip II: adds the clocked-but-idle dual-core A5-class subsystem."""
     description = ChipDescription(name="chip2", has_a5_subsystem=True, m0_window_cycles=m0_window_cycles)
-    return ChipModel(description, watermark=watermark, program=program, seed=seed)
+    return ChipModel(description, watermark=watermark, seed=seed)
+
+
+#: The paper's two chips by canonical name.
+CHIP_BUILDERS = {"chip1": build_chip_one, "chip2": build_chip_two}
+
+
+def build_registered_chip(name: str, **kwargs) -> ChipModel:
+    """Build the chip called ``name``; ``kwargs`` go to its builder.
+
+    :class:`repro.core.spec.ScenarioSpec` rejects any other chip name, so
+    a spec's chip always resolves here.
+    """
+    return CHIP_BUILDERS[name](**kwargs)

@@ -52,46 +52,16 @@ _SIGN_BIT = 0x8000_0000
 
 # -- shared M0 window cache ----------------------------------------------------
 #
-# The simulated window is a pure function of the program (including its
-# initial memory image), the window length and the structural
-# configuration of the core/bus, so one simulation can be shared by every
-# chip instance that executes the same program.  A cold window of the
-# paper's 16,384 cycles still costs tens of milliseconds, while a hit is
-# free.  The cache is keyed by a caller-built tuple (see
-# ``ChipModel._m0_window_cache_key``) whose program component comes from
-# :func:`program_fingerprint`, which is what invalidates entries when the
-# program text or memory image differs.
+# Both chips run the same program on the same core and SRAM, so the
+# simulated window is a pure function of its length and one simulation is
+# shared by every chip instance.  A cold window of the paper's 16,384
+# cycles still costs tens of milliseconds, while a hit is free.  The
+# cache is keyed by a caller-built tuple (see ``ChipModel._m0_window``).
 
 #: Upper bound on retained window traces (LRU eviction beyond this).
 M0_WINDOW_CACHE_MAX_ENTRIES = 32
 
 _M0_WINDOW_CACHE = LRUCache(lambda: M0_WINDOW_CACHE_MAX_ENTRIES)
-
-
-def program_fingerprint(program: Program) -> Hashable:
-    """Hashable identity of a program *and* its initial memory image.
-
-    Two programs share a fingerprint exactly when they decode to the same
-    instruction stream (opcodes, operands, conditions), branch labels,
-    entry point and ``.word`` data section -- i.e. when a cycle-accurate
-    run from reset is guaranteed to produce the same activity.  Used as
-    the program component of the shared M0 window-cache key, so a changed
-    program or memory image can never alias a stale cached window.
-    """
-    instructions = tuple(
-        (
-            instruction.opcode.value,
-            tuple((operand.kind, operand.value) for operand in instruction.operands),
-            instruction.condition.value,
-        )
-        for instruction in program.instructions
-    )
-    return (
-        program.entry_point,
-        instructions,
-        tuple(sorted(program.labels.items())),
-        tuple(sorted(program.data_words.items())),
-    )
 
 
 def _frozen_trace_copy(trace: ActivityTrace) -> ActivityTrace:

@@ -11,15 +11,16 @@ instruction level (no RTL is available, and they are idle anyway), so they
 are represented by structural activity models: a register/clock-tree
 inventory whose non-gated fraction toggles every cycle, plus a stochastic
 per-cycle component representing asynchronous housekeeping activity
-(timers, snoop logic, bus arbiters).  Their per-cycle power is drawn
-vectorised, straight in watts, from a generator the chip hands in, so
-experiments are reproducible.
+(timers, snoop logic, bus arbiters).  The paper's chips have exactly two
+such blocks, so they are two fixed :class:`IdleBlock` parameter sets,
+:data:`A5_SUBSYSTEM` and :data:`PERIPHERALS`.  Their per-cycle power is
+drawn vectorised, straight in watts, from a generator the chip hands in,
+so experiments are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,48 +31,21 @@ from repro.power.estimator import (
     DATA_TOGGLE_ENERGY_J,
 )
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
-from repro.soc.cache import CacheConfig
 
 
 @dataclass(frozen=True)
-class IdleBlockParameters:
-    """Structural parameters of an idle-but-clocked block."""
+class IdleBlock:
+    """An idle-but-clocked block: its flip-flops and housekeeping activity.
 
-    name: str
+    ``clocked_registers`` of the ``register_count`` flip-flops are not
+    clock-gated while the block idles; the data activity per cycle is a
+    clipped normal of the given mean and standard deviation.
+    """
+
     register_count: int
-    ungated_fraction: float
+    clocked_registers: int
     mean_data_activity: float
     data_activity_std: float
-
-    def __post_init__(self) -> None:
-        if self.register_count <= 0:
-            raise ValueError("register count must be positive")
-        if not 0.0 <= self.ungated_fraction <= 1.0:
-            raise ValueError("ungated fraction must be within [0, 1]")
-        if self.mean_data_activity < 0 or self.data_activity_std < 0:
-            raise ValueError("activity statistics must be non-negative")
-
-
-class _IdleActivitySource:
-    """Common power generation for idle-but-clocked blocks."""
-
-    def __init__(self, parameters: IdleBlockParameters) -> None:
-        self.parameters = parameters
-
-    @property
-    def name(self) -> str:
-        """Block name."""
-        return self.parameters.name
-
-    @property
-    def register_count(self) -> int:
-        """Total flip-flop count of the block."""
-        return self.parameters.register_count
-
-    @property
-    def clocked_registers(self) -> int:
-        """Registers whose clock is not gated while the block idles."""
-        return int(round(self.parameters.register_count * self.parameters.ungated_fraction))
 
     def draw_power(self, num_cycles: int, rng: np.random.Generator) -> np.ndarray:
         """Per-cycle power (W) of the idle block over ``num_cycles`` cycles.
@@ -86,9 +60,7 @@ class _IdleActivitySource:
         """
         if num_cycles <= 0:
             raise ValueError("num_cycles must be positive")
-        mean = self.parameters.mean_data_activity
-        std = self.parameters.data_activity_std
-        data = rng.normal(mean, std, size=num_cycles)
+        data = rng.normal(self.mean_data_activity, self.data_activity_std, size=num_cycles)
         np.clip(data, 0, None, out=data)
         burst_mask = rng.random(num_cycles) < 0.002
         data += burst_mask * rng.integers(50, 400, size=num_cycles)
@@ -105,62 +77,27 @@ class _IdleActivitySource:
         return data
 
 
-class IdleDualCoreA5Like(_IdleActivitySource):
-    """A clocked-but-idle dual-core application processor with caches.
+#: Chip II's clocked-but-idle dual-core Cortex-A5-class subsystem: two cores
+#: of 22,000 flip-flops each plus, per core, 16 KiB 4-way L1 instruction and
+#: data caches of 32-byte lines (512 lines, each a 20-bit tag plus 2 state
+#: bits), 89,056 flip-flops in all.  Only 18% of its clock tree stays
+#: ungated while idle, but that alone is an order of magnitude more
+#: background clock power than the microcontroller core -- which is why
+#: the chip II correlation peak in the paper is lower than chip I's.
+A5_SUBSYSTEM = IdleBlock(
+    register_count=89_056,
+    clocked_registers=16_030,
+    mean_data_activity=220.0,
+    data_activity_std=140.0,
+)
 
-    Parameters approximate a dual Cortex-A5 class subsystem: tens of
-    thousands of flip-flops per core plus L1 caches.  Only the ungated
-    fraction of the clock tree toggles while idle, but that alone is an
-    order of magnitude more background clock power than the microcontroller
-    core -- which is why the chip II correlation peak in the paper is lower
-    than chip I's.
-    """
-
-    def __init__(
-        self,
-        registers_per_core: int = 22_000,
-        num_cores: int = 2,
-        cache_config: Optional[CacheConfig] = None,
-        ungated_fraction: float = 0.18,
-        name: str = "a5_subsystem",
-    ) -> None:
-        if registers_per_core <= 0 or num_cores <= 0:
-            raise ValueError("core dimensions must be positive")
-        self.num_cores = num_cores
-        self.registers_per_core = registers_per_core
-        self.cache_config = cache_config or CacheConfig(size_bytes=16 * 1024)
-        cache_registers = 2 * num_cores * (self.cache_config.num_lines * (self.cache_config.tag_bits + 2))
-        total_registers = registers_per_core * num_cores + cache_registers
-        super().__init__(
-            IdleBlockParameters(
-                name=name,
-                register_count=total_registers,
-                ungated_fraction=ungated_fraction,
-                mean_data_activity=220.0,
-                data_activity_std=140.0,
-            )
-        )
-
-
-class BackgroundIPBlocks(_IdleActivitySource):
-    """The "numerous commercial IP blocks" sharing the chip I SoC.
-
-    Peripherals (timers, UARTs, DMA, memory controllers) that are clocked
-    and occasionally active while the Cortex-M0 runs Dhrystone.
-    """
-
-    def __init__(
-        self,
-        register_count: int = 6_000,
-        ungated_fraction: float = 0.35,
-        name: str = "soc_peripherals",
-    ) -> None:
-        super().__init__(
-            IdleBlockParameters(
-                name=name,
-                register_count=register_count,
-                ungated_fraction=ungated_fraction,
-                mean_data_activity=90.0,
-                data_activity_std=60.0,
-            )
-        )
+#: The "numerous commercial IP blocks" sharing the SoC with the Cortex-M0
+#: on both chips: timers, UARTs, DMA and memory controllers that are
+#: clocked (35% of 6,000 flip-flops ungated) and occasionally active while
+#: the core runs Dhrystone.
+PERIPHERALS = IdleBlock(
+    register_count=6_000,
+    clocked_registers=2_100,
+    mean_data_activity=90.0,
+    data_activity_std=60.0,
+)

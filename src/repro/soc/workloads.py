@@ -1,15 +1,10 @@
-"""Synthetic workloads for the Cortex-M0-class core.
+"""The Dhrystone-like benchmark the Cortex-M0-class core runs.
 
-The main workload is a Dhrystone-like integer benchmark: like the original,
-it mixes integer arithmetic, logic decisions, string copy/compare, pointer
-(array) accesses and function calls in an endless measurement loop.  The
-paper runs Dhrystone on the Cortex-M0 while the watermark is detected, so
-this program is what generates the data-dependent background activity of
-chips I and II.
-
-Additional smaller workloads (idle loop, memory copy, checksum) are
-provided for ablation studies on how background activity level affects
-detectability.
+Like the original Dhrystone, it mixes integer arithmetic, logic
+decisions, string copy/compare, pointer (array) accesses and function
+calls in an endless measurement loop.  The paper runs Dhrystone on the
+Cortex-M0 while the watermark is detected, so this program is what
+generates the data-dependent background activity of chips I and II.
 """
 
 from __future__ import annotations
@@ -155,82 +150,6 @@ array_update:
 """
 
 
-_MEMCOPY_SOURCE = """
-; Word-wise memory copy loop: high load/store density.
-main:
-    mov   r10, #0x20
-    lsl   r10, r10, #24
-copy_restart:
-    mov   r0, #0
-    add   r0, r10, r0          ; src
-    mov   r1, #128
-    add   r1, r10, r1          ; dst
-    mov   r2, #32              ; words
-copy_loop:
-    cmp   r2, #0
-    beq   copy_restart
-    ldr   r3, [r0, #0]
-    str   r3, [r1, #0]
-    add   r0, r0, #4
-    add   r1, r1, #4
-    sub   r2, r2, #1
-    b     copy_loop
-"""
-
-
-_IDLE_SOURCE = """
-; Tight idle loop: minimal datapath activity, clock tree still running.
-main:
-    mov   r0, #0
-idle_loop:
-    add   r0, r0, #1
-    and   r0, r0, #0xFF
-    b     idle_loop
-"""
-
-
-_CHECKSUM_SOURCE = """
-; Rolling checksum over a memory block: arithmetic + memory mix.
-main:
-    mov   r10, #0x20
-    lsl   r10, r10, #24
-checksum_restart:
-    mov   r0, #0               ; checksum
-    mov   r1, #0               ; offset
-    mov   r2, #64              ; words to sum
-checksum_loop:
-    cmp   r2, #0
-    beq   checksum_store
-    add   r3, r10, r1
-    ldr   r4, [r3, #0]
-    add   r0, r0, r4
-    eor   r0, r0, r2
-    lsl   r5, r0, #1
-    orr   r0, r5, r0
-    add   r1, r1, #4
-    sub   r2, r2, #1
-    b     checksum_loop
-checksum_store:
-    str   r0, [r10, #252]
-    b     checksum_restart
-"""
-
-
 def dhrystone_like_program() -> Program:
     """The Dhrystone-like benchmark used for the chip I/II background."""
     return Assembler().assemble(_DHRYSTONE_LIKE_SOURCE, entry_label="main")
-
-
-def memcopy_program() -> Program:
-    """A memory-copy-dominated workload (higher bus activity)."""
-    return Assembler().assemble(_MEMCOPY_SOURCE, entry_label="main")
-
-
-def idle_loop_program() -> Program:
-    """A near-idle loop (lowest background activity)."""
-    return Assembler().assemble(_IDLE_SOURCE, entry_label="main")
-
-
-def checksum_program() -> Program:
-    """An arithmetic/memory mixed checksum workload."""
-    return Assembler().assemble(_CHECKSUM_SOURCE, entry_label="main")

@@ -22,22 +22,24 @@ from repro.rtl.activity import ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 
 
-def idle_activity_trace(block, num_cycles: int, rng: np.random.Generator) -> ActivityTrace:
+def idle_activity_trace(
+    name: str, block, num_cycles: int, rng: np.random.Generator
+) -> ActivityTrace:
     """Per-cycle activity of an idle-but-clocked block over ``num_cycles`` cycles."""
     if num_cycles <= 0:
         raise ValueError("num_cycles must be positive")
     clock = np.full(
         num_cycles, CLOCK_EDGES_PER_CYCLE * block.clocked_registers, dtype=np.int64
     )
-    mean = block.parameters.mean_data_activity
-    std = block.parameters.data_activity_std
+    mean = block.mean_data_activity
+    std = block.data_activity_std
     data = np.clip(rng.normal(mean, std, size=num_cycles), 0, None)
     # Occasional housekeeping bursts (timer rollovers, arbitration).
     burst_mask = rng.random(num_cycles) < 0.002
     data = data + burst_mask * rng.integers(50, 400, size=num_cycles)
     comb = data * 0.6
     return ActivityTrace(
-        name=block.name,
+        name=name,
         clock_toggles=clock,
         data_toggles=np.round(data).astype(np.int64),
         comb_toggles=np.round(comb).astype(np.int64),
@@ -52,11 +54,13 @@ def background_activity(
     traces = {
         "m0": chip.m0_activity(num_cycles, seed=seed, use_cache=use_cache),
         "peripherals": idle_activity_trace(
-            chip.peripherals, num_cycles, stream(seed, "peripherals")
+            "peripherals", chip.peripherals, num_cycles, stream(seed, "peripherals")
         ),
     }
     if chip.a5_subsystem is not None:
-        traces["a5"] = idle_activity_trace(chip.a5_subsystem, num_cycles, stream(seed, "a5"))
+        traces["a5"] = idle_activity_trace(
+            "a5", chip.a5_subsystem, num_cycles, stream(seed, "a5")
+        )
     return traces
 
 

@@ -237,9 +237,9 @@ class TestExactCountsUnderContention:
         assert snapshot["cache"]["hits"] == snapshot["cache"]["misses"] == calls // 2
         assert snapshot["latency_ms"]["count"] == calls
 
-    def test_result_store_counts_every_concurrent_get(self, tmp_path):
-        # At the default switch interval: a hit parses the npz header with
-        # ast.literal_eval, and under microsecond switching CPython 3.11
+    def test_result_store_counts_every_concurrent_get(self, tmp_path, switch_often):
+        # A hit parses the npz header with ast.literal_eval, which is not
+        # thread-safe on CPython 3.11: unserialised, microsecond switching
         # raised SystemError ("AST constructor recursion depth mismatch")
         # from a concurrent get.
         store = ResultStore(tmp_path)

@@ -8,6 +8,7 @@ CPA -- plus the structural embedding/attack loop.
 
 import numpy as np
 import pytest
+from cpu_programs import background_power_running, idle_loop_program, memcopy_program
 
 from repro.core.architectures import BaselineWatermark, ClockModulationWatermark
 from repro.core.config import (
@@ -19,7 +20,6 @@ from repro.core.config import (
 from repro.detection.cpa import CPADetector
 from repro.measurement.acquisition import AcquisitionCampaign
 from repro.soc.chip import build_chip_one, build_chip_two
-from repro.soc.workloads import idle_loop_program, memcopy_program
 
 
 @pytest.fixture(scope="module")
@@ -78,12 +78,12 @@ class TestFullDetectionPipeline:
         assert not result.detected
 
     def test_detection_works_under_different_workloads(self, pipeline_config):
+        num_cycles = pipeline_config.measurement.num_cycles
+        watermark = ClockModulationWatermark.from_config(pipeline_config.watermark)
+        chip = build_chip_one(watermark=watermark, m0_window_cycles=2048)
         for program_factory in (idle_loop_program, memcopy_program):
-            watermark = ClockModulationWatermark.from_config(pipeline_config.watermark)
-            chip = build_chip_one(
-                watermark=watermark, program=program_factory(), m0_window_cycles=2048
-            )
-            power = chip.total_power(pipeline_config.measurement.num_cycles, seed=8)
+            background = background_power_running(chip, program_factory(), num_cycles, seed=8)
+            power = background.add(chip.watermark_power(num_cycles))
             measured = AcquisitionCampaign(pipeline_config.measurement).measure(power, seed=9)
             result = CPADetector().detect(chip.watermark_sequence(), measured.values)
             assert result.detected, program_factory.__name__

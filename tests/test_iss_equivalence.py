@@ -20,17 +20,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import iss_oracle
+from cpu_programs import checksum_program, idle_loop_program, memcopy_program
 from repro.soc.assembler import Assembler
 from repro.soc.bus import SystemBus
-from repro.soc.chip import build_chip_one
+from repro.soc.chip import simulate_m0_window
 from repro.soc.cpu import CortexM0Like, CPUError
 from repro.soc.memory import Memory
-from repro.soc.workloads import (
-    checksum_program,
-    dhrystone_like_program,
-    idle_loop_program,
-    memcopy_program,
-)
+from repro.soc.workloads import dhrystone_like_program
 
 FIELDS = ("clock_toggles", "data_toggles", "comb_toggles")
 BASE = 0x2000_0000
@@ -252,9 +248,8 @@ def test_workload_windows_match_the_stepping_core(program, cycles):
 
 
 def test_chip_window_is_the_paper_dhrystone_window():
-    chip = build_chip_one()
-    window = chip._simulate_m0_window(16_384)
-    (cpu, _), _ = _pair(chip.program)
+    window = simulate_m0_window(16_384)
+    (cpu, _), _ = _pair(dhrystone_like_program())
     expected = cpu.run_cycles(16_384)
     for field in FIELDS:
         assert np.array_equal(getattr(window, field), getattr(expected, field)), field

@@ -244,12 +244,12 @@ class TestSpecGrid:
     def test_axes_apply_to_spec_fields(self):
         spec = grid(
             "fig5/chip1-active",
-            chips=["chipII"],
+            chips=["chip2"],
             noise_scales=[0.5],
             lengths=[7_000],
             seeds=[42],
         )[0]
-        assert spec.chip == "chip2"  # aliases canonicalise
+        assert spec.chip == "chip2"
         assert spec.name == "fig5/chip1-active[chip=chip2,noise=0.5,len=7000,seed=42]"
         assert spec.measurement.num_cycles == 7_000
         assert spec.seed == 42
@@ -278,12 +278,12 @@ class TestSpecGrid:
         with pytest.raises(ValueError, match="duplicate"):
             grid("fig2", seeds=[1, 2, 1])
 
-    def test_alias_chips_collapse_to_one_cell_and_are_rejected(self):
-        # "chip1" and "chipI" are the same chip: canonicalisation happens
-        # before the duplicate check, so the alias pair is an error
-        # instead of two identical cells with one ambiguous name.
-        with pytest.raises(ValueError, match="duplicate"):
+    def test_alias_chips_are_rejected(self):
+        # A chip has one name: a former alias spelling is an unknown chip.
+        with pytest.raises(ValueError, match="unknown chip name 'chipI'"):
             grid("fig2", chips=["chip1", "chipI"])
+        with pytest.raises(ValueError, match="duplicate"):
+            grid("fig2", chips=["chip1", "chip1"])
 
     def test_registry_base_honours_options(self):
         from repro.pipeline import RunOptions

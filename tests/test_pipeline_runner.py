@@ -1,4 +1,4 @@
-"""Pipeline runner, experiment registry and chip registry behaviour."""
+"""Pipeline runner, experiment registry and chip-name behaviour."""
 
 import numpy as np
 import pytest
@@ -14,47 +14,27 @@ from repro.pipeline import (
     RunOptions,
     run_scenario,
 )
-from repro.soc.registry import (
-    available_workloads,
-    build_registered_chip,
-    canonical_chip_name,
-    chip_entry,
-)
+from repro.soc.chip import build_registered_chip
 
 
 class TestChipRegistry:
-    @pytest.mark.parametrize(
-        "alias, canonical",
-        [
-            ("chip1", "chip1"),
-            ("chipI", "chip1"),
-            ("chip_one", "chip1"),
-            ("1", "chip1"),
-            ("chip2", "chip2"),
-            ("chipII", "chip2"),
-            ("chip_two", "chip2"),
-            ("2", "chip2"),
-        ],
-    )
-    def test_aliases_resolve(self, alias, canonical):
-        assert canonical_chip_name(alias) == canonical
+    @pytest.mark.parametrize("name", ["chip1", "chip2"])
+    def test_canonical_names_build_their_chip(self, name):
+        assert build_registered_chip(name, m0_window_cycles=1_024).name == name
 
     def test_unknown_name_lists_valid_spellings(self):
-        with pytest.raises(ValueError) as excinfo:
-            canonical_chip_name("chip3")
-        message = str(excinfo.value)
-        assert "chip1" in message and "chip2" in message and "chipII" in message
+        # The former alias spellings are unknown names like any other.
+        for name in ("chip3", "chipI", "chip_two", "2", "II"):
+            with pytest.raises(ValueError) as excinfo:
+                ScenarioSpec(kind="fig3", chip=name)
+            message = str(excinfo.value)
+            assert repr(name) in message
+            assert "'chip1'" in message and "'chip2'" in message
 
     def test_build_through_registry(self):
-        chip = build_registered_chip("chipII", m0_window_cycles=1_024)
+        chip = build_registered_chip("chip2", m0_window_cycles=1_024)
         assert chip.name == "chip2"
         assert chip.a5_subsystem is not None
-
-    def test_entry_metadata(self):
-        assert "A5" in chip_entry("chip2").description
-
-    def test_workloads_registered(self):
-        assert available_workloads() == ("checksum", "dhrystone", "idle", "memcopy")
 
 
 class TestExperimentRegistry:
@@ -170,39 +150,6 @@ class TestExperimentRunner:
     def test_run_many_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one scenario"):
             ExperimentRunner().run_many([])
-
-    def test_alias_chip_names_behave_like_canonical(self):
-        def panel(chip):
-            spec = ScenarioSpec(
-                kind="fig5_panel",
-                name=f"fig5/{chip}-active",
-                chip=chip,
-                measurement=MeasurementConfig.quick(6_000),
-                seed=11,
-                m0_window_cycles=1_024,
-            )
-            return run_scenario(spec).payload
-
-        canonical = panel("chip1")
-        alias = panel("chipI")
-        assert alias.chip_name == "chip1"
-        assert np.array_equal(alias.cpa.correlations, canonical.cpa.correlations)
-
-    def test_workload_selects_program(self):
-        runner = ExperimentRunner()
-        dhrystone = runner.chip_for(
-            ScenarioSpec(kind="fig3", chip="chip1", m0_window_cycles=512)
-        )
-        memcopy = runner.chip_for(
-            ScenarioSpec(
-                kind="fig3", chip="chip1", workload="memcopy", m0_window_cycles=512
-            )
-        )
-        assert memcopy is not dhrystone
-        assert memcopy.program is not dhrystone.program
-        background_a = dhrystone.background_power(1_024, seed=3).power_w
-        background_b = memcopy.background_power(1_024, seed=3).power_w
-        assert not np.array_equal(background_a, background_b)
 
 
 class TestRegistryScenarioExecution:

@@ -337,6 +337,17 @@ def test_verify_result_json_is_the_wire_json(tmp_path, monkeypatch, stripped):
     assert response["result_json"] == result.to_wire()["json"]
 
 
+def test_a_cold_verify_reads_the_store_twice(tmp_path):
+    """A computed ``/verify`` misses once before and once inside the in-flight lock."""
+    service = DetectionService(ServiceConfig(data_dir=tmp_path, difficulty=8))
+    body = {"client_id": "alice", "scenario": "fig2"}
+    body["nonce"] = mine_nonce("alice", VERIFY_ENDPOINT, body, difficulty=8)
+    status, response = service.handle_verify(body)
+    assert status == 200 and not response["cache_hit"]
+    stats = service.store.stats()
+    assert (stats.hits, stats.misses, stats.writes) == (0, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # live server end-to-end
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ class TestChipDescription:
     def test_validation(self):
         with pytest.raises(ValueError):
             ChipDescription(name="x", has_a5_subsystem=False, m0_window_cycles=0)
-        with pytest.raises(ValueError):
-            ChipDescription(name="x", has_a5_subsystem=False, sram_bytes=0)
 
 
 class TestChipComposition:
@@ -154,7 +152,7 @@ class TestM0ActivityGather:
         # Reference: simulate the window, then tile it with one np.roll per
         # repetition, using the shifts of the seed's "m0" stream.
         window = min(num_cycles, chip.description.m0_window_cycles)
-        window_trace = chip.cpu.run_cycles(window)
+        window_trace = chip_module.simulate_m0_window(window)
         shifts = stream(seed, "m0").integers(0, window, size=-(-num_cycles // window))
         arrays = {
             "clock_toggles": window_trace.clock_toggles,

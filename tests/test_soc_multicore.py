@@ -4,54 +4,53 @@ import numpy as np
 import pytest
 
 from repro.power.estimator import CLOCK_TOGGLE_ENERGY_J, CYCLE_TIME_S
-from repro.soc.multicore import (
-    BackgroundIPBlocks,
-    IdleBlockParameters,
-    IdleDualCoreA5Like,
-    _IdleActivitySource,
-)
+from repro.soc.multicore import A5_SUBSYSTEM, PERIPHERALS, IdleBlock
 
 
 class TestIdleBlockParameters:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IdleBlockParameters("x", register_count=0, ungated_fraction=0.2, mean_data_activity=1, data_activity_std=1)
-        with pytest.raises(ValueError):
-            IdleBlockParameters("x", register_count=10, ungated_fraction=1.5, mean_data_activity=1, data_activity_std=1)
-        with pytest.raises(ValueError):
-            IdleBlockParameters("x", register_count=10, ungated_fraction=0.5, mean_data_activity=-1, data_activity_std=1)
+    def test_the_two_parameter_sets(self):
+        assert (A5_SUBSYSTEM.register_count, A5_SUBSYSTEM.clocked_registers) == (89_056, 16_030)
+        assert (PERIPHERALS.register_count, PERIPHERALS.clocked_registers) == (6_000, 2_100)
 
 
 class TestIdleDualCoreA5Like:
     def test_register_count_scale(self):
-        a5 = IdleDualCoreA5Like()
         # Dual-core plus caches: must dwarf a Cortex-M0-class core (~1k registers).
-        assert a5.register_count > 20_000
-        assert a5.clocked_registers < a5.register_count
+        assert A5_SUBSYSTEM.register_count > 20_000
+        assert A5_SUBSYSTEM.clocked_registers < A5_SUBSYSTEM.register_count
+
+    def test_register_count_is_two_cores_plus_l1_caches(self):
+        # Per core 22,000 flip-flops plus L1 instruction and data caches of
+        # 16 KiB, 32-byte lines, 4 ways: 512 lines of a 20-bit tag (32-bit
+        # addresses less 5 offset and 7 index bits) and 2 state bits.
+        lines = 16 * 1024 // 32
+        sets = lines // 4
+        tag_bits = 32 - (32 - 1).bit_length() - (sets - 1).bit_length()
+        assert (lines, tag_bits) == (512, 20)
+        registers = 2 * 22_000 + 2 * 2 * lines * (tag_bits + 2)
+        assert A5_SUBSYSTEM.register_count == registers
+        # 18% of the clock tree stays ungated while the cores idle.
+        assert A5_SUBSYSTEM.clocked_registers == round(registers * 0.18)
 
     def test_power_shape_and_determinism(self):
-        a5 = IdleDualCoreA5Like()
-        first = a5.draw_power(500, np.random.default_rng(3))
-        second = a5.draw_power(500, np.random.default_rng(3))
+        first = A5_SUBSYSTEM.draw_power(500, np.random.default_rng(3))
+        second = A5_SUBSYSTEM.draw_power(500, np.random.default_rng(3))
         assert first.shape == (500,)
         assert first.tobytes() == second.tobytes()
 
     def test_different_seeds_differ(self):
-        a5 = IdleDualCoreA5Like()
         assert not np.array_equal(
-            a5.draw_power(500, np.random.default_rng(1)),
-            a5.draw_power(500, np.random.default_rng(2)),
+            A5_SUBSYSTEM.draw_power(500, np.random.default_rng(1)),
+            A5_SUBSYSTEM.draw_power(500, np.random.default_rng(2)),
         )
 
     def test_clock_component_is_constant(self):
         # A block with no data activity draws only its ungated clock tree,
         # 2 edges per clocked register every cycle, except in the rare
         # housekeeping bursts.
-        block = _IdleActivitySource(
-            IdleBlockParameters(
-                "quiet", register_count=4000, ungated_fraction=0.25,
-                mean_data_activity=0.0, data_activity_std=0.0,
-            )
+        block = IdleBlock(
+            register_count=4000, clocked_registers=1000,
+            mean_data_activity=0.0, data_activity_std=0.0,
         )
         power = block.draw_power(2000, np.random.default_rng(0))
         floor = 2 * block.clocked_registers * CLOCK_TOGGLE_ENERGY_J / CYCLE_TIME_S
@@ -61,22 +60,15 @@ class TestIdleDualCoreA5Like:
 
     def test_invalid_cycle_count_rejected(self):
         with pytest.raises(ValueError):
-            IdleDualCoreA5Like().draw_power(0, np.random.default_rng(0))
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            IdleDualCoreA5Like(registers_per_core=0)
+            A5_SUBSYSTEM.draw_power(0, np.random.default_rng(0))
 
 
 class TestBackgroundIPBlocks:
     def test_smaller_than_a5(self):
-        peripherals = BackgroundIPBlocks()
-        a5 = IdleDualCoreA5Like()
-        assert peripherals.clocked_registers < a5.clocked_registers
+        assert PERIPHERALS.clocked_registers < A5_SUBSYSTEM.clocked_registers
 
     def test_power_nonnegative(self):
         # Clipped activity: no cycle draws less than the clock tree alone.
-        peripherals = BackgroundIPBlocks()
-        power = peripherals.draw_power(1000, np.random.default_rng(5))
-        floor = 2 * peripherals.clocked_registers * CLOCK_TOGGLE_ENERGY_J / CYCLE_TIME_S
+        power = PERIPHERALS.draw_power(1000, np.random.default_rng(5))
+        floor = 2 * PERIPHERALS.clocked_registers * CLOCK_TOGGLE_ENERGY_J / CYCLE_TIME_S
         assert power.min() >= floor > 0

@@ -1,16 +1,18 @@
-"""Unit tests for repro.soc.workloads."""
+"""Unit tests for repro.soc.workloads and the CPU test programs."""
 
 import pytest
-
-from repro.soc.bus import SystemBus
-from repro.soc.cpu import CortexM0Like
-from repro.soc.memory import Memory
-from repro.soc.workloads import (
+from cpu_programs import (
+    background_power_running,
     checksum_program,
-    dhrystone_like_program,
     idle_loop_program,
     memcopy_program,
 )
+
+from repro.soc.bus import SystemBus
+from repro.soc.chip import build_chip_one, build_chip_two
+from repro.soc.cpu import CortexM0Like
+from repro.soc.memory import Memory
+from repro.soc.workloads import dhrystone_like_program
 
 BASE = 0x2000_0000
 
@@ -74,3 +76,11 @@ class TestOtherWorkloads:
         _, idle_trace = run_program(idle_loop_program())
         _, memcopy_trace = run_program(memcopy_program())
         assert memcopy_trace.total_toggles.mean() > idle_trace.total_toggles.mean()
+
+    @pytest.mark.parametrize("build", [build_chip_one, build_chip_two])
+    @pytest.mark.parametrize("num_cycles", [1_000, 2_049])
+    def test_running_dhrystone_gives_the_chip_background(self, build, num_cycles):
+        chip = build(m0_window_cycles=512)
+        expected = chip.background_power(num_cycles, seed=4)
+        actual = background_power_running(chip, dhrystone_like_program(), num_cycles, seed=4)
+        assert actual.power_w.tobytes() == expected.power_w.tobytes()
