@@ -6,6 +6,15 @@ import pytest
 from repro.power.estimator import CLOCK_TOGGLE_ENERGY_J, CYCLE_TIME_S
 from repro.soc.multicore import A5_SUBSYSTEM, PERIPHERALS, IdleBlock
 
+# The Cortex-A5-class geometry that A5_SUBSYSTEM's flip-flop count stands for.
+_CORE_REGISTERS = 22_000
+_L1_SIZE_BYTES = 16 * 1024
+_L1_LINE_BYTES = 32
+_L1_WAYS = 4
+_L1_LINES = _L1_SIZE_BYTES // _L1_LINE_BYTES
+_L1_SETS = _L1_LINES // _L1_WAYS
+_L1_TAG_BITS = 32 - (_L1_LINE_BYTES - 1).bit_length() - (_L1_SETS - 1).bit_length()
+
 
 class TestIdleBlockParameters:
     def test_the_two_parameter_sets(self):
@@ -19,15 +28,28 @@ class TestIdleDualCoreA5Like:
         assert A5_SUBSYSTEM.register_count > 20_000
         assert A5_SUBSYSTEM.clocked_registers < A5_SUBSYSTEM.register_count
 
+    def test_l1_cache_geometry(self):
+        # Each of the four L1 caches (instruction and data, per core) holds
+        # 16 KiB in 32-byte lines, 4 ways: 512 lines in 128 sets.
+        assert _L1_SETS * _L1_WAYS * _L1_LINE_BYTES == _L1_SIZE_BYTES
+        assert _L1_LINES == _L1_SETS * _L1_WAYS == 512
+        # What the caches add to the A5 count, beyond the 22,000 flip-flops
+        # of each core, is a whole number of flip-flops per line.
+        per_cache = (A5_SUBSYSTEM.register_count - 2 * _CORE_REGISTERS) // 4
+        assert per_cache * 4 == A5_SUBSYSTEM.register_count - 2 * _CORE_REGISTERS
+        assert per_cache % _L1_LINES == 0
+
+    def test_l1_tag_bits(self):
+        # A 32-bit address less 5 offset and 7 index bits leaves a 20-bit
+        # tag; each line of the A5 count holds that tag and 2 state bits.
+        assert _L1_TAG_BITS == 20 > 0
+        per_cache = (A5_SUBSYSTEM.register_count - 2 * _CORE_REGISTERS) // 4
+        assert per_cache // _L1_LINES == _L1_TAG_BITS + 2
+
     def test_register_count_is_two_cores_plus_l1_caches(self):
         # Per core 22,000 flip-flops plus L1 instruction and data caches of
-        # 16 KiB, 32-byte lines, 4 ways: 512 lines of a 20-bit tag (32-bit
-        # addresses less 5 offset and 7 index bits) and 2 state bits.
-        lines = 16 * 1024 // 32
-        sets = lines // 4
-        tag_bits = 32 - (32 - 1).bit_length() - (sets - 1).bit_length()
-        assert (lines, tag_bits) == (512, 20)
-        registers = 2 * 22_000 + 2 * 2 * lines * (tag_bits + 2)
+        # 512 lines, each a 20-bit tag and 2 state bits.
+        registers = 2 * _CORE_REGISTERS + 2 * 2 * _L1_LINES * (_L1_TAG_BITS + 2)
         assert A5_SUBSYSTEM.register_count == registers
         # 18% of the clock tree stays ungated while the cores idle.
         assert A5_SUBSYSTEM.clocked_registers == round(registers * 0.18)
