@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
 #: Acquisition length used by ``--quick`` runs (CLI and registry presets).
@@ -17,11 +17,16 @@ QUICK_TRANSIENT_NOISE_FRACTION = 0.4
 
 
 def _config_to_dict(config: Any) -> Dict[str, Any]:
-    """Serialize a configuration dataclass into a JSON-able dict."""
-    payload = asdict(config)
-    for key, value in payload.items():
-        if isinstance(value, enum.Enum):
-            payload[key] = value.value
+    """Serialize a configuration dataclass into a JSON-able dict.
+
+    The configs hold only scalars and one enum, so a shallow walk over
+    the fields gives what ``dataclasses.asdict`` would, without its
+    recursive deep copy.
+    """
+    payload: Dict[str, Any] = {}
+    for config_field in fields(config):
+        value = getattr(config, config_field.name)
+        payload[config_field.name] = value.value if isinstance(value, enum.Enum) else value
     return payload
 
 

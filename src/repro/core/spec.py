@@ -53,6 +53,9 @@ SCENARIO_KINDS: Tuple[str, ...] = (
 SPEC_SCHEMA_VERSION = 9
 
 
+#: Instance attribute holding a spec's memoised :meth:`ScenarioSpec.spec_hash`.
+_SPEC_HASH_MEMO = "_spec_hash"
+
 #: Marker distinguishing a frozen mapping from a frozen list in ``params``.
 _MAPPING_TAG = "__mapping__"
 
@@ -278,11 +281,27 @@ class ScenarioSpec:
     # -- identity --------------------------------------------------------------
 
     def spec_hash(self) -> str:
-        """Content hash of the canonical JSON form (process-stable)."""
-        canonical = json.dumps(
-            self.to_json_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        """Content hash of the canonical JSON form (process-stable).
+
+        Computed once per instance: a spec is frozen, so the hash is
+        memoised in ``__dict__`` (as ``__post_init__`` sets ``params``).
+        The memo is no dataclass field, so equality, ``repr`` and the JSON
+        form never see it, and :meth:`__getstate__` leaves it out of a
+        pickle or copy.
+        """
+        digest = self.__dict__.get(_SPEC_HASH_MEMO)
+        if digest is None:
+            canonical = json.dumps(
+                self.to_json_dict(), sort_keys=True, separators=(",", ":")
+            )
+            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, _SPEC_HASH_MEMO, digest)
+        return digest
 
     def __hash__(self) -> int:
         return hash(self.spec_hash())
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop(_SPEC_HASH_MEMO, None)
+        return state

@@ -45,7 +45,10 @@ ARTIFACT_SCHEMA_VERSION = 2
 #: Serialises ``.npz`` decoding.  numpy parses each member's header with
 #: ``ast.literal_eval``, which is not thread-safe on CPython 3.11: two
 #: threads decoding at once raised ``SystemError('AST constructor
-#: recursion depth mismatch')`` from concurrent result-store reads.
+#: recursion depth mismatch')`` from concurrent result-store reads.  Only
+#: reads that want the arrays take it: the service's store reads pass
+#: ``arrays=False`` to :meth:`repro.pipeline.store.ResultStore.get` and
+#: never decode.
 _NPZ_DECODE_LOCK = threading.Lock()
 
 
@@ -266,10 +269,16 @@ class ScenarioResult:
         and ``to_wire()`` re-emits it unchanged -- so a signed transcript
         re-verifies from the wire JSON alone, no ``.npz`` required.
         """
-        payload = json.loads(wire["json"])
+        return cls._from_wire_parts(json.loads(wire["json"]), wire.get("npz"))
+
+    @classmethod
+    def _from_wire_parts(
+        cls, payload: Dict[str, Any], npz_bytes: Optional[bytes]
+    ) -> "ScenarioResult":
+        """:meth:`from_wire` on the already-parsed JSON side."""
         arrays: Dict[str, np.ndarray] = {}
-        if wire.get("npz"):
-            with _NPZ_DECODE_LOCK, np.load(io.BytesIO(wire["npz"]), allow_pickle=False) as data:
+        if npz_bytes:
+            with _NPZ_DECODE_LOCK, np.load(io.BytesIO(npz_bytes), allow_pickle=False) as data:
                 arrays = {key: np.array(data[key]) for key in data.files}
         result = cls._from_json_dict(payload, arrays)
         metadata = payload.get("arrays") or {}

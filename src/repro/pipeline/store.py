@@ -192,7 +192,9 @@ class ResultStore:
     def __contains__(self, spec: ScenarioSpec) -> bool:
         return self.has(spec)
 
-    def get(self, spec: ScenarioSpec) -> Optional[ScenarioResult]:
+    def get(
+        self, spec: ScenarioSpec, *, arrays: bool = True
+    ) -> Optional[ScenarioResult]:
         """The memoized result for ``spec``, or ``None`` on a miss.
 
         A hit reproduces scalars, arrays and report bit-identically to the
@@ -201,6 +203,13 @@ class ResultStore:
         entry -- unreadable JSON, missing/bit-flipped ``.npz``, or a
         failed cell that somehow reached the store -- is logged, counted
         in ``stats().corrupt`` and reported as a miss, never raised.
+
+        ``arrays=False`` is for readers that answer from the JSON side
+        only (the detection service): the ``.npz`` is still read and its
+        digest checked, but it is not decoded, so the read never takes
+        the npz decode lock.  The hit is the array-stripped result of
+        :meth:`ScenarioResult.from_wire` -- no array data, shapes and
+        dtypes kept -- whose ``wire_json()`` is byte-identical.
         """
         key = self.key_for(spec)
         json_path = self._json_path(key)
@@ -228,8 +237,8 @@ class ResultStore:
                 self._note_corrupt(key, "arrays digest mismatch")
                 return None
         try:
-            result = ScenarioResult.from_wire(
-                {"json": json.dumps(document["artifact"]), "npz": npz_bytes}
+            result = ScenarioResult._from_wire_parts(
+                document["artifact"], npz_bytes if arrays else None
             )
         except _REBUILD_ERRORS as error:
             self._note_corrupt(key, f"artifact failed to rebuild ({error})")
@@ -399,9 +408,7 @@ class ResultStore:
                     problems.append(f"{key}: arrays digest mismatch")
                     continue
             try:
-                ScenarioResult.from_wire(
-                    {"json": json.dumps(document["artifact"]), "npz": npz_bytes}
-                )
+                ScenarioResult._from_wire_parts(document["artifact"], npz_bytes)
             except _REBUILD_ERRORS as error:
                 problems.append(f"{key}: artifact failed to rebuild ({error})")
         for npz_path in sorted(self.root.glob("*/*.npz")):

@@ -28,7 +28,7 @@ threads are daemons, so ``shutdown()`` never hangs on a stuck client.
 
 from __future__ import annotations
 
-import bisect
+import collections
 import dataclasses
 import json
 import logging
@@ -135,19 +135,21 @@ def _percentile(sorted_values: "list[float]", q: float) -> float:
 class ServiceMetrics:
     """Thread-safe request/cache/latency counters behind ``/metrics``.
 
-    Latencies are kept as a bounded *sorted* sample (insertion via
-    ``bisect``), so percentile reads are O(1) and memory stays flat on a
-    long-lived server.
+    Latency percentiles are read over a ring of the most recent
+    ``max_samples`` requests, sorted when :meth:`snapshot` is read, so
+    memory stays flat on a long-lived server and the percentiles follow
+    current traffic.  ``count`` and ``max`` cover every request.
     """
 
     def __init__(self, max_samples: int = 4096) -> None:
         self._lock = threading.Lock()
-        self._max_samples = max_samples
         self._by_endpoint: Dict[str, int] = {}
         self._errors = 0
         self._cache_hits = 0
         self._cache_misses = 0
-        self._latencies_ms: "list[float]" = []
+        self._latencies_ms: "collections.deque[float]" = collections.deque(
+            maxlen=max_samples
+        )
         self._latency_count = 0
         self._latency_max = 0.0
 
@@ -159,11 +161,7 @@ class ServiceMetrics:
                 self._errors += 1
             self._latency_count += 1
             self._latency_max = max(self._latency_max, elapsed_ms)
-            bisect.insort(self._latencies_ms, elapsed_ms)
-            if len(self._latencies_ms) > self._max_samples:
-                # Drop the middle element: keeps both tails, which is what
-                # the percentile readout cares about.
-                del self._latencies_ms[len(self._latencies_ms) // 2]
+            self._latencies_ms.append(elapsed_ms)
 
     def cache_event(self, hit: bool) -> None:
         """Record one ``/verify`` cache outcome."""
@@ -178,11 +176,12 @@ class ServiceMetrics:
         with self._lock:
             total_cache = self._cache_hits + self._cache_misses
             latency: Dict[str, Any] = {"count": self._latency_count}
-            if self._latencies_ms:
+            recent = sorted(self._latencies_ms)
+            if recent:
                 latency.update(
-                    p50=_percentile(self._latencies_ms, 0.50),
-                    p90=_percentile(self._latencies_ms, 0.90),
-                    p99=_percentile(self._latencies_ms, 0.99),
+                    p50=_percentile(recent, 0.50),
+                    p90=_percentile(recent, 0.90),
+                    p99=_percentile(recent, 0.99),
                     max=self._latency_max,
                 )
             return {
@@ -285,16 +284,20 @@ class DetectionService:
         return self._inflight.get_or_compute(key, threading.Lock)
 
     def _execute(self, spec: ScenarioSpec) -> Tuple[ScenarioResult, bool]:
-        """Run ``spec`` through the store; returns (result, cache_hit)."""
+        """Run ``spec`` through the store; returns (result, cache_hit).
+
+        A response is built from the result's JSON side only, so store
+        reads leave the arrays undecoded (``arrays=False``).
+        """
         label = spec.name or spec.kind
         key = spec.spec_hash()
-        cached = self.store.get(spec)
+        cached = self.store.get(spec, arrays=False)
         if cached is not None:
             self.metrics.cache_event(hit=True)
             logger.info("verify %s: store hit (%s)", label, key[:12])
             return cached, True
         with self._inflight_lock(key):
-            cached = self.store.get(spec)
+            cached = self.store.get(spec, arrays=False)
             if cached is not None:
                 # A sibling request computed this cell while we waited.
                 self.metrics.cache_event(hit=True)

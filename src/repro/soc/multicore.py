@@ -63,7 +63,8 @@ class IdleBlock:
         data = rng.normal(self.mean_data_activity, self.data_activity_std, size=num_cycles)
         np.clip(data, 0, None, out=data)
         burst_mask = rng.random(num_cycles) < 0.002
-        data += burst_mask * rng.integers(50, 400, size=num_cycles)
+        bursts = rng.integers(50, 400, size=num_cycles)
+        np.add(data, bursts, out=data, where=burst_mask)
         comb = data * 0.6
         # Toggle counts are whole numbers.  Rounding in float64 gives the
         # same exact integers an int64 count would.

@@ -11,12 +11,14 @@ the lock); these tests pin what the locking buys:
 * ``DetectionService._inflight`` is a bounded ``caching.LRUCache`` of
   per-spec locks, hammered here for coalescing and boundedness;
 * ``TokenBucket``, ``ServiceMetrics`` and ``ResultStore``'s counters add
-  up exactly under 8 threads behind a barrier.
+  up exactly under 8 threads behind a barrier, and ``ServiceMetrics``'
+  percentiles still read the recent traffic long after its sample fills.
 
 Every thread is a daemon joined within :data:`DEADLINE_S`, so a deadlock
 fails its test with the names of the stuck threads.
 """
 
+import random
 import sys
 import threading
 import time
@@ -236,6 +238,31 @@ class TestExactCountsUnderContention:
         assert snapshot["requests"]["errors"] == calls // 4
         assert snapshot["cache"]["hits"] == snapshot["cache"]["misses"] == calls // 2
         assert snapshot["latency_ms"]["count"] == calls
+
+    def test_service_metrics_percentiles_follow_a_long_run(self):
+        # Far more requests than the metrics keep: the percentiles must
+        # still read the traffic, not the all-time extremes.
+        rng = random.Random(7)
+        metrics = ServiceMetrics()
+        values = [rng.uniform(0.0, 100.0) for _ in range(40_000)]
+        for value in values:
+            metrics.observe("/verify", 200, value)
+        latency = metrics.snapshot()["latency_ms"]
+        assert latency["count"] == len(values)
+        assert latency["max"] == max(values)
+        for name, expected in (("p50", 50.0), ("p90", 90.0), ("p99", 99.0)):
+            assert abs(latency[name] - expected) < 3.0, (name, latency[name])
+        assert latency["p50"] <= latency["p90"] <= latency["p99"] <= latency["max"]
+
+    def test_service_metrics_percentiles_read_the_recent_requests(self):
+        metrics = ServiceMetrics(max_samples=100)
+        for _ in range(100):
+            metrics.observe("/verify", 200, 1_000.0)
+        for _ in range(100):
+            metrics.observe("/verify", 200, 1.0)
+        latency = metrics.snapshot()["latency_ms"]
+        assert latency["p50"] == latency["p99"] == 1.0
+        assert (latency["count"], latency["max"]) == (200, 1_000.0)
 
     def test_result_store_counts_every_concurrent_get(self, tmp_path, switch_often):
         # A hit parses the npz header with ast.literal_eval, which is not

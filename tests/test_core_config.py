@@ -1,6 +1,7 @@
 """Unit tests for repro.core.config."""
 
 import dataclasses
+import enum
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core.config import (
     ExperimentConfig,
     MeasurementConfig,
     WatermarkConfig,
+    _config_to_dict,
 )
 
 
@@ -94,3 +96,44 @@ class TestExperimentConfig:
         config = ExperimentConfig()
         assert config.measurement.num_cycles == 300_000
         assert config.watermark.lfsr_width == 12
+
+
+class TestConfigToDict:
+    """The shallow field walk gives what ``dataclasses.asdict`` gives."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            WatermarkConfig(),
+            WatermarkConfig(
+                architecture=ArchitectureKind.BASELINE_LOAD_CIRCUIT,
+                lfsr_width=8,
+                lfsr_seed=0x2D,
+                num_words=16,
+                switching_registers=100,
+                load_registers=64,
+                use_test_chip_wgc=False,
+            ),
+            MeasurementConfig(),
+            MeasurementConfig(num_cycles=12_345, probe_noise_rms_v=0.0, adc_bits=12, seed=7),
+            DetectionConfig(),
+            DetectionConfig(detection_threshold=5.5, uniqueness_margin=0.8),
+        ],
+        ids=[
+            "watermark-default", "watermark-custom",
+            "measurement-default", "measurement-custom",
+            "detection-default", "detection-custom",
+        ],
+    )
+    def test_matches_asdict_with_the_enum_as_its_value(self, config):
+        expected = {
+            key: value.value if isinstance(value, enum.Enum) else value
+            for key, value in dataclasses.asdict(config).items()
+        }
+        payload = _config_to_dict(config)
+        assert payload == expected
+        assert list(payload) == list(expected)
+        assert [type(value) for value in payload.values()] == [
+            type(value) for value in expected.values()
+        ]
+        assert type(config).from_dict(payload) == config

@@ -85,6 +85,25 @@ class TestPutGet:
         stats = store.stats()
         assert stats.hits == 1 and stats.writes == 1 and stats.entries == 1
 
+    def test_array_free_hit_keeps_the_wire_json(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        computed = ExperimentRunner().run(_spec(1))
+        store.put(computed)
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("an arrays=False read decoded the .npz")
+
+        monkeypatch.setattr(np, "load", no_decode)
+        served = store.get(_spec(1), arrays=False)
+        assert served is not None and not served.arrays
+        assert served.wire_json() == computed.wire_json()
+        assert served.to_wire()["npz"] is None
+        assert (served.scalars, served.report) == (computed.scalars, computed.report)
+        monkeypatch.undo()
+        # The default read still decodes every array bit-exactly.
+        _assert_results_identical(computed, store.get(_spec(1)))
+        assert store.stats().hits == 2
+
     def test_entries_fan_out_into_two_level_shards(self, tmp_path):
         store = ResultStore(tmp_path)
         result = ExperimentRunner().run(_spec(1))
@@ -156,6 +175,17 @@ class TestCorruptionDetection:
         self._npz_path(stored).unlink()
         assert stored.get(_spec(1)) is None
         assert any("missing" in p for p in stored.verify())
+
+    def test_array_free_read_still_checks_the_npz(self, stored):
+        npz_path = self._npz_path(stored)
+        data = bytearray(npz_path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        npz_path.write_bytes(bytes(data))
+        assert stored.get(_spec(1), arrays=False) is None
+        npz_path.unlink()
+        assert stored.get(_spec(1), arrays=False) is None
+        stats = stored.stats()
+        assert (stats.corrupt, stats.misses, stats.hits) == (2, 2, 0)
 
     def test_provenance_without_attempts_misses(self, stored):
         # Every schema-2 writer records the attempt count; an artifact

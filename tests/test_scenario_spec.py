@@ -1,8 +1,11 @@
 """Spec/result serialization: lossless round-trips and stable hashes."""
 
+import copy
 import dataclasses
+import hashlib
 import json
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -121,6 +124,53 @@ class TestScenarioSpec:
         assert bundle.watermark == spec.watermark
         assert bundle.measurement == spec.measurement
         assert bundle.detection == spec.detection
+
+
+def _canonical_sha256(spec: ScenarioSpec) -> str:
+    canonical = json.dumps(spec.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestSpecHashMemo:
+    """``spec_hash`` is computed once per instance and never leaks."""
+
+    def test_the_hash_is_the_canonical_json_sha256(self):
+        spec = _rich_spec()
+        assert spec.spec_hash() == _canonical_sha256(spec)
+        assert spec.spec_hash() == _canonical_sha256(spec)  # memoised read
+
+    def test_equal_specs_compare_and_hash_alike(self):
+        memoised, fresh = _rich_spec(), _rich_spec()
+        memoised.spec_hash()
+        assert memoised == fresh and fresh == memoised
+        assert hash(memoised) == hash(fresh)
+        assert len({memoised, fresh}) == 1
+
+    def test_a_copy_with_overrides_hashes_afresh(self):
+        spec = _rich_spec()
+        original = spec.spec_hash()
+        changed = spec.with_overrides(seed=43)
+        assert changed.spec_hash() != original
+        assert changed.spec_hash() == _canonical_sha256(changed)
+        assert changed.with_overrides(seed=42).spec_hash() == original
+        assert spec.with_name("renamed").spec_hash() != original
+
+    def test_pickle_and_copies_leave_the_memo_out(self):
+        spec = _rich_spec()
+        digest = spec.spec_hash()
+        for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+            assert "_spec_hash" not in vars(clone)
+            assert clone == spec and clone.spec_hash() == digest
+        assert digest.encode() not in pickle.dumps(spec)
+
+    def test_the_memo_is_no_field_of_the_spec(self):
+        spec = _rich_spec()
+        digest = spec.spec_hash()
+        assert "_spec_hash" not in {field.name for field in dataclasses.fields(spec)}
+        assert digest not in json.dumps(spec.to_json_dict())
+        assert digest not in json.dumps(dataclasses.asdict(spec), default=str)
+        assert digest not in repr(spec)
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
 
 
 class TestConfigSerialization:

@@ -14,6 +14,7 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -346,6 +347,62 @@ def test_a_cold_verify_reads_the_store_twice(tmp_path):
     assert status == 200 and not response["cache_hit"]
     stats = service.store.stats()
     assert (stats.hits, stats.misses, stats.writes) == (0, 2, 1)
+
+
+def _verify_body(client_id="alice", scenario="fig2"):
+    body = {"client_id": client_id, "scenario": scenario}
+    body["nonce"] = mine_nonce(client_id, VERIFY_ENDPOINT, body, difficulty=8)
+    return body
+
+
+def _signed_part(response):
+    return {key: response[key] for key in ("transcript", "signature", "result_json")}
+
+
+def test_a_store_hit_verify_never_decodes_the_arrays(tmp_path, monkeypatch):
+    """A hit answers byte-identically to the cold response without ``np.load``."""
+    service = DetectionService(ServiceConfig(data_dir=tmp_path, difficulty=8))
+    status, cold = service.handle_verify(_verify_body())
+    assert status == 200 and not cold["cache_hit"]
+    assert json.loads(cold["result_json"])["arrays"], "fig2 must store arrays"
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("a store-hit /verify decoded the .npz")
+
+    monkeypatch.setattr(np, "load", no_decode)
+    status, warm = service.handle_verify(_verify_body("bob"))
+    assert status == 200 and warm["cache_hit"]
+    assert _signed_part(warm) == _signed_part(cold)
+
+
+def test_a_bit_flipped_npz_is_recomputed_through_verify(tmp_path):
+    """A corrupt stored ``.npz`` is a miss: recomputed, counted, same answer."""
+    service = DetectionService(ServiceConfig(data_dir=tmp_path, difficulty=8))
+    status, cold = service.handle_verify(_verify_body())
+    assert status == 200
+    spec = service.resolve_spec({"scenario": "fig2"})
+    npz_path = service.store._npz_path(service.store.key_for(spec))
+    data = bytearray(npz_path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    npz_path.write_bytes(bytes(data))
+    status, again = service.handle_verify(_verify_body("bob"))
+    assert status == 200 and not again["cache_hit"]
+    stats = service.store.stats()
+    # Both reads of the request (before and inside the in-flight lock)
+    # see the flipped entry; the recompute writes it back.
+    assert (stats.corrupt, stats.writes) == (2, 2)
+    assert service.store.verify() == []
+    # The recompute carries its own creation time and elapsed time; the
+    # rest of the transcript, and the arrays' metadata, are the same.
+    def unstamped(transcript):
+        return {key: value for key, value in transcript.items() if key != "provenance"}
+
+    assert unstamped(again["transcript"]) == unstamped(cold["transcript"])
+    assert json.loads(again["result_json"])["arrays"] == json.loads(
+        cold["result_json"]
+    )["arrays"]
+    status, warm = service.handle_verify(_verify_body("carol"))
+    assert warm["cache_hit"] and _signed_part(warm) == _signed_part(again)
 
 
 # ---------------------------------------------------------------------------
