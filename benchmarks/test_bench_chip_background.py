@@ -2,12 +2,10 @@
 
 Before the chip-level cache landed, every ``ChipModel.total_power`` call
 re-simulated the Cortex-M0 window cycle by cycle in Python (the last
-O(cycles) loop on the generation side) and re-drew the peripheral/A5 block
-activity, even though Fig. 5/6 panels and ``measure_many`` campaigns
-request the exact same background over and over.  With the cache, the
-window is simulated once per (program, window) across *all* chip
-instances, and the per-cycle background template is reused per
-(chip configuration, seed, acquisition length).
+O(cycles) loop on the generation side).  With the cache, the window is
+simulated once per window length across *all* chip instances, and the
+per-cycle background array is reused per (chip configuration, seed,
+acquisition length).
 
 This benchmark pins the acceptance floor (>= 10x warm-cache speedup on a
 100k-cycle ``total_power``) and proves the cache changes nothing: warm,
@@ -15,8 +13,10 @@ cold and cache-bypassing traces are bit-identical, and the warm path runs
 without any per-cycle Python loop (the window cache reports hits only).
 It also records, report-only, what a template miss costs at paper scale:
 a 300k-cycle ``background_power`` per chip with the M0 window warm, the
-cost every fresh-seed Fig. 6 cell pays.  Timings are persisted to
-BENCH.json (see record.py), whose trend check covers them.
+cost every fresh-seed Fig. 6 cell pays.  That is the M0 window's power,
+its tiling and one scalar add: the idle blocks contribute their
+closed-form mean power and draw nothing per cycle.  Timings are persisted
+to BENCH.json (see record.py), whose trend check covers them.
 """
 
 import statistics
@@ -43,8 +43,8 @@ COLD_TEMPLATE_ROUNDS = 5
 def _cold_template_background_s(build) -> float:
     """Median time of a 300k-cycle ``background_power`` on a template miss.
 
-    The M0 window is warmed first, so each round pays the window's power,
-    its tiling and the idle-block draws -- not the window simulation.
+    The M0 window is warmed first, so each round pays the window's power
+    and its tiling -- not the window simulation.
     """
     chip = build()
     chip.background_power(PAPER_CYCLES, seed=0)
@@ -65,8 +65,7 @@ def test_bench_chip_background_cache(report, relaxed):
     chip = build_chip_one(watermark=watermark)
 
     # Cold: pays the full M0 window simulation (16,384 Python-stepped
-    # cycles), the background block-activity draws and the watermark
-    # template build.
+    # cycles) and the watermark template build.
     start = time.perf_counter()
     cold = chip.total_power(NUM_CYCLES, seed=11)
     cold_s = time.perf_counter() - start
@@ -126,7 +125,7 @@ def test_bench_chip_background_cache(report, relaxed):
         f"Chip background template cache ({NUM_CYCLES:,} cycles)",
         "\n".join(
             [
-                f"total_power cold (window sim + draws): {cold_s * 1e3:9.1f} ms",
+                f"total_power cold (window simulation):  {cold_s * 1e3:9.1f} ms",
                 f"total_power warm (cached template):    {warm_s * 1e3:9.2f} ms",
                 f"sibling background (shared window):    {sibling_s * 1e3:9.1f} ms",
                 f"speedup warm:                          {speedup:7.1f}x (floor {MIN_SPEEDUP}x)",

@@ -4,9 +4,10 @@ The bench of Section IV (shunt, differential probe, 500 MS/s 8-bit scope,
 50 samples averaged per 10 MHz cycle) is modelled per clock cycle: every
 stage's noise is folded into one statistically equivalent per-cycle
 Gaussian sigma (:meth:`AcquisitionCampaign.per_cycle_noise_sigma`) that is
-added to the chip's per-cycle power.  The result is a
-:class:`MeasuredTrace` whose ``values`` array is the measured per-cycle
-power vector ``Y``.
+added to the chip's per-cycle power, in quadrature with the trace's own
+Gaussian per-cycle fluctuation (``PowerTrace.fluctuation_w``).  The result
+is a :class:`MeasuredTrace` whose ``values`` array is the measured
+per-cycle power vector ``Y``.
 
 Acquisitions that only feed a detection decision (each Fig. 5 panel's
 one acquisition and the Fig. 6 repetitions) never materialise their rows:
@@ -19,6 +20,7 @@ row for callers that display it (Fig. 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -115,10 +117,12 @@ class AcquisitionCampaign:
         )
 
     def _trace_sigma(self, power_trace: PowerTrace) -> float:
-        """Effective per-cycle noise sigma of the chain for one power trace.
+        """Effective per-cycle noise sigma of one power trace's acquisition.
 
-        Shared by :meth:`measure` and :meth:`measure_folded` so the two can
-        never drift apart on the acquisition-chain statistics.
+        The chain's sigma, set by the mean and peak of ``power_w``, in
+        quadrature with the trace's own Gaussian ``fluctuation_w``.  Shared
+        by :meth:`measure` and :meth:`measure_folded` so the two can never
+        drift apart on the acquisition-chain statistics.
         """
         power = power_trace.power_w
         mean_power = float(np.mean(power)) if len(power) else 0.0
@@ -127,7 +131,9 @@ class AcquisitionCampaign:
             * self.config.shunt_resistance_ohm
         )
         full_scale = max(peak_voltage * RANGE_HEADROOM, 1e-6)
-        return self.per_cycle_noise_sigma(mean_power, full_scale)
+        return math.hypot(
+            self.per_cycle_noise_sigma(mean_power, full_scale), power_trace.fluctuation_w
+        )
 
     def measure_many(
         self, power_trace: PowerTrace, seeds: Sequence[Optional[int]]

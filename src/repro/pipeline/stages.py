@@ -41,7 +41,6 @@ from repro.experiments.robustness_exp import _compute_robustness
 from repro.experiments.table1 import TABLE_I_SWITCHING_REGISTERS, _compute_table1
 from repro.experiments.table2 import _compute_table2
 from repro.measurement.acquisition import AcquisitionCampaign
-from repro.power.trace import PowerTrace
 
 
 @dataclass
@@ -147,9 +146,10 @@ def _fig3_stages(spec: ScenarioSpec) -> List[PipelineStage]:
         system = chip.background_power(num_cycles, seed=ctx.spec.seed)
         watermark = chip.watermark_power(num_cycles)
         total = system.add(watermark)
+        total.name = f"{chip.name}/total"
         ctx.data["system"] = system
         ctx.data["watermark"] = watermark
-        ctx.data["total"] = PowerTrace(name=f"{chip.name}/total", power_w=total.power_w)
+        ctx.data["total"] = total
 
     def acquisition(ctx: StageContext) -> None:
         campaign = AcquisitionCampaign.from_spec(ctx.spec)

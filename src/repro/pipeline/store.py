@@ -107,7 +107,12 @@ class StoreStats:
     ``entries``/``stale``/``invalid``/``total_bytes``/``per_kind`` are
     re-scanned from disk on every :meth:`ResultStore.stats` call;
     ``hits``/``misses``/``writes``/``corrupt`` count this process's
-    traffic through the owning :class:`ResultStore` instance.
+    traffic through the owning :class:`ResultStore` instance
+    (:meth:`ResultStore.counters`).  Every read is one hit or one miss.
+    ``corrupt`` counts reads, not entries: each read that found a corrupt
+    entry, and so also counted a miss.  One corrupt entry read twice (a
+    cold ``/verify`` reads the store before and inside its in-flight
+    lock) counts 2.
     """
 
     root: str
@@ -202,7 +207,8 @@ class ResultStore:
         ``.npz`` bytes, verified against the recorded digest).  A corrupt
         entry -- unreadable JSON, missing/bit-flipped ``.npz``, or a
         failed cell that somehow reached the store -- is logged, counted
-        in ``stats().corrupt`` and reported as a miss, never raised.
+        as one corrupt read in ``stats().corrupt`` and reported as a miss,
+        never raised.
 
         ``arrays=False`` is for readers that answer from the JSON side
         only (the detection service): the ``.npz`` is still read and its
@@ -357,9 +363,6 @@ class ResultStore:
                 continue
             entries += 1
             per_kind[kind] = per_kind.get(kind, 0) + 1
-        with self._stats_lock:
-            hits, misses = self._hits, self._misses
-            writes, corrupt = self._writes, self._corrupt
         return StoreStats(
             root=str(self.root),
             salt=self.salt,
@@ -368,11 +371,21 @@ class ResultStore:
             invalid=invalid,
             total_bytes=total_bytes,
             per_kind=per_kind,
-            hits=hits,
-            misses=misses,
-            writes=writes,
-            corrupt=corrupt,
+            **self.counters(),
         )
+
+    def counters(self) -> Dict[str, int]:
+        """This session's ``hits``/``misses``/``writes``/``corrupt``, from memory.
+
+        The counters of :class:`StoreStats` without its disk scan.
+        """
+        with self._stats_lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "writes": self._writes,
+                "corrupt": self._corrupt,
+            }
 
     def verify(self) -> List[str]:
         """Integrity-check every entry; returns a list of problems.

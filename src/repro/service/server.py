@@ -406,9 +406,17 @@ class DetectionService:
         }
 
     def handle_metrics(self) -> Tuple[int, Dict[str, Any]]:
-        """GET ``/metrics``: counters, cache-hit rate, latency percentiles."""
+        """GET ``/metrics``: counters, cache-hit rate, latency percentiles.
+
+        The store section is the store's session counters plus its root
+        and salt, all from memory; ``repro store stats`` scans the disk.
+        """
         document = self.metrics.snapshot()
-        document["store"] = dataclasses.asdict(self.store.stats())
+        document["store"] = {
+            "root": str(self.store.root),
+            "salt": self.store.salt,
+            **self.store.counters(),
+        }
         document["ledger"] = {
             "records": self.ledger.count,
             "tip_digest": self.ledger.tip_digest,

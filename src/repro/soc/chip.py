@@ -25,21 +25,24 @@ only, so it is shared across chips through the window cache in
 The background power is computed straight in watts.  The window's
 per-cycle power is computed once and tiled to the full acquisition length
 with a random cyclic shift per repetition, two slice copies per
-repetition.  The idle blocks draw their per-cycle power in place
-(:meth:`repro.soc.multicore.IdleBlock.draw_power`).  The activity
-path it replaces -- one activity trace per contributor, summed by
-:meth:`repro.power.estimator.PowerEstimator.combined_power_trace` -- is the
-test oracle ``tests/background_oracle.py``, equal to it byte for byte.
+repetition.  The idle blocks add their closed-form mean power
+(:attr:`repro.soc.multicore.IdleBlock.mean_power_w`); their per-cycle
+jitter is i.i.d. Gaussian, so it travels as the trace's
+``fluctuation_w`` and the acquisition draws it with its own noise.  The
+activity path this replaces -- one activity trace per contributor, summed
+by :meth:`repro.power.estimator.PowerEstimator.combined_power_trace` -- is
+the test oracle ``tests/background_oracle.py``, equal to it byte for byte.
 
-Every stochastic contributor of a chip's background draws from its own
-named stream of the background seed (:mod:`repro.core.seeds`): ``"m0"``
-for the window shifts, ``"peripherals"`` and ``"a5"`` for the idle blocks.
+The only stochastic contributor of a chip's background array is the M0
+window's tiling: its cyclic shifts come from the ``"m0"`` stream of the
+background seed (:mod:`repro.core.seeds`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -64,17 +67,10 @@ SRAM_BYTES = 64 * 1024
 #
 # The background power of a chip is a deterministic function of the chip
 # description, the background seed and the acquisition length: the M0
-# window depends on its length only, the stochastic draws come from the
-# seed's named streams, and the power model has no parameters
-# (:mod:`repro.power.estimator` costs everything at 10 MHz / 1.2 V).
-# Fig. 5 panels, Fig. 6 campaigns and robustness sweeps all re-request the
-# same background, so the per-cycle template is computed once and shared.
-#
-# Each distinct ``num_cycles`` is its own cache class: the idle blocks
-# draw normals, uniforms and integers in length-dependent order,
-# so truncating a longer template would *not* be bit-identical to drawing
-# the shorter trace directly -- and bit-identity with the pre-cache
-# implementation is the contract pinned by the equivalence suite.
+# window depends on its length only, the window shifts come from the
+# seed's ``"m0"`` stream, the idle blocks add constants, and the power
+# model has no parameters (:mod:`repro.power.estimator` costs everything
+# at 10 MHz / 1.2 V).  Each distinct ``num_cycles`` is its own entry.
 
 #: Upper bound on retained background templates (LRU eviction beyond this).
 BACKGROUND_TEMPLATE_CACHE_MAX_ENTRIES = 32
@@ -211,39 +207,43 @@ class ChipModel:
         """
         return ("background-power", self.description, seed, num_cycles)
 
+    def _idle_blocks(self) -> Tuple[IdleBlock, ...]:
+        """The chip's clocked-but-idle blocks: the peripherals, then the A5."""
+        if self.a5_subsystem is None:
+            return (self.peripherals,)
+        return (self.peripherals, self.a5_subsystem)
+
     def background_power(
         self, num_cycles: int, seed: Optional[int] = None, use_cache: bool = True
     ) -> PowerTrace:
         """Power consumed by the functional system over ``num_cycles``.
 
+        The array is the tiled M0 window's power plus the idle blocks' mean
+        power plus static leakage; the idle blocks' per-cycle jitter is the
+        trace's ``fluctuation_w``, their standard deviations in quadrature.
         Static leakage covers the chip's full cell inventory
         (:meth:`system_cell_inventory`: flip-flops, combinational cells and
         the SRAM array), matching how the watermark architectures and the
         Table I analysis compute leakage from ``leakage_of(cell_inventory())``.
 
-        The per-cycle template is cached per ``(chip configuration, seed,
-        num_cycles)`` -- see the module docstring of the template cache --
-        so repeated acquisitions of the same background reuse one array.
-        ``use_cache=False`` recomputes from scratch (bit-identical by
-        construction; the equivalence suite pins this).
+        The per-cycle array is cached per ``(chip configuration, seed,
+        num_cycles)``, so repeated acquisitions of the same background
+        reuse one array.  ``use_cache=False`` recomputes from scratch
+        (bit-identical by construction; the equivalence suite pins this).
         """
         resolved_seed = self.seed if seed is None else seed
+        blocks = self._idle_blocks()
 
         def compute() -> np.ndarray:
-            # The sum order (m0, peripherals, a5, static) is part of the
-            # bit-identity with the activity path.
             estimator = PowerEstimator()
             window = self._m0_window(num_cycles, use_cache)
             power_w = estimator.power_per_cycle(window)
             if len(window) < num_cycles:
                 shifts = self._m0_shifts(num_cycles, len(window), resolved_seed)
                 power_w = rolled_blocks(power_w, shifts, num_cycles)
-            power_w += self.peripherals.draw_power(
-                num_cycles, stream(resolved_seed, "peripherals")
+            power_w += sum(block.mean_power_w for block in blocks) + estimator.leakage_of(
+                self.system_cell_inventory()
             )
-            if self.a5_subsystem is not None:
-                power_w += self.a5_subsystem.draw_power(num_cycles, stream(resolved_seed, "a5"))
-            power_w += estimator.leakage_of(self.system_cell_inventory())
             return power_w
 
         if use_cache:
@@ -258,7 +258,11 @@ class ChipModel:
             )
         else:
             power_w = compute()
-        return PowerTrace(name=f"{self.name}/background", power_w=power_w)
+        return PowerTrace(
+            name=f"{self.name}/background",
+            power_w=power_w,
+            fluctuation_w=math.hypot(*(block.fluctuation_w for block in blocks)),
+        )
 
     def watermark_power(self, num_cycles: int, phase_offset: int = 0) -> PowerTrace:
         """Power contributed by the embedded watermark circuit.
@@ -291,12 +295,13 @@ class ChipModel:
         phase, which is why the paper's correlation peaks appear at
         arbitrary rotations (~3,800 on chip I, ~2,400 on chip II).
         """
-        background = self.background_power(num_cycles, seed=seed, use_cache=use_cache)
-        if not watermark_active or self.watermark is None:
-            return PowerTrace(name=f"{self.name}/total", power_w=background.power_w)
-        watermark = self.watermark_power(num_cycles, phase_offset=watermark_phase_offset)
-        total = background.add(watermark)
-        return PowerTrace(name=f"{self.name}/total", power_w=total.power_w)
+        total = self.background_power(num_cycles, seed=seed, use_cache=use_cache)
+        if watermark_active and self.watermark is not None:
+            total = total.add(
+                self.watermark_power(num_cycles, phase_offset=watermark_phase_offset)
+            )
+        total.name = f"{self.name}/total"
+        return total
 
     def watermark_sequence(self, length: Optional[int] = None) -> np.ndarray:
         """The watermark model sequence of the embedded watermark."""

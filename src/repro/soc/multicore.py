@@ -13,16 +13,23 @@ inventory whose non-gated fraction toggles every cycle, plus a stochastic
 per-cycle component representing asynchronous housekeeping activity
 (timers, snoop logic, bus arbiters).  The paper's chips have exactly two
 such blocks, so they are two fixed :class:`IdleBlock` parameter sets,
-:data:`A5_SUBSYSTEM` and :data:`PERIPHERALS`.  Their per-cycle power is
-drawn vectorised, straight in watts, from a generator the chip hands in,
-so experiments are reproducible.
+:data:`A5_SUBSYSTEM` and :data:`PERIPHERALS`.
+
+An idle block's per-cycle power is i.i.d. Gaussian with the mean
+(:attr:`IdleBlock.mean_power_w`) and standard deviation
+(:attr:`IdleBlock.fluctuation_w`) of its housekeeping law, both in closed
+form.  The chip adds the mean to its background and hands the
+fluctuation to the acquisition, where it joins the chain's Gaussian
+noise, so no per-cycle idle power is ever drawn.  The per-cycle draw of
+the housekeeping law itself is the test oracle
+``tests/background_oracle.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Tuple
 
 from repro.power.estimator import (
     CLOCK_TOGGLE_ENERGY_J,
@@ -32,14 +39,54 @@ from repro.power.estimator import (
 )
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 
+#: Probability that a cycle carries a housekeeping burst.
+_BURST_PROBABILITY = 0.002
+#: Smallest and largest burst size in data toggles (uniform, inclusive).
+_BURST_TOGGLES = (50, 399)
+#: Combinational toggles per data toggle.
+_COMB_PER_DATA_TOGGLE = 0.6
+
+
+def _data_activity_moments(mean: float, std: float) -> Tuple[float, float]:
+    """Mean and variance of one cycle's data toggles.
+
+    A cycle toggles ``max(X, 0) + B * U`` flip-flops, with ``X`` normal of
+    the given mean and standard deviation, ``B`` a Bernoulli burst flag and
+    ``U`` the uniform burst size.  For the clipped normal, with ``t = mean
+    / std``, ``E[max(X, 0)] = mean Phi(t) + std phi(t)`` and ``E[max(X,
+    0)^2] = (mean^2 + std^2) Phi(t) + mean std phi(t)``.
+    """
+    if std == 0.0:
+        clipped_mean = max(mean, 0.0)
+        clipped_square = clipped_mean * clipped_mean
+    else:
+        t = mean / std
+        cdf = 0.5 * math.erfc(-t / math.sqrt(2.0))
+        pdf = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        clipped_mean = mean * cdf + std * pdf
+        clipped_square = (mean * mean + std * std) * cdf + mean * std * pdf
+    low, high = _BURST_TOGGLES
+    sizes = high - low + 1
+    burst_mean = (low + high) / 2.0
+    burst_square = burst_mean * burst_mean + (sizes * sizes - 1) / 12.0
+    burst = _BURST_PROBABILITY * burst_mean
+    variance = (
+        clipped_square - clipped_mean * clipped_mean
+        + _BURST_PROBABILITY * burst_square - burst * burst
+    )
+    return clipped_mean + burst, variance
+
 
 @dataclass(frozen=True)
 class IdleBlock:
     """An idle-but-clocked block: its flip-flops and housekeeping activity.
 
     ``clocked_registers`` of the ``register_count`` flip-flops are not
-    clock-gated while the block idles; the data activity per cycle is a
-    clipped normal of the given mean and standard deviation.
+    clock-gated while the block idles, so its clock tree toggles every
+    cycle.  The data activity per cycle is a normal of the given mean and
+    standard deviation clipped at zero, plus rare housekeeping bursts
+    (timer rollovers, arbitration) of 50-399 toggles in 0.2% of the
+    cycles; the combinational activity is 0.6 times the data activity.
     """
 
     register_count: int
@@ -47,35 +94,23 @@ class IdleBlock:
     mean_data_activity: float
     data_activity_std: float
 
-    def draw_power(self, num_cycles: int, rng: np.random.Generator) -> np.ndarray:
-        """Per-cycle power (W) of the idle block over ``num_cycles`` cycles.
+    @property
+    def _watts_per_data_toggle(self) -> float:
+        """Power of one data toggle per cycle, with its combinational share."""
+        return (DATA_TOGGLE_ENERGY_J + _COMB_PER_DATA_TOGGLE * COMB_TOGGLE_ENERGY_J) / CYCLE_TIME_S
 
-        The ungated clock tree toggles every cycle; the data activity is a
-        clipped normal draw plus occasional housekeeping bursts (timer
-        rollovers, arbitration), with combinational activity at 0.6x the
-        data activity.  ``rng`` is drawn, in this order, for the data
-        activity (``normal``), the burst mask (``random``) and the burst
-        sizes (``integers``); the toggle counts are converted to watts in
-        place with flip-flop toggle energies.
-        """
-        if num_cycles <= 0:
-            raise ValueError("num_cycles must be positive")
-        data = rng.normal(self.mean_data_activity, self.data_activity_std, size=num_cycles)
-        np.clip(data, 0, None, out=data)
-        burst_mask = rng.random(num_cycles) < 0.002
-        bursts = rng.integers(50, 400, size=num_cycles)
-        np.add(data, bursts, out=data, where=burst_mask)
-        comb = data * 0.6
-        # Toggle counts are whole numbers.  Rounding in float64 gives the
-        # same exact integers an int64 count would.
-        np.round(data, out=data)
-        np.round(comb, out=comb)
-        data *= DATA_TOGGLE_ENERGY_J
-        data += CLOCK_EDGES_PER_CYCLE * self.clocked_registers * CLOCK_TOGGLE_ENERGY_J
-        comb *= COMB_TOGGLE_ENERGY_J
-        data += comb
-        data /= CYCLE_TIME_S
-        return data
+    @property
+    def mean_power_w(self) -> float:
+        """Mean per-cycle power (W): the ungated clock tree plus the mean activity."""
+        data_mean, _ = _data_activity_moments(self.mean_data_activity, self.data_activity_std)
+        clock_w = CLOCK_EDGES_PER_CYCLE * self.clocked_registers * CLOCK_TOGGLE_ENERGY_J / CYCLE_TIME_S
+        return clock_w + data_mean * self._watts_per_data_toggle
+
+    @property
+    def fluctuation_w(self) -> float:
+        """Standard deviation (W) of the per-cycle power around its mean."""
+        _, variance = _data_activity_moments(self.mean_data_activity, self.data_activity_std)
+        return math.sqrt(variance) * self._watts_per_data_toggle
 
 
 #: Chip II's clocked-but-idle dual-core Cortex-A5-class subsystem: two cores

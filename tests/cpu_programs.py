@@ -6,6 +6,10 @@ these programs exercise the core (and the stepping oracle in
 ablations run them through :func:`background_power_running`.
 """
 
+import math
+
+from background_oracle import idle_blocks
+
 from repro.core.seeds import stream
 from repro.power.estimator import PowerEstimator
 from repro.power.synthesis import rolled_blocks
@@ -98,8 +102,8 @@ def background_power_running(chip, program: Program, num_cycles: int, seed: int)
 
     Composed as :meth:`repro.soc.chip.ChipModel.background_power` composes
     the Dhrystone background: the simulated window's power tiled at the
-    ``"m0"`` stream's cyclic shifts, plus the idle blocks and the static
-    leakage.
+    ``"m0"`` stream's cyclic shifts, plus the idle blocks' mean power and
+    the static leakage, with the idle blocks' fluctuations in quadrature.
     """
     memory = Memory(size_bytes=SRAM_BYTES)
     bus = SystemBus()
@@ -111,8 +115,12 @@ def background_power_running(chip, program: Program, num_cycles: int, seed: int)
     if window < num_cycles:
         shifts = stream(seed, "m0").integers(0, window, size=-(-num_cycles // window))
         power_w = rolled_blocks(power_w, shifts, num_cycles)
-    power_w += chip.peripherals.draw_power(num_cycles, stream(seed, "peripherals"))
-    if chip.a5_subsystem is not None:
-        power_w += chip.a5_subsystem.draw_power(num_cycles, stream(seed, "a5"))
-    power_w += estimator.leakage_of(chip.system_cell_inventory())
-    return PowerTrace(name=f"{chip.name}/background", power_w=power_w)
+    blocks = idle_blocks(chip).values()
+    power_w += sum(block.mean_power_w for block in blocks) + estimator.leakage_of(
+        chip.system_cell_inventory()
+    )
+    return PowerTrace(
+        name=f"{chip.name}/background",
+        power_w=power_w,
+        fluctuation_w=math.hypot(*(block.fluctuation_w for block in blocks)),
+    )

@@ -478,18 +478,18 @@ def test_an_uncalled_public_function_is_flagged():
 
 def test_a_method_named_like_a_builtin_or_a_local_is_flagged():
     # analysis/masking.py calls the builtin ``slice(...)`` and
-    # AcquisitionCampaign.per_cycle_noise_sigma reads its ``mean_power_w``
+    # AcquisitionCampaign.per_cycle_noise_sigma reads its ``full_scale_v``
     # parameter: bare names, which reach no method or property of that name.
     sources = library_sources()
     sources["repro.rtl.activity"] += (
         "\n\nclass Seeded:\n"
         "    def slice(self):\n        pass\n"
-        "    @property\n    def mean_power_w(self):\n        return 0.0\n"
+        "    @property\n    def full_scale_v(self):\n        return 0.0\n"
         "\n\nSEEDED = Seeded()\n"
     )
     assert unreached_symbols(sources, _is_root) == {
         ("repro.rtl.activity", "Seeded.slice"),
-        ("repro.rtl.activity", "Seeded.mean_power_w"),
+        ("repro.rtl.activity", "Seeded.full_scale_v"),
     }
 
 

@@ -20,6 +20,7 @@ import pytest
 from repro.cli import main
 from repro.pipeline.artifacts import ScenarioResult
 from repro.pipeline.runner import ExperimentRunner
+from repro.pipeline.store import ResultStore
 from repro.service.client import ServiceClient, ServiceHTTPError, result_from
 from repro.service.ledger import GENESIS_DIGEST, Ledger
 from repro.service.protocol import (
@@ -349,6 +350,28 @@ def test_a_cold_verify_reads_the_store_twice(tmp_path):
     assert (stats.hits, stats.misses, stats.writes) == (0, 2, 1)
 
 
+def test_metrics_serve_the_store_counters_without_a_disk_scan(tmp_path, monkeypatch):
+    """``/metrics`` answers from the store's session counters alone."""
+    service = DetectionService(ServiceConfig(data_dir=tmp_path, difficulty=8))
+    status, _ = service.handle_verify(_verify_body())
+    assert status == 200
+
+    def scan(self):
+        raise AssertionError("/metrics scanned the store")
+
+    monkeypatch.setattr(ResultStore, "stats", scan)
+    status, metrics = service.handle_metrics()
+    assert status == 200
+    assert metrics["store"] == {
+        "root": str(service.store.root),
+        "salt": service.store.salt,
+        "hits": 0,
+        "misses": 2,
+        "writes": 1,
+        "corrupt": 0,
+    }
+
+
 def _verify_body(client_id="alice", scenario="fig2"):
     body = {"client_id": client_id, "scenario": scenario}
     body["nonce"] = mine_nonce(client_id, VERIFY_ENDPOINT, body, difficulty=8)
@@ -388,9 +411,12 @@ def test_a_bit_flipped_npz_is_recomputed_through_verify(tmp_path):
     status, again = service.handle_verify(_verify_body("bob"))
     assert status == 200 and not again["cache_hit"]
     stats = service.store.stats()
-    # Both reads of the request (before and inside the in-flight lock)
-    # see the flipped entry; the recompute writes it back.
-    assert (stats.corrupt, stats.writes) == (2, 2)
+    # ``corrupt`` counts corrupt reads, not corrupt entries: both reads of
+    # the request (before and inside the in-flight lock) see the one
+    # flipped entry, and each is also a miss.  The recompute writes it back.
+    assert (stats.corrupt, stats.misses, stats.writes) == (2, 4, 2)
+    assert stats.entries == 1
+    assert service.handle_metrics()[1]["store"]["corrupt"] == 2
     assert service.store.verify() == []
     # The recompute carries its own creation time and elapsed time; the
     # rest of the transcript, and the arrays' metadata, are the same.

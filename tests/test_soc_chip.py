@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from background_oracle import background_activity, background_power
+from background_oracle import background_activity, background_power, idle_blocks
 
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.config import WatermarkConfig
@@ -10,6 +10,7 @@ from repro.core.seeds import stream
 from repro.power.estimator import PowerEstimator
 from repro.soc import chip as chip_module
 from repro.soc.chip import ChipDescription, ChipModel, build_chip_one, build_chip_two
+from repro.soc.multicore import A5_SUBSYSTEM, PERIPHERALS
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +65,24 @@ class TestActivityAndPower:
         assert trace.total_toggles.min() > 0
 
     def test_background_activity_contributors(self, chip1, chip2):
-        traces1 = background_activity(chip1, 500)
-        traces2 = background_activity(chip2, 500)
-        assert set(traces1) == {"m0", "peripherals"}
-        assert set(traces2) == {"m0", "peripherals", "a5"}
+        # Only the M0 has per-cycle activity; the idle blocks add a mean
+        # power and a Gaussian fluctuation.
+        assert set(background_activity(chip1, 500)) == {"m0"}
+        assert set(background_activity(chip2, 500)) == {"m0"}
+        assert set(idle_blocks(chip1)) == {"peripherals"}
+        assert set(idle_blocks(chip2)) == {"peripherals", "a5"}
+
+    def test_background_fluctuation_is_the_idle_blocks_in_quadrature(self, chip1, chip2):
+        assert chip1.background_power(500, seed=3).fluctuation_w == PERIPHERALS.fluctuation_w
+        assert chip2.background_power(500, seed=3).fluctuation_w == pytest.approx(
+            np.sqrt(PERIPHERALS.fluctuation_w**2 + A5_SUBSYSTEM.fluctuation_w**2), rel=1e-15
+        )
+        # The watermark adds no fluctuation, and the total carries the
+        # background's; a disabled watermark keeps it too.
+        for active in (True, False):
+            total = chip2.total_power(500, watermark_active=active, seed=3)
+            assert total.fluctuation_w == chip2.background_power(500, seed=3).fluctuation_w
+            assert total.name == "chip2/total"
 
     def test_background_power_chip2_higher(self, chip1, chip2):
         p1 = chip1.background_power(500, seed=3)
@@ -109,7 +124,7 @@ class TestActivityAndPower:
         dynamic = np.zeros(64)
         for trace in traces.values():
             dynamic += PowerEstimator().power_per_cycle(trace)
-        static = background.power_w - dynamic
+        static = background.power_w - dynamic - PERIPHERALS.mean_power_w
         expected = PowerEstimator().leakage_of(chip1.system_cell_inventory())
         assert np.allclose(static, expected, rtol=1e-9, atol=0)
         dff_only = PowerEstimator().leakage_of({"dff": chip1.system_register_count()})
@@ -139,6 +154,7 @@ class TestBackgroundOracle:
         expected = background_power(chip, num_cycles, seed=seed, use_cache=use_cache)
         assert actual.power_w.dtype == expected.power_w.dtype
         assert actual.power_w.tobytes() == expected.power_w.tobytes()
+        assert actual.fluctuation_w == pytest.approx(expected.fluctuation_w, rel=1e-15)
 
 
 class TestM0ActivityGather:

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from background_oracle import draw_idle_power
 
-from repro.power.estimator import CLOCK_TOGGLE_ENERGY_J, CYCLE_TIME_S
+from repro.power.estimator import (
+    CLOCK_TOGGLE_ENERGY_J,
+    COMB_TOGGLE_ENERGY_J,
+    CYCLE_TIME_S,
+    DATA_TOGGLE_ENERGY_J,
+)
 from repro.soc.multicore import A5_SUBSYSTEM, PERIPHERALS, IdleBlock
 
 # The Cortex-A5-class geometry that A5_SUBSYSTEM's flip-flop count stands for.
@@ -14,6 +20,17 @@ _L1_WAYS = 4
 _L1_LINES = _L1_SIZE_BYTES // _L1_LINE_BYTES
 _L1_SETS = _L1_LINES // _L1_WAYS
 _L1_TAG_BITS = 32 - (_L1_LINE_BYTES - 1).bit_length() - (_L1_SETS - 1).bit_length()
+
+#: Draws of the per-cycle oracle law behind each closed-form moment check,
+#: taken in chunks to bound memory.  At 10^7 the sampled standard
+#: deviation's relative error is ~3e-4 (the bursts make the law
+#: heavy-tailed), well inside the 1e-3 tolerance.
+_ORACLE_DRAWS = 10_000_000
+_ORACLE_CHUNK = 1_000_000
+
+
+def _clock_floor_w(block: IdleBlock) -> float:
+    return 2 * block.clocked_registers * CLOCK_TOGGLE_ENERGY_J / CYCLE_TIME_S
 
 
 class TestIdleBlockParameters:
@@ -55,34 +72,57 @@ class TestIdleDualCoreA5Like:
         assert A5_SUBSYSTEM.clocked_registers == round(registers * 0.18)
 
     def test_power_shape_and_determinism(self):
-        first = A5_SUBSYSTEM.draw_power(500, np.random.default_rng(3))
-        second = A5_SUBSYSTEM.draw_power(500, np.random.default_rng(3))
+        # The oracle law is reproducible, so the moment checks are too.
+        first = draw_idle_power(A5_SUBSYSTEM, 500, np.random.default_rng(3))
+        second = draw_idle_power(A5_SUBSYSTEM, 500, np.random.default_rng(3))
         assert first.shape == (500,)
         assert first.tobytes() == second.tobytes()
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(
-            A5_SUBSYSTEM.draw_power(500, np.random.default_rng(1)),
-            A5_SUBSYSTEM.draw_power(500, np.random.default_rng(2)),
+            draw_idle_power(A5_SUBSYSTEM, 500, np.random.default_rng(1)),
+            draw_idle_power(A5_SUBSYSTEM, 500, np.random.default_rng(2)),
         )
 
     def test_clock_component_is_constant(self):
         # A block with no data activity draws only its ungated clock tree,
         # 2 edges per clocked register every cycle, except in the rare
-        # housekeeping bursts.
+        # housekeeping bursts; its closed-form moments are those of the
+        # bursts alone.
         block = IdleBlock(
             register_count=4000, clocked_registers=1000,
             mean_data_activity=0.0, data_activity_std=0.0,
         )
-        power = block.draw_power(2000, np.random.default_rng(0))
-        floor = 2 * block.clocked_registers * CLOCK_TOGGLE_ENERGY_J / CYCLE_TIME_S
+        power = draw_idle_power(block, 2000, np.random.default_rng(0))
+        floor = _clock_floor_w(block)
         assert power.min() == floor
         assert np.all(power >= floor)
         assert np.count_nonzero(power == floor) >= 1950
+        watts_per_toggle = (DATA_TOGGLE_ENERGY_J + 0.6 * COMB_TOGGLE_ENERGY_J) / CYCLE_TIME_S
+        burst_mean = 0.002 * 224.5
+        burst_square = 0.002 * (224.5**2 + (350**2 - 1) / 12)
+        assert block.mean_power_w == pytest.approx(floor + burst_mean * watts_per_toggle, rel=1e-12)
+        assert block.fluctuation_w == pytest.approx(
+            np.sqrt(burst_square - burst_mean**2) * watts_per_toggle, rel=1e-12
+        )
 
     def test_invalid_cycle_count_rejected(self):
         with pytest.raises(ValueError):
-            A5_SUBSYSTEM.draw_power(0, np.random.default_rng(0))
+            draw_idle_power(A5_SUBSYSTEM, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("block", [PERIPHERALS, A5_SUBSYSTEM], ids=["peripherals", "a5"])
+def test_closed_form_moments_match_the_per_cycle_law(block):
+    rng = np.random.default_rng(20_141)
+    total = total_square = 0.0
+    for _ in range(_ORACLE_DRAWS // _ORACLE_CHUNK):
+        power = draw_idle_power(block, _ORACLE_CHUNK, rng)
+        total += power.sum()
+        total_square += np.einsum("i,i->", power, power)
+    mean = total / _ORACLE_DRAWS
+    std = np.sqrt(total_square / _ORACLE_DRAWS - mean * mean)
+    assert block.mean_power_w == pytest.approx(mean, rel=1e-3)
+    assert block.fluctuation_w == pytest.approx(std, rel=1e-3)
 
 
 class TestBackgroundIPBlocks:
@@ -91,6 +131,8 @@ class TestBackgroundIPBlocks:
 
     def test_power_nonnegative(self):
         # Clipped activity: no cycle draws less than the clock tree alone.
-        power = PERIPHERALS.draw_power(1000, np.random.default_rng(5))
-        floor = 2 * PERIPHERALS.clocked_registers * CLOCK_TOGGLE_ENERGY_J / CYCLE_TIME_S
+        power = draw_idle_power(PERIPHERALS, 1000, np.random.default_rng(5))
+        floor = _clock_floor_w(PERIPHERALS)
         assert power.min() >= floor > 0
+        assert PERIPHERALS.mean_power_w > floor
+        assert PERIPHERALS.fluctuation_w > 0

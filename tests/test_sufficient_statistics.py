@@ -14,7 +14,9 @@ repetition's phase fold and energy (``period + 2`` draws) instead of its
   the method with the per-cycle oracle :func:`measurement_chain.measure_rows`:
   on a fold entry, the energy and their centred product, and on the
   detector's per-rotation correlations, with a binomial check on the
-  detection rate.
+  detection rate.  A trace with a Gaussian ``fluctuation_w`` is also
+  checked against rows that draw it per cycle, apart from the chain
+  noise.
 """
 
 import numpy as np
@@ -206,6 +208,54 @@ def test_fold_and_energy_match_the_oracle_in_distribution(period, num_cycles, si
     assert_same_distribution(drawn[0], oracle[0], "fold entry")
     assert_same_distribution(drawn[1], oracle[1], "energy")
     assert_same_distribution(drawn[0] * drawn[1], oracle[0] * oracle[1], "product")
+
+
+class FixedChainCampaign(AcquisitionCampaign):
+    """An acquisition campaign whose chain sigma is given.
+
+    The trace's own ``fluctuation_w`` still joins it in quadrature.
+    """
+
+    def __init__(self, chain_sigma: float) -> None:
+        super().__init__(MeasurementConfig())
+        self.chain_sigma = chain_sigma
+
+    def per_cycle_noise_sigma(self, mean_power_w: float, full_scale_v: float) -> float:
+        return self.chain_sigma
+
+
+def test_a_fluctuating_trace_matches_per_cycle_rows_in_distribution():
+    # The trace's Gaussian fluctuation is a per-cycle component of its
+    # own: the oracle draws it apart from the chain noise, cycle by cycle.
+    period, num_cycles, chain, fluctuation = 7, 40, 0.6, 0.8
+    cycles = np.arange(num_cycles)
+    s = 1.0 + 0.3 * (cycles % period == 1) + 0.8 * np.sin(1.7 * cycles)
+    trace = PowerTrace("s", s, fluctuation_w=fluctuation)
+    campaign = FixedChainCampaign(chain)
+    fold = campaign.measure_folded(trace, range(SAMPLES), period)
+    rng = np.random.default_rng(2_024)
+    rows = (
+        s
+        + rng.normal(0.0, chain, (SAMPLES, num_cycles))
+        + rng.normal(0.0, fluctuation, (SAMPLES, num_cycles))
+    )
+    expected_fold = fold_by_phase(s, period)[0][0, 0]
+    expected_energy = s @ s + num_cycles * (chain * chain + fluctuation * fluctuation)
+    drawn = (fold.folded[:, 0] - expected_fold, fold.sum_yy - expected_energy)
+    oracles = {
+        "independent components": (
+            fold_by_phase(rows, period)[0],
+            np.einsum("ij,ij->i", rows, rows),
+        ),
+        "measure rows": oracle_statistics(
+            campaign, trace, range(10**6, 10**6 + SAMPLES), period
+        ),
+    }
+    for label, (folds, energies) in oracles.items():
+        oracle = (folds[:, 0] - expected_fold, energies - expected_energy)
+        assert_same_distribution(drawn[0], oracle[0], f"{label}: fold entry")
+        assert_same_distribution(drawn[1], oracle[1], f"{label}: energy")
+        assert_same_distribution(drawn[0] * drawn[1], oracle[0] * oracle[1], f"{label}: product")
 
 
 def test_detection_matches_the_oracle_in_distribution():
