@@ -84,8 +84,8 @@ def sum_of_squares(values: np.ndarray) -> float:
     return np.einsum("i,i->", values, values)
 
 
-def _fold_traces(traces: np.ndarray, period: int) -> PhaseFold:
-    """The :class:`PhaseFold` of one 1-D trace or a ``trials x cycles`` matrix."""
+def _fold_rows(traces: np.ndarray, period: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One 1-D trace or a ``trials x cycles`` matrix as a matrix, and its phase sums."""
     matrix = np.asarray(traces, dtype=np.float64)
     if matrix.ndim == 1:
         matrix = matrix[None, :]
@@ -102,10 +102,16 @@ def _fold_traces(traces: np.ndarray, period: int) -> PhaseFold:
     full = num_cycles - num_cycles % period
     folded = matrix[:, :full].reshape(trials, -1, period).sum(axis=1)
     folded[:, : num_cycles - full] += matrix[:, full:]
+    return matrix, folded
+
+
+def _fold_traces(traces: np.ndarray, period: int) -> PhaseFold:
+    """The :class:`PhaseFold` of one 1-D trace or a ``trials x cycles`` matrix."""
+    matrix, folded = _fold_rows(traces, period)
     # Per-row sums round the same whatever the batch size, which keeps a
     # batch of N bit-identical to N batches of one.
     sum_yy = np.array([sum_of_squares(row) for row in matrix])
-    return PhaseFold(folded, sum_yy, num_cycles)
+    return PhaseFold(folded, sum_yy, matrix.shape[1])
 
 
 def _phase_counts(num_cycles: int, period: int) -> np.ndarray:
@@ -128,8 +134,8 @@ def fold_by_phase(traces: np.ndarray, period: int) -> Tuple[np.ndarray, np.ndarr
     """
     if period < 2:
         raise ValueError("the watermark period must be at least two cycles")
-    fold = _fold_traces(traces, period)
-    return fold.folded, _phase_counts(fold.num_cycles, period)
+    matrix, folded = _fold_rows(traces, period)
+    return folded, _phase_counts(matrix.shape[1], period)
 
 
 def _as_sequence(sequence: np.ndarray) -> np.ndarray:
@@ -174,7 +180,6 @@ def batch_rotation_correlations(
     else:
         fold = _fold_traces(traces, period)
     folded, sum_yy, num_cycles = fold.folded, fold.sum_yy, fold.num_cycles
-    trials = folded.shape[0]
     counts = _phase_counts(num_cycles, period)
     # Per-row totals: folded already holds every cycle's contribution, so the
     # row sum falls out of the fold without another pass over the traces.
@@ -188,21 +193,28 @@ def batch_rotation_correlations(
     # -- circular cross-correlations, evaluated as one stack of rFFTs.
     fft_x = np.fft.rfft(x)
     fft_counts = np.fft.rfft(counts)
-    s_xy = np.fft.irfft(np.conj(np.fft.rfft(folded, axis=-1)) * fft_x, n=period, axis=-1)
+    spectra = np.fft.rfft(folded, axis=-1)
+    np.conjugate(spectra, out=spectra)
+    spectra *= fft_x
     s_x = np.fft.irfft(np.conj(fft_counts) * fft_x, n=period)
     if np.all((x == 0.0) | (x == 1.0)):
         s_xx = s_x
     else:
         s_xx = np.fft.irfft(np.conj(fft_counts) * np.fft.rfft(x * x), n=period)
 
-    numerator = num_cycles * s_xy - s_x * sum_y[:, None]
+    # correlations = (num_cycles * s_xy - s_x * sum_y) / denominator, built
+    # in the s_xy array; a zero (or NaN) denominator gives 0.
+    correlations = np.fft.irfft(spectra, n=period, axis=-1)
+    correlations *= num_cycles
+    scratch = np.multiply.outer(sum_y, s_x)
+    correlations -= scratch
     var_x = num_cycles * s_xx - s_x * s_x
-    denominator = np.sqrt(np.clip(var_x, 0.0, None)) * np.sqrt(
-        np.clip(var_y, 0.0, None)
-    )[:, None]
-    correlations = np.zeros((trials, period), dtype=np.float64)
+    denominator = np.multiply.outer(
+        np.sqrt(np.clip(var_y, 0.0, None)), np.sqrt(np.clip(var_x, 0.0, None)), out=scratch
+    )
     valid = denominator > 0
-    np.divide(numerator, denominator, out=correlations, where=valid)
+    np.divide(correlations, denominator, out=correlations, where=valid)
+    np.copyto(correlations, 0.0, where=np.logical_not(valid, out=valid))
     return correlations
 
 
@@ -318,13 +330,21 @@ class BatchCPADetector:
         peak_rotations = magnitudes.argmax(axis=1)
         rows = np.arange(trials)
         peak_values = spectra[rows, peak_rotations]
+        magnitudes[rows, peak_rotations] = -1.0
+        second_peaks = spectra[rows, magnitudes.argmax(axis=1)]
 
-        off_peak_mask = np.ones((trials, period), dtype=bool)
-        off_peak_mask[rows, peak_rotations] = False
-        off_peak = spectra[off_peak_mask].reshape(trials, period - 1)
-        noise_stds = off_peak.std(axis=1)
-        noise_means = off_peak.mean(axis=1)
-        second_peaks = off_peak[rows, np.abs(off_peak).argmax(axis=1)]
+        # Two-pass off-peak mean and spread, in the magnitudes' buffer, from
+        # an off-peak value of each row with the peak's entry held at 0: a
+        # floor of one value has exactly zero spread.
+        off_peak_count = period - 1
+        reference = spectra[rows, (peak_rotations + 1) % period]
+        centred = np.subtract(spectra, reference[:, None], out=magnitudes)
+        centred[rows, peak_rotations] = 0.0
+        shift = centred.sum(axis=1) / off_peak_count
+        centred -= shift[:, None]
+        centred[rows, peak_rotations] = 0.0
+        noise_stds = np.sqrt(np.einsum("ij,ij->i", centred, centred) / off_peak_count)
+        noise_means = reference + shift
 
         abs_peaks = np.abs(peak_values)
         with np.errstate(divide="ignore", invalid="ignore"):

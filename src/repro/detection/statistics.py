@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -19,6 +20,28 @@ def detection_z_score(correlations: np.ndarray) -> float:
     if std == 0.0:
         return float("inf") if abs(correlations[peak_index]) > 0 else 0.0
     return float((abs(correlations[peak_index]) - abs(np.mean(off_peak))) / std)
+
+
+def _sorted_percentile(ordered: np.ndarray, q: float) -> float:
+    """``np.percentile(ordered, q)`` of a sorted sample, by numpy's linear rule, bit for bit."""
+    position = (len(ordered) - 1) * (q / 100)
+    if position >= len(ordered) - 1:
+        return float(ordered[-1])
+    below = math.floor(position)
+    low = float(ordered[below])
+    high = float(ordered[below + 1])
+    gamma = position - below
+    if gamma >= 0.5:
+        return high - (high - low) * (1 - gamma)
+    return low + (high - low) * gamma
+
+
+def _sorted_median(ordered: np.ndarray) -> float:
+    """``np.median(ordered)`` of a sorted sample, bit for bit (numpy sums from ``0.0``)."""
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + float(ordered[middle])
+    return (0.0 + float(ordered[middle - 1]) + float(ordered[middle])) / 2
 
 
 @dataclass(frozen=True)
@@ -42,18 +65,18 @@ class BoxPlotStats:
         values = np.asarray(samples, dtype=np.float64)
         if len(values) == 0:
             raise ValueError("cannot summarise an empty sample")
-        # One sort serves every order statistic: on sorted input numpy's
-        # selection finds each quantile at once, where the multi-kth
-        # partition of the raw sample costs more than the sort itself.
+        # Every order statistic is read off one sort, as numpy computes it.
         ordered = np.sort(values)
-        whisker_low, q1, q3, whisker_high = np.percentile(ordered, [2.5, 25, 75, 97.5])
+        whisker_low, q1, q3, whisker_high = (
+            _sorted_percentile(ordered, q) for q in (2.5, 25, 75, 97.5)
+        )
         outliers = values[(values < whisker_low) | (values > whisker_high)]
         return cls(
-            median=float(np.median(ordered)),
-            q1=float(q1),
-            q3=float(q3),
-            whisker_low=float(whisker_low),
-            whisker_high=float(whisker_high),
+            median=_sorted_median(ordered),
+            q1=q1,
+            q3=q3,
+            whisker_low=whisker_low,
+            whisker_high=whisker_high,
             outliers=tuple(outliers.tolist()),
         )
 

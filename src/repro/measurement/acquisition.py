@@ -171,11 +171,14 @@ class AcquisitionCampaign:
         * ``chi2 = chisquare(N - P - 1)``, the residual energy orthogonal
           to ``r``.
 
-        The row's statistics are ``folded = fold(s) + fold(n)`` and
-        ``sum_yy = s.s + 2 (m.fold(n) + sigma |r| z) + sum(fold(n)^2 / k)
-        + sigma^2 (z^2 + chi2)``.  With ``N = P`` there is no residual (no
-        ``z``, no ``chi2``) and with ``N = P + 1`` no ``chi2``; a zero
-        sigma draws nothing and gives exactly ``fold(s)`` and ``s.s``.
+        The row's statistics are ``folded = fold(s) + fold(n)`` and its
+        energy.  A row is ``tile(folded / k)`` plus its part orthogonal to
+        the phases: ``r``, plus ``sigma z`` along ``r``, plus energy
+        ``sigma^2 chi2`` orthogonal to both, so
+        ``sum_yy = sum(folded^2 / k) + (|r| + sigma z)^2 + sigma^2 chi2``.
+        With ``N = P`` there is no residual (no ``z``, no ``chi2``) and with
+        ``N = P + 1`` no ``chi2``; a zero sigma draws nothing and gives
+        exactly ``fold(s)`` and ``s.s``.
         """
         seeds = list(seeds)
         if not seeds:
@@ -183,27 +186,34 @@ class AcquisitionCampaign:
         power = power_trace.power_w
         num_cycles = len(power)
         power_fold, counts = fold_by_phase(power, period)
+        sigma = self._trace_sigma(power_trace)
+        if sigma == 0.0:
+            folded = np.repeat(power_fold, len(seeds), axis=0)
+            return PhaseFold(folded, np.full(len(seeds), sum_of_squares(power)), num_cycles)
+
+        # r = s - tile(m), built one period at a time.
         means = power_fold[0] / counts
-        residual = power - np.resize(means, num_cycles)
+        residual = power.copy()
+        full = num_cycles - num_cycles % period
+        blocks = residual[:full].reshape(-1, period)
+        blocks -= means
+        residual[full:] -= means[: num_cycles - full]
         residual_norm = np.sqrt(sum_of_squares(residual))
         residual_dims = num_cycles - period
-        sigma = self._trace_sigma(power_trace)
-
-        noise_folds = np.zeros((len(seeds), period))
+        folded = np.empty((len(seeds), period))
         along_residual = np.zeros(len(seeds))
         chi2 = np.zeros(len(seeds))
-        if sigma > 0:
-            for index, seed in enumerate(seeds):
-                rng = stream(self.config.seed if seed is None else seed, "noise")
-                rng.standard_normal(out=noise_folds[index])
-                if residual_dims >= 1:
-                    along_residual[index] = rng.standard_normal()
-                if residual_dims >= 2:
-                    chi2[index] = rng.chisquare(residual_dims - 1)
-        noise_folds *= sigma * np.sqrt(counts)
-        power_dot_noise = (noise_folds * means).sum(axis=1) + sigma * residual_norm * along_residual
-        noise_dot_noise = (noise_folds * noise_folds / counts).sum(axis=1) + sigma * sigma * (
-            along_residual * along_residual + chi2
-        )
-        sum_yy = sum_of_squares(power) + 2.0 * power_dot_noise + noise_dot_noise
-        return PhaseFold(power_fold + noise_folds, sum_yy, num_cycles)
+        for index, seed in enumerate(seeds):
+            rng = stream(self.config.seed if seed is None else seed, "noise")
+            rng.standard_normal(out=folded[index])
+            if residual_dims >= 1:
+                along_residual[index] = rng.standard_normal()
+            if residual_dims >= 2:
+                chi2[index] = rng.chisquare(residual_dims - 1)
+        folded *= sigma * np.sqrt(counts)
+        folded += power_fold
+        # einsum sums each row in one fixed order, whatever the batch size.
+        sum_yy = np.einsum("ij,ij,j->i", folded, folded, 1.0 / counts)
+        along_r = residual_norm + sigma * along_residual
+        sum_yy += along_r * along_r + sigma * sigma * chi2
+        return PhaseFold(folded, sum_yy, num_cycles)

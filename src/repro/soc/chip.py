@@ -204,8 +204,11 @@ class ChipModel:
 
         The description names the chip and its M0 window; the rest of the
         chip is fixed, and so is the power model (:mod:`repro.power.estimator`).
+        The seed only draws the window shifts, so an acquisition no longer
+        than the window is one entry whatever its seed.
         """
-        return ("background-power", self.description, seed, num_cycles)
+        drawn_seed = seed if num_cycles > self.description.m0_window_cycles else None
+        return ("background-power", self.description, drawn_seed, num_cycles)
 
     def _idle_blocks(self) -> Tuple[IdleBlock, ...]:
         """The chip's clocked-but-idle blocks: the peripherals, then the A5."""
@@ -227,9 +230,10 @@ class ChipModel:
         Table I analysis compute leakage from ``leakage_of(cell_inventory())``.
 
         The per-cycle array is cached per ``(chip configuration, seed,
-        num_cycles)``, so repeated acquisitions of the same background
-        reuse one array.  ``use_cache=False`` recomputes from scratch
-        (bit-identical by construction; the equivalence suite pins this).
+        num_cycles)``, the seed only when window shifts are drawn, so
+        repeated acquisitions of the same background reuse one array.
+        ``use_cache=False`` recomputes from scratch (bit-identical by
+        construction; the equivalence suite pins this).
         """
         resolved_seed = self.seed if seed is None else seed
         blocks = self._idle_blocks()

@@ -139,9 +139,9 @@ class TestBackgroundTemplateCache:
         assert chip_module.background_template_cache_stats()["misses"] == 2
 
     def test_different_num_cycles_misses(self, chip):
-        # Each acquisition length is its own cache class: the block
-        # activity draws are length-dependent, so a truncated longer
-        # template would not be bit-identical to a direct shorter draw.
+        # Each acquisition length is its own cache class: the number of
+        # window shifts drawn, and the cut of the last tiled window,
+        # depend on the length.
         chip.background_power(1000, seed=1)
         chip.background_power(2000, seed=1)
         assert chip_module.background_template_cache_stats()["misses"] == 2
@@ -173,10 +173,24 @@ class TestBackgroundTemplateCache:
         with pytest.raises(ValueError):
             power.power_w[0] = 0.0
 
+    def test_seed_is_no_key_when_no_shifts_are_drawn(self, chip):
+        # At the window length no shift is drawn, so the seed changes nothing.
+        first = chip.background_power(512, seed=1)
+        second = chip.background_power(512, seed=2)
+        assert chip_module.background_template_cache_stats() == {
+            "hits": 1,
+            "misses": 1,
+            "evictions": 0,
+            "entries": 1,
+        }
+        for seed, power in ((1, first), (2, second)):
+            reference = chip.background_power(512, seed=seed, use_cache=False)
+            assert np.array_equal(power.power_w, reference.power_w)
+
     def test_lru_bound_evicts_oldest(self, chip, monkeypatch):
         monkeypatch.setattr(chip_module, "BACKGROUND_TEMPLATE_CACHE_MAX_ENTRIES", 2)
         for seed in (1, 2, 3):
-            chip.background_power(200, seed=seed)
+            chip.background_power(600, seed=seed)
         stats = chip_module.background_template_cache_stats()
         assert stats["entries"] == 2
         assert stats["evictions"] == 1

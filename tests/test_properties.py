@@ -5,8 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from fault_injection import Fault, inject_faults
 from rtl_oracle import Register, trace_from_records
-from trial_oracle import fold_rows, naive_rotation_correlations, pearson_correlation
+from trial_oracle import (
+    fold_rows,
+    masked_off_peak_decision,
+    naive_rotation_correlations,
+    pearson_correlation,
+)
 
+from repro.core.config import DetectionConfig
 from repro.core.lfsr import LFSR, CircularShiftRegister, max_length_period
 from repro.core.load_circuit import registers_for_load_power
 from repro.analysis.overhead import area_overhead_reduction
@@ -165,32 +171,87 @@ def test_rolled_blocks_equals_modular_gather(window, data):
     assert np.array_equal(actual, expected)
 
 
+def bits(value) -> bytes:
+    """The float64 bit pattern of ``value`` (tells -0.0 from 0.0)."""
+    return np.float64(value).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     samples=st.lists(
         st.one_of(
             st.sampled_from([-1.0, 0.0, 0.25, 3.0]),  # ties
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            # Sort and partition order a tie of -0.0 with 0.0 apiece, so a
+            # sample does not mix them.
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(lambda v: v + 0.0),
         ),
         min_size=1,
         max_size=120,
     )
 )
 @example(samples=[0.5])  # n = 1
+@example(samples=[0.1, 0.7])  # n = 2
+@example(samples=[-0.0])  # numpy's median of -0.0 is 0.0, its percentiles -0.0
+@example(samples=[-0.0, -0.0])
 @example(samples=[2.0, 1.0, 1.0, 2.0])  # even n, ties
 @example(samples=[3.0, 1.0, 2.0])  # odd n
+@example(samples=[0.3, 0.1, 0.2, 0.3, 0.1])  # odd n, ties
 @example(samples=[5.0] + [0.0] * 40 + [-5.0] + [0.0] * 40 + [6.0])  # unsorted outliers
 def test_box_stats_equal_percentile_of_the_raw_sample(samples):
     """Sort-once box statistics equal numpy's quantiles of the raw sample, bit for bit."""
     values = np.asarray(samples, dtype=np.float64)
     box = BoxPlotStats.from_samples(samples)
     low, q1, q3, high = np.percentile(values, [2.5, 25, 75, 97.5])
-    assert box.median == float(np.median(values))
-    assert (box.whisker_low, box.q1, box.q3, box.whisker_high) == (
-        float(low), float(q1), float(q3), float(high)
-    )
+    assert bits(box.median) == bits(np.median(values))
+    assert [bits(v) for v in (box.whisker_low, box.q1, box.q3, box.whisker_high)] == [
+        bits(v) for v in (low, q1, q3, high)
+    ]
     # Outliers keep the input order, not the sorted one.
     assert box.outliers == tuple(v for v in samples if v < low or v > high)
+
+
+@st.composite
+def correlation_spectra(draw):
+    """Spectra whose rows have a peak over a floor of any mean and spread, or a flat floor."""
+    period = draw(st.integers(min_value=3, max_value=300))
+    trials = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    spectra = np.empty((trials, period))
+    # Levels on a 1e-6 grid: no squared difference underflows.
+    levels = st.integers(min_value=-(10**6), max_value=10**6).map(lambda k: k / 10**6)
+    for row in spectra:
+        spread = draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.05, 0.5]))
+        row[:] = draw(levels) + spread * rng.standard_normal(period)
+        row[draw(st.integers(min_value=0, max_value=period - 1))] = draw(levels)
+    return spectra
+
+
+@settings(max_examples=300, deadline=None)
+@given(correlation_spectra())
+@example(np.zeros((2, 5)))  # all-zero rows: z = 0
+@example(np.array([[0.8, 0.0, 0.0, 0.0]]))  # the second peak is not the peak again
+@example(np.array([[0.0, 0.0, 0.8, 0.0, 0.0], [0.1, 0.1, 0.1, -0.7, 0.1]]))  # flat floors
+@example(np.array([[0.5, 0.5000001, 0.4999999, 0.5, 0.9, 0.5]]))  # |mean| >> spread
+def test_evaluate_many_matches_the_masked_decision(spectra):
+    config = DetectionConfig()
+    batch = BatchCPADetector(config).evaluate_many(spectra)
+    oracle = masked_off_peak_decision(spectra, config)
+    rows = np.arange(len(spectra))
+    assert np.array_equal(batch.detected, oracle["detected"])
+    assert np.array_equal(batch.peak_rotations, oracle["peak"])
+    assert np.array_equal(batch.second_peak_correlations, spectra[rows, oracle["second"]])
+    abs_peaks = np.abs(batch.peak_correlations)
+    flat = np.array([np.ptp(np.delete(row, peak)) == 0.0 for row, peak in zip(spectra, oracle["peak"])])
+    # A floor of one value has no spread, so z is exactly inf (or 0 under a zero peak).
+    assert np.all(batch.noise_floor_stds[flat] == 0.0)
+    assert np.array_equal(batch.z_scores[flat], np.where(abs_peaks[flat] > 0, np.inf, 0.0))
+    spread = ~flat
+    np.testing.assert_allclose(
+        batch.noise_floor_stds[spread], oracle["std"][spread], rtol=1e-12, atol=0.0
+    )
+    # z is relative to its terms: |peak| and |mean| in units of the spread.
+    scale = (abs_peaks + np.abs(oracle["mean"]))[spread] / oracle["std"][spread]
+    assert np.all(np.abs(batch.z_scores[spread] - oracle["z"][spread]) <= 1e-12 * scale)
 
 
 @settings(max_examples=25, deadline=None)

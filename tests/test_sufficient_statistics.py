@@ -158,6 +158,19 @@ def test_each_repetition_depends_on_its_seed_alone():
     assert not np.array_equal(together.folded[0], together.folded[1])
 
 
+@pytest.mark.parametrize("period", [4095, 8209])  # the paper's, and one past 8,192
+def test_a_batch_draws_each_row_as_a_batch_of_one_does(period):
+    # Row reductions over the period must round the same at any batch size.
+    s = 1.5 + np.sin(0.37 * np.arange(2 * period + 17))
+    campaign = FixedSigmaCampaign(0.4)
+    seeds = [3, 4, 5, 6, 7]
+    together = campaign.measure_folded(power_trace(s), seeds, period)
+    for index, seed in enumerate(seeds):
+        alone = campaign.measure_folded(power_trace(s), [seed], period)
+        assert np.array_equal(together.folded[index], alone.folded[0])
+        assert np.array_equal(together.sum_yy[index], alone.sum_yy[0])
+
+
 def test_a_none_seed_is_the_configured_seed():
     s = 1.5 + np.cos(np.arange(50))
     campaign = FixedSigmaCampaign(0.2)

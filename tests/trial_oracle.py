@@ -12,6 +12,10 @@
 * :func:`pearson_correlation` and :func:`naive_rotation_correlations` are
   the literal CPA definition -- equation (1) of the paper, re-evaluated for
   every rotation -- that the library's FFT engine is validated against.
+* :func:`masked_off_peak_decision` is the detection decision with each
+  row's off-peak rotations copied out through a boolean mask, which
+  :meth:`~repro.detection.batch.BatchCPADetector.evaluate_many` replaced
+  with whole-row reductions.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.core.config import DetectionConfig
 from repro.detection.batch import PhaseFold
 
 
@@ -139,3 +144,33 @@ def naive_rotation_correlations(sequence: np.ndarray, measured: np.ndarray) -> n
             for rotation in range(period)
         ]
     )
+
+
+def masked_off_peak_decision(spectra: np.ndarray, config: DetectionConfig) -> dict:
+    """The detection decision over the off-peak rotations copied out by a mask.
+
+    ``spectra`` is a ``trials x period`` matrix.  Returns per-row arrays:
+    ``peak`` and ``second`` (rotation indices of the largest and the
+    second-largest |correlation|), ``std`` and ``mean`` (of the ``period -
+    1`` off-peak correlations, numpy's ``std``/``mean``), ``z`` and
+    ``detected``.
+    """
+    trials, period = spectra.shape
+    rows = np.arange(trials)
+    peak = np.abs(spectra).argmax(axis=1)
+    mask = np.ones((trials, period), dtype=bool)
+    mask[rows, peak] = False
+    off_peak = spectra[mask].reshape(trials, period - 1)
+    std = off_peak.std(axis=1)
+    mean = off_peak.mean(axis=1)
+    second = np.abs(off_peak).argmax(axis=1)
+    second += second >= peak  # back to rotation indices
+    abs_peak = np.abs(spectra[rows, peak])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (abs_peak - np.abs(mean)) / std
+    z = np.where(std == 0.0, np.where(abs_peak > 0, np.inf, 0.0), z)
+    unique = (abs_peak > 0) & (
+        np.abs(spectra[rows, second]) <= config.uniqueness_margin * abs_peak
+    )
+    detected = (z >= config.detection_threshold) & unique & (spectra[rows, peak] > 0)
+    return {"peak": peak, "second": second, "std": std, "mean": mean, "z": z, "detected": detected}
