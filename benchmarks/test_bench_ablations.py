@@ -7,7 +7,7 @@ background activity level, and acquisition length.
 
 import numpy as np
 import pytest
-from cpu_programs import background_power_running, idle_loop_program
+from cpu_programs import background_power_running, dhrystone_like_program, idle_loop_program
 from trial_oracle import naive_rotation_correlations
 
 from repro.core.architectures import ClockModulationWatermark
@@ -18,7 +18,6 @@ from repro.detection.cpa import CPADetector, rotation_correlations
 from repro.measurement.acquisition import AcquisitionCampaign
 from repro.power.estimator import PowerEstimator
 from repro.soc.chip import build_chip_one
-from repro.soc.workloads import dhrystone_like_program
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,21 @@
-"""Benchmark: chip-level background-power template cache.
+"""Benchmark: a chip's cold and warm ``total_power``.
 
-Before the chip-level cache landed, every ``ChipModel.total_power`` call
-re-simulated the Cortex-M0 window cycle by cycle in Python (the last
-O(cycles) loop on the generation side).  With the cache, the window is
-simulated once per window length across *all* chip instances, and the
-per-cycle background array is reused per (chip configuration, seed,
-acquisition length).
+A chip's background is the Cortex-M0 window (read once per process from
+the file shipped with the package), tiled over the acquisition, plus the
+idle blocks' mean power and the leakage.  The per-cycle background array
+is cached per (chip configuration, seed, acquisition length).
 
-This benchmark pins the acceptance floor (>= 10x warm-cache speedup on a
-100k-cycle ``total_power``) and proves the cache changes nothing: warm,
-cold and cache-bypassing traces are bit-identical, and the warm path runs
-without any per-cycle Python loop (the window cache reports hits only).
-It also records, report-only, what a template miss costs at paper scale:
-a 300k-cycle ``background_power`` per chip with the M0 window warm, the
-cost every fresh-seed Fig. 6 cell pays.  That is the M0 window's power,
-its tiling and one scalar add: the idle blocks contribute their
-closed-form mean power and draw nothing per cycle.  Timings are persisted
-to BENCH.json (see record.py), whose trend check covers them.
+This benchmark gates the cold path absolutely: a 100k-cycle
+``total_power`` from cold module caches -- loading the M0 window, building
+the background template and the watermark's period template -- must stay
+under :data:`MAX_COLD_TOTAL_POWER_S`.  It proves the caches change
+nothing: warm, cold and cache-bypassing traces are bit-identical, and a
+second chip instance reuses the loaded window.  It also records,
+report-only, the warm call and what a template miss costs at paper scale:
+a 300k-cycle ``background_power`` per chip with the window loaded, the
+cost every fresh-seed Fig. 6 cell pays (the window's power, its tiling
+and one scalar add).  Timings are persisted to BENCH.json (see
+record.py), whose trend check covers them.
 """
 
 import statistics
@@ -33,18 +32,36 @@ from repro.soc import cpu as cpu_module
 from repro.soc.chip import build_chip_one, build_chip_two
 
 NUM_CYCLES = 100_000
-MIN_SPEEDUP = 10.0
+#: Rounds of the cold ``total_power`` timing (median gated).
+COLD_ROUNDS = 5
+#: Ceiling for the median cold 100k-cycle ``total_power``.  Seven runs of
+#: this benchmark on a shared 2-CPU x86-64 host gave medians of
+#: 1.9-2.5 ms, so 8 ms leaves 3.2x headroom.  Simulating the M0 window
+#: instead of loading it, as the library did before the window shipped as
+#: data, gave medians of 18-34 ms on the same host and fails it.
+MAX_COLD_TOTAL_POWER_S = 0.008
 #: Acquisition length of the paper-scale template miss.
 PAPER_CYCLES = 300_000
 #: Rounds of the template-miss timing (median reported).
 COLD_TEMPLATE_ROUNDS = 5
 
 
+def _cold_total_power_s(watermark) -> float:
+    """One 100k-cycle ``total_power`` from cold module caches and a fresh chip."""
+    cpu_module.clear_m0_window_cache()
+    chip_module.clear_background_template_cache()
+    architecture = ClockModulationWatermark.from_config(watermark)
+    chip = build_chip_one(watermark=architecture)
+    start = time.perf_counter()
+    chip.total_power(NUM_CYCLES, seed=11)
+    return time.perf_counter() - start
+
+
 def _cold_template_background_s(build) -> float:
     """Median time of a 300k-cycle ``background_power`` on a template miss.
 
-    The M0 window is warmed first, so each round pays the window's power
-    and its tiling -- not the window simulation.
+    The M0 window is loaded first, so each round pays the window's power
+    and its tiling -- not the window's load.
     """
     chip = build()
     chip.background_power(PAPER_CYCLES, seed=0)
@@ -59,16 +76,13 @@ def _cold_template_background_s(build) -> float:
 
 
 def test_bench_chip_background_cache(report, relaxed):
+    config = WatermarkConfig()
+    cold_s = statistics.median(_cold_total_power_s(config) for _ in range(COLD_ROUNDS))
+
     cpu_module.clear_m0_window_cache()
     chip_module.clear_background_template_cache()
-    watermark = ClockModulationWatermark.from_config(WatermarkConfig())
-    chip = build_chip_one(watermark=watermark)
-
-    # Cold: pays the full M0 window simulation (16,384 Python-stepped
-    # cycles) and the watermark template build.
-    start = time.perf_counter()
+    chip = build_chip_one(watermark=ClockModulationWatermark.from_config(config))
     cold = chip.total_power(NUM_CYCLES, seed=11)
-    cold_s = time.perf_counter() - start
 
     # Warm: the background template and the watermark period template are
     # both cached; only the watermark gather and one array add remain.
@@ -78,25 +92,22 @@ def test_bench_chip_background_cache(report, relaxed):
         warm = chip.total_power(NUM_CYCLES, seed=11)
         warm_times.append(time.perf_counter() - start)
     warm_s = min(warm_times)
-    speedup = cold_s / warm_s
 
-    # Equivalence: the cache must change nothing, bit for bit -- warm hits
+    # Equivalence: the caches must change nothing, bit for bit -- warm hits
     # equal the cold trace and a full cache-bypassing recomputation.
     assert np.array_equal(cold.power_w, warm.power_w)
     stats_before = cpu_module.m0_window_cache_stats()
     bypass = chip.total_power(NUM_CYCLES, seed=11, use_cache=False)
     assert np.array_equal(cold.power_w, bypass.power_w)
 
-    # A second chip instance with the same program shares the simulated
-    # window: its background costs no per-cycle Python loop either.
+    # A second chip instance reuses the loaded window.
     sibling = build_chip_one(watermark=None)
     start = time.perf_counter()
     sibling.background_power(NUM_CYCLES, seed=12)
     sibling_s = time.perf_counter() - start
     stats_after = cpu_module.m0_window_cache_stats()
     assert stats_after["misses"] == stats_before["misses"], (
-        "the sibling chip re-simulated the M0 window instead of hitting "
-        "the shared cache"
+        "the sibling chip read the M0 window again instead of reusing it"
     )
 
     cold_template_s = {
@@ -111,10 +122,10 @@ def test_bench_chip_background_cache(report, relaxed):
             "total_power_cold_s": cold_s,
             "total_power_warm_s": warm_s,
             "sibling_background_shared_window_s": sibling_s,
-            "speedup_warm": speedup,
+            "speedup_warm": cold_s / warm_s,
             "background_300k_template_cold_chip1_s": cold_template_s["chip1"],
             "background_300k_template_cold_chip2_s": cold_template_s["chip2"],
-            "min_speedup_floor": MIN_SPEEDUP,
+            "max_cold_total_power_s": MAX_COLD_TOTAL_POWER_S,
             "traces_bit_identical": True,
             "window_cache": cpu_module.m0_window_cache_stats(),
             "template_cache": chip_module.background_template_cache_stats(),
@@ -122,21 +133,21 @@ def test_bench_chip_background_cache(report, relaxed):
         },
     )
     report(
-        f"Chip background template cache ({NUM_CYCLES:,} cycles)",
+        f"Chip background, cold and warm ({NUM_CYCLES:,} cycles)",
         "\n".join(
             [
-                f"total_power cold (window simulation):  {cold_s * 1e3:9.1f} ms",
+                f"total_power cold (median of {COLD_ROUNDS}):     {cold_s * 1e3:9.2f} ms "
+                f"(ceiling {MAX_COLD_TOTAL_POWER_S * 1e3:.0f} ms)",
                 f"total_power warm (cached template):    {warm_s * 1e3:9.2f} ms",
-                f"sibling background (shared window):    {sibling_s * 1e3:9.1f} ms",
-                f"speedup warm:                          {speedup:7.1f}x (floor {MIN_SPEEDUP}x)",
-                f"300k background, template miss, chip1: {cold_template_s['chip1'] * 1e3:9.1f} ms",
-                f"300k background, template miss, chip2: {cold_template_s['chip2'] * 1e3:9.1f} ms",
+                f"sibling background (shared window):    {sibling_s * 1e3:9.2f} ms",
+                f"300k background, template miss, chip1: {cold_template_s['chip1'] * 1e3:9.2f} ms",
+                f"300k background, template miss, chip2: {cold_template_s['chip2'] * 1e3:9.2f} ms",
                 f"traces bit-identical:                  True",
             ]
         ),
     )
     if not relaxed:
-        assert speedup >= MIN_SPEEDUP, (
-            f"warm-cache total_power only {speedup:.1f}x faster than cold "
-            f"(expected >= {MIN_SPEEDUP}x)"
+        assert cold_s <= MAX_COLD_TOTAL_POWER_S, (
+            f"cold 100k-cycle total_power took {cold_s * 1e3:.1f} ms "
+            f"(ceiling {MAX_COLD_TOTAL_POWER_S * 1e3:.0f} ms)"
         )

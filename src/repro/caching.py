@@ -1,10 +1,9 @@
 """Small shared caching utilities.
 
-The chip-level background subsystem keeps two module-level caches (the
-simulated M0 window in :mod:`repro.soc.cpu` and the background-power
-templates in :mod:`repro.soc.chip`).  Both need the same bookkeeping --
+The background-power templates in :mod:`repro.soc.chip`, the runner's
+chips and the service's in-flight lock table need the same bookkeeping --
 keyed get-or-compute, hit/miss/eviction counters, explicit clearing and an
-LRU size bound -- so it lives here once instead of twice.
+LRU size bound -- so it lives here once.
 
 Sharing contract: a cached value is served to *every* caller, so an
 ndarray handed to :meth:`LRUCache.get_or_compute`'s ``compute`` must be
@@ -34,7 +33,7 @@ class LRUCache:
     Thread-safe: bookkeeping (lookup, insertion, LRU reordering,
     counters) happens under a lock, so concurrent service threads cannot
     corrupt the ``OrderedDict``.  ``compute`` runs *outside* the lock --
-    it may be seconds of simulation -- so two threads missing the same
+    it may be a whole background computation -- so two threads missing the same
     key may both compute; the first insertion wins and the duplicate is
     discarded, which is safe because cached values are immutable by the
     sharing contract above.

@@ -28,6 +28,7 @@ from repro.core.config import (
     MeasurementConfig,
     WatermarkConfig,
 )
+from repro.soc.cpu import M0_WINDOW_CYCLES
 
 #: Scenario kinds the pipeline knows how to resolve into stages.  Each kind
 #: names one experiment family; kind-specific knobs go into ``params``.
@@ -110,7 +111,7 @@ class ScenarioSpec:
     seed: int = 0
     phase_offset: Optional[int] = None
     repetitions: int = 1
-    m0_window_cycles: int = 16_384
+    m0_window_cycles: int = M0_WINDOW_CYCLES
     params: Any = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -126,8 +127,11 @@ class ScenarioSpec:
             )
         if self.repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        if self.m0_window_cycles <= 0:
-            raise ValueError("m0_window_cycles must be positive")
+        if not 0 < self.m0_window_cycles <= M0_WINDOW_CYCLES:
+            raise ValueError(
+                f"m0_window_cycles must be 1 to {M0_WINDOW_CYCLES} (the shipped "
+                f"M0 window), not {self.m0_window_cycles}"
+            )
         if not isinstance(self.params, tuple):
             object.__setattr__(self, "params", _freeze_params(dict(self.params)))
 
@@ -254,7 +258,7 @@ class ScenarioSpec:
             seed=payload.get("seed", 0),
             phase_offset=payload.get("phase_offset"),
             repetitions=payload.get("repetitions", 1),
-            m0_window_cycles=payload.get("m0_window_cycles", 16_384),
+            m0_window_cycles=payload.get("m0_window_cycles", M0_WINDOW_CYCLES),
             params=payload.get("params", {}),
         )
 

@@ -16,8 +16,6 @@ checked against.
 
 from __future__ import annotations
 
-from repro.rtl.signals import hamming_distance
-
 #: Clock-net transitions per cycle when the clock is propagated.
 CLOCK_EDGES_PER_CYCLE = 2
 
@@ -102,7 +100,7 @@ class ShiftRegister(Register):
         mask = (1 << self.width) - 1
         value = self.reset_value
         rotated = ((value << 1) | (value >> (self.width - 1))) & mask
-        return hamming_distance(value, rotated, self.width)
+        return (value ^ rotated).bit_count()
 
 
 class ClockGate(Component):

@@ -3,7 +3,7 @@
 A :class:`ChipModel` combines:
 
 * a Cortex-M0-class core running the Dhrystone-like benchmark from its SRAM
-  over the system bus,
+  over the system bus (its activity window ships as data),
 * the other clocked IP blocks of the SoC (the peripherals, and for chip II
   the idle dual-core A5-class subsystem with caches; both are fixed
   parameter sets in :mod:`repro.soc.multicore`),
@@ -14,13 +14,11 @@ configurations are declared once, at the bottom of this module, and
 :data:`CHIP_BUILDERS` maps their canonical names (``"chip1"``,
 ``"chip2"``) to their builders.
 
-The Cortex-M0 is simulated cycle by cycle for a representative window
-(16,384 cycles by default).  Dhrystone itself is a short repeating loop, so
-the window already holds the cycle-to-cycle structure of the background
-power; simulating every one of a multi-hundred-thousand-cycle acquisition
-would add nothing but time.  The simulated window depends on its length
-only, so it is shared across chips through the window cache in
-:mod:`repro.soc.cpu`.
+The Cortex-M0's activity is one Dhrystone run from reset, read from the
+window shipped with the package (:mod:`repro.soc.cpu`, up to 16,384
+cycles).  Dhrystone itself is a short repeating loop, so the window
+already holds the cycle-to-cycle structure of the background power;
+tiling it over a multi-hundred-thousand-cycle acquisition loses nothing.
 
 The background power is computed straight in watts.  The window's
 per-cycle power is computed once and tiled to the full acquisition length
@@ -53,14 +51,14 @@ from repro.power.estimator import PowerEstimator
 from repro.power.synthesis import rolled_blocks
 from repro.power.trace import PowerTrace
 from repro.rtl.activity import ActivityTrace
-from repro.soc.bus import SystemBus
-from repro.soc.cpu import CortexM0Like, CPUActivityModel, cached_window_trace
-from repro.soc.memory import Memory
+from repro.soc.cpu import M0_WINDOW_CYCLES, m0_window
 from repro.soc.multicore import A5_SUBSYSTEM, PERIPHERALS, IdleBlock
-from repro.soc.workloads import dhrystone_like_program
 
 #: SRAM of the Cortex-M0 (64 KiB), which holds Dhrystone's data.
 SRAM_BYTES = 64 * 1024
+#: Flip-flops of the Cortex-M0-class core: 180 always-clocked control
+#: registers, 130 pipeline registers and a 16 x 32-bit register file.
+M0_REGISTERS = 822
 
 
 # -- chip-level background-power template cache --------------------------------
@@ -88,32 +86,20 @@ def background_template_cache_stats() -> Dict[str, int]:
     return _BACKGROUND_TEMPLATE_CACHE.stats()
 
 
-def simulate_m0_window(window: int) -> ActivityTrace:
-    """Cycle-accurately run Dhrystone for ``window`` cycles from reset.
-
-    A fresh core/bus/SRAM triple is built for every run, so the window is
-    a pure function of its length and safe to share across chip instances
-    through the module-level window cache.
-    """
-    program = dhrystone_like_program()
-    memory = Memory(size_bytes=SRAM_BYTES)
-    bus = SystemBus()
-    bus.attach(memory)
-    memory.load_words(program.data_words)
-    return CortexM0Like(program, bus).run_cycles(window)
-
-
 @dataclass(frozen=True)
 class ChipDescription:
     """Static description of a chip configuration."""
 
     name: str
     has_a5_subsystem: bool
-    m0_window_cycles: int = 16_384
+    m0_window_cycles: int = M0_WINDOW_CYCLES
 
     def __post_init__(self) -> None:
-        if self.m0_window_cycles <= 0:
-            raise ValueError("the M0 simulation window must be positive")
+        if not 0 < self.m0_window_cycles <= M0_WINDOW_CYCLES:
+            raise ValueError(
+                f"the M0 window must hold 1 to {M0_WINDOW_CYCLES} cycles, "
+                f"not {self.m0_window_cycles}"
+            )
 
 
 class ChipModel:
@@ -142,7 +128,7 @@ class ChipModel:
 
     def system_register_count(self) -> int:
         """Flip-flop count of the functional system (excluding the watermark)."""
-        total = CPUActivityModel().total_registers + self.peripherals.register_count
+        total = M0_REGISTERS + self.peripherals.register_count
         if self.a5_subsystem is not None:
             total += self.a5_subsystem.register_count
         return total
@@ -154,38 +140,27 @@ class ChipModel:
 
     # -- activity traces --------------------------------------------------------
 
-    def _m0_window(self, num_cycles: int, use_cache: bool) -> ActivityTrace:
-        """The simulated M0 window of an acquisition of ``num_cycles`` cycles.
-
-        The window is shared across chip instances through the module-level
-        cache in :mod:`repro.soc.cpu`, keyed by the window length;
-        ``use_cache=False`` forces a fresh cycle-accurate run, which is
-        bit-identical by construction.
-        """
-        window = min(num_cycles, self.description.m0_window_cycles)
-        if use_cache:
-            return cached_window_trace(("m0-window", window), lambda: simulate_m0_window(window))
-        return simulate_m0_window(window)
+    def _m0_window(self, num_cycles: int) -> ActivityTrace:
+        """The M0 window of an acquisition of ``num_cycles`` cycles (read-only arrays)."""
+        return m0_window(min(num_cycles, self.description.m0_window_cycles))
 
     def _m0_shifts(self, num_cycles: int, window: int, seed: int) -> np.ndarray:
         """One cyclic shift per window repetition, from the ``"m0"`` stream."""
         return stream(seed, "m0").integers(0, window, size=-(-num_cycles // window))
 
-    def m0_activity(
-        self, num_cycles: int, seed: Optional[int] = None, use_cache: bool = True
-    ) -> ActivityTrace:
+    def m0_activity(self, num_cycles: int, seed: Optional[int] = None) -> ActivityTrace:
         """Activity of the Cortex-M0-class core (plus bus/SRAM) over ``num_cycles``.
 
-        The core is simulated cycle-accurately for a representative window
-        and the window is then repeated with a random cyclic shift per
-        repetition, drawn from the ``"m0"`` stream of ``seed``: repetition
-        ``r`` is ``np.roll(window, shift_r)``.  The shifts reflect that on
-        the bench the benchmark loop is not phase-locked to the acquisition
-        window; without them an exactly periodic background could alias into
-        the watermark-period phase bins and bias the CPA noise floor.
+        The core's shipped activity window is repeated with a random cyclic
+        shift per repetition, drawn from the ``"m0"`` stream of ``seed``:
+        repetition ``r`` is ``np.roll(window, shift_r)``.  The shifts reflect
+        that on the bench the benchmark loop is not phase-locked to the
+        acquisition window; without them an exactly periodic background could
+        alias into the watermark-period phase bins and bias the CPA noise
+        floor.
         :meth:`background_power` tiles the window's power the same way.
         """
-        trace = self._m0_window(num_cycles, use_cache)
+        trace = self._m0_window(num_cycles)
         window = len(trace)
         if window >= num_cycles:
             return trace
@@ -240,7 +215,7 @@ class ChipModel:
 
         def compute() -> np.ndarray:
             estimator = PowerEstimator()
-            window = self._m0_window(num_cycles, use_cache)
+            window = self._m0_window(num_cycles)
             power_w = estimator.power_per_cycle(window)
             if len(window) < num_cycles:
                 shifts = self._m0_shifts(num_cycles, len(window), resolved_seed)
@@ -322,7 +297,7 @@ class ChipModel:
 
 def build_chip_one(
     watermark: Optional[WatermarkArchitecture] = None,
-    m0_window_cycles: int = 16_384,
+    m0_window_cycles: int = M0_WINDOW_CYCLES,
     seed: int = 2014,
 ) -> ChipModel:
     """Chip I: Cortex-M0-class SoC with peripherals, watermark as a macro."""
@@ -332,7 +307,7 @@ def build_chip_one(
 
 def build_chip_two(
     watermark: Optional[WatermarkArchitecture] = None,
-    m0_window_cycles: int = 16_384,
+    m0_window_cycles: int = M0_WINDOW_CYCLES,
     seed: int = 2015,
 ) -> ChipModel:
     """Chip II: adds the clocked-but-idle dual-core A5-class subsystem."""

@@ -75,7 +75,7 @@ def idle_blocks(chip) -> Dict[str, object]:
 
 
 def background_activity(
-    chip, num_cycles: int, seed: Optional[int] = None, use_cache: bool = True
+    chip, num_cycles: int, seed: Optional[int] = None
 ) -> Dict[str, ActivityTrace]:
     """Per-contributor per-cycle background activity.
 
@@ -83,14 +83,12 @@ def background_activity(
     Gaussian fluctuation, no per-cycle array.
     """
     seed = chip.seed if seed is None else seed
-    return {"m0": chip.m0_activity(num_cycles, seed=seed, use_cache=use_cache)}
+    return {"m0": chip.m0_activity(num_cycles, seed=seed)}
 
 
-def background_power(
-    chip, num_cycles: int, seed: Optional[int] = None, use_cache: bool = True
-) -> PowerTrace:
+def background_power(chip, num_cycles: int, seed: Optional[int] = None) -> PowerTrace:
     """The chip's background power, summed from its activity traces."""
-    traces = background_activity(chip, num_cycles, seed=seed, use_cache=use_cache)
+    traces = background_activity(chip, num_cycles, seed=seed)
     blocks = idle_blocks(chip).values()
     estimator = PowerEstimator()
     trace = estimator.combined_power_trace(

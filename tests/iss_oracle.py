@@ -1,40 +1,35 @@
-"""Instruction-stepping model of the Cortex-M0-class core (test oracle).
+"""Instruction-set simulator of the Cortex-M0-class core (test apparatus).
 
-The library core (:class:`repro.soc.cpu.CortexM0Like`) decodes every
-instruction once, when it is built, and runs its cycle loop on plain ints.
-This module keeps the core that decoding replaced: it re-dispatches each
-fetched instruction on its opcode, evaluates branch conditions through a
-table of flags, and assembles every cycle's activity from
-:class:`ActivityRecord` objects, one :meth:`CortexM0Like.step_cycle` at a
-time.  The tests run both cores on the same programs and compare them
-exactly (``tests/test_iss_equivalence.py``):
+The library does not simulate the core: both chips read its per-cycle
+activity from the window shipped as package data
+(:mod:`repro.soc.cpu`, ``m0_window.npz``).  This module is the simulator
+that window came from, kept so the tests can regenerate it
+(``cpu_programs.write_m0_window``) and run other programs:
 
-* :class:`CPUActivityModel` adds the per-cycle record builders the
-  stepping core calls to the library's structural parameters;
-* :class:`Memory` and :class:`SystemBus` return each access's activity as
-  records (:class:`MemoryAccessActivity`, :class:`ActivityRecord`) rather
-  than as the library's plain ints;
-* :class:`CortexM0Like` is the stepping core itself.
+* :class:`Memory` and :class:`SystemBus`, the SRAM and the AHB-lite-style
+  bus, whose accesses return the Hamming-distance switching of their
+  address and data paths;
+* :class:`CPUActivityModel`, the core's register and gate counts and the
+  per-cycle records built from them;
+* :class:`CortexM0Like`, the in-order core that dispatches each fetched
+  instruction on its opcode and assembles every cycle's activity from
+  :class:`ActivityRecord` objects, one :meth:`CortexM0Like.step_cycle` at
+  a time.
 
-Each twin subclasses the library class it mirrors, so it takes the same
-constructor arguments and shares the library's address decoding and byte
-storage; only the access and execution paths are kept here.
+Timing loosely follows the Cortex-M0: single-cycle ALU operations,
+two-cycle loads and stores, pipeline-refill penalty on taken branches.
+The goal is not microarchitectural fidelity but a background power trace
+whose cycle-to-cycle structure is driven by real instruction execution --
+exactly the "noise" the CPA detector has to overcome in the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from rtl_oracle import trace_from_records
-
-from repro.rtl.activity import ActivityRecord, ActivityTrace
-from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
-from repro.rtl.signals import hamming_distance
-from repro.soc import bus, cpu, memory
-from repro.soc.assembler import Program
-from repro.soc.cpu import CPUError, ExecutionStats
-from repro.soc.isa import (
+from m0_assembler import Program
+from m0_isa import (
     Condition,
     Instruction,
     Opcode,
@@ -44,6 +39,10 @@ from repro.soc.isa import (
     PC,
     SP,
 )
+from rtl_oracle import hamming_distance, trace_from_records
+
+from repro.rtl.activity import ActivityRecord, ActivityTrace
+from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 
 _WORD_MASK = 0xFFFFFFFF
 
@@ -51,22 +50,83 @@ _WORD_MASK = 0xFFFFFFFF
 # -- bus and SRAM ----------------------------------------------------------------
 
 
-@dataclass
-class MemoryAccessActivity:
-    """Switching activity caused by one memory access."""
+class Memory:
+    """Sparse byte-addressable SRAM with access-activity accounting.
 
-    address_toggles: int = 0
-    data_toggles: int = 0
-    array_toggles: int = 0
+    Parameters
+    ----------
+    size_bytes:
+        Addressable size; accesses outside ``[base_address, base_address +
+        size_bytes)`` raise ``IndexError``.
+    base_address:
+        First valid address.
+    word_access_toggles:
+        Approximate internal bit-line/word-line transitions per 32-bit
+        access, used by the power model.
+    """
 
+    def __init__(
+        self,
+        size_bytes: int = 64 * 1024,
+        base_address: int = 0x2000_0000,
+        word_access_toggles: int = 48,
+    ) -> None:
+        if size_bytes <= 0:
+            raise ValueError("memory size must be positive")
+        self.size_bytes = size_bytes
+        self.base_address = base_address
+        self.word_access_toggles = word_access_toggles
+        self._bytes: Dict[int, int] = {}
+        self._last_address = 0
+        self._last_data = 0
 
-class Memory(memory.Memory):
-    """SRAM whose accesses report their activity as a record."""
+    def _check(self, address: int, length: int = 1) -> None:
+        if not (self.base_address <= address and address + length <= self.base_address + self.size_bytes):
+            raise IndexError(
+                f"address {address:#x} (+{length}) outside memory "
+                f"[{self.base_address:#x}, {self.base_address + self.size_bytes:#x})"
+            )
 
-    def access(self, address: int, write: bool, value: Optional[int] = None, width: int = 4) -> tuple:
-        """Perform an access and return ``(read_value, activity)``.
+    def contains(self, address: int) -> bool:
+        """Whether ``address`` falls inside this memory."""
+        return self.base_address <= address < self.base_address + self.size_bytes
 
-        ``width`` is 1 (byte) or 4 (word).
+    def read_byte(self, address: int) -> int:
+        """Read one byte (zero if never written)."""
+        self._check(address)
+        return self._bytes.get(address, 0)
+
+    def write_byte(self, address: int, value: int) -> None:
+        """Write one byte."""
+        self._check(address)
+        self._bytes[address] = value & 0xFF
+
+    def read_word(self, address: int) -> int:
+        """Read a little-endian 32-bit word."""
+        self._check(address, 4)
+        read = self._bytes.get
+        return (
+            read(address, 0)
+            | (read(address + 1, 0) << 8)
+            | (read(address + 2, 0) << 16)
+            | (read(address + 3, 0) << 24)
+        )
+
+    def write_word(self, address: int, value: int) -> None:
+        """Write a little-endian 32-bit word."""
+        self._check(address, 4)
+        for i in range(4):
+            self._bytes[address + i] = (value >> (8 * i)) & 0xFF
+
+    def access(
+        self, address: int, write: bool, value: Optional[int] = None, width: int = 4
+    ) -> Tuple[int, int, int, int]:
+        """Perform an access and return ``(data, address_toggles, data_toggles, array_toggles)``.
+
+        ``width`` is 1 (byte) or 4 (word).  ``data`` is the word on the data
+        path: the value read, or the value written.  The toggles are the
+        Hamming distances of the address and data paths against the
+        previous access, and the internal bit-line/word-line transitions.
         """
         if width not in (1, 4):
             raise ValueError("access width must be 1 or 4 bytes")
@@ -78,51 +138,105 @@ class Memory(memory.Memory):
             else:
                 self.write_byte(address, value)
             data = value
-            result = None
         else:
             data = self.read_word(address) if width == 4 else self.read_byte(address)
-            result = data
-        activity = MemoryAccessActivity(
-            address_toggles=hamming_distance(self._last_address, address, 32),
-            data_toggles=hamming_distance(self._last_data, data or 0, 32),
-            array_toggles=self.word_access_toggles if width == 4 else self.word_access_toggles // 4,
-        )
+        address_toggles = hamming_distance(self._last_address, address, 32)
+        data_toggles = hamming_distance(self._last_data, data, 32)
         self._last_address = address
-        self._last_data = data or 0
-        return result, activity
+        self._last_data = data
+        array_toggles = self.word_access_toggles if width == 4 else self.word_access_toggles // 4
+        return data, address_toggles, data_toggles, array_toggles
+
+    def load_words(self, words: Dict[int, int]) -> None:
+        """Bulk-initialise memory from an ``{address: word}`` mapping."""
+        for address, value in words.items():
+            self.write_word(address, value)
 
 
-class SystemBus(bus.SystemBus):
-    """Bus whose accesses report their activity as a record."""
+class SystemBus:
+    """Single-master bus connecting the CPU to its memories.
+
+    The switching of its shared address and data wires is one of the
+    background-noise contributors the paper lists.  ``wait_states`` extra
+    cycles are added to every data access (zero-wait-state SRAM by
+    default, matching a small microcontroller SoC).
+    """
+
+    def __init__(self, wait_states: int = 0, name: str = "ahb") -> None:
+        if wait_states < 0:
+            raise ValueError("wait states must be non-negative")
+        self.name = name
+        self.wait_states = wait_states
+        self.slaves: List[Memory] = []
+        self._last_address = 0
+        self._last_data = 0
+
+    def attach(self, memory: Memory) -> None:
+        """Attach a memory region to the bus."""
+        for existing in self.slaves:
+            overlap_start = max(existing.base_address, memory.base_address)
+            overlap_end = min(
+                existing.base_address + existing.size_bytes,
+                memory.base_address + memory.size_bytes,
+            )
+            if overlap_start < overlap_end:
+                raise ValueError("attached memory regions overlap")
+        self.slaves.append(memory)
+
+    def _slave_for(self, address: int) -> Memory:
+        for slave in self.slaves:
+            if slave.contains(address):
+                return slave
+        raise IndexError(f"no bus slave maps address {address:#x}")
 
     def access(
         self, address: int, write: bool, value: Optional[int] = None, width: int = 4
-    ) -> Tuple[Optional[int], ActivityRecord, int]:
+    ) -> Tuple[int, int, int, int]:
         """Perform a data access.
 
-        Returns ``(read_value, activity, extra_cycles)`` where
-        ``extra_cycles`` is the number of wait states the CPU must stall.
+        Returns ``(data, data_toggles, comb_toggles, extra_cycles)``:
+        ``data`` is the word on the data wires (the value read, or the
+        value written), ``data_toggles`` the SRAM's data-path and array
+        transitions, ``comb_toggles`` the bus wires' and the SRAM address
+        path's, and ``extra_cycles`` the wait states the CPU must stall.
         """
-        slave = self._slave_for(address)
-        result, memory_activity = slave.access(address, write=write, value=value, width=width)
+        data, address_toggles, data_toggles, array_toggles = self._slave_for(address).access(
+            address, write, value, width
+        )
         bus_toggles = hamming_distance(self._last_address, address, 32) + hamming_distance(
-            self._last_data, (value if write else (result or 0)) or 0, 32
+            self._last_data, data, 32
         )
         self._last_address = address
-        self._last_data = (value if write else (result or 0)) or 0
-        activity = ActivityRecord(
-            data_toggles=memory_activity.data_toggles + memory_activity.array_toggles,
-            comb_toggles=bus_toggles + memory_activity.address_toggles,
-        )
-        return result, activity, self.wait_states
+        self._last_data = data
+        return data, data_toggles + array_toggles, bus_toggles + address_toggles, self.wait_states
 
 
 # -- the core --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CPUActivityModel(cpu.CPUActivityModel):
-    """The library's structural parameters plus per-cycle record builders."""
+class CPUActivityModel:
+    """Structural activity parameters of the core, and its per-cycle records.
+
+    Register counts are representative of a Cortex-M0-class core
+    (~1,000 flip-flops); they determine the clock-network share of the
+    core's dynamic power, which the paper notes is typically up to half of
+    total dynamic power.  The library keeps only their total
+    (:data:`repro.soc.chip.M0_REGISTERS`).
+    """
+
+    always_clocked_registers: int = 180
+    pipeline_registers: int = 130
+    regfile_registers: int = 512
+    regfile_write_width: int = 32
+    decode_gates: int = 400
+    alu_gates: int = 600
+    comb_activity_factor: float = 0.12
+
+    @property
+    def total_registers(self) -> int:
+        """Total flip-flop count of the core."""
+        return self.always_clocked_registers + self.pipeline_registers + self.regfile_registers
 
     def idle_activity(self) -> ActivityRecord:
         """Activity of a cycle in which the core is clocked but sleeping."""
@@ -150,6 +264,30 @@ class CPUActivityModel(cpu.CPUActivityModel):
         )
 
 
+@dataclass
+class ExecutionStats:
+    """Aggregate execution statistics of a run.
+
+    ``cycles`` counts only cycles during which the core was running the
+    program; cycles stepped after ``halt`` are tracked separately in
+    ``halted_cycles`` so CPI and cycle-count consumers are not inflated by
+    post-halt idle stepping (the core is still clocked while halted, which
+    matters for power but not for execution statistics).
+    """
+
+    cycles: int = 0
+    halted_cycles: int = 0
+    instructions: int = 0
+    branches: int = 0
+    taken_branches: int = 0
+    memory_accesses: int = 0
+    halted: bool = False
+
+
+class CPUError(Exception):
+    """Raised on invalid program behaviour (bad PC, missing label, ...)."""
+
+
 class CortexM0Like:
     """The stepping core: one :meth:`step_cycle` per clock cycle."""
 
@@ -167,7 +305,7 @@ class CortexM0Like:
         # program once rather than on every executed instruction.
         self._fetch_words = [instruction.encode() for instruction in program.instructions]
         self.bus = bus
-        self.activity = CPUActivityModel(**asdict(activity_model or cpu.CPUActivityModel()))
+        self.activity = activity_model or CPUActivityModel()
         self.registers: List[int] = [0] * 16
         self.registers[SP] = stack_pointer
         self.registers[PC] = program.entry_point
@@ -429,24 +567,24 @@ class CortexM0Like:
         address = (self.register(base) + offset) & _WORD_MASK
         width = 1 if opcode in (Opcode.LDRB, Opcode.STRB) else 4
         if opcode in (Opcode.LDR, Opcode.LDRB):
-            value, activity, wait = self.bus.access(address, write=False, width=width)
-            self._write_register(register_index, value or 0)
-            return value or 0, activity, wait, True
+            value, data, comb, wait = self.bus.access(address, write=False, width=width)
+            self._write_register(register_index, value)
+            return value, ActivityRecord(data_toggles=data, comb_toggles=comb), wait, True
         value = self.register(register_index)
         if width == 1:
             value &= 0xFF
-        _, activity, wait = self.bus.access(address, write=True, value=value, width=width)
-        return value, activity, wait, False
+        _, data, comb, wait = self.bus.access(address, write=True, value=value, width=width)
+        return value, ActivityRecord(data_toggles=data, comb_toggles=comb), wait, False
 
     def _execute_push(self, reglist: Operand) -> Tuple[ActivityRecord, int]:
         activity = ActivityRecord()
         wait_total = 0
         for register_index in reversed(reglist.value):
             self._write_register(SP, self.register(SP) - 4)
-            _, access_activity, wait = self.bus.access(
+            _, data, comb, wait = self.bus.access(
                 self.register(SP), write=True, value=self.register(register_index), width=4
             )
-            activity = activity + access_activity
+            activity = activity + ActivityRecord(data_toggles=data, comb_toggles=comb)
             wait_total += wait
         return activity, wait_total
 
@@ -455,11 +593,10 @@ class CortexM0Like:
         wait_total = 0
         result = 0
         for register_index in reglist.value:
-            value, access_activity, wait = self.bus.access(self.register(SP), write=False, width=4)
+            value, data, comb, wait = self.bus.access(self.register(SP), write=False, width=4)
             self._write_register(SP, self.register(SP) + 4)
-            activity = activity + access_activity
+            activity = activity + ActivityRecord(data_toggles=data, comb_toggles=comb)
             wait_total += wait
-            value = value or 0
             result = value
             if register_index == PC:
                 next_pc = value

@@ -1,4 +1,4 @@
-"""Two-pass assembler for the Thumb-like ISA.
+"""Two-pass assembler for the Thumb-like ISA of ``m0_isa``.
 
 Supported syntax (one statement per line)::
 
@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.soc.isa import (
+from m0_isa import (
     Condition,
     Instruction,
     Opcode,

@@ -1,4 +1,4 @@
-"""A small Thumb-like instruction set.
+"""A small Thumb-like instruction set (for the test-suite ISS).
 
 The instruction set covers the classes of operations Dhrystone exercises on
 a Cortex-M0 (integer arithmetic, logic, shifts, compares, loads/stores,

@@ -19,7 +19,8 @@ the two against each other exactly:
 * :class:`SteppedWatermark`, a whole architecture, and
   :func:`stepped_activity`, its per-cycle traces;
 * :func:`trace_from_records`, which builds a trace from the per-cycle
-  records a stepping model returns.
+  records a stepping model returns, and :func:`hamming_distance`, the
+  bits a register update toggles.
 
 Each twin subclasses the library class it mirrors, so it takes the same
 constructor arguments and reuses the library's structure and validation;
@@ -37,9 +38,21 @@ from repro.core import clock_modulation, lfsr, load_circuit, wgc
 from repro.rtl import components
 from repro.rtl.activity import ActivityRecord, ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
-from repro.rtl.signals import hamming_distance
 
 ZERO_ACTIVITY = ActivityRecord()
+
+
+def hamming_distance(a: int, b: int, width: Optional[int] = None) -> int:
+    """Number of differing bits between ``a`` and ``b``.
+
+    This is the canonical switching-activity measure for a register word:
+    the dynamic energy of a data update is proportional to the Hamming
+    distance between the old and new contents.
+    """
+    diff = a ^ b
+    if width is not None:
+        diff &= (1 << width) - 1
+    return diff.bit_count()
 
 
 def trace_from_records(name: str, records: Iterable[ActivityRecord]) -> ActivityTrace:

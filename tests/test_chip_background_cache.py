@@ -1,11 +1,10 @@
 """Cache-correctness suite for the chip-level background subsystem.
 
-Pins the contract of the two module-level caches introduced with the
-chip-level background-synthesis work:
+Pins the contract of the two module-level caches of the chip background:
 
-* the shared M0 window cache (:mod:`repro.soc.cpu`) -- one cycle-accurate
-  window simulation of Dhrystone per window length, shared across chip
-  instances;
+* the loaded M0 window (:mod:`repro.soc.cpu`) -- the shipped window file
+  is read once per process, and every chip and window length is served a
+  read-only prefix of it;
 * the background-power template cache (:mod:`repro.soc.chip`) -- one
   per-cycle background template per (chip configuration, seed,
   acquisition length).
@@ -22,6 +21,8 @@ from repro.soc import chip as chip_module
 from repro.soc import cpu as cpu_module
 from repro.soc.chip import build_chip_one, build_chip_two
 
+FIELDS = ("clock_toggles", "data_toggles", "comb_toggles")
+
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
@@ -34,76 +35,83 @@ def fresh_caches():
 
 
 def _trace_equal(a, b) -> bool:
-    return (
-        np.array_equal(a.clock_toggles, b.clock_toggles)
-        and np.array_equal(a.data_toggles, b.data_toggles)
-        and np.array_equal(a.comb_toggles, b.comb_toggles)
-    )
+    return all(np.array_equal(getattr(a, field), getattr(b, field)) for field in FIELDS)
 
 
 class TestM0WindowCache:
     def test_cached_trace_bit_identical_to_uncached(self):
         chip = build_chip_one(m0_window_cycles=512)
         cached = chip.m0_activity(2000, seed=13)
-        uncached = chip.m0_activity(2000, seed=13, use_cache=False)
-        assert _trace_equal(cached, uncached)
+        cpu_module.clear_m0_window_cache()
+        reloaded = chip.m0_activity(2000, seed=13)
+        assert _trace_equal(cached, reloaded)
 
-    def test_window_simulated_once_across_instances(self):
+    def test_window_loaded_once_across_instances(self):
         first = build_chip_one(m0_window_cycles=512)
         second = build_chip_one(m0_window_cycles=512)
         first.m0_activity(1500, seed=1)
-        stats = cpu_module.m0_window_cache_stats()
-        assert stats["misses"] == 1
+        assert cpu_module.m0_window_cache_stats() == {"hits": 0, "misses": 1}
         second.m0_activity(1500, seed=2)
         second.m0_activity(3000, seed=3)
-        stats = cpu_module.m0_window_cache_stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 2
+        assert cpu_module.m0_window_cache_stats() == {"hits": 2, "misses": 1}
 
-    def test_different_window_misses(self):
+    def test_different_windows_share_one_load(self):
         chip_small = build_chip_one(m0_window_cycles=256)
         chip_large = build_chip_one(m0_window_cycles=512)
-        chip_small.m0_activity(600, seed=1)
+        small = chip_small.m0_activity(600, seed=1)
         chip_large.m0_activity(600, seed=1)
-        assert cpu_module.m0_window_cache_stats()["misses"] == 2
+        assert cpu_module.m0_window_cache_stats() == {"hits": 1, "misses": 1}
+        assert len(small) == 600
+
+    def test_both_chips_read_the_same_window(self):
+        # No shifts are drawn up to the window length: this is the window.
+        one = build_chip_one(seed=1).m0_activity(4096)
+        two = build_chip_two(seed=2).m0_activity(4096)
+        assert _trace_equal(one, two)
+        assert all(np.shares_memory(getattr(one, field), getattr(two, field)) for field in FIELDS)
+        assert cpu_module.m0_window_cache_stats() == {"hits": 1, "misses": 1}
+
+    @pytest.mark.parametrize("num_cycles", [1, 64, 4096, cpu_module.M0_WINDOW_CYCLES])
+    def test_shorter_window_is_a_prefix_of_the_full_window(self, num_cycles):
+        full = cpu_module.m0_window(cpu_module.M0_WINDOW_CYCLES)
+        window = cpu_module.m0_window(num_cycles)
+        assert len(window) == num_cycles
+        for field in FIELDS:
+            assert getattr(window, field).dtype == np.int64
+            assert np.array_equal(getattr(window, field), getattr(full, field)[:num_cycles])
+
+    @pytest.mark.parametrize("num_cycles", [0, cpu_module.M0_WINDOW_CYCLES + 1])
+    def test_window_outside_the_shipped_length_is_rejected(self, num_cycles):
+        with pytest.raises(ValueError, match=str(cpu_module.M0_WINDOW_CYCLES)):
+            cpu_module.m0_window(num_cycles)
+        with pytest.raises(ValueError, match=str(cpu_module.M0_WINDOW_CYCLES)):
+            build_chip_one(m0_window_cycles=num_cycles)
 
     def test_short_acquisition_window_also_cached(self):
         chip = build_chip_one(m0_window_cycles=4096)
         a = chip.m0_activity(100, seed=1)
         b = chip.m0_activity(100, seed=1)
         assert _trace_equal(a, b)
-        assert cpu_module.m0_window_cache_stats() == {
-            "hits": 1,
-            "misses": 1,
-            "evictions": 0,
-            "entries": 1,
-        }
+        assert cpu_module.m0_window_cache_stats() == {"hits": 1, "misses": 1}
 
     def test_cached_arrays_are_read_only(self):
         chip = build_chip_one(m0_window_cycles=256)
         trace = chip.m0_activity(256, seed=1)
+        for field in FIELDS:
+            with pytest.raises(ValueError):
+                getattr(trace, field)[0] = 0
+        full = cpu_module.m0_window(cpu_module.M0_WINDOW_CYCLES)
         with pytest.raises(ValueError):
-            trace.clock_toggles[0] = 0
+            full.comb_toggles[-1] = 0
 
     def test_clear_resets_cache_and_counters(self):
         chip = build_chip_one(m0_window_cycles=256)
         chip.m0_activity(300, seed=1)
+        chip.m0_activity(300, seed=1)
         cpu_module.clear_m0_window_cache()
-        assert cpu_module.m0_window_cache_stats() == {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "entries": 0,
-        }
-
-    def test_lru_bound_evicts_oldest(self, monkeypatch):
-        monkeypatch.setattr(cpu_module, "M0_WINDOW_CACHE_MAX_ENTRIES", 2)
-        chip = build_chip_one(m0_window_cycles=64)
-        for cycles in (16, 32, 64):
-            chip.m0_activity(cycles, seed=1)
-        stats = cpu_module.m0_window_cache_stats()
-        assert stats["entries"] == 2
-        assert stats["evictions"] == 1
+        assert cpu_module.m0_window_cache_stats() == {"hits": 0, "misses": 0}
+        chip.m0_activity(300, seed=1)
+        assert cpu_module.m0_window_cache_stats() == {"hits": 0, "misses": 1}
 
 
 class TestBackgroundTemplateCache:
@@ -204,19 +212,3 @@ class TestBackgroundTemplateCache:
             "evictions": 0,
             "entries": 0,
         }
-
-
-class TestWarmPathHasNoPerCycleLoop:
-    def test_warm_total_power_never_steps_the_core(self, monkeypatch):
-        watermark = ClockModulationWatermark.from_config(
-            WatermarkConfig(lfsr_width=8, lfsr_seed=0x2D)
-        )
-        chip = build_chip_one(watermark=watermark, m0_window_cycles=512)
-        chip.total_power(3000, seed=4)  # cold: simulates and caches
-
-        def boom(self, *args):  # pragma: no cover - the assertion is that it never runs
-            raise AssertionError("warm path stepped the core cycle by cycle")
-
-        monkeypatch.setattr(cpu_module.CortexM0Like, "_run", boom)
-        warm = chip.total_power(3000, seed=4)
-        assert len(warm) == 3000

@@ -26,10 +26,10 @@ CONTROL_FLOW = {"CellTimeout", "SweepInterrupted", "KeyboardInterrupt"}
 PROCESS_MODULE = "pipeline/backends.py"
 PROCESS_NAMES = {"multiprocessing", "fork", "forkpty", "Process"}
 
-#: The modules that fill an ``LRUCache``.  ``soc/cpu.py`` and ``soc/chip.py``
-#: freeze the arrays they cache (pinned by ``test_chip_background_cache.py``);
-#: the runner's chip cache and the service's lock table hold no arrays.
-CACHE_SITES = {"soc/cpu.py", "soc/chip.py", "pipeline/runner.py", "service/server.py"}
+#: The modules that fill an ``LRUCache``.  ``soc/chip.py`` freezes the
+#: arrays it caches (pinned by ``test_chip_background_cache.py``); the
+#: runner's chip cache and the service's lock table hold no arrays.
+CACHE_SITES = {"soc/chip.py", "pipeline/runner.py", "service/server.py"}
 
 
 def _self_attr(node):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from fault_injection import Fault, inject_faults
-from rtl_oracle import Register, trace_from_records
+from rtl_oracle import Register, hamming_distance, trace_from_records
 from trial_oracle import (
     fold_rows,
     masked_off_peak_decision,
@@ -23,7 +23,6 @@ from repro.pipeline import ExperimentRunner, RetryPolicy, RunOptions, SpecGrid
 from repro.power.synthesis import periodic_extend, rolled_blocks
 from repro.rtl.activity import ActivityRecord
 from repro.rtl.clock_tree import ClockTree
-from repro.rtl.signals import hamming_distance
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Unit tests for repro.rtl.signals."""
+"""Unit tests for the switching distance of the stepping models (``rtl_oracle``)."""
 
 import pytest
 
-from repro.rtl.signals import hamming_distance
+from rtl_oracle import hamming_distance
 
 
 class TestHammingHelpers:

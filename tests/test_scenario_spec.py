@@ -87,6 +87,16 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="chip1"):
             ScenarioSpec(kind="fig3", chip="chip9")
 
+    @pytest.mark.parametrize("cycles", [0, 16_385, 10**6])
+    def test_m0_window_beyond_the_shipped_one_rejected(self, cycles):
+        with pytest.raises(ValueError, match="16384"):
+            ScenarioSpec(kind="fig3", chip="chip1", m0_window_cycles=cycles)
+        payload = ScenarioSpec(kind="fig3", chip="chip1").to_json_dict()
+        payload["m0_window_cycles"] = cycles
+        with pytest.raises(ValueError, match="16384"):
+            ScenarioSpec.from_json_dict(payload)
+        assert ScenarioSpec(kind="fig3", m0_window_cycles=16_384).m0_window_cycles == 16_384
+
     def test_unknown_workload_rejected(self):
         # Both chips always run Dhrystone: no workload is a spec field.
         payload = ScenarioSpec(kind="fig3", chip="chip1").to_json_dict()

@@ -431,6 +431,22 @@ def test_a_bit_flipped_npz_is_recomputed_through_verify(tmp_path):
     assert warm["cache_hit"] and _signed_part(warm) == _signed_part(again)
 
 
+def test_a_spec_longer_than_the_shipped_m0_window_is_a_400(tmp_path):
+    """A spec may not ask for more M0 window than ships: 400, nothing stored or logged."""
+    service = DetectionService(ServiceConfig(data_dir=tmp_path, difficulty=8))
+    spec = ExperimentRunner().resolve("fig5/chip1-active").to_json_dict()
+    spec["m0_window_cycles"] = 16_385
+    body = {"client_id": "alice", "spec": spec}
+    body["nonce"] = mine_nonce("alice", VERIFY_ENDPOINT, body, difficulty=8)
+    with pytest.raises(ServiceError) as excinfo:
+        service.handle_verify(body)
+    assert (excinfo.value.status, excinfo.value.code) == (400, "bad_request")
+    assert "16384" in str(excinfo.value)
+    stats = service.store.stats()
+    assert (stats.entries, stats.writes) == (0, 0)
+    assert service.ledger.count == 0
+
+
 # ---------------------------------------------------------------------------
 # live server end-to-end
 # ---------------------------------------------------------------------------

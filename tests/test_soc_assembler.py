@@ -1,9 +1,9 @@
-"""Unit tests for repro.soc.assembler."""
+"""Unit tests for the test-suite ISS's assembler (``m0_assembler``)."""
 
 import pytest
 
-from repro.soc.assembler import Assembler, AssemblyError
-from repro.soc.isa import Condition, Opcode
+from m0_assembler import Assembler, AssemblyError
+from m0_isa import Condition, Opcode
 
 
 @pytest.fixture

@@ -1,9 +1,8 @@
-"""Unit tests for repro.soc.bus."""
+"""Unit tests for the test-suite ISS's bus (``iss_oracle.SystemBus``)."""
 
 import pytest
 
-from repro.soc.bus import SystemBus
-from repro.soc.memory import Memory
+from iss_oracle import Memory, SystemBus
 
 BASE = 0x2000_0000
 

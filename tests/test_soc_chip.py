@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from background_oracle import background_activity, background_power, idle_blocks
+from cpu_programs import dhrystone_window
 
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.config import WatermarkConfig
@@ -151,7 +152,7 @@ class TestBackgroundOracle:
     def test_background_power_equals_oracle(self, chips, chip_name, num_cycles, seed, use_cache):
         chip = chips[chip_name]
         actual = chip.background_power(num_cycles, seed=seed, use_cache=use_cache)
-        expected = background_power(chip, num_cycles, seed=seed, use_cache=use_cache)
+        expected = background_power(chip, num_cycles, seed=seed)
         assert actual.power_w.dtype == expected.power_w.dtype
         assert actual.power_w.tobytes() == expected.power_w.tobytes()
         assert actual.fluctuation_w == pytest.approx(expected.fluctuation_w, rel=1e-15)
@@ -165,10 +166,10 @@ class TestM0ActivityGather:
         num_cycles = 1500
         seed = 97
 
-        # Reference: simulate the window, then tile it with one np.roll per
+        # Reference: run the window on the ISS, then tile it with one np.roll per
         # repetition, using the shifts of the seed's "m0" stream.
         window = min(num_cycles, chip.description.m0_window_cycles)
-        window_trace = chip_module.simulate_m0_window(window)
+        window_trace = dhrystone_window(window)
         shifts = stream(seed, "m0").integers(0, window, size=-(-num_cycles // window))
         arrays = {
             "clock_toggles": window_trace.clock_toggles,

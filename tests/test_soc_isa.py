@@ -1,8 +1,8 @@
-"""Unit tests for repro.soc.isa."""
+"""Unit tests for the test-suite ISS's instruction set (``m0_isa``)."""
 
 import pytest
 
-from repro.soc.isa import (
+from m0_isa import (
     BASE_CYCLES,
     Condition,
     Instruction,

@@ -1,8 +1,8 @@
-"""Unit tests for repro.soc.memory."""
+"""Unit tests for the test-suite ISS's SRAM (``iss_oracle.Memory``)."""
 
 import pytest
 
-from repro.soc.memory import Memory
+from iss_oracle import Memory
 
 BASE = 0x2000_0000
 

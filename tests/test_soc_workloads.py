@@ -1,18 +1,16 @@
-"""Unit tests for repro.soc.workloads and the CPU test programs."""
+"""Unit tests for the CPU test programs, Dhrystone among them."""
 
 import pytest
 from cpu_programs import (
     background_power_running,
     checksum_program,
+    dhrystone_like_program,
     idle_loop_program,
     memcopy_program,
 )
+from iss_oracle import CortexM0Like, Memory, SystemBus
 
-from repro.soc.bus import SystemBus
 from repro.soc.chip import build_chip_one, build_chip_two
-from repro.soc.cpu import CortexM0Like
-from repro.soc.memory import Memory
-from repro.soc.workloads import dhrystone_like_program
 
 BASE = 0x2000_0000
 
