@@ -3,11 +3,12 @@
 The batched engine folds the whole trial matrix by phase and evaluates all
 rotation correlations with one stack of rFFTs; before it landed, every
 Monte-Carlo trial paid a full Python round trip through per-trace folding
-(`np.arange` + modulo + `np.bincount` per trial).  This benchmark pins the
-speedup at the campaign scale named in the engine's acceptance criteria --
-period 255, 100,000 cycles, 50 trials -- and checks that the batched path
-reaches the *same detection decisions bit for bit* as looping the live
-single-trace detector over the rows.
+(`np.arange` + modulo + `np.bincount` per trial).  This benchmark gates
+``detect_many`` with an absolute budget (:data:`MAX_DETECT_MANY_S`) at the
+campaign scale named in the engine's acceptance criteria -- period 255,
+100,000 cycles, 50 trials -- reports its speedup over that loop, and
+checks that the batched path reaches the *same detection decisions bit for
+bit* as looping the live single-trace detector over the rows.
 """
 
 import time
@@ -24,7 +25,11 @@ from repro.detection.cpa import CPADetector
 PERIOD_WIDTH = 8  # 2**8 - 1 = 255 rotations
 NUM_CYCLES = 100_000
 NUM_TRIALS = 50
-MIN_SPEEDUP = 5.0
+#: Ceiling on the best of three ``detect_many`` calls, sized from seven
+#: enforced runs of this benchmark on a shared 2-CPU x86-64 host:
+#: ``detect_many`` read 10.8-13.4 ms, so 30 ms leaves ~2.2x headroom.
+#: The per-trial loop read 51-67 ms there and fails it.
+MAX_DETECT_MANY_S = 0.030
 
 
 def _per_trial_reference(sequence: np.ndarray, trace_matrix: np.ndarray, detector: CPADetector):
@@ -113,7 +118,7 @@ def test_bench_batch_detection_speedup(benchmark, report, relaxed):
             "per_trial_loop_s": loop_s,
             "batched_detect_many_s": batch_s,
             "speedup": speedup,
-            "min_speedup_floor": MIN_SPEEDUP,
+            "max_detect_many_s": MAX_DETECT_MANY_S,
             "decisions_identical": True,
             "relaxed": relaxed,
         },
@@ -125,16 +130,17 @@ def test_bench_batch_detection_speedup(benchmark, report, relaxed):
             [
                 f"per-trial loop (pre-engine algorithm): {loop_s * 1e3:8.1f} ms",
                 f"batched detect_many:                   {batch_s * 1e3:8.1f} ms",
-                f"speedup:                               {speedup:8.1f}x (floor {MIN_SPEEDUP}x)",
+                f"speedup:                               {speedup:8.1f}x",
+                f"ceiling on detect_many:                {MAX_DETECT_MANY_S * 1e3:8.1f} ms"
+                f" (relaxed={relaxed})",
                 f"detections (batched == loop):          {batch.detection_count}"
                 f" == {int(np.count_nonzero(reference_detected))}",
             ]
         ),
     )
     if not relaxed:
-        assert speedup >= MIN_SPEEDUP, (
-            f"batched campaign only {speedup:.1f}x faster than the per-trial loop "
-            f"(expected >= {MIN_SPEEDUP}x)"
+        assert batch_s <= MAX_DETECT_MANY_S, (
+            f"detect_many took {batch_s * 1e3:.1f} ms (ceiling {MAX_DETECT_MANY_S * 1e3:.1f} ms)"
         )
 
     # Register the batched path with the benchmark harness.

@@ -15,8 +15,8 @@ Run:  python examples/removal_attack_study.py
 
 from __future__ import annotations
 
-from repro.analysis.attacks import RemovalAttack, find_standalone_clusters
-from repro.core.config import ArchitectureKind, WatermarkConfig
+from repro.analysis.attacks import find_standalone_clusters
+from repro.core.config import WatermarkConfig
 from repro.core.embedding import embed_baseline, embed_clock_modulation
 from repro.pipeline import run_scenario
 from repro.soc.structure import build_soc_structure, clock_gate_paths
@@ -26,22 +26,18 @@ def describe_attack_surface() -> None:
     """Show what the attacker's cluster analysis sees for each architecture."""
     config = WatermarkConfig()
 
-    baseline_host = build_soc_structure(name="soc_baseline")
-    embed_baseline(baseline_host, config)
-    baseline_netlist = baseline_host.flatten()
+    baseline_netlist = build_soc_structure(name="soc_baseline")
+    embed_baseline(baseline_netlist, config)
 
-    clockmod_host = build_soc_structure(name="soc_clockmod")
-    embed_clock_modulation(clockmod_host, clock_gate_paths(clockmod_host)[:4], config)
-    clockmod_netlist = clockmod_host.flatten()
+    clockmod_netlist = build_soc_structure(name="soc_clockmod")
+    embed_clock_modulation(clockmod_netlist, clock_gate_paths(clockmod_netlist)[:4], config)
 
     for label, netlist in (("baseline", baseline_netlist), ("clock modulation", clockmod_netlist)):
         clusters = find_standalone_clusters(netlist)
         print(f"  [{label}] suspicious stand-alone clusters found: {len(clusters)}")
         for cluster in clusters:
-            print(
-                f"      cluster with {len(cluster.instances)} instances, {cluster.registers} registers "
-                f"(drives functional logic: {cluster.drives_functional_logic})"
-            )
+            stats = netlist.subgraph_stats(cluster)
+            print(f"      cluster with {stats['instances']} instances, {stats['registers']} registers")
 
 
 def main() -> None:

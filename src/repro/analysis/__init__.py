@@ -8,8 +8,9 @@ from repro.analysis.overhead import (
 )
 from repro.analysis.attacks import (
     AttackOutcome,
-    RemovalAttack,
+    blind_removal,
     find_standalone_clusters,
+    informed_removal,
 )
 from repro.analysis.robustness import (
     RobustnessAssessment,
@@ -31,8 +32,9 @@ __all__ = [
     "OverheadTable",
     "area_overhead_reduction",
     "load_circuit_overhead_table",
-    "RemovalAttack",
     "AttackOutcome",
+    "blind_removal",
+    "informed_removal",
     "find_standalone_clusters",
     "RobustnessAssessment",
     "assess_robustness",

@@ -17,61 +17,35 @@ sweeps of :mod:`repro.analysis.masking`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Set
-
+from typing import List, Set, Tuple
 
 from repro.rtl.netlist import Netlist
 
-
-@dataclass(frozen=True)
-class ClusterCandidate:
-    """A weakly connected cluster considered by the attacker."""
-
-    instances: frozenset
-    registers: int
-    cells: int
-    drives_functional_logic: bool
+#: A suspicious cluster holds at most this share of the design's cells ...
+MAX_FRACTION_OF_DESIGN = 0.45
+#: ... and at least this many flip-flops.
+MIN_REGISTERS = 8
+#: Cell types that stop working when one of their direct drivers is removed.
+SEQUENTIAL_CELL_TYPES = ("dff", "icg", "register_bank")
 
 
-def find_standalone_clusters(
-    netlist: Netlist,
-    max_fraction_of_design: float = 0.45,
-    min_registers: int = 8,
-) -> List[ClusterCandidate]:
+def find_standalone_clusters(netlist: Netlist) -> List[Set[str]]:
     """Clusters an attacker would shortlist as probable watermark circuits.
 
     A cluster is suspicious when it is (a) small relative to the whole
     design, (b) register-heavy (the load circuit is a bank of shift
-    registers) and (c) does not drive any logic outside itself.
+    registers) and (c) does not drive any logic outside itself -- which a
+    weakly connected cluster never does.  The shortlist is ordered by
+    register count, largest first.
     """
-    if not 0.0 < max_fraction_of_design <= 1.0:
-        raise ValueError("max_fraction_of_design must be in (0, 1]")
     total_cells = max(1, netlist.total_cells)
-    candidates: List[ClusterCandidate] = []
+    shortlist: List[Tuple[int, Set[str]]] = []
     for cluster in netlist.weakly_connected_clusters():
         stats = netlist.subgraph_stats(cluster)
-        drives_external = False
-        for name in cluster:
-            for successor in netlist.fan_out(name):
-                if successor not in cluster:
-                    drives_external = True
-                    break
-            if drives_external:
-                break
-        candidate = ClusterCandidate(
-            instances=frozenset(cluster),
-            registers=stats["registers"],
-            cells=stats["cells"],
-            drives_functional_logic=drives_external,
-        )
-        fraction = candidate.cells / total_cells
-        if (
-            fraction <= max_fraction_of_design
-            and candidate.registers >= min_registers
-            and not candidate.drives_functional_logic
-        ):
-            candidates.append(candidate)
-    return sorted(candidates, key=lambda c: c.registers, reverse=True)
+        if stats["cells"] / total_cells <= MAX_FRACTION_OF_DESIGN and stats["registers"] >= MIN_REGISTERS:
+            shortlist.append((stats["registers"], cluster))
+    shortlist.sort(key=lambda entry: entry[0], reverse=True)
+    return [cluster for _, cluster in shortlist]
 
 
 @dataclass
@@ -108,73 +82,40 @@ class AttackOutcome:
         return self.collateral_damage > 0
 
 
-class RemovalAttack:
-    """A structural removal attack against an embedded watermark."""
+def _evaluate_removal(netlist: Netlist, targets: Set[str]) -> AttackOutcome:
+    """Evaluate what removing ``targets`` does to the design.
 
-    def __init__(
-        self,
-        max_fraction_of_design: float = 0.45,
-        min_registers: int = 8,
-        remove_suspicious_enable_logic: bool = True,
-    ) -> None:
-        self.max_fraction_of_design = max_fraction_of_design
-        self.min_registers = min_registers
-        self.remove_suspicious_enable_logic = remove_suspicious_enable_logic
+    Functional damage is quantified as functional sequential instances
+    (registers, clock gates) that lose at least one direct driver -- e.g. a
+    host clock gate whose enable cone contained the watermark logic and is
+    now severed.
+    """
+    functional = set(netlist.component_names(role="functional"))
+    broken = {
+        name
+        for name in functional - targets
+        if netlist.component(name).cell_type in SEQUENTIAL_CELL_TYPES
+        and targets.intersection(netlist.fan_in(name))
+    }
+    return AttackOutcome(
+        removed_instances=targets,
+        true_watermark_instances=set(netlist.component_names(role="watermark")),
+        functional_instances_removed=targets & functional,
+        broken_functional_instances=broken,
+    )
 
-    def select_targets(self, netlist: Netlist) -> Set[str]:
-        """Instances the attacker decides to remove."""
-        targets: Set[str] = set()
-        for candidate in find_standalone_clusters(
-            netlist,
-            max_fraction_of_design=self.max_fraction_of_design,
-            min_registers=self.min_registers,
-        ):
-            targets |= set(candidate.instances)
-        return targets
 
-    @staticmethod
-    def _evaluate_removal(netlist: Netlist, targets: Set[str]) -> AttackOutcome:
-        """Evaluate what removing ``targets`` does to the design.
+def blind_removal(netlist: Netlist) -> AttackOutcome:
+    """The blind structural attack: excise every shortlisted cluster."""
+    return _evaluate_removal(netlist, set().union(*find_standalone_clusters(netlist)))
 
-        Functional damage is quantified as functional sequential instances
-        (registers, clock gates) that lose at least one direct driver --
-        e.g. a host clock gate whose enable cone contained the watermark
-        logic and is now severed.
-        """
-        truth = set(netlist.component_names(role="watermark"))
-        functional_removed = {name for name in targets if name in netlist and netlist.role(name) == "functional"}
-        broken_functional: Set[str] = set()
-        sequential_types = ("dff", "icg", "register_bank")
-        for name in netlist.component_names():
-            if name in targets:
-                continue
-            if netlist.role(name) != "functional":
-                continue
-            if netlist.component(name).cell_type not in sequential_types:
-                continue
-            if set(netlist.fan_in(name)) & targets:
-                broken_functional.add(name)
-        return AttackOutcome(
-            removed_instances=targets,
-            true_watermark_instances=truth,
-            functional_instances_removed=functional_removed,
-            broken_functional_instances=broken_functional,
-        )
 
-    def execute(self, netlist: Netlist) -> AttackOutcome:
-        """Run the blind structural attack and evaluate its consequences."""
-        targets = self.select_targets(netlist)
-        return self._evaluate_removal(netlist, targets)
+def informed_removal(netlist: Netlist) -> AttackOutcome:
+    """An attack by an adversary who somehow identified the watermark.
 
-    def execute_informed(self, netlist: Netlist, known_instances: Iterable[str]) -> AttackOutcome:
-        """An attack by an adversary who somehow identified the watermark.
-
-        Used to quantify the damage a *successful* removal causes: for the
-        clock-modulation watermark even a perfectly informed removal severs
-        the clock-enable path of functional registers.
-        """
-        targets = set(known_instances)
-        missing = targets - set(netlist.component_names())
-        if missing:
-            raise KeyError(f"unknown instances in informed attack: {sorted(missing)}")
-        return self._evaluate_removal(netlist, targets)
+    Used to quantify the damage a *successful* removal causes: ripping out
+    the clock-modulation watermark also rips out the modulated enable
+    wiring of the host's clock gates, so even a perfectly informed removal
+    severs the clock-enable path of functional registers.
+    """
+    return _evaluate_removal(netlist, set(netlist.component_names(role="watermark")))

@@ -9,11 +9,10 @@ power-domain masking it takes to defeat CPA is the subject of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-
-from repro.analysis.attacks import AttackOutcome, RemovalAttack
-from repro.core.embedding import EmbeddedWatermark
+from repro.analysis.attacks import AttackOutcome, blind_removal, informed_removal
+from repro.core.config import ArchitectureKind
+from repro.rtl.netlist import Netlist
 
 
 @dataclass(frozen=True)
@@ -58,21 +57,10 @@ class RobustnessAssessment:
         return "\n".join(lines)
 
 
-def assess_robustness(
-    embedded: EmbeddedWatermark,
-    attack: Optional[RemovalAttack] = None,
-) -> RobustnessAssessment:
-    """Assess an embedded watermark against blind and informed removal."""
-    attack = attack or RemovalAttack()
-    netlist = embedded.netlist()
-    blind = attack.execute(netlist)
-    informed_targets = set(embedded.watermark_instances)
-    # An informed attacker of the clock-modulation scheme must also rip out
-    # the modulated enable wiring, i.e. the nets feeding the host's clock
-    # gates -- which is what damages the design.
-    informed = attack.execute_informed(netlist, informed_targets)
+def assess_robustness(netlist: Netlist, architecture: ArchitectureKind) -> RobustnessAssessment:
+    """Assess the watermark embedded in ``netlist`` against blind and informed removal."""
     return RobustnessAssessment(
-        architecture=embedded.architecture.value,
-        blind_attack=blind,
-        informed_attack=informed,
+        architecture=architecture.value,
+        blind_attack=blind_removal(netlist),
+        informed_attack=informed_removal(netlist),
     )

@@ -33,7 +33,7 @@ from repro.core.config import (
     DetectionConfig,
     ExperimentConfig,
 )
-from repro.core.embedding import EmbeddedWatermark, embed_baseline, embed_clock_modulation
+from repro.core.embedding import embed_baseline, embed_clock_modulation
 
 __all__ = [
     "LFSR",
@@ -53,7 +53,6 @@ __all__ = [
     "MeasurementConfig",
     "DetectionConfig",
     "ExperimentConfig",
-    "EmbeddedWatermark",
     "embed_baseline",
     "embed_clock_modulation",
 ]

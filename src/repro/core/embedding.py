@@ -1,10 +1,12 @@
-"""Embedding watermark circuits into a host design's module hierarchy.
+"""Embedding watermark circuits into a host design's netlist.
 
 The structural (netlist-level) counterpart of the behavioural architectures
-in :mod:`repro.core.architectures`.  Embedding produces the module/netlist
-structures on which the robustness analysis of Section VI operates:
+in :mod:`repro.core.architectures`.  Embedding adds the watermark's
+instances to the host netlist with role ``"watermark"``, under the host's
+name (``soc/wm_wgc/lfsr``), and wires them in; the robustness analysis of
+Section VI operates on the result:
 
-* the baseline watermark is added as a *stand-alone* sub-module whose only
+* the baseline watermark is added as a *stand-alone* sub-circuit whose only
   connection to the host is the clock -- which is what makes it easy to
   locate and remove;
 * the clock-modulation watermark inserts the WGC output into the enable
@@ -14,105 +16,54 @@ structures on which the robustness analysis of Section VI operates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-from repro.core.config import ArchitectureKind, WatermarkConfig
+from repro.core.config import WatermarkConfig
 from repro.rtl.components import ClockGate, CombinationalBlock, Register, ShiftRegister
-from repro.rtl.module import Module
 from repro.rtl.netlist import Netlist
 
 
-@dataclass
-class EmbeddedWatermark:
-    """Handle to a watermark embedded in a host module."""
-
-    host: Module
-    architecture: ArchitectureKind
-    wgc_instances: List[str] = field(default_factory=list)
-    load_instances: List[str] = field(default_factory=list)
-    modulated_gate_paths: List[str] = field(default_factory=list)
-
-    @property
-    def watermark_instances(self) -> List[str]:
-        """All instance paths that belong to the watermark circuit."""
-        return list(self.wgc_instances) + list(self.load_instances)
-
-    def netlist(self) -> Netlist:
-        """Flatten the host (with the embedded watermark) into a netlist."""
-        return self.host.flatten()
+def _add_wgc(host: Netlist, config: WatermarkConfig) -> str:
+    """Add the WGC (LFSR register plus feedback/control logic); return its output."""
+    wgc = f"{host.name}/wm_wgc"
+    for component in (
+        Register(f"{wgc}/lfsr", width=config.lfsr_width, reset_value=config.lfsr_seed),
+        CombinationalBlock(f"{wgc}/feedback", gate_count=4, activity_factor=0.3),
+        CombinationalBlock(f"{wgc}/control", gate_count=4, activity_factor=0.1),
+        CombinationalBlock(f"{wgc}/wmark_out", gate_count=1, activity_factor=0.5),
+    ):
+        host.add_component(component, role="watermark")
+    wiring = (("lfsr", "feedback"), ("feedback", "lfsr"), ("control", "lfsr"), ("lfsr", "wmark_out"))
+    for source, target in wiring:
+        host.connect(f"{wgc}/{source}", f"{wgc}/{target}")
+    return f"{wgc}/wmark_out"
 
 
-def _build_wgc_module(config: WatermarkConfig, name: str = "wgc") -> Module:
-    """Structural model of the WGC: LFSR register plus feedback/control logic."""
-    wgc = Module(name, role="watermark")
-    lfsr_reg = Register(f"lfsr", width=config.lfsr_width, reset_value=config.lfsr_seed)
-    feedback = CombinationalBlock("feedback", gate_count=4, activity_factor=0.3)
-    control = CombinationalBlock("control", gate_count=4, activity_factor=0.1)
-    wmark_out = CombinationalBlock("wmark_out", gate_count=1, activity_factor=0.5)
-    wgc.add_component(lfsr_reg)
-    wgc.add_component(feedback)
-    wgc.add_component(control)
-    wgc.add_component(wmark_out)
-    wgc.connect("lfsr", "feedback")
-    wgc.connect("feedback", "lfsr")
-    wgc.connect("control", "lfsr")
-    wgc.connect("lfsr", "wmark_out")
-    return wgc
-
-
-def _build_load_module(config: WatermarkConfig, name: str = "load") -> Module:
-    """Structural model of the baseline load circuit (shift-register bank)."""
-    load = Module(name, role="watermark")
-    remaining = config.load_registers
-    index = 0
-    previous: Optional[str] = None
-    while remaining > 0:
-        width = min(8, remaining)
-        sr = ShiftRegister(f"sr{index}", width=width)
-        load.add_component(sr)
-        if previous is not None:
-            load.connect(previous, f"sr{index}")
-        previous = f"sr{index}"
-        remaining -= width
-        index += 1
-    return load
-
-
-def embed_baseline(host: Module, config: Optional[WatermarkConfig] = None) -> EmbeddedWatermark:
+def embed_baseline(host: Netlist, config: WatermarkConfig) -> None:
     """Embed the state-of-the-art WGC + load-circuit watermark into ``host``.
 
-    The watermark forms its own sub-modules; the only wiring into the host
-    design is the WGC-to-load shift-enable net, so structurally the
-    watermark is a near-isolated cluster.
+    The load circuit is a chain of shift registers of at most 8 bits.  The
+    only wiring between the WGC and the load is the shift-enable net, and
+    neither touches the host's logic, so structurally the watermark is an
+    isolated cluster.
     """
-    config = config or WatermarkConfig(architecture=ArchitectureKind.BASELINE_LOAD_CIRCUIT)
-    wgc = _build_wgc_module(config, name="wm_wgc")
-    load = _build_load_module(config, name="wm_load")
-    host.add_child(wgc)
-    host.add_child(load)
-    host.connect("wm_wgc/wmark_out", "wm_load/sr0", net="wmark_shift_en")
-    wgc_paths = [f"{host.name}/wm_wgc/{n}" for n in wgc.components]
-    load_paths = [f"{host.name}/wm_load/{n}" for n in load.components]
-    return EmbeddedWatermark(
-        host=host,
-        architecture=ArchitectureKind.BASELINE_LOAD_CIRCUIT,
-        wgc_instances=wgc_paths,
-        load_instances=load_paths,
-    )
+    wmark_out = _add_wgc(host, config)
+    bits = config.load_registers
+    stages = [f"{host.name}/wm_load/sr{index}" for index in range((bits + 7) // 8)]
+    for index, stage in enumerate(stages):
+        host.add_component(ShiftRegister(stage, width=min(8, bits - 8 * index)), role="watermark")
+    host.connect(wmark_out, stages[0], net="wmark_shift_en")
+    for source, target in zip(stages, stages[1:]):
+        host.connect(source, target)
 
 
-def embed_clock_modulation(
-    host: Module,
-    target_gate_paths: List[str],
-    config: Optional[WatermarkConfig] = None,
-) -> EmbeddedWatermark:
+def embed_clock_modulation(host: Netlist, target_gates: List[str], config: WatermarkConfig) -> None:
     """Embed the proposed clock-modulation watermark into ``host``.
 
-    ``target_gate_paths`` are paths (relative to ``host``) of existing
-    integrated clock gates whose enables are modulated.  The WGC is added as
-    a sub-module and its output is wired into each target gate's enable
-    cone, together with the original clock-gate control (Fig. 1(b)).
+    ``target_gates`` are instance paths of existing integrated clock gates
+    whose enables are modulated.  The WGC output is wired into each target
+    gate's enable cone, together with the original clock-gate control
+    (Fig. 1(b)).
 
     Raises
     ------
@@ -121,23 +72,11 @@ def embed_clock_modulation(
     ValueError
         If a target path does not name a clock gate.
     """
-    if not target_gate_paths:
+    if not target_gates:
         raise ValueError("clock-modulation embedding needs at least one target clock gate")
-    config = config or WatermarkConfig()
-    for path in target_gate_paths:
-        component = host.find(path)
-        if not isinstance(component, ClockGate):
+    for path in target_gates:
+        if not isinstance(host.component(path), ClockGate):
             raise ValueError(f"embedding target {path!r} is not a clock gate")
-    wgc = _build_wgc_module(config, name="wm_wgc")
-    host.add_child(wgc)
-    for path in target_gate_paths:
-        host.connect(f"wm_wgc/wmark_out", path, net="wmark_clk_en")
-    wgc_paths = [f"{host.name}/wm_wgc/{n}" for n in wgc.components]
-    modulated = [f"{host.name}/{path}" for path in target_gate_paths]
-    return EmbeddedWatermark(
-        host=host,
-        architecture=ArchitectureKind.CLOCK_MODULATION,
-        wgc_instances=wgc_paths,
-        load_instances=[],
-        modulated_gate_paths=modulated,
-    )
+    wmark_out = _add_wgc(host, config)
+    for path in target_gates:
+        host.connect(wmark_out, path, net="wmark_clk_en")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.attacks import RemovalAttack
 from repro.analysis.robustness import RobustnessAssessment, assess_robustness
 from repro.core.config import ArchitectureKind, WatermarkConfig
 from repro.core.embedding import embed_baseline, embed_clock_modulation
@@ -74,21 +73,13 @@ def _compute_robustness(config: WatermarkConfig, modulated_gates: int) -> Robust
     """The Section VI robustness computation (pipeline stage body)."""
     if modulated_gates <= 0:
         raise ValueError("at least one clock gate must be modulated")
-    attack = RemovalAttack()
+    baseline = build_soc_structure(name="soc_baseline")
+    embed_baseline(baseline, config)
 
-    baseline_host = build_soc_structure(name="soc_baseline")
-    baseline_config = WatermarkConfig(
-        architecture=ArchitectureKind.BASELINE_LOAD_CIRCUIT,
-        lfsr_width=config.lfsr_width,
-        lfsr_seed=config.lfsr_seed,
-        load_registers=config.load_registers,
+    clock_mod = build_soc_structure(name="soc_clockmod")
+    embed_clock_modulation(clock_mod, clock_gate_paths(clock_mod)[:modulated_gates], config)
+
+    return RobustnessResult(
+        baseline=assess_robustness(baseline, ArchitectureKind.BASELINE_LOAD_CIRCUIT),
+        clock_modulation=assess_robustness(clock_mod, ArchitectureKind.CLOCK_MODULATION),
     )
-    baseline_embedded = embed_baseline(baseline_host, baseline_config)
-    baseline_assessment = assess_robustness(baseline_embedded, attack)
-
-    clock_mod_host = build_soc_structure(name="soc_clockmod")
-    gates = clock_gate_paths(clock_mod_host)[:modulated_gates]
-    clock_mod_embedded = embed_clock_modulation(clock_mod_host, gates, config)
-    clock_mod_assessment = assess_robustness(clock_mod_embedded, attack)
-
-    return RobustnessResult(baseline=baseline_assessment, clock_modulation=clock_mod_assessment)

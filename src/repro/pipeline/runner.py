@@ -12,11 +12,12 @@ One runner instance shares work across everything it executes:
   (chip, watermark config, M0 window), so a sweep's scenarios
   reuse one chip -- and therefore one watermark period template -- instead
   of rebuilding it per scenario;
-* underneath, the module-level M0-window and background-template caches
-  (PR 3) and the batched CPA/synthesis engines (PRs 1-2) do the heavy
-  lifting, which is why a registry-driven sweep beats the same scenarios
-  run one by one with a fresh runner each (pinned by
-  ``benchmarks/test_bench_pipeline_sweep.py``).
+* underneath, the once-per-process M0-window memo and the module-level
+  background-template cache are shared by every runner in the process.
+
+``benchmarks/test_bench_pipeline_sweep.py`` gates a four-scenario sweep and
+the same scenarios run one by one from cold caches with absolute budgets,
+and checks that both report the same numbers.
 """
 
 from __future__ import annotations

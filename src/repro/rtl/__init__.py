@@ -2,8 +2,8 @@
 
 This package provides the structural building blocks used by the watermark
 architectures and by the SoC model: sequential and clock-network
-components, a hierarchical module system, a flattened netlist graph, and
-the per-cycle switching-activity records the power estimator consumes.
+components, a flat netlist graph, and the per-cycle switching-activity
+records the power estimator consumes.
 
 The substrate is intentionally cycle-accurate rather than event-accurate:
 Correlation Power Analysis (the paper's detection technique) consumes one
@@ -23,7 +23,6 @@ from repro.rtl.components import (
 )
 from repro.rtl.clock_tree import ClockTree, ClockTreeLevel
 from repro.rtl.netlist import Netlist
-from repro.rtl.module import Module
 
 __all__ = [
     "ActivityRecord",
@@ -38,5 +37,4 @@ __all__ = [
     "ClockTree",
     "ClockTreeLevel",
     "Netlist",
-    "Module",
 ]

@@ -1,7 +1,8 @@
-"""Flattened netlist graph.
+"""Flat netlist graph.
 
-The netlist is a directed graph whose nodes are component instances and
-whose edges are named connections (nets).  It is the structure on which the
+The netlist is a directed graph whose nodes are component instances, named
+by their hierarchical instance path (``soc/cpu_core/icg0``), and whose
+edges are named connections (nets).  It is the structure on which the
 removal-attack analysis of Section VI operates: a stand-alone load-circuit
 watermark forms a weakly-connected cluster that can be excised without
 touching functional logic, whereas the clock-modulation watermark shares its
@@ -16,24 +17,18 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.rtl.components import Component
 
 
-
 class Netlist:
-    """A flattened design netlist.
+    """A flat design netlist.
 
-    Nodes carry the :class:`Component` object plus metadata used by the
-    analysis passes:
-
-    ``role``
-        ``"functional"``, ``"watermark"`` or ``"clock"`` -- the ground-truth
-        label used to score attack precision/recall.
-    ``module``
-        The hierarchical module path the instance came from.
+    Each node carries the :class:`Component` (whose name is the instance
+    path) and its ground-truth role -- ``"functional"``, ``"watermark"`` or
+    ``"clock"`` -- used to score attack precision/recall.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        # Instance -> (component, role, module), in insertion order.
-        self._nodes: Dict[str, Tuple[Component, str, str]] = {}
+        # Instance -> (component, role), in insertion order.
+        self._nodes: Dict[str, Tuple[Component, str]] = {}
         # Adjacency in both directions: node -> {neighbour: net}, in
         # insertion order, so iteration order never depends on hashing.
         self._succ: Dict[str, Dict[str, str]] = {}
@@ -41,20 +36,14 @@ class Netlist:
 
     # -- construction --------------------------------------------------
 
-    def add_component(
-        self,
-        component: Component,
-        role: str = "functional",
-        module: str = "",
-        instance: Optional[str] = None,
-    ) -> None:
-        """Add a component instance (named ``instance``, default its own name)."""
-        name = component.name if instance is None else instance
+    def add_component(self, component: Component, role: str = "functional") -> None:
+        """Add a component instance under its own (path) name."""
+        name = component.name
         if name in self._nodes:
             raise ValueError(f"duplicate component name: {name!r}")
         if role not in ("functional", "watermark", "clock"):
             raise ValueError(f"unknown role {role!r}")
-        self._nodes[name] = (component, role, module)
+        self._nodes[name] = (component, role)
         self._succ[name] = {}
         self._pred[name] = {}
 
@@ -79,42 +68,25 @@ class Netlist:
         """Return the component object stored under ``name``."""
         return self._nodes[name][0]
 
-    def role(self, name: str) -> str:
-        """Return the ground-truth role of an instance."""
-        return self._nodes[name][1]
-
     def components(self, role: Optional[str] = None) -> List[Component]:
         """All components, optionally filtered by role."""
         return [
             component
-            for component, node_role, _ in self._nodes.values()
+            for component, node_role in self._nodes.values()
             if role is None or node_role == role
         ]
 
     def component_names(self, role: Optional[str] = None) -> List[str]:
-        """Instance names, optionally filtered by role.
-
-        For flattened hierarchies the instance name is the full
-        hierarchical path, which may differ from the leaf component name.
-        """
+        """Instance names, optionally filtered by role."""
         return [
             name
-            for name, (_, node_role, _) in self._nodes.items()
+            for name, (_, node_role) in self._nodes.items()
             if role is None or node_role == role
         ]
 
     def fan_in(self, name: str) -> List[str]:
         """Instances driving ``name``."""
         return sorted(self._pred[name])
-
-    def fan_out(self, name: str) -> List[str]:
-        """Instances driven by ``name``."""
-        return sorted(self._succ[name])
-
-    @property
-    def total_registers(self) -> int:
-        """Total number of flip-flops across all instances."""
-        return sum(c.register_count for c in self.components())
 
     @property
     def total_cells(self) -> int:

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core.config import ArchitectureKind, WatermarkConfig
+from repro.core.config import WatermarkConfig
 from repro.core.embedding import embed_baseline, embed_clock_modulation
 from repro.soc.structure import build_soc_structure, clock_gate_paths
+
+WMARK_OUT = "soc/wm_wgc/wmark_out"
 
 
 @pytest.fixture
@@ -17,31 +19,33 @@ def config():
     return WatermarkConfig(lfsr_width=8, lfsr_seed=0x2D, load_registers=64)
 
 
+def watermark(netlist):
+    return set(netlist.component_names(role="watermark"))
+
+
 class TestEmbedBaseline:
     def test_adds_wgc_and_load_modules(self, host, config):
-        embedded = embed_baseline(host, config)
-        assert "wm_wgc" in host.children
-        assert "wm_load" in host.children
-        assert embedded.architecture is ArchitectureKind.BASELINE_LOAD_CIRCUIT
+        embed_baseline(host, config)
+        assert {"soc/wm_wgc/lfsr", WMARK_OUT, "soc/wm_load/sr0", "soc/wm_load/sr7"} <= watermark(host)
+        assert host.fan_in("soc/wm_load/sr0") == [WMARK_OUT]
+        assert host.fan_in("soc/wm_load/sr7") == ["soc/wm_load/sr6"]
 
     def test_watermark_instances_marked(self, host, config):
-        embedded = embed_baseline(host, config)
-        netlist = embedded.netlist()
-        watermark_registers = sum(c.register_count for c in netlist.components("watermark"))
+        embed_baseline(host, config)
+        watermark_registers = sum(c.register_count for c in host.components("watermark"))
         assert watermark_registers >= config.load_registers + config.lfsr_width
 
     def test_load_forms_isolated_cluster(self, host, config):
-        embedded = embed_baseline(host, config)
-        netlist = embedded.netlist()
-        clusters = netlist.weakly_connected_clusters()
-        watermark = set(embedded.watermark_instances)
-        assert any(cluster == watermark for cluster in clusters)
+        embed_baseline(host, config)
+        clusters = host.weakly_connected_clusters()
+        assert any(cluster == watermark(host) for cluster in clusters)
 
     def test_instance_paths_exist_in_netlist(self, host, config):
-        embedded = embed_baseline(host, config)
-        netlist = embedded.netlist()
-        for path in embedded.watermark_instances:
-            assert path in netlist
+        before = set(host.component_names())
+        embed_baseline(host, config)
+        added = set(host.component_names()) - before
+        assert added == watermark(host)
+        assert all(path.startswith(("soc/wm_wgc/", "soc/wm_load/")) for path in added)
 
 
 class TestEmbedClockModulation:
@@ -51,32 +55,27 @@ class TestEmbedClockModulation:
 
     def test_rejects_non_clock_gate_targets(self, host, config):
         with pytest.raises(ValueError):
-            embed_clock_modulation(host, ["bus_matrix"], config)
+            embed_clock_modulation(host, ["soc/bus_matrix"], config)
+        assert not watermark(host)
 
     def test_rejects_unknown_targets(self, host, config):
         with pytest.raises(KeyError):
-            embed_clock_modulation(host, ["cpu_core/icg99"], config)
+            embed_clock_modulation(host, ["soc/cpu_core/icg99"], config)
+        assert not watermark(host)
 
     def test_wgc_drives_target_gates(self, host, config):
         gates = clock_gate_paths(host)[:3]
-        embedded = embed_clock_modulation(host, gates, config)
-        netlist = embedded.netlist()
-        wmark_out = [p for p in embedded.wgc_instances if p.endswith("wmark_out")][0]
-        for gate_path in embedded.modulated_gate_paths:
-            assert wmark_out in netlist.fan_in(gate_path)
+        embed_clock_modulation(host, gates, config)
+        for gate_path in gates:
+            assert WMARK_OUT in host.fan_in(gate_path)
 
     def test_no_load_instances(self, host, config):
-        gates = clock_gate_paths(host)[:1]
-        embedded = embed_clock_modulation(host, gates, config)
-        assert embedded.load_instances == []
-        assert embedded.architecture is ArchitectureKind.CLOCK_MODULATION
+        embed_clock_modulation(host, clock_gate_paths(host)[:1], config)
+        assert all(path.startswith("soc/wm_wgc/") for path in watermark(host))
 
     def test_watermark_is_entangled_with_functional_cluster(self, host, config):
-        gates = clock_gate_paths(host)[:2]
-        embedded = embed_clock_modulation(host, gates, config)
-        netlist = embedded.netlist()
-        clusters = netlist.weakly_connected_clusters()
-        watermark = set(embedded.watermark_instances)
+        embed_clock_modulation(host, clock_gate_paths(host)[:2], config)
+        clusters = host.weakly_connected_clusters()
         # No cluster consists of only watermark logic: the WGC shares a
         # cluster with the functional design it modulates.
-        assert not any(cluster <= watermark for cluster in clusters)
+        assert not any(cluster <= watermark(host) for cluster in clusters)

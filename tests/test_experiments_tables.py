@@ -171,7 +171,9 @@ class TestRobustnessExperiment:
         assert "improved robustness demonstrated: True" in result.to_text()
 
     def test_invalid_gate_count_rejected(self):
-        with pytest.raises(ValueError):
-            run_scenario(
-                ScenarioSpec(kind="robustness", name="robustness", params={"modulated_gates": 0})
-            )
+        # A negative count would otherwise slice to "every gate but the last".
+        for gates in (0, -1):
+            with pytest.raises(ValueError, match="at least one clock gate"):
+                run_scenario(
+                    ScenarioSpec(kind="robustness", name="robustness", params={"modulated_gates": gates})
+                )

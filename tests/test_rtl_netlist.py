@@ -43,22 +43,22 @@ class TestNetlistConstruction:
 
 
 class TestNetlistQueries:
-    def test_role_lookup(self, simple_netlist):
-        assert simple_netlist.role("wm_lfsr") == "watermark"
-        assert simple_netlist.role("reg") == "functional"
-
     def test_components_filtered_by_role(self, simple_netlist):
         assert len(simple_netlist.components(role="watermark")) == 2
 
     def test_component_names_by_role(self, simple_netlist):
         assert sorted(simple_netlist.component_names(role="watermark")) == ["wm_lfsr", "wm_load"]
+        assert simple_netlist.component_names(role="functional") == ["clk_ctrl", "icg", "reg", "logic"]
 
     def test_fan_in_fan_out(self, simple_netlist):
+        # "reg" is driven by "icg" and drives "logic"; nothing drives "clk_ctrl".
         assert simple_netlist.fan_in("reg") == ["icg"]
-        assert simple_netlist.fan_out("reg") == ["logic"]
+        assert simple_netlist.fan_in("logic") == ["reg"]
+        assert simple_netlist.fan_in("clk_ctrl") == []
 
     def test_register_totals(self, simple_netlist):
-        assert simple_netlist.total_registers == 8 + 12 + 64
+        assert sum(c.register_count for c in simple_netlist.components()) == 8 + 12 + 64
+        assert simple_netlist.total_cells == 4 + 1 + 8 + 10 + 12 + 64
         watermark = simple_netlist.components("watermark")
         assert sum(c.register_count for c in watermark) == 76
 
