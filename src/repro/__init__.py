@@ -5,18 +5,20 @@ DATE 2014, DOI 10.7873/DATE.2014.053).
 The package is organised as follows:
 
 ``repro.core``
-    The paper's contribution: watermark sequence generators (LFSR /
-    circular shift register), the watermark generation circuit, the
-    baseline load-circuit watermark, the proposed clock-modulation
-    watermark, and the embedding API.
+    The paper's contribution: the LFSR sequence generator, the watermark
+    generation circuit, the baseline load-circuit watermark, the proposed
+    clock-modulation watermark (each costed in closed form from its
+    configuration), and the Sec. VI embedding into a host netlist.
 ``repro.rtl``
-    RTL substrate: registers, integrated clock gates, clock trees,
-    hierarchical modules, netlists and per-cycle activity records.
+    RTL substrate: registers, shift registers, integrated clock gates and
+    glue logic in one flat netlist, the clock-tree buffer count and the
+    per-cycle activity records.
 ``repro.power``
     Power modelling calibrated to the paper's 65 nm figures.
 ``repro.soc``
-    Embedded-processor substrate: Thumb-like ISA, assembler, Cortex-M0-class
-    core, bus, SRAM, caches, background-noise models, chip I/II assemblies.
+    Embedded-processor substrate: the Cortex-M0's Dhrystone activity window
+    (shipped data), the idle background blocks, the chip I/II assemblies and
+    the host SoC netlist of Sec. VI.
 ``repro.measurement``
     The shunt / probe / oscilloscope bench, modelled per clock cycle.
 ``repro.detection``
@@ -31,6 +33,9 @@ The package is organised as follows:
     :class:`repro.core.spec.ScenarioSpec`, the pipeline runner
     (``ExperimentRunner.run`` / ``run_many``), typed result artifacts and
     the named-experiment registry behind ``python -m repro run``.
+``repro.service``
+    The signed ``/verify`` detection service over the pipeline, and its
+    client.
 
 Quickstart
 ----------

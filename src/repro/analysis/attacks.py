@@ -26,7 +26,7 @@ MAX_FRACTION_OF_DESIGN = 0.45
 #: ... and at least this many flip-flops.
 MIN_REGISTERS = 8
 #: Cell types that stop working when one of their direct drivers is removed.
-SEQUENTIAL_CELL_TYPES = ("dff", "icg", "register_bank")
+SEQUENTIAL_CELL_TYPES = ("dff", "icg")
 
 
 def find_standalone_clusters(netlist: Netlist) -> List[Set[str]]:

@@ -14,8 +14,6 @@ Two architectures are implemented (Fig. 1 of the paper):
 
 from repro.core.lfsr import (
     LFSR,
-    CircularShiftRegister,
-    SequenceGenerator,
     max_length_taps,
     max_length_period,
 )
@@ -37,8 +35,6 @@ from repro.core.embedding import embed_baseline, embed_clock_modulation
 
 __all__ = [
     "LFSR",
-    "CircularShiftRegister",
-    "SequenceGenerator",
     "max_length_taps",
     "max_length_period",
     "WatermarkGenerationCircuit",

@@ -28,13 +28,16 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.rtl.activity import ActivityRecord, ActivityTrace
-from repro.rtl.clock_tree import ClockTree
-from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, CombinationalBlock, RegisterBank
+from repro.rtl.activity import ActivityTrace
+from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, CombinationalBlock, clock_tree_buffers
 
 
 class ClockModulatedBank:
     """The redundant clock-gated register bank of the test chips (Fig. 4(a)).
+
+    The bank holds ``num_words`` words of ``word_width`` flip-flops, each
+    word behind its own integrated clock gate (ICG) whose enable is the
+    watermark bit.
 
     Parameters
     ----------
@@ -45,8 +48,6 @@ class ClockModulatedBank:
         How many registers flip their data when clocked.  The silicon
         pre-initialises all registers to 0 so no data switching occurs
         (``0``); Table I additionally evaluates 256, 512 and 1,024.
-    clock_tree_fanout:
-        Maximum fanout used when building the bank's local clock tree.
     """
 
     def __init__(
@@ -54,49 +55,38 @@ class ClockModulatedBank:
         num_words: int = 32,
         word_width: int = 32,
         switching_registers: int = 0,
-        clock_tree_fanout: int = 16,
         name: str = "cm_bank",
     ) -> None:
+        if num_words <= 0 or word_width <= 0:
+            raise ValueError("register bank dimensions must be positive")
+        total = num_words * word_width
+        if not 0 <= switching_registers <= total:
+            raise ValueError(
+                f"switching_registers must be within [0, {total}], got {switching_registers}"
+            )
         self.name = name
-        self.bank = RegisterBank(
-            f"{name}/bank",
-            num_words=num_words,
-            word_width=word_width,
-            switching_registers=switching_registers,
-        )
+        self.num_words = num_words
+        self.word_width = word_width
+        self.switching_registers = switching_registers
         self.enable_logic = CombinationalBlock(f"{name}/enable", gate_count=num_words, activity_factor=0.05)
         # Local clock tree feeding the ICGs; it sits above the gates, so it
         # keeps toggling even when the watermark disables the words.  Its
         # contribution is small (num_words sinks).
-        self.icg_clock_tree = ClockTree(f"{name}/icg_tree", num_sinks=num_words, max_fanout=clock_tree_fanout)
-
-    # -- structural properties ---------------------------------------------
+        self.icg_tree_buffers = clock_tree_buffers(num_words)
 
     @property
     def register_count(self) -> int:
         """Registers added by this (redundant) load implementation."""
-        return self.bank.total_registers
-
-    @property
-    def switching_registers(self) -> int:
-        """Registers that flip data when the watermark enables the clock."""
-        return self.bank.switching_registers
-
-    @property
-    def num_words(self) -> int:
-        """Number of clock-gated words (equals the number of ICGs)."""
-        return self.bank.num_words
+        return self.num_words * self.word_width
 
     def cell_inventory(self) -> Dict[str, int]:
         """Cell counts per library class, for leakage/area estimation."""
         return {
-            "dff": self.bank.total_registers,
-            "icg": self.bank.num_words,
-            "clk_buf": self.icg_clock_tree.buffer_count,
+            "dff": self.register_count,
+            "icg": self.num_words,
+            "clk_buf": self.icg_tree_buffers,
             "comb": self.enable_logic.gate_count,
         }
-
-    # -- behaviour ------------------------------------------------------------
 
     def activity(self, wmark: np.ndarray) -> ActivityTrace:
         """Activity of the bank over cycles whose registered WMARK is ``wmark``.
@@ -108,34 +98,23 @@ class ClockModulatedBank:
 
         * clock: every enabled word toggles its ``word_width`` register
           clock pins and its ICG's gated root, twice each; the ICG-level
-          tree above the gates keeps running every cycle;
+          tree above the gates (its buffers and the ICG clock pins) keeps
+          running every cycle;
         * data: the ``switching_registers`` flip on every enabled cycle;
         * comb: each ICG's enable latch toggles when WMARK changes (it
           powers up disabled), and the enable glue logic switches while
           enabled.
         """
         enable = np.asarray(wmark, dtype=np.int64)
-        bank = self.bank
         enable_changed = np.diff(enable, prepend=0) != 0
+        icg_tree = CLOCK_EDGES_PER_CYCLE * (self.num_words + self.icg_tree_buffers)
         return ActivityTrace(
             name=self.name,
-            clock_toggles=enable * (CLOCK_EDGES_PER_CYCLE * bank.num_words * (bank.word_width + 1))
-            + self.icg_clock_tree.toggles_per_cycle(),
-            data_toggles=enable * bank.switching_registers,
-            comb_toggles=bank.num_words * enable_changed
+            clock_toggles=enable * (CLOCK_EDGES_PER_CYCLE * self.num_words * (self.word_width + 1))
+            + icg_tree,
+            data_toggles=enable * self.switching_registers,
+            comb_toggles=self.num_words * enable_changed
             + enable * self.enable_logic.active_toggles,
-        )
-
-    def expected_active_activity(self) -> ActivityRecord:
-        """Activity of one enabled cycle, for analytical power estimates."""
-        return ActivityRecord(
-            clock_toggles=(
-                CLOCK_EDGES_PER_CYCLE * self.bank.total_registers
-                + CLOCK_EDGES_PER_CYCLE * self.bank.num_words
-                + self.icg_clock_tree.toggles_per_cycle()
-            ),
-            data_toggles=self.bank.switching_registers,
-            comb_toggles=self.enable_logic.active_toggles,
         )
 
 
@@ -165,7 +144,6 @@ class ClockModulatedIPBlock:
         modulated_registers: int,
         data_activity_factor: float = 0.0,
         num_clock_gates: Optional[int] = None,
-        clock_tree_fanout: int = 16,
         name: str = "cm_ip",
     ) -> None:
         if modulated_registers <= 0:
@@ -176,7 +154,7 @@ class ClockModulatedIPBlock:
         self.modulated_registers = modulated_registers
         self.data_activity_factor = data_activity_factor
         self.num_clock_gates = num_clock_gates or max(1, modulated_registers // 32)
-        self.clock_tree = ClockTree(f"{name}/clk_tree", num_sinks=modulated_registers, max_fanout=clock_tree_fanout)
+        self.tree_buffers = clock_tree_buffers(modulated_registers)
 
     @property
     def register_count(self) -> int:
@@ -188,29 +166,27 @@ class ClockModulatedIPBlock:
         return {
             "dff": self.modulated_registers,
             "icg": self.num_clock_gates,
-            "clk_buf": self.clock_tree.buffer_count,
+            "clk_buf": self.tree_buffers,
         }
-
-    def expected_active_activity(self) -> ActivityRecord:
-        """Activity of one enabled cycle: the block's clock tree and data."""
-        register_clocks = CLOCK_EDGES_PER_CYCLE * self.modulated_registers
-        gate_clocks = CLOCK_EDGES_PER_CYCLE * self.num_clock_gates
-        return ActivityRecord(
-            clock_toggles=register_clocks + gate_clocks + self.clock_tree.toggles_per_cycle(),
-            data_toggles=int(round(self.modulated_registers * self.data_activity_factor)),
-        )
 
     def activity(self, wmark: np.ndarray) -> ActivityTrace:
         """Activity over cycles whose registered WMARK is ``wmark``.
 
-        The sub-module is idle while WMARK is 0 and runs its enabled-cycle
-        activity while it is 1.
+        The sub-module is idle while WMARK is 0.  While it is 1 its
+        register clock pins, its gates' roots and its clock tree (the
+        buffers and the sink pins below them) toggle twice per cycle, and
+        ``data_activity_factor`` of its registers flip.
         """
         enable = np.asarray(wmark, dtype=np.int64)
-        active = self.expected_active_activity()
+        registers = self.modulated_registers
+        # Register pins, gate roots, then the tree: its buffers and its sink
+        # pins (the register pins once more), two edges each.
+        clocks = CLOCK_EDGES_PER_CYCLE * (
+            registers + self.num_clock_gates + self.tree_buffers + registers
+        )
         return ActivityTrace(
             name=self.name,
-            clock_toggles=enable * active.clock_toggles,
-            data_toggles=enable * active.data_toggles,
-            comb_toggles=enable * active.comb_toggles,
+            clock_toggles=enable * clocks,
+            data_toggles=enable * int(round(registers * self.data_activity_factor)),
+            comb_toggles=np.zeros_like(enable),
         )

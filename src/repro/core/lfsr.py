@@ -1,21 +1,20 @@
-"""Watermark sequence generators.
+"""The watermark sequence generator: a maximum-length Galois LFSR.
 
 The watermark generation circuit in the paper's test chips contains two
-32-bit sequence generators configurable as either Linear Feedback Shift
-Registers or simple circular shift registers; the experiments use a single
-generator configured as a 12-bit maximum-length LFSR (period 4,095).
+32-bit sequence generators; the experiments use a single one configured as
+a 12-bit maximum-length LFSR (period 4,095), and the other stays
+clock-gated off.
 
-Both generator types are implemented here, in closed form: the output
-bits, the register states and the switching activity of the generator
-itself (clock pins, data flips and the XOR feedback gates) are array
-expressions over the requested number of cycles.  The power estimator
-turns that activity into the WGC's share of the watermark dynamic power
-(the "Total Watermark Dynamic Power" column of Table I).
+The LFSR is computed in closed form: its output bits, its register states
+and its own switching activity (clock pins, data flips and the XOR
+feedback gates) are array expressions over the requested number of
+cycles.  The power estimator turns that activity into the WGC's share of
+the watermark dynamic power (the "Total Watermark Dynamic Power" column of
+Table I).
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -73,8 +72,8 @@ def max_length_taps(width: int) -> Tuple[int, ...]:
 # -- closed-form (vectorised) sequence generation ---------------------------
 #
 # Watermark sequences are produced without one Python iteration per bit.
-# The generators below produce arrays that are bit-identical to stepping
-# the registers; the cycle-stepping oracle lives in the test suite, which
+# The generator below produces arrays that are bit-identical to stepping
+# the register; the cycle-stepping oracle lives in the test suite, which
 # pins the equivalence for every tabulated width.
 
 #: Cache of generated output sequences keyed by generator configuration.
@@ -150,15 +149,6 @@ def galois_sequence_bits(
     return bits
 
 
-def circular_shift_sequence_bits(pattern: int, width: int, length: int) -> np.ndarray:
-    """Closed-form circular-shift-register output (the pattern, repeated)."""
-    if length <= 0:
-        raise ValueError("sequence length must be positive")
-    pattern &= (1 << width) - 1
-    stages = np.array([(pattern >> i) & 1 for i in range(width)], dtype=np.int8)
-    return stages[np.arange(length, dtype=np.int64) % width]
-
-
 def _cached_sequence_bits(key: Tuple, length: int, generate) -> np.ndarray:
     """Serve ``length`` bits from the cache, generating/extending as needed.
 
@@ -182,76 +172,7 @@ def max_length_period(width: int) -> int:
     return (1 << width) - 1
 
 
-class SequenceGenerator(abc.ABC):
-    """Common interface of watermark sequence generators.
-
-    Generators are described by their configuration alone: the output bits,
-    the register contents and the switching activity from the seed state on
-    are all computed as arrays, never by stepping the register.
-    """
-
-    def __init__(self, name: str, width: int) -> None:
-        if width < 2:
-            raise ValueError("sequence generator width must be at least 2")
-        self.name = name
-        self.width = width
-
-    @property
-    @abc.abstractmethod
-    def period(self) -> int:
-        """Length of the generated periodic sequence."""
-
-    @property
-    def register_count(self) -> int:
-        """Number of flip-flops in the generator."""
-        return self.width
-
-    def sequence(self, length: Optional[int] = None) -> np.ndarray:
-        """Generate ``length`` output bits (default: one full period).
-
-        Served by the closed-form vectorised generator, cached per
-        generator configuration; callers receive their own copy.
-        """
-        if length is None:
-            length = self.period
-        if length <= 0:
-            raise ValueError("sequence length must be positive")
-        return self._sequence_bits(length)
-
-    @abc.abstractmethod
-    def _sequence_bits(self, length: int) -> np.ndarray:
-        """Closed-form output bits (``length`` is validated)."""
-
-    @abc.abstractmethod
-    def states(self, length: int) -> np.ndarray:
-        """Register contents before each of the first ``length`` clock edges.
-
-        ``states(n)[0]`` is the seed state; the output bit of every state
-        is its least significant bit, so ``states(n) & 1 == sequence(n)``.
-        """
-
-    def activity(self, length: int) -> ActivityTrace:
-        """Switching activity of ``length`` clocked cycles from the seed.
-
-        Every cycle clocks all ``width`` stages (two clock-pin edges each)
-        and flips the bits that differ between consecutive states.
-        """
-        if length <= 0:
-            raise ValueError("activity length must be positive")
-        states = self.states(length + 1)
-        return ActivityTrace(
-            name=self.name,
-            clock_toggles=np.full(length, CLOCK_EDGES_PER_CYCLE * self.width, dtype=np.int64),
-            data_toggles=np.bitwise_count(states[:-1] ^ states[1:]).astype(np.int64),
-            comb_toggles=self._comb_toggles(states[:-1]),
-        )
-
-    def _comb_toggles(self, states: np.ndarray) -> np.ndarray:
-        """Combinational (feedback) toggles of the cycles leaving ``states``."""
-        return np.zeros(len(states), dtype=np.int64)
-
-
-class LFSR(SequenceGenerator):
+class LFSR:
     """Galois linear feedback shift register.
 
     Each clock edge shifts the register right by one stage; when the bit
@@ -260,6 +181,10 @@ class LFSR(SequenceGenerator):
     ``x^n + ... + 1``; with a primitive polynomial the register cycles
     through all ``2^n - 1`` non-zero states, so the output is a
     maximum-length sequence of period ``2^n - 1``.
+
+    The register is described by its configuration alone: the output bits,
+    the register contents and the switching activity from the seed state on
+    are all computed as arrays, never by stepping the register.
 
     Parameters
     ----------
@@ -280,7 +205,10 @@ class LFSR(SequenceGenerator):
         taps: Optional[Tuple[int, ...]] = None,
         name: str = "lfsr",
     ) -> None:
-        super().__init__(name=name, width=width)
+        if width < 2:
+            raise ValueError("LFSR width must be at least 2")
+        self.name = name
+        self.width = width
         mask = (1 << width) - 1
         seed &= mask
         if seed == 0:
@@ -302,11 +230,36 @@ class LFSR(SequenceGenerator):
 
     @property
     def period(self) -> int:
+        """Length of the generated periodic sequence."""
         return max_length_period(self.width)
 
-    def states(self, length: int) -> np.ndarray:
-        """Register contents, rebuilt stage by stage from the output bits.
+    @property
+    def register_count(self) -> int:
+        """Number of flip-flops in the generator."""
+        return self.width
 
+    def sequence(self, length: Optional[int] = None) -> np.ndarray:
+        """Generate ``length`` output bits (default: one full period).
+
+        Served by the closed-form vectorised generator, cached per
+        generator configuration; callers receive their own copy.
+        """
+        if length is None:
+            length = self.period
+        if length <= 0:
+            raise ValueError("sequence length must be positive")
+        key = ("lfsr", self.width, self.seed, tuple(sorted(set(self.taps))))
+        return _cached_sequence_bits(
+            key,
+            length,
+            lambda n: galois_sequence_bits(self.width, self.seed, self.taps, n),
+        )
+
+    def states(self, length: int) -> np.ndarray:
+        """Register contents before each of the first ``length`` clock edges.
+
+        ``states(n)[0]`` is the seed state; the output bit of every state
+        is its least significant bit, so ``states(n) & 1 == sequence(n)``.
         Stage ``i`` of state ``n`` is stage ``i - 1`` of state ``n + 1``
         with the feedback undone: ``s[n][i] = s[n + 1][i - 1] ^ f[i - 1] o[n]``
         where ``o[n] = s[n][0]`` is the output and ``f`` the feedback mask.
@@ -325,54 +278,22 @@ class LFSR(SequenceGenerator):
             states |= stage[:length] << index
         return states
 
-    def _comb_toggles(self, states: np.ndarray) -> np.ndarray:
-        # The feedback XORs switch on the cycles that shift out a 1.
-        return len(self.taps) * (states & 1)
+    def activity(self, length: int) -> ActivityTrace:
+        """Switching activity of ``length`` clocked cycles from the seed.
 
-    def _sequence_bits(self, length: int) -> np.ndarray:
-        key = ("lfsr", self.width, self.seed, tuple(sorted(set(self.taps))))
-        return _cached_sequence_bits(
-            key,
-            length,
-            lambda n: galois_sequence_bits(self.width, self.seed, self.taps, n),
+        Every cycle clocks all ``width`` stages (two clock-pin edges each)
+        and flips the bits that differ between consecutive states; the
+        feedback XORs switch on the cycles that shift out a 1.
+        """
+        if length <= 0:
+            raise ValueError("activity length must be positive")
+        states = self.states(length + 1)
+        return ActivityTrace(
+            name=self.name,
+            clock_toggles=np.full(length, CLOCK_EDGES_PER_CYCLE * self.width, dtype=np.int64),
+            data_toggles=np.bitwise_count(states[:-1] ^ states[1:]).astype(np.int64),
+            comb_toggles=len(self.taps) * (states[:-1] & 1),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LFSR(width={self.width}, taps={self.taps}, seed={self.seed:#x})"
-
-
-class CircularShiftRegister(SequenceGenerator):
-    """A circular shift register emitting a fixed, user-chosen pattern.
-
-    The test-chip WGC can be configured in this mode; the register rotates
-    right by one stage per clock edge, so the watermark sequence is simply
-    the register's initial pattern repeated forever.
-    """
-
-    def __init__(self, pattern: int, width: int = 32, name: str = "csr") -> None:
-        super().__init__(name=name, width=width)
-        self.pattern = pattern & ((1 << width) - 1)
-
-    @property
-    def period(self) -> int:
-        return self.width
-
-    def states(self, length: int) -> np.ndarray:
-        """The pattern rotated right by ``n`` stages, for ``n < length``."""
-        if length <= 0:
-            raise ValueError("state count must be positive")
-        shifts = np.arange(length, dtype=np.int64) % self.width
-        pattern = np.int64(self.pattern)
-        mask = np.int64((1 << self.width) - 1)
-        return ((pattern >> shifts) | (pattern << (self.width - shifts))) & mask
-
-    def _sequence_bits(self, length: int) -> np.ndarray:
-        key = ("csr", self.width, self.pattern)
-        return _cached_sequence_bits(
-            key,
-            length,
-            lambda n: circular_shift_sequence_bits(self.pattern, self.width, n),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CircularShiftRegister(width={self.width}, pattern={self.pattern:#x})"

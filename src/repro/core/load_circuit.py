@@ -15,7 +15,7 @@ technique removes.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from repro.power.estimator import (
     PAPER_CLOCK_BUFFER_POWER_W,
     PAPER_DATA_SWITCHING_POWER_W,
 )
-from repro.rtl.activity import ActivityRecord, ActivityTrace
-from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, ShiftRegister
+from repro.rtl.activity import ActivityTrace
+from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 
 
 def registers_for_load_power(
@@ -50,6 +50,11 @@ def registers_for_load_power(
 class LoadCircuit:
     """A bank of shift registers acting as the watermark load.
 
+    The ``num_registers`` flip-flops form words of ``word_width`` bits, the
+    last word holding the remainder.  Each word is initialised with the
+    alternating ``1010...`` pattern and rotates by one position per
+    enabled cycle.
+
     Parameters
     ----------
     num_registers:
@@ -69,25 +74,12 @@ class LoadCircuit:
         self.name = name
         self.word_width = word_width
         self.num_registers = num_registers
-        self.words: List[ShiftRegister] = []
-        remaining = num_registers
-        index = 0
-        while remaining > 0:
-            width = min(word_width, remaining)
-            self.words.append(ShiftRegister(f"{name}/sr{index}", width=width))
-            remaining -= width
-            index += 1
 
     # -- structural properties ---------------------------------------------
 
     @property
     def register_count(self) -> int:
         """Total number of flip-flops."""
-        return self.num_registers
-
-    @property
-    def cell_count(self) -> int:
-        """Library cell count (one DFF per bit)."""
         return self.num_registers
 
     def cell_inventory(self) -> Dict[str, int]:
@@ -99,24 +91,21 @@ class LoadCircuit:
     def activity(self, wmark: np.ndarray) -> ActivityTrace:
         """Activity over cycles whose registered WMARK is ``wmark``.
 
-        When ``WMARK`` is 1 every word shifts: all clock pins toggle and,
-        thanks to the alternating initialisation, every bit flips (all but
-        one in an odd-width word, see
-        :attr:`~repro.rtl.components.ShiftRegister.toggles_per_shift`).
-        When ``WMARK`` is 0 the shift-enable is low and the circuit is idle.
+        When ``WMARK`` is 1 every word shifts and all clock pins toggle.  A
+        rotation flips bit ``i`` exactly when it differs from its cyclic
+        neighbour, and rotating preserves the number of such neighbour
+        pairs, so with the alternating initialisation every shift flips
+        all bits of an even-width word and all but one of an odd-width
+        word.  When ``WMARK`` is 0 the shift-enable is low and the circuit
+        is idle.
         """
         enable = np.asarray(wmark, dtype=np.int64)
-        toggles_per_shift = sum(word.toggles_per_shift for word in self.words)
+        full_words, last = divmod(self.num_registers, self.word_width)
+        width = self.word_width
+        toggles_per_shift = full_words * (width - width % 2) + last - last % 2
         return ActivityTrace(
             name=self.name,
             clock_toggles=enable * (CLOCK_EDGES_PER_CYCLE * self.num_registers),
             data_toggles=enable * toggles_per_shift,
             comb_toggles=np.zeros(len(enable), dtype=np.int64),
-        )
-
-    def expected_active_activity(self) -> ActivityRecord:
-        """Activity of one enabled cycle, for analytical power estimates."""
-        return ActivityRecord(
-            clock_toggles=CLOCK_EDGES_PER_CYCLE * self.num_registers,
-            data_toggles=self.num_registers,
         )

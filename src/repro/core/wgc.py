@@ -11,18 +11,18 @@ Two variants matter for the paper's numbers:
   12-bit maximum-length LFSR, i.e. 12 registers;
 * the *test-chip* WGC (Fig. 4(a)) -- two 32-bit sequence generators plus
   configuration/control logic, of which a single generator configured as a
-  12-bit LFSR is used during the experiments.  Its (larger) dynamic power
-  is what makes the load circuit "only" 95.6%-98% of the total watermark
-  dynamic power in Table I.
+  12-bit LFSR is used during the experiments; the other one's flip-flops
+  only leak.  Its (larger) dynamic power is what makes the load circuit
+  "only" 95.6%-98% of the total watermark dynamic power in Table I.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.lfsr import LFSR, CircularShiftRegister, SequenceGenerator
+from repro.core.lfsr import LFSR
 from repro.rtl.activity import ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, CombinationalBlock
 
@@ -32,40 +32,35 @@ class WatermarkGenerationCircuit:
 
     Parameters
     ----------
-    generators:
-        The sequence generators physically present in the circuit.  Only
-        ``generators[active_index]`` contributes to the output; the others
-        are assumed clock-gated off (they still leak and occupy area).
-    active_index:
-        Which generator drives the ``WMARK`` output.
+    lfsr:
+        The sequence generator that drives the ``WMARK`` output.
     control_gates:
         Size of the configuration/control glue logic in NAND2-equivalents.
     always_clocked_registers:
         Registers (e.g. configuration registers) whose clock is never gated;
         they add clock-buffer power every cycle.
+    idle_registers:
+        Flip-flops of generators that are present but clock-gated off; they
+        leak and occupy area but never toggle.
     name:
         Instance name.
     """
 
     def __init__(
         self,
-        generators: List[SequenceGenerator],
-        active_index: int = 0,
+        lfsr: LFSR,
         control_gates: int = 8,
         always_clocked_registers: int = 0,
+        idle_registers: int = 0,
         name: str = "wgc",
     ) -> None:
-        if not generators:
-            raise ValueError("WGC needs at least one sequence generator")
-        if not 0 <= active_index < len(generators):
-            raise ValueError("active_index outside the generator list")
         self.name = name
-        self.generators = generators
-        self.active_index = active_index
+        self.lfsr = lfsr
         self.control = CombinationalBlock(
             f"{name}/control", gate_count=max(1, control_gates), activity_factor=0.1
         )
         self.always_clocked_registers = always_clocked_registers
+        self.idle_registers = idle_registers
 
     # -- constructors -----------------------------------------------------
 
@@ -73,7 +68,7 @@ class WatermarkGenerationCircuit:
     def minimal(cls, width: int = 12, seed: int = 1, name: str = "wgc") -> "WatermarkGenerationCircuit":
         """The minimal WGC of the area analysis: a single ``width``-bit LFSR."""
         return cls(
-            generators=[LFSR(width=width, seed=seed, name=f"{name}/lfsr")],
+            lfsr=LFSR(width=width, seed=seed, name=f"{name}/lfsr"),
             control_gates=4,
             always_clocked_registers=0,
             name=name,
@@ -89,43 +84,30 @@ class WatermarkGenerationCircuit:
         """The WGC embedded in the paper's test chips (Fig. 4(a)).
 
         Two 32-bit sequence generators are present; a single one is used,
-        configured as an ``active_width``-bit maximum-length LFSR.  The
-        unused stages of the active generator remain clocked (they are part
-        of the same 32-bit register), which is modelled by
-        ``always_clocked_registers``.
+        configured as an ``active_width``-bit maximum-length LFSR, and the
+        other one's 32 flip-flops stay clock-gated off.  The unused stages
+        of the active generator remain clocked (they are part of the same
+        32-bit register), which is modelled by ``always_clocked_registers``.
         """
-        active = LFSR(width=active_width, seed=seed, name=f"{name}/lfsr0")
-        spare = CircularShiftRegister(pattern=0xAAAAAAAA, width=32, name=f"{name}/gen1")
         return cls(
-            generators=[active, spare],
-            active_index=0,
+            lfsr=LFSR(width=active_width, seed=seed, name=f"{name}/lfsr0"),
             control_gates=24,
             always_clocked_registers=32 - active_width + 8,
+            idle_registers=32,
             name=name,
         )
 
     # -- structural properties ---------------------------------------------
 
     @property
-    def active_generator(self) -> SequenceGenerator:
-        """The sequence generator currently driving ``WMARK``."""
-        return self.generators[self.active_index]
-
-    @property
     def period(self) -> int:
         """Period of the watermark sequence."""
-        return self.active_generator.period
+        return self.lfsr.period
 
     @property
     def register_count(self) -> int:
-        """Total flip-flop count of the WGC (all generators plus config)."""
-        generators = sum(g.register_count for g in self.generators)
-        return generators + self.always_clocked_registers
-
-    @property
-    def cell_count(self) -> int:
-        """Library cell count (registers plus control gates)."""
-        return self.register_count + self.control.gate_count
+        """Total flip-flop count of the WGC (both generators plus config)."""
+        return self.lfsr.register_count + self.idle_registers + self.always_clocked_registers
 
     def cell_inventory(self) -> Dict[str, int]:
         """Cell counts per library class, for leakage and area estimation."""
@@ -136,17 +118,17 @@ class WatermarkGenerationCircuit:
     def activity(self, length: int) -> ActivityTrace:
         """The WGC's switching activity over ``length`` cycles from reset.
 
-        Every cycle clocks the active generator, the always-clocked
-        configuration registers and the control logic; the generator's
-        data and feedback toggles follow its state sequence.
+        Every cycle clocks the LFSR, the always-clocked configuration
+        registers and the control logic; the LFSR's data and feedback
+        toggles follow its state sequence.
         """
-        generator = self.active_generator.activity(length)
+        lfsr = self.lfsr.activity(length)
         return ActivityTrace(
             name=self.name,
-            clock_toggles=generator.clock_toggles
+            clock_toggles=lfsr.clock_toggles
             + CLOCK_EDGES_PER_CYCLE * self.always_clocked_registers,
-            data_toggles=generator.data_toggles,
-            comb_toggles=generator.comb_toggles + self.control.active_toggles,
+            data_toggles=lfsr.data_toggles,
+            comb_toggles=lfsr.comb_toggles + self.control.active_toggles,
         )
 
     def sequence(self, length: Optional[int] = None) -> np.ndarray:
@@ -155,4 +137,4 @@ class WatermarkGenerationCircuit:
         This is the model vector ``X`` the CPA detector correlates against
         (after the detector's own rotation handling).
         """
-        return self.active_generator.sequence(length)
+        return self.lfsr.sequence(length)

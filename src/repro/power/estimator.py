@@ -55,7 +55,6 @@ LEAKAGE_W: Mapping[str, float] = {
     "icg": 0.45e-9,
     "clk_buf": 0.25e-9,
     "comb": 0.15e-9,
-    "register_bank": 0.38e-9,
     "sram": 0.05e-9,
 }
 

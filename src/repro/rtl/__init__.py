@@ -1,9 +1,10 @@
 """Register-transfer-level circuit substrate.
 
-This package provides the structural building blocks used by the watermark
-architectures and by the SoC model: sequential and clock-network
-components, a flat netlist graph, and the per-cycle switching-activity
-records the power estimator consumes.
+This package provides the structural building blocks of the Sec. VI
+netlists (registers, shift registers, clock gates and glue logic in one
+flat graph), the clock-tree buffer count the watermark circuits are costed
+with, and the per-cycle switching-activity records the power estimator
+consumes.
 
 The substrate is intentionally cycle-accurate rather than event-accurate:
 Correlation Power Analysis (the paper's detection technique) consumes one
@@ -15,13 +16,11 @@ from repro.rtl.activity import ActivityRecord, ActivityTrace
 from repro.rtl.components import (
     Component,
     Register,
-    RegisterBank,
     ClockGate,
-    ClockBuffer,
     CombinationalBlock,
     ShiftRegister,
+    clock_tree_buffers,
 )
-from repro.rtl.clock_tree import ClockTree, ClockTreeLevel
 from repro.rtl.netlist import Netlist
 
 __all__ = [
@@ -29,12 +28,9 @@ __all__ = [
     "ActivityTrace",
     "Component",
     "Register",
-    "RegisterBank",
     "ClockGate",
-    "ClockBuffer",
     "CombinationalBlock",
     "ShiftRegister",
-    "ClockTree",
-    "ClockTreeLevel",
+    "clock_tree_buffers",
     "Netlist",
 ]

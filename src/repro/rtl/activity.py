@@ -103,19 +103,6 @@ class ActivityTrace:
         """Per-cycle total transition count."""
         return self.clock_toggles + self.data_toggles + self.comb_toggles
 
-    def add(self, other: "ActivityTrace") -> "ActivityTrace":
-        """Element-wise sum of two traces of equal length."""
-        if len(self) != len(other):
-            raise ValueError(
-                f"cannot add traces of different lengths ({len(self)} vs {len(other)})"
-            )
-        return ActivityTrace(
-            name=f"{self.name}+{other.name}",
-            clock_toggles=self.clock_toggles + other.clock_toggles,
-            data_toggles=self.data_toggles + other.data_toggles,
-            comb_toggles=self.comb_toggles + other.comb_toggles,
-        )
-
     def tile(self, num_cycles: int) -> "ActivityTrace":
         """Repeat the trace until it covers ``num_cycles`` cycles.
 

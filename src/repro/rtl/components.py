@@ -1,8 +1,9 @@
 """Sequential, clock-network and combinational components.
 
 Components are structural: each carries its cell type, register count and
-cell count for the netlist, area and leakage analysis, plus the constants
-the closed-form activity of the watermark circuits is built from.
+cell count for the netlist, area and leakage analysis.  The constants and
+the clock-tree buffer count the closed-form activity of the watermark
+circuits is built from live here too.
 
 The clock-power model follows Section II of the paper: when a register's
 clock is *enabled*, its internal clock buffer toggles twice per cycle
@@ -19,6 +20,27 @@ from __future__ import annotations
 #: Clock-net transitions per cycle when the clock is propagated.
 CLOCK_EDGES_PER_CYCLE = 2
 
+#: Loads one clock-tree buffer drives (a conservative 65 nm CTS fanout).
+CLOCK_TREE_FANOUT = 16
+
+
+def clock_tree_buffers(num_sinks: int) -> int:
+    """Buffers of a balanced clock tree over ``num_sinks`` clock pins.
+
+    Each level drives the loads below it with ``ceil(loads / 16)`` buffers,
+    up to a single root buffer.  While the tree runs, every buffer output
+    and every sink pin toggles twice per cycle.
+    """
+    if num_sinks <= 0:
+        raise ValueError("clock tree needs at least one sink")
+    buffers = 0
+    loads = num_sinks
+    while True:
+        loads = -(-loads // CLOCK_TREE_FANOUT)
+        buffers += loads
+        if loads == 1:
+            return buffers
+
 
 class Component:
     """Base class for all structural components.
@@ -28,7 +50,7 @@ class Component:
     name:
         Hierarchical instance name, unique within a netlist.
     cell_type:
-        Cell class (``"dff"``, ``"icg"``, ``"clk_buf"``, ``"comb"``); the
+        Cell class (``"dff"``, ``"icg"``, ``"comb"``); the
         removal-attack analysis tells sequential cells apart by it.
     """
 
@@ -88,20 +110,6 @@ class ShiftRegister(Register):
                 pattern |= 1 << i
         super().__init__(name, width=width, reset_value=pattern)
 
-    @property
-    def toggles_per_shift(self) -> int:
-        """Data toggles of one enabled cycle (one rotation).
-
-        A rotation flips bit ``i`` exactly when it differs from its cyclic
-        neighbour, and rotating preserves the number of such neighbour
-        pairs, so every shift flips the same count: all ``width`` bits for
-        an even width, ``width - 1`` for an odd one.
-        """
-        mask = (1 << self.width) - 1
-        value = self.reset_value
-        rotated = ((value << 1) | (value >> (self.width - 1))) & mask
-        return (value ^ rotated).bit_count()
-
 
 class ClockGate(Component):
     """An integrated clock-gating cell (ICG).
@@ -114,21 +122,6 @@ class ClockGate(Component):
 
     def __init__(self, name: str) -> None:
         super().__init__(name, cell_type="icg")
-
-
-class ClockBuffer(Component):
-    """A clock-tree buffer driving a sub-tree of sinks.
-
-    Buffers toggle twice per cycle whenever their branch of the clock tree
-    is active.  The number of sinks is retained so that clock-tree power can
-    be reported per level.
-    """
-
-    def __init__(self, name: str, fanout: int = 1) -> None:
-        super().__init__(name, cell_type="clk_buf")
-        if fanout <= 0:
-            raise ValueError("clock buffer fanout must be positive")
-        self.fanout = fanout
 
 
 class CombinationalBlock(Component):
@@ -156,49 +149,3 @@ class CombinationalBlock(Component):
     def active_toggles(self) -> int:
         """Transitions during one active cycle (the activity-factor estimate)."""
         return int(round(self.gate_count * self.activity_factor))
-
-
-class RegisterBank(Component):
-    """A bank of clock-gated register words (the redundant logic of Fig. 4(a)).
-
-    The paper's test-chip watermark contains 1,024 registers organised as 32
-    words of 32 bits, each word clock-gated by one ICG whose enable is driven
-    by the watermark bit.  The bank generalises that structure: ``num_words``
-    words of ``word_width`` bits, each with its own :class:`ClockGate`.
-
-    ``switching_registers`` selects how many registers toggle their *data*
-    when clocked (Table I sweeps 0, 256, 512 and 1,024); the remaining
-    registers only burn clock-buffer power.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        num_words: int = 32,
-        word_width: int = 32,
-        switching_registers: int = 0,
-    ) -> None:
-        super().__init__(name, cell_type="register_bank")
-        if num_words <= 0 or word_width <= 0:
-            raise ValueError("register bank dimensions must be positive")
-        total = num_words * word_width
-        if not 0 <= switching_registers <= total:
-            raise ValueError(
-                f"switching_registers must be within [0, {total}], got {switching_registers}"
-            )
-        self.num_words = num_words
-        self.word_width = word_width
-        self.switching_registers = switching_registers
-
-    @property
-    def total_registers(self) -> int:
-        """Total number of flip-flops in the bank."""
-        return self.num_words * self.word_width
-
-    @property
-    def register_count(self) -> int:
-        return self.total_registers
-
-    @property
-    def cell_count(self) -> int:
-        return self.total_registers + self.num_words

@@ -25,15 +25,6 @@ class IPBlockSpec:
     word_width: int = 32
     comb_gates: int = 200
 
-    def __post_init__(self) -> None:
-        if self.num_words <= 0 or self.word_width <= 0 or self.comb_gates <= 0:
-            raise ValueError("IP block dimensions must be positive")
-
-    @property
-    def register_count(self) -> int:
-        """Flip-flops in the block."""
-        return self.num_words * self.word_width
-
 
 #: Sub-module mix approximating a Cortex-M0-class SoC.
 SOC_BLOCKS: tuple = (

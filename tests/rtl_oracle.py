@@ -2,42 +2,46 @@
 
 The library computes watermark activity in closed form: one period of the
 WGC and of every load type is a set of array expressions of the WMARK
-vector (:meth:`repro.core.architectures.WatermarkArchitecture.periodic_activity`).
-This module keeps the register-transfer model those expressions stand
-for, advanced one clock edge at a time from reset, so the tests can check
-the two against each other exactly:
+vector (:meth:`repro.core.architectures.WatermarkArchitecture.periodic_activity`),
+costed from the circuits' configuration alone.  This module keeps the
+register-transfer model those expressions stand for, advanced one clock
+edge at a time from reset, so the tests can check the two against each
+other exactly:
 
 * stateful twins of the library components (:class:`Register`,
-  :class:`ShiftRegister`, :class:`ClockGate`, :class:`CombinationalBlock`,
-  :class:`RegisterBank`) whose ``step`` returns the
-  :class:`ActivityRecord` of one cycle;
-* stateful sequence generators (:class:`LFSR`,
-  :class:`CircularShiftRegister`), :func:`stepped_sequence` and the WGC
-  built from them;
+  :class:`ShiftRegister`, :class:`ClockGate`, :class:`CombinationalBlock`)
+  whose ``step`` returns the :class:`ActivityRecord` of one cycle;
+* :class:`RegisterBank`, a bank of those register words each behind its
+  own clock gate, and :class:`ClockTree`, a buffer tree built level by
+  level (the library only counts its buffers, with
+  :func:`repro.rtl.components.clock_tree_buffers`);
+* a stateful :class:`LFSR`, :func:`stepped_sequence` and the WGC built
+  from it;
 * the three power-pattern producers (:class:`ClockModulatedBank`,
-  :class:`ClockModulatedIPBlock`, :class:`LoadCircuit`);
+  :class:`ClockModulatedIPBlock`, :class:`LoadCircuit`), each holding its
+  own register words, gates and trees;
 * :class:`SteppedWatermark`, a whole architecture, and
   :func:`stepped_activity`, its per-cycle traces;
 * :func:`trace_from_records`, which builds a trace from the per-cycle
   records a stepping model returns, and :func:`hamming_distance`, the
   bits a register update toggles.
 
-Each twin subclasses the library class it mirrors, so it takes the same
-constructor arguments and reuses the library's structure and validation;
-only the state and the per-cycle behaviour the closed form stands for are
+Each twin of a library class subclasses it, so it takes the same
+constructor arguments and reuses the library's validation; the state, the
+structure the closed form summarises and the per-cycle behaviour are
 added here.  A twin starts at reset; build a new one to start again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import clock_modulation, lfsr, load_circuit, wgc
 from repro.rtl import components
 from repro.rtl.activity import ActivityRecord, ActivityTrace
-from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
+from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, CLOCK_TREE_FANOUT
 
 ZERO_ACTIVITY = ActivityRecord()
 
@@ -121,16 +125,20 @@ class CombinationalBlock(components.CombinationalBlock):
         return ActivityRecord(comb_toggles=int(round(self.gate_count * self.activity_factor)))
 
 
-class RegisterBank(components.RegisterBank):
-    """A bank of word registers, each behind its own ICG."""
+class RegisterBank:
+    """A bank of register words, each behind its own ICG, reset to zero."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.words = [
-            Register(f"{self.name}/word{i}", width=self.word_width, reset_value=0)
-            for i in range(self.num_words)
-        ]
-        self.clock_gates = [ClockGate(f"{self.name}/icg{i}") for i in range(self.num_words)]
+    def __init__(
+        self, name: str, num_words: int, word_width: int, switching_registers: int = 0
+    ) -> None:
+        self.name = name
+        self.switching_registers = switching_registers
+        self.words = [Register(f"{name}/word{i}", width=word_width) for i in range(num_words)]
+        self.clock_gates = [ClockGate(f"{name}/icg{i}") for i in range(num_words)]
+
+    @property
+    def total_registers(self) -> int:
+        return sum(word.width for word in self.words)
 
     def step(self, enable: bool) -> ActivityRecord:
         """One cycle with ``enable`` on every ICG.
@@ -148,6 +156,43 @@ class RegisterBank(components.RegisterBank):
             remaining_switching -= switching_bits
             total = total + word.step(word.value ^ ((1 << switching_bits) - 1))
         return total
+
+
+class ClockTree:
+    """A balanced clock buffer tree over ``num_sinks`` pins, built level by level.
+
+    ``levels[0]`` lists the loads each leaf buffer drives: the sinks dealt
+    out ``CLOCK_TREE_FANOUT`` at a time.  Every further level deals out
+    the buffers of the level below the same way, until one root buffer
+    drives the rest.
+    """
+
+    def __init__(self, num_sinks: int) -> None:
+        self.num_sinks = num_sinks
+        self.levels: List[List[int]] = []
+        loads = num_sinks
+        while not self.levels or len(self.levels[-1]) > 1:
+            level = []
+            while loads > 0:
+                level.append(min(CLOCK_TREE_FANOUT, loads))
+                loads -= level[-1]
+            self.levels.append(level)
+            loads = len(level)
+
+    @property
+    def buffer_count(self) -> int:
+        return sum(len(level) for level in self.levels)
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
+
+    def step(self, running: bool) -> ActivityRecord:
+        """Every buffer output and sink pin toggles twice while the tree runs."""
+        if not running:
+            return ZERO_ACTIVITY
+        nodes = self.num_sinks + self.buffer_count
+        return ActivityRecord(clock_toggles=CLOCK_EDGES_PER_CYCLE * nodes)
 
 
 # -- sequence generators and the WGC ------------------------------------------
@@ -176,36 +221,12 @@ class LFSR(lfsr.LFSR):
         return self.state & 1, activity
 
 
-class CircularShiftRegister(lfsr.CircularShiftRegister):
-    """A circular shift register holding its state."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.state = self.pattern
-
-    def step(self) -> Tuple[int, ActivityRecord]:
-        """Rotate right by one stage."""
-        lsb = self.state & 1
-        next_state = (self.state >> 1) | (lsb << (self.width - 1))
-        data_toggles = hamming_distance(self.state, next_state, self.width)
-        self.state = next_state
-        activity = ActivityRecord(
-            clock_toggles=CLOCK_EDGES_PER_CYCLE * self.width,
-            data_toggles=data_toggles,
-        )
-        return self.state & 1, activity
+def stepped_generator(generator: lfsr.LFSR) -> LFSR:
+    """The stateful twin of a library LFSR, at its seed."""
+    return LFSR(width=generator.width, seed=generator.seed, taps=generator.taps, name=generator.name)
 
 
-def stepped_generator(generator: lfsr.SequenceGenerator):
-    """The stateful twin of a library sequence generator, at its seed."""
-    if isinstance(generator, lfsr.LFSR):
-        return LFSR(width=generator.width, seed=generator.seed, taps=generator.taps, name=generator.name)
-    if isinstance(generator, lfsr.CircularShiftRegister):
-        return CircularShiftRegister(pattern=generator.pattern, width=generator.width, name=generator.name)
-    raise TypeError(f"no stepping twin for {type(generator).__name__}")
-
-
-def stepped_sequence(generator: lfsr.SequenceGenerator, length: int) -> np.ndarray:
+def stepped_sequence(generator: lfsr.LFSR, length: int) -> np.ndarray:
     """``length`` output bits of ``generator`` from its seed, one step each."""
     twin = stepped_generator(generator)
     bits = [twin.state & 1] + [twin.step()[0] for _ in range(length - 1)]
@@ -213,22 +234,23 @@ def stepped_sequence(generator: lfsr.SequenceGenerator, length: int) -> np.ndarr
 
 
 class WatermarkGenerationCircuit(wgc.WatermarkGenerationCircuit):
-    """A WGC whose generators hold state and step.
+    """A WGC whose LFSR holds state and steps.
 
-    Library generators passed in (as the ``minimal``/``test_chip``
-    constructors do) are replaced by their stepping twins.
+    A library LFSR passed in (as the ``minimal``/``test_chip`` constructors
+    do) is replaced by its stepping twin.  The idle generator's flip-flops
+    are clock-gated off, so they never add activity.
     """
 
-    def __init__(self, generators, *args, **kwargs) -> None:
-        super().__init__([stepped_generator(g) for g in generators], *args, **kwargs)
+    def __init__(self, lfsr, *args, **kwargs) -> None:
+        super().__init__(stepped_generator(lfsr), *args, **kwargs)
         self.control = CombinationalBlock(
             self.control.name, self.control.gate_count, self.control.activity_factor
         )
-        self.wmark = self.active_generator.state & 1
+        self.wmark = self.lfsr.state & 1
 
     def step(self) -> Tuple[int, ActivityRecord]:
-        """Advance the active generator; add config clocks and control logic."""
-        self.wmark, generator_activity = self.active_generator.step()
+        """Advance the LFSR; add config clocks and control logic."""
+        self.wmark, generator_activity = self.lfsr.step()
         config_activity = ActivityRecord(
             clock_toggles=CLOCK_EDGES_PER_CYCLE * self.always_clocked_registers
         )
@@ -238,10 +260,10 @@ class WatermarkGenerationCircuit(wgc.WatermarkGenerationCircuit):
 def stepped_wgc(circuit: wgc.WatermarkGenerationCircuit) -> WatermarkGenerationCircuit:
     """The stateful twin of a library WGC, at reset."""
     return WatermarkGenerationCircuit(
-        generators=circuit.generators,
-        active_index=circuit.active_index,
+        lfsr=circuit.lfsr,
         control_gates=circuit.control.gate_count,
         always_clocked_registers=circuit.always_clocked_registers,
+        idle_registers=circuit.idle_registers,
         name=circuit.name,
     )
 
@@ -250,16 +272,17 @@ def stepped_wgc(circuit: wgc.WatermarkGenerationCircuit) -> WatermarkGenerationC
 
 
 class ClockModulatedBank(clock_modulation.ClockModulatedBank):
-    """The redundant bank with stateful words and gates."""
+    """The redundant bank with stateful words, gates and ICG-level tree."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.bank = RegisterBank(
-            self.bank.name,
-            num_words=self.bank.num_words,
-            word_width=self.bank.word_width,
-            switching_registers=self.bank.switching_registers,
+            f"{self.name}/bank",
+            num_words=self.num_words,
+            word_width=self.word_width,
+            switching_registers=self.switching_registers,
         )
+        self.icg_tree = ClockTree(self.num_words)
         self.enable_logic = CombinationalBlock(
             self.enable_logic.name,
             gate_count=self.enable_logic.gate_count,
@@ -273,31 +296,46 @@ class ClockModulatedBank(clock_modulation.ClockModulatedBank):
         running; the enable glue logic switches while enabled.
         """
         enable = bool(wmark)
-        tree = ActivityRecord(clock_toggles=self.icg_clock_tree.toggles_per_cycle())
-        return self.bank.step(enable) + tree + self.enable_logic.step(active=enable)
+        return (
+            self.bank.step(enable)
+            + self.icg_tree.step(running=True)
+            + self.enable_logic.step(active=enable)
+        )
 
 
 class ClockModulatedIPBlock(clock_modulation.ClockModulatedIPBlock):
+    """The reused IP block with its own clock tree."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.clock_tree = ClockTree(self.modulated_registers)
+
     def step(self, wmark: int) -> ActivityRecord:
-        """The block's clock tree and data while ``WMARK`` is high."""
+        """The block's register and gate clocks, its tree and data while ``WMARK`` is high."""
         if not wmark:
             return ZERO_ACTIVITY
         register_clocks = CLOCK_EDGES_PER_CYCLE * self.modulated_registers
         gate_clocks = CLOCK_EDGES_PER_CYCLE * self.num_clock_gates
-        tree_clocks = self.clock_tree.toggles_per_cycle()
         data = int(round(self.modulated_registers * self.data_activity_factor))
-        return ActivityRecord(
-            clock_toggles=register_clocks + gate_clocks + tree_clocks,
-            data_toggles=data,
-        )
+        own = ActivityRecord(clock_toggles=register_clocks + gate_clocks, data_toggles=data)
+        return own + self.clock_tree.step(running=True)
 
 
 class LoadCircuit(load_circuit.LoadCircuit):
-    """The baseline load with stateful shift-register words."""
+    """The baseline load with stateful shift-register words.
+
+    The registers are dealt into ``word_width``-bit words; the last word
+    holds the remainder.
+    """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.words = [ShiftRegister(word.name, width=word.width) for word in self.words]
+        self.words: List[ShiftRegister] = []
+        remaining = self.num_registers
+        while remaining > 0:
+            width = min(self.word_width, remaining)
+            self.words.append(ShiftRegister(f"{self.name}/sr{len(self.words)}", width=width))
+            remaining -= width
 
     def step(self, wmark: int) -> ActivityRecord:
         """Every word shifts while WMARK is 1; idle otherwise."""
@@ -313,9 +351,8 @@ def stepped_producer(producer):
     if isinstance(producer, clock_modulation.ClockModulatedBank):
         return ClockModulatedBank(
             num_words=producer.num_words,
-            word_width=producer.bank.word_width,
+            word_width=producer.word_width,
             switching_registers=producer.switching_registers,
-            clock_tree_fanout=producer.icg_clock_tree.max_fanout,
             name=producer.name,
         )
     if isinstance(producer, clock_modulation.ClockModulatedIPBlock):
@@ -323,7 +360,6 @@ def stepped_producer(producer):
             modulated_registers=producer.modulated_registers,
             data_activity_factor=producer.data_activity_factor,
             num_clock_gates=producer.num_clock_gates,
-            clock_tree_fanout=producer.clock_tree.max_fanout,
             name=producer.name,
         )
     if isinstance(producer, load_circuit.LoadCircuit):

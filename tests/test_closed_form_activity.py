@@ -1,23 +1,25 @@
 """Closed-form watermark activity equals cycle stepping, exactly.
 
 Every producer's array method is compared with the stepping oracle in
-``rtl_oracle`` over hypothesis-generated configurations: the sequence
-generators and both WGC flavours, the clock-modulated bank, the reused IP
-block and the baseline load circuit (including trailing partial words of
-odd width), under arbitrary WMARK vectors and under the watermark's own
-period.  The activity arrays are integers, so equality is exact.
+``rtl_oracle`` over hypothesis-generated configurations: the LFSR and both
+WGC flavours, the clock-modulated bank, the reused IP block and the
+baseline load circuit (including trailing partial words of odd width),
+under arbitrary WMARK vectors and under the watermark's own period.  The
+clock-tree buffer count is compared with the oracle's level-by-level tree.
+The activity arrays are integers, so equality is exact.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rtl_oracle
 from repro.core.architectures import BaselineWatermark, ClockModulationWatermark
 from repro.core.clock_modulation import ClockModulatedBank, ClockModulatedIPBlock
 from repro.core.config import WatermarkConfig
-from repro.core.lfsr import LFSR, CircularShiftRegister, max_length_period
+from repro.core.lfsr import LFSR, max_length_period
 from repro.core.load_circuit import LoadCircuit
 from repro.core.wgc import WatermarkGenerationCircuit
+from repro.rtl.components import clock_tree_buffers
 
 FIELDS = ("clock_toggles", "data_toggles", "comb_toggles")
 
@@ -71,19 +73,6 @@ def test_lfsr_with_non_maximum_taps_matches_stepping(seed, length):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    width=st.integers(min_value=2, max_value=32),
-    pattern=st.integers(min_value=0, max_value=2**32 - 1),
-    length=st.integers(min_value=1, max_value=80),
-)
-def test_circular_shift_register_activity_matches_stepping(width, pattern, length):
-    csr = CircularShiftRegister(pattern=pattern, width=width)
-    twin = rtl_oracle.stepped_generator(csr)
-    records = [twin.step()[1] for _ in range(length)]
-    _assert_equal(csr.activity(length), rtl_oracle.trace_from_records("csr", records))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
     width=st.integers(min_value=2, max_value=10),
     seed=st.integers(min_value=1, max_value=1023),
     test_chip=st.booleans(),
@@ -100,19 +89,16 @@ def test_wgc_activity_matches_stepping(width, seed, test_chip, length):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    num_words=st.integers(min_value=1, max_value=8),
+    num_words=st.integers(min_value=1, max_value=40),
     word_width=st.integers(min_value=1, max_value=12),
     switching_fraction=st.floats(min_value=0.0, max_value=1.0),
-    fanout=st.integers(min_value=2, max_value=20),
     wmark=wmark_vectors,
 )
-def test_clock_modulated_bank_matches_stepping(num_words, word_width, switching_fraction, fanout, wmark):
+def test_clock_modulated_bank_matches_stepping(num_words, word_width, switching_fraction, wmark):
+    # Up to 40 words puts the ICG-level tree at one and two levels.
     switching = int(switching_fraction * num_words * word_width)
     bank = ClockModulatedBank(
-        num_words=num_words,
-        word_width=word_width,
-        switching_registers=switching,
-        clock_tree_fanout=fanout,
+        num_words=num_words, word_width=word_width, switching_registers=switching
     )
     _assert_equal(bank.activity(np.array(wmark)), _stepped_producer(bank, wmark))
 
@@ -131,6 +117,21 @@ def test_ip_block_matches_stepping(registers, activity_factor, gates, wmark):
         num_clock_gates=gates,
     )
     _assert_equal(block.activity(np.array(wmark)), _stepped_producer(block, wmark))
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_sinks=st.integers(min_value=1, max_value=6_000))
+@example(num_sinks=1)
+@example(num_sinks=16)
+@example(num_sinks=17)
+@example(num_sinks=4_097)
+def test_clock_tree_buffers_match_the_level_by_level_tree(num_sinks):
+    tree = rtl_oracle.ClockTree(num_sinks)
+    assert clock_tree_buffers(num_sinks) == tree.buffer_count
+    assert len(tree.levels[-1]) == 1
+    for loads, level in zip([num_sinks] + [len(level) for level in tree.levels], tree.levels):
+        assert sum(level) == loads
+        assert max(level) <= 16
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,6 @@ import rtl_oracle
 
 from repro.core.lfsr import (
     LFSR,
-    CircularShiftRegister,
     clear_sequence_cache,
     max_length_period,
     max_length_taps,
@@ -38,6 +37,10 @@ class TestLFSR:
         assert states[-1] == 1
         assert len(set(states.tolist())) == period
         assert 0 not in states
+
+    def test_minimum_width_enforced(self):
+        with pytest.raises(ValueError):
+            LFSR(width=1, taps=(1,))
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -74,29 +77,8 @@ class TestLFSR:
             LFSR(width=4).sequence(0)
 
 
-class TestCircularShiftRegister:
-    def test_period_equals_width(self):
-        csr = CircularShiftRegister(pattern=0b1010, width=4)
-        assert csr.period == 4
-
-    def test_rotation_preserves_pattern(self):
-        csr = CircularShiftRegister(pattern=0b0011, width=4)
-        states = csr.states(5)[1:].tolist()
-        assert states[-1] == 0b0011  # back to the initial pattern
-        assert set(states) == {0b0011, 0b1001, 0b1100, 0b0110}
-
-    def test_sequence_repeats_pattern_bits(self):
-        csr = CircularShiftRegister(pattern=0b0101, width=4)
-        sequence = csr.sequence(8)
-        assert list(sequence) == [1, 0, 1, 0, 1, 0, 1, 0]
-
-    def test_minimum_width_enforced(self):
-        with pytest.raises(ValueError):
-            CircularShiftRegister(pattern=1, width=1)
-
-
 class TestVectorizedSequences:
-    """The closed-form generators must equal per-bit stepping exactly."""
+    """The closed-form generator must equal per-bit stepping exactly."""
 
     @pytest.mark.parametrize("width", list(range(2, 33)))
     def test_lfsr_closed_form_matches_stepped(self, width):
@@ -105,14 +87,6 @@ class TestVectorizedSequences:
             lfsr = LFSR(width=width, seed=seed)
             length = min(max_length_period(width), 1024) + 17
             assert np.array_equal(lfsr.sequence(length), rtl_oracle.stepped_sequence(lfsr, length))
-
-    @pytest.mark.parametrize("width", [2, 5, 8, 13, 24, 32])
-    def test_csr_closed_form_matches_stepped(self, width):
-        mask = (1 << width) - 1
-        for pattern in (0b10, 0xAAAAAAAA & mask, 0x5A5 & mask, 1):
-            csr = CircularShiftRegister(pattern=pattern, width=width)
-            length = 3 * width + 5
-            assert np.array_equal(csr.sequence(length), rtl_oracle.stepped_sequence(csr, length))
 
     @pytest.mark.parametrize("width", list(range(2, 15)))
     def test_full_period_window_uniqueness(self, width):

@@ -1,6 +1,7 @@
 """Unit tests for repro.core.load_circuit."""
 
 import pytest
+import rtl_oracle
 
 from repro.core.load_circuit import LoadCircuit, registers_for_load_power
 
@@ -20,9 +21,11 @@ class TestSizingRule:
 
 class TestLoadCircuit:
     def test_word_partitioning(self):
-        load = LoadCircuit(num_registers=20, word_width=8)
-        assert load.register_count == 20
-        assert [w.width for w in load.words] == [8, 8, 4]
+        # Words of 8, 8 and 5 bits: the odd trailing word flips 4 of its 5.
+        load = LoadCircuit(num_registers=21, word_width=8)
+        assert load.register_count == 21
+        assert [w.width for w in rtl_oracle.stepped_producer(load).words] == [8, 8, 5]
+        assert load.activity([1])[0].data_toggles == 8 + 8 + 4
 
     def test_idle_when_wmark_low(self):
         load = LoadCircuit(num_registers=16)
@@ -36,7 +39,7 @@ class TestLoadCircuit:
 
     def test_expected_active_activity_matches_step(self):
         load = LoadCircuit(num_registers=64, word_width=8)
-        assert load.activity([1])[0] == load.expected_active_activity()
+        assert load.activity([1])[0] == rtl_oracle.stepped_producer(load).step(1)
 
     def test_cell_inventory(self):
         load = LoadCircuit(num_registers=100)

@@ -1,10 +1,8 @@
 """Unit tests for repro.core.wgc."""
 
 import numpy as np
-import pytest
 import rtl_oracle
 
-from repro.core.lfsr import LFSR
 from repro.core.wgc import WatermarkGenerationCircuit
 
 
@@ -16,17 +14,11 @@ class TestConstruction:
 
     def test_test_chip_wgc_has_two_generators(self):
         wgc = WatermarkGenerationCircuit.test_chip()
-        assert len(wgc.generators) == 2
-        # Two 32-bit generators plus always-clocked configuration registers.
-        assert wgc.register_count > 64
-
-    def test_needs_at_least_one_generator(self):
-        with pytest.raises(ValueError):
-            WatermarkGenerationCircuit(generators=[])
-
-    def test_active_index_validated(self):
-        with pytest.raises(ValueError):
-            WatermarkGenerationCircuit(generators=[LFSR(width=4)], active_index=3)
+        # The 12-bit LFSR, the idle second 32-bit generator, and the active
+        # generator's 20 unused stages plus 8 configuration registers.
+        assert wgc.lfsr.register_count == 12
+        assert wgc.idle_registers == 32
+        assert wgc.register_count == 12 + 32 + 20 + 8
 
     def test_cell_inventory(self):
         wgc = WatermarkGenerationCircuit.minimal(width=12)

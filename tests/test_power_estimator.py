@@ -118,7 +118,7 @@ class TestPowerTraces:
 
 class TestLeakage:
     def test_leakage_table_has_expected_cells(self):
-        for cell_type in ("dff", "icg", "clk_buf", "comb", "sram", "register_bank"):
+        for cell_type in ("dff", "icg", "clk_buf", "comb", "sram"):
             assert LEAKAGE_W[cell_type] > 0
 
     def test_redundant_bank_leakage_near_paper_value(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from fault_injection import Fault, inject_faults
-from rtl_oracle import Register, hamming_distance, trace_from_records
+from rtl_oracle import Register, ShiftRegister, hamming_distance, trace_from_records
 from trial_oracle import (
     fold_rows,
     masked_off_peak_decision,
@@ -13,7 +13,7 @@ from trial_oracle import (
 )
 
 from repro.core.config import DetectionConfig
-from repro.core.lfsr import LFSR, CircularShiftRegister, max_length_period
+from repro.core.lfsr import LFSR, max_length_period
 from repro.core.load_circuit import registers_for_load_power
 from repro.analysis.overhead import area_overhead_reduction
 from repro.detection.batch import BatchCPADetector
@@ -22,7 +22,6 @@ from repro.detection.statistics import BoxPlotStats
 from repro.pipeline import ExperimentRunner, RetryPolicy, RunOptions, SpecGrid
 from repro.power.synthesis import periodic_extend, rolled_blocks
 from repro.rtl.activity import ActivityRecord
-from repro.rtl.clock_tree import ClockTree
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +56,13 @@ def test_lfsr_never_reaches_zero_state(width, seed):
     pattern=st.integers(min_value=0, max_value=2**16 - 1),
 )
 def test_circular_shift_register_preserves_bit_count(width, pattern):
-    csr = CircularShiftRegister(pattern=pattern, width=width)
-    states = csr.states(width + 1)
-    assert np.all(np.bitwise_count(states) == bin(csr.pattern).count("1"))
-    assert states[-1] == csr.pattern
+    # Each word of the baseline load circuit is a circular shift register.
+    word = ShiftRegister("sr", width=width)
+    word.value = initial = pattern & ((1 << width) - 1)
+    for _ in range(width):
+        word.shift()
+        assert word.value.bit_count() == initial.bit_count()
+    assert word.value == initial
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +253,6 @@ def test_evaluate_many_matches_the_masked_decision(spectra):
     # z is relative to its terms: |peak| and |mean| in units of the spread.
     scale = (abs_peaks + np.abs(oracle["mean"]))[spread] / oracle["std"][spread]
     assert np.all(np.abs(batch.z_scores[spread] - oracle["z"][spread]) <= 1e-12 * scale)
-
-
-@settings(max_examples=25, deadline=None)
-@given(num_sinks=st.integers(min_value=1, max_value=3000), fanout=st.integers(min_value=2, max_value=32))
-def test_clock_tree_toggles_monotonic_in_active_sinks(num_sinks, fanout):
-    tree = ClockTree("t", num_sinks=num_sinks, max_fanout=fanout)
-    previous = 0
-    for active in sorted({0, 1, num_sinks // 2, num_sinks}):
-        toggles = tree.toggles_per_cycle(active)
-        assert toggles >= previous
-        previous = toggles
-    assert tree.toggles_per_cycle(num_sinks) >= 2 * num_sinks
 
 
 # ---------------------------------------------------------------------------

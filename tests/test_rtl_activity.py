@@ -31,18 +31,6 @@ class TestActivityTrace:
         trace = trace_from_records("t", [ActivityRecord(1, 1, 1), ActivityRecord(2, 0, 0)])
         assert list(trace.total_toggles) == [3, 2]
 
-    def test_add_requires_equal_length(self):
-        a = trace_from_records("a", [ActivityRecord()] * 4)
-        b = trace_from_records("b", [ActivityRecord()] * 5)
-        with pytest.raises(ValueError):
-            a.add(b)
-
-    def test_add_elementwise(self):
-        a = trace_from_records("a", [ActivityRecord(1, 0, 0)] * 3)
-        b = trace_from_records("b", [ActivityRecord(0, 2, 0)] * 3)
-        combined = a.add(b)
-        assert combined[1] == ActivityRecord(1, 2, 0)
-
     def test_tile_extends_to_length(self):
         trace = trace_from_records("t", [ActivityRecord(1, 0, 0), ActivityRecord(2, 0, 0)])
         tiled = trace.tile(5)

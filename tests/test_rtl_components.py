@@ -1,15 +1,17 @@
 """Unit tests for repro.rtl.components.
 
 The per-cycle ``step`` behaviour tested here is that of the stepping
-twins in ``rtl_oracle``, which subclass the library components; the
-closed form those twins stand for is checked against them in
-``test_closed_form_activity``.
+twins in ``rtl_oracle``, which subclass the library components (its
+register bank is built from them); the closed form those twins stand for
+is checked against them in ``test_closed_form_activity``.
 """
 
 import pytest
 
 from rtl_oracle import ClockGate, CombinationalBlock, Register, RegisterBank, ShiftRegister
 
+from repro.core.clock_modulation import ClockModulatedBank
+from repro.core.load_circuit import LoadCircuit
 from repro.rtl import components
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 
@@ -54,7 +56,10 @@ class TestShiftRegister:
 
     @pytest.mark.parametrize("width, toggles", [(1, 0), (2, 2), (3, 2), (7, 6), (8, 8)])
     def test_toggles_per_shift_counts_odd_widths(self, width, toggles):
-        assert components.ShiftRegister("sr", width=width).toggles_per_shift == toggles
+        # Stepped, and in the closed form of a one-word load circuit.
+        assert ShiftRegister("sr", width=width).shift().data_toggles == toggles
+        load = LoadCircuit(num_registers=width, word_width=width)
+        assert load.activity([1]).data_toggles[0] == toggles
 
     def test_circular_shift_returns_after_two_steps(self):
         sr = ShiftRegister("sr", width=8)
@@ -81,12 +86,6 @@ class TestClockGate:
         second = gate.step(enable=True)
         assert first.comb_toggles == 1
         assert second.comb_toggles == 0
-
-
-class TestClockBuffer:
-    def test_invalid_fanout_rejected(self):
-        with pytest.raises(ValueError):
-            components.ClockBuffer("buf", fanout=0)
 
 
 class TestCombinationalBlock:
@@ -130,4 +129,6 @@ class TestRegisterBank:
 
     def test_switching_register_bound_validated(self):
         with pytest.raises(ValueError):
-            components.RegisterBank("bank", num_words=2, word_width=8, switching_registers=17)
+            ClockModulatedBank(num_words=2, word_width=8, switching_registers=17)
+        with pytest.raises(ValueError):
+            ClockModulatedBank(num_words=0, word_width=8)

@@ -1,7 +1,5 @@
 """Unit tests for repro.soc.structure."""
 
-import pytest
-
 from repro.rtl.components import ClockGate
 from repro.rtl.netlist import Netlist
 from repro.soc.structure import (
@@ -11,16 +9,6 @@ from repro.soc.structure import (
     build_soc_structure,
     clock_gate_paths,
 )
-
-
-class TestIPBlockSpec:
-    def test_register_count(self):
-        spec = IPBlockSpec(name="x", num_words=4, word_width=16)
-        assert spec.register_count == 64
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IPBlockSpec(name="x", num_words=0)
 
 
 class TestBuildIPBlock:
