@@ -19,7 +19,7 @@ import sys
 
 import pytest
 
-from repro.core.config import ExperimentConfig
+from repro.core.spec import ScenarioSpec
 
 # The benchmarks time the library against the test suite's oracles
 # (tests/rtl_oracle.py) and check it against the paper's published values
@@ -76,9 +76,12 @@ def report():
 
 
 @pytest.fixture(scope="session")
-def paper_config() -> ExperimentConfig:
-    """The full-scale configuration matching the paper's experiments."""
-    return ExperimentConfig()
+def paper_config() -> ScenarioSpec:
+    """The full-scale configuration matching the paper's experiments.
+
+    A default spec's ``watermark``, ``measurement`` and ``detection``.
+    """
+    return ScenarioSpec(kind="fig5")
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from trial_oracle import naive_rotation_correlations
 
 from repro.core.architectures import ClockModulationWatermark
 from repro.core.clock_modulation import ClockModulatedIPBlock
-from repro.core.config import ExperimentConfig, MeasurementConfig, WatermarkConfig
+from repro.core.config import MeasurementConfig, WatermarkConfig
 from repro.core.wgc import WatermarkGenerationCircuit
 from repro.detection.cpa import CPADetector, rotation_correlations
 from repro.measurement.acquisition import AcquisitionCampaign
@@ -71,10 +71,11 @@ def test_bench_ablation_cpa_methods_agree(benchmark, report):
 
 
 def test_bench_ablation_modulated_block_size(benchmark, report):
-    config = ExperimentConfig(measurement=MeasurementConfig(num_cycles=100_000))
+    measurement = MeasurementConfig(num_cycles=100_000)
+    watermark_config = WatermarkConfig()
     estimator = PowerEstimator()
-    campaign = AcquisitionCampaign(config.measurement)
-    detector = CPADetector(config.detection)
+    campaign = AcquisitionCampaign(measurement)
+    detector = CPADetector()
 
     def sweep():
         rows = []
@@ -82,14 +83,14 @@ def test_bench_ablation_modulated_block_size(benchmark, report):
             # The end-application variant: a minimal WGC reusing an IP sub-module.
             watermark = ClockModulationWatermark(
                 wgc=WatermarkGenerationCircuit.minimal(
-                    width=config.watermark.lfsr_width, seed=config.watermark.lfsr_seed
+                    width=watermark_config.lfsr_width, seed=watermark_config.lfsr_seed
                 ),
                 modulated_block=ClockModulatedIPBlock(modulated_registers=registers),
             )
-            chip = build_chip_one(watermark=watermark, m0_window_cycles=4096)
-            power = chip.total_power(config.measurement.num_cycles, seed=registers)
-            measured = campaign.measure(power, seed=registers + 1)
-            cpa = detector.detect(chip.watermark_sequence(), measured.values)
+            chip = build_chip_one(watermark=watermark)
+            power = chip.total_power(measurement.num_cycles, seed=registers)
+            measured = campaign.measure(power, registers + 1)
+            cpa = detector.detect(chip.watermark_sequence(), measured)
             rows.append((registers, cpa.peak_correlation, cpa.detected))
         return rows
 
@@ -112,24 +113,24 @@ BACKGROUND_ACQUISITION_SEEDS = (6, 7, 8, 9, 10)
 
 
 def test_bench_ablation_background_workload(benchmark, report):
-    config = ExperimentConfig(measurement=MeasurementConfig(num_cycles=100_000))
-    campaign = AcquisitionCampaign(config.measurement)
-    detector = CPADetector(config.detection)
+    measurement = MeasurementConfig(num_cycles=100_000)
+    campaign = AcquisitionCampaign(measurement)
+    detector = CPADetector()
 
     # One 100k-cycle acquisition detects the watermark in ~92% of seeds on
     # either workload, so each workload is judged by a strict majority of
     # the BACKGROUND_ACQUISITION_SEEDS acquisitions, not by one draw.
     def sweep():
         results = {}
-        num_cycles = config.measurement.num_cycles
-        watermark = ClockModulationWatermark.from_config(config.watermark)
-        chip = build_chip_one(watermark=watermark, m0_window_cycles=4096)
+        num_cycles = measurement.num_cycles
+        watermark = ClockModulationWatermark.from_config(WatermarkConfig())
+        chip = build_chip_one(watermark=watermark)
         for label, program in (("idle", idle_loop_program()), ("dhrystone", dhrystone_like_program())):
             background = background_power_running(chip, program, num_cycles, seed=5)
             power = background.add(chip.watermark_power(num_cycles))
             results[label] = [
                 detector.detect(
-                    chip.watermark_sequence(), campaign.measure(power, seed=seed).values
+                    chip.watermark_sequence(), campaign.measure(power, seed)
                 )
                 for seed in BACKGROUND_ACQUISITION_SEEDS
             ]
@@ -158,13 +159,13 @@ def test_bench_ablation_acquisition_length(benchmark, report):
 
     def sweep():
         watermark = ClockModulationWatermark.from_config(WatermarkConfig())
-        chip = build_chip_one(watermark=watermark, m0_window_cycles=4096)
+        chip = build_chip_one(watermark=watermark)
         rows = []
         for num_cycles in (50_000, 100_000, 200_000, 300_000):
             campaign = AcquisitionCampaign(MeasurementConfig(num_cycles=num_cycles))
             power = chip.total_power(num_cycles, seed=21)
-            measured = campaign.measure(power, seed=22)
-            cpa = detector.detect(chip.watermark_sequence(), measured.values)
+            measured = campaign.measure(power, 22)
+            cpa = detector.detect(chip.watermark_sequence(), measured)
             rows.append((num_cycles, cpa.z_score, cpa.detected))
         return rows
 

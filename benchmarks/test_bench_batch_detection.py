@@ -171,7 +171,7 @@ def test_bench_batched_campaign_memory_chunking(report):
         peak_rows = tracemalloc.get_traced_memory()[1] / (NUM_CYCLES * 8)
     finally:
         tracemalloc.stop()
-    synthesizer = TraceSynthesizer.from_sequence(
+    synthesizer = TraceSynthesizer(
         sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=20e-3
     )
     folds = synthesizer.trial_folds(trials, NUM_CYCLES, np.random.default_rng(7))

@@ -60,7 +60,7 @@ def test_bench_process_backend_beats_serial(report, relaxed):
     parallel_s = time.perf_counter() - start
 
     # Identical numbers cell by cell: the backend is an execution detail.
-    assert parallel.names == serial.names
+    assert [cell.name for cell in parallel] == [cell.name for cell in serial]
     for serial_cell, parallel_cell in zip(serial, parallel):
         assert parallel_cell.report == serial_cell.report, serial_cell.name
         assert parallel_cell.scalars == serial_cell.scalars, serial_cell.name

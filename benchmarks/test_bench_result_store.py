@@ -74,7 +74,7 @@ def test_bench_warm_store_beats_cold_sweep(tmp_path, report, relaxed):
 
     # Served cells are bit-identical to computed ones; only the in-memory
     # payload is dropped, exactly as after ScenarioResult.load.
-    assert warm.names == cold.names
+    assert [cell.name for cell in warm] == [cell.name for cell in cold]
     for computed, served in zip(cold, warm):
         assert served.report == computed.report, computed.name
         assert served.scalars == computed.scalars, computed.name

@@ -24,7 +24,9 @@ from repro import (
     AcquisitionCampaign,
     ClockModulationWatermark,
     CPADetector,
-    ExperimentConfig,
+    DetectionConfig,
+    MeasurementConfig,
+    WatermarkConfig,
 )
 from repro.soc import build_chip_one
 
@@ -40,10 +42,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42, help="noise seed for reproducibility")
     args = parser.parse_args()
 
-    config = ExperimentConfig()
-
     # 1. The proposed watermark architecture (Fig. 1(b) / Fig. 4(a)).
-    watermark = ClockModulationWatermark.from_config(config.watermark)
+    watermark = ClockModulationWatermark.from_config(WatermarkConfig())
     print(f"watermark sequence period: {watermark.sequence_period} cycles")
     registers = watermark.wgc.register_count + watermark.modulated_block.register_count
     print(f"registers added by the watermark: {registers}")
@@ -54,15 +54,16 @@ def main() -> None:
                              watermark_phase_offset=1234)
     print(f"simulated {args.cycles} cycles; mean chip power = {power.average_power_w * 1e3:.2f} mW")
 
-    # 3. The measurement chain produces the per-cycle power vector Y.
-    campaign = AcquisitionCampaign(config.measurement)
+    # 3. The measurement chain produces the per-cycle power vector Y.  The
+    #    bench is fixed; the configuration holds the noise knobs only.
+    campaign = AcquisitionCampaign(MeasurementConfig())
     measured = campaign.measure(power, seed=args.seed)
-    print(f"measured trace: mean = {measured.values.mean() * 1e3:.2f} mW, "
-          f"per-cycle sigma = {measured.values.std() * 1e3:.2f} mW")
+    print(f"measured trace: mean = {measured.mean() * 1e3:.2f} mW, "
+          f"per-cycle sigma = {measured.std() * 1e3:.2f} mW")
 
     # 4. CPA over every rotation of the watermark sequence.
-    detector = CPADetector(config.detection)
-    result = detector.detect(chip.watermark_sequence(), measured.values)
+    detector = CPADetector(DetectionConfig())
+    result = detector.detect(chip.watermark_sequence(), measured)
     print()
     print(result.summary())
     if result.detected:

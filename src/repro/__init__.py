@@ -56,7 +56,6 @@ from repro.core import (
     WatermarkConfig,
     MeasurementConfig,
     DetectionConfig,
-    ExperimentConfig,
     WatermarkGenerationCircuit,
 )
 from repro.detection import BatchCPADetector, CPADetector
@@ -81,7 +80,6 @@ __all__ = [
     "WatermarkConfig",
     "MeasurementConfig",
     "DetectionConfig",
-    "ExperimentConfig",
     "WatermarkGenerationCircuit",
     "CPADetector",
     "BatchCPADetector",

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.config import DetectionConfig
 from repro.core.seeds import stream
-from repro.detection.batch import BatchCPADetector, BatchCPAResult
+from repro.detection.batch import BatchCPADetector
 from repro.power.synthesis import TraceSynthesizer
 
 
@@ -47,16 +47,12 @@ class MaskingPoint:
     detected: bool
     peak_correlation: float
     z_score: float
-    trials: int = 1
-    detections: Optional[int] = None
+    trials: int
+    detections: int
 
     @property
     def detection_probability(self) -> float:
         """Fraction of Monte-Carlo trials in which detection succeeded."""
-        if self.trials <= 0:
-            return 0.0
-        if self.detections is None:
-            return 1.0 if self.detected else 0.0
         return self.detections / self.trials
 
 
@@ -98,61 +94,58 @@ class MaskingStudy:
         return "\n".join(lines)
 
 
-def _run_sweep(
+def _run_study(
     sequence: np.ndarray,
-    num_cycles: int,
-    watermark_amplitude_w: float,
+    masking_noise_levels_w: Sequence[float],
     noise_sigmas: Sequence[float],
     enable_duties: Sequence[float],
+    stream_name: str,
+    watermark_amplitude_w: float,
+    base_noise_sigma_w: float,
+    num_cycles: int,
+    detection_config: Optional[DetectionConfig],
+    seed: int,
     trials_per_point: int,
-    rng: np.random.Generator,
-    detector: BatchCPADetector,
-    base_power_w: float = 5e-3,
-) -> Optional[BatchCPAResult]:
-    """Draw and detect the trials of a masking sweep.
+) -> MaskingStudy:
+    """Draw, detect and aggregate the trials of a masking sweep.
 
-    One trial per (sweep point, trial), in sweep order, each with its own
-    random phase offset, starvation gate and acquisition noise, drawn as
-    phase folds by
+    One sweep point per (masking noise, total noise sigma, enable duty),
+    and ``trials_per_point`` trials per point, in sweep order, each with its
+    own random phase offset, starvation gate and acquisition noise, drawn
+    from the ``stream_name`` stream of ``seed`` as phase folds by
     :meth:`repro.power.synthesis.TraceSynthesizer.trial_folds` and detected
     in a single batched CPA pass (starvation gates model the host's
     CLK_CTRL being low part of the time, Fig. 1(b): the effective enable is
-    WMARK AND CLK_CTRL).  An empty sweep (no levels) returns ``None``.
+    WMARK AND CLK_CTRL).
     """
-    total_rows = len(noise_sigmas) * trials_per_point
-    if total_rows == 0:
-        return None
-    synthesizer = TraceSynthesizer.from_sequence(
-        sequence,
+    sequence = np.asarray(sequence, dtype=np.float64)
+    if trials_per_point <= 0:
+        raise ValueError("trials_per_point must be positive")
+    study = MaskingStudy(
         watermark_amplitude_w=watermark_amplitude_w,
-        noise_sigma_w=0.0,
-        base_power_w=base_power_w,
+        base_noise_sigma_w=base_noise_sigma_w,
+        num_cycles=num_cycles,
+    )
+    if not masking_noise_levels_w:
+        return study
+    synthesizer = TraceSynthesizer(
+        sequence, watermark_amplitude_w=watermark_amplitude_w, noise_sigma_w=0.0
     )
     folds = synthesizer.trial_folds(
-        total_rows,
+        len(noise_sigmas) * trials_per_point,
         num_cycles,
-        rng,
+        stream(seed, stream_name),
         noise_sigmas=np.repeat(noise_sigmas, trials_per_point),
         enable_duties=np.repeat(enable_duties, trials_per_point),
     )
-    return detector.detect_many(sequence, folds)
-
-
-def _aggregate_points(
-    batch: BatchCPAResult,
-    masking_noise_levels_w: Sequence[float],
-    enable_duties: Sequence[float],
-    trials_per_point: int,
-) -> List[MaskingPoint]:
-    """Collapse the batched per-trial results back into per-point statistics."""
-    points: List[MaskingPoint] = []
+    batch = BatchCPADetector(detection_config or DetectionConfig()).detect_many(sequence, folds)
     for index, (masking, duty) in enumerate(zip(masking_noise_levels_w, enable_duties)):
         rows = slice(index * trials_per_point, (index + 1) * trials_per_point)
         detections = int(np.count_nonzero(batch.detected[rows]))
-        points.append(
+        study.points.append(
             MaskingPoint(
-                masking_noise_w=float(masking),
-                enable_duty=float(duty),
+                masking_noise_w=masking,
+                enable_duty=duty,
                 detected=2 * detections > trials_per_point,
                 peak_correlation=float(batch.peak_correlations[rows].mean()),
                 z_score=float(batch.z_scores[rows].mean()),
@@ -160,7 +153,7 @@ def _aggregate_points(
                 detections=detections,
             )
         )
-    return points
+    return study
 
 
 def run_noise_masking_study(
@@ -182,38 +175,18 @@ def run_noise_masking_study(
     acquisition length.  All sweep levels (times ``trials_per_point``
     Monte-Carlo trials each) are detected in one batched CPA pass.
     """
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if trials_per_point <= 0:
-        raise ValueError("trials_per_point must be positive")
     # Materialize once: generator inputs must not be consumed by validation.
     levels = [float(masking) for masking in masking_noise_levels_w]
     for masking in levels:
         if masking < 0:
             raise ValueError("masking noise must be non-negative")
-    total_sigmas = [
-        float(np.sqrt(base_noise_sigma_w**2 + masking**2)) for masking in levels
-    ]
-    duties = [1.0] * len(total_sigmas)
-    rng = stream(seed, "masking-noise")
-    detector = BatchCPADetector(detection_config or DetectionConfig())
-    batch = _run_sweep(
-        sequence,
-        num_cycles,
-        watermark_amplitude_w,
-        total_sigmas,
-        duties,
-        trials_per_point,
-        rng,
-        detector,
+    # The masking activity adds to the base noise in quadrature.
+    sigmas = [float(np.sqrt(base_noise_sigma_w**2 + masking**2)) for masking in levels]
+    return _run_study(
+        sequence, levels, sigmas, [1.0] * len(levels), "masking-noise",
+        watermark_amplitude_w, base_noise_sigma_w, num_cycles, detection_config,
+        seed, trials_per_point,
     )
-    study = MaskingStudy(
-        watermark_amplitude_w=watermark_amplitude_w,
-        base_noise_sigma_w=base_noise_sigma_w,
-        num_cycles=num_cycles,
-    )
-    if batch is not None:
-        study.points = _aggregate_points(batch, levels, duties, trials_per_point)
-    return study
 
 
 def run_starvation_study(
@@ -236,34 +209,14 @@ def run_starvation_study(
     duties (times ``trials_per_point`` Monte-Carlo trials each) are
     detected in one batched CPA pass.
     """
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if trials_per_point <= 0:
-        raise ValueError("trials_per_point must be positive")
     # Materialize once: generator inputs must not be consumed by validation.
     duties = [float(duty) for duty in enable_duties]
     for duty in duties:
         if not 0.0 <= duty <= 1.0:
             raise ValueError("enable duty must be within [0, 1]")
-    sigmas = [base_noise_sigma_w] * len(duties)
-    rng = stream(seed, "masking-starvation")
-    detector = BatchCPADetector(detection_config or DetectionConfig())
-    batch = _run_sweep(
-        sequence,
-        num_cycles,
-        watermark_amplitude_w,
-        sigmas,
-        duties,
-        trials_per_point,
-        rng,
-        detector,
+    return _run_study(
+        sequence, [0.0] * len(duties), [base_noise_sigma_w] * len(duties), duties,
+        "masking-starvation",
+        watermark_amplitude_w, base_noise_sigma_w, num_cycles, detection_config,
+        seed, trials_per_point,
     )
-    study = MaskingStudy(
-        watermark_amplitude_w=watermark_amplitude_w,
-        base_noise_sigma_w=base_noise_sigma_w,
-        num_cycles=num_cycles,
-    )
-    if batch is not None:
-        study.points = _aggregate_points(
-            batch, [0.0] * len(duties), duties, trials_per_point
-        )
-    return study

@@ -29,7 +29,6 @@ from repro.core.config import (
     WatermarkConfig,
     MeasurementConfig,
     DetectionConfig,
-    ExperimentConfig,
 )
 from repro.core.embedding import embed_baseline, embed_clock_modulation
 
@@ -48,7 +47,6 @@ __all__ = [
     "WatermarkConfig",
     "MeasurementConfig",
     "DetectionConfig",
-    "ExperimentConfig",
     "embed_baseline",
     "embed_clock_modulation",
 ]

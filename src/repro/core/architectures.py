@@ -30,7 +30,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.clock_modulation import ClockModulatedBank
-from repro.core.config import ArchitectureKind, WatermarkConfig
+from repro.core.config import WatermarkConfig
 from repro.core.load_circuit import LoadCircuit
 from repro.core.wgc import WatermarkGenerationCircuit
 from repro.power.estimator import PowerEstimator
@@ -47,11 +47,6 @@ class WatermarkArchitecture(abc.ABC):
         self.name = name
 
     # -- abstract structural/behavioural hooks -----------------------------
-
-    @property
-    @abc.abstractmethod
-    def kind(self) -> ArchitectureKind:
-        """Which architecture this is."""
 
     @abc.abstractmethod
     def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
@@ -102,20 +97,15 @@ class WatermarkArchitecture(abc.ABC):
         periodic = self.periodic_activity()
         return {key: trace.tile(num_cycles) for key, trace in periodic.items()}
 
-    def power_template(self, include_leakage: bool = True) -> PeriodicPowerTemplate:
-        """One-period per-cycle power template of the watermark circuit."""
+    def power_template(self) -> PeriodicPowerTemplate:
+        """One-period per-cycle power template of the watermark circuit, leakage included."""
         estimator = PowerEstimator()
         traces = self.periodic_activity()
-        static = estimator.leakage_of(self.cell_inventory()) if include_leakage else 0.0
+        static = estimator.leakage_of(self.cell_inventory())
         trace = estimator.combined_power_trace(traces, static_w=static, name=self.name)
         return PeriodicPowerTemplate.from_power_trace(trace)
 
-    def power_trace(
-        self,
-        num_cycles: int,
-        include_leakage: bool = True,
-        phase_offset: int = 0,
-    ) -> PowerTrace:
+    def power_trace(self, num_cycles: int, phase_offset: int = 0) -> PowerTrace:
         """Per-cycle power contributed by the watermark circuit.
 
         Synthesized from the one-period power template by slice-copy
@@ -126,8 +116,7 @@ class WatermarkArchitecture(abc.ABC):
         rotates the trace like ``np.roll(power_w, -phase_offset)``, which
         models the scope trigger being unaligned with the watermark phase.
         """
-        template = self.power_template(include_leakage)
-        return template.extend(num_cycles, phase_offset)
+        return self.power_template().extend(num_cycles, phase_offset)
 
     def average_active_load_power(self) -> float:
         """Average load dynamic power during WMARK-high cycles.
@@ -160,20 +149,6 @@ class BaselineWatermark(WatermarkArchitecture):
         super().__init__(wgc or WatermarkGenerationCircuit.minimal(), name)
         self.load = load or LoadCircuit()
 
-    @classmethod
-    def from_config(cls, config: WatermarkConfig, name: str = "baseline_watermark") -> "BaselineWatermark":
-        """Build the baseline architecture from a :class:`WatermarkConfig`."""
-        wgc = (
-            WatermarkGenerationCircuit.test_chip(active_width=config.lfsr_width, seed=config.lfsr_seed)
-            if config.use_test_chip_wgc
-            else WatermarkGenerationCircuit.minimal(width=config.lfsr_width, seed=config.lfsr_seed)
-        )
-        return cls(wgc=wgc, load=LoadCircuit(num_registers=config.load_registers), name=name)
-
-    @property
-    def kind(self) -> ArchitectureKind:
-        return ArchitectureKind.BASELINE_LOAD_CIRCUIT
-
     def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
         return self.load.activity(wmark)
 
@@ -198,11 +173,12 @@ class ClockModulationWatermark(WatermarkArchitecture):
 
     @classmethod
     def from_config(cls, config: WatermarkConfig, name: str = "clock_modulation_watermark") -> "ClockModulationWatermark":
-        """Build the proposed architecture from a :class:`WatermarkConfig`."""
-        wgc = (
-            WatermarkGenerationCircuit.test_chip(active_width=config.lfsr_width, seed=config.lfsr_seed)
-            if config.use_test_chip_wgc
-            else WatermarkGenerationCircuit.minimal(width=config.lfsr_width, seed=config.lfsr_seed)
+        """Build the proposed architecture from a :class:`WatermarkConfig`.
+
+        The LFSR sits in the test chip's WGC, as on the silicon.
+        """
+        wgc = WatermarkGenerationCircuit.test_chip(
+            active_width=config.lfsr_width, seed=config.lfsr_seed
         )
         bank = ClockModulatedBank(
             num_words=config.num_words,
@@ -210,10 +186,6 @@ class ClockModulationWatermark(WatermarkArchitecture):
             switching_registers=config.switching_registers,
         )
         return cls(wgc=wgc, modulated_block=bank, name=name)
-
-    @property
-    def kind(self) -> ArchitectureKind:
-        return ArchitectureKind.CLOCK_MODULATION
 
     def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
         return self.modulated_block.activity(wmark)

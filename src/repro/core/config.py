@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
 #: Acquisition length used by ``--quick`` runs (CLI and registry presets).
@@ -19,15 +19,10 @@ QUICK_TRANSIENT_NOISE_FRACTION = 0.4
 def _config_to_dict(config: Any) -> Dict[str, Any]:
     """Serialize a configuration dataclass into a JSON-able dict.
 
-    The configs hold only scalars and one enum, so a shallow walk over
-    the fields gives what ``dataclasses.asdict`` would, without its
-    recursive deep copy.
+    The configs hold only scalars, so a shallow walk over the fields gives
+    what ``dataclasses.asdict`` would, without its recursive deep copy.
     """
-    payload: Dict[str, Any] = {}
-    for config_field in fields(config):
-        value = getattr(config, config_field.name)
-        payload[config_field.name] = value.value if isinstance(value, enum.Enum) else value
-    return payload
+    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 def _config_from_dict(cls: type, payload: Dict[str, Any]) -> Any:
@@ -36,14 +31,11 @@ def _config_from_dict(cls: type, payload: Dict[str, Any]) -> Any:
     unknown = set(payload) - known
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    kwargs = dict(payload)
-    if "architecture" in kwargs and not isinstance(kwargs["architecture"], ArchitectureKind):
-        kwargs["architecture"] = ArchitectureKind(kwargs["architecture"])
-    return cls(**kwargs)
+    return cls(**payload)
 
 
 class ArchitectureKind(enum.Enum):
-    """Which watermark architecture is instantiated."""
+    """The two watermark architectures, as Sec. VI labels them."""
 
     BASELINE_LOAD_CIRCUIT = "baseline"
     CLOCK_MODULATION = "clock_modulation"
@@ -56,17 +48,17 @@ class WatermarkConfig:
     Defaults reproduce the paper's test-chip configuration: a 12-bit
     maximum-length LFSR modulating a 1,024-register clock-gated bank
     (32 words x 32 bits), with all registers pre-initialised to zero so no
-    data switching occurs.
+    data switching occurs.  The chips always carry the clock-modulation
+    architecture behind the test chip's WGC; ``load_registers`` sizes the
+    baseline load circuit of the Sec. VI comparison.
     """
 
-    architecture: ArchitectureKind = ArchitectureKind.CLOCK_MODULATION
     lfsr_width: int = 12
     lfsr_seed: int = 0x5A5 & 0xFFF
     num_words: int = 32
     word_width: int = 32
     switching_registers: int = 0
     load_registers: int = 576
-    use_test_chip_wgc: bool = True
 
     def __post_init__(self) -> None:
         if self.lfsr_width < 2:
@@ -88,7 +80,7 @@ class WatermarkConfig:
         return (1 << self.lfsr_width) - 1
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-able representation (the architecture enum becomes its value)."""
+        """JSON-able representation."""
         return _config_to_dict(self)
 
     @classmethod
@@ -99,14 +91,16 @@ class WatermarkConfig:
 
 @dataclass(frozen=True)
 class MeasurementConfig:
-    """Parameters of the measurement chain (Section IV of the paper).
+    """The settings of the measurement chain (Section IV of the paper) that vary.
 
-    The bench is an Agilent MSO6032A oscilloscope with a 1130A differential
-    probe across a 270 mOhm shunt, sampling at 500 MS/s while the chips run
-    at 10 MHz; 50 samples are averaged into each per-cycle power value and
-    300,000 cycles form one correlation vector.
-
-    Two noise knobs dominate the resulting correlation amplitude:
+    The bench itself is fixed: an Agilent MSO6032A oscilloscope with a
+    1130A differential probe across a 270 mOhm shunt, 8 bits at 500 MS/s
+    while the chips run at 10 MHz and 1.2 V, so 50 samples are averaged
+    into each per-cycle power value.  Those figures are constants of
+    :mod:`repro.measurement.acquisition` (and, for the clock and supply,
+    of :mod:`repro.power.estimator`).  What a scenario sets is the
+    acquisition length, ``num_cycles`` (300,000 cycles form one correlation
+    vector), and the noise knobs that dominate the correlation amplitude:
 
     ``probe_noise_rms_v``
         Per-sample voltage noise of the probe/front-end.
@@ -122,39 +116,18 @@ class MeasurementConfig:
         ``benchmarks/test_bench_fig5.py``).
     """
 
-    clock_frequency_hz: float = 10e6
-    sampling_frequency_hz: float = 500e6
     num_cycles: int = 300_000
-    supply_voltage_v: float = 1.2
-    shunt_resistance_ohm: float = 0.270
     probe_noise_rms_v: float = 2.0e-3
-    adc_bits: int = 8
     transient_noise_floor_w: float = 0.040
     transient_noise_fraction: float = 0.75
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.clock_frequency_hz <= 0 or self.sampling_frequency_hz <= 0:
-            raise ValueError("frequencies must be positive")
-        if self.sampling_frequency_hz < self.clock_frequency_hz:
-            raise ValueError("the oscilloscope must sample faster than the system clock")
         if self.num_cycles <= 0:
             raise ValueError("number of cycles must be positive")
-        if self.supply_voltage_v <= 0:
-            raise ValueError("supply voltage must be positive")
-        if self.shunt_resistance_ohm <= 0:
-            raise ValueError("shunt resistance must be positive")
         if self.probe_noise_rms_v < 0 or self.transient_noise_floor_w < 0:
             raise ValueError("noise levels must be non-negative")
         if self.transient_noise_fraction < 0:
             raise ValueError("the range-proportional noise fraction must be non-negative")
-        if self.adc_bits < 4:
-            raise ValueError("ADC resolution below 4 bits is not supported")
-
-    @property
-    def samples_per_cycle(self) -> int:
-        """Oscilloscope samples averaged into one per-cycle power value."""
-        return int(round(self.sampling_frequency_hz / self.clock_frequency_hz))
 
     @classmethod
     def quick(cls, num_cycles: Optional[int] = None) -> "MeasurementConfig":
@@ -214,37 +187,3 @@ class DetectionConfig:
     def from_dict(cls, payload: Dict[str, Any]) -> "DetectionConfig":
         """Rebuild from :meth:`to_dict` output."""
         return _config_from_dict(cls, payload)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Bundle of all configuration needed by an experiment driver."""
-
-    watermark: WatermarkConfig = field(default_factory=WatermarkConfig)
-    measurement: MeasurementConfig = field(default_factory=MeasurementConfig)
-    detection: DetectionConfig = field(default_factory=DetectionConfig)
-
-    @classmethod
-    def quick(cls, num_cycles: Optional[int] = None) -> "ExperimentConfig":
-        """The CLI's ``--quick`` bundle (see :meth:`MeasurementConfig.quick`)."""
-        return cls(measurement=MeasurementConfig.quick(num_cycles))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-able nested representation."""
-        return {
-            "watermark": self.watermark.to_dict(),
-            "measurement": self.measurement.to_dict(),
-            "detection": self.detection.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ExperimentConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        unknown = set(payload) - {"watermark", "measurement", "detection"}
-        if unknown:
-            raise ValueError(f"unknown ExperimentConfig fields: {sorted(unknown)}")
-        return cls(
-            watermark=WatermarkConfig.from_dict(payload.get("watermark", {})),
-            measurement=MeasurementConfig.from_dict(payload.get("measurement", {})),
-            detection=DetectionConfig.from_dict(payload.get("detection", {})),
-        )

@@ -22,13 +22,7 @@ import pathlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.core.config import (
-    DetectionConfig,
-    ExperimentConfig,
-    MeasurementConfig,
-    WatermarkConfig,
-)
-from repro.soc.cpu import M0_WINDOW_CYCLES
+from repro.core.config import DetectionConfig, MeasurementConfig, WatermarkConfig
 
 #: Scenario kinds the pipeline knows how to resolve into stages.  Each kind
 #: names one experiment family; kind-specific knobs go into ``params``.
@@ -51,7 +45,7 @@ SCENARIO_KINDS: Tuple[str, ...] = (
 #: code-version salt (:func:`repro.pipeline.store.code_version_salt`): a
 #: schema bump invalidates memoized results whose spec serialization
 #: changed meaning.
-SPEC_SCHEMA_VERSION = 9
+SPEC_SCHEMA_VERSION = 10
 
 
 #: Instance attribute holding a spec's memoised :meth:`ScenarioSpec.spec_hash`.
@@ -109,9 +103,7 @@ class ScenarioSpec:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     watermark_active: bool = True
     seed: int = 0
-    phase_offset: Optional[int] = None
     repetitions: int = 1
-    m0_window_cycles: int = M0_WINDOW_CYCLES
     params: Any = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -127,24 +119,10 @@ class ScenarioSpec:
             )
         if self.repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        if not 0 < self.m0_window_cycles <= M0_WINDOW_CYCLES:
-            raise ValueError(
-                f"m0_window_cycles must be 1 to {M0_WINDOW_CYCLES} (the shipped "
-                f"M0 window), not {self.m0_window_cycles}"
-            )
         if not isinstance(self.params, tuple):
             object.__setattr__(self, "params", _freeze_params(dict(self.params)))
 
     # -- convenience accessors -------------------------------------------------
-
-    @property
-    def experiment_config(self) -> ExperimentConfig:
-        """The legacy-driver configuration bundle equivalent to this spec."""
-        return ExperimentConfig(
-            watermark=self.watermark,
-            measurement=self.measurement,
-            detection=self.detection,
-        )
 
     def param(self, key: str, default: Any = None) -> Any:
         """Look up one kind-specific parameter."""
@@ -221,9 +199,7 @@ class ScenarioSpec:
             "detection": self.detection.to_dict(),
             "watermark_active": self.watermark_active,
             "seed": self.seed,
-            "phase_offset": self.phase_offset,
             "repetitions": self.repetitions,
-            "m0_window_cycles": self.m0_window_cycles,
             "params": self.params_dict(),
         }
 
@@ -236,8 +212,7 @@ class ScenarioSpec:
             raise ValueError(f"unsupported spec schema version {version!r}")
         known = {
             "kind", "name", "chip", "watermark", "measurement",
-            "detection", "watermark_active", "seed",
-            "phase_offset", "repetitions", "m0_window_cycles", "params",
+            "detection", "watermark_active", "seed", "repetitions", "params",
         }
         unknown = set(payload) - known
         if unknown:
@@ -256,9 +231,7 @@ class ScenarioSpec:
             detection=DetectionConfig.from_dict(payload.get("detection", {})),
             watermark_active=payload.get("watermark_active", True),
             seed=payload.get("seed", 0),
-            phase_offset=payload.get("phase_offset"),
             repetitions=payload.get("repetitions", 1),
-            m0_window_cycles=payload.get("m0_window_cycles", M0_WINDOW_CYCLES),
             params=payload.get("params", {}),
         )
 

@@ -246,13 +246,6 @@ class BatchCPAResult:
         """Number of trials in which the watermark was detected."""
         return int(np.count_nonzero(self.detected))
 
-    @property
-    def detection_rate(self) -> float:
-        """Fraction of trials in which the watermark was detected."""
-        if self.num_trials == 0:
-            return 0.0
-        return self.detection_count / self.num_trials
-
     def result(self, index: int):
         """The scalar :class:`CPAResult` of one trial."""
         from repro.detection.cpa import CPAResult
@@ -274,19 +267,6 @@ class BatchCPAResult:
     def __iter__(self) -> Iterator:
         for index in range(self.num_trials):
             yield self.result(index)
-
-    def summary(self) -> str:
-        """One-line human-readable summary of the batch."""
-        finite = self.z_scores[np.isfinite(self.z_scores)]
-        if len(finite):
-            z_text = f"mean finite z={float(finite.mean()):.1f}"
-        else:
-            z_text = "all z=inf (zero noise floor)"
-        return (
-            f"{self.detection_count}/{self.num_trials} trials detected "
-            f"(rate {self.detection_rate:.2f}), mean peak rho="
-            f"{float(self.peak_correlations.mean()):.4f}, {z_text}"
-        )
 
 
 class BatchCPADetector:

@@ -126,7 +126,7 @@ def run_detection_probability_campaign(
 
     detector = BatchCPADetector(detection_config or DetectionConfig())
     period = len(sequence)
-    synthesizer = TraceSynthesizer.from_sequence(
+    synthesizer = TraceSynthesizer(
         sequence,
         watermark_amplitude_w=watermark_amplitude_w,
         noise_sigma_w=noise_sigma_w,

@@ -2,19 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.architectures import (
-    BaselineWatermark,
-    ClockModulationWatermark,
-    WatermarkArchitecture,
-)
-from repro.core.config import ArchitectureKind, WatermarkConfig
+from repro.core.architectures import ClockModulationWatermark
+from repro.core.config import WatermarkConfig
 
 
-def build_watermark(config: Optional[WatermarkConfig] = None) -> WatermarkArchitecture:
-    """Build the watermark architecture selected by ``config``."""
-    config = config or WatermarkConfig()
-    if config.architecture is ArchitectureKind.CLOCK_MODULATION:
-        return ClockModulationWatermark.from_config(config)
-    return BaselineWatermark.from_config(config)
+def build_watermark(config: WatermarkConfig) -> ClockModulationWatermark:
+    """Build the chips' clock-modulation watermark that ``config`` describes."""
+    return ClockModulationWatermark.from_config(config)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.core.config import ExperimentConfig
 from repro.detection.cpa import CPAResult
 
 
@@ -33,9 +32,9 @@ class Fig5Panel:
 
 @dataclass
 class Fig5Result:
-    """All four panels plus the shared experiment configuration."""
+    """All four panels plus their shared acquisition length."""
 
-    config: ExperimentConfig
+    num_cycles: int
     panels: Dict[str, Fig5Panel] = field(default_factory=dict)
 
     @property
@@ -52,7 +51,7 @@ class Fig5Result:
         """Summary of all panels."""
         lines = [
             "Fig. 5 reproduction: CPA spread spectra "
-            f"({self.config.measurement.num_cycles} cycles per correlation)",
+            f"({self.num_cycles} cycles per correlation)",
             "",
         ]
         for key in sorted(self.panels):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.core.config import ExperimentConfig
 from repro.detection.statistics import BoxPlotStats, RepetitionStatistics
 
 
@@ -44,15 +43,8 @@ class Fig6ChipResult:
 class Fig6Result:
     """Fig. 6 reproduction: both chips."""
 
-    config: ExperimentConfig
     repetitions: int
     chips: Dict[str, Fig6ChipResult] = field(default_factory=dict)
-
-    def chip(self, chip_name: str) -> Fig6ChipResult:
-        """Result of one chip."""
-        if chip_name not in self.chips:
-            raise KeyError(f"no result for chip {chip_name!r}")
-        return self.chips[chip_name]
 
     @property
     def all_repetitions_detected(self) -> bool:

@@ -10,7 +10,7 @@ the bank's registers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence
 
 from repro.core.architectures import ClockModulationWatermark
@@ -100,17 +100,9 @@ def _compute_table1(
     result = Table1Result()
 
     for switching in switching_register_counts:
-        row_config = WatermarkConfig(
-            architecture=base_config.architecture,
-            lfsr_width=base_config.lfsr_width,
-            lfsr_seed=base_config.lfsr_seed,
-            num_words=base_config.num_words,
-            word_width=base_config.word_width,
-            switching_registers=switching,
-            load_registers=base_config.load_registers,
-            use_test_chip_wgc=True,
+        watermark = ClockModulationWatermark.from_config(
+            replace(base_config, switching_registers=switching)
         )
-        watermark = ClockModulationWatermark.from_config(row_config)
 
         # Dynamic power of the load (the modulated bank) during enabled cycles,
         # which is what a signoff tool reports for the placed-and-routed macro.

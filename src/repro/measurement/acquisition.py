@@ -6,8 +6,9 @@ stage's noise is folded into one statistically equivalent per-cycle
 Gaussian sigma (:meth:`AcquisitionCampaign.per_cycle_noise_sigma`) that is
 added to the chip's per-cycle power, in quadrature with the trace's own
 Gaussian per-cycle fluctuation (``PowerTrace.fluctuation_w``).  The result
-is a :class:`MeasuredTrace` whose ``values`` array is the measured
-per-cycle power vector ``Y``.
+is the measured per-cycle power vector ``Y``.  The bench is fixed, so its
+figures are the constants below; :class:`MeasurementConfig` holds only the
+acquisition length and the noise knobs.
 
 Acquisitions that only feed a detection decision (each Fig. 5 panel's
 one acquisition and the Fig. 6 repetitions) never materialise their rows:
@@ -21,7 +22,6 @@ row for callers that display it (Fig. 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,34 +34,20 @@ from repro.measurement.noise import (
     quantization_noise_rms,
     transient_residual_sigma,
 )
+from repro.power.estimator import SUPPLY_VOLTAGE_V
 from repro.power.trace import PowerTrace
 
+#: Oscilloscope samples averaged into one per-cycle power value: 500 MS/s
+#: over the chips' 10 MHz clock.
+SAMPLES_PER_CYCLE = 50
+#: The shunt resistor the chip's supply current flows through (ohm).
+SHUNT_RESISTANCE_OHM = 0.270
+#: Resolution of the oscilloscope's ADC.
+ADC_BITS = 8
 #: Vertical-range headroom of the oscilloscope: the full scale is set this
 #: much above the trace's peak shunt voltage, which sets the ADC's LSB.
 RANGE_HEADROOM = 1.25
 
-
-@dataclass
-class MeasuredTrace:
-    """The per-cycle measured power vector ``Y`` plus acquisition metadata."""
-
-    name: str
-    values: np.ndarray
-    config: MeasurementConfig
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("measured trace must be one-dimensional")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def num_cycles(self) -> int:
-        """Number of per-cycle values."""
-        return len(self.values)
 
 class AcquisitionCampaign:
     """Measures chip power traces with the modelled bench setup."""
@@ -78,43 +64,30 @@ class AcquisitionCampaign:
 
     def per_cycle_noise_sigma(self, mean_power_w: float, full_scale_v: float) -> float:
         """Effective per-cycle noise sigma (in watts) of the whole chain."""
-        spc = self.config.samples_per_cycle
         transient = transient_residual_sigma(
             mean_power_w,
             self.config.transient_noise_floor_w,
             self.config.transient_noise_fraction,
         )
-        probe_power = (
-            self.config.probe_noise_rms_v
-            / self.config.shunt_resistance_ohm
-            * self.config.supply_voltage_v
-        )
+        probe_power = self.config.probe_noise_rms_v / SHUNT_RESISTANCE_OHM * SUPPLY_VOLTAGE_V
         quant_power = (
-            quantization_noise_rms(full_scale_v, self.config.adc_bits)
-            / self.config.shunt_resistance_ohm
-            * self.config.supply_voltage_v
+            quantization_noise_rms(full_scale_v, ADC_BITS)
+            / SHUNT_RESISTANCE_OHM
+            * SUPPLY_VOLTAGE_V
         )
         per_sample = np.sqrt(probe_power**2 + quant_power**2)
-        return float(np.sqrt(transient**2 + (per_sample**2) / spc))
+        return float(np.sqrt(transient**2 + (per_sample**2) / SAMPLES_PER_CYCLE))
 
     # -- measurement -------------------------------------------------------------
 
-    def measure(self, power_trace: PowerTrace, seed: Optional[int] = None) -> MeasuredTrace:
+    def measure(self, power_trace: PowerTrace, seed: int) -> np.ndarray:
         """Measure a chip power trace and return the CPA vector ``Y``.
 
         The noise is drawn from the ``"noise"`` stream of ``seed``.
         """
-        if seed is None:
-            seed = self.config.seed
         power = power_trace.power_w
         sigma = self._trace_sigma(power_trace)
-        measured = power + gaussian_noise(stream(seed, "noise"), sigma, len(power))
-        return MeasuredTrace(
-            name=f"{power_trace.name}/measured",
-            values=measured,
-            config=self.config,
-            seed=seed,
-        )
+        return power + gaussian_noise(stream(seed, "noise"), sigma, len(power))
 
     def _trace_sigma(self, power_trace: PowerTrace) -> float:
         """Effective per-cycle noise sigma of one power trace's acquisition.
@@ -126,30 +99,25 @@ class AcquisitionCampaign:
         """
         power = power_trace.power_w
         mean_power = float(np.mean(power)) if len(power) else 0.0
-        peak_voltage = (
-            (power_trace.peak_power_w / self.config.supply_voltage_v)
-            * self.config.shunt_resistance_ohm
-        )
+        peak_voltage = (power_trace.peak_power_w / SUPPLY_VOLTAGE_V) * SHUNT_RESISTANCE_OHM
         full_scale = max(peak_voltage * RANGE_HEADROOM, 1e-6)
         return math.hypot(
             self.per_cycle_noise_sigma(mean_power, full_scale), power_trace.fluctuation_w
         )
 
-    def measure_many(
-        self, power_trace: PowerTrace, seeds: Sequence[Optional[int]]
-    ) -> np.ndarray:
+    def measure_many(self, power_trace: PowerTrace, seeds: Sequence[int]) -> np.ndarray:
         """Measure the same power trace once per seed into a trial matrix.
 
         Returns a ``len(seeds) x num_cycles`` array whose row ``r`` is
-        ``measure(power_trace, seed=seeds[r]).values``.
+        ``measure(power_trace, seeds[r])``.
         """
         seeds = list(seeds)
         if not seeds:
             raise ValueError("at least one seed is required")
-        return np.stack([self.measure(power_trace, seed=seed).values for seed in seeds])
+        return np.stack([self.measure(power_trace, seed) for seed in seeds])
 
     def measure_folded(
-        self, power_trace: PowerTrace, seeds: Sequence[Optional[int]], period: int
+        self, power_trace: PowerTrace, seeds: Sequence[int], period: int
     ) -> PhaseFold:
         """Measure the same power trace once per seed, as the detector reads it.
 
@@ -204,7 +172,7 @@ class AcquisitionCampaign:
         along_residual = np.zeros(len(seeds))
         chi2 = np.zeros(len(seeds))
         for index, seed in enumerate(seeds):
-            rng = stream(self.config.seed if seed is None else seed, "noise")
+            rng = stream(seed, "noise")
             rng.standard_normal(out=folded[index])
             if residual_dims >= 1:
                 along_residual[index] = rng.standard_normal()

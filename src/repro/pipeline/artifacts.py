@@ -389,11 +389,6 @@ class SweepResult:
         return matches[0][1]
 
     @property
-    def names(self) -> List[str]:
-        """Scenario names in execution order."""
-        return [result.name for result in self.results]
-
-    @property
     def failures(self) -> List[ScenarioResult]:
         """The results whose scenario failed (``error`` set), in order."""
         return [result for result in self.results if not result.ok]

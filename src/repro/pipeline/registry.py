@@ -124,9 +124,8 @@ class ExperimentRegistry:
 class SpecGrid:
     """Cartesian sweep builder over one base scenario.
 
-    The base is either a registry name (materialised with ``options``
-    through ``registry``, :data:`DEFAULT_REGISTRY` by default) or an
-    already-resolved :class:`ScenarioSpec`.  :meth:`build` expands it along
+    The base is either a name of :data:`DEFAULT_REGISTRY` (materialised
+    with ``options``) or an already-resolved :class:`ScenarioSpec`.  :meth:`build` expands it along
     up to four axes -- chips, noise scales, acquisition lengths, seeds --
     into the full cartesian grid of specs, ready for
     ``ExperimentRunner.run_many(..., backend="process")``::
@@ -144,14 +143,12 @@ class SpecGrid:
 
     base: Union[str, ScenarioSpec]
     options: RunOptions = field(default_factory=RunOptions)
-    registry: Optional["ExperimentRegistry"] = None
 
     def base_spec(self) -> ScenarioSpec:
         """The spec every grid cell derives from."""
         if isinstance(self.base, ScenarioSpec):
             return self.base
-        registry = self.registry if self.registry is not None else DEFAULT_REGISTRY
-        return registry.build(self.base, self.options)
+        return DEFAULT_REGISTRY.build(self.base, self.options)
 
     def build(
         self,

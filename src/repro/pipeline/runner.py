@@ -9,7 +9,7 @@ in a typed :class:`repro.pipeline.artifacts.ScenarioResult`.
 One runner instance shares work across everything it executes:
 
 * a chip provider caches :class:`repro.soc.chip.ChipModel` instances per
-  (chip, watermark config, M0 window), so a sweep's scenarios
+  (chip, watermark config), so a sweep's scenarios
   reuse one chip -- and therefore one watermark period template -- instead
   of rebuilding it per scenario;
 * underneath, the once-per-process M0-window memo and the module-level
@@ -80,8 +80,8 @@ class Pipeline:
 class ExperimentRunner:
     """Executes scenario specs, sharing chips and caches across a sweep."""
 
-    def __init__(self, chip_cache_entries: int = CHIP_CACHE_MAX_ENTRIES) -> None:
-        self._chips = LRUCache(lambda: chip_cache_entries)
+    def __init__(self) -> None:
+        self._chips = LRUCache(lambda: CHIP_CACHE_MAX_ENTRIES)
 
     # -- shared services used by stages ---------------------------------------
 
@@ -90,14 +90,10 @@ class ExperimentRunner:
         if spec.chip is None:
             raise ValueError(f"scenario kind {spec.kind!r} requires a chip")
         chip_name = spec.chip  # bound post-check: narrowing does not cross closures
-        key = (chip_name, spec.watermark, spec.m0_window_cycles)
+        key = (chip_name, spec.watermark)
 
         def build():
-            return build_registered_chip(
-                chip_name,
-                watermark=build_watermark(spec.watermark),
-                m0_window_cycles=spec.m0_window_cycles,
-            )
+            return build_registered_chip(chip_name, watermark=build_watermark(spec.watermark))
 
         # Caches ChipModel objects, not arrays; the chip freezes the arrays
         # of its own window cache.

@@ -143,7 +143,7 @@ def _fig3_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def power(ctx: StageContext) -> None:
         chip = ctx.data["chip"]
         num_cycles = ctx.spec.param("num_cycles", 4_096)
-        system = chip.background_power(num_cycles, seed=ctx.spec.seed)
+        system = chip.background_power(num_cycles, ctx.spec.seed)
         watermark = chip.watermark_power(num_cycles)
         total = system.add(watermark)
         total.name = f"{chip.name}/total"
@@ -153,12 +153,11 @@ def _fig3_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 
     def acquisition(ctx: StageContext) -> None:
         campaign = AcquisitionCampaign.from_spec(ctx.spec)
-        measured = campaign.measure(ctx.data["total"], seed=ctx.spec.seed)
         result = Fig3Result(
             system_power=ctx.data["system"],
             watermark_power=ctx.data["watermark"],
             total_power=ctx.data["total"],
-            measured_total_power=measured.values,
+            measured_total_power=campaign.measure(ctx.data["total"], ctx.spec.seed),
         )
         ctx.finish(
             payload=result,
@@ -188,10 +187,8 @@ def _fig3_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 
 
 def _phase_offset(spec: ScenarioSpec) -> int:
-    if spec.phase_offset is not None:
-        return spec.phase_offset
-    period = spec.watermark.sequence_period
-    return int(_PAPER_PHASE_FRACTION.get(spec.chip, 0.5) * period)
+    """Where the paper's peak landed on the spec's chip, in cycles of its period."""
+    return int(_PAPER_PHASE_FRACTION[spec.chip] * spec.watermark.sequence_period)
 
 
 def _measure_folded(ctx: StageContext, seeds: List[int]) -> PhaseFold:
@@ -264,7 +261,7 @@ def fig5_panel_spec(spec: ScenarioSpec, chip_name: str, active: bool) -> Scenari
 @stage_builder("fig5")
 def _fig5_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def panels(ctx: StageContext) -> None:
-        result = Fig5Result(config=ctx.spec.experiment_config)
+        result = Fig5Result(num_cycles=ctx.spec.measurement.num_cycles)
         arrays: Dict[str, np.ndarray] = {}
         for chip_name in ("chip1", "chip2"):
             for active in (True, False):
@@ -355,9 +352,7 @@ def fig6_chip_spec(spec: ScenarioSpec, chip_name: str) -> ScenarioSpec:
 @stage_builder("fig6")
 def _fig6_stages(spec: ScenarioSpec) -> List[PipelineStage]:
     def chips(ctx: StageContext) -> None:
-        result = Fig6Result(
-            config=ctx.spec.experiment_config, repetitions=ctx.spec.repetitions
-        )
+        result = Fig6Result(repetitions=ctx.spec.repetitions)
         arrays: Dict[str, np.ndarray] = {}
         for chip_name in ("chip1", "chip2"):
             sub = ctx.runner.run(fig6_chip_spec(ctx.spec, chip_name))

@@ -190,13 +190,6 @@ class ResultStore:
 
     # -- read side -------------------------------------------------------------
 
-    def has(self, spec: ScenarioSpec) -> bool:
-        """Whether an entry document exists for ``spec`` (no counters)."""
-        return self._json_path(self.key_for(spec)).is_file()
-
-    def __contains__(self, spec: ScenarioSpec) -> bool:
-        return self.has(spec)
-
     def get(
         self, spec: ScenarioSpec, *, arrays: bool = True
     ) -> Optional[ScenarioResult]:

@@ -43,6 +43,8 @@ PAPER_DATA_SWITCHING_POWER_W = 1.126e-6
 #: The test chips' clock and the duration of one of its cycles.
 CLOCK_FREQUENCY_HZ = 10e6
 CYCLE_TIME_S = 1.0 / CLOCK_FREQUENCY_HZ
+#: The test chips' supply voltage.
+SUPPLY_VOLTAGE_V = 1.2
 
 #: Flip-flop energy per clock-pin, data and combinational toggle (joule).
 CLOCK_TOGGLE_ENERGY_J = PAPER_CLOCK_BUFFER_POWER_W / CLOCK_FREQUENCY_HZ / 2.0

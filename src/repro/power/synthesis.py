@@ -137,11 +137,6 @@ class PeriodicPowerTemplate:
         """Wrap a one-period power trace as a template."""
         return cls(name=trace.name, power_w=trace.power_w)
 
-    @property
-    def period(self) -> int:
-        """Template length in cycles."""
-        return len(self.power_w)
-
     def extend(self, num_cycles: int, phase_offset: int = 0) -> PowerTrace:
         """The template tiled to ``num_cycles`` and rotated by ``phase_offset``.
 
@@ -174,19 +169,18 @@ def _per_row(
 class TraceSynthesizer:
     """Draws Monte-Carlo trials of the measurement model, vectorised.
 
-    :meth:`from_sequence` builds the statistical measurement model used by
-    the detection-probability campaign and the masking sweeps:
-    ``Y = base + amplitude * X(rotated) + N(0, sigma)``.  :meth:`trial_folds`
-    draws the trials' phase folds for
+    The statistical measurement model of the detection-probability campaign
+    and the masking sweeps: ``Y = base + amplitude * X(rotated) + N(0,
+    sigma)``.  :meth:`trial_folds` draws the trials' phase folds for
     :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
     """
 
     def __init__(
         self,
         sequence: np.ndarray,
-        watermark_amplitude_w: float = 1.0,
-        noise_sigma_w: float = 0.0,
-        base_power_w: float = 0.0,
+        watermark_amplitude_w: float,
+        noise_sigma_w: float,
+        base_power_w: float = 5e-3,
     ) -> None:
         self.sequence = np.asarray(sequence, dtype=np.float64)
         if self.sequence.ndim != 1 or len(self.sequence) == 0:
@@ -196,26 +190,6 @@ class TraceSynthesizer:
         self.watermark_amplitude_w = float(watermark_amplitude_w)
         self.noise_sigma_w = float(noise_sigma_w)
         self.base_power_w = float(base_power_w)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_sequence(
-        cls,
-        sequence: np.ndarray,
-        watermark_amplitude_w: float,
-        noise_sigma_w: float,
-        base_power_w: float = 5e-3,
-    ) -> "TraceSynthesizer":
-        """Synthesizer for the statistical measurement model."""
-        return cls(
-            sequence,
-            watermark_amplitude_w=watermark_amplitude_w,
-            noise_sigma_w=noise_sigma_w,
-            base_power_w=base_power_w,
-        )
-
-    # -- synthesis ----------------------------------------------------------
 
     @property
     def period(self) -> int:
@@ -229,7 +203,6 @@ class TraceSynthesizer:
         rng: np.random.Generator,
         noise_sigmas: Union[None, float, Sequence[float]] = None,
         enable_duties: Union[None, float, Sequence[float]] = None,
-        amplitudes: Union[None, float, Sequence[float]] = None,
     ) -> "PhaseFold":
         """Draw ``trials`` rows of the measurement model as the detector reads them.
 
@@ -237,8 +210,9 @@ class TraceSynthesizer:
         and ``row @ row``) of ``trials`` rows ``base + a * gate * X(rotated)
         + N(0, sigma^2)``, one per trial: equal to them in distribution, not
         bit for bit, and drawn with O(period) work per trial instead of
-        O(num_cycles).  ``noise_sigmas``, ``enable_duties`` and
-        ``amplitudes`` are scalars or one value per trial.
+        O(num_cycles).  ``noise_sigmas`` and ``enable_duties`` are scalars
+        or one value per trial; every trial has the synthesizer's amplitude
+        ``a``.
 
         Each trial has a uniform phase offset ``o``.  Phase ``k`` covers
         ``c_k`` of the ``num_cycles`` cycles and carries the signal ``s_k =
@@ -274,7 +248,6 @@ class TraceSynthesizer:
                 f"acquisitions must cover at least one sequence period ({num_cycles} < {period})"
             )
         sigmas = _per_row(noise_sigmas, self.noise_sigma_w, trials, "noise_sigmas")[:, None]
-        amps = _per_row(amplitudes, self.watermark_amplitude_w, trials, "amplitudes")[:, None]
         duties = _per_row(enable_duties, 1.0, trials, "enable_duties")[:, None]
         if np.any(sigmas < 0):
             raise ValueError("noise sigmas must be non-negative")
@@ -296,7 +269,8 @@ class TraceSynthesizer:
 
         # The watermark-on group: every cycle of an ungated trial.
         base = self.base_power_w
-        signal = base + amps * self.sequence.take(np.arange(period) + offsets[:, None], mode="wrap")
+        rotated = self.sequence.take(np.arange(period) + offsets[:, None], mode="wrap")
+        signal = base + self.watermark_amplitude_w * rotated
         on_noise = sigmas * np.sqrt(on) * z
         folded = on * signal + on_noise
         energy = on * signal * signal + 2.0 * signal * on_noise

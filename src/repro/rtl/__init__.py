@@ -3,7 +3,7 @@
 This package provides the structural building blocks of the Sec. VI
 netlists (registers, shift registers, clock gates and glue logic in one
 flat graph), the clock-tree buffer count the watermark circuits are costed
-with, and the per-cycle switching-activity records the power estimator
+with, and the per-cycle switching-activity traces the power estimator
 consumes.
 
 The substrate is intentionally cycle-accurate rather than event-accurate:
@@ -12,7 +12,7 @@ power value per clock cycle, so per-cycle switching-activity accounting is
 the right level of abstraction for reproducing the paper's results.
 """
 
-from repro.rtl.activity import ActivityRecord, ActivityTrace
+from repro.rtl.activity import ActivityTrace
 from repro.rtl.components import (
     Component,
     Register,
@@ -24,7 +24,6 @@ from repro.rtl.components import (
 from repro.rtl.netlist import Netlist
 
 __all__ = [
-    "ActivityRecord",
     "ActivityTrace",
     "Component",
     "Register",

@@ -1,4 +1,4 @@
-"""Per-cycle switching-activity records.
+"""Per-cycle switching-activity traces.
 
 Dynamic power in CMOS is proportional to the number of node transitions per
 cycle.  The activity model therefore reduces every component to three
@@ -19,31 +19,9 @@ per-register figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ActivityRecord:
-    """Switching activity of one component during one clock cycle."""
-
-    clock_toggles: int = 0
-    data_toggles: int = 0
-    comb_toggles: int = 0
-
-    def __add__(self, other: "ActivityRecord") -> "ActivityRecord":
-        return ActivityRecord(
-            clock_toggles=self.clock_toggles + other.clock_toggles,
-            data_toggles=self.data_toggles + other.data_toggles,
-            comb_toggles=self.comb_toggles + other.comb_toggles,
-        )
-
-    @property
-    def total_toggles(self) -> int:
-        """Total transitions across all three categories."""
-        return self.clock_toggles + self.data_toggles + self.comb_toggles
 
 
 class ActivityTrace:
@@ -86,17 +64,6 @@ class ActivityTrace:
 
     def __len__(self) -> int:
         return len(self.clock_toggles)
-
-    def __getitem__(self, cycle: int) -> ActivityRecord:
-        return ActivityRecord(
-            clock_toggles=int(self.clock_toggles[cycle]),
-            data_toggles=int(self.data_toggles[cycle]),
-            comb_toggles=int(self.comb_toggles[cycle]),
-        )
-
-    def __iter__(self) -> Iterator[ActivityRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def total_toggles(self) -> np.ndarray:

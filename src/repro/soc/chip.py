@@ -92,14 +92,6 @@ class ChipDescription:
 
     name: str
     has_a5_subsystem: bool
-    m0_window_cycles: int = M0_WINDOW_CYCLES
-
-    def __post_init__(self) -> None:
-        if not 0 < self.m0_window_cycles <= M0_WINDOW_CYCLES:
-            raise ValueError(
-                f"the M0 window must hold 1 to {M0_WINDOW_CYCLES} cycles, "
-                f"not {self.m0_window_cycles}"
-            )
 
 
 class ChipModel:
@@ -109,11 +101,9 @@ class ChipModel:
         self,
         description: ChipDescription,
         watermark: Optional[WatermarkArchitecture] = None,
-        seed: int = 2014,
     ) -> None:
         self.description = description
         self.watermark = watermark
-        self.seed = seed
         self.peripherals: IdleBlock = PERIPHERALS
         self.a5_subsystem: Optional[IdleBlock] = (
             A5_SUBSYSTEM if description.has_a5_subsystem else None
@@ -141,14 +131,17 @@ class ChipModel:
     # -- activity traces --------------------------------------------------------
 
     def _m0_window(self, num_cycles: int) -> ActivityTrace:
-        """The M0 window of an acquisition of ``num_cycles`` cycles (read-only arrays)."""
-        return m0_window(min(num_cycles, self.description.m0_window_cycles))
+        """The M0 window of an acquisition of ``num_cycles`` cycles (read-only arrays).
+
+        The whole shipped window, or its prefix for a shorter acquisition.
+        """
+        return m0_window(min(num_cycles, M0_WINDOW_CYCLES))
 
     def _m0_shifts(self, num_cycles: int, window: int, seed: int) -> np.ndarray:
         """One cyclic shift per window repetition, from the ``"m0"`` stream."""
         return stream(seed, "m0").integers(0, window, size=-(-num_cycles // window))
 
-    def m0_activity(self, num_cycles: int, seed: Optional[int] = None) -> ActivityTrace:
+    def m0_activity(self, num_cycles: int, seed: int) -> ActivityTrace:
         """Activity of the Cortex-M0-class core (plus bus/SRAM) over ``num_cycles``.
 
         The core's shipped activity window is repeated with a random cyclic
@@ -164,7 +157,7 @@ class ChipModel:
         window = len(trace)
         if window >= num_cycles:
             return trace
-        shifts = self._m0_shifts(num_cycles, window, self.seed if seed is None else seed)
+        shifts = self._m0_shifts(num_cycles, window, seed)
         return ActivityTrace(
             name=trace.name,
             clock_toggles=rolled_blocks(trace.clock_toggles, shifts, num_cycles),
@@ -177,12 +170,12 @@ class ChipModel:
     def _background_template_key(self, num_cycles: int, seed: int) -> Hashable:
         """Cache key of the seeded background-power template.
 
-        The description names the chip and its M0 window; the rest of the
-        chip is fixed, and so is the power model (:mod:`repro.power.estimator`).
-        The seed only draws the window shifts, so an acquisition no longer
-        than the window is one entry whatever its seed.
+        The description names the chip; the rest of the chip is fixed, and
+        so is the power model (:mod:`repro.power.estimator`).  The seed only
+        draws the window shifts, so an acquisition no longer than the
+        window is one entry whatever its seed.
         """
-        drawn_seed = seed if num_cycles > self.description.m0_window_cycles else None
+        drawn_seed = seed if num_cycles > M0_WINDOW_CYCLES else None
         return ("background-power", self.description, drawn_seed, num_cycles)
 
     def _idle_blocks(self) -> Tuple[IdleBlock, ...]:
@@ -191,9 +184,7 @@ class ChipModel:
             return (self.peripherals,)
         return (self.peripherals, self.a5_subsystem)
 
-    def background_power(
-        self, num_cycles: int, seed: Optional[int] = None, use_cache: bool = True
-    ) -> PowerTrace:
+    def background_power(self, num_cycles: int, seed: int) -> PowerTrace:
         """Power consumed by the functional system over ``num_cycles``.
 
         The array is the tiled M0 window's power plus the idle blocks' mean
@@ -204,13 +195,12 @@ class ChipModel:
         the SRAM array), matching how the watermark architectures and the
         Table I analysis compute leakage from ``leakage_of(cell_inventory())``.
 
-        The per-cycle array is cached per ``(chip configuration, seed,
-        num_cycles)``, the seed only when window shifts are drawn, so
-        repeated acquisitions of the same background reuse one array.
-        ``use_cache=False`` recomputes from scratch (bit-identical by
-        construction; the equivalence suite pins this).
+        The per-cycle array is cached, read-only, per ``(chip
+        configuration, seed, num_cycles)``, the seed only when window shifts
+        are drawn, so repeated acquisitions of the same background reuse
+        one array.  :func:`clear_background_template_cache` makes the next
+        call compute it afresh.
         """
-        resolved_seed = self.seed if seed is None else seed
         blocks = self._idle_blocks()
 
         def compute() -> np.ndarray:
@@ -218,25 +208,17 @@ class ChipModel:
             window = self._m0_window(num_cycles)
             power_w = estimator.power_per_cycle(window)
             if len(window) < num_cycles:
-                shifts = self._m0_shifts(num_cycles, len(window), resolved_seed)
+                shifts = self._m0_shifts(num_cycles, len(window), seed)
                 power_w = rolled_blocks(power_w, shifts, num_cycles)
             power_w += sum(block.mean_power_w for block in blocks) + estimator.leakage_of(
                 self.system_cell_inventory()
             )
+            power_w.flags.writeable = False
             return power_w
 
-        if use_cache:
-
-            def compute_template() -> np.ndarray:
-                template = compute()
-                template.flags.writeable = False
-                return template
-
-            power_w = _BACKGROUND_TEMPLATE_CACHE.get_or_compute(
-                self._background_template_key(num_cycles, resolved_seed), compute_template
-            )
-        else:
-            power_w = compute()
+        power_w = _BACKGROUND_TEMPLATE_CACHE.get_or_compute(
+            self._background_template_key(num_cycles, seed), compute
+        )
         return PowerTrace(
             name=f"{self.name}/background",
             power_w=power_w,
@@ -258,9 +240,9 @@ class ChipModel:
         self,
         num_cycles: int,
         watermark_active: bool = True,
-        seed: Optional[int] = None,
+        *,
+        seed: int,
         watermark_phase_offset: int = 0,
-        use_cache: bool = True,
     ) -> PowerTrace:
         """Total device power: background plus (optionally) the watermark.
 
@@ -274,7 +256,7 @@ class ChipModel:
         phase, which is why the paper's correlation peaks appear at
         arbitrary rotations (~3,800 on chip I, ~2,400 on chip II).
         """
-        total = self.background_power(num_cycles, seed=seed, use_cache=use_cache)
+        total = self.background_power(num_cycles, seed)
         if watermark_active and self.watermark is not None:
             total = total.add(
                 self.watermark_power(num_cycles, phase_offset=watermark_phase_offset)
@@ -295,34 +277,26 @@ class ChipModel:
         )
 
 
-def build_chip_one(
-    watermark: Optional[WatermarkArchitecture] = None,
-    m0_window_cycles: int = M0_WINDOW_CYCLES,
-    seed: int = 2014,
-) -> ChipModel:
+def build_chip_one(watermark: Optional[WatermarkArchitecture] = None) -> ChipModel:
     """Chip I: Cortex-M0-class SoC with peripherals, watermark as a macro."""
-    description = ChipDescription(name="chip1", has_a5_subsystem=False, m0_window_cycles=m0_window_cycles)
-    return ChipModel(description, watermark=watermark, seed=seed)
+    return ChipModel(ChipDescription(name="chip1", has_a5_subsystem=False), watermark=watermark)
 
 
-def build_chip_two(
-    watermark: Optional[WatermarkArchitecture] = None,
-    m0_window_cycles: int = M0_WINDOW_CYCLES,
-    seed: int = 2015,
-) -> ChipModel:
+def build_chip_two(watermark: Optional[WatermarkArchitecture] = None) -> ChipModel:
     """Chip II: adds the clocked-but-idle dual-core A5-class subsystem."""
-    description = ChipDescription(name="chip2", has_a5_subsystem=True, m0_window_cycles=m0_window_cycles)
-    return ChipModel(description, watermark=watermark, seed=seed)
+    return ChipModel(ChipDescription(name="chip2", has_a5_subsystem=True), watermark=watermark)
 
 
 #: The paper's two chips by canonical name.
 CHIP_BUILDERS = {"chip1": build_chip_one, "chip2": build_chip_two}
 
 
-def build_registered_chip(name: str, **kwargs) -> ChipModel:
-    """Build the chip called ``name``; ``kwargs`` go to its builder.
+def build_registered_chip(
+    name: str, watermark: Optional[WatermarkArchitecture] = None
+) -> ChipModel:
+    """Build the chip called ``name`` with ``watermark`` embedded.
 
     :class:`repro.core.spec.ScenarioSpec` rejects any other chip name, so
     a spec's chip always resolves here.
     """
-    return CHIP_BUILDERS[name](**kwargs)
+    return CHIP_BUILDERS[name](watermark)

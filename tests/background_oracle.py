@@ -22,7 +22,7 @@ power while its per-cycle jitter travels as the trace's Gaussian
 """
 
 import math
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -74,19 +74,16 @@ def idle_blocks(chip) -> Dict[str, object]:
     return blocks
 
 
-def background_activity(
-    chip, num_cycles: int, seed: Optional[int] = None
-) -> Dict[str, ActivityTrace]:
+def background_activity(chip, num_cycles: int, seed: int) -> Dict[str, ActivityTrace]:
     """Per-contributor per-cycle background activity.
 
     Only the M0 has one: the idle blocks contribute constants and a
     Gaussian fluctuation, no per-cycle array.
     """
-    seed = chip.seed if seed is None else seed
-    return {"m0": chip.m0_activity(num_cycles, seed=seed)}
+    return {"m0": chip.m0_activity(num_cycles, seed)}
 
 
-def background_power(chip, num_cycles: int, seed: Optional[int] = None) -> PowerTrace:
+def background_power(chip, num_cycles: int, seed: int) -> PowerTrace:
     """The chip's background power, summed from its activity traces."""
     traces = background_activity(chip, num_cycles, seed=seed)
     blocks = idle_blocks(chip).values()

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import (
-    DetectionConfig,
-    ExperimentConfig,
-    MeasurementConfig,
-    WatermarkConfig,
-)
+from repro.core.config import DetectionConfig, WatermarkConfig
 from repro.power.estimator import PowerEstimator
 
 
@@ -22,18 +17,6 @@ from repro.power.estimator import PowerEstimator
 def nominal_estimator() -> PowerEstimator:
     """Power estimator at the paper's operating point (10 MHz, 1.2 V)."""
     return PowerEstimator()
-
-
-@pytest.fixture(scope="session")
-def fast_measurement_config() -> MeasurementConfig:
-    """A reduced-length acquisition for quick end-to-end tests."""
-    return MeasurementConfig(num_cycles=40_000, seed=7)
-
-
-@pytest.fixture(scope="session")
-def fast_experiment_config(fast_measurement_config) -> ExperimentConfig:
-    """Reduced-length experiment configuration."""
-    return ExperimentConfig(measurement=fast_measurement_config)
 
 
 @pytest.fixture(scope="session")

@@ -286,7 +286,7 @@ def background_power_running(chip, program: Program, num_cycles: int, seed: int)
     ``"m0"`` stream's cyclic shifts, plus the idle blocks' mean power and
     the static leakage, with the idle blocks' fluctuations in quadrature.
     """
-    window = min(num_cycles, chip.description.m0_window_cycles)
+    window = min(num_cycles, M0_WINDOW_CYCLES)
     estimator = PowerEstimator()
     power_w = estimator.power_per_cycle(run_from_reset(program, window))
     if window < num_cycles:

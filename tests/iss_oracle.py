@@ -39,9 +39,9 @@ from m0_isa import (
     PC,
     SP,
 )
-from rtl_oracle import hamming_distance, trace_from_records
+from rtl_oracle import ActivityRecord, hamming_distance, trace_from_records
 
-from repro.rtl.activity import ActivityRecord, ActivityTrace
+from repro.rtl.activity import ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 
 _WORD_MASK = 0xFFFFFFFF

@@ -33,8 +33,14 @@ from scipy import signal
 
 from repro.core.config import MeasurementConfig
 from repro.core.seeds import stream
-from repro.measurement.acquisition import AcquisitionCampaign
+from repro.measurement.acquisition import (
+    ADC_BITS,
+    SAMPLES_PER_CYCLE,
+    SHUNT_RESISTANCE_OHM,
+    AcquisitionCampaign,
+)
 from repro.measurement.noise import gaussian_noise, transient_residual_sigma
+from repro.power.estimator import CLOCK_FREQUENCY_HZ, SUPPLY_VOLTAGE_V
 from repro.power.trace import PowerTrace
 
 
@@ -167,8 +173,8 @@ def measure_chain(
     per-cycle average is converted back to power.
     """
     rng = np.random.default_rng(seed)
-    spc = config.samples_per_cycle
-    supply = config.supply_voltage_v
+    spc = SAMPLES_PER_CYCLE
+    supply = SUPPLY_VOLTAGE_V
     current_per_cycle = power_trace.power_w / supply
     samples = np.repeat(current_per_cycle, spc) * np.tile(pulse_shape(spc), len(current_per_cycle))
 
@@ -182,10 +188,11 @@ def measure_chain(
     transient_sigma_sample = transient_sigma_cycle * np.sqrt(spc) / supply
     samples = samples + gaussian_noise(rng, transient_sigma_sample, len(samples))
 
-    shunt = ShuntResistor(resistance_ohm=config.shunt_resistance_ohm)
+    shunt = ShuntResistor(resistance_ohm=SHUNT_RESISTANCE_OHM)
     probe = DifferentialProbe(noise_rms_v=config.probe_noise_rms_v)
-    scope = Oscilloscope(adc_bits=config.adc_bits)
-    probed = probe.apply(shunt.voltage_from_current(samples), config.sampling_frequency_hz, rng=rng)
+    scope = Oscilloscope(adc_bits=ADC_BITS)
+    sampling_frequency_hz = SAMPLES_PER_CYCLE * CLOCK_FREQUENCY_HZ
+    probed = probe.apply(shunt.voltage_from_current(samples), sampling_frequency_hz, rng=rng)
     per_cycle = scope.capture(probed, samples_per_cycle=spc)
     return shunt.current_from_voltage(per_cycle) * supply
 
@@ -209,12 +216,11 @@ def gaussian_noise_into(rng: np.random.Generator, rms: float, out: np.ndarray) -
 
 
 def measure_rows(
-    campaign: AcquisitionCampaign, power_trace: PowerTrace, seeds: Sequence[Optional[int]]
+    campaign: AcquisitionCampaign, power_trace: PowerTrace, seeds: Sequence[int]
 ) -> Iterator[np.ndarray]:
     """Measure the same power trace once per seed, yielding one row at a time.
 
-    Row ``r`` is bit-identical to
-    ``campaign.measure(power_trace, seed=seeds[r]).values``.  Every row is
+    Row ``r`` is bit-identical to ``campaign.measure(power_trace, seeds[r])``.  Every row is
     written into one reused ``num_cycles`` buffer: consume (or copy) a row
     before asking for the next.
     """
@@ -227,7 +233,7 @@ def measure_rows(
     def rows() -> Iterator[np.ndarray]:
         row = np.empty(len(power), dtype=np.float64)
         for seed in seeds:
-            rng = stream(campaign.config.seed if seed is None else seed, "noise")
+            rng = stream(seed, "noise")
             gaussian_noise_into(rng, sigma, row)
             row += power
             yield row

@@ -22,8 +22,10 @@ other exactly:
   own register words, gates and trees;
 * :class:`SteppedWatermark`, a whole architecture, and
   :func:`stepped_activity`, its per-cycle traces;
-* :func:`trace_from_records`, which builds a trace from the per-cycle
-  records a stepping model returns, and :func:`hamming_distance`, the
+* :class:`ActivityRecord`, the activity of one component in one cycle,
+  :func:`trace_from_records`, which builds a trace from the per-cycle
+  records a stepping model returns (:func:`records_of` reads them back),
+  and :func:`hamming_distance`, the
   bits a register update toggles.
 
 Each twin of a library class subclasses it, so it takes the same
@@ -34,14 +36,37 @@ added here.  A twin starts at reset; build a new one to start again.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import clock_modulation, lfsr, load_circuit, wgc
 from repro.rtl import components
-from repro.rtl.activity import ActivityRecord, ActivityTrace
+from repro.rtl.activity import ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, CLOCK_TREE_FANOUT
+
+
+@dataclass(frozen=True)
+class ActivityRecord:
+    """Switching activity of one component during one clock cycle."""
+
+    clock_toggles: int = 0
+    data_toggles: int = 0
+    comb_toggles: int = 0
+
+    def __add__(self, other: "ActivityRecord") -> "ActivityRecord":
+        return ActivityRecord(
+            clock_toggles=self.clock_toggles + other.clock_toggles,
+            data_toggles=self.data_toggles + other.data_toggles,
+            comb_toggles=self.comb_toggles + other.comb_toggles,
+        )
+
+    @property
+    def total_toggles(self) -> int:
+        """Total transitions across all three categories."""
+        return self.clock_toggles + self.data_toggles + self.comb_toggles
+
 
 ZERO_ACTIVITY = ActivityRecord()
 
@@ -68,6 +93,14 @@ def trace_from_records(name: str, records: Iterable[ActivityRecord]) -> Activity
         data_toggles=np.array([r.data_toggles for r in records], dtype=np.int64),
         comb_toggles=np.array([r.comb_toggles for r in records], dtype=np.int64),
     )
+
+
+def records_of(trace: ActivityTrace) -> List[ActivityRecord]:
+    """The per-cycle records of a trace (the inverse of :func:`trace_from_records`)."""
+    return [
+        ActivityRecord(int(clock), int(data), int(comb))
+        for clock, data, comb in zip(trace.clock_toggles, trace.data_toggles, trace.comb_toggles)
+    ]
 
 
 # -- components ---------------------------------------------------------------

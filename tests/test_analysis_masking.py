@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.masking import run_noise_masking_study, run_starvation_study
+from repro.analysis.masking import MaskingPoint, run_noise_masking_study, run_starvation_study
 from repro.core.lfsr import LFSR
 from repro.core.seeds import stream
 from repro.detection.batch import BatchCPADetector
@@ -139,7 +139,7 @@ class TestMonteCarloMasking:
             seed=8,
             trials_per_point=3,
         )
-        synthesizer = TraceSynthesizer.from_sequence(
+        synthesizer = TraceSynthesizer(
             sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=0.0
         )
         sigmas = np.repeat([np.sqrt(30e-3**2 + level**2) for level in levels], 3)
@@ -152,6 +152,43 @@ class TestMonteCarloMasking:
             assert point.detections == int(np.count_nonzero(batch.detected[rows]))
             assert point.peak_correlation == float(batch.peak_correlations[rows].mean())
             assert point.z_score == float(batch.z_scores[rows].mean())
+
+    def test_starvation_sweep_matches_its_trial_folds(self, sequence):
+        # The starvation study shares the noise study's body but draws from
+        # its own stream, at the base noise, with one gate duty per point.
+        duties = (1.0, 0.3)
+        study = run_starvation_study(
+            sequence,
+            watermark_amplitude_w=1.5e-3,
+            base_noise_sigma_w=30e-3,
+            enable_duties=duties,
+            num_cycles=30_000,
+            seed=8,
+            trials_per_point=3,
+        )
+        synthesizer = TraceSynthesizer(
+            sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=0.0
+        )
+        folds = synthesizer.trial_folds(
+            6,
+            30_000,
+            stream(8, "masking-starvation"),
+            noise_sigmas=np.full(6, 30e-3),
+            enable_duties=np.repeat(duties, 3),
+        )
+        batch = BatchCPADetector().detect_many(sequence, folds)
+        assert [point.enable_duty for point in study.points] == list(duties)
+        assert [point.masking_noise_w for point in study.points] == [0.0, 0.0]
+        for index, point in enumerate(study.points):
+            rows = slice(3 * index, 3 * index + 3)
+            assert point.detections == int(np.count_nonzero(batch.detected[rows]))
+            assert point.peak_correlation == float(batch.peak_correlations[rows].mean())
+
+    def test_points_need_their_trial_counts(self):
+        with pytest.raises(TypeError):
+            MaskingPoint(0.0, 1.0, True, 0.1, 5.0)
+        point = MaskingPoint(0.0, 1.0, True, 0.1, 5.0, trials=4, detections=3)
+        assert point.detection_probability == 0.75
 
     def test_empty_sweep_has_no_points(self, sequence):
         study = run_starvation_study(sequence, enable_duties=(), num_cycles=2000)

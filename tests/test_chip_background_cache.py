@@ -9,7 +9,9 @@ Pins the contract of the two module-level caches of the chip background:
   per-cycle background template per (chip configuration, seed,
   acquisition length).
 
-Every fast path must be bit-identical to the cache-bypassing computation.
+Every cached array must be bit-identical to the cold computation after a
+clear.  Acquisitions longer than the shipped window (``W``) tile it, so
+only they draw shifts from their seed.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.soc import cpu as cpu_module
 from repro.soc.chip import build_chip_one, build_chip_two
 
 FIELDS = ("clock_toggles", "data_toggles", "comb_toggles")
+W = cpu_module.M0_WINDOW_CYCLES
 
 
 @pytest.fixture(autouse=True)
@@ -40,33 +43,33 @@ def _trace_equal(a, b) -> bool:
 
 class TestM0WindowCache:
     def test_cached_trace_bit_identical_to_uncached(self):
-        chip = build_chip_one(m0_window_cycles=512)
-        cached = chip.m0_activity(2000, seed=13)
+        chip = build_chip_one()
+        cached = chip.m0_activity(W + 2000, seed=13)
         cpu_module.clear_m0_window_cache()
-        reloaded = chip.m0_activity(2000, seed=13)
+        reloaded = chip.m0_activity(W + 2000, seed=13)
         assert _trace_equal(cached, reloaded)
 
     def test_window_loaded_once_across_instances(self):
-        first = build_chip_one(m0_window_cycles=512)
-        second = build_chip_one(m0_window_cycles=512)
-        first.m0_activity(1500, seed=1)
+        first = build_chip_one()
+        second = build_chip_one()
+        first.m0_activity(W + 1500, seed=1)
         assert cpu_module.m0_window_cache_stats() == {"hits": 0, "misses": 1}
-        second.m0_activity(1500, seed=2)
-        second.m0_activity(3000, seed=3)
+        second.m0_activity(W + 1500, seed=2)
+        second.m0_activity(W + 3000, seed=3)
         assert cpu_module.m0_window_cache_stats() == {"hits": 2, "misses": 1}
 
     def test_different_windows_share_one_load(self):
-        chip_small = build_chip_one(m0_window_cycles=256)
-        chip_large = build_chip_one(m0_window_cycles=512)
-        small = chip_small.m0_activity(600, seed=1)
-        chip_large.m0_activity(600, seed=1)
+        # A short acquisition reads a prefix, a long one the whole window.
+        chip = build_chip_one()
+        small = chip.m0_activity(600, seed=1)
+        chip.m0_activity(W + 600, seed=1)
         assert cpu_module.m0_window_cache_stats() == {"hits": 1, "misses": 1}
         assert len(small) == 600
 
     def test_both_chips_read_the_same_window(self):
         # No shifts are drawn up to the window length: this is the window.
-        one = build_chip_one(seed=1).m0_activity(4096)
-        two = build_chip_two(seed=2).m0_activity(4096)
+        one = build_chip_one().m0_activity(4096, seed=1)
+        two = build_chip_two().m0_activity(4096, seed=2)
         assert _trace_equal(one, two)
         assert all(np.shares_memory(getattr(one, field), getattr(two, field)) for field in FIELDS)
         assert cpu_module.m0_window_cache_stats() == {"hits": 1, "misses": 1}
@@ -84,18 +87,18 @@ class TestM0WindowCache:
     def test_window_outside_the_shipped_length_is_rejected(self, num_cycles):
         with pytest.raises(ValueError, match=str(cpu_module.M0_WINDOW_CYCLES)):
             cpu_module.m0_window(num_cycles)
-        with pytest.raises(ValueError, match=str(cpu_module.M0_WINDOW_CYCLES)):
-            build_chip_one(m0_window_cycles=num_cycles)
+        # A chip never asks for more: a longer acquisition tiles the window.
+        assert len(build_chip_one().m0_activity(W + 1, seed=0)) == W + 1
 
     def test_short_acquisition_window_also_cached(self):
-        chip = build_chip_one(m0_window_cycles=4096)
+        chip = build_chip_one()
         a = chip.m0_activity(100, seed=1)
         b = chip.m0_activity(100, seed=1)
         assert _trace_equal(a, b)
         assert cpu_module.m0_window_cache_stats() == {"hits": 1, "misses": 1}
 
     def test_cached_arrays_are_read_only(self):
-        chip = build_chip_one(m0_window_cycles=256)
+        chip = build_chip_one()
         trace = chip.m0_activity(256, seed=1)
         for field in FIELDS:
             with pytest.raises(ValueError):
@@ -105,7 +108,7 @@ class TestM0WindowCache:
             full.comb_toggles[-1] = 0
 
     def test_clear_resets_cache_and_counters(self):
-        chip = build_chip_one(m0_window_cycles=256)
+        chip = build_chip_one()
         chip.m0_activity(300, seed=1)
         chip.m0_activity(300, seed=1)
         cpu_module.clear_m0_window_cache()
@@ -120,30 +123,31 @@ class TestBackgroundTemplateCache:
         watermark = ClockModulationWatermark.from_config(
             WatermarkConfig(lfsr_width=8, lfsr_seed=0x2D)
         )
-        return build_chip_one(watermark=watermark, m0_window_cycles=512)
+        return build_chip_one(watermark=watermark)
 
     def test_cached_power_bit_identical_to_uncached(self, chip):
-        warm = chip.background_power(4000, seed=21)
-        again = chip.background_power(4000, seed=21)
-        reference = chip.background_power(4000, seed=21, use_cache=False)
-        assert np.array_equal(warm.power_w, reference.power_w)
-        assert np.array_equal(again.power_w, reference.power_w)
+        warm = chip.background_power(W + 4000, seed=21)
+        again = chip.background_power(W + 4000, seed=21)
         stats = chip_module.background_template_cache_stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 1
+        chip_module.clear_background_template_cache()
+        reference = chip.background_power(W + 4000, seed=21)
+        assert reference.power_w is not warm.power_w
+        assert np.array_equal(warm.power_w, reference.power_w)
+        assert np.array_equal(again.power_w, reference.power_w)
 
     def test_total_power_bit_identical_through_cache(self, chip):
-        cold = chip.total_power(4000, seed=5, watermark_phase_offset=17)
-        warm = chip.total_power(4000, seed=5, watermark_phase_offset=17)
-        reference = chip.total_power(
-            4000, seed=5, watermark_phase_offset=17, use_cache=False
-        )
+        cold = chip.total_power(W + 4000, seed=5, watermark_phase_offset=17)
+        warm = chip.total_power(W + 4000, seed=5, watermark_phase_offset=17)
+        chip_module.clear_background_template_cache()
+        reference = chip.total_power(W + 4000, seed=5, watermark_phase_offset=17)
         assert np.array_equal(cold.power_w, reference.power_w)
         assert np.array_equal(warm.power_w, reference.power_w)
 
     def test_different_seed_misses(self, chip):
-        chip.background_power(1000, seed=1)
-        chip.background_power(1000, seed=2)
+        chip.background_power(W + 1000, seed=1)
+        chip.background_power(W + 1000, seed=2)
         assert chip_module.background_template_cache_stats()["misses"] == 2
 
     def test_different_num_cycles_misses(self, chip):
@@ -156,25 +160,17 @@ class TestBackgroundTemplateCache:
 
     def test_different_chip_configuration_misses(self, chip):
         chip.background_power(1000, seed=1)
-        chip2 = build_chip_two(m0_window_cycles=512)
+        chip2 = build_chip_two()
         chip2.background_power(1000, seed=1)
         assert chip_module.background_template_cache_stats()["misses"] == 2
 
     def test_shared_across_equivalent_instances(self, chip):
         chip.background_power(1000, seed=1)
-        sibling = build_chip_one(m0_window_cycles=512)  # watermark is irrelevant
+        sibling = build_chip_one()  # watermark is irrelevant
         sibling.background_power(1000, seed=1)
         stats = chip_module.background_template_cache_stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 1
-
-    def test_default_seed_resolves_to_chip_seed(self):
-        a = build_chip_one(m0_window_cycles=256, seed=77)
-        b = build_chip_one(m0_window_cycles=256, seed=77)
-        explicit = a.background_power(500)
-        implicit = b.background_power(500, seed=77)
-        assert np.array_equal(explicit.power_w, implicit.power_w)
-        assert chip_module.background_template_cache_stats()["hits"] == 1
 
     def test_cached_template_is_read_only(self, chip):
         power = chip.background_power(500, seed=3)
@@ -183,8 +179,8 @@ class TestBackgroundTemplateCache:
 
     def test_seed_is_no_key_when_no_shifts_are_drawn(self, chip):
         # At the window length no shift is drawn, so the seed changes nothing.
-        first = chip.background_power(512, seed=1)
-        second = chip.background_power(512, seed=2)
+        first = chip.background_power(W, seed=1)
+        second = chip.background_power(W, seed=2)
         assert chip_module.background_template_cache_stats() == {
             "hits": 1,
             "misses": 1,
@@ -192,13 +188,14 @@ class TestBackgroundTemplateCache:
             "entries": 1,
         }
         for seed, power in ((1, first), (2, second)):
-            reference = chip.background_power(512, seed=seed, use_cache=False)
+            chip_module.clear_background_template_cache()
+            reference = chip.background_power(W, seed=seed)
             assert np.array_equal(power.power_w, reference.power_w)
 
     def test_lru_bound_evicts_oldest(self, chip, monkeypatch):
         monkeypatch.setattr(chip_module, "BACKGROUND_TEMPLATE_CACHE_MAX_ENTRIES", 2)
         for seed in (1, 2, 3):
-            chip.background_power(600, seed=seed)
+            chip.background_power(W + 600, seed=seed)
         stats = chip_module.background_template_cache_stats()
         assert stats["entries"] == 2
         assert stats["evictions"] == 1

@@ -149,13 +149,7 @@ def test_load_circuit_matches_stepping(registers, word_width, wmark):
 
 def _architectures(width, seed, test_chip):
     config = WatermarkConfig(
-        lfsr_width=width,
-        lfsr_seed=seed,
-        num_words=3,
-        word_width=5,
-        switching_registers=7,
-        load_registers=21,
-        use_test_chip_wgc=test_chip,
+        lfsr_width=width, lfsr_seed=seed, num_words=3, word_width=5, switching_registers=7
     )
     wgc = (
         WatermarkGenerationCircuit.test_chip(active_width=width, seed=seed)
@@ -164,7 +158,11 @@ def _architectures(width, seed, test_chip):
     )
     return [
         ClockModulationWatermark.from_config(config),
-        BaselineWatermark.from_config(config),
+        ClockModulationWatermark(
+            wgc=wgc,
+            modulated_block=ClockModulatedBank(num_words=3, word_width=5, switching_registers=7),
+        ),
+        BaselineWatermark(wgc=wgc, load=LoadCircuit(num_registers=21)),
         BaselineWatermark(wgc=wgc, load=LoadCircuit(num_registers=13, word_width=3)),
         ClockModulationWatermark(
             wgc=wgc,

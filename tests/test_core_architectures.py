@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from rtl_oracle import SteppedWatermark
+from rtl_oracle import SteppedWatermark, records_of
 
 from repro.core.architectures import BaselineWatermark, ClockModulationWatermark
-from repro.core.config import ArchitectureKind, WatermarkConfig
+from repro.core.config import WatermarkConfig
 from repro.core.load_circuit import LoadCircuit
 from repro.core.wgc import WatermarkGenerationCircuit
 
@@ -15,12 +15,19 @@ def small_config() -> WatermarkConfig:
     return WatermarkConfig(lfsr_width=6, lfsr_seed=0x21, num_words=4, word_width=8, load_registers=32)
 
 
-class TestBaselineWatermark:
-    def test_kind(self):
-        assert BaselineWatermark().kind is ArchitectureKind.BASELINE_LOAD_CIRCUIT
+def baseline_from(config: WatermarkConfig) -> BaselineWatermark:
+    """The baseline with ``config``'s LFSR behind the test chip's WGC and its load size."""
+    return BaselineWatermark(
+        wgc=WatermarkGenerationCircuit.test_chip(
+            active_width=config.lfsr_width, seed=config.lfsr_seed
+        ),
+        load=LoadCircuit(num_registers=config.load_registers),
+    )
 
+
+class TestBaselineWatermark:
     def test_from_config(self, small_config):
-        watermark = BaselineWatermark.from_config(small_config)
+        watermark = baseline_from(small_config)
         assert watermark.load.register_count == 32
         assert watermark.sequence_period == 63
 
@@ -29,7 +36,7 @@ class TestBaselineWatermark:
         assert watermark.load.register_count == 576
 
     def test_load_activity_follows_wmark(self, small_config):
-        watermark = BaselineWatermark.from_config(small_config)
+        watermark = baseline_from(small_config)
         traces = watermark.activity_traces(small_config.sequence_period)
         wmark = watermark.sequence(small_config.sequence_period).astype(bool)
         load_toggles = traces["load"].total_toggles
@@ -38,9 +45,6 @@ class TestBaselineWatermark:
 
 
 class TestClockModulationWatermark:
-    def test_kind(self):
-        assert ClockModulationWatermark().kind is ArchitectureKind.CLOCK_MODULATION
-
     def test_from_config_bank_size(self, small_config):
         watermark = ClockModulationWatermark.from_config(small_config)
         assert watermark.modulated_block.register_count == 32  # 4 words x 8 bits (redundant bank)
@@ -65,7 +69,7 @@ class TestSharedBehaviour:
         assert len(periodic["load"]) == 63
 
     def test_activity_traces_tile_exactly(self, small_config):
-        watermark = BaselineWatermark.from_config(small_config)
+        watermark = baseline_from(small_config)
         period = small_config.sequence_period
         traces = watermark.activity_traces(3 * period)
         one_period = traces["load"].total_toggles[:period]
@@ -76,8 +80,9 @@ class TestSharedBehaviour:
         periodic = watermark.periodic_activity()
         stepping = SteppedWatermark(watermark)
         stepped = [stepping.step() for _ in range(10)]
+        expected = records_of(periodic["load"])
         for cycle, record in enumerate(stepped):
-            assert record["load"] == periodic["load"][cycle]
+            assert record["load"] == expected[cycle]
 
     def test_power_trace_has_watermark_shape(self, small_config):
         watermark = ClockModulationWatermark.from_config(small_config)
@@ -91,6 +96,6 @@ class TestSharedBehaviour:
         assert watermark.average_active_load_power() > 0
 
     def test_invalid_cycle_count_rejected(self, small_config):
-        watermark = BaselineWatermark.from_config(small_config)
+        watermark = baseline_from(small_config)
         with pytest.raises(ValueError):
             watermark.activity_traces(0)

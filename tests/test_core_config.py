@@ -6,19 +6,18 @@ import enum
 import pytest
 
 from repro.core.config import (
-    ArchitectureKind,
     DetectionConfig,
-    ExperimentConfig,
     MeasurementConfig,
     WatermarkConfig,
     _config_to_dict,
 )
+from repro.measurement.acquisition import ADC_BITS, SAMPLES_PER_CYCLE, SHUNT_RESISTANCE_OHM
+from repro.power.estimator import CLOCK_FREQUENCY_HZ, SUPPLY_VOLTAGE_V
 
 
 class TestWatermarkConfig:
     def test_paper_defaults(self):
         config = WatermarkConfig()
-        assert config.architecture is ArchitectureKind.CLOCK_MODULATION
         assert config.lfsr_width == 12
         assert config.sequence_period == 4095
         assert config.num_words * config.word_width == 1024
@@ -47,15 +46,24 @@ class TestWatermarkConfig:
 class TestMeasurementConfig:
     def test_paper_defaults(self):
         config = MeasurementConfig()
-        assert config.clock_frequency_hz == 10e6
-        assert config.sampling_frequency_hz == 500e6
         assert config.num_cycles == 300_000
-        assert config.samples_per_cycle == 50
-        assert config.shunt_resistance_ohm == pytest.approx(0.270)
+        assert CLOCK_FREQUENCY_HZ == 10e6
+        assert SUPPLY_VOLTAGE_V == 1.2
+        assert SAMPLES_PER_CYCLE == 50
+        assert SHUNT_RESISTANCE_OHM == pytest.approx(0.270)
+        assert [field.name for field in dataclasses.fields(config)] == [
+            "num_cycles",
+            "probe_noise_rms_v",
+            "transient_noise_floor_w",
+            "transient_noise_fraction",
+        ]
 
     def test_sampling_must_exceed_clock(self):
-        with pytest.raises(ValueError):
-            MeasurementConfig(clock_frequency_hz=500e6, sampling_frequency_hz=10e6)
+        # The bench is fixed: 500 MS/s over the 10 MHz clock, not a setting.
+        assert SAMPLES_PER_CYCLE * CLOCK_FREQUENCY_HZ == 500e6
+        assert SAMPLES_PER_CYCLE > 1
+        with pytest.raises(ValueError, match="sampling_frequency_hz"):
+            MeasurementConfig.from_dict({"sampling_frequency_hz": 10e6})
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -64,8 +72,10 @@ class TestMeasurementConfig:
             MeasurementConfig(probe_noise_rms_v=-1e-3)
 
     def test_low_resolution_adc_rejected(self):
-        with pytest.raises(ValueError):
-            MeasurementConfig(adc_bits=2)
+        # The scope's 8-bit ADC is a bench constant; no document may set it.
+        assert ADC_BITS == 8
+        with pytest.raises(ValueError, match="adc_bits"):
+            MeasurementConfig.from_dict({"adc_bits": 2})
 
     def test_invalid_cycle_count(self):
         with pytest.raises(ValueError):
@@ -91,13 +101,6 @@ class TestDetectionConfig:
             DetectionConfig(uniqueness_margin=1.5)
 
 
-class TestExperimentConfig:
-    def test_paper_defaults_bundle(self):
-        config = ExperimentConfig()
-        assert config.measurement.num_cycles == 300_000
-        assert config.watermark.lfsr_width == 12
-
-
 class TestConfigToDict:
     """The shallow field walk gives what ``dataclasses.asdict`` gives."""
 
@@ -106,16 +109,19 @@ class TestConfigToDict:
         [
             WatermarkConfig(),
             WatermarkConfig(
-                architecture=ArchitectureKind.BASELINE_LOAD_CIRCUIT,
                 lfsr_width=8,
                 lfsr_seed=0x2D,
                 num_words=16,
                 switching_registers=100,
                 load_registers=64,
-                use_test_chip_wgc=False,
             ),
             MeasurementConfig(),
-            MeasurementConfig(num_cycles=12_345, probe_noise_rms_v=0.0, adc_bits=12, seed=7),
+            MeasurementConfig(
+                num_cycles=12_345,
+                probe_noise_rms_v=0.0,
+                transient_noise_floor_w=0.01,
+                transient_noise_fraction=0.2,
+            ),
             DetectionConfig(),
             DetectionConfig(detection_threshold=5.5, uniqueness_margin=0.8),
         ],

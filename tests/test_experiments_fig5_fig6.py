@@ -10,47 +10,36 @@ import numpy as np
 import pytest
 from paper_values import single_resolvable_peak
 
-from repro.core.config import (
-    DetectionConfig,
-    ExperimentConfig,
-    MeasurementConfig,
-    WatermarkConfig,
-)
+from repro.core.config import MeasurementConfig, WatermarkConfig
 from repro.detection.cpa import CPADetector
+from repro.experiments.fig5 import _PAPER_PHASE_FRACTION
 from repro.measurement.acquisition import AcquisitionCampaign
 from repro.pipeline import ExperimentRunner, ScenarioSpec, run_scenario
 
 
 @pytest.fixture(scope="module")
-def reduced_config() -> ExperimentConfig:
-    return ExperimentConfig(
+def reduced_config() -> ScenarioSpec:
+    """The reduced bench every spec below starts from (its kind is replaced)."""
+    return ScenarioSpec(
+        kind="fig5",
         watermark=WatermarkConfig(lfsr_width=9, lfsr_seed=0x1AB),
         measurement=MeasurementConfig(
             num_cycles=60_000,
             transient_noise_floor_w=0.020,
             transient_noise_fraction=0.4,
-            seed=11,
         ),
-        detection=DetectionConfig(),
     )
 
 
 def make_spec(kind, config, **fields):
-    return ScenarioSpec(
-        kind=kind,
-        watermark=config.watermark,
-        measurement=config.measurement,
-        detection=config.detection,
-        m0_window_cycles=2048,
-        **fields,
-    )
+    return config.with_overrides(kind=kind, **fields)
 
 
 def run(kind, config, **fields):
     return run_scenario(make_spec(kind, config, **fields)).payload
 
 
-def fig5_panel_spec(chip_name, watermark_active, config, phase_offset=None):
+def fig5_panel_spec(chip_name, watermark_active, config):
     return make_spec(
         "fig5_panel",
         config,
@@ -58,14 +47,16 @@ def fig5_panel_spec(chip_name, watermark_active, config, phase_offset=None):
         chip=chip_name,
         watermark_active=watermark_active,
         seed=100,
-        phase_offset=phase_offset,
     )
 
 
-def fig5_panel(chip_name, watermark_active, config, phase_offset=None):
-    return run_scenario(
-        fig5_panel_spec(chip_name, watermark_active, config, phase_offset)
-    ).payload
+def fig5_panel(chip_name, watermark_active, config):
+    return run_scenario(fig5_panel_spec(chip_name, watermark_active, config)).payload
+
+
+def paper_phase(chip_name, config):
+    """The rotation at which the paper's peak landed, on ``config``'s sequence."""
+    return int(_PAPER_PHASE_FRACTION[chip_name] * config.watermark.sequence_period)
 
 
 def planted_spectrum(peak_value=0.02, peak_rotation=100, size=4095, noise=0.002, seed=0):
@@ -115,7 +106,7 @@ class TestFig5Panels:
     def test_panel_decides_from_one_measured_phase_fold(self, reduced_config):
         # The panel's spectrum is, bit for bit, the single-trace detection of
         # one measure_folded draw of the chip's total power under the panel seed.
-        spec = fig5_panel_spec("chip1", True, reduced_config, phase_offset=123)
+        spec = fig5_panel_spec("chip1", True, reduced_config)
         runner = ExperimentRunner()
         panel = runner.run(spec).payload
         chip = runner.chip_for(spec)
@@ -124,7 +115,7 @@ class TestFig5Panels:
             spec.measurement.num_cycles,
             watermark_active=True,
             seed=spec.seed,
-            watermark_phase_offset=spec.phase_offset,
+            watermark_phase_offset=paper_phase("chip1", reduced_config),
         )
         fold = AcquisitionCampaign(spec.measurement).measure_folded(
             power, [spec.seed], len(sequence)
@@ -140,8 +131,11 @@ class TestFig5Panels:
         assert abs(panel.cpa.peak_correlation) < 0.02
 
     def test_peak_appears_at_requested_phase(self, reduced_config):
-        panel = fig5_panel("chip1", True, reduced_config, phase_offset=123)
-        assert panel.cpa.peak_rotation == 123
+        # The panel rotates the watermark to where the paper's peak landed.
+        for chip_name in ("chip1", "chip2"):
+            panel = fig5_panel(chip_name, True, reduced_config)
+            assert panel.cpa.peak_rotation == paper_phase(chip_name, reduced_config)
+        assert paper_phase("chip1", reduced_config) != paper_phase("chip2", reduced_config)
 
     def test_chip2_peak_lower_than_chip1(self, reduced_config):
         chip1 = fig5_panel("chip1", True, reduced_config)

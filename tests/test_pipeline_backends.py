@@ -39,7 +39,6 @@ def _mixed_specs():
         chip="chip1",
         measurement=quick,
         seed=11,
-        m0_window_cycles=1_024,
     )
     return [
         ScenarioSpec(kind="fig2", name="fig2", seed=9),
@@ -72,8 +71,8 @@ def process_sweep():
 class TestProcessSerialEquivalence:
     def test_submission_order_preserved(self, serial_sweep, process_sweep):
         expected = [spec.name for spec in _mixed_specs()]
-        assert serial_sweep.names == expected
-        assert process_sweep.names == expected
+        assert [cell.name for cell in serial_sweep] == expected
+        assert [cell.name for cell in process_sweep] == expected
 
     def test_scalars_bit_identical(self, serial_sweep, process_sweep):
         for serial, parallel in zip(serial_sweep, process_sweep):
@@ -125,7 +124,7 @@ class TestFailureIsolation:
         sweep = ExperimentRunner().run_many(
             self._specs(), backend=backend, max_workers=2
         )
-        assert sweep.names == ["first", "bad-cell", "last"]
+        assert [cell.name for cell in sweep] == ["first", "bad-cell", "last"]
         assert [result.ok for result in sweep] == [True, False, True]
         failed = sweep.get("bad-cell")
         assert "requires a chip" in failed.error

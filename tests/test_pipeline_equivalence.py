@@ -18,11 +18,11 @@ import sys
 
 import numpy as np
 
-from repro.pipeline import DEFAULT_REGISTRY, ExperimentRunner, RunOptions, run_scenario
+from repro.pipeline import DEFAULT_REGISTRY, ExperimentRunner, RunOptions
 
 DATA = pathlib.Path(__file__).parent / "data"
 sys.path.insert(0, str(DATA))
-from capture_pipeline_golden import golden_specs  # noqa: E402
+from capture_pipeline_golden import golden_specs, run_golden  # noqa: E402
 
 GOLDEN = json.loads((DATA / "pipeline_golden.json").read_text())
 with np.load(DATA / "pipeline_golden.npz") as _floats:
@@ -44,7 +44,7 @@ SPECS = golden_specs()
 
 
 def run(name):
-    return run_scenario(SPECS[name])
+    return run_golden(name, SPECS[name])
 
 
 class TestFastExperimentsMatchGolden:
@@ -107,8 +107,8 @@ class TestRegistryEntriesMatchGolden:
 
     def test_fig5_registry_entry(self):
         spec = DEFAULT_REGISTRY.build("fig5", RunOptions(cycles=30_000))
-        assert spec.with_overrides(m0_window_cycles=4_096) == SPECS["fig5"]
-        result = ExperimentRunner().run(spec.with_overrides(m0_window_cycles=4_096))
+        assert spec == SPECS["fig5"]
+        result = run_golden("fig5", spec)
         assert result.report == GOLDEN["fig5"]["report"]
         for key in result.payload.panels:
             assert_matches_golden(result.arrays[f"{key}/correlations"], f"fig5/{key}")

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.config import QUICK_CYCLES, MeasurementConfig
+from repro.core.architectures import ClockModulationWatermark
+from repro.core.config import QUICK_CYCLES, MeasurementConfig, WatermarkConfig
 from repro.core.spec import ScenarioSpec
+from repro.core.wgc import WatermarkGenerationCircuit
 from repro.pipeline import (
     DEFAULT_REGISTRY,
     ExperimentRegistry,
@@ -20,7 +22,7 @@ from repro.soc.chip import build_registered_chip
 class TestChipRegistry:
     @pytest.mark.parametrize("name", ["chip1", "chip2"])
     def test_canonical_names_build_their_chip(self, name):
-        assert build_registered_chip(name, m0_window_cycles=1_024).name == name
+        assert build_registered_chip(name).name == name
 
     def test_unknown_name_lists_valid_spellings(self):
         # The former alias spellings are unknown names like any other.
@@ -31,8 +33,18 @@ class TestChipRegistry:
             assert repr(name) in message
             assert "'chip1'" in message and "'chip2'" in message
 
+    def test_chips_carry_the_test_chip_clock_modulation_watermark(self):
+        config = WatermarkConfig(lfsr_width=8, lfsr_seed=0x2D, switching_registers=5)
+        spec = ScenarioSpec(kind="fig5_panel", chip="chip1", watermark=config)
+        watermark = ExperimentRunner().chip_for(spec).watermark
+        assert isinstance(watermark, ClockModulationWatermark)
+        wgc = WatermarkGenerationCircuit.test_chip(active_width=8, seed=0x2D)
+        assert watermark.wgc.cell_inventory() == wgc.cell_inventory()
+        assert np.array_equal(watermark.sequence(), wgc.sequence())
+        assert watermark.modulated_block.switching_registers == 5
+
     def test_build_through_registry(self):
-        chip = build_registered_chip("chip2", m0_window_cycles=1_024)
+        chip = build_registered_chip("chip2")
         assert chip.name == "chip2"
         assert chip.a5_subsystem is not None
 
@@ -136,14 +148,13 @@ class TestExperimentRunner:
                 measurement=config,
                 watermark_active=active,
                 seed=11,
-                m0_window_cycles=1_024,
             )
             for active in (True, False)
         ]
         # backend="serial" pinned: the assertion below inspects the chip
         # cache of *this* process's runner, which "auto" may bypass.
         sweep = runner.run_many(specs, backend="serial")
-        assert sweep.names == ["panel-True", "panel-False"]
+        assert [cell.name for cell in sweep] == ["panel-True", "panel-False"]
         stats = runner.chip_cache_stats()
         assert stats["misses"] == 1 and stats["hits"] == 1
 

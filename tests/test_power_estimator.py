@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rtl_oracle import trace_from_records
-from repro.core.config import MeasurementConfig
+from rtl_oracle import ActivityRecord, trace_from_records
+from repro.measurement.acquisition import SAMPLES_PER_CYCLE
 from repro.power.estimator import (
     CLOCK_TOGGLE_ENERGY_J,
     CYCLE_TIME_S,
@@ -12,7 +12,7 @@ from repro.power.estimator import (
     LEAKAGE_W,
     STATE_DEPENDENCE,
 )
-from repro.rtl.activity import ActivityRecord, ActivityTrace
+from repro.rtl.activity import ActivityTrace
 
 
 class TestCalibration:
@@ -29,8 +29,9 @@ class TestCalibration:
         assert CYCLE_TIME_S == pytest.approx(100e-9)
 
     def test_clock_period_matches_measurement_clock(self):
-        # The power model's cycle is one period of the measured chip clock.
-        assert 1.0 / MeasurementConfig().clock_frequency_hz == pytest.approx(CYCLE_TIME_S)
+        # The power model's cycle is one period of the measured chip clock:
+        # the scope's 50 samples per cycle at 500 MS/s.
+        assert SAMPLES_PER_CYCLE / 500e6 == pytest.approx(CYCLE_TIME_S)
 
     def test_per_register_clock_power(self, nominal_estimator):
         assert nominal_estimator.per_register_clock_power() == pytest.approx(1.476e-6, rel=1e-6)

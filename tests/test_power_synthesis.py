@@ -143,7 +143,7 @@ class TestSynthesizeTrials:
             signal = base + tiled[offset : offset + num_cycles] * amplitude
             expected[row] = signal + rng.normal(0.0, sigma, num_cycles)
 
-        synthesizer = TraceSynthesizer.from_sequence(
+        synthesizer = TraceSynthesizer(
             sequence, watermark_amplitude_w=amplitude, noise_sigma_w=sigma, base_power_w=base
         )
         actual = trial_matrix(synthesizer, trials, num_cycles, np.random.default_rng(3))
@@ -166,7 +166,7 @@ class TestSynthesizeTrials:
                 watermark = watermark * gate
             expected[row] = base + watermark * amplitude + rng.normal(0.0, sigma, num_cycles)
 
-        synthesizer = TraceSynthesizer.from_sequence(
+        synthesizer = TraceSynthesizer(
             sequence, watermark_amplitude_w=amplitude, noise_sigma_w=0.0, base_power_w=base
         )
         actual = trial_matrix(
@@ -180,7 +180,7 @@ class TestSynthesizeTrials:
         assert np.array_equal(actual, expected)
 
     def test_validation(self, sequence):
-        synthesizer = TraceSynthesizer.from_sequence(sequence, 1e-3, 1e-3)
+        synthesizer = TraceSynthesizer(sequence, 1e-3, 1e-3)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             synthesizer.trial_folds(0, 1000, rng)
@@ -195,14 +195,14 @@ class TestSynthesizeTrials:
         with pytest.raises(ValueError):
             trial_rows(synthesizer, 2, 0, rng)
         with pytest.raises(ValueError):
-            TraceSynthesizer.from_sequence(sequence, -1.0, 0.0)
+            TraceSynthesizer(sequence, -1.0, 0.0)
 
 class TestEndToEndDecisions:
     def test_synthesized_trials_reach_identical_detection_decisions(self):
         sequence = LFSR(width=7, seed=0x41).sequence().astype(np.float64)
         num_cycles = 4000
         trials = 10
-        synthesizer = TraceSynthesizer.from_sequence(
+        synthesizer = TraceSynthesizer(
             sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=12e-3
         )
         matrix = trial_matrix(synthesizer, trials, num_cycles, np.random.default_rng(5))
@@ -218,7 +218,7 @@ class TestEndToEndDecisions:
 
     def test_trial_folds_pipe_into_batch_detector(self):
         sequence = LFSR(width=7, seed=0x41).sequence().astype(np.float64)
-        synthesizer = TraceSynthesizer.from_sequence(
+        synthesizer = TraceSynthesizer(
             sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=2e-3
         )
         folds = synthesizer.trial_folds(6, 3000, np.random.default_rng(9))
@@ -239,12 +239,12 @@ class TestEndToEndDecisions:
         campaign = AcquisitionCampaign(MeasurementConfig())
         detector = CPADetector(DetectionConfig())
         sequence = architecture.sequence()
-        measured_ref = campaign.measure(reference, seed=21)
-        measured_syn = campaign.measure(synthesized, seed=21)
+        measured_ref = campaign.measure(reference, 21)
+        measured_syn = campaign.measure(synthesized, 21)
         # Identical power in -> identical noise draw -> identical CPA result.
-        assert np.array_equal(measured_ref.values, measured_syn.values)
-        cpa_ref = detector.detect(sequence, measured_ref.values)
-        cpa_syn = detector.detect(sequence, measured_syn.values)
+        assert np.array_equal(measured_ref, measured_syn)
+        cpa_ref = detector.detect(sequence, measured_ref)
+        cpa_syn = detector.detect(sequence, measured_syn)
         assert cpa_ref.detected == cpa_syn.detected
         assert cpa_ref.peak_rotation == cpa_syn.peak_rotation
         assert np.array_equal(cpa_ref.correlations, cpa_syn.correlations)
@@ -269,8 +269,8 @@ class TestEndToEndDecisions:
         campaign = AcquisitionCampaign(MeasurementConfig())
         detector = CPADetector(DetectionConfig())
         sequence = architecture.sequence()
-        cpa_ref = detector.detect(sequence, campaign.measure(reference, seed=77).values)
-        cpa_syn = detector.detect(sequence, campaign.measure(synthesized, seed=77).values)
+        cpa_ref = detector.detect(sequence, campaign.measure(reference, 77))
+        cpa_syn = detector.detect(sequence, campaign.measure(synthesized, 77))
         assert cpa_ref.detected == cpa_syn.detected
         assert cpa_ref.peak_rotation == cpa_syn.peak_rotation
         assert np.array_equal(cpa_ref.correlations, cpa_syn.correlations)
@@ -279,10 +279,11 @@ class TestPeriodicPowerTemplate:
     def test_from_power_trace_roundtrip(self):
         architecture = _small_baseline()
         template = architecture.power_template()
-        assert template.period == architecture.sequence_period
-        extended = template.extend(2 * template.period + 3)
-        assert len(extended) == 2 * template.period + 3
-        assert np.array_equal(extended.power_w[: template.period], template.power_w)
+        period = len(template.power_w)
+        assert period == architecture.sequence_period
+        extended = template.extend(2 * period + 3)
+        assert len(extended) == 2 * period + 3
+        assert np.array_equal(extended.power_w[:period], template.power_w)
 
     def test_rejects_empty_or_2d(self):
         with pytest.raises(ValueError):

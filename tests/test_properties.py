@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from fault_injection import Fault, inject_faults
-from rtl_oracle import Register, ShiftRegister, hamming_distance, trace_from_records
+from rtl_oracle import (
+    ActivityRecord,
+    Register,
+    ShiftRegister,
+    hamming_distance,
+    records_of,
+    trace_from_records,
+)
 from trial_oracle import (
     fold_rows,
     masked_off_peak_decision,
@@ -21,7 +28,6 @@ from repro.detection.cpa import rotation_correlations
 from repro.detection.statistics import BoxPlotStats
 from repro.pipeline import ExperimentRunner, RetryPolicy, RunOptions, SpecGrid
 from repro.power.synthesis import periodic_extend, rolled_blocks
-from repro.rtl.activity import ActivityRecord
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +125,10 @@ def test_hamming_distance_counts_the_bits_of_the_binary_form(a, b, width):
 )
 def test_activity_trace_tile_preserves_per_cycle_values(records, reps):
     trace = trace_from_records("t", [ActivityRecord(*r) for r in records])
-    tiled = trace.tile(len(records) * reps)
-    for i in range(len(tiled)):
-        assert tiled[i] == trace[i % len(trace)]
+    tiled = records_of(trace.tile(len(records) * reps))
+    assert len(tiled) == len(records) * reps
+    for i, record in enumerate(tiled):
+        assert record == ActivityRecord(*records[i % len(records)])
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rtl_oracle import trace_from_records
-from repro.rtl.activity import ActivityRecord, ActivityTrace
+from rtl_oracle import ActivityRecord, records_of, trace_from_records
+from repro.rtl.activity import ActivityTrace
 
 
 class TestActivityRecord:
@@ -20,8 +20,7 @@ class TestActivityTrace:
         records = [ActivityRecord(2, 1, 0), ActivityRecord(0, 0, 0), ActivityRecord(4, 2, 1)]
         trace = trace_from_records("t", records)
         assert len(trace) == 3
-        assert trace[0] == records[0]
-        assert list(trace) == records
+        assert records_of(trace) == records
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -42,9 +42,7 @@ def _rich_spec() -> ScenarioSpec:
         detection=DetectionConfig(detection_threshold=5.0, uniqueness_margin=0.9),
         watermark_active=False,
         seed=42,
-        phase_offset=1_234,
         repetitions=7,
-        m0_window_cycles=2_048,
         params={"levels": [0.1, 0.2], "nested": {"b": 2, "a": 1}, "flag": True},
     )
 
@@ -89,13 +87,17 @@ class TestScenarioSpec:
 
     @pytest.mark.parametrize("cycles", [0, 16_385, 10**6])
     def test_m0_window_beyond_the_shipped_one_rejected(self, cycles):
-        with pytest.raises(ValueError, match="16384"):
+        # Since schema v10 every chip reads the shipped window: no spec
+        # names a window, the shipped length included.
+        for value in (cycles, 16_384):
+            payload = ScenarioSpec(kind="fig3", chip="chip1").to_json_dict()
+            payload["m0_window_cycles"] = value
+            with pytest.raises(
+                ValueError, match=r"unknown ScenarioSpec fields: \['m0_window_cycles'\]"
+            ):
+                ScenarioSpec.from_json_dict(payload)
+        with pytest.raises(TypeError):
             ScenarioSpec(kind="fig3", chip="chip1", m0_window_cycles=cycles)
-        payload = ScenarioSpec(kind="fig3", chip="chip1").to_json_dict()
-        payload["m0_window_cycles"] = cycles
-        with pytest.raises(ValueError, match="16384"):
-            ScenarioSpec.from_json_dict(payload)
-        assert ScenarioSpec(kind="fig3", m0_window_cycles=16_384).m0_window_cycles == 16_384
 
     def test_unknown_workload_rejected(self):
         # Both chips always run Dhrystone: no workload is a spec field.
@@ -128,12 +130,34 @@ class TestScenarioSpec:
         assert restored.param("opts")["c"]["d"] == 4
         assert restored == spec
 
-    def test_experiment_config_round_trip(self):
-        spec = _rich_spec()
-        bundle = spec.experiment_config
-        assert bundle.watermark == spec.watermark
-        assert bundle.measurement == spec.measurement
-        assert bundle.detection == spec.detection
+    def test_schema_v9_settings_rejected(self):
+        # Schema v10 turned ten settings that nothing varied into constants:
+        # a document that still names one, or says it is v9, does not load.
+        removed = {
+            None: ["m0_window_cycles", "phase_offset"],
+            "watermark": ["architecture", "use_test_chip_wgc"],
+            "measurement": [
+                "clock_frequency_hz",
+                "sampling_frequency_hz",
+                "supply_voltage_v",
+                "shunt_resistance_ohm",
+                "adc_bits",
+                "seed",
+            ],
+        }
+        for section, names in removed.items():
+            owner = "ScenarioSpec"
+            if section is not None:
+                owner = type(getattr(_rich_spec(), section)).__name__
+            for name in names:
+                payload = _rich_spec().to_json_dict()
+                (payload if section is None else payload[section])[name] = None
+                with pytest.raises(ValueError, match=f"unknown {owner} fields: \\['{name}'\\]"):
+                    ScenarioSpec.from_json_dict(payload)
+        payload = _rich_spec().to_json_dict()
+        payload["schema_version"] = 9
+        with pytest.raises(ValueError, match="unsupported spec schema version 9"):
+            ScenarioSpec.from_json_dict(payload)
 
 
 def _canonical_sha256(spec: ScenarioSpec) -> str:
@@ -219,7 +243,7 @@ class TestConfigSerialization:
         payload["detection"]["use_fft"] = True
         with pytest.raises(ValueError, match="unknown DetectionConfig fields"):
             ScenarioSpec.from_json_dict(payload)
-        for version in (2, 3, 5, 6):
+        for version in (2, 3, 5, 6, 9):
             payload = _rich_spec().to_json_dict()
             payload["schema_version"] = version
             with pytest.raises(ValueError, match="unsupported spec schema version"):
@@ -331,7 +355,6 @@ class TestFrozenConfigs:
             "WatermarkConfig",
             "MeasurementConfig",
             "DetectionConfig",
-            "ExperimentConfig",
         }
         assert _unfrozen_configs(classes) == []
 
@@ -425,7 +448,7 @@ class TestScenarioResultArtifacts:
             [ScenarioSpec(kind="fig2", name="fig2", seed=9), "table2"]
         )
         loaded = SweepResult.load(sweep.save(tmp_path / "sweep"))
-        assert loaded.names == sweep.names
+        assert [cell.name for cell in loaded] == [cell.name for cell in sweep]
         assert loaded.get("fig2").report == sweep.get("fig2").report
         for original, restored in zip(sweep, loaded):
             for key, value in original.arrays.items():

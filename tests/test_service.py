@@ -432,16 +432,27 @@ def test_a_bit_flipped_npz_is_recomputed_through_verify(tmp_path):
 
 
 def test_a_spec_longer_than_the_shipped_m0_window_is_a_400(tmp_path):
-    """A spec may not ask for more M0 window than ships: 400, nothing stored or logged."""
+    """A v9 spec document (an M0 window, a phase offset, or its version): 400.
+
+    Since schema v10 every chip reads the shipped M0 window and every
+    panel the paper's phase, so a document that still sets either, or says
+    it is v9, is a bad request: nothing is computed, stored or logged.
+    """
     service = DetectionService(ServiceConfig(data_dir=tmp_path, difficulty=8))
-    spec = ExperimentRunner().resolve("fig5/chip1-active").to_json_dict()
-    spec["m0_window_cycles"] = 16_385
-    body = {"client_id": "alice", "spec": spec}
-    body["nonce"] = mine_nonce("alice", VERIFY_ENDPOINT, body, difficulty=8)
-    with pytest.raises(ServiceError) as excinfo:
-        service.handle_verify(body)
-    assert (excinfo.value.status, excinfo.value.code) == (400, "bad_request")
-    assert "16384" in str(excinfo.value)
+    base = ExperimentRunner().resolve("fig5/chip1-active").to_json_dict()
+    for key, value, message in (
+        ("m0_window_cycles", 16_385, "unknown ScenarioSpec fields: ['m0_window_cycles']"),
+        ("m0_window_cycles", 16_384, "unknown ScenarioSpec fields: ['m0_window_cycles']"),
+        ("phase_offset", 1_234, "unknown ScenarioSpec fields: ['phase_offset']"),
+        ("schema_version", 9, "unsupported spec schema version 9"),
+    ):
+        spec = dict(base, **{key: value})
+        body = {"client_id": "alice", "spec": spec}
+        body["nonce"] = mine_nonce("alice", VERIFY_ENDPOINT, body, difficulty=8)
+        with pytest.raises(ServiceError) as excinfo:
+            service.handle_verify(body)
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad_request")
+        assert message in str(excinfo.value)
     stats = service.store.stats()
     assert (stats.entries, stats.writes) == (0, 0)
     assert service.ledger.count == 0

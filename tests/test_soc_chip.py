@@ -10,7 +10,8 @@ from repro.core.config import WatermarkConfig
 from repro.core.seeds import stream
 from repro.power.estimator import PowerEstimator
 from repro.soc import chip as chip_module
-from repro.soc.chip import ChipDescription, ChipModel, build_chip_one, build_chip_two
+from repro.soc.chip import build_chip_one, build_chip_two
+from repro.soc.cpu import M0_WINDOW_CYCLES
 from repro.soc.multicore import A5_SUBSYSTEM, PERIPHERALS
 
 
@@ -22,18 +23,12 @@ def small_watermark():
 
 @pytest.fixture(scope="module")
 def chip1(small_watermark):
-    return build_chip_one(watermark=small_watermark, m0_window_cycles=1024)
+    return build_chip_one(watermark=small_watermark)
 
 
 @pytest.fixture(scope="module")
 def chip2(small_watermark):
-    return build_chip_two(watermark=small_watermark, m0_window_cycles=1024)
-
-
-class TestChipDescription:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChipDescription(name="x", has_a5_subsystem=False, m0_window_cycles=0)
+    return build_chip_two(watermark=small_watermark)
 
 
 class TestChipComposition:
@@ -51,8 +46,17 @@ class TestChipComposition:
     def test_watermark_sequence_exposed(self, chip1):
         assert len(chip1.watermark_sequence()) == 255
 
+    def test_every_power_draw_takes_a_seed(self, chip1):
+        # The chips hold no seed of their own: the spec's seed is the only one.
+        with pytest.raises(TypeError):
+            chip1.m0_activity(100)
+        with pytest.raises(TypeError):
+            chip1.background_power(100)
+        with pytest.raises(TypeError):
+            chip1.total_power(100, True)
+
     def test_chip_without_watermark_raises(self):
-        chip = build_chip_one(watermark=None, m0_window_cycles=512)
+        chip = build_chip_one(watermark=None)
         with pytest.raises(ValueError):
             chip.watermark_power(100)
         with pytest.raises(ValueError):
@@ -61,15 +65,15 @@ class TestChipComposition:
 
 class TestActivityAndPower:
     def test_m0_activity_window_tiling(self, chip1):
-        trace = chip1.m0_activity(3000, seed=1)
-        assert len(trace) == 3000
+        trace = chip1.m0_activity(M0_WINDOW_CYCLES + 3000, seed=1)
+        assert len(trace) == M0_WINDOW_CYCLES + 3000
         assert trace.total_toggles.min() > 0
 
     def test_background_activity_contributors(self, chip1, chip2):
         # Only the M0 has per-cycle activity; the idle blocks add a mean
         # power and a Gaussian fluctuation.
-        assert set(background_activity(chip1, 500)) == {"m0"}
-        assert set(background_activity(chip2, 500)) == {"m0"}
+        assert set(background_activity(chip1, 500, seed=0)) == {"m0"}
+        assert set(background_activity(chip2, 500, seed=0)) == {"m0"}
         assert set(idle_blocks(chip1)) == {"peripherals"}
         assert set(idle_blocks(chip2)) == {"peripherals", "a5"}
 
@@ -120,7 +124,7 @@ class TestActivityAndPower:
         # SRAM cells that system_cell_inventory() itself reports (and that
         # the watermark architectures and Table I include via
         # leakage_of(cell_inventory())).
-        background = chip1.background_power(64, seed=9, use_cache=False)
+        background = chip1.background_power(64, seed=9)
         traces = background_activity(chip1, 64, seed=9)
         dynamic = np.zeros(64)
         for trace in traces.values():
@@ -145,13 +149,19 @@ class TestBackgroundOracle:
         yield
         chip_module.clear_background_template_cache()
 
-    @pytest.mark.parametrize("use_cache", [True, False])
+    # ``warm``: the array comes from a template cache hit, not the cold
+    # compute that follows a clear.
+    @pytest.mark.parametrize("warm", [True, False])
     @pytest.mark.parametrize("seed", [0, 7, 2014])
     @pytest.mark.parametrize("num_cycles", [1, 100, 16_384, 16_385, 40_000, 300_001])
     @pytest.mark.parametrize("chip_name", ["chip1", "chip2"])
-    def test_background_power_equals_oracle(self, chips, chip_name, num_cycles, seed, use_cache):
+    def test_background_power_equals_oracle(self, chips, chip_name, num_cycles, seed, warm):
         chip = chips[chip_name]
-        actual = chip.background_power(num_cycles, seed=seed, use_cache=use_cache)
+        misses = chip_module.background_template_cache_stats()["misses"]
+        actual = chip.background_power(num_cycles, seed=seed)
+        if warm:
+            actual = chip.background_power(num_cycles, seed=seed)
+        assert chip_module.background_template_cache_stats()["misses"] == misses + 1
         expected = background_power(chip, num_cycles, seed=seed)
         assert actual.power_w.dtype == expected.power_w.dtype
         assert actual.power_w.tobytes() == expected.power_w.tobytes()
@@ -162,13 +172,13 @@ class TestM0ActivityGather:
     """The slice-copy tiling must reproduce the np.roll tiling exactly."""
 
     def test_fixed_seed_yields_identical_trace_as_legacy_tiling(self):
-        chip = build_chip_one(m0_window_cycles=256)
-        num_cycles = 1500
+        chip = build_chip_one()
+        num_cycles = 2 * M0_WINDOW_CYCLES + 1500
         seed = 97
 
         # Reference: run the window on the ISS, then tile it with one np.roll per
         # repetition, using the shifts of the seed's "m0" stream.
-        window = min(num_cycles, chip.description.m0_window_cycles)
+        window = M0_WINDOW_CYCLES
         window_trace = dhrystone_window(window)
         shifts = stream(seed, "m0").integers(0, window, size=-(-num_cycles // window))
         arrays = {
@@ -188,12 +198,13 @@ class TestM0ActivityGather:
         assert np.array_equal(actual.comb_toggles, expected["comb_toggles"])
 
     def test_short_acquisition_returns_unshifted_window(self):
-        chip = build_chip_one(m0_window_cycles=256)
+        chip = build_chip_one()
         trace = chip.m0_activity(100, seed=1)
         assert len(trace) == 100
+        assert np.array_equal(trace.total_toggles, chip.m0_activity(100, seed=2).total_toggles)
 
     def test_gathered_trace_reproducible(self):
-        chip = build_chip_one(m0_window_cycles=128)
-        a = chip.m0_activity(1000, seed=5)
-        b = chip.m0_activity(1000, seed=5)
+        chip = build_chip_one()
+        a = chip.m0_activity(M0_WINDOW_CYCLES + 1000, seed=5)
+        b = chip.m0_activity(M0_WINDOW_CYCLES + 1000, seed=5)
         assert np.array_equal(a.total_toggles, b.total_toggles)

@@ -3,6 +3,7 @@
 import pytest
 from iss_oracle import CortexM0Like, CPUActivityModel, CPUError, Memory, SystemBus
 from m0_assembler import Assembler
+from rtl_oracle import records_of
 
 from repro.soc.chip import M0_REGISTERS
 
@@ -195,7 +196,7 @@ class TestTimingAndActivity:
 
     def test_halted_cpu_reports_idle_activity(self):
         cpu = run("main:\n halt")
-        idle = cpu.run_cycles(1)[0]
+        idle = records_of(cpu.run_cycles(1))[0]
         assert idle.clock_toggles == 2 * cpu.activity.always_clocked_registers
         assert idle.data_toggles == 0
 

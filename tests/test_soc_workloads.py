@@ -76,9 +76,10 @@ class TestOtherWorkloads:
         assert memcopy_trace.total_toggles.mean() > idle_trace.total_toggles.mean()
 
     @pytest.mark.parametrize("build", [build_chip_one, build_chip_two])
-    @pytest.mark.parametrize("num_cycles", [1_000, 2_049])
+    # Prefixes of the shipped window, and one acquisition that tiles it.
+    @pytest.mark.parametrize("num_cycles", [1_000, 2_049, 20_000])
     def test_running_dhrystone_gives_the_chip_background(self, build, num_cycles):
-        chip = build(m0_window_cycles=512)
+        chip = build()
         expected = chip.background_power(num_cycles, seed=4)
         actual = background_power_running(chip, dhrystone_like_program(), num_cycles, seed=4)
         assert actual.power_w.tobytes() == expected.power_w.tobytes()

@@ -26,7 +26,6 @@ def _fig6_cell(repetitions: int):
         "fig6/chip1", RunOptions(cycles=NUM_CYCLES, repetitions=repetitions)
     ).with_overrides(
         watermark=WatermarkConfig(lfsr_width=8, lfsr_seed=0x2D),
-        m0_window_cycles=1_024,
     )
 
 

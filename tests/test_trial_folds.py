@@ -152,7 +152,7 @@ def test_noiseless_ungated_and_fully_gated_draws_equal_the_oracle(
 
 
 def test_per_trial_parameters_and_validation():
-    synthesizer = TraceSynthesizer(np.array([1.0, 0.0, 1.0, 1.0]), 1.0, 0.5, 2.0)
+    synthesizer = TraceSynthesizer(np.array([1.0, 0.0, 1.0, 1.0]), 2.0, 0.5, 2.0)
     counts = np.bincount(np.arange(41) % 4, minlength=4)
     fold = synthesizer.trial_folds(
         3,
@@ -160,7 +160,6 @@ def test_per_trial_parameters_and_validation():
         np.random.default_rng(3),
         noise_sigmas=[0.0, 0.3, 0.0],
         enable_duties=[1.0, 0.5, 0.0],
-        amplitudes=[2.0, 1.0, 1.0],
     )
     assert fold.folded.shape == (3, 4) and fold.num_cycles == 41
     # Noiseless rows are constant within each phase: base or base + 2 x.
@@ -170,7 +169,7 @@ def test_per_trial_parameters_and_validation():
     assert np.array_equal(fold.folded[2], 2.0 * counts)
     assert fold.sum_yy[2] == 41 * 4.0
     with pytest.raises(ValueError):
-        synthesizer.trial_folds(3, 41, np.random.default_rng(3), amplitudes=[1.0, 2.0])
+        synthesizer.trial_folds(3, 41, np.random.default_rng(3), noise_sigmas=[1.0, 2.0])
 
 
 # -- distribution against the per-cycle oracle ------------------------------------
@@ -211,7 +210,7 @@ def test_trials_match_the_oracle_in_distribution(duty):
     assert_same_distribution(off_peak(drawn_cpa), off_peak(oracle_cpa), "off-peak")
     # The decision rate is a binomial proportion: the two rates may differ
     # by sampling error only (pooled two-proportion z-test).
-    rates = np.array([drawn_cpa.detection_rate, oracle_cpa.detection_rate])
+    rates = np.array([drawn_cpa.detection_count, oracle_cpa.detection_count]) / SAMPLES
     assert 0.1 < rates.mean() < 0.9, rates
     pooled = rates.mean()
     z = (rates[0] - rates[1]) / np.sqrt(2 * pooled * (1 - pooled) / SAMPLES)

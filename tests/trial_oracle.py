@@ -46,7 +46,6 @@ def trial_rows(
     rng: np.random.Generator,
     noise_sigmas=None,
     enable_duties=None,
-    amplitudes=None,
 ) -> Iterator[np.ndarray]:
     """Yield ``trials`` per-cycle rows of ``synthesizer``'s measurement model.
 
@@ -61,7 +60,6 @@ def trial_rows(
     if num_cycles <= 0:
         raise ValueError("num_cycles must be positive")
     sigmas = _per_row(noise_sigmas, synthesizer.noise_sigma_w, trials, "noise_sigmas")
-    amps = _per_row(amplitudes, synthesizer.watermark_amplitude_w, trials, "amplitudes")
     duties = _per_row(enable_duties, 1.0, trials, "enable_duties")
     sequence = synthesizer.sequence
     period = len(sequence)
@@ -75,7 +73,7 @@ def trial_rows(
             if duties[index] < 1.0:
                 watermark = watermark * (rng.random(num_cycles) < duties[index])
             row[:] = rng.normal(0.0, sigmas[index], num_cycles)
-            row += synthesizer.base_power_w + amps[index] * watermark
+            row += synthesizer.base_power_w + synthesizer.watermark_amplitude_w * watermark
             yield row
 
     return rows()
